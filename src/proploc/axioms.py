@@ -2,19 +2,29 @@
 
 Each checker sweeps a finite check domain and returns a pass, or an exact
 counterexample witness that re-verifies on its own. Enumeration order is
-deterministic (lexicographic over profiles, agents, then candidate
-reports), so the first failure reported is stable across runs.
+deterministic (lexicographic over components, profiles, agents, then
+candidate reports), so the first failure reported is stable across runs.
 
 Internally, finite mixtures are rescaled to a common integer denominator
-so the hot loops run on machine integers; witnesses are reconstructed as
-exact rationals. Mechanisms carrying a continuous phantom family are
-decided through the exact closed forms in :mod:`proploc.analysis` or, for
-the universal variants, through a deterministic sample of their support.
+(:class:`_Scaled`); witnesses are reconstructed as exact rationals.
+Strategyproofness, manipulation search and anonymity run on the block
+engine of :mod:`proploc.sweep`. It relies on every rank, phantom and
+dictator part being a generalized median: with the other reports fixed,
+an agent's report r moves the part's output as clip(r, lo, hi), and the
+average's cost is linear in r. So an agent's expected cost is piecewise
+linear in its own report, and the sweep tries only the breakpoints (the
+window ends, the reports, the finite phantoms and the average's balance
+report, plus one step beyond each end on the real line). A strategyproofness
+PASS therefore covers every real misreport, not only the grid, and a
+witness misreport lies on a breakpoint. Mechanisms carrying a continuous
+phantom family are decided through the exact closed forms in
+:mod:`proploc.analysis` or, for the universal variants, through a
+deterministic sample of their support.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 
@@ -46,6 +56,7 @@ from .core import (
     to_phantom_form,
 )
 from .mechanisms import build_mechanism, format_mechanism
+from .sweep import SpSweep, first_dictator_shift
 
 PASS = "pass"
 FAIL = "fail"
@@ -180,9 +191,16 @@ def _lcm(values) -> int:
 class _Scaled:
     """A finite mixture and check grid rescaled to integer arithmetic.
 
-    Every candidate location becomes an even integer over the common
-    denominator D, so midpoints between candidates stay integral. Costs
-    carry the fixed scale wden * n * D.
+    Every grid point, finite phantom and breakpoint candidate (a report,
+    a phantom, a window end or step beyond it, the average's balance
+    report n * true - sum of the others) is an integer over the common
+    denominator D, so no midpoints are needed. Costs carry the fixed scale
+    wden * n * D: a part of weight u adds u * n * |true - output|, the
+    average adds u * |n * true - sum of reports|. Each part is tagged for
+    the clip form of :class:`proploc.sweep.SpSweep`: ("rank", k, u),
+    ("ph", number of -inf phantoms, finite phantoms, u), ("dict", agent
+    index, u) or ("avg", None, u). Parts whose output would be non-finite
+    are rejected here, before any profile is swept.
     """
 
     def __init__(self, components, n: int, domain: str, grid: int):
@@ -201,7 +219,7 @@ class _Scaled:
                     if not isinstance(y, Infinite):
                         denoms.append(y.denominator)
             normalized.append((mech, weight))
-        self.D = 2 * _lcm(denoms)
+        self.D = _lcm(denoms)
         self.wden = _lcm(weight_dens) if weight_dens else 1
         self.cost_scale = self.wden * n * self.D
 
@@ -229,6 +247,8 @@ class _Scaled:
                     raise DomainMismatchError(
                         "unit-interval checks need finite phantoms"
                     )
+                if neg == n + 1 or pos == n + 1:
+                    raise MechanismError("median of reports and phantoms is not finite")
                 phantom_values.update(fins)
                 parts.append(("ph", neg, fins, u))
             elif isinstance(mech, Dictator):
@@ -245,8 +265,11 @@ class _Scaled:
         self.parts = tuple(parts)
         self.anonymous = anonymous
         self.phantom_values = tuple(sorted(phantom_values))
-        points = grid_points(domain, grid)
-        self.grid_ints = tuple(self.to_int(p) for p in points)
+        # grid_points(domain, grid) over D, without building the Fractions.
+        if domain == UNIT_INTERVAL:
+            self.grid_ints = tuple(j * (self.D // grid) for j in range(grid + 1))
+        else:
+            self.grid_ints = tuple(v * self.D for v in range(-grid, grid + 1))
 
     def to_int(self, value: Fraction) -> int:
         scaled = Fraction(value) * self.D
@@ -265,12 +288,8 @@ class _Scaled:
         if tag == "rank":
             return xs_sorted[self.n - part[1]]
         if tag == "ph":
-            neg, fins = part[1], part[2]
-            merged = sorted([*xs_sorted, *fins])
-            index = self.n - neg
-            if index < 0 or index >= len(merged):
-                raise MechanismError("median of reports and phantoms is not finite")
-            return merged[index]
+            merged = sorted([*xs_sorted, *part[2]])
+            return merged[self.n - part[1]]
         if tag == "dict":
             return x_list[part[1]]
         raise MechanismError("the average has no single atom")
@@ -300,21 +319,24 @@ class _Scaled:
             return combinations_with_replacement(self.grid_ints, self.n)
         return product(self.grid_ints, repeat=self.n)
 
-    def misreport_candidates(self, x_list, i: int):
-        true = x_list[i]
-        cand = set(self.grid_ints)
-        cand.update(x_list)
-        cand.update(self.phantom_values)
-        if self.domain == REAL_LINE:
-            cand.add(self.grid_ints[0] - self.D)
-            cand.add(self.grid_ints[-1] + self.D)
-        if self.has_avg:
-            balance = self.n * true - (sum(x_list) - true)
-            if self.domain == REAL_LINE or 0 <= balance <= self.D:
-                cand.add(balance)
-        ordered = sorted(cand)
-        mids = {(a + b) // 2 for a, b in zip(ordered, ordered[1:])}
-        return sorted(set(ordered) | mids)
+
+def _first_failing_component(mechs, dom: CheckDomain, sweep):
+    """``sweep(mechs)``: the first (component index, result) that fails,
+    or None. A component the engine rejects raises only when no earlier
+    component fails, as a component-by-component sweep would meet it.
+    """
+    try:
+        return sweep(mechs)
+    except MechanismError:
+        for index, mech in enumerate(mechs):
+            try:
+                _Scaled(((mech, ONE),), dom.n, dom.domain, dom.grid)
+            except MechanismError:
+                found = sweep(mechs[:index]) if index else None
+                if found is None:
+                    raise
+                return found
+        raise
 
 
 def _components_of(mechanism, n: int, domain: str):
@@ -348,10 +370,25 @@ def _universal_components(mixture: RandomizedMechanism, dom: CheckDomain):
             yield mech, note
 
 
+def _stacked_support(mixture: RandomizedMechanism, dom: CheckDomain):
+    """Every support component, in order, for one stacked sweep, and the
+    coverage note of a pass."""
+    components = list(_universal_components(mixture, dom))
+    notes = {note for _, note in components if note}
+    return [mech for mech, _ in components], "; ".join(sorted(notes))
+
+
 def _verdict(axiom, variant, witness=None, detail="", status=None):
     if status is None:
         status = FAIL if witness is not None else PASS
     return AxiomVerdict(axiom, variant, status, witness, detail)
+
+
+def _via_universal(axiom, universal: AxiomVerdict) -> AxiomVerdict:
+    detail = "via universal certificate (universal implies in expectation)"
+    if universal.detail:
+        detail += f"; {universal.detail}"
+    return _verdict(axiom, EXP, detail=detail)
 
 
 # ---------------------------------------------------------------------------
@@ -359,38 +396,18 @@ def _verdict(axiom, variant, witness=None, detail="", status=None):
 # ---------------------------------------------------------------------------
 
 
-def _sp_violation(scaled: _Scaled):
-    n = scaled.n
-    for X in scaled.profiles():
-        xs = sorted(X)
-        seen: set[int] = set()
-        x_list = list(X)
-        for i in range(n):
-            true = X[i]
-            if scaled.anonymous:
-                if true in seen:
-                    continue
-                seen.add(true)
-            truthful = scaled.cost(x_list, xs, true)
-            for report in scaled.misreport_candidates(x_list, i):
-                if report == true:
-                    continue
-                x_list[i] = report
-                deviating = scaled.cost(x_list, sorted(x_list), true)
-                x_list[i] = true
-                if deviating < truthful:
-                    return X, i, report, deviating, truthful
-    return None
-
-
-def _sp_witness(scaled: _Scaled, violation, component=None) -> Witness:
-    X, i, report, deviating, truthful = violation
-    return Witness(
+def _sp_first(components, dom: CheckDomain, combine: bool):
+    """(component index, witness) of the first profitable misreport, or None."""
+    scaled = _Scaled(components, dom.n, dom.domain, dom.grid)
+    hit = SpSweep(scaled, combine).first_violation()
+    if hit is None:
+        return None
+    X, i, report, deviating, truthful = hit[1]
+    return hit[0], Witness(
         profile=tuple(scaled.to_frac(v) for v in X),
         domain=scaled.domain,
         agent=i + 1,
         misreport=scaled.to_frac(report),
-        component=component,
         lhs=scaled.cost_frac(deviating),
         bound=scaled.cost_frac(truthful),
     )
@@ -399,62 +416,51 @@ def _sp_witness(scaled: _Scaled, violation, component=None) -> Witness:
 def check_strategyproofness(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVerdict:
     """No agent can cut its (expected) distance by misreporting.
 
-    Candidate misreports cover the grid, the other agents' reports, all
-    finite phantom values, the report balancing the average (when an
-    average component is present), one step beyond the window on the real
-    line, and midpoints between consecutive candidates: the expected cost
-    is piecewise linear in one report between those values, so the sweep
-    is exact for finite mixtures.
+    Every profile on the check grid is swept, and the misreports cover the
+    whole line, not only the grid: an agent's expected cost is piecewise
+    linear in its own report, with kinks only at the other reports, the
+    finite phantoms, its true point and the report balancing the average.
+    So the sweep tries exactly those breakpoints plus the window ends (and
+    one step beyond each end on the real line), and a witness misreport
+    lies on a breakpoint. The universal variant sweeps every support
+    component on its own; all of them are stacked in one engine pass.
     """
     mixture = _components_of(mechanism, dom.n, dom.domain)
-    if variant == DET:
-        if isinstance(mechanism, RandomizedMechanism):
-            raise MechanismError("deterministic variant needs a deterministic mechanism")
-        scaled = _Scaled(mixture.components, dom.n, dom.domain, dom.grid)
-        violation = _sp_violation(scaled)
-        if violation:
-            return _verdict(STRATEGYPROOFNESS, variant, _sp_witness(scaled, violation))
-        return _verdict(STRATEGYPROOFNESS, variant)
+    if variant == DET and isinstance(mechanism, RandomizedMechanism):
+        raise MechanismError("deterministic variant needs a deterministic mechanism")
     if variant == UNIVERSAL:
-        notes = set()
-        for mech, note in _universal_components(mixture, dom):
-            if note:
-                notes.add(note)
-            scaled = _Scaled(((mech, ONE),), dom.n, dom.domain, dom.grid)
-            violation = _sp_violation(scaled)
-            if violation:
-                witness = _sp_witness(scaled, violation, component=format_mechanism(mech))
-                return _verdict(STRATEGYPROOFNESS, variant, witness)
-        return _verdict(STRATEGYPROOFNESS, variant, detail="; ".join(sorted(notes)))
-    if variant == EXP:
-        if mixture.has_continuous:
-            finite_ok = all(
-                mechanism_is_phantom_class(mech) for mech, _ in mixture.components
+        mechs, note = _stacked_support(mixture, dom)
+        found = _first_failing_component(
+            mechs, dom, lambda part: _sp_first([(mech, ONE) for mech in part], dom, False)
+        )
+        if found is None:
+            return _verdict(STRATEGYPROOFNESS, variant, detail=note)
+        index, witness = found
+        witness = replace(witness, component=format_mechanism(mechs[index]))
+        return _verdict(STRATEGYPROOFNESS, variant, witness)
+    if variant not in (DET, EXP):
+        raise MechanismError(f"unknown variant {variant!r}")
+    if mixture.has_continuous:
+        finite_ok = all(
+            mechanism_is_phantom_class(mech) for mech, _ in mixture.components
+        )
+        if not finite_ok:
+            raise MechanismError(
+                "in-expectation strategyproofness is undecided for continuous "
+                "families mixed with non-phantom components"
             )
-            if not finite_ok:
-                raise MechanismError(
-                    "in-expectation strategyproofness is undecided for continuous "
-                    "families mixed with non-phantom components"
-                )
-            universal = check_strategyproofness(mechanism, dom, UNIVERSAL)
-            if universal.passed:
-                detail = "via universal certificate (universal implies in expectation)"
-                if universal.detail:
-                    detail += f"; {universal.detail}"
-                return _verdict(STRATEGYPROOFNESS, variant, detail=detail)
-            return AxiomVerdict(
-                STRATEGYPROOFNESS,
-                variant,
-                INCONCLUSIVE,
-                universal.witness,
-                "universal certificate unavailable",
-            )
-        scaled = _Scaled(mixture.components, dom.n, dom.domain, dom.grid)
-        violation = _sp_violation(scaled)
-        if violation:
-            return _verdict(STRATEGYPROOFNESS, variant, _sp_witness(scaled, violation))
-        return _verdict(STRATEGYPROOFNESS, variant)
-    raise MechanismError(f"unknown variant {variant!r}")
+        universal = check_strategyproofness(mechanism, dom, UNIVERSAL)
+        if universal.passed:
+            return _via_universal(STRATEGYPROOFNESS, universal)
+        return AxiomVerdict(
+            STRATEGYPROOFNESS,
+            variant,
+            INCONCLUSIVE,
+            universal.witness,
+            "universal certificate unavailable",
+        )
+    found = _sp_first(mixture.components, dom, True)
+    return _verdict(STRATEGYPROOFNESS, variant, found and found[1])
 
 
 @dataclass(frozen=True)
@@ -484,8 +490,10 @@ class ManipulationFinding:
 def search_manipulation(mechanism, dom: CheckDomain) -> ManipulationFinding | None:
     """Largest exact expected-cost reduction over the check domain, if any.
 
-    Ties go to the lexicographically first instance; returns None when no
-    profitable misreport exists on the grid.
+    The misreports are the breakpoints of the strategyproofness sweep, so
+    the gain is the largest over every real misreport. Ties go to the
+    lexicographically first instance; returns None when no profitable
+    misreport exists.
     """
     mixture = _components_of(mechanism, dom.n, dom.domain)
     if mixture.has_continuous:
@@ -494,31 +502,10 @@ def search_manipulation(mechanism, dom: CheckDomain) -> ManipulationFinding | No
             return None
         raise MechanismError("manipulation search needs a finite mixture")
     scaled = _Scaled(mixture.components, dom.n, dom.domain, dom.grid)
-    best = None
-    n = scaled.n
-    for X in scaled.profiles():
-        xs = sorted(X)
-        seen: set[int] = set()
-        x_list = list(X)
-        for i in range(n):
-            true = X[i]
-            if scaled.anonymous:
-                if true in seen:
-                    continue
-                seen.add(true)
-            truthful = scaled.cost(x_list, xs, true)
-            for report in scaled.misreport_candidates(x_list, i):
-                if report == true:
-                    continue
-                x_list[i] = report
-                deviating = scaled.cost(x_list, sorted(x_list), true)
-                x_list[i] = true
-                gain = truthful - deviating
-                if gain > 0 and (best is None or gain > best[0]):
-                    best = (gain, X, i, report, deviating, truthful)
+    best = SpSweep(scaled, combine=True).best_gain()
     if best is None:
         return None
-    _, X, i, report, deviating, truthful = best
+    X, i, report, deviating, truthful = best
     return ManipulationFinding(
         profile=tuple(scaled.to_frac(v) for v in X),
         domain=scaled.domain,
@@ -545,17 +532,44 @@ def _permutations_to_try(n: int, all_permutations: bool):
     return swaps
 
 
-def _anonymity_det_violation(scaled: _Scaled, perms):
-    # single-component engine: expected_loc is just the (scaled) output
-    for X in product(scaled.grid_ints, repeat=scaled.n):
-        xs = sorted(X)
-        base = scaled.expected_loc(list(X), xs)
-        for perm in perms:
-            permuted = [X[perm[j]] for j in range(scaled.n)]
-            other = scaled.expected_loc(permuted, xs)
-            if other != base:
-                return X, perm, other, base
-    return None
+def _anonymity_first(components, dom: CheckDomain, perms, combine: bool):
+    """(component index, profile, permutation) of the first relabelling that
+    moves the output, over ordered grid profiles, or None. With ``combine``
+    the whole mixture is one component (the expected location)."""
+    scaled = _Scaled(components, dom.n, dom.domain, dom.grid)
+    found = first_dictator_shift(scaled, perms, combine)
+    if found is None:
+        return None
+    index, X, perm = found
+    return index, tuple(scaled.to_frac(v) for v in X), perm
+
+
+def _anonymity_witness(mechanism, dom: CheckDomain, profile, perm, component=None) -> Witness:
+    """The expected locations are computed for the witness only: through
+    the rescaled mixture, or the closed forms when a continuous family is
+    present."""
+    mixture = as_mixture(mechanism, dom.n, dom.domain)
+    permuted = tuple(profile[p] for p in perm)
+    if mixture.has_continuous:
+        lhs, bound = (
+            analysis.expected_facility_location(mixture, Profile(dom.domain, x))
+            for x in (permuted, profile)
+        )
+    else:
+        scaled = _Scaled(mixture.components, dom.n, dom.domain, dom.grid)
+        X = [scaled.to_int(x) for x in profile]
+        lhs, bound = (
+            Fraction(scaled.expected_loc([X[p] for p in order], sorted(X)), scaled.cost_scale)
+            for order in (perm, range(dom.n))
+        )
+    return Witness(
+        profile=profile,
+        domain=dom.domain,
+        permutation=tuple(p + 1 for p in perm),
+        component=component,
+        lhs=lhs,
+        bound=bound,
+    )
 
 
 def check_anonymity(
@@ -565,88 +579,36 @@ def check_anonymity(
 
     Adjacent transpositions generate every permutation, so the default
     sweep checks those; ``all_permutations`` forces the full group for
-    cross-validation.
+    cross-validation. Only dictator parts read agent labels, so only they
+    are swept.
     """
     mixture = _components_of(mechanism, dom.n, dom.domain)
     perms = _permutations_to_try(dom.n, all_permutations)
-    if variant == DET:
-        if isinstance(mechanism, RandomizedMechanism):
-            raise MechanismError("deterministic variant needs a deterministic mechanism")
-        scaled = _Scaled(mixture.components, dom.n, dom.domain, dom.grid)
-        violation = _anonymity_det_violation(scaled, perms)
-        if violation:
-            X, perm, lhs, base = violation
-            witness = Witness(
-                profile=tuple(scaled.to_frac(v) for v in X),
-                domain=scaled.domain,
-                permutation=tuple(p + 1 for p in perm),
-                lhs=Fraction(lhs, scaled.cost_scale),
-                bound=Fraction(base, scaled.cost_scale),
-            )
-            return _verdict(ANONYMITY, variant, witness)
-        return _verdict(ANONYMITY, variant)
+    if variant == DET and isinstance(mechanism, RandomizedMechanism):
+        raise MechanismError("deterministic variant needs a deterministic mechanism")
     if variant == UNIVERSAL:
-        notes = set()
-        for mech, note in _universal_components(mixture, dom):
-            if note:
-                notes.add(note)
-            scaled = _Scaled(((mech, ONE),), dom.n, dom.domain, dom.grid)
-            violation = _anonymity_det_violation(scaled, perms)
-            if violation:
-                X, perm, lhs, base = violation
-                witness = Witness(
-                    profile=tuple(scaled.to_frac(v) for v in X),
-                    domain=scaled.domain,
-                    permutation=tuple(p + 1 for p in perm),
-                    component=format_mechanism(mech),
-                    lhs=Fraction(lhs, scaled.cost_scale),
-                    bound=Fraction(base, scaled.cost_scale),
-                )
-                return _verdict(ANONYMITY, variant, witness)
-        return _verdict(ANONYMITY, variant, detail="; ".join(sorted(notes)))
-    if variant == EXP:
-        if mixture.has_continuous:
-            universal = check_anonymity(mechanism, dom, UNIVERSAL, all_permutations)
-            if universal.passed:
-                detail = "via universal certificate (universal implies in expectation)"
-                if universal.detail:
-                    detail += f"; {universal.detail}"
-                return _verdict(ANONYMITY, variant, detail=detail)
-            points = dom.points()
-            for X in product(points, repeat=dom.n):
-                profile = Profile(dom.domain, X)
-                base = analysis.expected_facility_location(mixture, profile)
-                for perm in perms:
-                    permuted = Profile(dom.domain, tuple(X[perm[j]] for j in range(dom.n)))
-                    other = analysis.expected_facility_location(mixture, permuted)
-                    if other != base:
-                        witness = Witness(
-                            profile=X,
-                            domain=dom.domain,
-                            permutation=tuple(p + 1 for p in perm),
-                            lhs=other,
-                            bound=base,
-                        )
-                        return _verdict(ANONYMITY, variant, witness)
-            return _verdict(ANONYMITY, variant)
-        scaled = _Scaled(mixture.components, dom.n, dom.domain, dom.grid)
-        for X in product(scaled.grid_ints, repeat=scaled.n):
-            xs = sorted(X)
-            base = scaled.expected_loc(list(X), xs)
-            for perm in perms:
-                permuted = [X[perm[j]] for j in range(scaled.n)]
-                other = scaled.expected_loc(permuted, xs)
-                if other != base:
-                    witness = Witness(
-                        profile=tuple(scaled.to_frac(v) for v in X),
-                        domain=scaled.domain,
-                        permutation=tuple(p + 1 for p in perm),
-                        lhs=Fraction(other, scaled.cost_scale),
-                        bound=Fraction(base, scaled.cost_scale),
-                    )
-                    return _verdict(ANONYMITY, variant, witness)
+        mechs, note = _stacked_support(mixture, dom)
+        found = _first_failing_component(
+            mechs,
+            dom,
+            lambda part: _anonymity_first([(mech, ONE) for mech in part], dom, perms, False),
+        )
+        if found is None:
+            return _verdict(ANONYMITY, variant, detail=note)
+        mech = mechs[found[0]]
+        witness = _anonymity_witness(mech, dom, *found[1:], format_mechanism(mech))
+        return _verdict(ANONYMITY, variant, witness)
+    if variant not in (DET, EXP):
+        raise MechanismError(f"unknown variant {variant!r}")
+    if mixture.has_continuous:
+        universal = check_anonymity(mechanism, dom, UNIVERSAL, all_permutations)
+        if universal.passed:
+            return _via_universal(ANONYMITY, universal)
+    # A continuous family is anonymous, so the finite dictators decide.
+    found = _anonymity_first(mixture.components, dom, perms, True)
+    if found is None:
         return _verdict(ANONYMITY, variant)
-    raise MechanismError(f"unknown variant {variant!r}")
+    return _verdict(ANONYMITY, variant, _anonymity_witness(mixture, dom, *found[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -719,10 +681,6 @@ def _colocated_groups(locations):
     return groups
 
 
-def _expected_distance_exact(mixture, profile: Profile, point: Fraction) -> Fraction:
-    return analysis.expected_distance_to_point(mixture, profile, point)
-
-
 def _fairness_profiles(dom: CheckDomain, points, anonymous: bool):
     if anonymous:
         return combinations_with_replacement(points, dom.n)
@@ -739,7 +697,7 @@ def _check_group_bounds(mixture, dom, variant, axiom, instances, component=None)
         if use_exact:
             profile = Profile(dom.domain, locations)
             for agent in group:
-                lhs = _expected_distance_exact(
+                lhs = analysis.expected_distance_to_point(
                     mixture, profile, locations[agent - 1]
                 )
                 if lhs > bound:

@@ -4,7 +4,9 @@ Subcommands: ``run`` (evaluate a mechanism on a profile), ``check`` (one
 axiom, one variant; exit code 0/1/2 for pass/fail/inconclusive), ``table``
 (the mechanism-by-property summary matrix), ``search-manipulation``,
 ``solve-weights``, and ``prop1`` (the deterministic impossibility
-certificate). Output formats: markdown (default), json, csv.
+certificate). Output formats: markdown (default), json, csv. Bad input
+(an unreadable or malformed profile file, an unparsable option value)
+prints ``error: ...`` and exits 2.
 """
 
 from __future__ import annotations
@@ -72,9 +74,11 @@ def _parse_profile(text: str, domain: str) -> Profile:
             point = parse_point(entry)
             locations.append(point)
         return Profile(domain, tuple(locations))
-    path = Path(token)
-    data = json.loads(path.read_text())
-    return Profile.from_json(data)
+    data = json.loads(Path(token).read_text())
+    try:
+        return Profile.from_json(data)
+    except (KeyError, TypeError) as exc:
+        raise MechanismError(f"malformed profile file {token!r}: {exc!r}") from exc
 
 
 def _emit(text: str, out: str | None):
@@ -412,7 +416,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MechanismError as exc:
+    except (OSError, ValueError) as exc:
+        # Bad input (an unreadable file, malformed JSON, an unparsable
+        # number; MechanismError is a ValueError) exits 2, never 1: for
+        # ``check`` exit code 1 means the axiom failed.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -304,7 +304,6 @@ def to_phantom_form(mechanism: Mechanism, n: int, domain: str = UNIT_INTERVAL) -
 
 def _median_with_phantoms(agents: Sequence[Fraction], phantoms: Sequence[ExtLocation]) -> Fraction:
     neg = sum(1 for y in phantoms if y is NEG_INF)
-    pos = sum(1 for y in phantoms if y is POS_INF)
     finite = sorted(list(agents) + [y for y in phantoms if not isinstance(y, Infinite)])
     total = len(agents) + len(phantoms)
     index = total // 2 - neg

@@ -3,6 +3,8 @@
 import json
 from fractions import Fraction as F
 
+import pytest
+
 from proploc.cli import build_table, main, table_answers
 
 
@@ -267,3 +269,43 @@ def test_real_line_domain_flag(capsys):
     assert code == 0
     data = json.loads(out)
     assert {"x": "-5", "p": "1/2"} in data["atoms"]
+
+
+@pytest.mark.parametrize(
+    "argv, profile_text",
+    [
+        (["run", "--mechanism", "median", "--profile", "{missing}"], None),
+        (["run", "--mechanism", "median", "--profile", "{file}"], "{not json"),
+        (["run", "--mechanism", "median", "--profile", "{file}"], '{"locations": ["0"]}'),
+        (["check", "--mechanism", "median", "--axiom", "anonymity", "--n", "2", "--grid", "2",
+          "--out", "{missing_dir}"], None),
+        (["table", "--n", "2", "--grid", "2", "--p", "abc"], None),
+        (["solve-weights", "--n", "2", "--perturb", "xx"], None),
+        (["solve-weights", "--n", "2", "--perturb", "1:abc"], None),
+        (["prop1", "--samples", "1/2,x"], None),
+    ],
+    ids=[
+        "missing-profile-file",
+        "malformed-json-profile",
+        "profile-without-domain",
+        "unwritable-out",
+        "table-bad-p",
+        "perturb-without-colon",
+        "perturb-bad-delta",
+        "prop1-bad-sample",
+    ],
+)
+def test_bad_input_prints_error_and_exits_2(tmp_path, capsys, argv, profile_text):
+    """Bad input never exits 1, which ``check`` reserves for a failed axiom."""
+    path = tmp_path / "profile.json"
+    if profile_text is not None:
+        path.write_text(profile_text)
+    names = {
+        "missing": str(tmp_path / "absent.json"),
+        "file": str(path),
+        "missing_dir": str(tmp_path / "absent" / "out.txt"),
+    }
+    code, _, err = run_cli(capsys, *(arg.format(**names) for arg in argv))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
