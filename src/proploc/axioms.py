@@ -16,9 +16,16 @@ linear in its own report, and the sweep tries only the breakpoints (the
 window ends, the reports, the finite phantoms and the average's balance
 report, plus one step beyond each end on the real line). A strategyproofness
 PASS therefore covers every real misreport, not only the grid, and a
-witness misreport lies on a breakpoint. Mechanisms carrying a continuous
-phantom family are decided through the exact closed forms in
-:mod:`proploc.analysis` or, for the universal variants, through a
+witness misreport lies on a breakpoint.
+
+Proportionality and Strong Proportionality run on the same engine's
+two-valued sweep: every profile low + pattern * (high - low) for grid pairs
+low < high (only the pair 0, 1 for proportionality) and 0/1 patterns, each
+agent priced against (n - s)/n of the gap for its group of size s, the low
+group's members before the high group's. SPF stays on the scalar loop over
+its instances. Mechanisms carrying a continuous phantom family are decided
+through the exact closed forms in :mod:`proploc.analysis`, instance by
+instance in the sweep's order, or, for the universal variants, through a
 deterministic sample of their support.
 """
 
@@ -26,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, islice, permutations, product
 
 from . import analysis
 from .core import (
@@ -56,7 +63,7 @@ from .core import (
     to_phantom_form,
 )
 from .mechanisms import build_mechanism, format_mechanism
-from .sweep import SpSweep, first_dictator_shift
+from .sweep import GroupSweep, SpSweep, first_dictator_shift, two_valued_profiles
 
 PASS = "pass"
 FAIL = "fail"
@@ -197,7 +204,7 @@ class _Scaled:
     denominator D, so no midpoints are needed. Costs carry the fixed scale
     wden * n * D: a part of weight u adds u * n * |true - output|, the
     average adds u * |n * true - sum of reports|. Each part is tagged for
-    the clip form of :class:`proploc.sweep.SpSweep`: ("rank", k, u),
+    the block sweeps of :mod:`proploc.sweep`: ("rank", k, u),
     ("ph", number of -inf phantoms, finite phantoms, u), ("dict", agent
     index, u) or ("avg", None, u). Parts whose output would be non-finite
     are rejected here, before any profile is swept.
@@ -370,12 +377,27 @@ def _universal_components(mixture: RandomizedMechanism, dom: CheckDomain):
             yield mech, note
 
 
-def _stacked_support(mixture: RandomizedMechanism, dom: CheckDomain):
-    """Every support component, in order, for one stacked sweep, and the
-    coverage note of a pass."""
-    components = list(_universal_components(mixture, dom))
-    notes = {note for _, note in components if note}
-    return [mech for mech, _ in components], "; ".join(sorted(notes))
+def _first_failing_support(mixture: RandomizedMechanism, dom: CheckDomain, sweep):
+    """The first failing support component of a universal check, as
+    (mechanism, result), or None; and the coverage note of a pass.
+
+    ``sweep`` is that of :func:`_first_failing_component`, one stacked
+    engine pass. It gets the support in runs of 8, 32, 128, ... components,
+    in order, so a check that fails on an early component builds only the
+    first runs (a continuous family's sampled support runs to hundreds of
+    components), while a pass costs about one stacked sweep: every sweep's
+    blocks are capped in elements, so more components make smaller blocks.
+    """
+    components = _universal_components(mixture, dom)
+    notes, size = set(), 8
+    while run := list(islice(components, size)):
+        notes.update(note for _, note in run if note)
+        mechs = [mech for mech, _ in run]
+        found = _first_failing_component(mechs, dom, sweep)
+        if found is not None:
+            return (mechs[found[0]], found[1]), ""
+        size *= 4
+    return None, "; ".join(sorted(notes))
 
 
 def _verdict(axiom, variant, witness=None, detail="", status=None):
@@ -423,21 +445,19 @@ def check_strategyproofness(mechanism, dom: CheckDomain, variant: str = DET) -> 
     So the sweep tries exactly those breakpoints plus the window ends (and
     one step beyond each end on the real line), and a witness misreport
     lies on a breakpoint. The universal variant sweeps every support
-    component on its own; all of them are stacked in one engine pass.
+    component on its own, stacked in runs of growing length.
     """
     mixture = _components_of(mechanism, dom.n, dom.domain)
     if variant == DET and isinstance(mechanism, RandomizedMechanism):
         raise MechanismError("deterministic variant needs a deterministic mechanism")
     if variant == UNIVERSAL:
-        mechs, note = _stacked_support(mixture, dom)
-        found = _first_failing_component(
-            mechs, dom, lambda part: _sp_first([(mech, ONE) for mech in part], dom, False)
+        found, note = _first_failing_support(
+            mixture, dom, lambda part: _sp_first([(mech, ONE) for mech in part], dom, False)
         )
         if found is None:
             return _verdict(STRATEGYPROOFNESS, variant, detail=note)
-        index, witness = found
-        witness = replace(witness, component=format_mechanism(mechs[index]))
-        return _verdict(STRATEGYPROOFNESS, variant, witness)
+        mech, witness = found
+        return _verdict(STRATEGYPROOFNESS, variant, replace(witness, component=format_mechanism(mech)))
     if variant not in (DET, EXP):
         raise MechanismError(f"unknown variant {variant!r}")
     if mixture.has_continuous:
@@ -533,7 +553,7 @@ def _permutations_to_try(n: int, all_permutations: bool):
 
 
 def _anonymity_first(components, dom: CheckDomain, perms, combine: bool):
-    """(component index, profile, permutation) of the first relabelling that
+    """(component index, (profile, permutation)) of the first relabelling that
     moves the output, over ordered grid profiles, or None. With ``combine``
     the whole mixture is one component (the expected location)."""
     scaled = _Scaled(components, dom.n, dom.domain, dom.grid)
@@ -541,7 +561,7 @@ def _anonymity_first(components, dom: CheckDomain, perms, combine: bool):
     if found is None:
         return None
     index, X, perm = found
-    return index, tuple(scaled.to_frac(v) for v in X), perm
+    return index, (tuple(scaled.to_frac(v) for v in X), perm)
 
 
 def _anonymity_witness(mechanism, dom: CheckDomain, profile, perm, component=None) -> Witness:
@@ -587,16 +607,15 @@ def check_anonymity(
     if variant == DET and isinstance(mechanism, RandomizedMechanism):
         raise MechanismError("deterministic variant needs a deterministic mechanism")
     if variant == UNIVERSAL:
-        mechs, note = _stacked_support(mixture, dom)
-        found = _first_failing_component(
-            mechs,
+        found, note = _first_failing_support(
+            mixture,
             dom,
             lambda part: _anonymity_first([(mech, ONE) for mech in part], dom, perms, False),
         )
         if found is None:
             return _verdict(ANONYMITY, variant, detail=note)
-        mech = mechs[found[0]]
-        witness = _anonymity_witness(mech, dom, *found[1:], format_mechanism(mech))
+        mech, (profile, perm) = found
+        witness = _anonymity_witness(mech, dom, profile, perm, format_mechanism(mech))
         return _verdict(ANONYMITY, variant, witness)
     if variant not in (DET, EXP):
         raise MechanismError(f"unknown variant {variant!r}")
@@ -608,7 +627,7 @@ def check_anonymity(
     found = _anonymity_first(mixture.components, dom, perms, True)
     if found is None:
         return _verdict(ANONYMITY, variant)
-    return _verdict(ANONYMITY, variant, _anonymity_witness(mixture, dom, *found[1:]))
+    return _verdict(ANONYMITY, variant, _anonymity_witness(mixture, dom, *found[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -674,13 +693,6 @@ def check_efficiency(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVe
 # ---------------------------------------------------------------------------
 
 
-def _colocated_groups(locations):
-    groups: dict = {}
-    for index, loc in enumerate(locations):
-        groups.setdefault(loc, []).append(index + 1)
-    return groups
-
-
 def _fairness_profiles(dom: CheckDomain, points, anonymous: bool):
     if anonymous:
         return combinations_with_replacement(points, dom.n)
@@ -688,7 +700,7 @@ def _fairness_profiles(dom: CheckDomain, points, anonymous: bool):
 
 
 def _check_group_bounds(mixture, dom, variant, axiom, instances, component=None):
-    """Shared sweep: instances yield (profile, group, bound)."""
+    """Scalar sweep: instances yield (profile, group, bound)."""
     use_exact = isinstance(mixture, RandomizedMechanism) and mixture.has_continuous
     scaled = None
     if not use_exact:
@@ -731,26 +743,41 @@ def _check_group_bounds(mixture, dom, variant, axiom, instances, component=None)
     return None
 
 
-def _proportionality_instances(dom: CheckDomain, anonymous: bool):
-    n = dom.n
-    for locations in _fairness_profiles(dom, (ZERO, ONE), anonymous):
-        groups = _colocated_groups(locations)
-        for loc, members in sorted(groups.items()):
-            bound = Fraction(n - len(members), n)
-            yield locations, tuple(members), bound
+def _two_valued_values(points, ends_only: bool):
+    """The values two-valued profiles take: the grid's ends (proportionality,
+    where they are 0 and 1) or every grid point (Strong Proportionality)."""
+    return (points[0], points[-1]) if ends_only else points
 
 
-def _strong_proportionality_instances(dom: CheckDomain, anonymous: bool):
+def _two_valued_instances(dom: CheckDomain, ends_only: bool, anonymous: bool):
+    """(profile, group, bound) of the exact path, in the block sweep's
+    order: each profile's low group, then its high group."""
     n = dom.n
-    points = dom.points()
-    for low_index, low in enumerate(points):
-        for high in points[low_index + 1 :]:
-            gap = high - low
-            for locations in _fairness_profiles(dom, (low, high), anonymous):
-                groups = _colocated_groups(locations)
-                for loc, members in sorted(groups.items()):
-                    bound = Fraction(n - len(members), n) * gap
-                    yield locations, tuple(members), bound
+    values = _two_valued_values(dom.points(), ends_only)
+    for locations in two_valued_profiles(values, n, anonymous):
+        gap = max(locations) - min(locations)
+        for side in sorted(set(locations)):
+            group = tuple(i + 1 for i, x in enumerate(locations) if x == side)
+            yield locations, group, Fraction(n - len(group), n) * gap
+
+
+def _two_valued_first(components, dom: CheckDomain, ends_only: bool, combine: bool):
+    """(component index, witness) of the first group member whose cost
+    exceeds its bound on a two-valued profile, or None."""
+    scaled = _Scaled(components, dom.n, dom.domain, dom.grid)
+    values = _two_valued_values(scaled.grid_ints, ends_only)
+    hit = GroupSweep(scaled, values, combine).first_violation()
+    if hit is None:
+        return None
+    X, i, group, cost, bound = hit[1]
+    return hit[0], Witness(
+        profile=tuple(scaled.to_frac(v) for v in X),
+        domain=scaled.domain,
+        agent=i + 1,
+        group=group,
+        lhs=scaled.cost_frac(cost),
+        bound=scaled.cost_frac(bound),
+    )
 
 
 def _spf_instances(dom: CheckDomain, anonymous: bool, cap: int):
@@ -766,19 +793,39 @@ def _spf_instances(dom: CheckDomain, anonymous: bool, cap: int):
                 yield locations, tuple(j + 1 for j in subset), bound
 
 
-def _group_axiom(mechanism, dom, variant, axiom, instance_factory, detail=""):
+def _group_axiom(mechanism, dom, variant, axiom, instance_factory=None, detail="", ends_only=False):
+    """The group-bound axioms. SPF passes ``instance_factory``, whose
+    instances the scalar sweep prices one by one. Without it the axiom is
+    two-valued: finite mixtures run on the block sweep, and a continuous
+    family in expectation on the exact path over the same instances."""
     mixture = _components_of(mechanism, dom.n, dom.domain)
+    two_valued = instance_factory is None
+    if two_valued:
+        instance_factory = lambda anonymous: _two_valued_instances(dom, ends_only, anonymous)
     anonymous_mixture = all(
         mechanism_is_anonymous(mech) for mech, _ in mixture.components
     )
     if variant in (DET, EXP):
         if variant == DET and isinstance(mechanism, RandomizedMechanism):
             raise MechanismError("deterministic variant needs a deterministic mechanism")
+        if two_valued and not mixture.has_continuous:
+            found = _two_valued_first(mixture.components, dom, ends_only, True)
+            return _verdict(axiom, variant, found and found[1], detail=detail)
         fail = _check_group_bounds(
             mixture, dom, variant, axiom, instance_factory(anonymous_mixture)
         )
         return fail or _verdict(axiom, variant, detail=detail)
     if variant == UNIVERSAL:
+        if two_valued:
+            found, note = _first_failing_support(
+                mixture,
+                dom,
+                lambda part: _two_valued_first([(mech, ONE) for mech in part], dom, ends_only, False),
+            )
+            if found is None:
+                return _verdict(axiom, variant, detail=note)
+            mech, witness = found
+            return _verdict(axiom, variant, replace(witness, component=format_mechanism(mech)))
         notes = {detail} if detail else set()
         for mech, note in _universal_components(mixture, dom):
             if note:
@@ -800,29 +847,33 @@ def _group_axiom(mechanism, dom, variant, axiom, instance_factory, detail=""):
 
 def check_proportionality(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVerdict:
     """On endpoint profiles, each co-located group of size s sits within
-    (n-s)/n of the facility (in expectation for the exp variant)."""
+    (n-s)/n of the facility (in expectation for the exp variant).
+
+    This is the Strong Proportionality sweep over the single pair (0, 1):
+    the 0/1 profiles in pattern order, the group at 0 before the group at 1,
+    on the block sweep for finite mixtures and on the exact path for a
+    continuous family in expectation.
+    """
     if dom.domain != UNIT_INTERVAL:
         raise DomainMismatchError("proportionality is an endpoint axiom on [0,1]")
-    return _group_axiom(
-        mechanism,
-        dom,
-        variant,
-        PROPORTIONALITY,
-        lambda anonymous: _proportionality_instances(dom, anonymous),
-    )
+    return _group_axiom(mechanism, dom, variant, PROPORTIONALITY, ends_only=True)
 
 
 def check_strong_proportionality(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVerdict:
     """On every two-valued profile, each co-located group of size s sits
     within (n-s)/n of the gap (equivalently: the facility lands on the
-    group-weighted average)."""
-    return _group_axiom(
-        mechanism,
-        dom,
-        variant,
-        STRONG_PROPORTIONALITY,
-        lambda anonymous: _strong_proportionality_instances(dom, anonymous),
-    )
+    group-weighted average).
+
+    The profiles are ``low + pattern * (high - low)`` for every grid pair
+    low < high, in grid order, and every 0/1 pattern (multisets when the
+    mechanism is anonymous, ordered vectors otherwise); within a profile
+    the low group's members come first, then the high group's. Finite
+    mixtures are swept in blocks by :class:`proploc.sweep.GroupSweep`, the
+    universal variant with the support components stacked in runs; a
+    continuous family in expectation is priced instance by instance through
+    the exact closed forms, in the same order. (SPF keeps the scalar loop.)
+    """
+    return _group_axiom(mechanism, dom, variant, STRONG_PROPORTIONALITY)
 
 
 def check_spf(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVerdict:

@@ -363,7 +363,6 @@ def _add_common(parser, with_grid=True):
     parser.add_argument("--domain", choices=sorted(_DOMAIN_ALIASES), default="unit")
     parser.add_argument("--format", choices=("markdown", "json", "csv"), default="markdown")
     parser.add_argument("--out", default=None, help="also write the report to a file")
-    parser.add_argument("--seed", type=int, default=0, help="seed for any sampling")
     if with_grid:
         parser.add_argument("--n", type=int, default=3)
         parser.add_argument("--grid", type=int, default=6)

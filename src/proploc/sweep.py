@@ -1,12 +1,12 @@
 """Vectorized block sweeps over an integer-rescaled mixture.
 
-The engine behind the strategyproofness, manipulation-search and anonymity
-checks in :mod:`proploc.axioms`. It takes the rescaled mixture those
-checks build (integer reports over a common denominator, parts tagged
-rank, phantom, dictator or average) and sweeps its grid profiles in
-blocks, in enumeration order, as numpy arrays: int64 while every scaled
-value provably stays below 2^62, Python ints (``dtype=object``) on the same
-code path otherwise.
+The engine behind the strategyproofness, manipulation-search, anonymity,
+proportionality and Strong Proportionality checks in :mod:`proploc.axioms`.
+It takes the rescaled mixture those checks build (integer reports over a
+common denominator, parts tagged rank, phantom, dictator or average) and
+sweeps its grid profiles in blocks, in enumeration order, as numpy arrays:
+int64 while every scaled value provably stays below 2^62, Python ints
+(``dtype=object``) on the same code path otherwise.
 
 A sweep computes, per block, a (component, row, ...) array and reduces it:
 the first failing component in order, a weighted sum over components, or
@@ -17,7 +17,7 @@ the largest gain. Every block temporary is capped at
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import islice, product
+from itertools import combinations_with_replacement, islice, product
 
 import numpy as np
 
@@ -314,3 +314,140 @@ def first_dictator_shift(scaled, perms, combine: bool):
     blocks = profile_blocks(product(scaled.grid_ints, repeat=n), size, dtype)
     found = first_failure(blocks, len(groups), block_hit)
     return found and (groups[found[0]][0], *found[1:])
+
+
+def two_valued_profiles(values, n: int, anonymous: bool):
+    """Every profile ``low + pattern * (high - low)`` for low < high in
+    ``values``, in check order: the pairs as ``values`` lists them (low
+    outer, high inner), then the 0/1 patterns in lexicographic order, as
+    multisets for an anonymous mechanism and as ordered vectors otherwise.
+    Both proportionality axioms read their instances in this order, on the
+    block sweep and on the exact path alike."""
+    patterns = list(
+        combinations_with_replacement((0, 1), n) if anonymous else product((0, 1), repeat=n)
+    )
+    for a, low in enumerate(values):
+        for high in values[a + 1 :]:
+            for pattern in patterns:
+                yield tuple(high if bit else low for bit in pattern)
+
+
+class GroupSweep:
+    """Co-located group costs of one rescaled mixture on two-valued profiles.
+
+    A profile of two values low < high splits the agents into a low and a
+    high group; an agent in a group of size s violates the bound when its
+    scaled cost exceeds wden * (n - s) * (high - low), which is
+    (n - s)/n * (high - low) at the cost scale. The slots of a profile list
+    the low group's agents in index order, then the high group's, so the
+    first hit of a (component, profile, slot) mask is the instance a loop
+    over profiles, groups and members meets first.
+
+    A part's output is its order statistic of the reports (a rank), of the
+    reports plus its finite phantoms (a phantom), a dictator's report, or
+    the sum of the reports (the average, whose cost is |n*true - sum|).
+    ``combine`` sums the parts with their weights into one component (the
+    in-expectation cost); otherwise each part is its own component. Ordered
+    profiles, swept when some part is a dictator, need no multiset filter
+    for the anonymous parts: among the patterns with the same number of
+    ones, the sorted one 0...01...1 comes first, so an anonymous part's
+    first failure lies on the multiset it would meet when swept alone.
+    """
+
+    def __init__(self, scaled, values, combine: bool):
+        n, parts = scaled.n, scaled.parts
+        self.scaled, self.values, self.combine = scaled, values, combine
+        self.count = 1 if combine else len(parts)
+        kinds = [part[0] for part in parts]
+        self.clip = [c for c, kind in enumerate(kinds) if kind in ("rank", "ph")]
+        self.dicts = [(c, part[1]) for c, part in enumerate(parts) if part[0] == "dict"]
+        self.avg = [c for c, kind in enumerate(kinds) if kind == "avg"]
+        # Every report and phantom lies in (-big, big), so every cost stays
+        # below 2 * n * big * weight and every bound below 2 * n * big * wden.
+        big = max(map(abs, [*scaled.grid_ints, *scaled.phantom_values])) + 1
+        weight = sum(part[-1] for part in parts) if combine else 1
+        dtype = np.int64 if 4 * n * big * (weight + scaled.wden) < INT64_BOUND else object
+        self.dtype = dtype
+        fins = [parts[c][2] if kinds[c] == "ph" else () for c in self.clip]
+        pad = max(map(len, fins), default=0)
+        # Part c's finite phantoms, padded past every report, and the index
+        # of its output among the reports and those phantoms sorted.
+        self.phantoms = np.array(
+            [[*f] + [big] * (pad - len(f)) for f in fins], dtype=dtype
+        ).reshape(len(fins), 1, pad)
+        self.index = np.array([n - parts[c][1] for c in self.clip], dtype=np.intp)
+        self.clip_rows = np.arange(len(self.clip))
+        self.slots = np.arange(n)
+        coef = [1 if kind == "avg" else n for kind in kinds]
+        if combine:
+            coef = [a * part[-1] for a, part in zip(coef, parts)]
+        self.coef = np.array(coef, dtype=dtype)[:, None, None]
+        self.scale = np.array([n if kind == "avg" else 1 for kind in kinds], dtype=dtype)[:, None, None]
+        self.block_profiles = max(1, BLOCK_ELEMENTS // (len(parts) * (n + pad)))
+
+    def blocks(self):
+        profiles = two_valued_profiles(self.values, self.scaled.n, self.scaled.anonymous)
+        return profile_blocks(profiles, self.block_profiles, self.dtype)
+
+    def costs(self, X, limit: int):
+        """(cost, bound) of one block: ``cost`` is (component, profile, slot)
+        for the first ``limit`` components, ``bound`` (profile, slot). Slot
+        j holds the j-th smallest report, whose agent is the j-th in a
+        stable sort of the profile."""
+        scaled, n = self.scaled, self.scaled.n
+        parts = len(scaled.parts) if self.combine else limit
+        true = np.sort(X, axis=1)
+        low, high = true[:, :1], true[:, -1:]
+        lows = (X == low).sum(axis=1, keepdims=True)
+        # n - s: the size of the other group.
+        others = np.where(self.slots < lows, n - lows, lows)
+        bound = others * (scaled.wden * (high - low))
+
+        out = np.empty((parts, len(X)), dtype=self.dtype)
+        k = bisect_left(self.clip, parts)
+        pad = self.phantoms.shape[2]
+        if k and pad:
+            merged = np.empty((k, len(X), n + pad), dtype=self.dtype)
+            merged[..., :n] = true
+            merged[..., n:] = self.phantoms[:k]
+            merged.sort(axis=2)
+            out[self.clip[:k]] = merged[self.clip_rows[:k], :, self.index[:k]]
+        elif k:
+            out[self.clip[:k]] = true.T[self.index[:k]]
+        for c, j in self.dicts:
+            if c < parts:
+                out[c] = X[:, j]
+        for c in self.avg:
+            if c < parts:
+                out[c] = X.sum(axis=1)
+        cost = self.scale[:parts] * true - out[..., None]
+        np.abs(cost, out=cost)
+        np.multiply(cost, self.coef[:parts], out=cost)
+        if self.combine:
+            cost = cost.sum(axis=0, keepdims=True)
+        return cost, bound
+
+    def first_violation(self):
+        """(component, (profile, agent, group, cost, bound)) of the first
+        group member whose cost exceeds its bound, or None."""
+        n = self.scaled.n
+
+        def block_hit(X, limit):
+            cost, bound = self.costs(X, limit)
+            mask = cost > bound
+            flat = first_hit(mask)
+            if flat is None:
+                return None
+            component, row, slot = np.unravel_index(flat, mask.shape)
+            profile = tuple(int(v) for v in X[row])
+            agent = sorted(range(n), key=profile.__getitem__)[slot]
+            group = tuple(j + 1 for j in range(n) if profile[j] == profile[agent])
+            return int(component), (
+                profile,
+                agent,
+                group,
+                int(cost[component, row, slot]),
+                int(bound[row, slot]),
+            )
+
+        return first_failure(self.blocks(), self.count, block_hit)

@@ -309,3 +309,12 @@ def test_bad_input_prints_error_and_exits_2(tmp_path, capsys, argv, profile_text
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_removed_seed_option_is_rejected(capsys):
+    """No command samples anything, so there is no ``--seed`` option; an
+    unknown option is a usage error and exits 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--n", "2", "--grid", "2", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err

@@ -4,7 +4,9 @@ Random finite mixtures of rank, dictator, phantom and average mechanisms
 are checked by the engine and by a loop over the same profiles and
 candidate misreports that prices every report with
 ``analysis.expected_distance_to_point``. Verdicts, first witnesses and the
-largest manipulation gain must agree.
+largest manipulation gain must agree. Proportionality and Strong
+Proportionality are checked the same way, against a loop over the
+two-valued profiles and their groups.
 """
 
 from fractions import Fraction as F
@@ -246,3 +248,112 @@ def test_block_costs_match_scalar_engine(domain, mechs):
                 assert deviating[0, row, column] == scaled.cost(moved, sorted(moved), x_list[i])
                 checked += 1
     assert checked > 100
+
+
+# ---------------------------------------------------------------------------
+# Proportionality and Strong Proportionality: the two-valued group sweep
+# ---------------------------------------------------------------------------
+
+
+def _reference_group_first(mechanism, dom, values, anonymous):
+    """(profile, agent, group, lhs, bound) of the first group member whose
+    expected distance exceeds (n - s)/n of the gap: pairs low < high of
+    ``values`` in order, their profiles (multisets if anonymous), then the
+    low group's members and the high group's."""
+    n = dom.n
+    for a, low in enumerate(values):
+        for high in values[a + 1 :]:
+            pair = (low, high)
+            profiles = combinations_with_replacement(pair, n) if anonymous else product(pair, repeat=n)
+            for X in profiles:
+                for side in pair:
+                    group = tuple(i + 1 for i, x in enumerate(X) if x == side)
+                    bound = F(n - len(group), n) * (high - low)
+                    for agent in group:
+                        lhs = analysis.expected_distance_to_point(mechanism, Profile(dom.domain, X), side)
+                        if lhs > bound:
+                            return X, agent, group, lhs, bound
+    return None
+
+
+def _group_key(witness):
+    return witness.profile, witness.agent, witness.group, witness.lhs, witness.bound
+
+
+def _expected_group(axiom, variant, mixture, dom):
+    """(component, first instance) the plain loop finds, or None."""
+    points = grid_points(dom.domain, dom.grid)
+    values = (points[0], points[-1]) if axiom == axioms.PROPORTIONALITY else points
+    mechs = mixture.component_mechanisms()
+    if variant == axioms.EXP:
+        anonymous = all(mechanism_is_anonymous(mech) for mech in mechs)
+        found = _reference_group_first(mixture, dom, values, anonymous)
+        return found and (None, found)
+    for mech in mechs:
+        found = _reference_group_first(mech, dom, values, mechanism_is_anonymous(mech))
+        if found is not None:
+            return format_mechanism(mech), found
+    return None
+
+
+def _assert_group_verdicts_match(mixture, dom):
+    axes = [axioms.STRONG_PROPORTIONALITY]
+    if dom.domain == UNIT_INTERVAL:
+        axes.append(axioms.PROPORTIONALITY)
+    for axiom in axes:
+        for variant in (axioms.EXP, axioms.UNIVERSAL):
+            verdict = axioms.run_check(axiom, mixture, dom, variant)
+            expected = _expected_group(axiom, variant, mixture, dom)
+            if expected is None:
+                assert verdict.passed, (axiom, variant, verdict)
+            else:
+                assert verdict.failed, (axiom, variant, expected)
+                assert verdict.witness.component == expected[0]
+                assert _group_key(verdict.witness) == expected[1]
+                assert axioms.recheck_witness(mixture, verdict)
+
+
+@given(domains.flatmap(mixtures))
+def test_group_sweep_matches_plain_loop(case):
+    _assert_group_verdicts_match(*case)
+
+
+@given(domains.flatmap(mixtures))
+def test_group_sweep_tiny_blocks_keep_order(case):
+    """With a profile or two per block, the first failing component and its
+    first instance across blocks are the same."""
+    with mock.patch.object(sweep, "BLOCK_ELEMENTS", 64):
+        _assert_group_verdicts_match(*case)
+
+
+@pytest.mark.parametrize("domain", [UNIT_INTERVAL, REAL_LINE])
+def test_group_sweep_large_denominators_take_python_int_path(domain):
+    """A 61-bit phantom denominator pushes the scaled values past the int64
+    bound, so the group sweep runs on Python ints; verdicts agree."""
+    q = 2**61 - 1
+    y = F(q // 3, q)
+    vector = (F(0), y, F(1)) if domain == UNIT_INTERVAL else (NEG_INF, y, POS_INF)
+    mechs = (Phantom(vector), Average(), RankK(1))
+    mixture = RandomizedMechanism(2, domain, tuple(zip(mechs, (F(1, 2), F(1, 4), F(1, 4)))))
+    dom = axioms.CheckDomain(n=2, grid=2, domain=domain)
+    scaled = axioms._Scaled(mixture.components, dom.n, dom.domain, dom.grid)
+    assert sweep.GroupSweep(scaled, scaled.grid_ints, combine=True).dtype is object
+    _assert_group_verdicts_match(mixture, dom)
+
+
+@pytest.mark.parametrize("domain", [UNIT_INTERVAL, REAL_LINE])
+def test_universal_failure_past_the_first_run_of_components(domain):
+    """Universal checks stack the support in runs of 8, 32, ... components;
+    a component failing only in a later run is still found, with its own
+    witness."""
+    dom = axioms.CheckDomain(n=2, grid=2, domain=domain)
+    mechs = (Average(),) * 9 + (Dictator(1),)
+    mixture = RandomizedMechanism(2, domain, tuple((mech, F(1, 10)) for mech in mechs))
+    verdict = axioms.check_strong_proportionality(mixture, dom, axioms.UNIVERSAL)
+    assert verdict.witness.component == "dictator:i=1"
+    _assert_group_verdicts_match(mixture, dom)
+    mechs = (RankK(1),) * 9 + (Average(),)
+    mixture = RandomizedMechanism(2, domain, tuple((mech, F(1, 10)) for mech in mechs))
+    verdict = axioms.check_strategyproofness(mixture, dom, axioms.UNIVERSAL)
+    assert verdict.witness.component == "average"
+    assert _witness_key(verdict.witness) == _reference_first(Average(), mechs, dom)
