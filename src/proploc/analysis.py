@@ -511,22 +511,25 @@ def _med5(a: Fraction, b: Fraction, triple) -> Fraction:
     return values[2]
 
 
+def _phantom_candidates(placements) -> tuple[Fraction, ...]:
+    """The placements' breakpoints (0, 1, each report and forced output)
+    plus the midpoints between neighbours, which is exhaustive: a phantom
+    triple satisfies the forced medians iff the representative triple
+    obtained by snapping each phantom to its breakpoint or containing
+    interval does."""
+    points = sorted({ZERO, ONE, *(v for p in placements for v in (p.report, p.forced))})
+    mids = [(a + b) / 2 for a, b in zip(points, points[1:])]
+    return tuple(sorted({*points, *mids}))
+
+
 def find_phantom_vector(placements, candidates=None):
     """A sorted phantom triple meeting every forced placement, or None.
 
-    Candidate values default to the placements' breakpoints plus interval
-    midpoints, which is exhaustive: a phantom triple satisfies the forced
-    medians iff the representative triple obtained by snapping each phantom
-    to its breakpoint or containing interval does.
+    Candidate values default to :func:`_phantom_candidates`.
     """
     placements = tuple(placements)
     if candidates is None:
-        base = {ZERO, ONE}
-        for p in placements:
-            base.update((p.report, p.forced))
-        points = sorted(base)
-        mids = [(a + b) / 2 for a, b in zip(points, points[1:])]
-        candidates = tuple(sorted(set(points) | set(mids)))
+        candidates = _phantom_candidates(placements)
     for triple in combinations_with_replacement(candidates, 3):
         if all(_med5(ZERO, p.report, triple) == p.forced for p in placements):
             return triple
@@ -553,10 +556,7 @@ def prop1_infeasibility(samples=(Fraction(1, 2), ONE)) -> Prop1Certificate:
         for t_other in reports[i + 1 :]:
             low, high = sorted((t, t_other))
             first, second = ForcedPlacement(low), ForcedPlacement(high)
-            base = {ZERO, ONE, low, high, first.forced, second.forced}
-            points = sorted(base)
-            mids = [(a + b) / 2 for a, b in zip(points, points[1:])]
-            candidates = tuple(sorted(set(points) | set(mids)))
+            candidates = _phantom_candidates((first, second))
             checked = math.comb(len(candidates) + 2, 3)
             if find_phantom_vector((first, second), candidates) is None:
                 manipulation = None

@@ -5,6 +5,25 @@ counterexample witness that re-verifies on its own. Enumeration order is
 deterministic (lexicographic over components, profiles, agents, then
 candidate reports), so the first failure reported is stable across runs.
 
+Every axiom has the same variants, defined once in :func:`_decide`:
+
+- ``det``: a deterministic mechanism satisfies the axiom (a randomized
+  mechanism is an error);
+- ``exp``: a mixture satisfies it in expectation, its weighted components
+  swept as one mechanism;
+- ``universal``: every support component satisfies it on its own, in order,
+  and a failure names the first that does not (universal truthfulness and
+  anonymity, ex-post efficiency and fairness); a continuous phantom family
+  contributes a deterministic sample of its support.
+
+A mixture with a continuous family in expectation follows its axiom's rule.
+Strategyproofness passes on a universal certificate (universal implies in
+expectation) and is inconclusive otherwise; anonymity passes on the
+certificate, and otherwise its finite dictators decide, the family being
+anonymous; proportionality, Strong Proportionality and SPF are priced
+through the exact closed forms in :mod:`proploc.analysis`. Efficiency has no
+in-expectation variant.
+
 Internally, finite mixtures are rescaled to a common integer denominator
 (:class:`_Scaled`); witnesses are reconstructed as exact rationals.
 Strategyproofness, manipulation search and anonymity run on the block
@@ -22,18 +41,17 @@ Proportionality and Strong Proportionality run on the same engine's
 two-valued sweep: every profile low + pattern * (high - low) for grid pairs
 low < high (only the pair 0, 1 for proportionality) and 0/1 patterns, each
 agent priced against (n - s)/n of the gap for its group of size s, the low
-group's members before the high group's. SPF stays on the scalar loop over
-its instances. Mechanisms carrying a continuous phantom family are decided
-through the exact closed forms in :mod:`proploc.analysis`, instance by
-instance in the sweep's order, or, for the universal variants, through a
-deterministic sample of their support.
+group's members before the high group's. SPF and efficiency stay on scalar
+loops over the rescaled profiles.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, islice, permutations, product
+from functools import partial
+from itertools import combinations, combinations_with_replacement, islice, permutations
 
 from . import analysis
 from .core import (
@@ -63,7 +81,7 @@ from .core import (
     to_phantom_form,
 )
 from .mechanisms import build_mechanism, format_mechanism
-from .sweep import GroupSweep, SpSweep, first_dictator_shift, two_valued_profiles
+from .sweep import GroupSweep, SpSweep, first_dictator_shift, grid_profiles, two_valued_profiles
 
 PASS = "pass"
 FAIL = "fail"
@@ -95,15 +113,14 @@ class CheckDomain:
     """Finite verification domain: n agents on a location grid.
 
     On the unit interval the grid is {0, 1/grid, ..., 1}; on the real line
-    it is the integer window {-grid, ..., grid}. ``exhaustive`` records the
-    caller's intent; sub-exhaustive shortcuts actually taken (subset caps,
-    continuous-support sampling) are surfaced in each verdict's detail.
+    it is the integer window {-grid, ..., grid}. Shortcuts that cover less
+    than the whole grid (subset caps, continuous-support sampling) are
+    surfaced in each verdict's detail.
     """
 
     n: int
     grid: int = 6
     domain: str = UNIT_INTERVAL
-    exhaustive: bool = True
     spf_subset_cap: int | None = None
     support_grid: int | None = None
 
@@ -185,16 +202,6 @@ class AxiomVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _lcm(values) -> int:
-    out = 1
-    for v in values:
-        g, x = out, v
-        while x:
-            g, x = x, g % x
-        out = out * v // g
-    return out
-
-
 class _Scaled:
     """A finite mixture and check grid rescaled to integer arithmetic.
 
@@ -226,8 +233,8 @@ class _Scaled:
                     if not isinstance(y, Infinite):
                         denoms.append(y.denominator)
             normalized.append((mech, weight))
-        self.D = _lcm(denoms)
-        self.wden = _lcm(weight_dens) if weight_dens else 1
+        self.D = math.lcm(*denoms)
+        self.wden = math.lcm(*weight_dens)
         self.cost_scale = self.wden * n * self.D
 
         parts = []
@@ -290,6 +297,9 @@ class _Scaled:
     def cost_frac(self, scaled_cost: int) -> Fraction:
         return Fraction(scaled_cost, self.cost_scale)
 
+    def witness(self, X, **fields) -> Witness:
+        return Witness(tuple(self.to_frac(v) for v in X), self.domain, **fields)
+
     def atom(self, part, x_list, xs_sorted) -> int:
         tag = part[0]
         if tag == "rank":
@@ -322,14 +332,20 @@ class _Scaled:
         return total
 
     def profiles(self):
-        if self.anonymous:
-            return combinations_with_replacement(self.grid_ints, self.n)
-        return product(self.grid_ints, repeat=self.n)
+        return grid_profiles(self.grid_ints, self.n, self.anonymous)
+
+
+def _scaled_each(components, dom: CheckDomain, combine: bool):
+    """(index, :class:`_Scaled`) of the weighted components as one mixture
+    (``combine``), or of each component alone, in order."""
+    groups = [components] if combine else [[component] for component in components]
+    for index, group in enumerate(groups):
+        yield index, _Scaled(group, dom.n, dom.domain, dom.grid)
 
 
 def _first_failing_component(mechs, dom: CheckDomain, sweep):
-    """``sweep(mechs)``: the first (component index, result) that fails,
-    or None. A component the engine rejects raises only when no earlier
+    """``sweep(mechs)``: the first (component index, ...) that fails, or
+    None. A component the engine rejects raises only when no earlier
     component fails, as a component-by-component sweep would meet it.
     """
     try:
@@ -358,35 +374,31 @@ def _components_of(mechanism, n: int, domain: str):
     return mixture
 
 
-def _support_sample(dom: CheckDomain):
-    """Deterministic sample of a uniform family's support: all sorted
-    interior phantom vectors on the support grid, endpoints pinned."""
-    pts = grid_points(UNIT_INTERVAL, dom.support_grid or dom.grid)
-    for interior in combinations_with_replacement(pts, dom.n - 1):
-        yield Phantom((ZERO,) + interior + (ONE,))
-
-
 def _universal_components(mixture: RandomizedMechanism, dom: CheckDomain):
+    """(mechanism, coverage note) of every support component: the finite
+    ones, then a deterministic sample of a uniform family's support, every
+    sorted interior phantom vector on the support grid, endpoints pinned."""
     for mech, _ in mixture.components:
         yield mech, None
     if mixture.has_continuous:
         if not mixture.continuous.is_uniform:
             raise MechanismError("expand discrete phantom families before checking")
-        note = f"support sampled on grid m={dom.support_grid or dom.grid}"
-        for mech in _support_sample(dom):
-            yield mech, note
+        m = dom.support_grid or dom.grid
+        for interior in combinations_with_replacement(grid_points(UNIT_INTERVAL, m), dom.n - 1):
+            yield Phantom((ZERO,) + interior + (ONE,)), f"support sampled on grid m={m}"
 
 
 def _first_failing_support(mixture: RandomizedMechanism, dom: CheckDomain, sweep):
     """The first failing support component of a universal check, as
-    (mechanism, result), or None; and the coverage note of a pass.
+    (mechanism, witness, failure detail), or None; and the coverage note of
+    a pass.
 
-    ``sweep`` is that of :func:`_first_failing_component`, one stacked
-    engine pass. It gets the support in runs of 8, 32, 128, ... components,
-    in order, so a check that fails on an early component builds only the
-    first runs (a continuous family's sampled support runs to hundreds of
-    components), while a pass costs about one stacked sweep: every sweep's
-    blocks are capped in elements, so more components make smaller blocks.
+    ``sweep`` is that of :func:`_first_failing_component`. It gets the
+    support in runs of 8, 32, 128, ... components, in order, so a check
+    that fails on an early component builds only the first runs (a
+    continuous family's sampled support runs to hundreds of components),
+    while a pass costs about one stacked sweep: every block sweep is capped
+    in elements, so more components make smaller blocks.
     """
     components = _universal_components(mixture, dom)
     notes, size = set(), 8
@@ -395,22 +407,54 @@ def _first_failing_support(mixture: RandomizedMechanism, dom: CheckDomain, sweep
         mechs = [mech for mech, _ in run]
         found = _first_failing_component(mechs, dom, sweep)
         if found is not None:
-            return (mechs[found[0]], found[1]), ""
+            return (mechs[found[0]], *found[1:]), ""
         size *= 4
     return None, "; ".join(sorted(notes))
 
 
-def _verdict(axiom, variant, witness=None, detail="", status=None):
-    if status is None:
-        status = FAIL if witness is not None else PASS
-    return AxiomVerdict(axiom, variant, status, witness, detail)
+def _decide(axiom, mechanism, dom: CheckDomain, variant, first, continuous=None, detail=""):
+    """Decide ``axiom`` in ``variant``: the one place the variants are
+    defined (see the module docstring).
+
+    ``first(components, dom, combine)`` is the axiom's sweep over
+    (mechanism, weight) pairs: (component index, witness, failure detail) of
+    the first violation, or None. With ``combine`` the components form one
+    mixture (det and exp); without it each is checked alone (universal),
+    and the verdict names the failing component. ``continuous(mixture)`` is
+    the axiom's in-expectation rule for a mixture with a continuous family,
+    as (status, witness, detail); an axiom without one has no exp variant.
+    ``detail`` notes the coverage of a pass.
+    """
+    mixture = _components_of(mechanism, dom.n, dom.domain)
+    if variant == DET and isinstance(mechanism, RandomizedMechanism):
+        raise MechanismError("deterministic variant needs a deterministic mechanism")
+    if variant == UNIVERSAL:
+        found, note = _first_failing_support(
+            mixture, dom, lambda run: first([(mech, ONE) for mech in run], dom, False)
+        )
+        if found is None:
+            return AxiomVerdict(axiom, variant, PASS, None, "; ".join(filter(None, (detail, note))))
+        mech, witness, failure = found
+        return AxiomVerdict(axiom, variant, FAIL, replace(witness, component=format_mechanism(mech)), failure)
+    if variant not in ((DET, EXP) if continuous else (DET,)):
+        if continuous is None:
+            raise MechanismError(f"{axiom} has deterministic and universal variants only")
+        raise MechanismError(f"unknown variant {variant!r}")
+    if mixture.has_continuous:
+        return AxiomVerdict(axiom, variant, *continuous(mixture))
+    found = first(mixture.components, dom, True)
+    if found is None:
+        return AxiomVerdict(axiom, variant, PASS, None, detail)
+    return AxiomVerdict(axiom, variant, FAIL, *found[1:])
 
 
-def _via_universal(axiom, universal: AxiomVerdict) -> AxiomVerdict:
-    detail = "via universal certificate (universal implies in expectation)"
-    if universal.detail:
-        detail += f"; {universal.detail}"
-    return _verdict(axiom, EXP, detail=detail)
+def _certificate(universal: AxiomVerdict):
+    """(PASS, None, detail) when a universal PASS certifies the
+    in-expectation variant (universal implies in expectation), else None."""
+    if not universal.passed:
+        return None
+    note = "via universal certificate (universal implies in expectation)"
+    return PASS, None, "; ".join(filter(None, (note, universal.detail)))
 
 
 # ---------------------------------------------------------------------------
@@ -419,20 +463,19 @@ def _via_universal(axiom, universal: AxiomVerdict) -> AxiomVerdict:
 
 
 def _sp_first(components, dom: CheckDomain, combine: bool):
-    """(component index, witness) of the first profitable misreport, or None."""
+    """(component index, witness, "") of the first profitable misreport, or None."""
     scaled = _Scaled(components, dom.n, dom.domain, dom.grid)
     hit = SpSweep(scaled, combine).first_violation()
     if hit is None:
         return None
     X, i, report, deviating, truthful = hit[1]
-    return hit[0], Witness(
-        profile=tuple(scaled.to_frac(v) for v in X),
-        domain=scaled.domain,
+    return hit[0], scaled.witness(
+        X,
         agent=i + 1,
         misreport=scaled.to_frac(report),
         lhs=scaled.cost_frac(deviating),
         bound=scaled.cost_frac(truthful),
-    )
+    ), ""
 
 
 def check_strategyproofness(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVerdict:
@@ -444,43 +487,23 @@ def check_strategyproofness(mechanism, dom: CheckDomain, variant: str = DET) -> 
     finite phantoms, its true point and the report balancing the average.
     So the sweep tries exactly those breakpoints plus the window ends (and
     one step beyond each end on the real line), and a witness misreport
-    lies on a breakpoint. The universal variant sweeps every support
-    component on its own, stacked in runs of growing length.
+    lies on a breakpoint.
     """
-    mixture = _components_of(mechanism, dom.n, dom.domain)
-    if variant == DET and isinstance(mechanism, RandomizedMechanism):
-        raise MechanismError("deterministic variant needs a deterministic mechanism")
-    if variant == UNIVERSAL:
-        found, note = _first_failing_support(
-            mixture, dom, lambda part: _sp_first([(mech, ONE) for mech in part], dom, False)
-        )
-        if found is None:
-            return _verdict(STRATEGYPROOFNESS, variant, detail=note)
-        mech, witness = found
-        return _verdict(STRATEGYPROOFNESS, variant, replace(witness, component=format_mechanism(mech)))
-    if variant not in (DET, EXP):
-        raise MechanismError(f"unknown variant {variant!r}")
-    if mixture.has_continuous:
-        finite_ok = all(
-            mechanism_is_phantom_class(mech) for mech, _ in mixture.components
-        )
-        if not finite_ok:
+
+    def continuous(mixture):
+        if not all(mechanism_is_phantom_class(mech) for mech, _ in mixture.components):
             raise MechanismError(
                 "in-expectation strategyproofness is undecided for continuous "
                 "families mixed with non-phantom components"
             )
-        universal = check_strategyproofness(mechanism, dom, UNIVERSAL)
-        if universal.passed:
-            return _via_universal(STRATEGYPROOFNESS, universal)
-        return AxiomVerdict(
-            STRATEGYPROOFNESS,
-            variant,
+        universal = check_strategyproofness(mixture, dom, UNIVERSAL)
+        return _certificate(universal) or (
             INCONCLUSIVE,
             universal.witness,
             "universal certificate unavailable",
         )
-    found = _sp_first(mixture.components, dom, True)
-    return _verdict(STRATEGYPROOFNESS, variant, found and found[1])
+
+    return _decide(STRATEGYPROOFNESS, mechanism, dom, variant, _sp_first, continuous)
 
 
 @dataclass(frozen=True)
@@ -552,44 +575,26 @@ def _permutations_to_try(n: int, all_permutations: bool):
     return swaps
 
 
-def _anonymity_first(components, dom: CheckDomain, perms, combine: bool):
-    """(component index, (profile, permutation)) of the first relabelling that
-    moves the output, over ordered grid profiles, or None. With ``combine``
-    the whole mixture is one component (the expected location)."""
+def _anonymity_first(components, dom: CheckDomain, combine: bool, perms):
+    """(component index, witness, "") of the first relabelling that moves
+    the output, over ordered grid profiles, or None. With ``combine`` the
+    whole mixture is one component (the expected location). The expected
+    locations are computed for the witness only, from the failing
+    component's own rescaling."""
     scaled = _Scaled(components, dom.n, dom.domain, dom.grid)
     found = first_dictator_shift(scaled, perms, combine)
     if found is None:
         return None
     index, X, perm = found
-    return index, (tuple(scaled.to_frac(v) for v in X), perm)
-
-
-def _anonymity_witness(mechanism, dom: CheckDomain, profile, perm, component=None) -> Witness:
-    """The expected locations are computed for the witness only: through
-    the rescaled mixture, or the closed forms when a continuous family is
-    present."""
-    mixture = as_mixture(mechanism, dom.n, dom.domain)
-    permuted = tuple(profile[p] for p in perm)
-    if mixture.has_continuous:
-        lhs, bound = (
-            analysis.expected_facility_location(mixture, Profile(dom.domain, x))
-            for x in (permuted, profile)
-        )
-    else:
-        scaled = _Scaled(mixture.components, dom.n, dom.domain, dom.grid)
-        X = [scaled.to_int(x) for x in profile]
-        lhs, bound = (
-            Fraction(scaled.expected_loc([X[p] for p in order], sorted(X)), scaled.cost_scale)
-            for order in (perm, range(dom.n))
-        )
-    return Witness(
-        profile=profile,
-        domain=dom.domain,
-        permutation=tuple(p + 1 for p in perm),
-        component=component,
-        lhs=lhs,
-        bound=bound,
+    profile = tuple(scaled.to_frac(v) for v in X)
+    scaled = _Scaled(components if combine else components[index : index + 1], dom.n, dom.domain, dom.grid)
+    X = [scaled.to_int(x) for x in profile]
+    lhs, bound = (
+        Fraction(scaled.expected_loc([X[p] for p in order], sorted(X)), scaled.cost_scale)
+        for order in (perm, range(dom.n))
     )
+    permutation = tuple(p + 1 for p in perm)
+    return index, scaled.witness(X, permutation=permutation, lhs=lhs, bound=bound), ""
 
 
 def check_anonymity(
@@ -602,32 +607,27 @@ def check_anonymity(
     cross-validation. Only dictator parts read agent labels, so only they
     are swept.
     """
-    mixture = _components_of(mechanism, dom.n, dom.domain)
-    perms = _permutations_to_try(dom.n, all_permutations)
-    if variant == DET and isinstance(mechanism, RandomizedMechanism):
-        raise MechanismError("deterministic variant needs a deterministic mechanism")
-    if variant == UNIVERSAL:
-        found, note = _first_failing_support(
-            mixture,
-            dom,
-            lambda part: _anonymity_first([(mech, ONE) for mech in part], dom, perms, False),
-        )
+    first = partial(_anonymity_first, perms=_permutations_to_try(dom.n, all_permutations))
+
+    def continuous(mixture):
+        certified = _certificate(check_anonymity(mixture, dom, UNIVERSAL, all_permutations))
+        if certified:
+            return certified
+        # A continuous family is anonymous, so the finite dictators decide;
+        # the witness's expected locations come from the closed forms.
+        found = first(mixture.components, dom, True)
         if found is None:
-            return _verdict(ANONYMITY, variant, detail=note)
-        mech, (profile, perm) = found
-        witness = _anonymity_witness(mech, dom, profile, perm, format_mechanism(mech))
-        return _verdict(ANONYMITY, variant, witness)
-    if variant not in (DET, EXP):
-        raise MechanismError(f"unknown variant {variant!r}")
-    if mixture.has_continuous:
-        universal = check_anonymity(mechanism, dom, UNIVERSAL, all_permutations)
-        if universal.passed:
-            return _via_universal(ANONYMITY, universal)
-    # A continuous family is anonymous, so the finite dictators decide.
-    found = _anonymity_first(mixture.components, dom, perms, True)
-    if found is None:
-        return _verdict(ANONYMITY, variant)
-    return _verdict(ANONYMITY, variant, _anonymity_witness(mixture, dom, *found[1]))
+            return PASS, None, ""
+        witness = found[1]
+        lhs, bound = (
+            analysis.expected_facility_location(
+                mixture, Profile(dom.domain, tuple(witness.profile[p - 1] for p in order))
+            )
+            for order in (witness.permutation, range(1, dom.n + 1))
+        )
+        return FAIL, replace(witness, lhs=lhs, bound=bound), ""
+
+    return _decide(ANONYMITY, mechanism, dom, variant, first, continuous)
 
 
 # ---------------------------------------------------------------------------
@@ -635,57 +635,32 @@ def check_anonymity(
 # ---------------------------------------------------------------------------
 
 
-def _efficiency_violation(scaled: _Scaled):
-    # single-component engine: expected_loc is the output at scale wden*n*D
-    scale = scaled.wden * scaled.n
-    for X in scaled.profiles():
-        xs = sorted(X)
-        out = scaled.expected_loc(list(X), xs)
-        if out < scale * xs[0]:
-            return X, out, xs[0], "below the leftmost report"
-        if out > scale * xs[-1]:
-            return X, out, xs[-1], "above the rightmost report"
+def _efficiency_first(components, dom: CheckDomain, combine: bool):
+    """(component index, witness, side) of the first profile whose
+    (expected) output leaves the reported range, or None."""
+    for index, scaled in _scaled_each(components, dom, combine):
+        scale = scaled.wden * scaled.n  # expected_loc is at scale wden * n * D
+        for X in scaled.profiles():
+            xs = sorted(X)
+            out = scaled.expected_loc(X, xs)
+            if out < scale * xs[0]:
+                bound, side = xs[0], "below the leftmost report"
+            elif out > scale * xs[-1]:
+                bound, side = xs[-1], "above the rightmost report"
+            else:
+                continue
+            return index, scaled.witness(
+                X,
+                lhs=scaled.cost_frac(out),
+                bound=scaled.to_frac(bound),
+            ), side
     return None
 
 
 def check_efficiency(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVerdict:
     """Output stays within the reported range; the universal variant asks
     it of every support component (ex-post efficiency)."""
-    mixture = _components_of(mechanism, dom.n, dom.domain)
-    if variant == DET:
-        if isinstance(mechanism, RandomizedMechanism):
-            raise MechanismError("deterministic variant needs a deterministic mechanism")
-        scaled = _Scaled(mixture.components, dom.n, dom.domain, dom.grid)
-        violation = _efficiency_violation(scaled)
-        if violation:
-            X, out, bound, side = violation
-            witness = Witness(
-                profile=tuple(scaled.to_frac(v) for v in X),
-                domain=scaled.domain,
-                lhs=Fraction(out, scaled.cost_scale),
-                bound=scaled.to_frac(bound),
-            )
-            return _verdict(EFFICIENCY, variant, witness, detail=side)
-        return _verdict(EFFICIENCY, variant)
-    if variant == UNIVERSAL:
-        notes = set()
-        for mech, note in _universal_components(mixture, dom):
-            if note:
-                notes.add(note)
-            scaled = _Scaled(((mech, ONE),), dom.n, dom.domain, dom.grid)
-            violation = _efficiency_violation(scaled)
-            if violation:
-                X, out, bound, side = violation
-                witness = Witness(
-                    profile=tuple(scaled.to_frac(v) for v in X),
-                    domain=scaled.domain,
-                    component=format_mechanism(mech),
-                    lhs=Fraction(out, scaled.cost_scale),
-                    bound=scaled.to_frac(bound),
-                )
-                return _verdict(EFFICIENCY, variant, witness, detail=side)
-        return _verdict(EFFICIENCY, variant, detail="; ".join(sorted(notes)))
-    raise MechanismError("efficiency has deterministic and universal variants only")
+    return _decide(EFFICIENCY, mechanism, dom, variant, _efficiency_first)
 
 
 # ---------------------------------------------------------------------------
@@ -693,54 +668,28 @@ def check_efficiency(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVe
 # ---------------------------------------------------------------------------
 
 
-def _fairness_profiles(dom: CheckDomain, points, anonymous: bool):
-    if anonymous:
-        return combinations_with_replacement(points, dom.n)
-    return product(points, repeat=dom.n)
-
-
-def _check_group_bounds(mixture, dom, variant, axiom, instances, component=None):
-    """Scalar sweep: instances yield (profile, group, bound)."""
-    use_exact = isinstance(mixture, RandomizedMechanism) and mixture.has_continuous
-    scaled = None
-    if not use_exact:
-        scaled = _Scaled(mixture.components, dom.n, dom.domain, dom.grid)
-    for locations, group, bound in instances:
-        if use_exact:
-            profile = Profile(dom.domain, locations)
-            for agent in group:
-                lhs = analysis.expected_distance_to_point(
-                    mixture, profile, locations[agent - 1]
+def _exact(mixture, dom: CheckDomain, instances, detail=""):
+    """The group axioms' in-expectation rule for a continuous family: each
+    (profile, group, bound) of ``instances(anonymous)`` in order, every
+    member priced through the exact closed forms of :mod:`proploc.analysis`.
+    The family is anonymous, so the finite components decide ``anonymous``.
+    """
+    anonymous = all(mechanism_is_anonymous(mech) for mech, _ in mixture.components)
+    for locations, group, bound in instances(anonymous):
+        profile = Profile(dom.domain, locations)
+        for agent in group:
+            lhs = analysis.expected_distance_to_point(mixture, profile, locations[agent - 1])
+            if lhs > bound:
+                witness = Witness(
+                    profile=locations,
+                    domain=dom.domain,
+                    agent=agent,
+                    group=group,
+                    lhs=lhs,
+                    bound=bound,
                 )
-                if lhs > bound:
-                    witness = Witness(
-                        profile=locations,
-                        domain=dom.domain,
-                        agent=agent,
-                        group=group,
-                        component=component,
-                        lhs=lhs,
-                        bound=bound,
-                    )
-                    return _verdict(axiom, variant, witness)
-        else:
-            X = [scaled.to_int(x) for x in locations]
-            xs = sorted(X)
-            bound_scaled = bound * scaled.cost_scale
-            for agent in group:
-                lhs_scaled = scaled.cost(X, xs, X[agent - 1])
-                if lhs_scaled > bound_scaled:
-                    witness = Witness(
-                        profile=locations,
-                        domain=dom.domain,
-                        agent=agent,
-                        group=group,
-                        component=component,
-                        lhs=scaled.cost_frac(lhs_scaled),
-                        bound=bound,
-                    )
-                    return _verdict(axiom, variant, witness)
-    return None
+                return FAIL, witness, ""
+    return PASS, None, detail
 
 
 def _two_valued_values(points, ends_only: bool):
@@ -761,8 +710,8 @@ def _two_valued_instances(dom: CheckDomain, ends_only: bool, anonymous: bool):
             yield locations, group, Fraction(n - len(group), n) * gap
 
 
-def _two_valued_first(components, dom: CheckDomain, ends_only: bool, combine: bool):
-    """(component index, witness) of the first group member whose cost
+def _two_valued_first(components, dom: CheckDomain, combine: bool, ends_only: bool):
+    """(component index, witness, "") of the first group member whose cost
     exceeds its bound on a two-valued profile, or None."""
     scaled = _Scaled(components, dom.n, dom.domain, dom.grid)
     values = _two_valued_values(scaled.grid_ints, ends_only)
@@ -770,79 +719,13 @@ def _two_valued_first(components, dom: CheckDomain, ends_only: bool, combine: bo
     if hit is None:
         return None
     X, i, group, cost, bound = hit[1]
-    return hit[0], Witness(
-        profile=tuple(scaled.to_frac(v) for v in X),
-        domain=scaled.domain,
+    return hit[0], scaled.witness(
+        X,
         agent=i + 1,
         group=group,
         lhs=scaled.cost_frac(cost),
         bound=scaled.cost_frac(bound),
-    )
-
-
-def _spf_instances(dom: CheckDomain, anonymous: bool, cap: int):
-    n = dom.n
-    points = dom.points()
-    for locations in _fairness_profiles(dom, points, anonymous):
-        spread = max(locations) - min(locations)
-        for size in range(1, cap + 1):
-            for subset in combinations(range(n), size):
-                values = [locations[j] for j in subset]
-                inner = max(values) - min(values)
-                bound = spread * Fraction(n - size, n) + inner
-                yield locations, tuple(j + 1 for j in subset), bound
-
-
-def _group_axiom(mechanism, dom, variant, axiom, instance_factory=None, detail="", ends_only=False):
-    """The group-bound axioms. SPF passes ``instance_factory``, whose
-    instances the scalar sweep prices one by one. Without it the axiom is
-    two-valued: finite mixtures run on the block sweep, and a continuous
-    family in expectation on the exact path over the same instances."""
-    mixture = _components_of(mechanism, dom.n, dom.domain)
-    two_valued = instance_factory is None
-    if two_valued:
-        instance_factory = lambda anonymous: _two_valued_instances(dom, ends_only, anonymous)
-    anonymous_mixture = all(
-        mechanism_is_anonymous(mech) for mech, _ in mixture.components
-    )
-    if variant in (DET, EXP):
-        if variant == DET and isinstance(mechanism, RandomizedMechanism):
-            raise MechanismError("deterministic variant needs a deterministic mechanism")
-        if two_valued and not mixture.has_continuous:
-            found = _two_valued_first(mixture.components, dom, ends_only, True)
-            return _verdict(axiom, variant, found and found[1], detail=detail)
-        fail = _check_group_bounds(
-            mixture, dom, variant, axiom, instance_factory(anonymous_mixture)
-        )
-        return fail or _verdict(axiom, variant, detail=detail)
-    if variant == UNIVERSAL:
-        if two_valued:
-            found, note = _first_failing_support(
-                mixture,
-                dom,
-                lambda part: _two_valued_first([(mech, ONE) for mech in part], dom, ends_only, False),
-            )
-            if found is None:
-                return _verdict(axiom, variant, detail=note)
-            mech, witness = found
-            return _verdict(axiom, variant, replace(witness, component=format_mechanism(mech)))
-        notes = {detail} if detail else set()
-        for mech, note in _universal_components(mixture, dom):
-            if note:
-                notes.add(note)
-            component = as_mixture(mech, dom.n, dom.domain)
-            fail = _check_group_bounds(
-                component,
-                dom,
-                variant,
-                axiom,
-                instance_factory(mechanism_is_anonymous(mech)),
-                component=format_mechanism(mech),
-            )
-            if fail:
-                return fail
-        return _verdict(axiom, variant, detail="; ".join(sorted(notes)))
-    raise MechanismError(f"unknown variant {variant!r}")
+    ), ""
 
 
 def check_proportionality(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVerdict:
@@ -850,13 +733,18 @@ def check_proportionality(mechanism, dom: CheckDomain, variant: str = DET) -> Ax
     (n-s)/n of the facility (in expectation for the exp variant).
 
     This is the Strong Proportionality sweep over the single pair (0, 1):
-    the 0/1 profiles in pattern order, the group at 0 before the group at 1,
-    on the block sweep for finite mixtures and on the exact path for a
-    continuous family in expectation.
+    the 0/1 profiles in pattern order, the group at 0 before the group at 1.
     """
     if dom.domain != UNIT_INTERVAL:
         raise DomainMismatchError("proportionality is an endpoint axiom on [0,1]")
-    return _group_axiom(mechanism, dom, variant, PROPORTIONALITY, ends_only=True)
+    return _decide(
+        PROPORTIONALITY,
+        mechanism,
+        dom,
+        variant,
+        partial(_two_valued_first, ends_only=True),
+        lambda mixture: _exact(mixture, dom, partial(_two_valued_instances, dom, True)),
+    )
 
 
 def check_strong_proportionality(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVerdict:
@@ -868,31 +756,76 @@ def check_strong_proportionality(mechanism, dom: CheckDomain, variant: str = DET
     low < high, in grid order, and every 0/1 pattern (multisets when the
     mechanism is anonymous, ordered vectors otherwise); within a profile
     the low group's members come first, then the high group's. Finite
-    mixtures are swept in blocks by :class:`proploc.sweep.GroupSweep`, the
-    universal variant with the support components stacked in runs; a
-    continuous family in expectation is priced instance by instance through
-    the exact closed forms, in the same order. (SPF keeps the scalar loop.)
+    mixtures are swept in blocks by :class:`proploc.sweep.GroupSweep`; the
+    exact path for a continuous family reads the same order.
     """
-    return _group_axiom(mechanism, dom, variant, STRONG_PROPORTIONALITY)
+    return _decide(
+        STRONG_PROPORTIONALITY,
+        mechanism,
+        dom,
+        variant,
+        partial(_two_valued_first, ends_only=False),
+        lambda mixture: _exact(mixture, dom, partial(_two_valued_instances, dom, False)),
+    )
+
+
+def _spf_instances(profiles, n: int, cap: int):
+    """(profile, group, n * bound) for every subset S of at most ``cap``
+    agents of every profile, where bound = R(n-|S|)/n + r for a profile of
+    range R and a subset of inner range r, in the profile's own units."""
+    for X in profiles:
+        spread = max(X) - min(X)
+        for size in range(1, cap + 1):
+            for subset in combinations(range(n), size):
+                values = [X[j] for j in subset]
+                inner = max(values) - min(values)
+                yield X, tuple(j + 1 for j in subset), (n - size) * spread + n * inner
+
+
+def _spf_first(components, dom: CheckDomain, combine: bool, cap: int):
+    """(component index, witness, "") of the first subset member beyond its
+    SPF bound, or None: a scalar loop over the instances."""
+    for index, scaled in _scaled_each(components, dom, combine):
+        for X, group, bound in _spf_instances(scaled.profiles(), dom.n, cap):
+            xs = sorted(X)
+            bound *= scaled.wden  # at the cost scale wden * n * D
+            for agent in group:
+                cost = scaled.cost(X, xs, X[agent - 1])
+                if cost > bound:
+                    return index, scaled.witness(
+                        X,
+                        agent=agent,
+                        group=group,
+                        lhs=scaled.cost_frac(cost),
+                        bound=scaled.cost_frac(bound),
+                    ), ""
+    return None
 
 
 def check_spf(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVerdict:
     """Every subset S of agents with inner range r, on a profile of range
     R, keeps each member within R(n-|S|)/n + r."""
+    n = dom.n
     cap = dom.spf_subset_cap
     if cap is None:
-        cap = dom.n if dom.n <= 5 else 5
-    cap = min(cap, dom.n)
+        cap = n if n <= 5 else 5
+    cap = min(cap, n)
     detail = ""
-    if cap < dom.n:
-        detail = f"subset sizes capped at {cap} of {dom.n} (partial coverage)"
-    return _group_axiom(
+    if cap < n:
+        detail = f"subset sizes capped at {cap} of {n} (partial coverage)"
+
+    def exact_instances(anonymous):
+        for locations, group, bound in _spf_instances(grid_profiles(dom.points(), n, anonymous), n, cap):
+            yield locations, group, bound / n
+
+    return _decide(
+        SPF,
         mechanism,
         dom,
         variant,
-        SPF,
-        lambda anonymous: _spf_instances(dom, anonymous, cap),
-        detail=detail,
+        partial(_spf_first, cap=cap),
+        lambda mixture: _exact(mixture, dom, exact_instances, detail),
+        detail,
     )
 
 

@@ -97,10 +97,6 @@ NEG_INF = Infinite(-1)
 ExtLocation = Union[Fraction, Infinite]
 
 
-def is_finite(value: ExtLocation) -> bool:
-    return not isinstance(value, Infinite)
-
-
 def parse_point(text: str) -> ExtLocation:
     """Parse ``"p/q"``, integer/decimal strings, or ``"+inf"``/``"-inf"``."""
     token = text.strip()

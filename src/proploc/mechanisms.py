@@ -232,30 +232,21 @@ def build_mechanism(text: str, n: int, domain: str = UNIT_INTERVAL):
     return parse_mechanism_spec(text, n, domain).build()
 
 
-def format_mechanism(mechanism, p_hint: Fraction | None = None) -> str:
-    """Canonical spec string for a mechanism object."""
+def format_mechanism(mechanism) -> str:
+    """Canonical spec string for a mechanism object.
+
+    A mixture gets the catalog name that builds it back, for its n and
+    domain; any other mixture (other weights, an expanded i.i.d. phantom
+    family) is ``mixture``.
+    """
     if isinstance(mechanism, RandomizedMechanism):
-        kinds = {type(mech) for mech in mechanism.component_mechanisms()}
-        if mechanism.has_continuous and not mechanism.components:
-            if mechanism.continuous.is_uniform:
-                return "random_phantom"
-            atoms = [
-                [format_point(loc), format_point(prob)]
-                for loc, prob in mechanism.continuous.atoms
-            ]
-            return "iid_phantom:" + json.dumps({"atoms": atoms}, separators=(",", ":"))
-        if kinds == {RankK} and not mechanism.has_continuous:
-            return "random_rank"
-        if kinds == {Dictator}:
-            return "random_dictator"
-        if kinds == {Average, RankK} or kinds == {Average}:
-            p = next(
-                (w for mech, w in mechanism.components if isinstance(mech, Average)),
-                ZERO,
-            )
-            return f"avg_or_rr:p={format_point(p)}"
-        if kinds == {Phantom}:
-            return "iid_phantom(expanded)"
+        p = next((w for mech, w in mechanism.components if isinstance(mech, Average)), ZERO)
+        for name in ("random_rank", "random_dictator", "random_phantom", f"avg_or_rr:p={format_point(p)}"):
+            try:
+                if build_mechanism(name, mechanism.n, mechanism.domain) == mechanism:
+                    return name
+            except MechanismError:
+                pass
         return "mixture"
     if isinstance(mechanism, Median):
         return "median"

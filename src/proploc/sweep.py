@@ -316,6 +316,14 @@ def first_dictator_shift(scaled, perms, combine: bool):
     return found and (groups[found[0]][0], *found[1:])
 
 
+def grid_profiles(values, n: int, anonymous: bool):
+    """Every profile of n reports from ``values``, lexicographic: multisets
+    for an anonymous mechanism, ordered vectors otherwise."""
+    if anonymous:
+        return combinations_with_replacement(values, n)
+    return product(values, repeat=n)
+
+
 def two_valued_profiles(values, n: int, anonymous: bool):
     """Every profile ``low + pattern * (high - low)`` for low < high in
     ``values``, in check order: the pairs as ``values`` lists them (low
@@ -323,9 +331,7 @@ def two_valued_profiles(values, n: int, anonymous: bool):
     multisets for an anonymous mechanism and as ordered vectors otherwise.
     Both proportionality axioms read their instances in this order, on the
     block sweep and on the exact path alike."""
-    patterns = list(
-        combinations_with_replacement((0, 1), n) if anonymous else product((0, 1), repeat=n)
-    )
+    patterns = list(grid_profiles((0, 1), n, anonymous))
     for a, low in enumerate(values):
         for high in values[a + 1 :]:
             for pattern in patterns:

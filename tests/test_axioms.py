@@ -14,16 +14,20 @@ from proploc.core import (
     Average,
     Dictator,
     DomainMismatchError,
+    IIDPhantomSpec,
     MechanismError,
     Median,
     Phantom,
     Profile,
+    RandomizedMechanism,
     RankK,
     UniformPhantom,
     evaluate,
+    format_point,
 )
 from proploc.mechanisms import (
     average_or_random_rank,
+    format_mechanism,
     random_dictator,
     random_phantom,
     random_rank,
@@ -38,6 +42,18 @@ from proploc.axioms import recheck_witness, search_manipulation
 
 def test_median_is_anonymous():
     assert ax.check_anonymity(Median(), CheckDomain(n=3, grid=3)).passed
+
+
+def test_continuous_family_with_a_dictator_fails_anonymity_in_expectation():
+    """The certificate fails on the dictator component, so the finite
+    dictators decide; the witness's expected locations include the
+    continuous family's, from the closed forms."""
+    mixture = RandomizedMechanism(
+        2, UNIT_INTERVAL, ((Dictator(1), F(1, 3)),), IIDPhantomSpec(), F(2, 3)
+    )
+    verdict = ax.check_anonymity(mixture, CheckDomain(n=2, grid=2), ax.EXP)
+    assert verdict.failed and verdict.witness.component is None
+    assert recheck_witness(mixture, verdict)
 
 
 def test_dictator_fails_anonymity_with_a_swap_witness():
@@ -208,6 +224,41 @@ def test_efficiency_has_no_expectation_variant():
         ax.check_efficiency(random_rank(2), CheckDomain(n=2, grid=2), ax.EXP)
 
 
+@pytest.mark.parametrize(
+    "value, profile, side",
+    [(F(1, 2), ["0", "0"], "above the rightmost report"), (F(0), ["1/2", "1/2"], "below the leftmost report")],
+)
+def test_efficiency_failure_names_its_side_and_component(value, profile, side):
+    dom = CheckDomain(n=2, grid=2)
+    phantom = Phantom((value,) * 3)
+    witness = {"profile": profile, "lhs": format_point(value), "bound": profile[0]}
+    assert ax.check_efficiency(phantom, dom).to_json() == {
+        "axiom": "efficiency", "variant": "det", "status": "fail", "witness": witness, "detail": side
+    }
+    mixture = RandomizedMechanism(2, UNIT_INTERVAL, ((RankK(1), F(1, 2)), (phantom, F(1, 2))))
+    verdict = ax.check_efficiency(mixture, dom, ax.UNIVERSAL)
+    assert verdict.to_json() == {
+        "axiom": "efficiency",
+        "variant": "universal",
+        "status": "fail",
+        "witness": {**witness, "component": format_mechanism(phantom)},
+        "detail": side,
+    }
+    assert recheck_witness(mixture, verdict)
+
+
+def test_unknown_variants_are_errors_for_every_axiom():
+    dom = CheckDomain(n=3, grid=2)
+    for axiom in ax.AXIOMS:
+        message = "unknown variant 'bogus'"
+        if axiom == ax.EFFICIENCY:
+            message = "efficiency has deterministic and universal variants only"
+        for mechanism in (Median(), random_rank(3)):
+            with pytest.raises(MechanismError) as error:
+                ax.run_check(axiom, mechanism, dom, "bogus")
+            assert str(error.value) == message
+
+
 # ---------------------------------------------------------------------------
 # proportionality family
 # ---------------------------------------------------------------------------
@@ -324,6 +375,16 @@ def test_spf_subset_cap_flags_partial_coverage():
     verdict = ax.check_spf(random_rank(3), dom, ax.EXP)
     assert verdict.passed
     assert "capped" in verdict.detail
+
+
+def test_spf_subset_cap_note_on_every_pass_and_no_failure():
+    dom = CheckDomain(n=3, grid=2, spf_subset_cap=2)
+    note = "subset sizes capped at 2 of 3 (partial coverage)"
+    for variant in ax.VARIANTS:
+        assert ax.check_spf(Average(), dom, variant).detail == note
+    for mechanism, variant in ((random_rank(3), ax.UNIVERSAL), (random_phantom(3), ax.EXP)):
+        failed = ax.check_spf(mechanism, dom, variant)
+        assert failed.failed and failed.detail == ""
 
 
 def test_unanimous_profiles_force_exact_placement():

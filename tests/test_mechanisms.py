@@ -16,6 +16,7 @@ from proploc.core import (
     MechanismError,
     Phantom,
     Profile,
+    RandomizedMechanism,
     RankK,
     evaluate,
     mechanism_is_anonymous,
@@ -206,6 +207,29 @@ def test_format_mechanism_names_the_catalog():
     assert format_mechanism(average_or_random_rank(F(1, 2), 3)) == "avg_or_rr:p=1/2"
     assert format_mechanism(RankK(2)) == "rank:k=2"
     assert format_mechanism(Dictator(1)) == "dictator:i=1"
+
+
+@pytest.mark.parametrize("domain", [UNIT_INTERVAL, REAL_LINE])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_every_catalog_mixture_formats_to_its_spec(n, domain):
+    specs = ["random_rank", "random_dictator", "avg_or_rr:p=1/2", "avg_or_rr:p=3/5", "avg_or_rr:p=1"]
+    if domain == UNIT_INTERVAL:
+        specs.append("random_phantom")
+    for spec in specs:
+        assert format_mechanism(build_mechanism(spec, n, domain)) == spec
+
+
+def test_format_mechanism_names_only_mixtures_it_builds_back():
+    """Other weights over the catalog's components are a plain mixture: no
+    catalog name builds them back."""
+    ranks = RandomizedMechanism(3, UNIT_INTERVAL, ((RankK(1), F(2, 3)), (RankK(2), F(1, 3))))
+    assert format_mechanism(ranks) == "mixture"
+    assert build_mechanism("random_rank", 3) != ranks
+    half = RandomizedMechanism(2, UNIT_INTERVAL, ((Average(), F(1, 2)), (RankK(1), F(1, 2))))
+    assert format_mechanism(half) == "mixture"
+    assert build_mechanism("avg_or_rr:p=1/2", 2) != half
+    expanded = iid_phantom(IIDPhantomSpec(((F(1, 4), F(1, 2)), (F(3, 4), F(1, 2)))), 3)
+    assert format_mechanism(expanded) == "mixture"
 
 
 def test_build_mechanism_respects_domain():

@@ -6,9 +6,11 @@ candidate misreports that prices every report with
 ``analysis.expected_distance_to_point``. Verdicts, first witnesses and the
 largest manipulation gain must agree. Proportionality and Strong
 Proportionality are checked the same way, against a loop over the
-two-valued profiles and their groups.
+two-valued profiles and their groups. Last, every axiom's universal verdict
+must reduce to its components' deterministic verdicts.
 """
 
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations_with_replacement, product
 from unittest import mock
@@ -357,3 +359,32 @@ def test_universal_failure_past_the_first_run_of_components(domain):
     verdict = axioms.check_strategyproofness(mixture, dom, axioms.UNIVERSAL)
     assert verdict.witness.component == "average"
     assert _witness_key(verdict.witness) == _reference_first(Average(), mechs, dom)
+
+
+# ---------------------------------------------------------------------------
+# The variant laws every axiom obeys
+# ---------------------------------------------------------------------------
+
+
+@given(domains.flatmap(mixtures))
+def test_universal_reduces_to_the_first_component_failing_det(case):
+    """The universal verdict is the DET verdict of the first component whose
+    DET check fails, labelled with that component; every earlier component
+    passes DET; and a universal PASS implies a PASS in expectation
+    (efficiency has no in-expectation variant)."""
+    mixture, dom = case
+    for axiom in axioms.AXIOMS:
+        if axiom == axioms.PROPORTIONALITY and dom.domain != UNIT_INTERVAL:
+            continue
+        universal = axioms.run_check(axiom, mixture, dom, axioms.UNIVERSAL)
+        for mech in mixture.component_mechanisms():
+            det = axioms.run_check(axiom, mech, dom, axioms.DET)
+            if det.failed:
+                witness = replace(det.witness, component=format_mechanism(mech))
+                assert universal == replace(det, variant=axioms.UNIVERSAL, witness=witness)
+                break
+            assert det.passed
+        else:
+            assert universal.passed, (axiom, universal)
+            if axiom != axioms.EFFICIENCY:
+                assert axioms.run_check(axiom, mixture, dom, axioms.EXP).passed, axiom

@@ -1,11 +1,14 @@
-"""Catalog parity of the strategyproofness, manipulation-search and
-anonymity sweeps against recorded verdicts.
+"""Catalog golden test of strategyproofness, manipulation search, anonymity
+and efficiency.
 
-``golden_sweep_verdicts.json`` holds the status of every cell for every
-catalog mechanism at n=2..4, on the unit interval (grid 6) and the real line
-(grid 4), as the earlier scalar engine decided them, plus the gain of every
-manipulation found. Witnesses may differ from that engine's (a misreport now
-lies on a breakpoint), so each FAIL witness is rechecked instead of compared.
+``golden_sweep_verdicts.json`` holds, for every catalog mechanism at n=2..4
+on the unit interval (grid 6) and the real line (grid 4), the full
+``AxiomVerdict.to_json()`` of strategyproofness, anonymity and efficiency in
+the det, exp and universal variants, and the ``to_json()`` of the
+manipulation search's finding (null when there is none); a cell that raises
+holds its error type and message. Everything must match exactly; every FAIL
+witness must also recheck, and every search gain is recomputed through
+``analysis``.
 """
 
 import json
@@ -14,19 +17,35 @@ from pathlib import Path
 import pytest
 
 from proploc import analysis, axioms
-from proploc.core import MechanismError, Profile, as_mixture, format_point
+from proploc.core import MechanismError, Profile, as_mixture
 from proploc.mechanisms import build_mechanism
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_sweep_verdicts.json").read_text())
 CELLS = [cell.split() for cell in GOLDEN["cells"]]
 
 
-def _run_cell(mechanism, dom, cell):
+def _check_finding(mechanism, domain, n, finding):
+    profile = Profile(domain, finding.profile)
+    truth = profile.locations[finding.agent - 1]
+    mixture = as_mixture(mechanism, n, domain)
+    deviated = profile.replace(finding.agent, finding.misreport)
+    assert analysis.expected_distance_to_point(mixture, profile, truth) == finding.truthful_cost
+    assert analysis.expected_distance_to_point(mixture, deviated, truth) == finding.deviating_cost
+    assert finding.gain > 0
+
+
+def _run_cell(mechanism_text, domain, n, dom, cell):
+    mechanism = build_mechanism(mechanism_text, n, domain)
     if cell == ["search"]:
         finding = axioms.search_manipulation(mechanism, dom)
-        return ("none" if finding is None else "found"), finding
+        if finding is None:
+            return None
+        _check_finding(mechanism, domain, n, finding)
+        return finding.to_json()
     verdict = axioms.run_check(cell[0], mechanism, dom, cell[1])
-    return verdict.status, verdict
+    if verdict.failed:
+        assert axioms.recheck_witness(mechanism, verdict), (cell, verdict)
+    return verdict.to_json()
 
 
 @pytest.mark.parametrize(
@@ -37,23 +56,10 @@ def _run_cell(mechanism, dom, cell):
 def test_sweep_verdicts_match_recorded_catalog(row):
     domain, n = row["domain"], row["n"]
     dom = axioms.CheckDomain(n=n, grid=GOLDEN["grids"][domain], domain=domain)
-    statuses = []
+    results = []
     for cell in CELLS:
         try:
-            mechanism = build_mechanism(row["mechanism"], n, domain)
-            status, result = _run_cell(mechanism, dom, cell)
+            results.append(_run_cell(row["mechanism"], domain, n, dom, cell))
         except MechanismError as exc:
-            statuses.append("error:" + type(exc).__name__)
-            continue
-        statuses.append(status)
-        if status == axioms.FAIL:
-            assert axioms.recheck_witness(mechanism, result), (cell, result)
-        if status == "found":
-            assert format_point(result.gain) == row["search_gain"]
-            profile = Profile(domain, result.profile)
-            truth = profile.locations[result.agent - 1]
-            mixture = as_mixture(mechanism, n, domain)
-            deviated = profile.replace(result.agent, result.misreport)
-            assert analysis.expected_distance_to_point(mixture, profile, truth) == result.truthful_cost
-            assert analysis.expected_distance_to_point(mixture, deviated, truth) == result.deviating_cost
-    assert statuses == row["statuses"]
+            results.append({"error": type(exc).__name__, "message": str(exc)})
+    assert results == row["results"]
