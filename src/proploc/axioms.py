@@ -41,8 +41,15 @@ Proportionality and Strong Proportionality run on the same engine's
 two-valued sweep: every profile low + pattern * (high - low) for grid pairs
 low < high (only the pair 0, 1 for proportionality) and 0/1 patterns, each
 agent priced against (n - s)/n of the gap for its group of size s, the low
-group's members before the high group's. SPF and efficiency stay on scalar
-loops over the rescaled profiles.
+group's members before the high group's. Efficiency stays on a scalar loop
+over the rescaled profiles.
+
+SPF stays in pure Python. An agent's cost depends only on its own
+location, so each profile prices each distinct location once, and a window
+test over the sorted reports decides the profile in O(n^2) windows rather
+than 2^n subsets (see :func:`_spf_violation`). Only a failing profile
+walks its subsets, in order, for the first witness. The exact path for a
+continuous family runs the same rule on prices from :mod:`proploc.analysis`.
 """
 
 from __future__ import annotations
@@ -233,16 +240,18 @@ class _Scaled:
                     if not isinstance(y, Infinite):
                         denoms.append(y.denominator)
             normalized.append((mech, weight))
-        self.D = math.lcm(*denoms)
-        self.wden = math.lcm(*weight_dens)
-        self.cost_scale = self.wden * n * self.D
+        self.D = D = math.lcm(*denoms)
+        self.wden = wden = math.lcm(*weight_dens)
+        self.cost_scale = wden * n * D
 
         parts = []
         phantom_values: set[int] = set()
         self.has_avg = False
         anonymous = True
         for mech, weight in normalized:
-            u = int(weight * self.wden)
+            # D and wden are common multiples of the denominators, so the
+            # integer divisions below are exact.
+            u = weight.numerator * (wden // weight.denominator)
             if not mechanism_is_anonymous(mech):
                 anonymous = False
             if isinstance(mech, RankK):
@@ -255,7 +264,9 @@ class _Scaled:
                 neg = sum(1 for y in mech.phantoms if y is NEG_INF)
                 pos = sum(1 for y in mech.phantoms if y is POS_INF)
                 fins = tuple(
-                    self.to_int(y) for y in mech.phantoms if not isinstance(y, Infinite)
+                    y.numerator * (D // y.denominator)
+                    for y in mech.phantoms
+                    if not isinstance(y, Infinite)
                 )
                 if domain == UNIT_INTERVAL and (neg or pos):
                     raise DomainMismatchError(
@@ -311,25 +322,29 @@ class _Scaled:
             return x_list[part[1]]
         raise MechanismError("the average has no single atom")
 
+    def terms(self, x_list, xs_sorted) -> list[tuple[int, int]]:
+        """(u, c) of every part on one profile: the part adds u * |n * true -
+        c| to the cost of an agent at ``true`` and u * c to the expected
+        location, both at the scale wden * n * D. c is n times the part's
+        output, or the sum of the reports for the average."""
+        n = self.n
+        return [
+            (part[-1], sum(x_list) if part[0] == "avg" else n * self.atom(part, x_list, xs_sorted))
+            for part in self.parts
+        ]
+
+    def pricer(self, x_list, xs_sorted):
+        """true -> the cost of an agent at ``true`` on one profile, the
+        parts' outputs computed once."""
+        terms = self.terms(x_list, xs_sorted)
+        n = self.n
+        return lambda true: sum(u * abs(n * true - c) for u, c in terms)
+
     def cost(self, x_list, xs_sorted, true_int: int) -> int:
-        total = 0
-        for part in self.parts:
-            u = part[-1]
-            if part[0] == "avg":
-                total += u * abs(self.n * true_int - sum(x_list))
-            else:
-                total += u * self.n * abs(true_int - self.atom(part, x_list, xs_sorted))
-        return total
+        return self.pricer(x_list, xs_sorted)(true_int)
 
     def expected_loc(self, x_list, xs_sorted) -> int:
-        total = 0
-        for part in self.parts:
-            u = part[-1]
-            if part[0] == "avg":
-                total += u * sum(x_list)
-            else:
-                total += u * self.n * self.atom(part, x_list, xs_sorted)
-        return total
+        return sum(u * c for u, c in self.terms(x_list, xs_sorted))
 
     def profiles(self):
         return grid_profiles(self.grid_ints, self.n, self.anonymous)
@@ -668,27 +683,29 @@ def check_efficiency(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVe
 # ---------------------------------------------------------------------------
 
 
-def _exact(mixture, dom: CheckDomain, instances, detail=""):
-    """The group axioms' in-expectation rule for a continuous family: each
-    (profile, group, bound) of ``instances(anonymous)`` in order, every
-    member priced through the exact closed forms of :mod:`proploc.analysis`.
-    The family is anonymous, so the finite components decide ``anonymous``.
+def _exact(mixture, dom: CheckDomain, profiles, violation, detail=""):
+    """The group axioms' in-expectation rule for a continuous family: the
+    first ``violation(locations, price)`` over ``profiles(anonymous)``, as
+    (agent, group, lhs, bound), where ``price(x)`` is the expected distance
+    of an agent at x through the exact closed forms of
+    :mod:`proploc.analysis`. The family is anonymous, so the finite
+    components decide ``anonymous``.
     """
     anonymous = all(mechanism_is_anonymous(mech) for mech, _ in mixture.components)
-    for locations, group, bound in instances(anonymous):
-        profile = Profile(dom.domain, locations)
-        for agent in group:
-            lhs = analysis.expected_distance_to_point(mixture, profile, locations[agent - 1])
-            if lhs > bound:
-                witness = Witness(
-                    profile=locations,
-                    domain=dom.domain,
-                    agent=agent,
-                    group=group,
-                    lhs=lhs,
-                    bound=bound,
-                )
-                return FAIL, witness, ""
+    for locations in profiles(anonymous):
+        price = partial(analysis.expected_distance_to_point, mixture, Profile(dom.domain, locations))
+        found = violation(locations, price)
+        if found is not None:
+            agent, group, lhs, bound = found
+            witness = Witness(
+                profile=locations,
+                domain=dom.domain,
+                agent=agent,
+                group=group,
+                lhs=lhs,
+                bound=bound,
+            )
+            return FAIL, witness, ""
     return PASS, None, detail
 
 
@@ -698,16 +715,24 @@ def _two_valued_values(points, ends_only: bool):
     return (points[0], points[-1]) if ends_only else points
 
 
-def _two_valued_instances(dom: CheckDomain, ends_only: bool, anonymous: bool):
-    """(profile, group, bound) of the exact path, in the block sweep's
-    order: each profile's low group, then its high group."""
+def _two_valued_exact(mixture, dom: CheckDomain, ends_only: bool):
+    """The exact path, in the block sweep's order: each profile's low group,
+    then its high group, each member in order."""
     n = dom.n
     values = _two_valued_values(dom.points(), ends_only)
-    for locations in two_valued_profiles(values, n, anonymous):
+
+    def violation(locations, price):
         gap = max(locations) - min(locations)
         for side in sorted(set(locations)):
             group = tuple(i + 1 for i, x in enumerate(locations) if x == side)
-            yield locations, group, Fraction(n - len(group), n) * gap
+            bound = Fraction(n - len(group), n) * gap
+            for agent in group:
+                lhs = price(locations[agent - 1])
+                if lhs > bound:
+                    return agent, group, lhs, bound
+        return None
+
+    return _exact(mixture, dom, partial(two_valued_profiles, values, n), violation)
 
 
 def _two_valued_first(components, dom: CheckDomain, combine: bool, ends_only: bool):
@@ -743,7 +768,7 @@ def check_proportionality(mechanism, dom: CheckDomain, variant: str = DET) -> Ax
         dom,
         variant,
         partial(_two_valued_first, ends_only=True),
-        lambda mixture: _exact(mixture, dom, partial(_two_valued_instances, dom, True)),
+        lambda mixture: _two_valued_exact(mixture, dom, True),
     )
 
 
@@ -765,46 +790,94 @@ def check_strong_proportionality(mechanism, dom: CheckDomain, variant: str = DET
         dom,
         variant,
         partial(_two_valued_first, ends_only=False),
-        lambda mixture: _exact(mixture, dom, partial(_two_valued_instances, dom, False)),
+        lambda mixture: _two_valued_exact(mixture, dom, False),
     )
 
 
-def _spf_instances(profiles, n: int, cap: int):
-    """(profile, group, n * bound) for every subset S of at most ``cap``
-    agents of every profile, where bound = R(n-|S|)/n + r for a profile of
-    range R and a subset of inner range r, in the profile's own units."""
-    for X in profiles:
-        spread = max(X) - min(X)
-        for size in range(1, cap + 1):
-            for subset in combinations(range(n), size):
-                values = [X[j] for j in subset]
-                inner = max(values) - min(values)
-                yield X, tuple(j + 1 for j in subset), (n - size) * spread + n * inner
+def _spf_violation(X, price, cap: int, scale):
+    """(agent, group, cost, bound) of the first SPF violation on profile X,
+    or None.
+
+    The instances are the subsets S of at most ``cap`` agents, by size and
+    then lexicographically, each member in order. A member at x violates
+    when price(x) > scale * ((n - |S|) * R + n * r), for the profile's range
+    R and the subset's inner range r; ``price`` is called once per distinct
+    location.
+
+    A window test over the sorted reports xs decides the profile first:
+    some member of some S violates iff, for sorted positions a <= b, the
+    largest price among positions a..b exceeds
+    scale * ((n - min(b - a + 1, cap)) * R + n * (xs[b] - xs[a])). Any S
+    fits in the window its members span, which holds at least |S| <= cap
+    agents; conversely a failing window holds a subset of min(b - a + 1,
+    cap) agents that contains its priciest agent and has inner range at
+    most the window's width. So O(n^2) windows stand in for the 2^n
+    subsets, and only a failing profile walks its subsets, for the first
+    witness.
+    """
+    n = len(X)
+    prices = {x: price(x) for x in set(X)}
+    xs = sorted(X)
+    spread = xs[-1] - xs[0]
+    if not _spf_window_fails(xs, [prices[x] for x in xs], cap, scale * spread, scale * n):
+        return None
+    for size in range(1, cap + 1):
+        for subset in combinations(range(n), size):
+            values = [X[j] for j in subset]
+            bound = scale * ((n - size) * spread + n * (max(values) - min(values)))
+            for j in subset:
+                if prices[X[j]] > bound:
+                    return j + 1, tuple(j + 1 for j in subset), prices[X[j]], bound
+    return None
+
+
+def _spf_window_fails(xs, costs, cap: int, unit_spread, unit_width) -> bool:
+    """Whether some window a..b of the sorted reports ``xs`` has a cost above
+    (n - min(b - a + 1, cap)) * unit_spread + unit_width * (xs[b] - xs[a]);
+    ``costs`` are non-negative, in the order of ``xs``."""
+    n = len(xs)
+    slack = [(n - min(count, cap)) * unit_spread for count in range(n + 1)]
+    edges = [unit_width * x for x in xs]
+    for a in range(n):
+        top, start = 0, edges[a]
+        for b in range(a, n):
+            if costs[b] > top:
+                top = costs[b]
+            if top + start > slack[b - a + 1] + edges[b]:
+                return True
+    return False
 
 
 def _spf_first(components, dom: CheckDomain, combine: bool, cap: int):
     """(component index, witness, "") of the first subset member beyond its
-    SPF bound, or None: a scalar loop over the instances."""
+    SPF bound, or None: each profile priced once per location and decided by
+    :func:`_spf_violation`, at the cost scale wden * n * D."""
     for index, scaled in _scaled_each(components, dom, combine):
-        for X, group, bound in _spf_instances(scaled.profiles(), dom.n, cap):
-            xs = sorted(X)
-            bound *= scaled.wden  # at the cost scale wden * n * D
-            for agent in group:
-                cost = scaled.cost(X, xs, X[agent - 1])
-                if cost > bound:
-                    return index, scaled.witness(
-                        X,
-                        agent=agent,
-                        group=group,
-                        lhs=scaled.cost_frac(cost),
-                        bound=scaled.cost_frac(bound),
-                    ), ""
+        for X in scaled.profiles():
+            found = _spf_violation(X, scaled.pricer(X, sorted(X)), cap, scaled.wden)
+            if found is not None:
+                agent, group, cost, bound = found
+                return index, scaled.witness(
+                    X,
+                    agent=agent,
+                    group=group,
+                    lhs=scaled.cost_frac(cost),
+                    bound=scaled.cost_frac(bound),
+                ), ""
     return None
 
 
 def check_spf(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVerdict:
     """Every subset S of agents with inner range r, on a profile of range
-    R, keeps each member within R(n-|S|)/n + r."""
+    R, keeps each member within R(n-|S|)/n + r (the Proportional Fairness of
+    Aziz, Lam, Lee and Walsh, WINE 2022).
+
+    Each profile is priced once per distinct location and decided by a
+    window test over its sorted reports; only a failing profile walks its
+    subsets, by size and then lexicographically, for the first witness
+    (see :func:`_spf_violation`). Finite mixtures run on rescaled integers,
+    a continuous family through the exact closed forms, on the same rule.
+    """
     n = dom.n
     cap = dom.spf_subset_cap
     if cap is None:
@@ -813,10 +886,7 @@ def check_spf(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVerdict:
     detail = ""
     if cap < n:
         detail = f"subset sizes capped at {cap} of {n} (partial coverage)"
-
-    def exact_instances(anonymous):
-        for locations, group, bound in _spf_instances(grid_profiles(dom.points(), n, anonymous), n, cap):
-            yield locations, group, bound / n
+    exact = partial(_spf_violation, cap=cap, scale=Fraction(1, n))
 
     return _decide(
         SPF,
@@ -824,7 +894,7 @@ def check_spf(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVerdict:
         dom,
         variant,
         partial(_spf_first, cap=cap),
-        lambda mixture: _exact(mixture, dom, exact_instances, detail),
+        lambda mixture: _exact(mixture, dom, partial(grid_profiles, dom.points(), n), exact, detail),
         detail,
     )
 

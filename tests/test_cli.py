@@ -1,10 +1,15 @@
 """Command-line interface: commands, formats, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import proploc
 from proploc.cli import build_table, main, table_answers
 
 
@@ -318,3 +323,17 @@ def test_removed_seed_option_is_rejected(capsys):
         main(["table", "--n", "2", "--grid", "2", "--seed", "1"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    """``python -m proploc`` is the CLI: same output and exit code as
+    ``main`` called in process."""
+    src = str(Path(proploc.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    argv = ["table", "--n", "2", "--grid", "2"]
+    result = subprocess.run(
+        [sys.executable, "-m", "proploc", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    code, out, err = run_cli(capsys, *argv)
+    assert (result.returncode, result.stdout, result.stderr) == (code, out, err) == (0, out, "")
+    assert "| Random Rank | Yes | Yes | Yes | Yes | Yes |" in out

@@ -6,17 +6,19 @@ candidate misreports that prices every report with
 ``analysis.expected_distance_to_point``. Verdicts, first witnesses and the
 largest manipulation gain must agree. Proportionality and Strong
 Proportionality are checked the same way, against a loop over the
-two-valued profiles and their groups. Last, every axiom's universal verdict
-must reduce to its components' deterministic verdicts.
+two-valued profiles and their groups, and SPF against a loop over every
+profile's subsets. Every axiom's universal verdict must reduce to its
+components' deterministic verdicts, and every verdict must survive the
+reflection x -> 1 - x of the unit interval.
 """
 
 from dataclasses import replace
 from fractions import Fraction as F
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from proploc import analysis, axioms, sweep
 from proploc.core import (
@@ -34,7 +36,7 @@ from proploc.core import (
     grid_points,
     mechanism_is_anonymous,
 )
-from proploc.mechanisms import format_mechanism
+from proploc.mechanisms import build_mechanism, format_mechanism
 from proploc.sweep import SpSweep
 
 
@@ -362,6 +364,124 @@ def test_universal_failure_past_the_first_run_of_components(domain):
 
 
 # ---------------------------------------------------------------------------
+# SPF: per-profile prices and the window test
+# ---------------------------------------------------------------------------
+
+
+def _reference_spf_first(mechanism, dom, cap, anonymous):
+    """(profile, agent, group, lhs, bound) of the first subset member whose
+    expected distance exceeds R(n - |S|)/n + r: profiles (multisets if
+    anonymous), subsets of at most ``cap`` agents by size and then
+    lexicographically, members in order. A member's expected distance
+    depends only on its location, so it is priced once per location."""
+    n = dom.n
+    points = grid_points(dom.domain, dom.grid)
+    for X in combinations_with_replacement(points, n) if anonymous else product(points, repeat=n):
+        profile = Profile(dom.domain, X)
+        lhs = {x: analysis.expected_distance_to_point(mechanism, profile, x) for x in set(X)}
+        spread = max(X) - min(X)
+        for size in range(1, cap + 1):
+            for subset in combinations(range(n), size):
+                values = [X[j] for j in subset]
+                bound = F(n - size, n) * spread + max(values) - min(values)
+                for j in subset:
+                    if lhs[X[j]] > bound:
+                        return X, j + 1, tuple(j + 1 for j in subset), lhs[X[j]], bound
+    return None
+
+
+def _assert_spf_matches_plain_loop(mechanism, dom, variant):
+    cap = min(dom.spf_subset_cap or 5, dom.n)
+    verdict = axioms.check_spf(mechanism, dom, variant)
+    if variant == axioms.UNIVERSAL:
+        mechs = mechanism.component_mechanisms()
+    else:
+        mechs = [mechanism]
+    for mech in mechs:
+        components = mech.component_mechanisms() if isinstance(mech, RandomizedMechanism) else [mech]
+        anonymous = all(mechanism_is_anonymous(part) for part in components)
+        expected = _reference_spf_first(mech, dom, cap, anonymous)
+        if expected is not None:
+            assert verdict.failed, (variant, expected)
+            component = format_mechanism(mech) if variant == axioms.UNIVERSAL else None
+            assert verdict.witness.component == component
+            assert _group_key(verdict.witness) == expected
+            assert axioms.recheck_witness(mechanism, verdict)
+            return
+    assert verdict.passed, (variant, verdict)
+    assert ("capped at" in verdict.detail) == (cap < dom.n)
+
+
+@given(domains.flatmap(mixtures), st.data())
+def test_spf_matches_plain_loop(case, data):
+    """Det (each component), exp and universal SPF verdicts and first
+    witnesses agree with a plain loop over the subsets, under every subset
+    cap below n as well as the default."""
+    mixture, dom = case
+    cap = data.draw(st.sampled_from([None, *range(1, dom.n)]))
+    dom = replace(dom, spf_subset_cap=cap)
+    for mech in mixture.component_mechanisms():
+        _assert_spf_matches_plain_loop(mech, dom, axioms.DET)
+    _assert_spf_matches_plain_loop(mixture, dom, axioms.EXP)
+    _assert_spf_matches_plain_loop(mixture, dom, axioms.UNIVERSAL)
+
+
+@pytest.mark.parametrize(
+    "domain, spec",
+    [
+        (UNIT_INTERVAL, "random_rank"),
+        (UNIT_INTERVAL, "avg_or_rr:p=1/2"),
+        (UNIT_INTERVAL, "median"),
+        (UNIT_INTERVAL, "uniform_phantom"),
+        (UNIT_INTERVAL, "random_phantom"),
+        (REAL_LINE, "random_rank"),
+        (REAL_LINE, "avg_or_rr:p=1/2"),
+        (REAL_LINE, "median"),
+    ],
+)
+def test_spf_at_six_agents_caps_subsets_at_five(domain, spec):
+    """At n=6 the default cap is 5, so windows of six agents are priced
+    against subsets of five; a continuous family takes the exact path."""
+    dom = axioms.CheckDomain(n=6, grid=2, domain=domain)
+    mechanism = build_mechanism(spec, 6, domain)
+    if not isinstance(mechanism, RandomizedMechanism):
+        variants = [axioms.DET]
+    elif mechanism.has_continuous:
+        variants = [axioms.EXP]
+    else:
+        variants = [axioms.EXP, axioms.UNIVERSAL]
+    for variant in variants:
+        _assert_spf_matches_plain_loop(mechanism, dom, variant)
+
+
+@settings(max_examples=400)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.integers(0, 2), min_size=n, max_size=n),
+            st.lists(st.just(0) | st.integers(0, 4 * n), min_size=n, max_size=n),
+            st.integers(1, n),
+        )
+    )
+)
+def test_spf_window_test_matches_every_subset(case):
+    """The window test over sorted reports says a profile fails exactly when
+    some member of some subset of at most ``cap`` agents is priced above
+    (n - |S|) * R + n * r. Costs lean to 0, so profiles with one priced
+    agent, whose every window must be tried, come up often."""
+    xs, costs, cap = case
+    xs.sort()
+    n, spread = len(xs), xs[-1] - xs[0]
+    expected = any(
+        costs[j] > (n - size) * spread + n * (xs[subset[-1]] - xs[subset[0]])
+        for size in range(1, cap + 1)
+        for subset in combinations(range(n), size)
+        for j in subset
+    )
+    assert axioms._spf_window_fails(xs, costs, cap, spread, n) == expected
+
+
+# ---------------------------------------------------------------------------
 # The variant laws every axiom obeys
 # ---------------------------------------------------------------------------
 
@@ -388,3 +508,39 @@ def test_universal_reduces_to_the_first_component_failing_det(case):
             assert universal.passed, (axiom, universal)
             if axiom != axioms.EFFICIENCY:
                 assert axioms.run_check(axiom, mixture, dom, axioms.EXP).passed, axiom
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic law: reflection of the unit interval
+# ---------------------------------------------------------------------------
+
+
+def _reflect(mech, n):
+    """The mechanism whose output on 1 - X is 1 minus ``mech``'s on X."""
+    if isinstance(mech, RankK):
+        return RankK(n - mech.k + 1)
+    if isinstance(mech, Phantom):
+        return Phantom(tuple(1 - y for y in reversed(mech.phantoms)))
+    return mech  # dictators and the average
+
+
+@given(mixtures(UNIT_INTERVAL))
+def test_reflection_keeps_every_verdict(case):
+    """x -> 1 - x maps the unit grid onto itself, RankK(k) to RankK(n-k+1),
+    a phantom vector to its reversed complement, and keeps dictators and
+    the average: every axiom's det, exp and universal status is the same,
+    and every FAIL witness rechecks on its own side."""
+    mixture, dom = case
+    n = dom.n
+    mirrored = RandomizedMechanism(n, UNIT_INTERVAL, tuple((_reflect(mech, n), w) for mech, w in mixture.components))
+    cells = [(mech, _reflect(mech, n), axioms.DET) for mech in mixture.component_mechanisms()]
+    cells += [(mixture, mirrored, axioms.EXP), (mixture, mirrored, axioms.UNIVERSAL)]
+    for axiom in axioms.AXIOMS:
+        for original, image, variant in cells:
+            if axiom == axioms.EFFICIENCY and variant == axioms.EXP:
+                continue
+            verdicts = [axioms.run_check(axiom, mech, dom, variant) for mech in (original, image)]
+            assert verdicts[0].status == verdicts[1].status, (axiom, variant, verdicts)
+            for mech, verdict in zip((original, image), verdicts):
+                if verdict.failed:
+                    assert axioms.recheck_witness(mech, verdict), (axiom, variant, verdict)
