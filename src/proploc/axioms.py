@@ -58,7 +58,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from itertools import combinations, combinations_with_replacement, islice, permutations
+from itertools import combinations, combinations_with_replacement, islice
 
 from . import analysis
 from .core import (
@@ -218,10 +218,10 @@ class _Scaled:
     denominator D, so no midpoints are needed. Costs carry the fixed scale
     wden * n * D: a part of weight u adds u * n * |true - output|, the
     average adds u * |n * true - sum of reports|. Each part is tagged for
-    the block sweeps of :mod:`proploc.sweep`: ("rank", k, u),
-    ("ph", number of -inf phantoms, finite phantoms, u), ("dict", agent
-    index, u) or ("avg", None, u). Parts whose output would be non-finite
-    are rejected here, before any profile is swept.
+    the block sweeps of :mod:`proploc.sweep`: ("ph", number of -inf
+    phantoms, finite phantoms, u), a rank k being ("ph", k, (), u),
+    ("dict", agent index, u) or ("avg", None, u). Parts whose output would
+    be non-finite are rejected here, before any profile is swept.
     """
 
     def __init__(self, components, n: int, domain: str, grid: int):
@@ -257,7 +257,7 @@ class _Scaled:
             if isinstance(mech, RankK):
                 if mech.k > n:
                     raise MechanismError(f"rank {mech.k} out of range for n={n}")
-                parts.append(("rank", mech.k, u))
+                parts.append(("ph", mech.k, (), u))
             elif isinstance(mech, Phantom):
                 if mech.n != n:
                     raise MechanismError("phantom vector length does not match n")
@@ -313,8 +313,6 @@ class _Scaled:
 
     def atom(self, part, x_list, xs_sorted) -> int:
         tag = part[0]
-        if tag == "rank":
-            return xs_sorted[self.n - part[1]]
         if tag == "ph":
             merged = sorted([*xs_sorted, *part[2]])
             return merged[self.n - part[1]]
@@ -579,9 +577,7 @@ def search_manipulation(mechanism, dom: CheckDomain) -> ManipulationFinding | No
 # ---------------------------------------------------------------------------
 
 
-def _permutations_to_try(n: int, all_permutations: bool):
-    if all_permutations:
-        return [p for p in permutations(range(n)) if p != tuple(range(n))]
+def _adjacent_swaps(n: int):
     swaps = []
     for j in range(n - 1):
         perm = list(range(n))
@@ -612,20 +608,16 @@ def _anonymity_first(components, dom: CheckDomain, combine: bool, perms):
     return index, scaled.witness(X, permutation=permutation, lhs=lhs, bound=bound), ""
 
 
-def check_anonymity(
-    mechanism, dom: CheckDomain, variant: str = DET, all_permutations: bool = False
-) -> AxiomVerdict:
+def check_anonymity(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVerdict:
     """Output (or expected output) is invariant under relabelling agents.
 
-    Adjacent transpositions generate every permutation, so the default
-    sweep checks those; ``all_permutations`` forces the full group for
-    cross-validation. Only dictator parts read agent labels, so only they
-    are swept.
+    Adjacent transpositions generate every permutation, so the sweep checks
+    those. Only dictator parts read agent labels, so only they are swept.
     """
-    first = partial(_anonymity_first, perms=_permutations_to_try(dom.n, all_permutations))
+    first = partial(_anonymity_first, perms=_adjacent_swaps(dom.n))
 
     def continuous(mixture):
-        certified = _certificate(check_anonymity(mixture, dom, UNIVERSAL, all_permutations))
+        certified = _certificate(check_anonymity(mixture, dom, UNIVERSAL))
         if certified:
             return certified
         # A continuous family is anonymous, so the finite dictators decide;

@@ -176,24 +176,17 @@ def _cmd_run(args) -> int:
         "profile": profile.to_json(),
     }
     try:
-        dist = outcome_distribution(mechanism, profile)
-        payload["atoms"] = dist.to_json()["atoms"]
-        payload["expected_location"] = format_point(dist.expected_location())
-        payload["agent_distances"] = [
-            format_point(dist.expected_distance(x)) for x in profile.locations
-        ]
-        payload["exact"] = True
+        payload["atoms"] = outcome_distribution(mechanism, profile).to_json()["atoms"]
     except ContinuousFamilyError:
         payload["atoms"] = None
         payload["note"] = "continuous outcome; expectations are exact closed forms"
-        payload["expected_location"] = format_point(
-            analysis.expected_facility_location(mechanism, profile)
-        )
-        payload["agent_distances"] = [
-            format_point(d)
-            for d in analysis.expected_agent_distances(mechanism, profile)
-        ]
-        payload["exact"] = True
+    payload["expected_location"] = format_point(
+        analysis.expected_facility_location(mechanism, profile)
+    )
+    payload["agent_distances"] = [
+        format_point(d) for d in analysis.expected_agent_distances(mechanism, profile)
+    ]
+    payload["exact"] = True
     if args.format == "json":
         _emit(json.dumps(payload, indent=2), args.out)
     elif args.format == "csv":

@@ -1,8 +1,10 @@
-"""Mechanism catalog: the named constructions and a small spec-string parser.
+"""Mechanism catalog: the named constructions and their spec strings.
 
-Spec strings are the CLI/config identity of a mechanism, e.g.
-``random_rank``, ``avg_or_rr:p=1/2``, ``phantom:[0,1/2,1]``,
-``iid_phantom:{atoms:[["1/2","1"]]}``. Parsing and formatting round-trip.
+Spec strings such as ``random_rank``, ``avg_or_rr:p=1/2``, ``phantom:[0,1/2,1]``
+or ``iid_phantom:{atoms:[["1/2","1"]]}`` name mechanisms on the CLI. Each name
+is defined once, in ``_CATALOG``, and ``format_mechanism(build_mechanism(s)) ==
+s`` for every catalog spec s in canonical form except ``iid_phantom``, which
+expands to a plain mixture (``avg_or_rr:p=0`` is ``random_rank``).
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -117,148 +118,97 @@ def iid_phantom(spec: IIDPhantomSpec, n: int, component_cap: int = 10_000) -> Ra
 # Spec strings
 # ---------------------------------------------------------------------------
 
-_SIMPLE_NAMES = {
-    "random_rank",
-    "random_dictator",
-    "random_phantom",
-    "median",
-    "uniform_phantom",
-    "average",
+
+def _random_phantom_on(n: int, domain: str) -> RandomizedMechanism:
+    if domain != UNIT_INTERVAL:
+        raise DomainMismatchError("random phantom is defined on [0,1] only")
+    return random_phantom(n)
+
+
+def _keyed(key: str, pattern: str, kind: str, convert):
+    """Reader of a ``key=<kind>`` spec body."""
+
+    def read(name: str, body: str, text: str):
+        match = re.fullmatch(rf"{key}=({pattern})", body)
+        if not match:
+            raise MechanismError(f"expected {name}:{key}=<{kind}>, got {text!r}")
+        return convert(match.group(1))
+
+    return read
+
+
+def _read_phantoms(name: str, body: str, text: str) -> tuple:
+    if not (body.startswith("[") and body.endswith("]")):
+        raise MechanismError(f"expected {name}:[...], got {text!r}")
+    return tuple(parse_point(item.strip().strip('"')) for item in body[1:-1].split(",") if item.strip())
+
+
+def _read_atoms(name: str, body: str, text: str) -> tuple:
+    payload = re.sub(r"([{,]\s*)([A-Za-z_]\w*)\s*:", r'\1"\2":', body)
+    try:
+        data = json.loads(payload)
+    except json.JSONDecodeError as exc:
+        raise MechanismError(f"cannot parse {text!r}: {exc}") from exc
+    return tuple((Fraction(str(loc)), Fraction(str(prob))) for loc, prob in data["atoms"])
+
+
+def _write_average_weight(mixture: RandomizedMechanism) -> str:
+    p = next((w for mech, w in mixture.components if isinstance(mech, Average)), ZERO)
+    return f"p={format_point(p)}"
+
+
+# name -> (class, param, build):
+# - class: what the name builds; None if no object formats back to the name;
+# - param: (read, write) of the parameter in ``name:body``; None if bare;
+# - build: a mixture's builder, called as build(n, domain) or build(param,
+#   n, domain); None where the class builds from the parameter alone.
+# Formatting tries the mixture names in table order.
+_CATALOG = {
+    "median": (Median, None, None),
+    "uniform_phantom": (UniformPhantom, None, None),
+    "average": (Average, None, None),
+    "rank": (RankK, (_keyed("k", r"\d+", "int", int), lambda mech: f"k={mech.k}"), None),
+    "dictator": (Dictator, (_keyed("i", r"\d+", "int", int), lambda mech: f"i={mech.agent}"), None),
+    "phantom": (Phantom, (_read_phantoms, lambda mech: f"[{','.join(map(format_point, mech.phantoms))}]"), None),
+    "random_rank": (RandomizedMechanism, None, random_rank),
+    "random_dictator": (RandomizedMechanism, None, random_dictator),
+    "random_phantom": (RandomizedMechanism, None, _random_phantom_on),
+    "avg_or_rr": (
+        RandomizedMechanism,
+        (_keyed("p", r"[^,]+", "rational", Fraction), _write_average_weight),
+        average_or_random_rank,
+    ),
+    "iid_phantom": (None, (_read_atoms, None), lambda atoms, n, domain: iid_phantom(IIDPhantomSpec(atoms), n)),
 }
 
 
-@dataclass(frozen=True)
-class MechanismSpec:
-    """Parsed mechanism identity: name, parameters, and check context."""
-
-    name: str
-    n: int
-    domain: str = UNIT_INTERVAL
-    params: dict = field(default_factory=dict)
-
-    def build(self):
-        name, n, domain, params = self.name, self.n, self.domain, self.params
-        if name == "random_rank":
-            return random_rank(n, domain)
-        if name == "random_dictator":
-            return random_dictator(n, domain)
-        if name == "random_phantom":
-            if domain != UNIT_INTERVAL:
-                raise DomainMismatchError("random phantom is defined on [0,1] only")
-            return random_phantom(n)
-        if name == "avg_or_rr":
-            return average_or_random_rank(params["p"], n, domain)
-        if name == "iid_phantom":
-            return iid_phantom(IIDPhantomSpec(params["atoms"]), n)
-        if name == "median":
-            return Median()
-        if name == "uniform_phantom":
-            return UniformPhantom()
-        if name == "average":
-            return Average()
-        if name == "rank":
-            return RankK(params["k"])
-        if name == "dictator":
-            return Dictator(params["i"])
-        if name == "phantom":
-            return Phantom(params["phantoms"])
-        raise MechanismError(f"unknown mechanism name {self.name!r}")
-
-    def to_string(self) -> str:
-        if self.name in _SIMPLE_NAMES:
-            return self.name
-        if self.name == "avg_or_rr":
-            return f"avg_or_rr:p={format_point(self.params['p'])}"
-        if self.name == "rank":
-            return f"rank:k={self.params['k']}"
-        if self.name == "dictator":
-            return f"dictator:i={self.params['i']}"
-        if self.name == "phantom":
-            body = ",".join(format_point(y) for y in self.params["phantoms"])
-            return f"phantom:[{body}]"
-        if self.name == "iid_phantom":
-            atoms = [
-                [format_point(loc), format_point(prob)]
-                for loc, prob in self.params["atoms"]
-            ]
-            return "iid_phantom:" + json.dumps({"atoms": atoms}, separators=(",", ":"))
-        raise MechanismError(f"unknown mechanism name {self.name!r}")
-
-
-def parse_mechanism_spec(text: str, n: int, domain: str = UNIT_INTERVAL) -> MechanismSpec:
-    token = text.strip()
-    if token in _SIMPLE_NAMES:
-        return MechanismSpec(token, n, domain)
-    name, sep, body = token.partition(":")
-    if not sep:
-        raise MechanismError(f"unknown mechanism spec {text!r}")
-    if name == "avg_or_rr":
-        match = re.fullmatch(r"p=([^,]+)", body.strip())
-        if not match:
-            raise MechanismError(f"expected avg_or_rr:p=<rational>, got {text!r}")
-        return MechanismSpec(name, n, domain, {"p": Fraction(match.group(1))})
-    if name == "rank":
-        match = re.fullmatch(r"k=(\d+)", body.strip())
-        if not match:
-            raise MechanismError(f"expected rank:k=<int>, got {text!r}")
-        return MechanismSpec(name, n, domain, {"k": int(match.group(1))})
-    if name == "dictator":
-        match = re.fullmatch(r"i=(\d+)", body.strip())
-        if not match:
-            raise MechanismError(f"expected dictator:i=<int>, got {text!r}")
-        return MechanismSpec(name, n, domain, {"i": int(match.group(1))})
-    if name == "phantom":
-        body = body.strip()
-        if not (body.startswith("[") and body.endswith("]")):
-            raise MechanismError(f"expected phantom:[...], got {text!r}")
-        entries = [item.strip().strip('"') for item in body[1:-1].split(",") if item.strip()]
-        phantoms = tuple(parse_point(item) for item in entries)
-        return MechanismSpec(name, n, domain, {"phantoms": phantoms})
-    if name == "iid_phantom":
-        payload = re.sub(r"([{,]\s*)([A-Za-z_]\w*)\s*:", r'\1"\2":', body.strip())
-        try:
-            data = json.loads(payload)
-        except json.JSONDecodeError as exc:
-            raise MechanismError(f"cannot parse {text!r}: {exc}") from exc
-        atoms = tuple(
-            (Fraction(str(loc)), Fraction(str(prob))) for loc, prob in data["atoms"]
-        )
-        return MechanismSpec(name, n, domain, {"atoms": atoms})
-    raise MechanismError(f"unknown mechanism spec {text!r}")
-
-
 def build_mechanism(text: str, n: int, domain: str = UNIT_INTERVAL):
-    """Parse and build in one step; returns a deterministic or randomized mechanism."""
-    return parse_mechanism_spec(text, n, domain).build()
+    """Build what a spec string names: a bare catalog name, or ``name:body``
+    for a parametric one. Returns a deterministic or randomized mechanism."""
+    name, sep, body = text.strip().partition(":")
+    entry = _CATALOG.get(name)
+    if entry is None or bool(sep) != bool(entry[1]):
+        raise MechanismError(f"unknown mechanism spec {text!r}")
+    cls, param, build = entry
+    args = (param[0](name, body.strip(), text),) if sep else ()
+    return build(*args, n, domain) if build else cls(*args)
 
 
 def format_mechanism(mechanism) -> str:
-    """Canonical spec string for a mechanism object.
-
-    A mixture gets the catalog name that builds it back, for its n and
-    domain; any other mixture (other weights, an expanded i.i.d. phantom
-    family) is ``mixture``.
-    """
-    if isinstance(mechanism, RandomizedMechanism):
-        p = next((w for mech, w in mechanism.components if isinstance(mech, Average)), ZERO)
-        for name in ("random_rank", "random_dictator", "random_phantom", f"avg_or_rr:p={format_point(p)}"):
+    """Canonical spec string for a mechanism object: a deterministic one is
+    named from its fields alone, a mixture by the first catalog name that
+    builds it back for its n and domain, or else ``mixture``."""
+    mixture = isinstance(mechanism, RandomizedMechanism)
+    for name, (cls, param, _) in _CATALOG.items():
+        if cls is type(mechanism):
+            spec = f"{name}:{param[1](mechanism)}" if param else name
+            if not mixture:
+                return spec
             try:
-                if build_mechanism(name, mechanism.n, mechanism.domain) == mechanism:
-                    return name
+                if build_mechanism(spec, mechanism.n, mechanism.domain) == mechanism:
+                    return spec
             except MechanismError:
                 pass
+    if mixture:
         return "mixture"
-    if isinstance(mechanism, Median):
-        return "median"
-    if isinstance(mechanism, UniformPhantom):
-        return "uniform_phantom"
-    if isinstance(mechanism, Average):
-        return "average"
-    if isinstance(mechanism, RankK):
-        return f"rank:k={mechanism.k}"
-    if isinstance(mechanism, Dictator):
-        return f"dictator:i={mechanism.agent}"
-    if isinstance(mechanism, Phantom):
-        body = ",".join(format_point(y) for y in mechanism.phantoms)
-        return f"phantom:[{body}]"
     raise MechanismError(f"cannot format {mechanism!r}")

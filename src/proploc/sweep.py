@@ -3,10 +3,10 @@
 The engine behind the strategyproofness, manipulation-search, anonymity,
 proportionality and Strong Proportionality checks in :mod:`proploc.axioms`.
 It takes the rescaled mixture those checks build (integer reports over a
-common denominator, parts tagged rank, phantom, dictator or average) and
-sweeps its grid profiles in blocks, in enumeration order, as numpy arrays:
-int64 while every scaled value provably stays below 2^62, Python ints
-(``dtype=object``) on the same code path otherwise.
+common denominator; phantom parts, ranks among them, and dictator and
+average parts) and sweeps its grid profiles in blocks, in enumeration
+order, as numpy arrays: int64 while every scaled value provably stays
+below 2^62, Python ints (``dtype=object``) on the same code path otherwise.
 
 A sweep computes, per block, a (component, row, ...) array and reduces it:
 the first failing component in order, a weighted sum over components, or
@@ -113,8 +113,8 @@ class SpSweep:
         self.other_agents = np.array([[j for j in range(n) if j != i] for i in range(n)])
 
         kinds = [part[0] for part in parts]
-        self.clip = [c for c, kind in enumerate(kinds) if kind in ("rank", "ph")]
-        fins = [parts[c][2] if kinds[c] == "ph" else () for c in self.clip]
+        self.clip = [c for c, kind in enumerate(kinds) if kind == "ph"]
+        fins = [parts[c][2] for c in self.clip]
         pad = max(map(len, fins), default=0)
         # B[c]: part c's finite phantoms between -big and big (padding). For
         # each split i of _bounds keep B[c, index - i] and B[c, index + 1 - i],
@@ -365,7 +365,7 @@ class GroupSweep:
         self.scaled, self.values, self.combine = scaled, values, combine
         self.count = 1 if combine else len(parts)
         kinds = [part[0] for part in parts]
-        self.clip = [c for c, kind in enumerate(kinds) if kind in ("rank", "ph")]
+        self.clip = [c for c, kind in enumerate(kinds) if kind == "ph"]
         self.dicts = [(c, part[1]) for c, part in enumerate(parts) if part[0] == "dict"]
         self.avg = [c for c, kind in enumerate(kinds) if kind == "avg"]
         # Every report and phantom lies in (-big, big), so every cost stays
@@ -374,7 +374,7 @@ class GroupSweep:
         weight = sum(part[-1] for part in parts) if combine else 1
         dtype = np.int64 if 4 * n * big * (weight + scaled.wden) < INT64_BOUND else object
         self.dtype = dtype
-        fins = [parts[c][2] if kinds[c] == "ph" else () for c in self.clip]
+        fins = [parts[c][2] for c in self.clip]
         pad = max(map(len, fins), default=0)
         # Part c's finite phantoms, padded past every report, and the index
         # of its output among the reports and those phantoms sorted.

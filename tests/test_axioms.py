@@ -1,12 +1,12 @@
 """Axiom checkers: verdicts, witnesses, and cross-validation sweeps."""
 
 from fractions import Fraction as F
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
 
 import proploc.axioms as ax
-from proploc.analysis import expected_distance_to_point
+from proploc.analysis import expected_distance_to_point, expected_facility_location
 from proploc.axioms import CheckDomain
 from proploc.core import (
     REAL_LINE,
@@ -24,6 +24,7 @@ from proploc.core import (
     UniformPhantom,
     evaluate,
     format_point,
+    grid_points,
 )
 from proploc.mechanisms import (
     average_or_random_rank,
@@ -76,14 +77,23 @@ def test_random_dictator_anonymity_variants():
 
 
 def test_transpositions_agree_with_all_permutations():
+    """The adjacent-swap sweep decides as a loop over every permutation of
+    every ordered grid profile does."""
     dom = CheckDomain(n=3, grid=2)
-    for mechanism in (Median(), Dictator(2), RankK(1)):
-        swaps = ax.check_anonymity(mechanism, dom, ax.DET)
-        full = ax.check_anonymity(mechanism, dom, ax.DET, all_permutations=True)
-        assert swaps.status == full.status
+    skewed = RandomizedMechanism(3, UNIT_INTERVAL, ((Dictator(1), F(2, 3)), (Dictator(2), F(1, 3))))
+    cases = [(Median(), ax.DET), (Dictator(2), ax.DET), (RankK(1), ax.DET)]
+    cases += [(random_dictator(3), ax.EXP), (skewed, ax.EXP)]
+    for mechanism, variant in cases:
+        swaps = ax.check_anonymity(mechanism, dom, variant)
+        moved = any(
+            expected_facility_location(mechanism, Profile(dom.domain, tuple(locs[p] for p in perm)))
+            != expected_facility_location(mechanism, Profile(dom.domain, locs))
+            for locs in product(grid_points(dom.domain, dom.grid), repeat=dom.n)
+            for perm in permutations(range(dom.n))
+        )
+        assert swaps.status == (ax.FAIL if moved else ax.PASS)
         if swaps.failed:
             assert recheck_witness(mechanism, swaps)
-            assert recheck_witness(mechanism, full)
 
 
 def test_anonymity_det_variant_rejects_mixtures():

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 from itertools import combinations_with_replacement, product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from proploc.core import (
     REAL_LINE,
@@ -14,6 +15,8 @@ from proploc.core import (
     ExpansionLimitError,
     IIDPhantomSpec,
     MechanismError,
+    NEG_INF,
+    POS_INF,
     Phantom,
     Profile,
     RandomizedMechanism,
@@ -27,7 +30,6 @@ from proploc.mechanisms import (
     build_mechanism,
     format_mechanism,
     iid_phantom,
-    parse_mechanism_spec,
     random_dictator,
     random_phantom,
     random_rank,
@@ -165,39 +167,86 @@ def test_iid_phantom_uniform_spec_is_the_continuous_family():
     assert iid_phantom(IIDPhantomSpec(), 4) == random_phantom(4)
 
 
+# Every catalog spec in canonical form; iid_phantom expands to a plain
+# mixture, so it is checked on its own.
+CATALOG_SPECS = [
+    "random_rank",
+    "random_dictator",
+    "random_phantom",
+    "median",
+    "uniform_phantom",
+    "average",
+    "avg_or_rr:p=1/2",
+    "rank:k=2",
+    "dictator:i=1",
+    "phantom:[0,1/2,1]",
+    "phantom:[-inf,0,+inf]",
+]
+IID_SPEC = 'iid_phantom:{"atoms":[["1/2","1"]]}'
+
+
 def test_spec_string_round_trips():
-    specs = [
-        "random_rank",
-        "random_dictator",
-        "random_phantom",
-        "median",
-        "uniform_phantom",
-        "average",
-        "avg_or_rr:p=1/2",
-        "rank:k=2",
-        "dictator:i=1",
-        "phantom:[0,1/2,1]",
-        'iid_phantom:{"atoms":[["1/2","1"]]}',
-    ]
-    for text in specs:
-        parsed = parse_mechanism_spec(text, 3)
-        again = parse_mechanism_spec(parsed.to_string(), 3)
-        assert parsed == again
-        again.build()
+    for n, domain in product([2, 3, 4], [UNIT_INTERVAL, REAL_LINE]):
+        for text in CATALOG_SPECS:
+            if (domain == UNIT_INTERVAL and "inf" in text) or (domain == REAL_LINE and text == "random_phantom"):
+                continue
+            built = build_mechanism(text, n, domain)
+            spec = format_mechanism(built)
+            assert build_mechanism(spec, n, domain) == built
+            assert spec == text
+        built = build_mechanism(IID_SPEC, n)
+        assert built == iid_phantom(IIDPhantomSpec(((F(1, 2), F(1)),)), n)
+        assert format_mechanism(built) == "mixture"
+
+
+_points = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@given(
+    st.one_of(
+        st.integers(1, 6).map(RankK),
+        st.integers(1, 6).map(Dictator),
+        st.lists(_points | st.sampled_from([NEG_INF, POS_INF]), min_size=1, max_size=6).map(
+            lambda ys: Phantom(tuple(sorted(ys)))
+        ),
+    )
+)
+def test_deterministic_mechanisms_round_trip(mechanism):
+    assert build_mechanism(format_mechanism(mechanism), 3, REAL_LINE) == mechanism
 
 
 def test_spec_string_accepts_bare_keys():
-    parsed = parse_mechanism_spec('iid_phantom:{atoms:[["1/2","1"]]}', 2)
-    assert parsed.params["atoms"] == ((F(1, 2), F(1)),)
+    bare = build_mechanism('iid_phantom:{atoms:[["1/2","1"]]}', 2)
+    assert bare == build_mechanism(IID_SPEC, 2)
+    assert bare == iid_phantom(IIDPhantomSpec(((F(1, 2), F(1)),)), 2)
 
 
 def test_spec_string_errors():
-    with pytest.raises(MechanismError):
-        parse_mechanism_spec("mystery", 3)
-    with pytest.raises(MechanismError):
-        parse_mechanism_spec("avg_or_rr:q=1/2", 3)
-    with pytest.raises(MechanismError):
-        parse_mechanism_spec("phantom:0,1,1", 3)
+    cases = [
+        ("mystery", UNIT_INTERVAL, "unknown mechanism spec 'mystery'"),
+        ("rank", UNIT_INTERVAL, "unknown mechanism spec 'rank'"),
+        ("median:k=1", UNIT_INTERVAL, "unknown mechanism spec 'median:k=1'"),
+        ("avg_or_rr:q=1/2", UNIT_INTERVAL, "expected avg_or_rr:p=<rational>, got 'avg_or_rr:q=1/2'"),
+        ("rank:k=x", UNIT_INTERVAL, "expected rank:k=<int>, got 'rank:k=x'"),
+        ("dictator:i=", UNIT_INTERVAL, "expected dictator:i=<int>, got 'dictator:i='"),
+        ("phantom:0,1,1", UNIT_INTERVAL, "expected phantom:[...], got 'phantom:0,1,1'"),
+        (
+            "iid_phantom:{atoms:",
+            UNIT_INTERVAL,
+            "cannot parse 'iid_phantom:{atoms:': Expecting value: line 1 column 10 (char 9)",
+        ),
+        ("random_phantom", REAL_LINE, "random phantom is defined on [0,1] only"),
+    ]
+    for text, domain, message in cases:
+        with pytest.raises(MechanismError) as raised:
+            build_mechanism(text, 3, domain)
+        assert str(raised.value) == message
+
+
+def test_format_mechanism_rejects_other_objects():
+    for obj in (object(), "rank:k=2", IIDPhantomSpec()):
+        with pytest.raises(MechanismError):
+            format_mechanism(obj)
 
 
 def test_format_mechanism_names_the_catalog():
