@@ -1,9 +1,11 @@
 """Closed forms, constraint solving, and numeric cross-checks.
 
-Everything verdict-bearing here is exact rational arithmetic. The numeric
-oracle (quadrature / Monte Carlo) is deliberately kept as an independent
-route: it never feeds exact-equality decisions, only inequality findings
-whose margin exceeds its reported error bound.
+Everything verdict-bearing here is exact rational arithmetic; the
+continuous phantom family is priced by one cumulative integer integral of
+the facility's CDF per profile. The numeric oracle (quadrature / Monte
+Carlo) is deliberately kept as an independent route: it never feeds
+exact-equality decisions, only inequality findings whose margin exceeds
+its reported error bound.
 """
 
 from __future__ import annotations
@@ -100,59 +102,53 @@ def _upper_cdf_coeffs(draws: int, needed: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def _poly_integral(coeffs, lo: Fraction, hi: Fraction) -> Fraction:
-    total = ZERO
-    lo_pow, hi_pow = lo, hi
-    for power, c in enumerate(coeffs):
-        if c:
-            total += Fraction(c, power + 1) * (hi_pow - lo_pow)
-        lo_pow *= lo
-        hi_pow *= hi
-    return total
+def _uniform_family(profile: Profile, points=()) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """Exact E[facility], and E|x - facility| for each x in ``points``,
+    under the uniform phantom family (endpoints pinned at 0 and 1, n-1
+    interior uniforms).
 
-
-def facility_cdf_pieces(profile: Profile):
-    """Piecewise-polynomial CDF of the facility location under the uniform
-    phantom family (endpoints pinned at 0 and 1, n-1 interior uniforms).
-
-    Returns (lo, hi, coeffs) triples covering [0,1]; on each open interval
-    the CDF equals the polynomial with the given ascending coefficients.
-    """
+    Between breaks (0, 1, the agents, the points) the facility's CDF F is
+    P(at least n-j of the n-1 uniforms are <= t), j agents lying at or
+    below the piece. With every break written as a/D, the running integral
+    I(0,t) of F is an integer over lcm(1..n) * D**n, accumulated over the
+    pieces once; E[facility] = 1 - I(0,1), E|x - facility| = 2*I(0,x) -
+    I(0,1) + 1 - x."""
+    for x in points:
+        if not (ZERO <= x <= ONE):
+            raise DomainMismatchError("reference point must lie in [0,1]")
     if profile.domain != UNIT_INTERVAL:
         raise DomainMismatchError("the uniform phantom family lives on [0,1]")
     n = profile.n
-    agents = sorted(profile.locations)
-    breaks = sorted({ZERO, ONE, *agents})
-    pieces = []
+    D = math.lcm(*(x.denominator for x in (*profile.locations, *points)))
+    agents = sorted(x.numerator * (D // x.denominator) for x in profile.locations)
+    targets = [x.numerator * (D // x.denominator) for x in points]
+    lcm_n = math.lcm(*range(1, n + 1))
+    d_pows = [D**e for e in range(n)]
+    # The antiderivative of c*t**p, times lcm(1..n) * D**n, is
+    # c * lcm(1..n)/(p+1) * D**(n-1-p) * a**(p+1) at t = a/D.
+    running = {0: 0}
+    breaks = sorted({0, D, *agents, *targets})
     for lo, hi in zip(breaks, breaks[1:]):
-        at_most = bisect_right(agents, lo)
-        coeffs = _upper_cdf_coeffs(n - 1, n - at_most)
-        pieces.append((lo, hi, coeffs))
-    return pieces
-
-
-def _cdf_integral(pieces, a: Fraction, b: Fraction) -> Fraction:
-    total = ZERO
-    for lo, hi, coeffs in pieces:
-        left, right = max(lo, a), min(hi, b)
-        if left < right:
-            total += _poly_integral(coeffs, left, right)
-    return total
+        coeffs = _upper_cdf_coeffs(n - 1, n - bisect_right(agents, lo))
+        lo_acc = hi_acc = 0
+        for p in range(len(coeffs) - 1, -1, -1):
+            term = coeffs[p] * (lcm_n // (p + 1)) * d_pows[n - 1 - p]
+            lo_acc = lo_acc * lo + term
+            hi_acc = hi_acc * hi + term
+        running[hi] = running[lo] + hi_acc * hi - lo_acc * lo
+    whole, unit = running[D], lcm_n * d_pows[-1]  # unit: 1/D at the common scale
+    return Fraction(unit * D - whole, unit * D), tuple(
+        Fraction(2 * running[a] - whole + (D - a) * unit, unit * D) for a in targets
+    )
 
 
 def uniform_family_expected_distance(profile: Profile, point: Fraction) -> Fraction:
     """Exact E|point - facility| under the uniform phantom family."""
-    point = Fraction(point)
-    if not (ZERO <= point <= ONE):
-        raise DomainMismatchError("reference point must lie in [0,1]")
-    pieces = facility_cdf_pieces(profile)
-    below = _cdf_integral(pieces, ZERO, point)
-    above = (ONE - point) - _cdf_integral(pieces, point, ONE)
-    return below + above
+    return _uniform_family(profile, (Fraction(point),))[1][0]
 
 
 def uniform_family_expected_location(profile: Profile) -> Fraction:
-    return ONE - _cdf_integral(facility_cdf_pieces(profile), ZERO, ONE)
+    return _uniform_family(profile)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -160,48 +156,50 @@ def uniform_family_expected_location(profile: Profile) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def expected_distance_to_point(mechanism, profile: Profile, point: Fraction) -> Fraction:
-    """Exact expected distance from ``point`` to the facility."""
-    point = Fraction(point)
+def _weighted_parts(mechanism, profile: Profile):
+    """(weight, location) of each finite component on ``profile``, then
+    (weight, None) for a uniform phantom family; a deterministic mechanism
+    is one part of weight 1."""
     if not isinstance(mechanism, RandomizedMechanism):
-        return abs(point - evaluate(mechanism, profile))
+        yield ONE, evaluate(mechanism, profile)
+        return
     if mechanism.domain != profile.domain:
         raise DomainMismatchError("mechanism and profile domains differ")
     if mechanism.n != profile.n:
         raise MechanismError(f"mechanism built for n={mechanism.n}, got n={profile.n}")
-    total = ZERO
     for mech, weight in mechanism.components:
-        total += weight * abs(point - evaluate(mech, profile))
+        yield weight, evaluate(mech, profile)
     if mechanism.has_continuous:
         if not mechanism.continuous.is_uniform:
             raise MechanismError("expand discrete phantom families before evaluating")
-        total += mechanism.continuous_weight * uniform_family_expected_distance(
-            profile, point
-        )
-    return total
+        yield mechanism.continuous_weight, None
+
+
+def _expected_distances(mechanism, profile: Profile, points) -> tuple[Fraction, ...]:
+    totals = [ZERO] * len(points)
+    for weight, location in _weighted_parts(mechanism, profile):
+        distances = (_uniform_family(profile, points)[1] if location is None
+                     else [abs(x - location) for x in points])
+        totals = [total + weight * d for total, d in zip(totals, distances)]
+    return tuple(totals)
+
+
+def expected_distance_to_point(mechanism, profile: Profile, point: Fraction) -> Fraction:
+    """Exact expected distance from ``point`` to the facility."""
+    return _expected_distances(mechanism, profile, (Fraction(point),))[0]
 
 
 def expected_facility_location(mechanism, profile: Profile) -> Fraction:
-    if not isinstance(mechanism, RandomizedMechanism):
-        return evaluate(mechanism, profile)
-    if mechanism.domain != profile.domain:
-        raise DomainMismatchError("mechanism and profile domains differ")
-    if mechanism.n != profile.n:
-        raise MechanismError(f"mechanism built for n={mechanism.n}, got n={profile.n}")
     total = ZERO
-    for mech, weight in mechanism.components:
-        total += weight * evaluate(mech, profile)
-    if mechanism.has_continuous:
-        if not mechanism.continuous.is_uniform:
-            raise MechanismError("expand discrete phantom families before evaluating")
-        total += mechanism.continuous_weight * uniform_family_expected_location(profile)
+    for weight, location in _weighted_parts(mechanism, profile):
+        total += weight * (uniform_family_expected_location(profile) if location is None else location)
     return total
 
 
 def expected_agent_distances(mechanism, profile: Profile) -> tuple[Fraction, ...]:
-    return tuple(
-        expected_distance_to_point(mechanism, profile, x) for x in profile.locations
-    )
+    """Every agent's exact expected distance, the uniform family priced
+    once for the whole profile."""
+    return _expected_distances(mechanism, profile, profile.locations)
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +279,6 @@ class CumulativeConstraint:
     rhs: Fraction
     provenance: str
     multiplicity: int = 1
-
-    def describe(self) -> str:
-        op = "<=" if self.sense == "le" else ">="
-        return f"w_1+..+w_{self.prefix} {op} {format_point(self.rhs)}"
 
 
 @dataclass(frozen=True)

@@ -227,68 +227,36 @@ class _Scaled:
     def __init__(self, components, n: int, domain: str, grid: int):
         self.n = n
         self.domain = domain
+        components = _checked(components, n, domain)
         denoms = [grid if domain == UNIT_INTERVAL else 1]
-        weight_dens = []
-        normalized = []
-        for mech, weight in components:
-            weight = Fraction(weight)
-            weight_dens.append(weight.denominator)
-            if isinstance(mech, (Median, UniformPhantom)):
-                mech = to_phantom_form(mech, n, domain)
+        for mech, _ in components:
             if isinstance(mech, Phantom):
-                for y in mech.phantoms:
-                    if not isinstance(y, Infinite):
-                        denoms.append(y.denominator)
-            normalized.append((mech, weight))
+                denoms.extend(y.denominator for y in mech.phantoms if not isinstance(y, Infinite))
         self.D = D = math.lcm(*denoms)
-        self.wden = wden = math.lcm(*weight_dens)
+        self.wden = wden = math.lcm(*(weight.denominator for _, weight in components))
         self.cost_scale = wden * n * D
 
         parts = []
         phantom_values: set[int] = set()
         self.has_avg = False
-        anonymous = True
-        for mech, weight in normalized:
+        for mech, weight in components:
             # D and wden are common multiples of the denominators, so the
             # integer divisions below are exact.
             u = weight.numerator * (wden // weight.denominator)
-            if not mechanism_is_anonymous(mech):
-                anonymous = False
             if isinstance(mech, RankK):
-                if mech.k > n:
-                    raise MechanismError(f"rank {mech.k} out of range for n={n}")
                 parts.append(("ph", mech.k, (), u))
             elif isinstance(mech, Phantom):
-                if mech.n != n:
-                    raise MechanismError("phantom vector length does not match n")
-                neg = sum(1 for y in mech.phantoms if y is NEG_INF)
-                pos = sum(1 for y in mech.phantoms if y is POS_INF)
-                fins = tuple(
-                    y.numerator * (D // y.denominator)
-                    for y in mech.phantoms
-                    if not isinstance(y, Infinite)
-                )
-                if domain == UNIT_INTERVAL and (neg or pos):
-                    raise DomainMismatchError(
-                        "unit-interval checks need finite phantoms"
-                    )
-                if neg == n + 1 or pos == n + 1:
-                    raise MechanismError("median of reports and phantoms is not finite")
+                fins = tuple(y.numerator * (D // y.denominator)
+                             for y in mech.phantoms if not isinstance(y, Infinite))
                 phantom_values.update(fins)
-                parts.append(("ph", neg, fins, u))
+                parts.append(("ph", sum(1 for y in mech.phantoms if y is NEG_INF), fins, u))
             elif isinstance(mech, Dictator):
-                if mech.agent > n:
-                    raise MechanismError(
-                        f"dictator {mech.agent} out of range for n={n}"
-                    )
                 parts.append(("dict", mech.agent - 1, u))
-            elif isinstance(mech, Average):
+            else:
                 self.has_avg = True
                 parts.append(("avg", None, u))
-            else:
-                raise MechanismError(f"cannot rescale {type(mech).__name__}")
         self.parts = tuple(parts)
-        self.anonymous = anonymous
+        self.anonymous = all(mechanism_is_anonymous(mech) for mech, _ in components)
         self.phantom_values = tuple(sorted(phantom_values))
         # grid_points(domain, grid) over D, without building the Fractions.
         if domain == UNIT_INTERVAL:
@@ -348,6 +316,35 @@ class _Scaled:
         return grid_profiles(self.grid_ints, self.n, self.anonymous)
 
 
+def _checked(components, n: int, domain: str):
+    """The (mechanism, weight) pairs with medians in phantom form, or the
+    error :class:`_Scaled` raises for them: the phantom forms' errors first,
+    then that of the first component the engine rejects."""
+    checked = []
+    for mech, weight in components:
+        weight = Fraction(weight)
+        if isinstance(mech, (Median, UniformPhantom)):
+            mech = to_phantom_form(mech, n, domain)
+        checked.append((mech, weight))
+    for mech, _ in checked:
+        if isinstance(mech, RankK) and mech.k > n:
+            raise MechanismError(f"rank {mech.k} out of range for n={n}")
+        if isinstance(mech, Phantom):
+            if mech.n != n:
+                raise MechanismError("phantom vector length does not match n")
+            neg = sum(1 for y in mech.phantoms if y is NEG_INF)
+            pos = sum(1 for y in mech.phantoms if y is POS_INF)
+            if domain == UNIT_INTERVAL and (neg or pos):
+                raise DomainMismatchError("unit-interval checks need finite phantoms")
+            if neg == n + 1 or pos == n + 1:
+                raise MechanismError("median of reports and phantoms is not finite")
+        if isinstance(mech, Dictator) and mech.agent > n:
+            raise MechanismError(f"dictator {mech.agent} out of range for n={n}")
+        if not isinstance(mech, (RankK, Phantom, Dictator, Average)):
+            raise MechanismError(f"cannot rescale {type(mech).__name__}")
+    return checked
+
+
 def _scaled_each(components, dom: CheckDomain, combine: bool):
     """(index, :class:`_Scaled`) of the weighted components as one mixture
     (``combine``), or of each component alone, in order."""
@@ -366,7 +363,7 @@ def _first_failing_component(mechs, dom: CheckDomain, sweep):
     except MechanismError:
         for index, mech in enumerate(mechs):
             try:
-                _Scaled(((mech, ONE),), dom.n, dom.domain, dom.grid)
+                _checked(((mech, ONE),), dom.n, dom.domain)
             except MechanismError:
                 found = sweep(mechs[:index]) if index else None
                 if found is None:
@@ -591,12 +588,15 @@ def _anonymity_first(components, dom: CheckDomain, combine: bool, perms):
     the output, over ordered grid profiles, or None. With ``combine`` the
     whole mixture is one component (the expected location). The expected
     locations are computed for the witness only, from the failing
-    component's own rescaling."""
-    scaled = _Scaled(components, dom.n, dom.domain, dom.grid)
+    component's own rescaling. Only dictators are rescaled for the sweep,
+    but a rejected component of any kind raises as in the other sweeps."""
+    dictators = [c for c, (mech, _) in enumerate(_checked(components, dom.n, dom.domain))
+                 if isinstance(mech, Dictator)]
+    scaled = _Scaled([components[c] for c in dictators], dom.n, dom.domain, dom.grid)
     found = first_dictator_shift(scaled, perms, combine)
     if found is None:
         return None
-    index, X, perm = found
+    index, X, perm = dictators[found[0]], *found[1:]
     profile = tuple(scaled.to_frac(v) for v in X)
     scaled = _Scaled(components if combine else components[index : index + 1], dom.n, dom.domain, dom.grid)
     X = [scaled.to_int(x) for x in profile]

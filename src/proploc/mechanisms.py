@@ -130,9 +130,12 @@ def _keyed(key: str, pattern: str, kind: str, convert):
 
     def read(name: str, body: str, text: str):
         match = re.fullmatch(rf"{key}=({pattern})", body)
-        if not match:
-            raise MechanismError(f"expected {name}:{key}=<{kind}>, got {text!r}")
-        return convert(match.group(1))
+        if match:
+            try:
+                return convert(match.group(1))
+            except ZeroDivisionError:
+                pass
+        raise MechanismError(f"expected {name}:{key}=<{kind}>, got {text!r}")
 
     return read
 
@@ -147,9 +150,11 @@ def _read_atoms(name: str, body: str, text: str) -> tuple:
     payload = re.sub(r"([{,]\s*)([A-Za-z_]\w*)\s*:", r'\1"\2":', body)
     try:
         data = json.loads(payload)
+        return tuple((Fraction(str(loc)), Fraction(str(prob))) for loc, prob in data["atoms"])
     except json.JSONDecodeError as exc:
         raise MechanismError(f"cannot parse {text!r}: {exc}") from exc
-    return tuple((Fraction(str(loc)), Fraction(str(prob))) for loc, prob in data["atoms"])
+    except (KeyError, TypeError, ZeroDivisionError):
+        raise MechanismError(f"expected {name}:{{atoms:[[location,probability],...]}}, got {text!r}") from None
 
 
 def _write_average_weight(mixture: RandomizedMechanism) -> str:

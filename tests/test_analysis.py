@@ -4,10 +4,12 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import proploc.analysis as an
 import proploc.axioms as ax
 from proploc.core import (
+    DomainMismatchError,
     IIDPhantomSpec,
     MechanismError,
     Profile,
@@ -124,6 +126,110 @@ def test_mixture_expectations_combine_finite_and_continuous_parts():
     assert an.expected_distance_to_point(mechanism, profile, ZERO) == F(1, 9)
     distances = an.expected_agent_distances(mechanism, profile)
     assert distances[0] == distances[1] == F(1, 9)
+
+
+# ---------------------------------------------------------------------------
+# the cumulative-integral kernel against a piecewise Fraction reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_pieces(profile):
+    """(lo, hi, coeffs) pieces of the facility CDF over [0,1], the
+    polynomial in ascending coefficients on each open interval."""
+    n, agents = profile.n, sorted(profile.locations)
+    breaks = sorted({F(0), F(1), *agents})
+    return [
+        (lo, hi, an._upper_cdf_coeffs(n - 1, n - sum(1 for x in agents if x <= lo)))
+        for lo, hi in zip(breaks, breaks[1:])
+    ]
+
+
+def _reference_integral(pieces, a, b):
+    """Integral of the CDF over [a, b], piece by piece with Fraction powers."""
+    total = F(0)
+    for lo, hi, coeffs in pieces:
+        left, right = max(lo, a), min(hi, b)
+        if left < right:
+            total += sum(F(c, p + 1) * (right ** (p + 1) - left ** (p + 1)) for p, c in enumerate(coeffs))
+    return total
+
+
+def _reference_location(profile):
+    return 1 - _reference_integral(_reference_pieces(profile), F(0), F(1))
+
+
+def _reference_distance(profile, point):
+    pieces = _reference_pieces(profile)
+    return _reference_integral(pieces, F(0), point) + (1 - point) - _reference_integral(pieces, point, F(1))
+
+
+@st.composite
+def _family_cases(draw):
+    """A unit-interval profile of n = 2..9 agents on one denominator, and
+    points off it on another: ties, the ends 0 and 1 and co-located
+    profiles come from drawing the agents out of a small pool."""
+    denominators = st.sampled_from([1, 2, 6, 97, 360, 2**61 - 1])
+    n, d, e = draw(st.integers(2, 9)), draw(denominators), draw(denominators)
+    pool = draw(st.lists(st.integers(0, d), min_size=1, max_size=4)) + [0, d]
+    agents = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    points = draw(st.lists(st.integers(0, e), max_size=3))
+    return Profile.unit(*(F(a, d) for a in agents)), [F(p, e) for p in points]
+
+
+@given(_family_cases())
+@settings(max_examples=200)
+def test_kernel_matches_the_piecewise_reference(case):
+    profile, points = case
+    mechanism = random_phantom(profile.n)
+    location = _reference_location(profile)
+    agents = tuple(_reference_distance(profile, x) for x in profile.locations)
+    assert an.uniform_family_expected_location(profile) == location
+    assert an.expected_facility_location(mechanism, profile) == location
+    assert an.expected_agent_distances(mechanism, profile) == agents
+    for x in [*profile.locations, F(0), F(1), *points]:
+        assert an.uniform_family_expected_distance(profile, x) == _reference_distance(profile, x)
+        assert an.expected_distance_to_point(mechanism, profile, x) == _reference_distance(profile, x)
+
+
+def test_kernel_on_co_located_and_endpoint_profiles():
+    for n in range(2, 10):
+        for where in (F(0), F(1), F(5, 97)):
+            profile = Profile(UNIT_INTERVAL, (where,) * n)
+            assert an.uniform_family_expected_location(profile) == where
+            assert an.expected_agent_distances(random_phantom(n), profile) == (F(0),) * n
+            assert an.uniform_family_expected_distance(profile, F(1, 2)) == abs(F(1, 2) - where)
+
+
+def test_kernel_inside_a_mixture_with_finite_components():
+    """1/2 RankK(1) + 1/2 uniform family: the finite part adds its
+    distances to the kernel's, agent by agent and at points off the profile."""
+    for locations in ((F(0), F(1, 3), F(1)), (F(1, 97), F(1, 97), F(359, 360), F(1, 2))):
+        n = len(locations)
+        profile = Profile(UNIT_INTERVAL, locations)
+        mixture = RandomizedMechanism(
+            n, UNIT_INTERVAL, ((RankK(1), F(1, 2)),), continuous=IIDPhantomSpec(), continuous_weight=F(1, 2)
+        )
+        top = max(locations)
+        assert an.expected_facility_location(mixture, profile) == (top + _reference_location(profile)) / 2
+        points = (*locations, F(0), F(1), F(2, 7))
+        expected = [(abs(x - top) + _reference_distance(profile, x)) / 2 for x in points]
+        assert an.expected_agent_distances(mixture, profile) == tuple(expected[:n])
+        assert [an.expected_distance_to_point(mixture, profile, x) for x in points] == expected
+
+
+def test_kernel_keeps_its_errors():
+    profile = Profile.unit(F(1, 3), F(1, 2))
+    with pytest.raises(DomainMismatchError, match=r"reference point must lie in \[0,1\]"):
+        an.uniform_family_expected_distance(profile, F(3, 2))
+    real = Profile(REAL_LINE, (F(-1), F(2)))
+    with pytest.raises(DomainMismatchError, match=r"lives on \[0,1\]"):
+        an.uniform_family_expected_location(real)
+    with pytest.raises(MechanismError, match="mechanism built for n=3, got n=2"):
+        an.expected_agent_distances(random_phantom(3), profile)
+    discrete = RandomizedMechanism(2, UNIT_INTERVAL, (), continuous=IIDPhantomSpec(((F(1, 2), F(1)),)),
+                                   continuous_weight=F(1))
+    with pytest.raises(MechanismError, match="expand discrete phantom families"):
+        an.expected_agent_distances(discrete, profile)
 
 
 # ---------------------------------------------------------------------------

@@ -316,6 +316,29 @@ def test_bad_input_prints_error_and_exits_2(tmp_path, capsys, argv, profile_text
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check", "--mechanism", "avg_or_rr:p=1/0", "--axiom", "anonymity", "--n", "2", "--grid", "2"],
+         "error: expected avg_or_rr:p=<rational>, got 'avg_or_rr:p=1/0'\n"),
+        (["run", "--mechanism", "iid_phantom:{}", "--profile", "(0,1)"],
+         "error: expected iid_phantom:{atoms:[[location,probability],...]}, got 'iid_phantom:{}'\n"),
+        (["run", "--mechanism", "iid_phantom:{atoms:5}", "--profile", "(0,1)"],
+         "error: expected iid_phantom:{atoms:[[location,probability],...]}, got 'iid_phantom:{atoms:5}'\n"),
+        (["run", "--mechanism", 'iid_phantom:{atoms:[["1/0","1"]]}', "--profile", "(0,1)"],
+         "error: expected iid_phantom:{atoms:[[location,probability],...]}, "
+         "got 'iid_phantom:{atoms:[[\"1/0\",\"1\"]]}'\n"),
+    ],
+    ids=["avg-or-rr-zero-denominator", "iid-phantom-without-atoms", "iid-phantom-atoms-not-a-list",
+         "iid-phantom-zero-denominator"],
+)
+def test_malformed_spec_body_is_a_one_line_error(capsys, argv, message):
+    """A spec body that parses but cannot be read is bad input: exit 2 and
+    one line on stderr, not a traceback with the failed-axiom code 1."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", message)
+
+
 def test_removed_seed_option_is_rejected(capsys):
     """No command samples anything, so there is no ``--seed`` option; an
     unknown option is a usage error and exits 2."""
