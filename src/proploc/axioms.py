@@ -120,15 +120,15 @@ class CheckDomain:
     """Finite verification domain: n agents on a location grid.
 
     On the unit interval the grid is {0, 1/grid, ..., 1}; on the real line
-    it is the integer window {-grid, ..., grid}. Shortcuts that cover less
-    than the whole grid (subset caps, continuous-support sampling) are
-    surfaced in each verdict's detail.
+    it is the integer window {-grid, ..., grid}. ``support_grid`` is the
+    grid on which a universal check samples a continuous family's support
+    (the location grid when None); a PASS that rests on that sample says so
+    in its detail.
     """
 
     n: int
     grid: int = 6
     domain: str = UNIT_INTERVAL
-    spf_subset_cap: int | None = None
     support_grid: int | None = None
 
     def __post_init__(self):
@@ -422,7 +422,7 @@ def _first_failing_support(mixture: RandomizedMechanism, dom: CheckDomain, sweep
     return None, "; ".join(sorted(notes))
 
 
-def _decide(axiom, mechanism, dom: CheckDomain, variant, first, continuous=None, detail=""):
+def _decide(axiom, mechanism, dom: CheckDomain, variant, first, continuous=None):
     """Decide ``axiom`` in ``variant``: the one place the variants are
     defined (see the module docstring).
 
@@ -433,7 +433,6 @@ def _decide(axiom, mechanism, dom: CheckDomain, variant, first, continuous=None,
     and the verdict names the failing component. ``continuous(mixture)`` is
     the axiom's in-expectation rule for a mixture with a continuous family,
     as (status, witness, detail); an axiom without one has no exp variant.
-    ``detail`` notes the coverage of a pass.
     """
     mixture = _components_of(mechanism, dom.n, dom.domain)
     if variant == DET and isinstance(mechanism, RandomizedMechanism):
@@ -443,7 +442,7 @@ def _decide(axiom, mechanism, dom: CheckDomain, variant, first, continuous=None,
             mixture, dom, lambda run: first([(mech, ONE) for mech in run], dom, False)
         )
         if found is None:
-            return AxiomVerdict(axiom, variant, PASS, None, "; ".join(filter(None, (detail, note))))
+            return AxiomVerdict(axiom, variant, PASS, None, note)
         mech, witness, failure = found
         return AxiomVerdict(axiom, variant, FAIL, replace(witness, component=format_mechanism(mech)), failure)
     if variant not in ((DET, EXP) if continuous else (DET,)):
@@ -454,7 +453,7 @@ def _decide(axiom, mechanism, dom: CheckDomain, variant, first, continuous=None,
         return AxiomVerdict(axiom, variant, *continuous(mixture))
     found = first(mixture.components, dom, True)
     if found is None:
-        return AxiomVerdict(axiom, variant, PASS, None, detail)
+        return AxiomVerdict(axiom, variant, PASS)
     return AxiomVerdict(axiom, variant, FAIL, *found[1:])
 
 
@@ -675,18 +674,18 @@ def check_efficiency(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVe
 # ---------------------------------------------------------------------------
 
 
-def _exact(mixture, dom: CheckDomain, profiles, violation, detail=""):
+def _exact(mixture, dom: CheckDomain, profiles, violation):
     """The group axioms' in-expectation rule for a continuous family: the
     first ``violation(locations, price)`` over ``profiles(anonymous)``, as
     (agent, group, lhs, bound), where ``price(x)`` is the expected distance
-    of an agent at x through the exact closed forms of
-    :mod:`proploc.analysis`. The family is anonymous, so the finite
-    components decide ``anonymous``.
+    of an agent at location x, every agent priced in one call to the exact
+    closed forms of :mod:`proploc.analysis`. The family is anonymous, so the
+    finite components decide ``anonymous``.
     """
     anonymous = all(mechanism_is_anonymous(mech) for mech, _ in mixture.components)
     for locations in profiles(anonymous):
-        price = partial(analysis.expected_distance_to_point, mixture, Profile(dom.domain, locations))
-        found = violation(locations, price)
+        distances = analysis.expected_agent_distances(mixture, Profile(dom.domain, locations))
+        found = violation(locations, dict(zip(locations, distances)).__getitem__)
         if found is not None:
             agent, group, lhs, bound = found
             witness = Witness(
@@ -698,7 +697,7 @@ def _exact(mixture, dom: CheckDomain, profiles, violation, detail=""):
                 bound=bound,
             )
             return FAIL, witness, ""
-    return PASS, None, detail
+    return PASS, None, ""
 
 
 def _two_valued_values(points, ends_only: bool):
@@ -786,34 +785,33 @@ def check_strong_proportionality(mechanism, dom: CheckDomain, variant: str = DET
     )
 
 
-def _spf_violation(X, price, cap: int, scale):
+def _spf_violation(X, price, scale):
     """(agent, group, cost, bound) of the first SPF violation on profile X,
     or None.
 
-    The instances are the subsets S of at most ``cap`` agents, by size and
-    then lexicographically, each member in order. A member at x violates
-    when price(x) > scale * ((n - |S|) * R + n * r), for the profile's range
-    R and the subset's inner range r; ``price`` is called once per distinct
+    The instances are every subset S of the agents, by size and then
+    lexicographically, each member in order. A member at x violates when
+    price(x) > scale * ((n - |S|) * R + n * r), for the profile's range R
+    and the subset's inner range r; ``price`` is called once per distinct
     location.
 
     A window test over the sorted reports xs decides the profile first:
     some member of some S violates iff, for sorted positions a <= b, the
     largest price among positions a..b exceeds
-    scale * ((n - min(b - a + 1, cap)) * R + n * (xs[b] - xs[a])). Any S
-    fits in the window its members span, which holds at least |S| <= cap
-    agents; conversely a failing window holds a subset of min(b - a + 1,
-    cap) agents that contains its priciest agent and has inner range at
-    most the window's width. So O(n^2) windows stand in for the 2^n
-    subsets, and only a failing profile walks its subsets, for the first
-    witness.
+    scale * ((n - (b - a + 1)) * R + n * (xs[b] - xs[a])). Any S fits in
+    the window its members span, which holds at least |S| agents;
+    conversely the whole window is a subset that contains its priciest
+    agent and has inner range the window's width. So O(n^2) windows stand
+    in for the 2^n subsets, and only a failing profile walks its subsets,
+    for the first witness.
     """
     n = len(X)
     prices = {x: price(x) for x in set(X)}
     xs = sorted(X)
     spread = xs[-1] - xs[0]
-    if not _spf_window_fails(xs, [prices[x] for x in xs], cap, scale * spread, scale * n):
+    if not _spf_window_fails(xs, [prices[x] for x in xs], scale * spread, scale * n):
         return None
-    for size in range(1, cap + 1):
+    for size in range(1, n + 1):
         for subset in combinations(range(n), size):
             values = [X[j] for j in subset]
             bound = scale * ((n - size) * spread + n * (max(values) - min(values)))
@@ -823,12 +821,12 @@ def _spf_violation(X, price, cap: int, scale):
     return None
 
 
-def _spf_window_fails(xs, costs, cap: int, unit_spread, unit_width) -> bool:
+def _spf_window_fails(xs, costs, unit_spread, unit_width) -> bool:
     """Whether some window a..b of the sorted reports ``xs`` has a cost above
-    (n - min(b - a + 1, cap)) * unit_spread + unit_width * (xs[b] - xs[a]);
+    (n - (b - a + 1)) * unit_spread + unit_width * (xs[b] - xs[a]);
     ``costs`` are non-negative, in the order of ``xs``."""
     n = len(xs)
-    slack = [(n - min(count, cap)) * unit_spread for count in range(n + 1)]
+    slack = [(n - count) * unit_spread for count in range(n + 1)]
     edges = [unit_width * x for x in xs]
     for a in range(n):
         top, start = 0, edges[a]
@@ -840,13 +838,13 @@ def _spf_window_fails(xs, costs, cap: int, unit_spread, unit_width) -> bool:
     return False
 
 
-def _spf_first(components, dom: CheckDomain, combine: bool, cap: int):
+def _spf_first(components, dom: CheckDomain, combine: bool):
     """(component index, witness, "") of the first subset member beyond its
     SPF bound, or None: each profile priced once per location and decided by
     :func:`_spf_violation`, at the cost scale wden * n * D."""
     for index, scaled in _scaled_each(components, dom, combine):
         for X in scaled.profiles():
-            found = _spf_violation(X, scaled.pricer(X, sorted(X)), cap, scaled.wden)
+            found = _spf_violation(X, scaled.pricer(X, sorted(X)), scaled.wden)
             if found is not None:
                 agent, group, cost, bound = found
                 return index, scaled.witness(
@@ -864,30 +862,22 @@ def check_spf(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVerdict:
     R, keeps each member within R(n-|S|)/n + r (the Proportional Fairness of
     Aziz, Lam, Lee and Walsh, WINE 2022).
 
-    Each profile is priced once per distinct location and decided by a
-    window test over its sorted reports; only a failing profile walks its
-    subsets, by size and then lexicographically, for the first witness
-    (see :func:`_spf_violation`). Finite mixtures run on rescaled integers,
-    a continuous family through the exact closed forms, on the same rule.
+    Every subset is covered: each profile is priced once per distinct
+    location and decided by a window test over its sorted reports; only a
+    failing profile walks its subsets, by size and then lexicographically,
+    for the first witness (see :func:`_spf_violation`). Finite mixtures run
+    on rescaled integers, a continuous family through the exact closed
+    forms, on the same rule.
     """
     n = dom.n
-    cap = dom.spf_subset_cap
-    if cap is None:
-        cap = n if n <= 5 else 5
-    cap = min(cap, n)
-    detail = ""
-    if cap < n:
-        detail = f"subset sizes capped at {cap} of {n} (partial coverage)"
-    exact = partial(_spf_violation, cap=cap, scale=Fraction(1, n))
-
+    exact = partial(_spf_violation, scale=Fraction(1, n))
     return _decide(
         SPF,
         mechanism,
         dom,
         variant,
-        partial(_spf_first, cap=cap),
-        lambda mixture: _exact(mixture, dom, partial(grid_profiles, dom.points(), n), exact, detail),
-        detail,
+        _spf_first,
+        lambda mixture: _exact(mixture, dom, partial(grid_profiles, dom.points(), n), exact),
     )
 
 

@@ -4,9 +4,10 @@ Subcommands: ``run`` (evaluate a mechanism on a profile), ``check`` (one
 axiom, one variant; exit code 0/1/2 for pass/fail/inconclusive), ``table``
 (the mechanism-by-property summary matrix), ``search-manipulation``,
 ``solve-weights``, and ``prop1`` (the deterministic impossibility
-certificate). Output formats: markdown (default), json, csv. Bad input
-(an unreadable or malformed profile file, an unparsable option value)
-prints ``error: ...`` and exits 2.
+certificate). Output formats: markdown (default) and json everywhere, csv
+for ``run``, ``check`` and ``table``. Bad input (an unreadable or malformed
+profile file, an unparsable option value, a zero denominator) prints
+``error: ...`` and exits 2.
 """
 
 from __future__ import annotations
@@ -224,7 +225,6 @@ def _cmd_check(args) -> int:
         n=args.n,
         grid=args.grid,
         domain=domain,
-        spf_subset_cap=args.subset_cap,
         support_grid=args.support_grid,
     )
     mechanism = build_mechanism(args.mechanism, args.n, domain)
@@ -352,9 +352,10 @@ def _cmd_prop1(args) -> int:
     return 0 if matches == 0 else 1
 
 
-def _add_common(parser, with_grid=True):
+def _add_common(parser, with_grid=True, with_csv=False):
     parser.add_argument("--domain", choices=sorted(_DOMAIN_ALIASES), default="unit")
-    parser.add_argument("--format", choices=("markdown", "json", "csv"), default="markdown")
+    formats = ("markdown", "json", "csv") if with_csv else ("markdown", "json")
+    parser.add_argument("--format", choices=formats, default="markdown")
     parser.add_argument("--out", default=None, help="also write the report to a file")
     if with_grid:
         parser.add_argument("--n", type=int, default=3)
@@ -371,21 +372,20 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="evaluate a mechanism on a profile")
     run_p.add_argument("--mechanism", required=True)
     run_p.add_argument("--profile", required=True, help="inline '(0,1/3,1)' or a JSON file path")
-    _add_common(run_p, with_grid=False)
+    _add_common(run_p, with_grid=False, with_csv=True)
     run_p.set_defaults(func=_cmd_run)
 
     check_p = sub.add_parser("check", help="decide one axiom for one mechanism")
     check_p.add_argument("--mechanism", required=True)
     check_p.add_argument("--axiom", required=True, choices=axioms.AXIOMS)
     check_p.add_argument("--variant", default="det", choices=sorted(_VARIANT_ALIASES))
-    check_p.add_argument("--subset-cap", type=int, default=None)
     check_p.add_argument("--support-grid", type=int, default=None)
-    _add_common(check_p)
+    _add_common(check_p, with_csv=True)
     check_p.set_defaults(func=_cmd_check)
 
     table_p = sub.add_parser("table", help="mechanism-by-property summary matrix")
     table_p.add_argument("--p", default="1/2", help="averaging weight for the mixed row")
-    _add_common(table_p)
+    _add_common(table_p, with_csv=True)
     table_p.set_defaults(func=_cmd_table)
 
     search_p = sub.add_parser("search-manipulation", help="largest profitable misreport")
@@ -408,10 +408,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, ZeroDivisionError) as exc:
         # Bad input (an unreadable file, malformed JSON, an unparsable
-        # number; MechanismError is a ValueError) exits 2, never 1: for
-        # ``check`` exit code 1 means the axiom failed.
+        # number, a zero denominator; MechanismError is a ValueError) exits
+        # 2, never 1: for ``check`` exit code 1 means the axiom failed.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

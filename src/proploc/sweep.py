@@ -10,7 +10,7 @@ below 2^62, Python ints (``dtype=object``) on the same code path otherwise.
 
 A sweep computes, per block, a (component, row, ...) array and reduces it:
 the first failing component in order, a weighted sum over components, or
-the largest gain. Every block temporary is capped at
+the largest gain. Every block temporary holds at most
 ``BLOCK_ELEMENTS`` elements, so peak memory does not grow with the grid.
 """
 

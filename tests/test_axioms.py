@@ -380,21 +380,24 @@ def test_median_group_range_fairness_fails_only_at_extremes():
     assert recheck_witness(Median(), verdict)
 
 
-def test_spf_subset_cap_flags_partial_coverage():
-    dom = CheckDomain(n=3, grid=2, spf_subset_cap=2)
-    verdict = ax.check_spf(random_rank(3), dom, ax.EXP)
-    assert verdict.passed
-    assert "capped" in verdict.detail
-
-
-def test_spf_subset_cap_note_on_every_pass_and_no_failure():
-    dom = CheckDomain(n=3, grid=2, spf_subset_cap=2)
-    note = "subset sizes capped at 2 of 3 (partial coverage)"
-    for variant in ax.VARIANTS:
-        assert ax.check_spf(Average(), dom, variant).detail == note
-    for mechanism, variant in ((random_rank(3), ax.UNIVERSAL), (random_phantom(3), ax.EXP)):
-        failed = ax.check_spf(mechanism, dom, variant)
-        assert failed.failed and failed.detail == ""
+@pytest.mark.parametrize(
+    "grid, top, lhs, bound",
+    [(1, F(1), F(2, 7), F(1, 7)), (2, F(1, 2), F(1, 7), F(1, 14))],
+    ids=["grid1", "grid2"],
+)
+def test_spf_checks_groups_of_six_of_seven_agents(grid, top, lhs, bound):
+    """A 7-agent rank mixture whose only violations sit in a group of six:
+    the co-located agents 1..6 expect 2/7 of the range where the bound
+    allows 1/7 of it. SPF covers every subset, so it fails there."""
+    weights = ((1, 2), (3, 1), (4, 1), (5, 1), (7, 2))
+    mixture = RandomizedMechanism(7, UNIT_INTERVAL, tuple((RankK(k), F(w, 7)) for k, w in weights))
+    verdict = ax.check_spf(mixture, CheckDomain(n=7, grid=grid), ax.EXP)
+    assert verdict.failed
+    witness = verdict.witness
+    assert witness.profile == (F(0),) * 6 + (top,)
+    assert (witness.agent, witness.group) == (1, (1, 2, 3, 4, 5, 6))
+    assert (witness.lhs, witness.bound) == (lhs, bound)
+    assert recheck_witness(mixture, verdict)
 
 
 def test_unanimous_profiles_force_exact_placement():

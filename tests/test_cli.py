@@ -288,6 +288,10 @@ def test_real_line_domain_flag(capsys):
         (["solve-weights", "--n", "2", "--perturb", "xx"], None),
         (["solve-weights", "--n", "2", "--perturb", "1:abc"], None),
         (["prop1", "--samples", "1/2,x"], None),
+        (["table", "--n", "2", "--grid", "2", "--p", "1/0"], None),
+        (["solve-weights", "--n", "2", "--perturb", "1:1/0"], None),
+        (["solve-weights", "--n", "2", "--add", "w1=1/0"], None),
+        (["prop1", "--samples", "1/2,1/0"], None),
     ],
     ids=[
         "missing-profile-file",
@@ -298,6 +302,10 @@ def test_real_line_domain_flag(capsys):
         "perturb-without-colon",
         "perturb-bad-delta",
         "prop1-bad-sample",
+        "table-zero-denominator-p",
+        "perturb-zero-denominator",
+        "add-zero-denominator",
+        "prop1-zero-denominator-sample",
     ],
 )
 def test_bad_input_prints_error_and_exits_2(tmp_path, capsys, argv, profile_text):
@@ -346,6 +354,33 @@ def test_removed_seed_option_is_rejected(capsys):
         main(["table", "--n", "2", "--grid", "2", "--seed", "1"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def test_removed_subset_cap_option_is_rejected(capsys):
+    """SPF checks every subset, so ``check`` has no ``--subset-cap``."""
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--mechanism", "median", "--axiom", "spf", "--n", "2", "--grid", "2",
+              "--subset-cap", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --subset-cap 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search-manipulation", "--mechanism", "median", "--n", "2", "--grid", "2"],
+        ["solve-weights", "--n", "2"],
+        ["prop1"],
+    ],
+    ids=["search-manipulation", "solve-weights", "prop1"],
+)
+def test_csv_format_only_where_a_csv_report_exists(capsys, argv):
+    """Commands without a CSV report reject ``--format csv`` as a usage
+    error rather than printing markdown."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "csv"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
 
 
 def test_python_dash_m_runs_the_cli(capsys):

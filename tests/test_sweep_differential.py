@@ -368,19 +368,19 @@ def test_universal_failure_past_the_first_run_of_components(domain):
 # ---------------------------------------------------------------------------
 
 
-def _reference_spf_first(mechanism, dom, cap, anonymous):
+def _reference_spf_first(mechanism, dom, anonymous):
     """(profile, agent, group, lhs, bound) of the first subset member whose
     expected distance exceeds R(n - |S|)/n + r: profiles (multisets if
-    anonymous), subsets of at most ``cap`` agents by size and then
-    lexicographically, members in order. A member's expected distance
-    depends only on its location, so it is priced once per location."""
+    anonymous), every subset by size and then lexicographically, members
+    in order. A member's expected distance depends only on its location, so
+    it is priced once per location."""
     n = dom.n
     points = grid_points(dom.domain, dom.grid)
     for X in combinations_with_replacement(points, n) if anonymous else product(points, repeat=n):
         profile = Profile(dom.domain, X)
         lhs = {x: analysis.expected_distance_to_point(mechanism, profile, x) for x in set(X)}
         spread = max(X) - min(X)
-        for size in range(1, cap + 1):
+        for size in range(1, n + 1):
             for subset in combinations(range(n), size):
                 values = [X[j] for j in subset]
                 bound = F(n - size, n) * spread + max(values) - min(values)
@@ -391,7 +391,6 @@ def _reference_spf_first(mechanism, dom, cap, anonymous):
 
 
 def _assert_spf_matches_plain_loop(mechanism, dom, variant):
-    cap = min(dom.spf_subset_cap or 5, dom.n)
     verdict = axioms.check_spf(mechanism, dom, variant)
     if variant == axioms.UNIVERSAL:
         mechs = mechanism.component_mechanisms()
@@ -400,7 +399,7 @@ def _assert_spf_matches_plain_loop(mechanism, dom, variant):
     for mech in mechs:
         components = mech.component_mechanisms() if isinstance(mech, RandomizedMechanism) else [mech]
         anonymous = all(mechanism_is_anonymous(part) for part in components)
-        expected = _reference_spf_first(mech, dom, cap, anonymous)
+        expected = _reference_spf_first(mech, dom, anonymous)
         if expected is not None:
             assert verdict.failed, (variant, expected)
             component = format_mechanism(mech) if variant == axioms.UNIVERSAL else None
@@ -409,17 +408,13 @@ def _assert_spf_matches_plain_loop(mechanism, dom, variant):
             assert axioms.recheck_witness(mechanism, verdict)
             return
     assert verdict.passed, (variant, verdict)
-    assert ("capped at" in verdict.detail) == (cap < dom.n)
 
 
-@given(domains.flatmap(mixtures), st.data())
-def test_spf_matches_plain_loop(case, data):
+@given(domains.flatmap(mixtures))
+def test_spf_matches_plain_loop(case):
     """Det (each component), exp and universal SPF verdicts and first
-    witnesses agree with a plain loop over the subsets, under every subset
-    cap below n as well as the default."""
+    witnesses agree with a plain loop over every subset."""
     mixture, dom = case
-    cap = data.draw(st.sampled_from([None, *range(1, dom.n)]))
-    dom = replace(dom, spf_subset_cap=cap)
     for mech in mixture.component_mechanisms():
         _assert_spf_matches_plain_loop(mech, dom, axioms.DET)
     _assert_spf_matches_plain_loop(mixture, dom, axioms.EXP)
@@ -439,9 +434,9 @@ def test_spf_matches_plain_loop(case, data):
         (REAL_LINE, "median"),
     ],
 )
-def test_spf_at_six_agents_caps_subsets_at_five(domain, spec):
-    """At n=6 the default cap is 5, so windows of six agents are priced
-    against subsets of five; a continuous family takes the exact path."""
+def test_spf_at_six_agents_every_subset(domain, spec):
+    """At n=6 every subset is checked, the whole group of six included; a
+    continuous family takes the exact path."""
     dom = axioms.CheckDomain(n=6, grid=2, domain=domain)
     mechanism = build_mechanism(spec, 6, domain)
     if not isinstance(mechanism, RandomizedMechanism):
@@ -460,25 +455,24 @@ def test_spf_at_six_agents_caps_subsets_at_five(domain, spec):
         lambda n: st.tuples(
             st.lists(st.integers(0, 2), min_size=n, max_size=n),
             st.lists(st.just(0) | st.integers(0, 4 * n), min_size=n, max_size=n),
-            st.integers(1, n),
         )
     )
 )
 def test_spf_window_test_matches_every_subset(case):
     """The window test over sorted reports says a profile fails exactly when
-    some member of some subset of at most ``cap`` agents is priced above
-    (n - |S|) * R + n * r. Costs lean to 0, so profiles with one priced
-    agent, whose every window must be tried, come up often."""
-    xs, costs, cap = case
+    some member of some subset is priced above (n - |S|) * R + n * r. Costs
+    lean to 0, so profiles with one priced agent, whose every window must be
+    tried, come up often."""
+    xs, costs = case
     xs.sort()
     n, spread = len(xs), xs[-1] - xs[0]
     expected = any(
         costs[j] > (n - size) * spread + n * (xs[subset[-1]] - xs[subset[0]])
-        for size in range(1, cap + 1)
+        for size in range(1, n + 1)
         for subset in combinations(range(n), size)
         for j in subset
     )
-    assert axioms._spf_window_fails(xs, costs, cap, spread, n) == expected
+    assert axioms._spf_window_fails(xs, costs, spread, n) == expected
 
 
 # ---------------------------------------------------------------------------
