@@ -372,12 +372,18 @@ def solve_rank_weights(
     side. ``extra`` adds ("eq"|"le"|"ge", k, rhs) conditions on a single
     weight w_k; those are resolved against prefix intervals, which is exact
     here because the base system pins every prefix (k=1 conditions are
-    folded in exactly in all cases).
+    folded in exactly in all cases). An index outside the constraint list
+    or a weight outside w_1..w_n is a :class:`MechanismError`.
     """
     system = rank_weight_constraints(n, grid, domain)
     constraints = list(system.constraints)
+    for _, k, _ in extra:
+        if not 1 <= k <= n:
+            raise MechanismError(f"side constraint on w_{k}: weights are w_1..w_{n}")
     if perturb is not None:
         index, delta = perturb
+        if not 0 <= index < len(constraints):
+            raise MechanismError(f"perturb index {index} out of range 0..{len(constraints) - 1}")
         old = constraints[index]
         constraints[index] = CumulativeConstraint(
             old.prefix,

@@ -17,12 +17,14 @@ Every axiom has the same variants, defined once in :func:`_decide`:
   contributes a deterministic sample of its support.
 
 A mixture with a continuous family in expectation follows its axiom's rule.
-Strategyproofness passes on a universal certificate (universal implies in
-expectation) and is inconclusive otherwise; anonymity passes on the
-certificate, and otherwise its finite dictators decide, the family being
-anonymous; proportionality, Strong Proportionality and SPF are priced
-through the exact closed forms in :mod:`proploc.analysis`. Efficiency has no
-in-expectation variant.
+Strategyproofness passes outright when every finite component is
+phantom-class: each realisation is then a generalized median (Moulin 1980),
+strategyproof at every profile and for every real misreport, so the PASS
+covers the whole domain (other mixtures are an error). Anonymity lets the
+finite dictators decide, the i.i.d. family ignoring agent labels.
+Proportionality, Strong Proportionality and SPF are priced through the exact
+closed forms in :mod:`proploc.analysis`. Efficiency has no in-expectation
+variant.
 
 Internally, finite mixtures are rescaled to a common integer denominator
 (:class:`_Scaled`); witnesses are reconstructed as exact rationals.
@@ -120,7 +122,7 @@ class CheckDomain:
     """Finite verification domain: n agents on a location grid.
 
     On the unit interval the grid is {0, 1/grid, ..., 1}; on the real line
-    it is the integer window {-grid, ..., grid}. ``support_grid`` is the
+    it is the integer window {-grid, ..., grid}. ``support_grid`` (>= 1) is the
     grid on which a universal check samples a continuous family's support
     (the location grid when None); a PASS that rests on that sample says so
     in its detail.
@@ -136,6 +138,8 @@ class CheckDomain:
             raise MechanismError("check domains need n >= 2")
         if self.grid < 1:
             raise MechanismError("grid parameter must be >= 1")
+        if self.support_grid is not None and self.support_grid < 1:
+            raise MechanismError("support grid must be >= 1")
         if self.domain not in (UNIT_INTERVAL, REAL_LINE):
             raise DomainMismatchError(f"unknown domain {self.domain!r}")
 
@@ -263,12 +267,6 @@ class _Scaled:
             self.grid_ints = tuple(j * (self.D // grid) for j in range(grid + 1))
         else:
             self.grid_ints = tuple(v * self.D for v in range(-grid, grid + 1))
-
-    def to_int(self, value: Fraction) -> int:
-        scaled = Fraction(value) * self.D
-        if scaled.denominator != 1:
-            raise MechanismError(f"value {value} not on the common denominator")
-        return scaled.numerator
 
     def to_frac(self, value: int) -> Fraction:
         return Fraction(value, self.D)
@@ -457,15 +455,6 @@ def _decide(axiom, mechanism, dom: CheckDomain, variant, first, continuous=None)
     return AxiomVerdict(axiom, variant, FAIL, *found[1:])
 
 
-def _certificate(universal: AxiomVerdict):
-    """(PASS, None, detail) when a universal PASS certifies the
-    in-expectation variant (universal implies in expectation), else None."""
-    if not universal.passed:
-        return None
-    note = "via universal certificate (universal implies in expectation)"
-    return PASS, None, "; ".join(filter(None, (note, universal.detail)))
-
-
 # ---------------------------------------------------------------------------
 # Strategyproofness
 # ---------------------------------------------------------------------------
@@ -505,12 +494,8 @@ def check_strategyproofness(mechanism, dom: CheckDomain, variant: str = DET) -> 
                 "in-expectation strategyproofness is undecided for continuous "
                 "families mixed with non-phantom components"
             )
-        universal = check_strategyproofness(mixture, dom, UNIVERSAL)
-        return _certificate(universal) or (
-            INCONCLUSIVE,
-            universal.witness,
-            "universal certificate unavailable",
-        )
+        _checked(mixture.components, dom.n, dom.domain)
+        return PASS, None, "every component a generalized median: every profile, every real misreport"
 
     return _decide(STRATEGYPROOFNESS, mechanism, dom, variant, _sp_first, continuous)
 
@@ -549,10 +534,9 @@ def search_manipulation(mechanism, dom: CheckDomain) -> ManipulationFinding | No
     """
     mixture = _components_of(mechanism, dom.n, dom.domain)
     if mixture.has_continuous:
-        verdict = check_strategyproofness(mechanism, dom, EXP)
-        if verdict.passed:
-            return None
-        raise MechanismError("manipulation search needs a finite mixture")
+        # Strategyproof in expectation, or an error for a non-phantom part.
+        check_strategyproofness(mixture, dom, EXP)
+        return None
     scaled = _Scaled(mixture.components, dom.n, dom.domain, dom.grid)
     best = SpSweep(scaled, combine=True).best_gain()
     if best is None:
@@ -582,13 +566,15 @@ def _adjacent_swaps(n: int):
     return swaps
 
 
-def _anonymity_first(components, dom: CheckDomain, combine: bool, perms):
+def _anonymity_first(components, dom: CheckDomain, combine: bool, perms, mixture=None):
     """(component index, witness, "") of the first relabelling that moves
     the output, over ordered grid profiles, or None. With ``combine`` the
-    whole mixture is one component (the expected location). The expected
-    locations are computed for the witness only, from the failing
-    component's own rescaling. Only dictators are rescaled for the sweep,
-    but a rejected component of any kind raises as in the other sweeps."""
+    whole mixture is one component (the expected location). Only dictators
+    are rescaled for the sweep, but a rejected component of any kind raises
+    as in the other sweeps. The witness's expected locations come from the
+    closed forms of :mod:`proploc.analysis`, the path :func:`recheck_witness`
+    takes: of the failing component, or with ``combine`` of ``mixture``
+    (by default the weighted components themselves)."""
     dictators = [c for c, (mech, _) in enumerate(_checked(components, dom.n, dom.domain))
                  if isinstance(mech, Dictator)]
     scaled = _Scaled([components[c] for c in dictators], dom.n, dom.domain, dom.grid)
@@ -596,11 +582,13 @@ def _anonymity_first(components, dom: CheckDomain, combine: bool, perms):
     if found is None:
         return None
     index, X, perm = dictators[found[0]], *found[1:]
+    if not combine:
+        mixture = components[index][0]
+    elif mixture is None:
+        mixture = RandomizedMechanism(dom.n, dom.domain, tuple(components))
     profile = tuple(scaled.to_frac(v) for v in X)
-    scaled = _Scaled(components if combine else components[index : index + 1], dom.n, dom.domain, dom.grid)
-    X = [scaled.to_int(x) for x in profile]
     lhs, bound = (
-        Fraction(scaled.expected_loc([X[p] for p in order], sorted(X)), scaled.cost_scale)
+        analysis.expected_facility_location(mixture, Profile(dom.domain, tuple(profile[p] for p in order)))
         for order in (perm, range(dom.n))
     )
     permutation = tuple(p + 1 for p in perm)
@@ -611,27 +599,15 @@ def check_anonymity(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVer
     """Output (or expected output) is invariant under relabelling agents.
 
     Adjacent transpositions generate every permutation, so the sweep checks
-    those. Only dictator parts read agent labels, so only they are swept.
+    those. Only dictator parts read agent labels, so only they are swept;
+    a continuous family draws its phantoms i.i.d. and ignores labels, so in
+    expectation a mixture with one is decided by its finite dictators.
     """
     first = partial(_anonymity_first, perms=_adjacent_swaps(dom.n))
 
     def continuous(mixture):
-        certified = _certificate(check_anonymity(mixture, dom, UNIVERSAL))
-        if certified:
-            return certified
-        # A continuous family is anonymous, so the finite dictators decide;
-        # the witness's expected locations come from the closed forms.
-        found = first(mixture.components, dom, True)
-        if found is None:
-            return PASS, None, ""
-        witness = found[1]
-        lhs, bound = (
-            analysis.expected_facility_location(
-                mixture, Profile(dom.domain, tuple(witness.profile[p - 1] for p in order))
-            )
-            for order in (witness.permutation, range(1, dom.n + 1))
-        )
-        return FAIL, replace(witness, lhs=lhs, bound=bound), ""
+        found = first(mixture.components, dom, True, mixture=mixture)
+        return (PASS, None, "") if found is None else (FAIL, found[1], "")
 
     return _decide(ANONYMITY, mechanism, dom, variant, first, continuous)
 

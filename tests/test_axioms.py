@@ -46,9 +46,9 @@ def test_median_is_anonymous():
 
 
 def test_continuous_family_with_a_dictator_fails_anonymity_in_expectation():
-    """The certificate fails on the dictator component, so the finite
-    dictators decide; the witness's expected locations include the
-    continuous family's, from the closed forms."""
+    """The finite dictators decide, the family ignoring labels; the
+    witness's expected locations include the continuous family's, from the
+    closed forms."""
     mixture = RandomizedMechanism(
         2, UNIT_INTERVAL, ((Dictator(1), F(1, 3)),), IIDPhantomSpec(), F(2, 3)
     )
@@ -156,11 +156,47 @@ def test_strategyproofness_det_variant_rejects_mixtures():
         ax.check_strategyproofness(random_rank(2), CheckDomain(n=2, grid=2), ax.DET)
 
 
-def test_continuous_family_strategyproofness_routes_through_certificate():
-    dom = CheckDomain(n=3, grid=4)
-    verdict = ax.check_strategyproofness(random_phantom(3), dom, ax.EXP)
-    assert verdict.passed
-    assert "universal certificate" in verdict.detail
+def _with_family(n, mech, weight):
+    return RandomizedMechanism(
+        n, UNIT_INTERVAL, ((mech, weight),), IIDPhantomSpec(), 1 - weight
+    )
+
+
+@pytest.mark.parametrize(
+    "mixture",
+    [
+        random_phantom(2),
+        random_phantom(3),
+        random_phantom(4),
+        _with_family(3, RankK(1), F(1, 2)),
+        _with_family(3, Median(), F(1, 3)),
+        _with_family(3, Phantom((0, F(1, 4), F(1, 2), 1)), F(1, 2)),
+    ],
+    ids=["random_phantom-2", "random_phantom-3", "random_phantom-4", "rank1", "median", "phantom"],
+)
+def test_continuous_family_strategyproofness_agrees_with_the_sweep(mixture):
+    """Phantom-class parts plus the family pass in expectation over the
+    whole domain, with no sweep; the universal sweep over the family's
+    sampled support agrees on every grid."""
+    verdict = ax.check_strategyproofness(mixture, CheckDomain(n=mixture.n, grid=4), ax.EXP)
+    assert verdict.passed and verdict.witness is None
+    assert "every real misreport" in verdict.detail
+    for grid in range(2, 7):
+        dom = CheckDomain(n=mixture.n, grid=grid)
+        assert ax.check_strategyproofness(mixture, dom, ax.UNIVERSAL).passed
+
+
+@pytest.mark.parametrize(
+    "mech, message",
+    [(Average(), "undecided"), (Dictator(1), "undecided"), (RankK(5), "out of range")],
+    ids=["average", "dictator", "rank-past-n"],
+)
+def test_continuous_family_strategyproofness_raises_without_a_pass(mech, message):
+    """A non-phantom part leaves the rule undecided, and a malformed part
+    is rejected as the sweep would reject it."""
+    mixture = _with_family(3, mech, F(1, 2))
+    with pytest.raises(MechanismError, match=message):
+        ax.check_strategyproofness(mixture, CheckDomain(n=3, grid=4), ax.EXP)
 
 
 def _dense_report_check(mechanism, n, profile_grid, report_grid=60):

@@ -292,6 +292,14 @@ def test_real_line_domain_flag(capsys):
         (["solve-weights", "--n", "2", "--perturb", "1:1/0"], None),
         (["solve-weights", "--n", "2", "--add", "w1=1/0"], None),
         (["prop1", "--samples", "1/2,1/0"], None),
+        (["solve-weights", "--n", "3", "--perturb", "99:1"], None),
+        (["solve-weights", "--n", "3", "--perturb=-1:1/10"], None),
+        (["solve-weights", "--n", "3", "--add", "w9=0"], None),
+        (["solve-weights", "--n", "3", "--add", "w0=0"], None),
+        (["check", "--mechanism", "random_phantom", "--axiom", "spf", "--variant", "universal",
+          "--n", "3", "--grid", "2", "--support-grid", "0"], None),
+        (["check", "--mechanism", "median", "--axiom", "anonymity", "--n", "2", "--grid", "2",
+          "--support-grid", "-5"], None),
     ],
     ids=[
         "missing-profile-file",
@@ -306,6 +314,12 @@ def test_real_line_domain_flag(capsys):
         "perturb-zero-denominator",
         "add-zero-denominator",
         "prop1-zero-denominator-sample",
+        "perturb-index-past-end",
+        "perturb-negative-index",
+        "add-weight-past-n",
+        "add-weight-zero",
+        "support-grid-zero",
+        "support-grid-negative",
     ],
 )
 def test_bad_input_prints_error_and_exits_2(tmp_path, capsys, argv, profile_text):
