@@ -13,8 +13,10 @@ Every axiom has the same variants, defined once in :func:`_decide`:
   swept as one mechanism;
 - ``universal``: every support component satisfies it on its own, in order,
   and a failure names the first that does not (universal truthfulness and
-  anonymity, ex-post efficiency and fairness); a continuous phantom family
-  contributes a deterministic sample of its support.
+  anonymity, ex-post efficiency and fairness). A uniform phantom family's
+  realisations are generalized medians with phantoms at 0 and 1, so they
+  meet strategyproofness, anonymity and efficiency by theorem, at every
+  profile; the group axioms sweep a deterministic sample of its support.
 
 A mixture with a continuous family in expectation follows its axiom's rule.
 Strategyproofness passes outright when every finite component is
@@ -123,9 +125,9 @@ class CheckDomain:
 
     On the unit interval the grid is {0, 1/grid, ..., 1}; on the real line
     it is the integer window {-grid, ..., grid}. ``support_grid`` (>= 1) is the
-    grid on which a universal check samples a continuous family's support
-    (the location grid when None); a PASS that rests on that sample says so
-    in its detail.
+    grid on which a universal group-axiom check (proportionality, Strong
+    Proportionality, SPF) samples a continuous family's support (the
+    location grid when None); a PASS that rests on that sample says so.
     """
 
     n: int
@@ -382,24 +384,27 @@ def _components_of(mechanism, n: int, domain: str):
     return mixture
 
 
-def _universal_components(mixture: RandomizedMechanism, dom: CheckDomain):
+def _universal_components(mixture: RandomizedMechanism, dom: CheckDomain, family: str | None):
     """(mechanism, coverage note) of every support component: the finite
-    ones, then a deterministic sample of a uniform family's support, every
-    sorted interior phantom vector on the support grid, endpoints pinned."""
+    ones, then a uniform family as the note ``family`` alone (no mechanism)
+    or sampled, every sorted interior phantom vector on the support grid."""
     for mech, _ in mixture.components:
         yield mech, None
     if mixture.has_continuous:
         if not mixture.continuous.is_uniform:
             raise MechanismError("expand discrete phantom families before checking")
+        if family:
+            yield None, family
+            return
         m = dom.support_grid or dom.grid
         for interior in combinations_with_replacement(grid_points(UNIT_INTERVAL, m), dom.n - 1):
             yield Phantom((ZERO,) + interior + (ONE,)), f"support sampled on grid m={m}"
 
 
-def _first_failing_support(mixture: RandomizedMechanism, dom: CheckDomain, sweep):
+def _first_failing_support(mixture: RandomizedMechanism, dom: CheckDomain, sweep, family):
     """The first failing support component of a universal check, as
     (mechanism, witness, failure detail), or None; and the coverage note of
-    a pass.
+    a pass. ``family`` is that of :func:`_universal_components`.
 
     ``sweep`` is that of :func:`_first_failing_component`. It gets the
     support in runs of 8, 32, 128, ... components, in order, so a check
@@ -408,19 +413,19 @@ def _first_failing_support(mixture: RandomizedMechanism, dom: CheckDomain, sweep
     while a pass costs about one stacked sweep: every block sweep is capped
     in elements, so more components make smaller blocks.
     """
-    components = _universal_components(mixture, dom)
+    components = _universal_components(mixture, dom, family)
     notes, size = set(), 8
     while run := list(islice(components, size)):
         notes.update(note for _, note in run if note)
-        mechs = [mech for mech, _ in run]
-        found = _first_failing_component(mechs, dom, sweep)
+        mechs = [mech for mech, _ in run if mech is not None]
+        found = _first_failing_component(mechs, dom, sweep) if mechs else None
         if found is not None:
             return (mechs[found[0]], *found[1:]), ""
         size *= 4
     return None, "; ".join(sorted(notes))
 
 
-def _decide(axiom, mechanism, dom: CheckDomain, variant, first, continuous=None):
+def _decide(axiom, mechanism, dom: CheckDomain, variant, first, continuous=None, family=None):
     """Decide ``axiom`` in ``variant``: the one place the variants are
     defined (see the module docstring).
 
@@ -431,13 +436,15 @@ def _decide(axiom, mechanism, dom: CheckDomain, variant, first, continuous=None)
     and the verdict names the failing component. ``continuous(mixture)`` is
     the axiom's in-expectation rule for a mixture with a continuous family,
     as (status, witness, detail); an axiom without one has no exp variant.
+    ``family`` notes an axiom every realisation of a uniform phantom family
+    meets by theorem; without it universal checks sample the family.
     """
     mixture = _components_of(mechanism, dom.n, dom.domain)
     if variant == DET and isinstance(mechanism, RandomizedMechanism):
         raise MechanismError("deterministic variant needs a deterministic mechanism")
     if variant == UNIVERSAL:
         found, note = _first_failing_support(
-            mixture, dom, lambda run: first([(mech, ONE) for mech in run], dom, False)
+            mixture, dom, lambda run: first([(mech, ONE) for mech in run], dom, False), family
         )
         if found is None:
             return AxiomVerdict(axiom, variant, PASS, None, note)
@@ -497,7 +504,8 @@ def check_strategyproofness(mechanism, dom: CheckDomain, variant: str = DET) -> 
         _checked(mixture.components, dom.n, dom.domain)
         return PASS, None, "every component a generalized median: every profile, every real misreport"
 
-    return _decide(STRATEGYPROOFNESS, mechanism, dom, variant, _sp_first, continuous)
+    return _decide(STRATEGYPROOFNESS, mechanism, dom, variant, _sp_first, continuous,
+                   family="each phantom realisation a generalized median: every profile, every real misreport")
 
 
 @dataclass(frozen=True)
@@ -609,7 +617,8 @@ def check_anonymity(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVer
         found = first(mixture.components, dom, True, mixture=mixture)
         return (PASS, None, "") if found is None else (FAIL, found[1], "")
 
-    return _decide(ANONYMITY, mechanism, dom, variant, first, continuous)
+    return _decide(ANONYMITY, mechanism, dom, variant, first, continuous,
+                   family="each phantom realisation a generalized median: every profile, every relabelling")
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +651,8 @@ def _efficiency_first(components, dom: CheckDomain, combine: bool):
 def check_efficiency(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVerdict:
     """Output stays within the reported range; the universal variant asks
     it of every support component (ex-post efficiency)."""
-    return _decide(EFFICIENCY, mechanism, dom, variant, _efficiency_first)
+    return _decide(EFFICIENCY, mechanism, dom, variant, _efficiency_first,
+                   family="each phantom realisation a generalized median, phantoms at 0 and 1: every profile")
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
+from hypothesis import given, strategies as st
 
 import proploc.axioms as ax
 from proploc.analysis import expected_distance_to_point, expected_facility_location
@@ -176,14 +177,96 @@ def _with_family(n, mech, weight):
 )
 def test_continuous_family_strategyproofness_agrees_with_the_sweep(mixture):
     """Phantom-class parts plus the family pass in expectation over the
-    whole domain, with no sweep; the universal sweep over the family's
-    sampled support agrees on every grid."""
+    whole domain, with no sweep; universally the finite parts are swept
+    and the family passes by theorem, on every grid. The sweep of the
+    family's realisations themselves is the oracle below."""
     verdict = ax.check_strategyproofness(mixture, CheckDomain(n=mixture.n, grid=4), ax.EXP)
     assert verdict.passed and verdict.witness is None
     assert "every real misreport" in verdict.detail
     for grid in range(2, 7):
         dom = CheckDomain(n=mixture.n, grid=grid)
-        assert ax.check_strategyproofness(mixture, dom, ax.UNIVERSAL).passed
+        verdict = ax.check_strategyproofness(mixture, dom, ax.UNIVERSAL)
+        assert verdict.passed
+        assert "each phantom realisation" in verdict.detail and "sampled" not in verdict.detail
+
+
+def _assert_realisation_passes(interior, dom):
+    """The deterministic sweeps of one realisation of the uniform family,
+    phantoms pinned at 0 and 1, pass strategyproofness, anonymity and
+    efficiency: what the universal variants take from the theorem."""
+    phantom = Phantom((F(0),) + tuple(interior) + (F(1),))
+    for check in (ax.check_strategyproofness, ax.check_anonymity, ax.check_efficiency):
+        verdict = check(phantom, dom, ax.DET)
+        assert verdict.passed, (check.__name__, phantom, verdict)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_uniform_family_realisations_pass_on_every_grid(n):
+    """Every realisation the universal variants used to sample, on support
+    grids 2..6, swept on the matching location grid."""
+    for grid in range(2, 7):
+        dom = CheckDomain(n=n, grid=grid)
+        for interior in combinations_with_replacement(grid_points(UNIT_INTERVAL, grid), n - 1):
+            _assert_realisation_passes(interior, dom)
+
+
+@given(
+    st.integers(2, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(
+                st.sampled_from([97, 101, 360]).flatmap(lambda q: st.builds(F, st.integers(0, q), st.just(q))),
+                min_size=n - 1,
+                max_size=n - 1,
+            ).map(sorted),
+            st.lists(st.builds(F, st.integers(0, 12), st.just(12)), min_size=n, max_size=n),
+            st.permutations(range(n)),
+            st.integers(2, 5),
+        )
+    )
+)
+def test_off_grid_realisations_pass_the_sweeps(case):
+    """Realisations with off-grid interior phantoms (denominators such as
+    97) pass the same deterministic sweeps, and relabelling a profile never
+    moves their output."""
+    interior, locations, perm, grid = case
+    n = len(perm)
+    _assert_realisation_passes(interior, CheckDomain(n=n, grid=grid))
+    phantom = Phantom((F(0),) + tuple(interior) + (F(1),))
+    relabelled = tuple(locations[p] for p in perm)
+    assert evaluate(phantom, Profile.unit(*relabelled)) == evaluate(phantom, Profile.unit(*locations))
+
+
+def test_universal_checks_still_sweep_the_finite_parts():
+    """With the family decided by theorem, a failing finite part still
+    fails the universal check, named in the witness."""
+    dom = CheckDomain(n=3, grid=4)
+    mixture = _with_family(3, Average(), F(1, 2))
+    verdict = ax.check_strategyproofness(mixture, dom, ax.UNIVERSAL)
+    assert verdict.failed and verdict.witness.component == "average"
+    assert recheck_witness(mixture, verdict)
+    mixture = _with_family(3, Dictator(1), F(1, 2))
+    verdict = ax.check_anonymity(mixture, dom, ax.UNIVERSAL)
+    assert verdict.failed and verdict.witness.component == "dictator:i=1"
+    assert recheck_witness(mixture, verdict)
+
+
+@pytest.mark.parametrize("axiom", ax.AXIOMS)
+def test_universal_checks_refuse_a_discrete_family(axiom):
+    atoms = ((F(1, 4), F(1, 2)), (F(3, 4), F(1, 2)))
+    mixture = RandomizedMechanism(3, UNIT_INTERVAL, ((RankK(1), F(1, 2)),), IIDPhantomSpec(atoms), F(1, 2))
+    with pytest.raises(MechanismError, match="expand discrete phantom families"):
+        ax.run_check(axiom, mixture, CheckDomain(n=3, grid=2), ax.UNIVERSAL)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_random_phantom_universal_proportionality_fails_on_the_sampled_support(n):
+    """The group axioms keep sampling the family: the first sampled vector,
+    all interior phantoms at 0, leaves the lone agent at 1 too far."""
+    mixture = random_phantom(n)
+    verdict = ax.check_proportionality(mixture, CheckDomain(n=n, grid=6), ax.UNIVERSAL)
+    assert verdict.failed
+    assert verdict.witness.component == format_mechanism(Phantom((F(0),) * n + (F(1),)))
+    assert recheck_witness(mixture, verdict)
 
 
 @pytest.mark.parametrize(

@@ -298,6 +298,8 @@ def test_real_line_domain_flag(capsys):
         (["solve-weights", "--n", "3", "--add", "w0=0"], None),
         (["check", "--mechanism", "random_phantom", "--axiom", "spf", "--variant", "universal",
           "--n", "3", "--grid", "2", "--support-grid", "0"], None),
+        (["check", "--mechanism", "random_phantom", "--axiom", "strategyproofness", "--variant",
+          "universal", "--n", "3", "--grid", "2", "--support-grid", "0"], None),
         (["check", "--mechanism", "median", "--axiom", "anonymity", "--n", "2", "--grid", "2",
           "--support-grid", "-5"], None),
     ],
@@ -319,6 +321,7 @@ def test_real_line_domain_flag(capsys):
         "add-weight-past-n",
         "add-weight-zero",
         "support-grid-zero",
+        "support-grid-zero-universal-strategyproofness",
         "support-grid-negative",
     ],
 )
