@@ -1,11 +1,15 @@
 """Closed forms, constraint solving, and numeric cross-checks.
 
-Everything verdict-bearing here is exact rational arithmetic; the
-continuous phantom family is priced by one cumulative integer integral of
-the facility's CDF per profile. The numeric oracle (quadrature / Monte
-Carlo) is deliberately kept as an independent route: it never feeds
-exact-equality decisions, only inequality findings whose margin exceeds
-its reported error bound.
+Everything verdict-bearing here is exact rational arithmetic. A mixture's
+expectations have two parts. Its finite components form one
+:class:`proploc.core.Lottery` per profile, which prices each point by one
+bisect into running sums of mass and moment (a deterministic mechanism's
+one atom as |x - location|). A uniform phantom family is priced by one
+cumulative integer integral of the facility's CDF per profile, for the
+expected location and every point at once. The numeric oracle
+(quadrature / Monte Carlo) is deliberately kept as an independent route:
+it never feeds exact-equality decisions, only inequality findings whose
+margin exceeds its reported error bound.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .core import (
     UNIT_INTERVAL,
     DomainMismatchError,
     IIDPhantomSpec,
+    Lottery,
     Mechanism,
     MechanismError,
     Phantom,
@@ -156,50 +161,62 @@ def uniform_family_expected_location(profile: Profile) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _weighted_parts(mechanism, profile: Profile):
-    """(weight, location) of each finite component on ``profile``, then
-    (weight, None) for a uniform phantom family; a deterministic mechanism
-    is one part of weight 1."""
+def _parts(mechanism, profile: Profile):
+    """The lottery of the finite components on ``profile`` (None when there
+    are none) and the weight of a uniform phantom family (None when there
+    is none); a deterministic mechanism is one atom of weight 1."""
     if not isinstance(mechanism, RandomizedMechanism):
-        yield ONE, evaluate(mechanism, profile)
-        return
+        return Lottery(((evaluate(mechanism, profile), ONE),)), None
     if mechanism.domain != profile.domain:
         raise DomainMismatchError("mechanism and profile domains differ")
     if mechanism.n != profile.n:
         raise MechanismError(f"mechanism built for n={mechanism.n}, got n={profile.n}")
-    for mech, weight in mechanism.components:
-        yield weight, evaluate(mech, profile)
-    if mechanism.has_continuous:
-        if not mechanism.continuous.is_uniform:
-            raise MechanismError("expand discrete phantom families before evaluating")
-        yield mechanism.continuous_weight, None
+    pairs = tuple((evaluate(mech, profile), weight) for mech, weight in mechanism.components)
+    lottery = Lottery(pairs) if pairs else None
+    if not mechanism.has_continuous:
+        return lottery, None
+    if not mechanism.continuous.is_uniform:
+        raise MechanismError("expand discrete phantom families before evaluating")
+    return lottery, mechanism.continuous_weight
 
 
-def _expected_distances(mechanism, profile: Profile, points) -> tuple[Fraction, ...]:
-    totals = [ZERO] * len(points)
-    for weight, location in _weighted_parts(mechanism, profile):
-        distances = (_uniform_family(profile, points)[1] if location is None
-                     else [abs(x - location) for x in points])
-        totals = [total + weight * d for total, d in zip(totals, distances)]
-    return tuple(totals)
+def _expectations(mechanism, profile: Profile, points, with_location: bool):
+    """E|x - facility| for each x in ``points`` and, ``with_location``,
+    E[facility] (else None): the finite part through its lottery, a
+    uniform family through one call of :func:`_uniform_family`."""
+    lottery, weight = _parts(mechanism, profile)
+    location = lottery.expected_location() if with_location and lottery else None
+    if weight is None:
+        return location, tuple(lottery.expected_distance(x) for x in points)
+    family_location, distances = _uniform_family(profile, points)
+    if weight != 1:
+        family_location, distances = weight * family_location, [weight * d for d in distances]
+    if lottery is not None:
+        distances = [lottery.expected_distance(x) + d for x, d in zip(points, distances)]
+    if with_location:
+        location = family_location if location is None else location + family_location
+    return location, tuple(distances)
 
 
 def expected_distance_to_point(mechanism, profile: Profile, point: Fraction) -> Fraction:
     """Exact expected distance from ``point`` to the facility."""
-    return _expected_distances(mechanism, profile, (Fraction(point),))[0]
+    return _expectations(mechanism, profile, (Fraction(point),), False)[1][0]
 
 
 def expected_facility_location(mechanism, profile: Profile) -> Fraction:
-    total = ZERO
-    for weight, location in _weighted_parts(mechanism, profile):
-        total += weight * (uniform_family_expected_location(profile) if location is None else location)
-    return total
+    return _expectations(mechanism, profile, (), True)[0]
 
 
 def expected_agent_distances(mechanism, profile: Profile) -> tuple[Fraction, ...]:
     """Every agent's exact expected distance, the uniform family priced
     once for the whole profile."""
-    return _expected_distances(mechanism, profile, profile.locations)
+    return _expectations(mechanism, profile, profile.locations, False)[1]
+
+
+def expected_location_and_agent_distances(mechanism, profile: Profile):
+    """E[facility] and every agent's expected distance, the uniform family
+    priced once for both."""
+    return _expectations(mechanism, profile, profile.locations, True)
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,9 @@ two-valued sweep: every profile low + pattern * (high - low) for grid pairs
 low < high (only the pair 0, 1 for proportionality) and 0/1 patterns, each
 agent priced against (n - s)/n of the gap for its group of size s, the low
 group's members before the high group's. Efficiency stays on a scalar loop
-over the rescaled profiles.
+over the rescaled profiles; a real-line phantom vector with a finite end
+that the grid does not expose fails at a unanimous profile just beyond
+that end.
 
 SPF stays in pure Python. An agent's cost depends only on its own
 location, so each profile prices each distinct location once, and a window
@@ -628,7 +630,10 @@ def check_anonymity(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVer
 
 def _efficiency_first(components, dom: CheckDomain, combine: bool):
     """(component index, witness, side) of the first profile whose
-    (expected) output leaves the reported range, or None."""
+    (expected) output leaves the reported range, or None. A real-line
+    phantom vector whose lowest (or highest) entry y is finite fails off
+    the grid too, when the grid finds nothing: with every report at
+    floor(y) - 1 (or ceil(y) + 1) the output is y."""
     for index, scaled in _scaled_each(components, dom, combine):
         scale = scaled.wden * scaled.n  # expected_loc is at scale wden * n * D
         for X in scaled.profiles():
@@ -645,12 +650,33 @@ def _efficiency_first(components, dom: CheckDomain, combine: bool):
                 lhs=scaled.cost_frac(out),
                 bound=scaled.to_frac(bound),
             ), side
+        found = _efficiency_off_grid(scaled)
+        if found is not None:
+            return (index, *found)
     return None
+
+
+def _efficiency_off_grid(scaled: _Scaled):
+    """(witness, side) for one real-line phantom part with a finite end, or
+    None: its output at a unanimous profile beyond that end is the end."""
+    if scaled.domain != REAL_LINE or len(scaled.parts) != 1 or scaled.parts[0][0] != "ph":
+        return None
+    _, neg, fins, _ = scaled.parts[0]
+    D, n = scaled.D, scaled.n
+    if neg == 0:
+        out, report, side = fins[0], (fins[0] // D - 1) * D, "above the rightmost report"
+    elif neg + len(fins) == n + 1:
+        out, report, side = fins[-1], (-(-fins[-1] // D) + 1) * D, "below the leftmost report"
+    else:
+        return None
+    return scaled.witness((report,) * n, lhs=scaled.to_frac(out), bound=scaled.to_frac(report)), side
 
 
 def check_efficiency(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVerdict:
     """Output stays within the reported range; the universal variant asks
-    it of every support component (ex-post efficiency)."""
+    it of every support component (ex-post efficiency). A phantom vector is
+    efficient if and only if its ends are the domain's, so on the real line
+    a finite end fails even where no grid profile shows it."""
     return _decide(EFFICIENCY, mechanism, dom, variant, _efficiency_first,
                    family="each phantom realisation a generalized median, phantoms at 0 and 1: every profile")
 

@@ -181,12 +181,9 @@ def _cmd_run(args) -> int:
     except ContinuousFamilyError:
         payload["atoms"] = None
         payload["note"] = "continuous outcome; expectations are exact closed forms"
-    payload["expected_location"] = format_point(
-        analysis.expected_facility_location(mechanism, profile)
-    )
-    payload["agent_distances"] = [
-        format_point(d) for d in analysis.expected_agent_distances(mechanism, profile)
-    ]
+    location, distances = analysis.expected_location_and_agent_distances(mechanism, profile)
+    payload["expected_location"] = format_point(location)
+    payload["agent_distances"] = [format_point(d) for d in distances]
     payload["exact"] = True
     if args.format == "json":
         _emit(json.dumps(payload, indent=2), args.out)

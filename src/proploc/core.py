@@ -5,14 +5,24 @@ Agent locations, facility positions and probabilities are all
 point. The only non-rational values are the two infinity sentinels used
 as phantom positions on the real-line domain: they take part in ordering
 and median selection, and any arithmetic with them raises.
+
+A mixture's outcomes on a profile form one :class:`Lottery`, which sorts
+them once into running sums of mass and first moment, so each point's
+expected distance is one bisect and a closed form rather than a walk
+over every outcome. A one-atom lottery (a deterministic mechanism)
+prices |x - location| directly. A phantom part (a generalized median,
+Moulin 1980) outputs the n-th, counting from 0, of its n reports and n+1
+phantoms in one sorted list.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from operator import itemgetter
+from typing import Iterable, Union
 
 UNIT_INTERVAL = "unit_interval"
 REAL_LINE = "real_line"
@@ -298,16 +308,6 @@ def to_phantom_form(mechanism: Mechanism, n: int, domain: str = UNIT_INTERVAL) -
     raise PhantomFormError(f"{type(mechanism).__name__} is not phantom-representable")
 
 
-def _median_with_phantoms(agents: Sequence[Fraction], phantoms: Sequence[ExtLocation]) -> Fraction:
-    neg = sum(1 for y in phantoms if y is NEG_INF)
-    finite = sorted(list(agents) + [y for y in phantoms if not isinstance(y, Infinite)])
-    total = len(agents) + len(phantoms)
-    index = total // 2 - neg
-    if index < 0 or index >= len(finite):
-        raise MechanismError("median of reports and phantoms is not finite")
-    return finite[index]
-
-
 def evaluate(mechanism: Mechanism, profile: Profile) -> Fraction:
     """Facility location chosen by a deterministic mechanism on a profile."""
     n = profile.n
@@ -322,7 +322,11 @@ def evaluate(mechanism: Mechanism, profile: Profile) -> Fraction:
                     raise DomainMismatchError(
                         "unit-interval profiles need finite phantoms in [0,1]"
                     )
-        return _median_with_phantoms(profile.locations, mechanism.phantoms)
+        # The median of the 2n+1 reports and phantoms: the n-th, from 0.
+        median = sorted(profile.locations + mechanism.phantoms)[n]
+        if isinstance(median, Infinite):
+            raise MechanismError("median of reports and phantoms is not finite")
+        return median
     if isinstance(mechanism, RankK):
         if mechanism.k > n:
             raise MechanismError(f"rank {mechanism.k} out of range for n={n}")
@@ -438,11 +442,61 @@ def as_mixture(mechanism: AnyMechanism, n: int, domain: str) -> RandomizedMechan
     return RandomizedMechanism(n, domain, ((mechanism, ONE),))
 
 
+class Lottery:
+    """Finite lottery: (location, weight) pairs with positive weights, a
+    location possibly repeated. The weights sum to 1 for an outcome
+    lottery, and to 1 - w for the finite part of a mixture whose continuous
+    family has weight w.
+
+    The expected location is one pass over the pairs. For the expected
+    distance from a point, the pairs are sorted once, at the first point,
+    into running sums of mass and first moment: with P and M the mass and
+    moment of the pairs at or left of x (one bisect), W the total mass and
+    M_1 the total moment, E|x - facility| = x * (2P - W) + M_1 - 2M. One
+    pair (a deterministic mechanism) prices |x - location| directly.
+    """
+
+    __slots__ = ("pairs", "_sums")
+
+    def __init__(self, pairs: tuple[tuple[Fraction, Fraction], ...]):
+        self.pairs = pairs
+        self._sums = None
+
+    def expected_location(self) -> Fraction:
+        if len(self.pairs) == 1:
+            loc, weight = self.pairs[0]
+            return loc if weight == 1 else weight * loc
+        return sum(weight * loc for loc, weight in self.pairs)
+
+    def expected_distance(self, point: Fraction) -> Fraction:
+        if len(self.pairs) == 1:
+            loc, weight = self.pairs[0]
+            return abs(point - loc) if weight == 1 else weight * abs(point - loc)
+        if self._sums is None:
+            self._sums = self._running()
+        locations, masses, moments = self._sums
+        k = bisect_right(locations, point)
+        return point * (2 * masses[k] - masses[-1]) + moments[-1] - 2 * moments[k]
+
+    def _running(self):
+        (loc, mass), *rest = pairs = sorted(self.pairs, key=itemgetter(0))
+        moment = mass * loc
+        masses, moments = [ZERO, mass], [ZERO, moment]
+        for loc, weight in rest:
+            mass += weight
+            moment += weight * loc
+            masses.append(mass)
+            moments.append(moment)
+        return [loc for loc, _ in pairs], masses, moments
+
+
 @dataclass(frozen=True)
 class OutcomeDistribution:
-    """Finite outcome lottery: distinct locations with positive weights."""
+    """Finite outcome lottery: distinct locations with positive weights,
+    priced through its :class:`Lottery`."""
 
     atoms: tuple[tuple[Fraction, Fraction], ...]
+    _lottery: Lottery = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         total = ZERO
@@ -460,7 +514,9 @@ class OutcomeDistribution:
             total += prob
         if total != 1:
             raise MechanismError(f"atom probabilities sum to {total}, expected 1")
-        object.__setattr__(self, "atoms", tuple(sorted(atoms)))
+        atoms = tuple(sorted(atoms))
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "_lottery", Lottery(atoms))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[Fraction, Fraction]]) -> "OutcomeDistribution":
@@ -476,11 +532,10 @@ class OutcomeDistribution:
         return cls(((location, ONE),))
 
     def expected_location(self) -> Fraction:
-        return sum((prob * loc for loc, prob in self.atoms), ZERO)
+        return self._lottery.expected_location()
 
     def expected_distance(self, point: Fraction) -> Fraction:
-        point = _as_fraction(point)
-        return sum((prob * abs(loc - point) for loc, prob in self.atoms), ZERO)
+        return self._lottery.expected_distance(_as_fraction(point))
 
     def to_json(self) -> dict:
         return {

@@ -26,6 +26,7 @@ from proploc.core import (
     evaluate,
     format_point,
     grid_points,
+    parse_point,
 )
 from proploc.mechanisms import (
     average_or_random_rank,
@@ -374,6 +375,44 @@ def test_efficiency_failure_names_its_side_and_component(value, profile, side):
         "detail": side,
     }
     assert recheck_witness(mixture, verdict)
+
+
+@pytest.mark.parametrize(
+    "phantoms, profile, lhs, side",
+    [
+        (("-100", "0", "+inf"), ["-101", "-101"], "-100", "above the rightmost report"),
+        (("-inf", "0", "19/2"), ["11", "11"], "19/2", "below the leftmost report"),
+        (("-15/2", "0", "9"), ["-9", "-9"], "-15/2", "above the rightmost report"),
+    ],
+)
+def test_real_line_phantom_with_a_finite_end_fails_efficiency_off_the_grid(phantoms, profile, lhs, side):
+    """No grid profile in the window [-4, 4] moves the output past the
+    reports, yet a phantom vector with a finite end is not efficient: with
+    every report just beyond that end the output is the end itself."""
+    dom = CheckDomain(n=2, grid=4, domain=REAL_LINE)
+    phantom = Phantom(tuple(parse_point(y) for y in phantoms))
+    witness = {"profile": profile, "lhs": lhs, "bound": profile[0]}
+    verdict = ax.check_efficiency(phantom, dom)
+    assert verdict.to_json() == {
+        "axiom": "efficiency", "variant": "det", "status": "fail", "witness": witness, "detail": side
+    }
+    assert recheck_witness(phantom, verdict)
+    mixture = RandomizedMechanism(2, REAL_LINE, ((RankK(1), F(1, 2)), (phantom, F(1, 2))))
+    verdict = ax.check_efficiency(mixture, dom, ax.UNIVERSAL)
+    assert verdict.to_json() == {
+        "axiom": "efficiency",
+        "variant": "universal",
+        "status": "fail",
+        "witness": {**witness, "component": format_mechanism(phantom)},
+        "detail": side,
+    }
+    assert recheck_witness(mixture, verdict)
+
+
+def test_real_line_phantom_with_infinite_ends_stays_efficient():
+    dom = CheckDomain(n=2, grid=4, domain=REAL_LINE)
+    assert ax.check_efficiency(Phantom((parse_point("-inf"), F(-100), parse_point("+inf"))), dom).passed
+    assert ax.check_efficiency(Median(), dom).passed
 
 
 def test_unknown_variants_are_errors_for_every_axiom():

@@ -73,6 +73,34 @@ def test_run_continuous_family_reports_exact_expectations(capsys):
     assert data["exact"] is True
 
 
+def test_run_prices_the_continuous_family_once(capsys, monkeypatch):
+    from proploc import analysis
+
+    calls = []
+    kernel = analysis._uniform_family
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(analysis, "_uniform_family", counted)
+    code, out, _ = run_cli(capsys, "run", "--mechanism", "random_phantom", "--profile", "(0,1/2,1)")
+    assert code == 0
+    assert len(calls) == 1
+    assert out == (
+        "mechanism: random_phantom\n"
+        "profile: (0,1/2,1)\n"
+        "continuous outcome; expectations are exact closed forms\n"
+        "\n"
+        "expected location: 1/2\n"
+        "| agent | location | expected distance |\n"
+        "|---|---|---|\n"
+        "| 1 | 0 | 1/2 |\n"
+        "| 2 | 1/2 | 1/12 |\n"
+        "| 3 | 1 | 1/2 |\n"
+    )
+
+
 def test_check_exit_codes(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -110,6 +138,19 @@ def test_check_exit_codes(capsys):
     data = json.loads(out)
     assert data["status"] == "fail"
     assert data["witness"]["lhs"]
+
+
+def test_phantom_with_a_finite_end_fails_efficiency_off_the_grid(capsys):
+    code, out, _ = run_cli(
+        capsys, "check", "--mechanism", "phantom:[-100,0,+inf]", "--axiom", "efficiency",
+        "--variant", "det", "--n", "2", "--grid", "4", "--domain", "real",
+    )
+    assert code == 1
+    assert out == (
+        "efficiency (det): FAIL\n"
+        "detail: above the rightmost report\n"
+        'witness: {"profile": ["-101", "-101"], "lhs": "-100", "bound": "-101"}\n'
+    )
 
 
 def test_check_strategyproofness_witness_shape(capsys):
