@@ -593,6 +593,8 @@ def prop1_infeasibility(samples=(Fraction(1, 2), ONE)) -> Prop1Certificate:
 
 def prop1_grid_sweep(certificate: Prop1Certificate, grid: int = 40) -> int:
     """Count grid phantom triples meeting both forced placements (expect 0)."""
+    if grid < 1:
+        raise MechanismError("grid parameter must be >= 1")
     values = tuple(Fraction(j, grid) for j in range(grid + 1))
     placements = (certificate.first, certificate.second)
     count = 0

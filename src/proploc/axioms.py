@@ -1,6 +1,6 @@
 """Exact deciders for the fairness and incentive axioms.
 
-Each checker sweeps a finite check domain and returns a pass, or an exact
+Each checker decides a finite check domain and returns a pass, or an exact
 counterexample witness that re-verifies on its own. Enumeration order is
 deterministic (lexicographic over components, profiles, agents, then
 candidate reports), so the first failure reported is stable across runs.
@@ -30,8 +30,8 @@ variant.
 
 Internally, finite mixtures are rescaled to a common integer denominator
 (:class:`_Scaled`); witnesses are reconstructed as exact rationals.
-Strategyproofness, manipulation search and anonymity run on the block
-engine of :mod:`proploc.sweep`. It relies on every rank, phantom and
+Strategyproofness and manipulation search run on the block engine of
+:mod:`proploc.sweep`. It relies on every rank, phantom and
 dictator part being a generalized median: with the other reports fixed,
 an agent's report r moves the part's output as clip(r, lo, hi), and the
 average's cost is linear in r. So an agent's expected cost is piecewise
@@ -45,10 +45,16 @@ Proportionality and Strong Proportionality run on the same engine's
 two-valued sweep: every profile low + pattern * (high - low) for grid pairs
 low < high (only the pair 0, 1 for proportionality) and 0/1 patterns, each
 agent priced against (n - s)/n of the gap for its group of size s, the low
-group's members before the high group's. Efficiency stays on a scalar loop
-over the rescaled profiles; a real-line phantom vector with a finite end
-that the grid does not expose fails at a unanimous profile just beyond
-that end.
+group's members before the high group's.
+
+Efficiency and anonymity sweep no profile: they are read off the
+mechanism's form, in closed forms that return the first failure of a
+sweep in its order. Only a phantom part can leave the reported range, so
+its two ends decide efficiency (see :func:`_efficiency_first`); a
+real-line phantom vector with a finite end that the grid does not expose
+fails at a unanimous profile just beyond that end. Only a dictator reads
+agent labels, so the dictator weights decide anonymity (see
+:func:`_anonymity_first`).
 
 SPF stays in pure Python. An agent's cost depends only on its own
 location, so each profile prices each distinct location once, and a window
@@ -94,7 +100,7 @@ from .core import (
     to_phantom_form,
 )
 from .mechanisms import build_mechanism, format_mechanism
-from .sweep import GroupSweep, SpSweep, first_dictator_shift, grid_profiles, two_valued_profiles
+from .sweep import GroupSweep, SpSweep, grid_profiles, two_valued_profiles
 
 PASS = "pass"
 FAIL = "fail"
@@ -230,6 +236,9 @@ class _Scaled:
     phantoms, finite phantoms, u), a rank k being ("ph", k, (), u),
     ("dict", agent index, u) or ("avg", None, u). Parts whose output would
     be non-finite are rejected here, before any profile is swept.
+
+    The strategyproofness, manipulation and group sweeps read the parts
+    as arrays; SPF prices one profile at a time through :meth:`pricer`.
     """
 
     def __init__(self, components, n: int, domain: str, grid: int):
@@ -281,38 +290,23 @@ class _Scaled:
     def witness(self, X, **fields) -> Witness:
         return Witness(tuple(self.to_frac(v) for v in X), self.domain, **fields)
 
-    def atom(self, part, x_list, xs_sorted) -> int:
-        tag = part[0]
-        if tag == "ph":
-            merged = sorted([*xs_sorted, *part[2]])
-            return merged[self.n - part[1]]
-        if tag == "dict":
-            return x_list[part[1]]
-        raise MechanismError("the average has no single atom")
-
-    def terms(self, x_list, xs_sorted) -> list[tuple[int, int]]:
-        """(u, c) of every part on one profile: the part adds u * |n * true -
-        c| to the cost of an agent at ``true`` and u * c to the expected
-        location, both at the scale wden * n * D. c is n times the part's
-        output, or the sum of the reports for the average."""
-        n = self.n
-        return [
-            (part[-1], sum(x_list) if part[0] == "avg" else n * self.atom(part, x_list, xs_sorted))
-            for part in self.parts
-        ]
-
     def pricer(self, x_list, xs_sorted):
-        """true -> the cost of an agent at ``true`` on one profile, the
-        parts' outputs computed once."""
-        terms = self.terms(x_list, xs_sorted)
-        n = self.n
+        """true -> the cost of an agent at ``true`` on one profile, at the
+        scale wden * n * D, the parts' outputs computed once: a part of
+        weight u adds u * |n * true - c|, where c is n times its output (a
+        phantom part's output is the (n - neg)-th, from 0, of the sorted
+        reports and its finite phantoms), or the sum of the reports for
+        the average."""
+        n, terms = self.n, []
+        for part in self.parts:
+            if part[0] == "ph":
+                c = n * sorted([*xs_sorted, *part[2]])[n - part[1]]
+            elif part[0] == "dict":
+                c = n * x_list[part[1]]
+            else:
+                c = sum(x_list)
+            terms.append((part[-1], c))
         return lambda true: sum(u * abs(n * true - c) for u, c in terms)
-
-    def cost(self, x_list, xs_sorted, true_int: int) -> int:
-        return self.pricer(x_list, xs_sorted)(true_int)
-
-    def expected_loc(self, x_list, xs_sorted) -> int:
-        return sum(u * c for u, c in self.terms(x_list, xs_sorted))
 
     def profiles(self):
         return grid_profiles(self.grid_ints, self.n, self.anonymous)
@@ -336,8 +330,8 @@ def _checked(components, n: int, domain: str):
                 raise MechanismError("phantom vector length does not match n")
             neg = sum(1 for y in mech.phantoms if y is NEG_INF)
             pos = sum(1 for y in mech.phantoms if y is POS_INF)
-            if domain == UNIT_INTERVAL and (neg or pos):
-                raise DomainMismatchError("unit-interval checks need finite phantoms")
+            if domain == UNIT_INTERVAL and not ZERO <= mech.phantoms[0] <= mech.phantoms[-1] <= ONE:
+                raise DomainMismatchError("unit-interval profiles need finite phantoms in [0,1]")
             if neg == n + 1 or pos == n + 1:
                 raise MechanismError("median of reports and phantoms is not finite")
         if isinstance(mech, Dictator) and mech.agent > n:
@@ -345,14 +339,6 @@ def _checked(components, n: int, domain: str):
         if not isinstance(mech, (RankK, Phantom, Dictator, Average)):
             raise MechanismError(f"cannot rescale {type(mech).__name__}")
     return checked
-
-
-def _scaled_each(components, dom: CheckDomain, combine: bool):
-    """(index, :class:`_Scaled`) of the weighted components as one mixture
-    (``combine``), or of each component alone, in order."""
-    groups = [components] if combine else [[component] for component in components]
-    for index, group in enumerate(groups):
-        yield index, _Scaled(group, dom.n, dom.domain, dom.grid)
 
 
 def _first_failing_component(mechs, dom: CheckDomain, sweep):
@@ -567,59 +553,65 @@ def search_manipulation(mechanism, dom: CheckDomain) -> ManipulationFinding | No
 # ---------------------------------------------------------------------------
 
 
-def _adjacent_swaps(n: int):
-    swaps = []
-    for j in range(n - 1):
-        perm = list(range(n))
-        perm[j], perm[j + 1] = perm[j + 1], perm[j]
-        swaps.append(tuple(perm))
-    return swaps
+def _anonymity_first(components, dom: CheckDomain, combine: bool, mixture=None):
+    """(component index, witness, "") of the first (ordered grid profile,
+    adjacent swap) whose relabelling moves the output, or None. With
+    ``combine`` the whole mixture is component 0 (the expected location).
 
-
-def _anonymity_first(components, dom: CheckDomain, combine: bool, perms, mixture=None):
-    """(component index, witness, "") of the first relabelling that moves
-    the output, over ordered grid profiles, or None. With ``combine`` the
-    whole mixture is one component (the expected location). Only dictators
-    are rescaled for the sweep, but a rejected component of any kind raises
-    as in the other sweeps. The witness's expected locations come from the
-    closed forms of :mod:`proploc.analysis`, the path :func:`recheck_witness`
+    Only dictators read labels: swapping agents j and j + 1 (from 0) moves
+    the output by (w_j - w_{j+1}) * (x_{j+1} - x_j), for w_j the weight of
+    agent j's dictator. So the first failing profile, in lexicographic
+    order, has every agent at the lowest grid point but agent j + 1, at the
+    next one, for the largest j with w_j != w_{j+1}, and its first moving
+    swap is that of j. A rejected component of any kind raises as in the
+    other checks. The witness's expected locations come from the closed
+    forms of :mod:`proploc.analysis`, the path :func:`recheck_witness`
     takes: of the failing component, or with ``combine`` of ``mixture``
     (by default the weighted components themselves)."""
-    dictators = [c for c, (mech, _) in enumerate(_checked(components, dom.n, dom.domain))
-                 if isinstance(mech, Dictator)]
-    scaled = _Scaled([components[c] for c in dictators], dom.n, dom.domain, dom.grid)
-    found = first_dictator_shift(scaled, perms, combine)
-    if found is None:
+    n = dom.n
+    checked = _checked(components, n, dom.domain)
+    for index, group in enumerate([checked] if combine else [[part] for part in checked]):
+        weights = [ZERO] * n
+        for mech, weight in group:
+            if isinstance(mech, Dictator):
+                weights[mech.agent - 1] += weight
+        moving = [j for j in range(n - 1) if weights[j] != weights[j + 1]]
+        if moving:
+            break
+    else:
         return None
-    index, X, perm = dictators[found[0]], *found[1:]
+    j = moving[-1]
+    perm = (*range(j), j + 1, j, *range(j + 2, n))
+    low, second = dom.points()[:2]
+    profile = (low,) * (j + 1) + (second,) + (low,) * (n - j - 2)
     if not combine:
         mixture = components[index][0]
     elif mixture is None:
-        mixture = RandomizedMechanism(dom.n, dom.domain, tuple(components))
-    profile = tuple(scaled.to_frac(v) for v in X)
+        mixture = RandomizedMechanism(n, dom.domain, tuple(components))
     lhs, bound = (
         analysis.expected_facility_location(mixture, Profile(dom.domain, tuple(profile[p] for p in order)))
-        for order in (perm, range(dom.n))
+        for order in (perm, range(n))
     )
     permutation = tuple(p + 1 for p in perm)
-    return index, scaled.witness(X, permutation=permutation, lhs=lhs, bound=bound), ""
+    return index, Witness(profile, dom.domain, permutation=permutation, lhs=lhs, bound=bound), ""
 
 
 def check_anonymity(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVerdict:
     """Output (or expected output) is invariant under relabelling agents.
 
-    Adjacent transpositions generate every permutation, so the sweep checks
-    those. Only dictator parts read agent labels, so only they are swept;
-    a continuous family draws its phantoms i.i.d. and ignores labels, so in
-    expectation a mixture with one is decided by its finite dictators.
+    Adjacent transpositions generate every permutation, so the check asks
+    those, over every ordered grid profile. Only dictator parts read agent
+    labels, so their weights decide it in closed form (see
+    :func:`_anonymity_first`); a continuous family draws its phantoms
+    i.i.d. and ignores labels, so in expectation a mixture with one is
+    decided by its finite dictators.
     """
-    first = partial(_anonymity_first, perms=_adjacent_swaps(dom.n))
 
     def continuous(mixture):
-        found = first(mixture.components, dom, True, mixture=mixture)
+        found = _anonymity_first(mixture.components, dom, True, mixture=mixture)
         return (PASS, None, "") if found is None else (FAIL, found[1], "")
 
-    return _decide(ANONYMITY, mechanism, dom, variant, first, continuous,
+    return _decide(ANONYMITY, mechanism, dom, variant, _anonymity_first, continuous,
                    family="each phantom realisation a generalized median: every profile, every relabelling")
 
 
@@ -629,47 +621,38 @@ def check_anonymity(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVer
 
 
 def _efficiency_first(components, dom: CheckDomain, combine: bool):
-    """(component index, witness, side) of the first profile whose
-    (expected) output leaves the reported range, or None. A real-line
-    phantom vector whose lowest (or highest) entry y is finite fails off
-    the grid too, when the grid finds nothing: with every report at
-    floor(y) - 1 (or ceil(y) + 1) the output is y."""
-    for index, scaled in _scaled_each(components, dom, combine):
-        scale = scaled.wden * scaled.n  # expected_loc is at scale wden * n * D
-        for X in scaled.profiles():
-            xs = sorted(X)
-            out = scaled.expected_loc(X, xs)
-            if out < scale * xs[0]:
-                bound, side = xs[0], "below the leftmost report"
-            elif out > scale * xs[-1]:
-                bound, side = xs[-1], "above the rightmost report"
-            else:
-                continue
-            return index, scaled.witness(
-                X,
-                lhs=scaled.cost_frac(out),
-                bound=scaled.to_frac(bound),
-            ), side
-        found = _efficiency_off_grid(scaled)
-        if found is not None:
-            return (index, *found)
+    """(component index, witness, side) of the first grid profile, in
+    multiset order, whose output leaves the reported range, or None; each
+    component is checked alone, ``combine`` holding only the one
+    deterministic mechanism.
+
+    Rank, dictator and average outputs never leave the range. A phantom
+    part with lowest and highest phantoms y_0 and y_n leaves it exactly when
+    every report lies below y_0 (the output is y_0) or above y_n (the
+    output is y_n). So the first failing profile is unanimous: at the
+    lowest grid point when y_0 lies above it, else at the first grid point
+    above y_n. On the real line a finite end the grid does not expose fails
+    off the grid: with every report at floor(y_0) - 1 (or ceil(y_n) + 1)
+    the output is that end."""
+    points = dom.points()
+    for index, (mech, _) in enumerate(_checked(components, dom.n, dom.domain)):
+        if not isinstance(mech, Phantom):
+            continue
+        low, high = mech.phantoms[0], mech.phantoms[-1]
+        beyond = [x for x in points if x > high]
+        if low > points[0]:
+            report, out = points[0], low
+        elif beyond:
+            report, out = beyond[0], high
+        elif dom.domain == REAL_LINE and not isinstance(low, Infinite):
+            report, out = Fraction(math.floor(low) - 1), low
+        elif dom.domain == REAL_LINE and not isinstance(high, Infinite):
+            report, out = Fraction(math.ceil(high) + 1), high
+        else:
+            continue
+        side = "above the rightmost report" if out > report else "below the leftmost report"
+        return index, Witness((report,) * dom.n, dom.domain, lhs=out, bound=report), side
     return None
-
-
-def _efficiency_off_grid(scaled: _Scaled):
-    """(witness, side) for one real-line phantom part with a finite end, or
-    None: its output at a unanimous profile beyond that end is the end."""
-    if scaled.domain != REAL_LINE or len(scaled.parts) != 1 or scaled.parts[0][0] != "ph":
-        return None
-    _, neg, fins, _ = scaled.parts[0]
-    D, n = scaled.D, scaled.n
-    if neg == 0:
-        out, report, side = fins[0], (fins[0] // D - 1) * D, "above the rightmost report"
-    elif neg + len(fins) == n + 1:
-        out, report, side = fins[-1], (-(-fins[-1] // D) + 1) * D, "below the leftmost report"
-    else:
-        return None
-    return scaled.witness((report,) * n, lhs=scaled.to_frac(out), bound=scaled.to_frac(report)), side
 
 
 def check_efficiency(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVerdict:
@@ -854,7 +837,9 @@ def _spf_first(components, dom: CheckDomain, combine: bool):
     """(component index, witness, "") of the first subset member beyond its
     SPF bound, or None: each profile priced once per location and decided by
     :func:`_spf_violation`, at the cost scale wden * n * D."""
-    for index, scaled in _scaled_each(components, dom, combine):
+    groups = [components] if combine else [[component] for component in components]
+    for index, group in enumerate(groups):
+        scaled = _Scaled(group, dom.n, dom.domain, dom.grid)
         for X in scaled.profiles():
             found = _spf_violation(X, scaled.pricer(X, sorted(X)), scaled.wden)
             if found is not None:

@@ -1,6 +1,6 @@
 """Vectorized block sweeps over an integer-rescaled mixture.
 
-The engine behind the strategyproofness, manipulation-search, anonymity,
+The engine behind the strategyproofness, manipulation-search,
 proportionality and Strong Proportionality checks in :mod:`proploc.axioms`.
 It takes the rescaled mixture those checks build (integer reports over a
 common denominator; phantom parts, ranks among them, and dictator and
@@ -273,47 +273,6 @@ def _sorted_rows(a):
             a[:, j + 1] = np.maximum(a[:, j], a[:, j + 1])
             a[:, j] = low
     return a
-
-
-def first_dictator_shift(scaled, perms, combine: bool):
-    """(part index, profile, permutation) of the first relabelling that
-    moves the output, over ordered grid profiles, or None.
-
-    Rank, phantom and average parts read only the multiset of reports, so
-    relabelling cannot move them: only dictator parts are swept, and a
-    mixture without one passes without a profile loop. With ``combine`` the
-    dictator weights form one component (the expected location); otherwise
-    each dictator part is its own component.
-    """
-    n = scaled.n
-    dictators = [c for c, part in enumerate(scaled.parts) if part[0] == "dict"]
-    if not dictators:
-        return None
-    groups = [dictators] if combine else [[c] for c in dictators]
-    weights = [[0] * n for _ in groups]
-    for row, members in zip(weights, groups):
-        for c in members:
-            row[scaled.parts[c][1]] += scaled.parts[c][-1]
-    bound = 2 * max(map(abs, scaled.grid_ints)) * sum(map(sum, weights))
-    dtype = np.int64 if bound < INT64_BOUND else object
-    weights = np.array(weights, dtype=dtype)
-    perm_index = np.array(perms).reshape(len(perms), n)
-
-    def block_hit(X, limit):
-        # Shift of the dictator-weighted location, (block, perm, component).
-        moved = X[:, perm_index] - X[:, None, :]
-        shift = (moved[:, :, None, :] * weights[:limit]).sum(axis=3)
-        mask = np.moveaxis(shift != 0, 2, 0)
-        flat = first_hit(mask)
-        if flat is None:
-            return None
-        component, row, perm = np.unravel_index(flat, mask.shape)
-        return int(component), tuple(int(v) for v in X[row]), perms[perm]
-
-    size = max(1, BLOCK_ELEMENTS // (len(perms) * n * len(groups)))
-    blocks = profile_blocks(product(scaled.grid_ints, repeat=n), size, dtype)
-    found = first_failure(blocks, len(groups), block_hit)
-    return found and (groups[found[0]][0], *found[1:])
 
 
 def grid_profiles(values, n: int, anonymous: bool):

@@ -427,6 +427,29 @@ def test_unknown_variants_are_errors_for_every_axiom():
             assert str(error.value) == message
 
 
+@pytest.mark.parametrize("phantoms", [("-1", "1/2", "2"), ("0", "1/2", "3/2"), ("-inf", "1/2", "1")])
+def test_unit_interval_checks_reject_phantoms_outside_it(phantoms):
+    """Every axiom, in every variant, rejects a phantom outside [0,1] with
+    the error ``evaluate`` raises, instead of a verdict whose witness
+    cannot be rechecked."""
+    dom = CheckDomain(n=2, grid=2)
+    phantom = Phantom(tuple(parse_point(y) for y in phantoms))
+    # First in the support, so the universal checks reach it.
+    mixture = RandomizedMechanism(2, UNIT_INTERVAL, ((phantom, F(1, 2)), (RankK(1), F(1, 2))))
+    message = "unit-interval profiles need finite phantoms in [0,1]"
+    with pytest.raises(DomainMismatchError) as error:
+        evaluate(phantom, Profile.unit(0, 1))
+    assert str(error.value) == message
+    for axiom in ax.AXIOMS:
+        cells = [(phantom, ax.DET), (mixture, ax.UNIVERSAL)]
+        if axiom != ax.EFFICIENCY:
+            cells.append((mixture, ax.EXP))
+        for mechanism, variant in cells:
+            with pytest.raises(DomainMismatchError) as error:
+                ax.run_check(axiom, mechanism, dom, variant)
+            assert str(error.value) == message
+
+
 # ---------------------------------------------------------------------------
 # proportionality family
 # ---------------------------------------------------------------------------

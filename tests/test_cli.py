@@ -343,6 +343,12 @@ def test_real_line_domain_flag(capsys):
           "universal", "--n", "3", "--grid", "2", "--support-grid", "0"], None),
         (["check", "--mechanism", "median", "--axiom", "anonymity", "--n", "2", "--grid", "2",
           "--support-grid", "-5"], None),
+        (["check", "--mechanism", "phantom:[-1,1/2,2]", "--axiom", "strong_proportionality",
+          "--n", "2", "--grid", "2"], None),
+        (["check", "--mechanism", "phantom:[-1,1/2,2]", "--axiom", "efficiency",
+          "--n", "2", "--grid", "2"], None),
+        (["prop1", "--grid-check", "0"], None),
+        (["prop1", "--grid-check", "-1"], None),
     ],
     ids=[
         "missing-profile-file",
@@ -364,6 +370,10 @@ def test_real_line_domain_flag(capsys):
         "support-grid-zero",
         "support-grid-zero-universal-strategyproofness",
         "support-grid-negative",
+        "unit-phantom-out-of-range-strong-proportionality",
+        "unit-phantom-out-of-range-efficiency",
+        "prop1-grid-check-zero",
+        "prop1-grid-check-negative",
     ],
 )
 def test_bad_input_prints_error_and_exits_2(tmp_path, capsys, argv, profile_text):

@@ -236,7 +236,7 @@ def test_large_denominators_take_python_int_path_and_agree(domain):
 )
 def test_block_costs_match_scalar_engine(domain, mechs):
     """Every (profile, agent, candidate) cost of the block engine equals the
-    scalar ``_Scaled.cost``, on ordered profiles whose other reports come
+    scalar ``_Scaled.pricer``, on ordered profiles whose other reports come
     unsorted and on report multisets."""
     mixture = RandomizedMechanism(3, domain, tuple((mech, F(1, 3)) for mech in mechs))
     scaled = axioms._Scaled(mixture.components, 3, domain, 2)
@@ -246,10 +246,10 @@ def test_block_costs_match_scalar_engine(domain, mechs):
         prof, agent, candidates, deviating, truthful = sweep.costs(X, sweep.count)
         for row, (p, i) in enumerate(zip(prof, agent)):
             x_list = [int(v) for v in X[p]]
-            assert truthful[0, row] == scaled.cost(x_list, sorted(x_list), x_list[i])
+            assert truthful[0, row] == scaled.pricer(x_list, sorted(x_list))(x_list[i])
             for column, report in enumerate(candidates[row]):
                 moved = x_list[:i] + [int(report)] + x_list[i + 1 :]
-                assert deviating[0, row, column] == scaled.cost(moved, sorted(moved), x_list[i])
+                assert deviating[0, row, column] == scaled.pricer(moved, sorted(moved))(x_list[i])
                 checked += 1
     assert checked > 100
 
