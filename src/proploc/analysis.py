@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -29,7 +29,6 @@ from .core import (
     POS_INF,
     UNIT_INTERVAL,
     DomainMismatchError,
-    IIDPhantomSpec,
     Lottery,
     Mechanism,
     MechanismError,
@@ -48,35 +47,11 @@ from .core import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrderStatSpec:
-    """The index-th smallest of ``count`` i.i.d. phantom draws."""
-
-    count: int
-    index: int
-    distribution: IIDPhantomSpec = field(default_factory=IIDPhantomSpec)
-
-    def __post_init__(self):
-        if not (1 <= self.index <= self.count):
-            raise MechanismError(
-                f"order statistic index {self.index} out of range 1..{self.count}"
-            )
-
-
 def order_stat_mean(count: int, index: int) -> Fraction:
     """Mean of the index-th smallest of ``count`` i.i.d. uniforms on [0,1]."""
     if not (1 <= index <= count):
         raise MechanismError(f"order statistic index {index} out of range 1..{count}")
     return Fraction(index, count + 1)
-
-
-def uniform_order_stat_mean(spec: OrderStatSpec) -> Fraction:
-    if not spec.distribution.is_uniform:
-        raise MechanismError(
-            "closed form covers the uniform distribution only; "
-            "expand discrete specs or use the numeric oracle"
-        )
-    return order_stat_mean(spec.count, spec.index)
 
 
 def order_stat_mc(count: int, index: int, samples: int = 1_000_000, seed: int = 0):
@@ -350,6 +325,8 @@ def rank_weight_constraints(n: int, grid: int = 6, domain: str = UNIT_INTERVAL) 
     from all grid pairs collapse to one canonical pair per split, kept
     with a multiplicity count.
     """
+    if n < 2:
+        raise MechanismError("rank weights need n >= 2")
     points = grid_points(domain, grid)
     pairs = [(a, b) for ai, a in enumerate(points) for b in points[ai + 1 :]]
     if not pairs:

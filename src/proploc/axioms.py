@@ -16,7 +16,8 @@ Every axiom has the same variants, defined once in :func:`_decide`:
   anonymity, ex-post efficiency and fairness). A uniform phantom family's
   realisations are generalized medians with phantoms at 0 and 1, so they
   meet strategyproofness, anonymity and efficiency by theorem, at every
-  profile; the group axioms sweep a deterministic sample of its support.
+  profile; the group axioms sweep its one realisation that fails them all,
+  every interior phantom at 0.
 
 A mixture with a continuous family in expectation follows its axiom's rule.
 Strategyproofness passes outright when every finite component is
@@ -70,7 +71,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from itertools import combinations, combinations_with_replacement, islice
+from itertools import combinations
 
 from . import analysis
 from .core import (
@@ -132,10 +133,9 @@ class CheckDomain:
     """Finite verification domain: n agents on a location grid.
 
     On the unit interval the grid is {0, 1/grid, ..., 1}; on the real line
-    it is the integer window {-grid, ..., grid}. ``support_grid`` (>= 1) is the
-    grid on which a universal group-axiom check (proportionality, Strong
-    Proportionality, SPF) samples a continuous family's support (the
-    location grid when None); a PASS that rests on that sample says so.
+    it is the integer window {-grid, ..., grid}. No check reads
+    ``support_grid`` (>= 1 when set); it remains only for
+    ``bench/workloads.swept_profiles`` and goes when that function does.
     """
 
     n: int
@@ -372,47 +372,6 @@ def _components_of(mechanism, n: int, domain: str):
     return mixture
 
 
-def _universal_components(mixture: RandomizedMechanism, dom: CheckDomain, family: str | None):
-    """(mechanism, coverage note) of every support component: the finite
-    ones, then a uniform family as the note ``family`` alone (no mechanism)
-    or sampled, every sorted interior phantom vector on the support grid."""
-    for mech, _ in mixture.components:
-        yield mech, None
-    if mixture.has_continuous:
-        if not mixture.continuous.is_uniform:
-            raise MechanismError("expand discrete phantom families before checking")
-        if family:
-            yield None, family
-            return
-        m = dom.support_grid or dom.grid
-        for interior in combinations_with_replacement(grid_points(UNIT_INTERVAL, m), dom.n - 1):
-            yield Phantom((ZERO,) + interior + (ONE,)), f"support sampled on grid m={m}"
-
-
-def _first_failing_support(mixture: RandomizedMechanism, dom: CheckDomain, sweep, family):
-    """The first failing support component of a universal check, as
-    (mechanism, witness, failure detail), or None; and the coverage note of
-    a pass. ``family`` is that of :func:`_universal_components`.
-
-    ``sweep`` is that of :func:`_first_failing_component`. It gets the
-    support in runs of 8, 32, 128, ... components, in order, so a check
-    that fails on an early component builds only the first runs (a
-    continuous family's sampled support runs to hundreds of components),
-    while a pass costs about one stacked sweep: every block sweep is capped
-    in elements, so more components make smaller blocks.
-    """
-    components = _universal_components(mixture, dom, family)
-    notes, size = set(), 8
-    while run := list(islice(components, size)):
-        notes.update(note for _, note in run if note)
-        mechs = [mech for mech, _ in run if mech is not None]
-        found = _first_failing_component(mechs, dom, sweep) if mechs else None
-        if found is not None:
-            return (mechs[found[0]], *found[1:]), ""
-        size *= 4
-    return None, "; ".join(sorted(notes))
-
-
 def _decide(axiom, mechanism, dom: CheckDomain, variant, first, continuous=None, family=None):
     """Decide ``axiom`` in ``variant``: the one place the variants are
     defined (see the module docstring).
@@ -425,19 +384,29 @@ def _decide(axiom, mechanism, dom: CheckDomain, variant, first, continuous=None,
     the axiom's in-expectation rule for a mixture with a continuous family,
     as (status, witness, detail); an axiom without one has no exp variant.
     ``family`` notes an axiom every realisation of a uniform phantom family
-    meets by theorem; without it universal checks sample the family.
+    meets by theorem. Without it (the group axioms) the family enters a
+    universal check as its realisation with every interior phantom at 0. That
+    one outputs the lowest report, so on the profile with one agent at 1 and
+    the rest at 0 the lone agent pays 1 > (n - 1)/n: it fails at every n and
+    grid, as do, by continuity, the realisations with interior phantoms in
+    (0, eps), so the FAIL does not rest on a null set.
     """
     mixture = _components_of(mechanism, dom.n, dom.domain)
     if variant == DET and isinstance(mechanism, RandomizedMechanism):
         raise MechanismError("deterministic variant needs a deterministic mechanism")
     if variant == UNIVERSAL:
-        found, note = _first_failing_support(
-            mixture, dom, lambda run: first([(mech, ONE) for mech in run], dom, False), family
-        )
+        mechs = [mech for mech, _ in mixture.components]
+        if mixture.has_continuous:
+            if not mixture.continuous.is_uniform:
+                raise MechanismError("expand discrete phantom families before checking")
+            if family is None:
+                mechs.append(Phantom((ZERO,) * dom.n + (ONE,)))
+        sweep = lambda run: first([(mech, ONE) for mech in run], dom, False)
+        found = _first_failing_component(mechs, dom, sweep) if mechs else None
         if found is None:
-            return AxiomVerdict(axiom, variant, PASS, None, note)
-        mech, witness, failure = found
-        return AxiomVerdict(axiom, variant, FAIL, replace(witness, component=format_mechanism(mech)), failure)
+            return AxiomVerdict(axiom, variant, PASS, None, family if mixture.has_continuous else "")
+        index, witness, failure = found
+        return AxiomVerdict(axiom, variant, FAIL, replace(witness, component=format_mechanism(mechs[index])), failure)
     if variant not in ((DET, EXP) if continuous else (DET,)):
         if continuous is None:
             raise MechanismError(f"{axiom} has deterministic and universal variants only")

@@ -120,13 +120,14 @@ def _format_table_markdown(report: dict) -> str:
     return "\n".join(lines)
 
 
-def build_table(n: int, grid: int, p: Fraction, domain: str = UNIT_INTERVAL) -> dict:
-    """Compute the full mechanism-by-property matrix."""
-    dom = axioms.CheckDomain(n=n, grid=grid, domain=domain)
+def build_table(n: int, grid: int, p: Fraction) -> dict:
+    """Compute the full mechanism-by-property matrix on [0,1], the only
+    domain of its proportionality columns and its Random Phantom row."""
+    dom = axioms.CheckDomain(n=n, grid=grid)
     rows = []
     for display, spec in TABLE_ROWS:
         spec_string = spec or f"avg_or_rr:p={format_point(p)}"
-        mechanism = build_mechanism(spec_string, n, domain)
+        mechanism = build_mechanism(spec_string, n, UNIT_INTERVAL)
         cells = []
         for column, axiom, variant in TABLE_COLUMNS:
             verdict = axioms.run_check(axiom, mechanism, dom, variant)
@@ -150,7 +151,7 @@ def build_table(n: int, grid: int, p: Fraction, domain: str = UNIT_INTERVAL) -> 
         "n": n,
         "grid": grid,
         "p": format_point(p),
-        "domain": domain,
+        "domain": UNIT_INTERVAL,
         "rows": rows,
     }
 
@@ -218,12 +219,7 @@ def _cmd_run(args) -> int:
 def _cmd_check(args) -> int:
     domain = _DOMAIN_ALIASES[args.domain]
     variant = _VARIANT_ALIASES[args.variant]
-    dom = axioms.CheckDomain(
-        n=args.n,
-        grid=args.grid,
-        domain=domain,
-        support_grid=args.support_grid,
-    )
+    dom = axioms.CheckDomain(n=args.n, grid=args.grid, domain=domain)
     mechanism = build_mechanism(args.mechanism, args.n, domain)
     verdict = axioms.run_check(args.axiom, mechanism, dom, variant)
     if args.format == "json":
@@ -244,7 +240,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    report = build_table(args.n, args.grid, Fraction(args.p), _DOMAIN_ALIASES[args.domain])
+    report = build_table(args.n, args.grid, Fraction(args.p))
     if args.format == "json":
         _emit(json.dumps(report, indent=2), args.out)
     elif args.format == "csv":
@@ -349,8 +345,9 @@ def _cmd_prop1(args) -> int:
     return 0 if matches == 0 else 1
 
 
-def _add_common(parser, with_grid=True, with_csv=False):
-    parser.add_argument("--domain", choices=sorted(_DOMAIN_ALIASES), default="unit")
+def _add_common(parser, with_grid=True, with_csv=False, with_domain=True):
+    if with_domain:
+        parser.add_argument("--domain", choices=sorted(_DOMAIN_ALIASES), default="unit")
     formats = ("markdown", "json", "csv") if with_csv else ("markdown", "json")
     parser.add_argument("--format", choices=formats, default="markdown")
     parser.add_argument("--out", default=None, help="also write the report to a file")
@@ -376,13 +373,12 @@ def main(argv=None) -> int:
     check_p.add_argument("--mechanism", required=True)
     check_p.add_argument("--axiom", required=True, choices=axioms.AXIOMS)
     check_p.add_argument("--variant", default="det", choices=sorted(_VARIANT_ALIASES))
-    check_p.add_argument("--support-grid", type=int, default=None)
     _add_common(check_p, with_csv=True)
     check_p.set_defaults(func=_cmd_check)
 
     table_p = sub.add_parser("table", help="mechanism-by-property summary matrix")
     table_p.add_argument("--p", default="1/2", help="averaging weight for the mixed row")
-    _add_common(table_p, with_csv=True)
+    _add_common(table_p, with_csv=True, with_domain=False)
     table_p.set_defaults(func=_cmd_table)
 
     search_p = sub.add_parser("search-manipulation", help="largest profitable misreport")
@@ -399,7 +395,7 @@ def main(argv=None) -> int:
     prop1_p = sub.add_parser("prop1", help="deterministic impossibility certificate")
     prop1_p.add_argument("--samples", default="1/2,1")
     prop1_p.add_argument("--grid-check", type=int, default=40)
-    _add_common(prop1_p, with_grid=False)
+    _add_common(prop1_p, with_grid=False, with_domain=False)
     prop1_p.set_defaults(func=_cmd_prop1)
 
     args = parser.parse_args(argv)

@@ -30,21 +30,17 @@ from proploc.mechanisms import average_or_random_rank, random_phantom, random_ra
 def test_order_stat_means_are_uniformly_spaced():
     for n in range(2, 11):
         for i in range(1, n):
-            spec = an.OrderStatSpec(count=n - 1, index=i)
-            assert an.uniform_order_stat_mean(spec) == F(i, n)
+            assert an.order_stat_mean(n - 1, i) == F(i, n)
     assert an.order_stat_mean(1, 1) == F(1, 2)
     assert an.order_stat_mean(3, 2) == F(1, 2)
     assert an.order_stat_mean(4, 1) == F(1, 5)
 
 
-def test_order_stat_spec_validation():
+def test_order_stat_mean_validation():
     with pytest.raises(MechanismError):
-        an.OrderStatSpec(count=3, index=4)
+        an.order_stat_mean(3, 4)
     with pytest.raises(MechanismError):
         an.order_stat_mean(3, 0)
-    discrete = IIDPhantomSpec(((F(1, 2), F(1)),))
-    with pytest.raises(MechanismError):
-        an.uniform_order_stat_mean(an.OrderStatSpec(2, 1, discrete))
 
 
 def test_order_stat_monte_carlo_agrees():

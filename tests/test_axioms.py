@@ -1,5 +1,7 @@
 """Axiom checkers: verdicts, witnesses, and cross-validation sweeps."""
 
+import re
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations, combinations_with_replacement, permutations, product
 
@@ -259,15 +261,68 @@ def test_universal_checks_refuse_a_discrete_family(axiom):
         ax.run_check(axiom, mixture, CheckDomain(n=3, grid=2), ax.UNIVERSAL)
 
 
+GROUP_CHECKS = (ax.check_proportionality, ax.check_strong_proportionality, ax.check_spf)
+
+
+@pytest.mark.parametrize("check", GROUP_CHECKS, ids=lambda check: check.__name__)
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_random_phantom_universal_proportionality_fails_on_the_sampled_support(n):
-    """The group axioms keep sampling the family: the first sampled vector,
-    all interior phantoms at 0, leaves the lone agent at 1 too far."""
+def test_random_phantom_universal_group_axioms_fail_on_the_lowest_realisation(n, check):
+    """The group axioms have no family theorem: the family enters as its
+    realisation with every interior phantom at 0, which leaves the lone
+    agent at 1 too far."""
     mixture = random_phantom(n)
-    verdict = ax.check_proportionality(mixture, CheckDomain(n=n, grid=6), ax.UNIVERSAL)
-    assert verdict.failed
-    assert verdict.witness.component == format_mechanism(Phantom((F(0),) * n + (F(1),)))
-    assert recheck_witness(mixture, verdict)
+    for grid in (1, 6):
+        verdict = check(mixture, CheckDomain(n=n, grid=grid), ax.UNIVERSAL)
+        assert verdict.failed and verdict.detail == ""
+        assert verdict.witness.component == format_mechanism(Phantom((F(0),) * n + (F(1),)))
+        assert recheck_witness(mixture, verdict)
+
+
+def _finite_parts(n):
+    points = st.builds(F, st.integers(0, 6), st.sampled_from([1, 2, 3, 6])).filter(lambda x: x <= 1)
+    return st.lists(
+        st.one_of(
+            st.builds(RankK, st.integers(1, n + 1)),
+            st.builds(Dictator, st.integers(1, n)),
+            st.just(Average()),
+            st.just(Median()),
+            st.lists(points, min_size=n + 1, max_size=n + 1).map(lambda ys: Phantom(tuple(sorted(ys)))),
+        ),
+        max_size=3,
+    )
+
+
+@given(
+    st.integers(2, 4).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(1, 6), st.integers(1, 6), _finite_parts(n))
+    )
+)
+def test_group_axioms_universal_verdict_matches_the_sampled_support(case):
+    """A group axiom's universal verdict on a mixture with the family is the
+    first failing deterministic verdict over the finite parts, then every
+    sorted interior phantom vector on a support grid m, the family's sample:
+    the lone realisation the check sweeps decides as the whole sample would."""
+    n, grid, m, parts = case
+    dom = CheckDomain(n=n, grid=grid)
+    weight = F(1, len(parts) + 1)
+    mixture = RandomizedMechanism(n, UNIT_INTERVAL, tuple((mech, weight) for mech in parts), IIDPhantomSpec(), weight)
+    support = [*parts, *(Phantom((F(0),) + interior + (F(1),))
+                         for interior in combinations_with_replacement(grid_points(UNIT_INTERVAL, m), n - 1))]
+    for check in GROUP_CHECKS:
+        try:
+            expected = None
+            for mech in support:
+                verdict = check(mech, dom, ax.DET)
+                if verdict.failed:
+                    witness = replace(verdict.witness, component=format_mechanism(mech))
+                    expected = ax.AxiomVerdict(verdict.axiom, ax.UNIVERSAL, ax.FAIL, witness, verdict.detail)
+                    break
+        except MechanismError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                check(mixture, dom, ax.UNIVERSAL)
+            continue
+        assert expected is not None
+        assert check(mixture, dom, ax.UNIVERSAL).to_json() == expected.to_json()
 
 
 @pytest.mark.parametrize(

@@ -337,12 +337,9 @@ def test_real_line_domain_flag(capsys):
         (["solve-weights", "--n", "3", "--perturb=-1:1/10"], None),
         (["solve-weights", "--n", "3", "--add", "w9=0"], None),
         (["solve-weights", "--n", "3", "--add", "w0=0"], None),
-        (["check", "--mechanism", "random_phantom", "--axiom", "spf", "--variant", "universal",
-          "--n", "3", "--grid", "2", "--support-grid", "0"], None),
-        (["check", "--mechanism", "random_phantom", "--axiom", "strategyproofness", "--variant",
-          "universal", "--n", "3", "--grid", "2", "--support-grid", "0"], None),
-        (["check", "--mechanism", "median", "--axiom", "anonymity", "--n", "2", "--grid", "2",
-          "--support-grid", "-5"], None),
+        (["solve-weights", "--n", "1"], None),
+        (["solve-weights", "--n", "0"], None),
+        (["solve-weights", "--n", "-2"], None),
         (["check", "--mechanism", "phantom:[-1,1/2,2]", "--axiom", "strong_proportionality",
           "--n", "2", "--grid", "2"], None),
         (["check", "--mechanism", "phantom:[-1,1/2,2]", "--axiom", "efficiency",
@@ -367,9 +364,9 @@ def test_real_line_domain_flag(capsys):
         "perturb-negative-index",
         "add-weight-past-n",
         "add-weight-zero",
-        "support-grid-zero",
-        "support-grid-zero-universal-strategyproofness",
-        "support-grid-negative",
+        "solve-weights-one-agent",
+        "solve-weights-zero-agents",
+        "solve-weights-negative-agents",
         "unit-phantom-out-of-range-strong-proportionality",
         "unit-phantom-out-of-range-efficiency",
         "prop1-grid-check-zero",
@@ -422,6 +419,27 @@ def test_removed_seed_option_is_rejected(capsys):
         main(["table", "--n", "2", "--grid", "2", "--seed", "1"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["table", "--n", "2", "--grid", "2"], ["prop1"]], ids=["table", "prop1"])
+def test_removed_domain_option_is_rejected(capsys, command):
+    """The table's columns and its Random Phantom row, and the impossibility
+    certificate, exist only on [0,1], so neither command has ``--domain``."""
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--domain", "real"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --domain real" in capsys.readouterr().err
+
+
+def test_removed_support_grid_option_is_rejected(capsys):
+    """A universal check sweeps the family's one realisation that fails the
+    group axioms, or decides it by theorem, so ``check`` samples no support
+    and has no ``--support-grid``."""
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--mechanism", "random_phantom", "--axiom", "spf", "--variant", "universal",
+              "--n", "3", "--grid", "2", "--support-grid", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --support-grid 2" in capsys.readouterr().err
 
 
 def test_removed_subset_cap_option_is_rejected(capsys):
