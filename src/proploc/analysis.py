@@ -40,6 +40,7 @@ from .core import (
     evaluate,
     format_point,
     grid_points,
+    to_phantom_form,
 )
 
 # ---------------------------------------------------------------------------
@@ -211,25 +212,20 @@ class PhantomMarginal:
 
 
 def _rank_index_of(mechanism: Mechanism, n: int, domain: str) -> int:
-    if isinstance(mechanism, RankK):
-        if mechanism.k > n:
-            raise MechanismError(f"rank {mechanism.k} out of range for n={n}")
-        return mechanism.k
-    if isinstance(mechanism, Phantom):
-        if mechanism.n != n:
-            raise MechanismError("phantom vector length does not match n")
-        lo = ZERO if domain == UNIT_INTERVAL else NEG_INF
-        hi = ONE if domain == UNIT_INTERVAL else POS_INF
-        low_count = sum(1 for y in mechanism.phantoms if y == lo)
-        high_count = sum(1 for y in mechanism.phantoms if y == hi)
-        if low_count + high_count != n + 1 or low_count < 1 or high_count < 1:
-            raise MechanismError(
-                "marginals are defined for two-valued phantom vectors only"
-            )
-        return low_count
-    raise MechanismError(
-        f"marginals are defined for rank mixtures, not {type(mechanism).__name__}"
-    )
+    if not isinstance(mechanism, (RankK, Phantom)):
+        raise MechanismError(
+            f"marginals are defined for rank mixtures, not {type(mechanism).__name__}"
+        )
+    phantoms = to_phantom_form(mechanism, n, domain).phantoms
+    lo = ZERO if domain == UNIT_INTERVAL else NEG_INF
+    hi = ONE if domain == UNIT_INTERVAL else POS_INF
+    low_count = sum(1 for y in phantoms if y == lo)
+    high_count = sum(1 for y in phantoms if y == hi)
+    if low_count + high_count != n + 1 or low_count < 1 or high_count < 1:
+        raise MechanismError(
+            "marginals are defined for two-valued phantom vectors only"
+        )
+    return low_count
 
 
 def rank_phantom_marginals(mechanism: RandomizedMechanism) -> tuple[PhantomMarginal, ...]:

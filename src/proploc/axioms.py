@@ -29,18 +29,18 @@ Proportionality, Strong Proportionality and SPF are priced through the exact
 closed forms in :mod:`proploc.analysis`. Efficiency has no in-expectation
 variant.
 
-Internally, finite mixtures are rescaled to a common integer denominator
-(:class:`_Scaled`); witnesses are reconstructed as exact rationals.
-Strategyproofness and manipulation search run on the block engine of
-:mod:`proploc.sweep`. It relies on every rank, phantom and
-dictator part being a generalized median: with the other reports fixed,
-an agent's report r moves the part's output as clip(r, lo, hi), and the
-average's cost is linear in r. So an agent's expected cost is piecewise
-linear in its own report, and the sweep tries only the breakpoints (the
-window ends, the reports, the finite phantoms and the average's balance
-report, plus one step beyond each end on the real line). A strategyproofness
-PASS therefore covers every real misreport, not only the grid, and a
-witness misreport lies on a breakpoint.
+Finite mixtures go to the engine of :mod:`proploc.sweep`, which builds
+their integer rescaling (:class:`proploc.sweep.Scaled`, every part laid
+out by kind) and sweeps it; witnesses come back as exact rationals through
+:func:`_witness`. Strategyproofness and manipulation search rely on every
+rank, phantom and dictator part being a generalized median: with the other
+reports fixed, an agent's report r moves the part's output as
+clip(r, lo, hi), and the average's cost is linear in r. So an agent's
+expected cost is piecewise linear in its own report, and the sweep tries
+only the breakpoints (the window ends, the reports, the finite phantoms
+and the average's balance report, plus one step beyond each end on the
+real line). A strategyproofness PASS therefore covers every real
+misreport, not only the grid, and a witness misreport lies on a breakpoint.
 
 Proportionality and Strong Proportionality run on the same engine's
 two-valued sweep: every profile low + pattern * (high - low) for grid pairs
@@ -75,22 +75,16 @@ from itertools import combinations
 
 from . import analysis
 from .core import (
-    NEG_INF,
     ONE,
-    POS_INF,
     REAL_LINE,
     UNIT_INTERVAL,
-    Average,
     Dictator,
     DomainMismatchError,
     Infinite,
     MechanismError,
-    Median,
     Phantom,
     Profile,
     RandomizedMechanism,
-    RankK,
-    UniformPhantom,
     ZERO,
     as_mixture,
     evaluate,
@@ -98,10 +92,9 @@ from .core import (
     grid_points,
     mechanism_is_anonymous,
     mechanism_is_phantom_class,
-    to_phantom_form,
 )
 from .mechanisms import build_mechanism, format_mechanism
-from .sweep import GroupSweep, SpSweep, grid_profiles, two_valued_profiles
+from .sweep import GroupSweep, Scaled, SpSweep, checked, grid_profiles, two_valued_profiles
 
 PASS = "pass"
 FAIL = "fail"
@@ -218,127 +211,10 @@ class AxiomVerdict:
         return data
 
 
-# ---------------------------------------------------------------------------
-# Integer-rescaled mixture engine
-# ---------------------------------------------------------------------------
-
-
-class _Scaled:
-    """A finite mixture and check grid rescaled to integer arithmetic.
-
-    Every grid point, finite phantom and breakpoint candidate (a report,
-    a phantom, a window end or step beyond it, the average's balance
-    report n * true - sum of the others) is an integer over the common
-    denominator D, so no midpoints are needed. Costs carry the fixed scale
-    wden * n * D: a part of weight u adds u * n * |true - output|, the
-    average adds u * |n * true - sum of reports|. Each part is tagged for
-    the block sweeps of :mod:`proploc.sweep`: ("ph", number of -inf
-    phantoms, finite phantoms, u), a rank k being ("ph", k, (), u),
-    ("dict", agent index, u) or ("avg", None, u). Parts whose output would
-    be non-finite are rejected here, before any profile is swept.
-
-    The strategyproofness, manipulation and group sweeps read the parts
-    as arrays; SPF prices one profile at a time through :meth:`pricer`.
-    """
-
-    def __init__(self, components, n: int, domain: str, grid: int):
-        self.n = n
-        self.domain = domain
-        components = _checked(components, n, domain)
-        denoms = [grid if domain == UNIT_INTERVAL else 1]
-        for mech, _ in components:
-            if isinstance(mech, Phantom):
-                denoms.extend(y.denominator for y in mech.phantoms if not isinstance(y, Infinite))
-        self.D = D = math.lcm(*denoms)
-        self.wden = wden = math.lcm(*(weight.denominator for _, weight in components))
-        self.cost_scale = wden * n * D
-
-        parts = []
-        phantom_values: set[int] = set()
-        self.has_avg = False
-        for mech, weight in components:
-            # D and wden are common multiples of the denominators, so the
-            # integer divisions below are exact.
-            u = weight.numerator * (wden // weight.denominator)
-            if isinstance(mech, RankK):
-                parts.append(("ph", mech.k, (), u))
-            elif isinstance(mech, Phantom):
-                fins = tuple(y.numerator * (D // y.denominator)
-                             for y in mech.phantoms if not isinstance(y, Infinite))
-                phantom_values.update(fins)
-                parts.append(("ph", sum(1 for y in mech.phantoms if y is NEG_INF), fins, u))
-            elif isinstance(mech, Dictator):
-                parts.append(("dict", mech.agent - 1, u))
-            else:
-                self.has_avg = True
-                parts.append(("avg", None, u))
-        self.parts = tuple(parts)
-        self.anonymous = all(mechanism_is_anonymous(mech) for mech, _ in components)
-        self.phantom_values = tuple(sorted(phantom_values))
-        # grid_points(domain, grid) over D, without building the Fractions.
-        if domain == UNIT_INTERVAL:
-            self.grid_ints = tuple(j * (self.D // grid) for j in range(grid + 1))
-        else:
-            self.grid_ints = tuple(v * self.D for v in range(-grid, grid + 1))
-
-    def to_frac(self, value: int) -> Fraction:
-        return Fraction(value, self.D)
-
-    def cost_frac(self, scaled_cost: int) -> Fraction:
-        return Fraction(scaled_cost, self.cost_scale)
-
-    def witness(self, X, **fields) -> Witness:
-        return Witness(tuple(self.to_frac(v) for v in X), self.domain, **fields)
-
-    def pricer(self, x_list, xs_sorted):
-        """true -> the cost of an agent at ``true`` on one profile, at the
-        scale wden * n * D, the parts' outputs computed once: a part of
-        weight u adds u * |n * true - c|, where c is n times its output (a
-        phantom part's output is the (n - neg)-th, from 0, of the sorted
-        reports and its finite phantoms), or the sum of the reports for
-        the average."""
-        n, terms = self.n, []
-        for part in self.parts:
-            if part[0] == "ph":
-                c = n * sorted([*xs_sorted, *part[2]])[n - part[1]]
-            elif part[0] == "dict":
-                c = n * x_list[part[1]]
-            else:
-                c = sum(x_list)
-            terms.append((part[-1], c))
-        return lambda true: sum(u * abs(n * true - c) for u, c in terms)
-
-    def profiles(self):
-        return grid_profiles(self.grid_ints, self.n, self.anonymous)
-
-
-def _checked(components, n: int, domain: str):
-    """The (mechanism, weight) pairs with medians in phantom form, or the
-    error :class:`_Scaled` raises for them: the phantom forms' errors first,
-    then that of the first component the engine rejects."""
-    checked = []
-    for mech, weight in components:
-        weight = Fraction(weight)
-        if isinstance(mech, (Median, UniformPhantom)):
-            mech = to_phantom_form(mech, n, domain)
-        checked.append((mech, weight))
-    for mech, _ in checked:
-        if isinstance(mech, RankK) and mech.k > n:
-            raise MechanismError(f"rank {mech.k} out of range for n={n}")
-        if isinstance(mech, Phantom):
-            if mech.n != n:
-                raise MechanismError("phantom vector length does not match n")
-            neg = sum(1 for y in mech.phantoms if y is NEG_INF)
-            pos = sum(1 for y in mech.phantoms if y is POS_INF)
-            if domain == UNIT_INTERVAL and not ZERO <= mech.phantoms[0] <= mech.phantoms[-1] <= ONE:
-                raise DomainMismatchError("unit-interval profiles need finite phantoms in [0,1]")
-            if neg == n + 1 or pos == n + 1:
-                raise MechanismError("median of reports and phantoms is not finite")
-        if isinstance(mech, Dictator) and mech.agent > n:
-            raise MechanismError(f"dictator {mech.agent} out of range for n={n}")
-        if not isinstance(mech, (RankK, Phantom, Dictator, Average)):
-            raise MechanismError(f"cannot rescale {type(mech).__name__}")
-    return checked
+def _witness(scaled: Scaled, X, lhs: int, bound: int, **fields) -> Witness:
+    """The exact witness of a scaled profile X, lhs and bound at the cost scale."""
+    profile = tuple(scaled.to_frac(v) for v in X)
+    return Witness(profile, scaled.domain, lhs=scaled.cost_frac(lhs), bound=scaled.cost_frac(bound), **fields)
 
 
 def _first_failing_component(mechs, dom: CheckDomain, sweep):
@@ -351,7 +227,7 @@ def _first_failing_component(mechs, dom: CheckDomain, sweep):
     except MechanismError:
         for index, mech in enumerate(mechs):
             try:
-                _checked(((mech, ONE),), dom.n, dom.domain)
+                checked(((mech, ONE),), dom.n, dom.domain)
             except MechanismError:
                 found = sweep(mechs[:index]) if index else None
                 if found is None:
@@ -426,18 +302,12 @@ def _decide(axiom, mechanism, dom: CheckDomain, variant, first, continuous=None,
 
 def _sp_first(components, dom: CheckDomain, combine: bool):
     """(component index, witness, "") of the first profitable misreport, or None."""
-    scaled = _Scaled(components, dom.n, dom.domain, dom.grid)
+    scaled = Scaled(components, dom.n, dom.domain, dom.grid)
     hit = SpSweep(scaled, combine).first_violation()
     if hit is None:
         return None
     X, i, report, deviating, truthful = hit[1]
-    return hit[0], scaled.witness(
-        X,
-        agent=i + 1,
-        misreport=scaled.to_frac(report),
-        lhs=scaled.cost_frac(deviating),
-        bound=scaled.cost_frac(truthful),
-    ), ""
+    return hit[0], _witness(scaled, X, deviating, truthful, agent=i + 1, misreport=scaled.to_frac(report)), ""
 
 
 def check_strategyproofness(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVerdict:
@@ -458,7 +328,7 @@ def check_strategyproofness(mechanism, dom: CheckDomain, variant: str = DET) -> 
                 "in-expectation strategyproofness is undecided for continuous "
                 "families mixed with non-phantom components"
             )
-        _checked(mixture.components, dom.n, dom.domain)
+        checked(mixture.components, dom.n, dom.domain)
         return PASS, None, "every component a generalized median: every profile, every real misreport"
 
     return _decide(STRATEGYPROOFNESS, mechanism, dom, variant, _sp_first, continuous,
@@ -502,7 +372,7 @@ def search_manipulation(mechanism, dom: CheckDomain) -> ManipulationFinding | No
         # Strategyproof in expectation, or an error for a non-phantom part.
         check_strategyproofness(mixture, dom, EXP)
         return None
-    scaled = _Scaled(mixture.components, dom.n, dom.domain, dom.grid)
+    scaled = Scaled(mixture.components, dom.n, dom.domain, dom.grid)
     best = SpSweep(scaled, combine=True).best_gain()
     if best is None:
         return None
@@ -538,8 +408,8 @@ def _anonymity_first(components, dom: CheckDomain, combine: bool, mixture=None):
     takes: of the failing component, or with ``combine`` of ``mixture``
     (by default the weighted components themselves)."""
     n = dom.n
-    checked = _checked(components, n, dom.domain)
-    for index, group in enumerate([checked] if combine else [[part] for part in checked]):
+    pairs = checked(components, n, dom.domain)
+    for index, group in enumerate([pairs] if combine else [[pair] for pair in pairs]):
         weights = [ZERO] * n
         for mech, weight in group:
             if isinstance(mech, Dictator):
@@ -604,7 +474,7 @@ def _efficiency_first(components, dom: CheckDomain, combine: bool):
     off the grid: with every report at floor(y_0) - 1 (or ceil(y_n) + 1)
     the output is that end."""
     points = dom.points()
-    for index, (mech, _) in enumerate(_checked(components, dom.n, dom.domain)):
+    for index, (mech, _) in enumerate(checked(components, dom.n, dom.domain)):
         if not isinstance(mech, Phantom):
             continue
         low, high = mech.phantoms[0], mech.phantoms[-1]
@@ -693,19 +563,13 @@ def _two_valued_exact(mixture, dom: CheckDomain, ends_only: bool):
 def _two_valued_first(components, dom: CheckDomain, combine: bool, ends_only: bool):
     """(component index, witness, "") of the first group member whose cost
     exceeds its bound on a two-valued profile, or None."""
-    scaled = _Scaled(components, dom.n, dom.domain, dom.grid)
+    scaled = Scaled(components, dom.n, dom.domain, dom.grid)
     values = _two_valued_values(scaled.grid_ints, ends_only)
     hit = GroupSweep(scaled, values, combine).first_violation()
     if hit is None:
         return None
     X, i, group, cost, bound = hit[1]
-    return hit[0], scaled.witness(
-        X,
-        agent=i + 1,
-        group=group,
-        lhs=scaled.cost_frac(cost),
-        bound=scaled.cost_frac(bound),
-    ), ""
+    return hit[0], _witness(scaled, X, cost, bound, agent=i + 1, group=group), ""
 
 
 def check_proportionality(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVerdict:
@@ -808,18 +672,12 @@ def _spf_first(components, dom: CheckDomain, combine: bool):
     :func:`_spf_violation`, at the cost scale wden * n * D."""
     groups = [components] if combine else [[component] for component in components]
     for index, group in enumerate(groups):
-        scaled = _Scaled(group, dom.n, dom.domain, dom.grid)
+        scaled = Scaled(group, dom.n, dom.domain, dom.grid)
         for X in scaled.profiles():
             found = _spf_violation(X, scaled.pricer(X, sorted(X)), scaled.wden)
             if found is not None:
                 agent, group, cost, bound = found
-                return index, scaled.witness(
-                    X,
-                    agent=agent,
-                    group=group,
-                    lhs=scaled.cost_frac(cost),
-                    bound=scaled.cost_frac(bound),
-                ), ""
+                return index, _witness(scaled, X, cost, bound, agent=agent, group=group), ""
     return None
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -285,22 +286,29 @@ def _cmd_search_manipulation(args) -> int:
     return 0
 
 
+def _parse_option(text: str, pattern: str, form: str):
+    """The groups of ``pattern`` in ``text``, the last read as a rational,
+    or the one-line error naming the expected ``form``."""
+    try:
+        *fields, rational = re.fullmatch(pattern, text.strip()).groups()
+        return (*fields, Fraction(rational))
+    except (AttributeError, ValueError, ZeroDivisionError):
+        raise MechanismError(f"expected {form}, got {text!r}") from None
+
+
 def _cmd_solve_weights(args) -> int:
     domain = _DOMAIN_ALIASES[args.domain]
     perturb = None
     if args.perturb:
-        index_text, delta_text = args.perturb.split(":", 1)
-        perturb = (int(index_text), Fraction(delta_text))
+        index, delta = _parse_option(args.perturb, r"(-?\d+)\s*:(.*)", "--perturb <index>:<rational>")
+        perturb = (int(index), delta)
     extra = []
+    kinds = {"<=": "le", ">=": "ge", "=": "eq"}
     for item in args.add or []:
-        # forms like w1=0, w2<=1/4, w3>=1/3
-        for op, kind in (("<=", "le"), (">=", "ge"), ("=", "eq")):
-            if op in item:
-                name, rhs = item.split(op, 1)
-                extra.append((kind, int(name.strip().lstrip("w_")), Fraction(rhs)))
-                break
-        else:
-            raise MechanismError(f"cannot parse extra constraint {item!r}")
+        k, op, rhs = _parse_option(
+            item, r"w_?(\d+)\s*(<=|>=|=)(.*)", "--add w<k> or w_<k>, then =, <= or >= and a rational"
+        )
+        extra.append((kinds[op], int(k), rhs))
     result = analysis.solve_rank_weights(
         args.n, grid=args.grid, domain=domain, perturb=perturb, extra=tuple(extra)
     )

@@ -1,12 +1,14 @@
-"""Vectorized block sweeps over an integer-rescaled mixture.
+"""The integer-rescaled mixture and its vectorized block sweeps.
 
 The engine behind the strategyproofness, manipulation-search,
-proportionality and Strong Proportionality checks in :mod:`proploc.axioms`.
-It takes the rescaled mixture those checks build (integer reports over a
-common denominator; phantom parts, ranks among them, and dictator and
-average parts) and sweeps its grid profiles in blocks, in enumeration
-order, as numpy arrays: int64 while every scaled value provably stays
-below 2^62, Python ints (``dtype=object``) on the same code path otherwise.
+proportionality, Strong Proportionality and SPF checks in
+:mod:`proploc.axioms`. :class:`Scaled` rescales a finite mixture and its
+check grid to integers over a common denominator and lays its parts out
+once, by kind: phantom parts (ranks among them), dictators and averages.
+The sweeps read that layout and run its grid profiles in blocks, in
+enumeration order, as numpy arrays: int64 while every scaled value provably
+stays below 2^62, Python ints (``dtype=object``) on the same code path
+otherwise. SPF prices one profile at a time through :meth:`Scaled.pricer`.
 
 A sweep computes, per block, a (component, row, ...) array and reduces it:
 the first failing component in order, a weighted sum over components, or
@@ -16,12 +18,32 @@ the largest gain. Every block temporary holds at most
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
+from fractions import Fraction
 from itertools import combinations_with_replacement, islice, product
 
 import numpy as np
 
-from .core import REAL_LINE
+from .core import (
+    NEG_INF,
+    ONE,
+    POS_INF,
+    REAL_LINE,
+    UNIT_INTERVAL,
+    ZERO,
+    Average,
+    Dictator,
+    DomainMismatchError,
+    Infinite,
+    MechanismError,
+    Median,
+    Phantom,
+    RankK,
+    UniformPhantom,
+    mechanism_is_anonymous,
+    to_phantom_form,
+)
 
 # Cap, in array elements, on every temporary of one sweep block, so peak
 # memory does not grow with the grid. 2^14 int64 values are 128 KiB: at 2^15
@@ -30,6 +52,122 @@ from .core import REAL_LINE
 BLOCK_ELEMENTS = 1 << 14
 # A sweep whose largest scaled value could reach this runs on Python ints.
 INT64_BOUND = 1 << 62
+
+
+def checked(components, n: int, domain: str):
+    """The (mechanism, weight) pairs with medians in phantom form, or the
+    error :class:`Scaled` raises for them: the phantom forms' errors first,
+    then that of the first component the engine rejects."""
+    pairs = []
+    for mech, weight in components:
+        weight = Fraction(weight)
+        if isinstance(mech, (Median, UniformPhantom)):
+            mech = to_phantom_form(mech, n, domain)
+        pairs.append((mech, weight))
+    for mech, _ in pairs:
+        if isinstance(mech, RankK) and mech.k > n:
+            raise MechanismError(f"rank {mech.k} out of range for n={n}")
+        if isinstance(mech, Phantom):
+            to_phantom_form(mech, n, domain)  # core's error for a vector of the wrong length
+            neg = sum(1 for y in mech.phantoms if y is NEG_INF)
+            pos = sum(1 for y in mech.phantoms if y is POS_INF)
+            if domain == UNIT_INTERVAL and not ZERO <= mech.phantoms[0] <= mech.phantoms[-1] <= ONE:
+                raise DomainMismatchError("unit-interval profiles need finite phantoms in [0,1]")
+            if neg == n + 1 or pos == n + 1:
+                raise MechanismError("median of reports and phantoms is not finite")
+        if isinstance(mech, Dictator) and mech.agent > n:
+            raise MechanismError(f"dictator {mech.agent} out of range for n={n}")
+        if not isinstance(mech, (RankK, Phantom, Dictator, Average)):
+            raise MechanismError(f"cannot rescale {type(mech).__name__}")
+    return pairs
+
+
+class Scaled:
+    """A finite mixture and check grid rescaled to integer arithmetic.
+
+    Every grid point, finite phantom and breakpoint candidate (a report,
+    a phantom, a window end or step beyond it, the average's balance
+    report n * true - sum of the others) is an integer over the common
+    denominator D, so no midpoints are needed. Costs carry the fixed scale
+    wden * n * D: part c, of integer weight ``u[c]``, adds
+    u[c] * n * |true - output|, an average u[c] * |n * true - sum of reports|.
+
+    The parts are laid out once, by kind, each kind in part order:
+
+    - ``ranked``: (part, finite phantoms, position) of every rank and
+      phantom part, whose output is the position-th (from 0) of the sorted
+      reports and its finite phantoms: n minus its number of -inf phantoms,
+      so a rank k is (part, (), n - k);
+    - ``dictators``: (part, agent index); ``averages``: part indices.
+    """
+
+    def __init__(self, components, n: int, domain: str, grid: int):
+        self.n, self.domain = n, domain
+        components = checked(components, n, domain)
+        denoms = [grid if domain == UNIT_INTERVAL else 1]
+        for mech, _ in components:
+            if isinstance(mech, Phantom):
+                denoms.extend(y.denominator for y in mech.phantoms if not isinstance(y, Infinite))
+        self.D = D = math.lcm(*denoms)
+        self.wden = wden = math.lcm(*(weight.denominator for _, weight in components))
+        self.cost_scale = wden * n * D
+        # D and wden are common multiples of the denominators, so the
+        # integer divisions below are exact.
+        self.u = tuple(weight.numerator * (wden // weight.denominator) for _, weight in components)
+
+        ranked, dictators, averages = [], [], []
+        for c, (mech, _) in enumerate(components):
+            if isinstance(mech, RankK):
+                ranked.append((c, (), n - mech.k))
+            elif isinstance(mech, Phantom):
+                fins = tuple(y.numerator * (D // y.denominator)
+                             for y in mech.phantoms if not isinstance(y, Infinite))
+                ranked.append((c, fins, n - sum(1 for y in mech.phantoms if y is NEG_INF)))
+            elif isinstance(mech, Dictator):
+                dictators.append((c, mech.agent - 1))
+            else:
+                averages.append(c)
+        self.ranked, self.dictators, self.averages = tuple(ranked), tuple(dictators), tuple(averages)
+        self.anonymous = all(mechanism_is_anonymous(mech) for mech, _ in components)
+        self.phantom_values = tuple(sorted({y for _, fins, _ in ranked for y in fins}))
+        # grid_points(domain, grid) over D, without building the Fractions.
+        if domain == UNIT_INTERVAL:
+            self.grid_ints = tuple(j * (D // grid) for j in range(grid + 1))
+        else:
+            self.grid_ints = tuple(v * D for v in range(-grid, grid + 1))
+
+    def coef(self, combine: bool) -> list[int]:
+        """Each part's cost factor: n, or 1 for an average (its distance is
+        already n times its output's), times its weight u with ``combine``."""
+        coef = [self.n] * len(self.u)
+        for c in self.averages:
+            coef[c] = 1
+        if combine:
+            coef = [a * u for a, u in zip(coef, self.u)]
+        return coef
+
+    def to_frac(self, value: int) -> Fraction:
+        return Fraction(value, self.D)
+
+    def cost_frac(self, scaled_cost: int) -> Fraction:
+        return Fraction(scaled_cost, self.cost_scale)
+
+    def pricer(self, x_list, xs_sorted):
+        """true -> the cost of an agent at ``true`` on one profile, at the
+        scale wden * n * D, the parts' outputs computed once: part c adds
+        u[c] * |n * true - v|, where v is n times its output, or the sum of
+        the reports for an average."""
+        n, u, terms = self.n, self.u, []
+        for c, fins, position in self.ranked:
+            terms.append((u[c], n * sorted([*xs_sorted, *fins])[position]))
+        for c, j in self.dictators:
+            terms.append((u[c], n * x_list[j]))
+        for c in self.averages:
+            terms.append((u[c], sum(x_list)))
+        return lambda true: sum(w * abs(n * true - v) for w, v in terms)
+
+    def profiles(self):
+        return grid_profiles(self.grid_ints, self.n, self.anonymous)
 
 
 def profile_blocks(profiles, size: int, dtype):
@@ -75,8 +213,8 @@ class SpSweep:
     Every part is a generalized median of the deviating agent's report r
     (Moulin, Public Choice 1980): with the other reports fixed it outputs
     clip(r, lo, hi). For a rank or phantom part, lo and hi are the entries
-    at n - neg - 1 and n - neg of the sorted other reports plus its finite
-    phantoms, where neg counts its -inf phantoms; missing entries are
+    at position - 1 and position (see :class:`Scaled`) of the sorted other
+    reports plus its finite phantoms; missing entries are
     sentinels beyond every candidate. The agent's own dictator part has
     lo = -inf, hi = +inf; another agent's is the constant x_j. So each part
     costs coef * |b - clip(r, lo, hi)|, with b the true point, except that
@@ -97,7 +235,7 @@ class SpSweep:
     """
 
     def __init__(self, scaled, combine: bool):
-        n, parts = scaled.n, scaled.parts
+        n, ranked = scaled.n, scaled.ranked
         ends = [scaled.grid_ints[0], scaled.grid_ints[-1]]
         fixed = ends + list(scaled.phantom_values)
         if scaled.domain == REAL_LINE:
@@ -105,38 +243,29 @@ class SpSweep:
         # Every candidate, the balance report included, lies strictly inside
         # (-big, big); a part's cost stays below 2 * big * coef.
         big = 2 * n * max(map(abs, fixed)) + 1
-        weight = sum(part[-1] for part in parts)
-        dtype = np.int64 if 4 * n * big * weight < INT64_BOUND else object
+        dtype = np.int64 if 4 * n * big * sum(scaled.u) < INT64_BOUND else object
         self.scaled, self.combine, self.big, self.dtype = scaled, combine, big, dtype
         self.fixed = np.array(fixed, dtype=dtype)
-        self.count = 1 if combine else len(parts)
+        self.count = 1 if combine else len(scaled.u)
         self.other_agents = np.array([[j for j in range(n) if j != i] for i in range(n)])
 
-        kinds = [part[0] for part in parts]
-        self.clip = [c for c, kind in enumerate(kinds) if kind == "ph"]
-        fins = [parts[c][2] for c in self.clip]
-        pad = max(map(len, fins), default=0)
+        self.clip = [c for c, _, _ in ranked]
+        pad = max((len(fins) for _, fins, _ in ranked), default=0)
         # B[c]: part c's finite phantoms between -big and big (padding). For
-        # each split i of _bounds keep B[c, index - i] and B[c, index + 1 - i],
-        # clamped to B's ends: shape (split, lo or hi, part).
-        B = [[-big, *f] + [big] * (pad + 1 - len(f)) for f in fins]
-        index = [n - parts[c][1] for c in self.clip]
+        # each split i of _bounds keep B[c, t - i] and B[c, t + 1 - i], t its
+        # position, clamped to B's ends: shape (split, lo or hi, part).
+        B = [([-big, *fins] + [big] * (pad + 1 - len(fins)), position) for _, fins, position in ranked]
         self.splits = np.array(
             [
-                [[row[min(max(t + shift - i, 0), pad + 1)] for row, t in zip(B, index)] for shift in (0, 1)]
+                [[row[min(max(t + shift - i, 0), pad + 1)] for row, t in B] for shift in (0, 1)]
                 for i in range(n)
             ],
             dtype=dtype,
         ).reshape(n, 2, len(B))
-        self.dicts = [(c, part[1]) for c, part in enumerate(parts) if part[0] == "dict"]
-        self.avg = [c for c, kind in enumerate(kinds) if kind == "avg"]
-        coef = [1 if kind == "avg" else n for kind in kinds]
-        if combine:
-            coef = [a * part[-1] for a, part in zip(coef, parts)]
-        self.coef = np.array(coef, dtype=dtype)[:, None]
-        self.width = len(fixed) + n + scaled.has_avg  # candidates per row
+        self.coef = np.array(scaled.coef(combine), dtype=dtype)[:, None]
+        self.width = len(fixed) + n + bool(scaled.averages)  # candidates per row
         # Per (part, row): the candidates' costs, or the 2n split bounds.
-        per_row = len(parts) * max(self.width, 2 * n)
+        per_row = len(scaled.u) * max(self.width, 2 * n)
         self.block_profiles = max(1, BLOCK_ELEMENTS // (per_row * n))
 
     def blocks(self):
@@ -154,8 +283,8 @@ class SpSweep:
             # A[:, i] and B[c, j] are the i-th and j-th smallest of the other
             # reports and of part c's phantoms (-big at 0, big past the end).
             # The t-th smallest of both together is the least, over splits
-            # i + j = t, of max(A[:, i], B[c, j]); lo and hi are the index-th
-            # and (index + 1)-th.
+            # i + j = t, of max(A[:, i], B[c, j]); lo and hi are the
+            # position-th and (position + 1)-th.
             if not self.scaled.anonymous:
                 others = _sorted_rows(others)
             A = np.empty((len(rows), n), dtype=self.dtype)
@@ -163,12 +292,12 @@ class SpSweep:
             A[:, 1:] = others
             least = np.maximum(A.T[:, None, None, :], self.splits[:, :, :k, None]).min(axis=0)
             lo[self.clip[:k]], hi[self.clip[:k]] = least
-        for c, j in self.dicts:
+        for c, j in self.scaled.dictators:
             if c < parts:
                 own = agent == j
                 lo[c] = np.where(own, -big, rows[:, j])
                 hi[c] = np.where(own, big, rows[:, j])
-        for c in self.avg:
+        for c in self.scaled.averages:
             if c < parts:
                 b[c] = balance
         return lo, hi, b
@@ -195,11 +324,11 @@ class SpSweep:
         candidates = np.empty((len(rows), self.width), dtype=self.dtype)
         candidates[:, :nfixed] = self.fixed
         candidates[:, nfixed : nfixed + n] = rows
-        if scaled.has_avg:
+        if scaled.averages:
             inside = (balance >= 0) & (balance <= scaled.D) | (scaled.domain == REAL_LINE)
             candidates[:, -1] = np.where(inside, balance, true)
 
-        parts = len(scaled.parts) if self.combine else limit
+        parts = len(scaled.u) if self.combine else limit
         lo, hi, b = self._bounds(rows, others, agent, true, balance, parts)
         coef = self.coef[:parts]
         truthful = coef * abs(b - np.minimum(np.maximum(true, lo), hi))
@@ -320,35 +449,30 @@ class GroupSweep:
     """
 
     def __init__(self, scaled, values, combine: bool):
-        n, parts = scaled.n, scaled.parts
+        n, ranked = scaled.n, scaled.ranked
         self.scaled, self.values, self.combine = scaled, values, combine
-        self.count = 1 if combine else len(parts)
-        kinds = [part[0] for part in parts]
-        self.clip = [c for c, kind in enumerate(kinds) if kind == "ph"]
-        self.dicts = [(c, part[1]) for c, part in enumerate(parts) if part[0] == "dict"]
-        self.avg = [c for c, kind in enumerate(kinds) if kind == "avg"]
+        self.count = 1 if combine else len(scaled.u)
+        self.clip = [c for c, _, _ in ranked]
         # Every report and phantom lies in (-big, big), so every cost stays
         # below 2 * n * big * weight and every bound below 2 * n * big * wden.
         big = max(map(abs, [*scaled.grid_ints, *scaled.phantom_values])) + 1
-        weight = sum(part[-1] for part in parts) if combine else 1
+        weight = sum(scaled.u) if combine else 1
         dtype = np.int64 if 4 * n * big * (weight + scaled.wden) < INT64_BOUND else object
         self.dtype = dtype
-        fins = [parts[c][2] for c in self.clip]
-        pad = max(map(len, fins), default=0)
+        pad = max((len(fins) for _, fins, _ in ranked), default=0)
         # Part c's finite phantoms, padded past every report, and the index
         # of its output among the reports and those phantoms sorted.
         self.phantoms = np.array(
-            [[*f] + [big] * (pad - len(f)) for f in fins], dtype=dtype
-        ).reshape(len(fins), 1, pad)
-        self.index = np.array([n - parts[c][1] for c in self.clip], dtype=np.intp)
-        self.clip_rows = np.arange(len(self.clip))
+            [[*fins] + [big] * (pad - len(fins)) for _, fins, _ in ranked], dtype=dtype
+        ).reshape(len(ranked), 1, pad)
+        self.index = np.array([position for _, _, position in ranked], dtype=np.intp)
+        self.clip_rows = np.arange(len(ranked))
         self.slots = np.arange(n)
-        coef = [1 if kind == "avg" else n for kind in kinds]
-        if combine:
-            coef = [a * part[-1] for a, part in zip(coef, parts)]
-        self.coef = np.array(coef, dtype=dtype)[:, None, None]
-        self.scale = np.array([n if kind == "avg" else 1 for kind in kinds], dtype=dtype)[:, None, None]
-        self.block_profiles = max(1, BLOCK_ELEMENTS // (len(parts) * (n + pad)))
+        self.coef = np.array(scaled.coef(combine), dtype=dtype)[:, None, None]
+        # An average's output is the sum of the reports: n times its location.
+        scale = [n if c in scaled.averages else 1 for c in range(len(scaled.u))]
+        self.scale = np.array(scale, dtype=dtype)[:, None, None]
+        self.block_profiles = max(1, BLOCK_ELEMENTS // (len(scaled.u) * (n + pad)))
 
     def blocks(self):
         profiles = two_valued_profiles(self.values, self.scaled.n, self.scaled.anonymous)
@@ -360,7 +484,7 @@ class GroupSweep:
         j holds the j-th smallest report, whose agent is the j-th in a
         stable sort of the profile."""
         scaled, n = self.scaled, self.scaled.n
-        parts = len(scaled.parts) if self.combine else limit
+        parts = len(scaled.u) if self.combine else limit
         true = np.sort(X, axis=1)
         low, high = true[:, :1], true[:, -1:]
         lows = (X == low).sum(axis=1, keepdims=True)
@@ -379,10 +503,10 @@ class GroupSweep:
             out[self.clip[:k]] = merged[self.clip_rows[:k], :, self.index[:k]]
         elif k:
             out[self.clip[:k]] = true.T[self.index[:k]]
-        for c, j in self.dicts:
+        for c, j in scaled.dictators:
             if c < parts:
                 out[c] = X[:, j]
-        for c in self.avg:
+        for c in scaled.averages:
             if c < parts:
                 out[c] = X.sum(axis=1)
         cost = self.scale[:parts] * true - out[..., None]

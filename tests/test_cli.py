@@ -337,6 +337,8 @@ def test_real_line_domain_flag(capsys):
         (["solve-weights", "--n", "3", "--perturb=-1:1/10"], None),
         (["solve-weights", "--n", "3", "--add", "w9=0"], None),
         (["solve-weights", "--n", "3", "--add", "w0=0"], None),
+        (["solve-weights", "--n", "3", "--add", "ww2=1/3"], None),
+        (["solve-weights", "--n", "3", "--add", "w=1"], None),
         (["solve-weights", "--n", "1"], None),
         (["solve-weights", "--n", "0"], None),
         (["solve-weights", "--n", "-2"], None),
@@ -364,6 +366,8 @@ def test_real_line_domain_flag(capsys):
         "perturb-negative-index",
         "add-weight-past-n",
         "add-weight-zero",
+        "add-doubled-w",
+        "add-without-index",
         "solve-weights-one-agent",
         "solve-weights-zero-agents",
         "solve-weights-negative-agents",
@@ -401,13 +405,27 @@ def test_bad_input_prints_error_and_exits_2(tmp_path, capsys, argv, profile_text
         (["run", "--mechanism", 'iid_phantom:{atoms:[["1/0","1"]]}', "--profile", "(0,1)"],
          "error: expected iid_phantom:{atoms:[[location,probability],...]}, "
          "got 'iid_phantom:{atoms:[[\"1/0\",\"1\"]]}'\n"),
+        (["solve-weights", "--n", "3", "--add", "ww2=1/3"],
+         "error: expected --add w<k> or w_<k>, then =, <= or >= and a rational, got 'ww2=1/3'\n"),
+        (["solve-weights", "--n", "3", "--add", "w_w2=1/3"],
+         "error: expected --add w<k> or w_<k>, then =, <= or >= and a rational, got 'w_w2=1/3'\n"),
+        (["solve-weights", "--n", "3", "--add", "w=1"],
+         "error: expected --add w<k> or w_<k>, then =, <= or >= and a rational, got 'w=1'\n"),
+        (["solve-weights", "--n", "3", "--perturb", "xx"],
+         "error: expected --perturb <index>:<rational>, got 'xx'\n"),
+        (["run", "--mechanism", "phantom:[0,1]", "--profile", "(0,1/2)"],
+         "error: phantom vector has 2 entries, expected 3\n"),
+        (["check", "--mechanism", "phantom:[0,1]", "--axiom", "efficiency", "--n", "2"],
+         "error: phantom vector has 2 entries, expected 3\n"),
     ],
     ids=["avg-or-rr-zero-denominator", "iid-phantom-without-atoms", "iid-phantom-atoms-not-a-list",
-         "iid-phantom-zero-denominator"],
+         "iid-phantom-zero-denominator", "add-doubled-w", "add-w-underscore-w", "add-without-index",
+         "perturb-without-colon", "run-phantom-wrong-length", "check-phantom-wrong-length"],
 )
 def test_malformed_spec_body_is_a_one_line_error(capsys, argv, message):
-    """A spec body that parses but cannot be read is bad input: exit 2 and
-    one line on stderr, not a traceback with the failed-axiom code 1."""
+    """A spec body or option value that parses but cannot be read is bad
+    input: exit 2 and one line on stderr, not a traceback with the
+    failed-axiom code 1. The same fault reads the same in every command."""
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", message)
 

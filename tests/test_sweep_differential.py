@@ -29,15 +29,17 @@ from proploc.core import (
     Average,
     Dictator,
     Infinite,
+    Median,
     Phantom,
     Profile,
     RandomizedMechanism,
     RankK,
+    evaluate,
     grid_points,
     mechanism_is_anonymous,
 )
 from proploc.mechanisms import build_mechanism, format_mechanism
-from proploc.sweep import SpSweep
+from proploc.sweep import Scaled, SpSweep
 
 
 def _finite_phantoms(mechs):
@@ -210,7 +212,7 @@ def test_large_denominators_take_python_int_path_and_agree(domain):
     mechs = (Phantom(vector), Average())
     mixture = RandomizedMechanism(2, domain, tuple(zip(mechs, (F(2, 3), F(1, 3)))))
     dom = axioms.CheckDomain(n=2, grid=2, domain=domain)
-    scaled = axioms._Scaled(mixture.components, dom.n, dom.domain, dom.grid)
+    scaled = Scaled(mixture.components, dom.n, dom.domain, dom.grid)
     assert SpSweep(scaled, combine=True).dtype is object
     verdict = axioms.check_strategyproofness(mixture, dom, axioms.EXP)
     expected = _reference_first(mixture, mechs, dom)
@@ -236,10 +238,10 @@ def test_large_denominators_take_python_int_path_and_agree(domain):
 )
 def test_block_costs_match_scalar_engine(domain, mechs):
     """Every (profile, agent, candidate) cost of the block engine equals the
-    scalar ``_Scaled.pricer``, on ordered profiles whose other reports come
+    scalar ``Scaled.pricer``, on ordered profiles whose other reports come
     unsorted and on report multisets."""
     mixture = RandomizedMechanism(3, domain, tuple((mech, F(1, 3)) for mech in mechs))
-    scaled = axioms._Scaled(mixture.components, 3, domain, 2)
+    scaled = Scaled(mixture.components, 3, domain, 2)
     sweep = SpSweep(scaled, combine=True)
     checked = 0
     for X in sweep.blocks():
@@ -252,6 +254,36 @@ def test_block_costs_match_scalar_engine(domain, mechs):
                 assert deviating[0, row, column] == scaled.pricer(moved, sorted(moved))(x_list[i])
                 checked += 1
     assert checked > 100
+
+
+@given(domains.flatmap(mixtures), st.booleans(), st.data())
+def test_scaled_layout_matches_the_exact_path(case, with_median, data):
+    """Each part of ``Scaled``'s by-kind layout outputs what ``core.evaluate``
+    gives on a random grid profile: a rank or phantom part its position in
+    the sorted reports and finite phantoms, a dictator its agent's report.
+    Every part is laid out once, and ``pricer`` prices every report as
+    ``analysis.expected_distance_to_point`` does."""
+    mixture, dom = case
+    n = dom.n
+    if with_median:
+        halves = tuple((mech, weight / 2) for mech, weight in mixture.components)
+        mixture = RandomizedMechanism(n, dom.domain, halves + ((Median(), F(1, 2)),))
+    mechs = mixture.component_mechanisms()
+    scaled = Scaled(mixture.components, n, dom.domain, dom.grid)
+    X = data.draw(st.lists(st.sampled_from(scaled.grid_ints), min_size=n, max_size=n))
+    profile = Profile(dom.domain, tuple(scaled.to_frac(v) for v in X))
+    for c, fins, position in scaled.ranked:
+        assert scaled.to_frac(sorted([*X, *fins])[position]) == evaluate(mechs[c], profile)
+    for c, j in scaled.dictators:
+        assert isinstance(mechs[c], Dictator)
+        assert scaled.to_frac(X[j]) == evaluate(mechs[c], profile)
+    assert all(isinstance(mechs[c], Average) for c in scaled.averages)
+    laid_out = [c for c, _, _ in scaled.ranked] + [c for c, _ in scaled.dictators] + list(scaled.averages)
+    assert sorted(laid_out) == list(range(len(mechs))) == list(range(len(scaled.u)))
+    price = scaled.pricer(list(X), sorted(X))
+    for x in X:
+        expected = analysis.expected_distance_to_point(mixture, profile, scaled.to_frac(x))
+        assert scaled.cost_frac(price(x)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -340,15 +372,15 @@ def test_group_sweep_large_denominators_take_python_int_path(domain):
     mechs = (Phantom(vector), Average(), RankK(1))
     mixture = RandomizedMechanism(2, domain, tuple(zip(mechs, (F(1, 2), F(1, 4), F(1, 4)))))
     dom = axioms.CheckDomain(n=2, grid=2, domain=domain)
-    scaled = axioms._Scaled(mixture.components, dom.n, dom.domain, dom.grid)
+    scaled = Scaled(mixture.components, dom.n, dom.domain, dom.grid)
     assert sweep.GroupSweep(scaled, scaled.grid_ints, combine=True).dtype is object
     _assert_group_verdicts_match(mixture, dom)
 
 
 @pytest.mark.parametrize("domain", [UNIT_INTERVAL, REAL_LINE])
-def test_universal_failure_past_the_first_run_of_components(domain):
-    """Universal checks stack the support in runs of 8, 32, ... components;
-    a component failing only in a later run is still found, with its own
+def test_universal_failure_after_nine_passing_components(domain):
+    """A universal check sweeps the support components in order; the first
+    to fail, here the tenth behind nine that pass, is found with its own
     witness."""
     dom = axioms.CheckDomain(n=2, grid=2, domain=domain)
     mechs = (Average(),) * 9 + (Dictator(1),)
