@@ -61,8 +61,14 @@ SPF stays in pure Python. An agent's cost depends only on its own
 location, so each profile prices each distinct location once, and a window
 test over the sorted reports decides the profile in O(n^2) windows rather
 than 2^n subsets (see :func:`_spf_violation`). Only a failing profile
-walks its subsets, in order, for the first witness. The exact path for a
-continuous family runs the same rule on prices from :mod:`proploc.analysis`.
+walks its subsets, in order, for the first witness. A finite mixture whose
+parts all commute with x -> x + t (ranks, dictators, averages, phantom
+vectors of domain ends) keeps every cost and bound under translation, so
+its first failing profile contains the grid's lowest point: only those
+profiles are swept (see :func:`_spf_first`), and its PASS covers every real
+translate of a grid profile that stays in the domain. The exact path for a
+continuous family runs the same rule on prices from :mod:`proploc.analysis`
+over every grid profile.
 """
 
 from __future__ import annotations
@@ -94,7 +100,15 @@ from .core import (
     mechanism_is_phantom_class,
 )
 from .mechanisms import build_mechanism, format_mechanism
-from .sweep import GroupSweep, Scaled, SpSweep, checked, grid_profiles, two_valued_profiles
+from .sweep import (
+    GroupSweep,
+    Scaled,
+    SpSweep,
+    anchored_profiles,
+    checked,
+    grid_profiles,
+    two_valued_profiles,
+)
 
 PASS = "pass"
 FAIL = "fail"
@@ -669,11 +683,20 @@ def _spf_window_fails(xs, costs, unit_spread, unit_width) -> bool:
 def _spf_first(components, dom: CheckDomain, combine: bool):
     """(component index, witness, "") of the first subset member beyond its
     SPF bound, or None: each profile priced once per location and decided by
-    :func:`_spf_violation`, at the cost scale wden * n * D."""
+    :func:`_spf_violation`, at the cost scale wden * n * D.
+
+    A translation-equivariant mixture (see
+    :attr:`proploc.sweep.Scaled.translation_equivariant`) has the same costs
+    and bounds on every translate of a profile, so a failing profile still
+    fails shifted down until its minimum is the grid's lowest point; that
+    shift stays on the grid and comes earlier in the sweep. Its first
+    failing profile therefore contains the lowest point, and only those
+    profiles are swept, in the full sweep's order."""
     groups = [components] if combine else [[component] for component in components]
     for index, group in enumerate(groups):
         scaled = Scaled(group, dom.n, dom.domain, dom.grid)
-        for X in scaled.profiles():
+        profiles = anchored_profiles if scaled.translation_equivariant else grid_profiles
+        for X in profiles(scaled.grid_ints, dom.n, scaled.anonymous):
             found = _spf_violation(X, scaled.pricer(X, sorted(X)), scaled.wden)
             if found is not None:
                 agent, group, cost, bound = found
@@ -691,7 +714,12 @@ def check_spf(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVerdict:
     failing profile walks its subsets, by size and then lexicographically,
     for the first witness (see :func:`_spf_violation`). Finite mixtures run
     on rescaled integers, a continuous family through the exact closed
-    forms, on the same rule.
+    forms, on the same rule. A mixture (or, universally, a component) that
+    commutes with translation sweeps only the grid profiles through the
+    grid's lowest point, which hold its first failure (see
+    :func:`_spf_first`); its PASS then covers every real translate of a
+    grid profile that stays in the domain. Other mixtures sweep every grid
+    profile.
     """
     n = dom.n
     exact = partial(_spf_violation, scale=Fraction(1, n))

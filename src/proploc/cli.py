@@ -68,6 +68,8 @@ TABLE_COLUMNS = (
 
 def _parse_profile(text: str, domain: str) -> Profile:
     token = text.strip()
+    if not token:
+        raise MechanismError(f"expected --profile (x1,...,xn) or a JSON file, got {text!r}")
     if token.startswith("(") or token.startswith("["):
         body = token.strip("()[]")
         entries = [item.strip() for item in body.split(",") if item.strip()]
@@ -76,7 +78,10 @@ def _parse_profile(text: str, domain: str) -> Profile:
             point = parse_point(entry)
             locations.append(point)
         return Profile(domain, tuple(locations))
-    data = json.loads(Path(token).read_text())
+    try:
+        data = json.loads(Path(token).read_text())
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
+        raise MechanismError(f"profile file {token!r} is not valid JSON: {exc}") from None
     try:
         return Profile.from_json(data)
     except (KeyError, TypeError) as exc:
@@ -241,7 +246,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    report = build_table(args.n, args.grid, Fraction(args.p))
+    (p,) = _parse_option(args.p, r"(.*)", "--p <rational>, e.g. 1/2")
+    report = build_table(args.n, args.grid, p)
     if args.format == "json":
         _emit(json.dumps(report, indent=2), args.out)
     elif args.format == "csv":

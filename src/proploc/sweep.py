@@ -99,6 +99,10 @@ class Scaled:
       reports and its finite phantoms: n minus its number of -inf phantoms,
       so a rank k is (part, (), n - k);
     - ``dictators``: (part, agent index); ``averages``: part indices.
+
+    ``translation_equivariant`` says, from that layout, whether every part
+    commutes with translations x -> x + t that keep the profile in the
+    domain, so that every agent's expected distance is translation-invariant.
     """
 
     def __init__(self, components, n: int, domain: str, grid: int):
@@ -129,6 +133,12 @@ class Scaled:
                 averages.append(c)
         self.ranked, self.dictators, self.averages = tuple(ranked), tuple(dictators), tuple(averages)
         self.anonymous = all(mechanism_is_anonymous(mech) for mech, _ in components)
+        # Dictators and averages commute with x -> x + t, and so does a rank
+        # or phantom part without finite phantoms, or on [0,1] with phantoms
+        # at 0 and 1 only, both present: inside the domain they act as -inf
+        # and +inf (all at 0, or all at 1, is a constant).
+        ends = {0, D} if domain == UNIT_INTERVAL else set()
+        self.translation_equivariant = all(not fins or set(fins) == ends for _, fins, _ in ranked)
         self.phantom_values = tuple(sorted({y for _, fins, _ in ranked for y in fins}))
         # grid_points(domain, grid) over D, without building the Fractions.
         if domain == UNIT_INTERVAL:
@@ -410,6 +420,15 @@ def grid_profiles(values, n: int, anonymous: bool):
     if anonymous:
         return combinations_with_replacement(values, n)
     return product(values, repeat=n)
+
+
+def anchored_profiles(values, n: int, anonymous: bool):
+    """The profiles of :func:`grid_profiles` that contain ``values[0]``, in
+    the same order."""
+    low = values[0]
+    if anonymous:
+        return ((low, *rest) for rest in combinations_with_replacement(values, n - 1))
+    return (X for X in product(values, repeat=n) if low in X)
 
 
 def two_valued_profiles(values, n: int, anonymous: bool):

@@ -32,6 +32,7 @@ from proploc.core import (
 )
 from proploc.mechanisms import (
     average_or_random_rank,
+    build_mechanism,
     format_mechanism,
     random_dictator,
     random_phantom,
@@ -634,6 +635,73 @@ def test_spf_checks_groups_of_six_of_seven_agents(grid, top, lhs, bound):
     assert (witness.agent, witness.group) == (1, (1, 2, 3, 4, 5, 6))
     assert (witness.lhs, witness.bound) == (lhs, bound)
     assert recheck_witness(mixture, verdict)
+
+
+def _spf_violated(mechanism, profile) -> bool:
+    """Whether some member of some subset S of the agents expects a distance
+    above R(n - |S|)/n + r, priced on the plain rational path."""
+    xs, n = profile.locations, profile.n
+    spread = max(xs) - min(xs)
+    price = {x: expected_distance_to_point(mechanism, profile, x) for x in set(xs)}
+    return any(
+        price[xs[j]] > F(n - size, n) * spread + max(xs[i] for i in subset) - min(xs[i] for i in subset)
+        for size in range(1, n + 1)
+        for subset in combinations(range(n), size)
+        for j in subset
+    )
+
+
+def _translation(data, profile, domain):
+    """A real shift t that keeps ``profile`` in the domain."""
+    if domain == REAL_LINE:
+        return data.draw(st.fractions(-5, 5, max_denominator=12))
+    return data.draw(st.fractions(-min(profile), 1 - max(profile), max_denominator=12))
+
+
+@given(
+    st.sampled_from([UNIT_INTERVAL, REAL_LINE]),
+    st.sampled_from([random_rank, random_dictator]),
+    st.integers(2, 4),
+    st.data(),
+)
+def test_equivariant_spf_pass_covers_off_grid_translates(domain, build, n, data):
+    """Random Rank and Random Dictatorship commute with translation, so
+    their SPF PASS holds on every real translate of a grid profile that
+    stays in the domain, off the grid included."""
+    mechanism = build(n, domain)
+    dom = CheckDomain(n=n, grid=3, domain=domain)
+    assert ax.check_spf(mechanism, dom, ax.EXP).passed
+    X = data.draw(st.lists(st.sampled_from(dom.points()), min_size=n, max_size=n))
+    t = _translation(data, X, domain)
+    assert not _spf_violated(mechanism, Profile(domain, tuple(x + t for x in X)))
+
+
+@pytest.mark.parametrize(
+    "spec, n, grid, domain, variant",
+    [
+        ("median", 3, 4, UNIT_INTERVAL, ax.DET),
+        ("rank:k=1", 3, 3, REAL_LINE, ax.DET),
+        ("avg_or_rr:p=1/2", 4, 3, REAL_LINE, ax.UNIVERSAL),
+        ("random_dictator", 3, 4, UNIT_INTERVAL, ax.UNIVERSAL),
+    ],
+)
+@given(data=st.data())
+def test_equivariant_spf_witness_fails_on_every_translate(spec, n, grid, domain, variant, data):
+    """A FAIL witness of a translation-equivariant mechanism, shifted by any
+    real t that keeps it in the domain, still violates with the same cost
+    and bound."""
+    mechanism = build_mechanism(spec, n, domain)
+    witness = ax.check_spf(mechanism, CheckDomain(n=n, grid=grid, domain=domain), variant).witness
+    target = build_mechanism(witness.component, n, domain) if witness.component else mechanism
+    t = _translation(data, witness.profile, domain)
+    shifted = Profile(domain, tuple(x + t for x in witness.profile))
+    members = [shifted.locations[i - 1] for i in witness.group]
+    spread = max(shifted.locations) - min(shifted.locations)
+    bound = F(n - len(members), n) * spread + max(members) - min(members)
+    lhs = expected_distance_to_point(target, shifted, shifted.locations[witness.agent - 1])
+    assert (lhs, bound) == (witness.lhs, witness.bound)
+    assert lhs > bound
+    assert _spf_violated(target, shifted)
 
 
 def test_unanimous_profiles_force_exact_placement():

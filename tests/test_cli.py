@@ -348,6 +348,8 @@ def test_real_line_domain_flag(capsys):
           "--n", "2", "--grid", "2"], None),
         (["prop1", "--grid-check", "0"], None),
         (["prop1", "--grid-check", "-1"], None),
+        (["run", "--mechanism", "median", "--profile", ""], None),
+        (["run", "--mechanism", "median", "--profile", "  "], None),
     ],
     ids=[
         "missing-profile-file",
@@ -375,6 +377,8 @@ def test_real_line_domain_flag(capsys):
         "unit-phantom-out-of-range-efficiency",
         "prop1-grid-check-zero",
         "prop1-grid-check-negative",
+        "blank-profile",
+        "whitespace-profile",
     ],
 )
 def test_bad_input_prints_error_and_exits_2(tmp_path, capsys, argv, profile_text):
@@ -417,10 +421,17 @@ def test_bad_input_prints_error_and_exits_2(tmp_path, capsys, argv, profile_text
          "error: phantom vector has 2 entries, expected 3\n"),
         (["check", "--mechanism", "phantom:[0,1]", "--axiom", "efficiency", "--n", "2"],
          "error: phantom vector has 2 entries, expected 3\n"),
+        (["table", "--n", "2", "--grid", "2", "--p", "1/0"],
+         "error: expected --p <rational>, e.g. 1/2, got '1/0'\n"),
+        (["table", "--n", "2", "--grid", "2", "--p", "abc"],
+         "error: expected --p <rational>, e.g. 1/2, got 'abc'\n"),
+        (["run", "--mechanism", "median", "--profile", ""],
+         "error: expected --profile (x1,...,xn) or a JSON file, got ''\n"),
     ],
     ids=["avg-or-rr-zero-denominator", "iid-phantom-without-atoms", "iid-phantom-atoms-not-a-list",
          "iid-phantom-zero-denominator", "add-doubled-w", "add-w-underscore-w", "add-without-index",
-         "perturb-without-colon", "run-phantom-wrong-length", "check-phantom-wrong-length"],
+         "perturb-without-colon", "run-phantom-wrong-length", "check-phantom-wrong-length",
+         "table-zero-denominator-p", "table-bad-p", "blank-profile"],
 )
 def test_malformed_spec_body_is_a_one_line_error(capsys, argv, message):
     """A spec body or option value that parses but cannot be read is bad
@@ -428,6 +439,17 @@ def test_malformed_spec_body_is_a_one_line_error(capsys, argv, message):
     failed-axiom code 1. The same fault reads the same in every command."""
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", message)
+
+
+def test_invalid_json_profile_file_names_the_file(tmp_path, capsys):
+    """A profile file that is not JSON is named in the one error line, so the
+    decoder's message is not read as a fault of the inline form."""
+    path = tmp_path / "profile.json"
+    path.write_text("{not json")
+    code, out, err = run_cli(capsys, "run", "--mechanism", "median", "--profile", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: profile file {str(path)!r} is not valid JSON: Expecting property name")
+    assert err.count("\n") == 1
 
 
 def test_removed_seed_option_is_rejected(capsys):

@@ -12,6 +12,7 @@ components' deterministic verdicts, and every verdict must survive the
 reflection x -> 1 - x of the unit interval.
 """
 
+import json
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations, combinations_with_replacement, product
@@ -34,6 +35,7 @@ from proploc.core import (
     Profile,
     RandomizedMechanism,
     RankK,
+    UniformPhantom,
     evaluate,
     grid_points,
     mechanism_is_anonymous,
@@ -423,6 +425,8 @@ def _reference_spf_first(mechanism, dom, anonymous):
 
 
 def _assert_spf_matches_plain_loop(mechanism, dom, variant):
+    """The verdict's status and witness bytes are those of the plain loop
+    over every grid profile."""
     verdict = axioms.check_spf(mechanism, dom, variant)
     if variant == axioms.UNIVERSAL:
         mechs = mechanism.component_mechanisms()
@@ -434,18 +438,61 @@ def _assert_spf_matches_plain_loop(mechanism, dom, variant):
         expected = _reference_spf_first(mech, dom, anonymous)
         if expected is not None:
             assert verdict.failed, (variant, expected)
+            X, agent, group, lhs, bound = expected
             component = format_mechanism(mech) if variant == axioms.UNIVERSAL else None
-            assert verdict.witness.component == component
-            assert _group_key(verdict.witness) == expected
+            witness = axioms.Witness(X, dom.domain, agent=agent, group=group, component=component, lhs=lhs, bound=bound)
+            assert json.dumps(verdict.witness.to_json()) == json.dumps(witness.to_json())
             assert axioms.recheck_witness(mechanism, verdict)
             return
     assert verdict.passed, (variant, verdict)
 
 
-@given(domains.flatmap(mixtures))
+@st.composite
+def spf_mixtures(draw, domain):
+    """Mixtures on which translation matters: up to 4 agents, unit grids up
+    to 6 and real windows up to 3. Parts that commute with x -> x + t (ranks,
+    dictators, the average, ``median``, phantom vectors of the domain's ends,
+    constants among them on [0,1]) are drawn beside parts that do not
+    (interior finite phantoms, ``uniform_phantom``)."""
+    unit = domain == UNIT_INTERVAL
+    n = draw(st.integers(2, 4))
+    grid = draw(st.integers(1, 6 if unit else 3))
+    low, high = (F(0), F(1)) if unit else (NEG_INF, POS_INF)
+
+    def ends():
+        k = draw(st.integers(0, n + 1) if unit else st.integers(1, n))
+        return Phantom((low,) * k + (high,) * (n + 1 - k))
+
+    def interior():
+        neg = draw(st.integers(0, n))
+        pos = draw(st.integers(0, n - neg))
+        width = n + 1 - neg - pos
+        middle = draw(st.lists(fractions.map(lambda v: v / 6 if unit else v - 3), min_size=width, max_size=width))
+        return Phantom((low,) * neg + tuple(sorted(middle)) + (high,) * pos)
+
+    build = {
+        "rank": lambda: RankK(draw(st.integers(1, n))),
+        "dict": lambda: Dictator(draw(st.integers(1, n))),
+        "avg": Average,
+        "median": Median,
+        "ends": ends,
+        "interior": interior,
+        "uniform": UniformPhantom,
+    }
+    kinds = draw(st.lists(st.sampled_from(sorted(build) if unit else sorted(set(build) - {"uniform"})),
+                          min_size=1, max_size=3))
+    mechs = [build[kind]() for kind in kinds]
+    raw = draw(st.lists(st.integers(1, 5), min_size=len(mechs), max_size=len(mechs)))
+    mixture = RandomizedMechanism(n, domain, tuple((mech, F(w, sum(raw))) for mech, w in zip(mechs, raw)))
+    return mixture, axioms.CheckDomain(n=n, grid=grid, domain=domain)
+
+
+@settings(max_examples=60, deadline=None)
+@given(domains.flatmap(spf_mixtures))
 def test_spf_matches_plain_loop(case):
     """Det (each component), exp and universal SPF verdicts and first
-    witnesses agree with a plain loop over every subset."""
+    witnesses agree with a plain loop over every grid profile and subset,
+    translation-equivariant or not."""
     mixture, dom = case
     for mech in mixture.component_mechanisms():
         _assert_spf_matches_plain_loop(mech, dom, axioms.DET)
@@ -479,6 +526,65 @@ def test_spf_at_six_agents_every_subset(domain, spec):
         variants = [axioms.EXP, axioms.UNIVERSAL]
     for variant in variants:
         _assert_spf_matches_plain_loop(mechanism, dom, variant)
+
+
+@pytest.mark.parametrize("anonymous", [True, False])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("values", [(0,), (0, 1), (-3, -1, 0, 2), tuple(range(0, 42, 6)), tuple(range(-8, 9))])
+def test_anchored_profiles_are_the_full_sweep_through_its_lowest_point(values, n, anonymous):
+    """The reduced SPF enumeration is exactly the full one filtered to the
+    profiles that contain the lowest grid point, in the same order."""
+    full = list(sweep.grid_profiles(values, n, anonymous))
+    assert list(sweep.anchored_profiles(values, n, anonymous)) == [X for X in full if values[0] in X]
+
+
+@pytest.mark.parametrize(
+    "domain, grid, parts, variant, profile",
+    [
+        (UNIT_INTERVAL, 1, ((Phantom((F(0), F(1, 2), F(1, 2))), F(1)),), axioms.DET, (F(1), F(1))),
+        (UNIT_INTERVAL, 1, ((Average(), F(1, 2)), (Phantom((F(0), F(1, 2), F(1, 2))), F(1, 2))), axioms.UNIVERSAL,
+         (F(1), F(1))),
+        (UNIT_INTERVAL, 2, ((RankK(1), F(1, 2)), (Phantom((F(0),) * 3), F(1, 2))), axioms.EXP, (F(1, 2), F(1, 2))),
+        (REAL_LINE, 1, ((RankK(1), F(1, 2)), (Phantom((NEG_INF, NEG_INF, F(0))), F(1, 2))), axioms.EXP,
+         (F(1), F(1))),
+    ],
+    ids=["interior-phantom", "interior-phantom-universal", "constant-zero", "real-finite-phantom"],
+)
+def test_parts_that_do_not_commute_with_translation_keep_the_full_sweep(domain, grid, parts, variant, profile):
+    """An interior finite phantom or a constant can meet SPF on every profile
+    through the grid's lowest point and fail above it, so such a mixture is
+    swept in full: its first witness lies off that point."""
+    mixture = RandomizedMechanism(2, domain, parts)
+    mechanism = parts[0][0] if variant == axioms.DET else mixture
+    dom = axioms.CheckDomain(n=2, grid=grid, domain=domain)
+    assert axioms.check_spf(mechanism, dom, variant).witness.profile == profile
+    _assert_spf_matches_plain_loop(mechanism, dom, variant)
+
+
+@pytest.mark.parametrize(
+    "domain, mech, equivariant",
+    [
+        (UNIT_INTERVAL, RankK(2), True),
+        (UNIT_INTERVAL, Dictator(3), True),
+        (UNIT_INTERVAL, Average(), True),
+        (UNIT_INTERVAL, Median(), True),
+        (UNIT_INTERVAL, Phantom((F(0), F(1), F(1), F(1))), True),
+        (UNIT_INTERVAL, Phantom((F(0), F(0), F(0), F(1))), True),
+        (UNIT_INTERVAL, Phantom((F(0),) * 4), False),
+        (UNIT_INTERVAL, Phantom((F(1),) * 4), False),
+        (UNIT_INTERVAL, Phantom((F(0), F(1, 2), F(1), F(1))), False),
+        (UNIT_INTERVAL, UniformPhantom(), False),
+        (REAL_LINE, Median(), True),
+        (REAL_LINE, Phantom((NEG_INF, POS_INF, POS_INF, POS_INF)), True),
+        (REAL_LINE, Phantom((NEG_INF, F(0), POS_INF, POS_INF)), False),
+    ],
+)
+def test_translation_equivariance_is_read_off_the_form(domain, mech, equivariant):
+    """Only parts whose output is always a report commute with x -> x + t:
+    on [0,1] a phantom vector of 0s and 1s with both present, on the real
+    line one of infinities; a vector of 0s alone (or 1s) is a constant."""
+    scaled = Scaled(((mech, F(1, 2)), (RankK(1), F(1, 2))), 3, domain, 4)
+    assert scaled.translation_equivariant is equivariant
 
 
 @settings(max_examples=400)
