@@ -246,7 +246,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    (p,) = _parse_option(args.p, r"(.*)", "--p <rational>, e.g. 1/2")
+    form = "--p <rational> in [0,1], e.g. 1/2"
+    (p,) = _parse_option(args.p, r"(.*)", form)
+    if not 0 <= p <= 1:
+        raise MechanismError(f"expected {form}, got {args.p!r}")
     report = build_table(args.n, args.grid, p)
     if args.format == "json":
         _emit(json.dumps(report, indent=2), args.out)

@@ -132,7 +132,7 @@ def format_point(value: ExtLocation) -> str:
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         point = parse_point(value)
@@ -186,6 +186,8 @@ class Profile:
     def from_json(cls, data) -> "Profile":
         if isinstance(data, str):
             data = json.loads(data)
+        if not isinstance(data["locations"], list):
+            raise MechanismError(f"expected a list of locations, got {data['locations']!r}")
         return cls(data["domain"], tuple(_as_fraction(x) for x in data["locations"]))
 
     @classmethod

@@ -10,6 +10,10 @@ enumeration order, as numpy arrays: int64 while every scaled value provably
 stays below 2^62, Python ints (``dtype=object``) on the same code path
 otherwise. SPF prices one profile at a time through :meth:`Scaled.pricer`.
 
+Every rank and phantom part outputs an order statistic of the reports and
+its finite phantoms (Moulin, Public Choice 1980): :func:`order_statistics`
+computes them for a block, in both block sweeps.
+
 A sweep computes, per block, a (component, row, ...) array and reduces it:
 the first failing component in order, a weighted sum over components, or
 the largest gain. Every block temporary holds at most
@@ -176,6 +180,13 @@ class Scaled:
             terms.append((u[c], sum(x_list)))
         return lambda true: sum(w * abs(n * true - v) for w, v in terms)
 
+    def padded_phantoms(self, fill, dtype):
+        """(ranked part, slot): each rank or phantom part's finite phantoms,
+        in ``ranked`` order, padded with ``fill`` to the longest."""
+        pad = max((len(fins) for _, fins, _ in self.ranked), default=0)
+        rows = [[*fins] + [fill] * (pad - len(fins)) for _, fins, _ in self.ranked]
+        return np.array(rows, dtype=dtype).reshape(len(rows), pad)
+
     def profiles(self):
         return grid_profiles(self.grid_ints, self.n, self.anonymous)
 
@@ -190,6 +201,22 @@ def profile_blocks(profiles, size: int, dtype):
     while chunk := list(islice(profiles, step)):
         yield np.array(chunk, dtype=dtype)
         step = min(size, 4 * step)
+
+
+def order_statistics(rows, phantoms, positions):
+    """Entry ``positions[c]`` (from 0) of each sorted row of ``rows`` merged
+    with part c's ``phantoms[c]``: shape (*positions.shape, row). Phantoms
+    are (part, slot), padded with a value no entry of ``rows`` exceeds;
+    positions are (part,) or (part, k). Without phantoms, a gather."""
+    if not phantoms.shape[1]:
+        return rows.T[positions]
+    width = rows.shape[1]
+    merged = np.empty((len(phantoms), len(rows), width + phantoms.shape[1]), dtype=rows.dtype)
+    merged[..., :width] = rows
+    merged[..., width:] = phantoms[:, None]
+    merged.sort(axis=2)
+    parts = np.arange(len(phantoms)).reshape(-1, *[1] * (positions.ndim - 1))
+    return merged[parts, :, positions]
 
 
 def first_hit(mask):
@@ -222,10 +249,11 @@ class SpSweep:
 
     Every part is a generalized median of the deviating agent's report r
     (Moulin, Public Choice 1980): with the other reports fixed it outputs
-    clip(r, lo, hi). For a rank or phantom part, lo and hi are the entries
-    at position - 1 and position (see :class:`Scaled`) of the sorted other
-    reports plus its finite phantoms; missing entries are
-    sentinels beyond every candidate. The agent's own dictator part has
+    clip(r, lo, hi). For a rank or phantom part at position t (see
+    :class:`Scaled`), lo and hi are entries t and t + 1 of the other
+    reports between sentinels -big and big, merged with its finite
+    phantoms: :func:`order_statistics`, sentinels beyond every candidate
+    where an entry is missing. The agent's own dictator part has
     lo = -inf, hi = +inf; another agent's is the constant x_j. So each part
     costs coef * |b - clip(r, lo, hi)|, with b the true point, except that
     the average costs |n*true - S_others - r|: b = n*true - S_others, no clip.
@@ -241,7 +269,9 @@ class SpSweep:
     its smallest violating (or best) report, so no per-row sort is needed.
 
     ``combine`` sums the parts with their weights into one component (the
-    in-expectation cost); otherwise each part is its own component.
+    in-expectation cost); otherwise each part is its own component, and its
+    witness report is taken from its own breakpoints only: no other part's
+    phantoms and, but for an average, no balance report, as when alone.
     """
 
     def __init__(self, scaled, combine: bool):
@@ -260,22 +290,20 @@ class SpSweep:
         self.other_agents = np.array([[j for j in range(n) if j != i] for i in range(n)])
 
         self.clip = [c for c, _, _ in ranked]
-        pad = max((len(fins) for _, fins, _ in ranked), default=0)
-        # B[c]: part c's finite phantoms between -big and big (padding). For
-        # each split i of _bounds keep B[c, t - i] and B[c, t + 1 - i], t its
-        # position, clamped to B's ends: shape (split, lo or hi, part).
-        B = [([-big, *fins] + [big] * (pad + 1 - len(fins)), position) for _, fins, position in ranked]
-        self.splits = np.array(
-            [
-                [[row[min(max(t + shift - i, 0), pad + 1)] for row, t in B] for shift in (0, 1)]
-                for i in range(n)
-            ],
-            dtype=dtype,
-        ).reshape(n, 2, len(B))
+        self.phantoms = scaled.padded_phantoms(big, dtype)
+        self.positions = np.array([(t, t + 1) for _, _, t in ranked], dtype=np.intp).reshape(len(ranked), 2)
         self.coef = np.array(scaled.coef(combine), dtype=dtype)[:, None]
-        self.width = len(fixed) + n + bool(scaled.averages)  # candidates per row
-        # Per (part, row): the candidates' costs, or the 2n split bounds.
-        per_row = len(scaled.u) * max(self.width, 2 * n)
+        self.width = width = len(fixed) + n + bool(scaled.averages)  # candidates per row
+        # own[c, j]: candidate j is a breakpoint of component c (the fixed
+        # candidates list the ends, then the phantoms; the last, the balance).
+        self.own = np.ones((self.count, width), dtype=bool)
+        if not combine:
+            fins_of = {c: fins for c, fins, _ in ranked}
+            for c, row in enumerate(self.own):
+                row[2 : 2 + len(scaled.phantom_values)] = [y in fins_of.get(c, ()) for y in scaled.phantom_values]
+                row[-1] = not scaled.averages or c in scaled.averages
+        # Per (part, row): the candidates' costs, or the merged reports and phantoms.
+        per_row = len(scaled.u) * max(width, n + 1 + self.phantoms.shape[1])
         self.block_profiles = max(1, BLOCK_ELEMENTS // (per_row * n))
 
     def blocks(self):
@@ -290,18 +318,12 @@ class SpSweep:
         b[:] = true
         k = bisect_left(self.clip, parts)
         if k:
-            # A[:, i] and B[c, j] are the i-th and j-th smallest of the other
-            # reports and of part c's phantoms (-big at 0, big past the end).
-            # The t-th smallest of both together is the least, over splits
-            # i + j = t, of max(A[:, i], B[c, j]); lo and hi are the
-            # position-th and (position + 1)-th.
             if not self.scaled.anonymous:
-                others = _sorted_rows(others)
-            A = np.empty((len(rows), n), dtype=self.dtype)
-            A[:, 0] = -big
-            A[:, 1:] = others
-            least = np.maximum(A.T[:, None, None, :], self.splits[:, :, :k, None]).min(axis=0)
-            lo[self.clip[:k]], hi[self.clip[:k]] = least
+                others = np.sort(others, axis=1)
+            reports = np.empty((len(rows), n + 1), dtype=self.dtype)
+            reports[:, 0], reports[:, 1:-1], reports[:, -1] = -big, others, big
+            bounds = order_statistics(reports, self.phantoms[:k], self.positions[:k])
+            lo[self.clip[:k]], hi[self.clip[:k]] = bounds[:, 0], bounds[:, 1]
         for c, j in self.scaled.dictators:
             if c < parts:
                 own = agent == j
@@ -356,14 +378,17 @@ class SpSweep:
 
     def _violation(self, X, costs, mask):
         """(component, (profile, agent, report, deviating, truthful)) at the
-        first (component, row) of ``mask`` and its smallest marked report,
-        or None if nothing is marked."""
+        first (component, row) of ``mask`` and its smallest marked report
+        among the component's breakpoints, or None if nothing is marked."""
         flat = first_hit(mask)
         if flat is None:
             return None
         prof, agent, candidates, deviating, truthful = costs
         component, row, _ = np.unravel_index(flat, mask.shape)
-        column = min(np.flatnonzero(mask[component, row]), key=lambda j: candidates[row, j])
+        # A part's cost is least at one of its own breakpoints: a row it
+        # fails at some candidate, it also fails at one of those.
+        marked = np.flatnonzero(mask[component, row] & self.own[component])
+        column = min(marked, key=lambda j: candidates[row, j])
         return int(component), (
             tuple(int(v) for v in X[prof[row]]),
             int(agent[row]),
@@ -399,19 +424,6 @@ class SpSweep:
             if gain > best_gain:
                 best, best_gain = violation, gain
         return best
-
-
-def _sorted_rows(a):
-    """The rows of a narrow 2-d array, each sorted ascending, by an odd-even
-    transposition network of column minima and maxima."""
-    a = a.copy()
-    width = a.shape[1]
-    for step in range(width):
-        for j in range(step % 2, width - 1, 2):
-            low = np.minimum(a[:, j], a[:, j + 1])
-            a[:, j + 1] = np.maximum(a[:, j], a[:, j + 1])
-            a[:, j] = low
-    return a
 
 
 def grid_profiles(values, n: int, anonymous: bool):
@@ -478,20 +490,14 @@ class GroupSweep:
         weight = sum(scaled.u) if combine else 1
         dtype = np.int64 if 4 * n * big * (weight + scaled.wden) < INT64_BOUND else object
         self.dtype = dtype
-        pad = max((len(fins) for _, fins, _ in ranked), default=0)
-        # Part c's finite phantoms, padded past every report, and the index
-        # of its output among the reports and those phantoms sorted.
-        self.phantoms = np.array(
-            [[*fins] + [big] * (pad - len(fins)) for _, fins, _ in ranked], dtype=dtype
-        ).reshape(len(ranked), 1, pad)
-        self.index = np.array([position for _, _, position in ranked], dtype=np.intp)
-        self.clip_rows = np.arange(len(ranked))
+        self.phantoms = scaled.padded_phantoms(big, dtype)
+        self.positions = np.array([t for _, _, t in ranked], dtype=np.intp)
         self.slots = np.arange(n)
         self.coef = np.array(scaled.coef(combine), dtype=dtype)[:, None, None]
         # An average's output is the sum of the reports: n times its location.
         scale = [n if c in scaled.averages else 1 for c in range(len(scaled.u))]
         self.scale = np.array(scale, dtype=dtype)[:, None, None]
-        self.block_profiles = max(1, BLOCK_ELEMENTS // (len(scaled.u) * (n + pad)))
+        self.block_profiles = max(1, BLOCK_ELEMENTS // (len(scaled.u) * (n + self.phantoms.shape[1])))
 
     def blocks(self):
         profiles = two_valued_profiles(self.values, self.scaled.n, self.scaled.anonymous)
@@ -513,15 +519,8 @@ class GroupSweep:
 
         out = np.empty((parts, len(X)), dtype=self.dtype)
         k = bisect_left(self.clip, parts)
-        pad = self.phantoms.shape[2]
-        if k and pad:
-            merged = np.empty((k, len(X), n + pad), dtype=self.dtype)
-            merged[..., :n] = true
-            merged[..., n:] = self.phantoms[:k]
-            merged.sort(axis=2)
-            out[self.clip[:k]] = merged[self.clip_rows[:k], :, self.index[:k]]
-        elif k:
-            out[self.clip[:k]] = true.T[self.index[:k]]
+        if k:
+            out[self.clip[:k]] = order_statistics(true, self.phantoms[:k], self.positions[:k])
         for c, j in scaled.dictators:
             if c < parts:
                 out[c] = X[:, j]

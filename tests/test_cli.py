@@ -323,6 +323,10 @@ def test_real_line_domain_flag(capsys):
         (["run", "--mechanism", "median", "--profile", "{missing}"], None),
         (["run", "--mechanism", "median", "--profile", "{file}"], "{not json"),
         (["run", "--mechanism", "median", "--profile", "{file}"], '{"locations": ["0"]}'),
+        (["run", "--mechanism", "median", "--profile", "{file}"],
+         '{"domain": "unit_interval", "locations": "01"}'),
+        (["run", "--mechanism", "median", "--profile", "{file}"],
+         '{"domain": "unit_interval", "locations": [false, true]}'),
         (["check", "--mechanism", "median", "--axiom", "anonymity", "--n", "2", "--grid", "2",
           "--out", "{missing_dir}"], None),
         (["table", "--n", "2", "--grid", "2", "--p", "abc"], None),
@@ -355,6 +359,8 @@ def test_real_line_domain_flag(capsys):
         "missing-profile-file",
         "malformed-json-profile",
         "profile-without-domain",
+        "profile-locations-a-string",
+        "profile-locations-booleans",
         "unwritable-out",
         "table-bad-p",
         "perturb-without-colon",
@@ -422,16 +428,20 @@ def test_bad_input_prints_error_and_exits_2(tmp_path, capsys, argv, profile_text
         (["check", "--mechanism", "phantom:[0,1]", "--axiom", "efficiency", "--n", "2"],
          "error: phantom vector has 2 entries, expected 3\n"),
         (["table", "--n", "2", "--grid", "2", "--p", "1/0"],
-         "error: expected --p <rational>, e.g. 1/2, got '1/0'\n"),
+         "error: expected --p <rational> in [0,1], e.g. 1/2, got '1/0'\n"),
         (["table", "--n", "2", "--grid", "2", "--p", "abc"],
-         "error: expected --p <rational>, e.g. 1/2, got 'abc'\n"),
+         "error: expected --p <rational> in [0,1], e.g. 1/2, got 'abc'\n"),
+        (["table", "--n", "2", "--grid", "2", "--p", "2"],
+         "error: expected --p <rational> in [0,1], e.g. 1/2, got '2'\n"),
+        (["table", "--n", "2", "--grid", "2", "--p=-1/2"],
+         "error: expected --p <rational> in [0,1], e.g. 1/2, got '-1/2'\n"),
         (["run", "--mechanism", "median", "--profile", ""],
          "error: expected --profile (x1,...,xn) or a JSON file, got ''\n"),
     ],
     ids=["avg-or-rr-zero-denominator", "iid-phantom-without-atoms", "iid-phantom-atoms-not-a-list",
          "iid-phantom-zero-denominator", "add-doubled-w", "add-w-underscore-w", "add-without-index",
          "perturb-without-colon", "run-phantom-wrong-length", "check-phantom-wrong-length",
-         "table-zero-denominator-p", "table-bad-p", "blank-profile"],
+         "table-zero-denominator-p", "table-bad-p", "table-p-above-1", "table-p-below-0", "blank-profile"],
 )
 def test_malformed_spec_body_is_a_one_line_error(capsys, argv, message):
     """A spec body or option value that parses but cannot be read is bad

@@ -91,6 +91,14 @@ def test_profile_json_round_trip():
     assert Profile.from_json(json.dumps(data)) == profile
 
 
+@pytest.mark.parametrize("locations", ["01", [False, True], [0, True], {"0": 1, "1": 2}])
+def test_profile_json_rejects_strings_and_booleans(locations):
+    """A string is not a list of locations, and a JSON boolean is not a
+    number: neither may be read as the profile (0, 1)."""
+    with pytest.raises(MechanismError):
+        Profile.from_json({"domain": "unit_interval", "locations": locations})
+
+
 def test_profile_replace():
     profile = Profile.unit(0, F(1, 3))
     assert profile.replace(2, F(1, 2)).locations == (F(0), F(1, 2))

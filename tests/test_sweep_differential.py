@@ -18,6 +18,7 @@ from fractions import Fraction as F
 from itertools import combinations, combinations_with_replacement, product
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -146,11 +147,13 @@ def test_sp_in_expectation_matches_plain_loop(case):
 
 @given(domains.flatmap(mixtures))
 def test_universal_sp_matches_plain_loop(case):
+    """Each component is tried at its own breakpoints only, as when checked
+    alone."""
     mixture, dom = case
     mechs = mixture.component_mechanisms()
     verdict = axioms.check_strategyproofness(mixture, dom, axioms.UNIVERSAL)
     for mech in mechs:
-        expected = _reference_first(mech, mechs, dom)
+        expected = _reference_first(mech, [mech], dom)
         if expected is not None:
             assert verdict.failed
             assert verdict.witness.component == format_mechanism(mech)
@@ -193,7 +196,7 @@ def test_tiny_blocks_keep_order_and_ties(case):
         finding = axioms.search_manipulation(mixture, dom)
     assert (verdict.witness and _witness_key(verdict.witness)) == _reference_first(mixture, mechs, dom)
     first = next(
-        ((mech, found) for mech in mechs if (found := _reference_first(mech, mechs, dom))), None
+        ((mech, found) for mech in mechs if (found := _reference_first(mech, [mech], dom))), None
     )
     if first is None:
         assert universal.passed
@@ -223,10 +226,25 @@ def test_large_denominators_take_python_int_path_and_agree(domain):
     assert axioms.recheck_witness(mixture, verdict)
     universal = axioms.check_strategyproofness(mixture, dom, axioms.UNIVERSAL)
     assert universal.witness.component == "average"
-    assert _witness_key(universal.witness) == _reference_first(Average(), mechs, dom)
+    assert _witness_key(universal.witness) == _reference_first(Average(), [Average()], dom)
     finding = axioms.search_manipulation(mixture, dom)
     expected = _reference_best(mixture, mechs, dom)
     assert (finding.gain, finding.profile, finding.agent, finding.misreport) == expected
+
+
+def test_universal_sp_ignores_other_components_phantoms():
+    """A component is tried at its own breakpoints only: the average beside
+    a phantom part at -3 and -5/2 fails with the misreport -2 it fails with
+    alone, not at the other part's phantom -5/2."""
+    mechs = (Phantom((F(-3), F(-5, 2), POS_INF)), Average())
+    mixture = RandomizedMechanism(2, REAL_LINE, tuple((mech, F(1, 2)) for mech in mechs))
+    dom = axioms.CheckDomain(n=2, grid=1, domain=REAL_LINE)
+    universal = axioms.check_strategyproofness(mixture, dom, axioms.UNIVERSAL)
+    alone = axioms.check_strategyproofness(Average(), dom, axioms.DET)
+    found = universal.witness
+    assert (found.component, found.misreport, found.lhs) == ("average", -2, 0)
+    witness = replace(alone.witness, component="average")
+    assert universal == replace(alone, variant=axioms.UNIVERSAL, witness=witness)
 
 
 @pytest.mark.parametrize(
@@ -256,6 +274,76 @@ def test_block_costs_match_scalar_engine(domain, mechs):
                 assert deviating[0, row, column] == scaled.pricer(moved, sorted(moved))(x_list[i])
                 checked += 1
     assert checked > 100
+
+
+@st.composite
+def order_statistic_cases(draw):
+    """(rows, per-part phantoms, pad, positions): sorted rows of width 1..6,
+    0..6 phantoms per part, and 1-D or 2-D positions anywhere in a merged
+    row, the sentinel padding at its top end included."""
+    width, pad = draw(st.integers(1, 6)), draw(st.integers(0, 6))
+    values = st.integers(-9, 9)
+    row = st.lists(values, min_size=width, max_size=width).map(sorted)
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    phantoms = draw(st.lists(st.lists(values, max_size=pad).map(sorted), min_size=1, max_size=3))
+    index = st.integers(0, width + pad - 1)
+    k = draw(st.sampled_from([None, 1, 2, 3]))
+    each = index if k is None else st.lists(index, min_size=k, max_size=k)
+    positions = draw(st.lists(each, min_size=len(phantoms), max_size=len(phantoms)))
+    return rows, phantoms, pad, positions
+
+
+@given(order_statistic_cases(), st.sampled_from([np.int64, object]))
+def test_order_statistics_match_sorted(case, dtype):
+    """Entry positions[c] of each row merged with part c's phantoms, padded
+    with a sentinel above every value, is the same entry of Python's
+    ``sorted`` of that merge; on Python ints past 2^63 too."""
+    rows, phantoms, pad, positions = case
+    shift = 2**70 if dtype is object else 0
+    sentinel = 10 + shift
+    padded = [[y + shift for y in fins] + [sentinel] * (pad - len(fins)) for fins in phantoms]
+    got = sweep.order_statistics(
+        np.array([[x + shift for x in row] for row in rows], dtype=dtype),
+        np.array(padded, dtype=dtype).reshape(len(phantoms), pad),
+        np.array(positions, dtype=np.intp),
+    )
+    assert got.shape == (*np.shape(positions), len(rows))
+    for c, fins in enumerate(padded):
+        for r, row in enumerate(rows):
+            merged = sorted([*(x + shift for x in row), *fins])
+            for at in np.ndindex(np.shape(positions[c])):
+                assert got[(c, *at, r)] == merged[np.array(positions[c])[at]]
+
+
+@pytest.mark.parametrize("limit", [256, 1024])
+@pytest.mark.parametrize(
+    "domain, mechs",
+    [
+        (UNIT_INTERVAL, (Phantom((F(1, 7), F(2, 7), F(3, 7))), Phantom((F(0), F(4, 5), F(1))), Average())),
+        (REAL_LINE, (Dictator(2), Phantom((NEG_INF, F(-1, 2), F(7))), RankK(1))),
+        (REAL_LINE, (RankK(3), Phantom((NEG_INF, F(-5, 2), F(1, 3), F(5, 3))), Average())),
+    ],
+)
+def test_block_temporaries_fit_block_elements(domain, mechs, limit):
+    """Every block's candidate and cost arrays and every merged array of
+    ``order_statistics`` hold at most BLOCK_ELEMENTS elements, in both block
+    sweeps, per part and combined."""
+    n = len(mechs[1].phantoms) - 1
+    mixture = RandomizedMechanism(n, domain, tuple((mech, F(1, 3)) for mech in mechs))
+    with mock.patch.object(sweep, "BLOCK_ELEMENTS", limit):
+        scaled = Scaled(mixture.components, n, domain, 4)
+        for combine in (False, True):
+            sp = SpSweep(scaled, combine)
+            group = sweep.GroupSweep(scaled, scaled.grid_ints, combine)
+            with mock.patch.object(sweep, "order_statistics", wraps=sweep.order_statistics) as kernel:
+                for X in sp.blocks():
+                    _, _, candidates, deviating, _ = sp.costs(X, sp.count)
+                    assert max(candidates.size, deviating.size) <= limit
+                for X in group.blocks():
+                    assert group.costs(X, group.count)[0].size <= limit
+            assert kernel.call_count > 2
+            for (rows, phantoms, _), _ in kernel.call_args_list:
+                assert len(phantoms) * len(rows) * (rows.shape[1] + phantoms.shape[1]) <= limit
 
 
 @given(domains.flatmap(mixtures), st.booleans(), st.data())
