@@ -42,6 +42,16 @@ and the average's balance report, plus one step beyond each end on the
 real line). A strategyproofness PASS therefore covers every real
 misreport, not only the grid, and a witness misreport lies on a breakpoint.
 
+A sweep visits one profile per multiset of reports (its sorted tuple)
+when the swept cost ignores agent labels, and every ordered profile
+otherwise. Only a dictator reads labels, so a det or exp check sweeps
+multisets exactly when every agent's summed dictator weight is equal (no
+dictator at all, or Random Dictatorship's 1/n each), and a universal check,
+part by part, exactly for the parts that are not dictators. Relabelling
+keeps such a lottery's violations and sorting a profile moves it no later,
+so the first witness is the one an ordered sweep finds (see
+:func:`proploc.sweep.label_free`).
+
 Proportionality and Strong Proportionality run on the same engine's
 two-valued sweep: every profile low + pattern * (high - low) for grid pairs
 low < high (only the pair 0, 1 for proportionality) and 0/1 patterns, each
@@ -84,7 +94,6 @@ from .core import (
     ONE,
     REAL_LINE,
     UNIT_INTERVAL,
-    Dictator,
     DomainMismatchError,
     Infinite,
     MechanismError,
@@ -96,7 +105,6 @@ from .core import (
     evaluate,
     format_point,
     grid_points,
-    mechanism_is_anonymous,
     mechanism_is_phantom_class,
 )
 from .mechanisms import build_mechanism, format_mechanism
@@ -106,7 +114,9 @@ from .sweep import (
     SpSweep,
     anchored_profiles,
     checked,
+    dictator_shares,
     grid_profiles,
+    label_free,
     two_valued_profiles,
 )
 
@@ -424,10 +434,7 @@ def _anonymity_first(components, dom: CheckDomain, combine: bool, mixture=None):
     n = dom.n
     pairs = checked(components, n, dom.domain)
     for index, group in enumerate([pairs] if combine else [[pair] for pair in pairs]):
-        weights = [ZERO] * n
-        for mech, weight in group:
-            if isinstance(mech, Dictator):
-                weights[mech.agent - 1] += weight
+        weights = dictator_shares(group, n)
         moving = [j for j in range(n - 1) if weights[j] != weights[j + 1]]
         if moving:
             break
@@ -527,10 +534,13 @@ def _exact(mixture, dom: CheckDomain, profiles, violation):
     first ``violation(locations, price)`` over ``profiles(anonymous)``, as
     (agent, group, lhs, bound), where ``price(x)`` is the expected distance
     of an agent at location x, every agent priced in one call to the exact
-    closed forms of :mod:`proploc.analysis`. The family is anonymous, so the
-    finite components decide ``anonymous``.
+    closed forms of :mod:`proploc.analysis`. The family draws its phantoms
+    i.i.d. and ignores agent labels, so the finite components decide
+    ``anonymous`` by the block sweeps' rule,
+    :func:`proploc.sweep.label_free`: multisets when every agent's summed
+    dictator weight is equal, with the same first witness.
     """
-    anonymous = all(mechanism_is_anonymous(mech) for mech, _ in mixture.components)
+    anonymous = label_free(mixture.components, dom.n, True)
     for locations in profiles(anonymous):
         distances = analysis.expected_agent_distances(mixture, Profile(dom.domain, locations))
         found = violation(locations, dict(zip(locations, distances)).__getitem__)
@@ -611,8 +621,10 @@ def check_strong_proportionality(mechanism, dom: CheckDomain, variant: str = DET
     group-weighted average).
 
     The profiles are ``low + pattern * (high - low)`` for every grid pair
-    low < high, in grid order, and every 0/1 pattern (multisets when the
-    mechanism is anonymous, ordered vectors otherwise); within a profile
+    low < high, in grid order, and every 0/1 pattern: multisets when the
+    checked lottery ignores agent labels (no dictator, or equal summed
+    dictator weights for every agent; see :func:`proploc.sweep.label_free`),
+    ordered vectors otherwise, with the same first witness. Within a profile
     the low group's members come first, then the high group's. Finite
     mixtures are swept in blocks by :class:`proploc.sweep.GroupSweep`; the
     exact path for a continuous family reads the same order.
@@ -696,7 +708,7 @@ def _spf_first(components, dom: CheckDomain, combine: bool):
     for index, group in enumerate(groups):
         scaled = Scaled(group, dom.n, dom.domain, dom.grid)
         profiles = anchored_profiles if scaled.translation_equivariant else grid_profiles
-        for X in profiles(scaled.grid_ints, dom.n, scaled.anonymous):
+        for X in profiles(scaled.grid_ints, dom.n, scaled.anonymous(combine)):
             found = _spf_violation(X, scaled.pricer(X, sorted(X)), scaled.wden)
             if found is not None:
                 agent, group, cost, bound = found
@@ -719,7 +731,8 @@ def check_spf(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVerdict:
     grid's lowest point, which hold its first failure (see
     :func:`_spf_first`); its PASS then covers every real translate of a
     grid profile that stays in the domain. Other mixtures sweep every grid
-    profile.
+    profile. Either sweep visits one profile per multiset when the lottery
+    ignores agent labels (see :func:`proploc.sweep.label_free`).
     """
     n = dom.n
     exact = partial(_spf_violation, scale=Fraction(1, n))

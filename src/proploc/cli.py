@@ -67,17 +67,18 @@ TABLE_COLUMNS = (
 
 
 def _parse_profile(text: str, domain: str) -> Profile:
+    """An inline profile, one pair of brackets around comma-separated
+    points with no empty entry, or a JSON profile file."""
     token = text.strip()
+    malformed = MechanismError(f"expected --profile (x1,...,xn) or a JSON file, got {text!r}")
     if not token:
-        raise MechanismError(f"expected --profile (x1,...,xn) or a JSON file, got {text!r}")
-    if token.startswith("(") or token.startswith("["):
-        body = token.strip("()[]")
-        entries = [item.strip() for item in body.split(",") if item.strip()]
-        locations = []
-        for entry in entries:
-            point = parse_point(entry)
-            locations.append(point)
-        return Profile(domain, tuple(locations))
+        raise malformed
+    if token[0] in "([":
+        body = token[1:-1]
+        entries = [item.strip() for item in body.split(",")]
+        if token[-1] != {"(": ")", "[": "]"}[token[0]] or any(c in body for c in "()[]") or "" in entries:
+            raise malformed
+        return Profile(domain, tuple(parse_point(entry) for entry in entries))
     try:
         data = json.loads(Path(token).read_text())
     except ValueError as exc:  # malformed JSON or text that is not UTF-8
@@ -89,9 +90,14 @@ def _parse_profile(text: str, domain: str) -> Profile:
 
 
 def _emit(text: str, out: str | None):
-    print(text)
+    """Write the report to ``out``, if given, then print it: a file that
+    cannot be written is an error before anything is printed."""
     if out:
-        Path(out).write_text(text + "\n")
+        try:
+            Path(out).write_text(text + "\n")
+        except OSError as exc:
+            raise MechanismError(f"cannot write --out {out!r}: {exc.strerror or exc}") from None
+    print(text)
 
 
 def _format_table_markdown(report: dict) -> str:

@@ -14,6 +14,11 @@ Every rank and phantom part outputs an order statistic of the reports and
 its finite phantoms (Moulin, Public Choice 1980): :func:`order_statistics`
 computes them for a block, in both block sweeps.
 
+A sweep whose cost ignores agent labels (no dictator part, or, for the
+weighted mixture, equal summed dictator weights for every agent) visits one
+profile per multiset of reports and finds the same first failure as an
+ordered sweep: see :func:`label_free`.
+
 A sweep computes, per block, a (component, row, ...) array and reduces it:
 the first failing component in order, a weighted sum over components, or
 the largest gain. Every block temporary holds at most
@@ -45,7 +50,6 @@ from .core import (
     Phantom,
     RankK,
     UniformPhantom,
-    mechanism_is_anonymous,
     to_phantom_form,
 )
 
@@ -135,8 +139,8 @@ class Scaled:
                 dictators.append((c, mech.agent - 1))
             else:
                 averages.append(c)
+        self.components = components
         self.ranked, self.dictators, self.averages = tuple(ranked), tuple(dictators), tuple(averages)
-        self.anonymous = all(mechanism_is_anonymous(mech) for mech, _ in components)
         # Dictators and averages commute with x -> x + t, and so does a rank
         # or phantom part without finite phantoms, or on [0,1] with phantoms
         # at 0 and 1 only, both present: inside the domain they act as -inf
@@ -159,6 +163,11 @@ class Scaled:
         if combine:
             coef = [a * u for a, u in zip(coef, self.u)]
         return coef
+
+    def anonymous(self, combine: bool) -> bool:
+        """Whether the swept cost ignores agent labels, so that one profile
+        per multiset of reports is swept: see :func:`label_free`."""
+        return label_free(self.components, self.n, combine)
 
     def to_frac(self, value: int) -> Fraction:
         return Fraction(value, self.D)
@@ -187,8 +196,42 @@ class Scaled:
         rows = [[*fins] + [fill] * (pad - len(fins)) for _, fins, _ in self.ranked]
         return np.array(rows, dtype=dtype).reshape(len(rows), pad)
 
-    def profiles(self):
-        return grid_profiles(self.grid_ints, self.n, self.anonymous)
+
+def dictator_shares(components, n: int) -> list[Fraction]:
+    """Each agent's summed dictator weight over (mechanism, weight) pairs."""
+    shares = [ZERO] * n
+    for mech, weight in components:
+        if isinstance(mech, Dictator):
+            shares[mech.agent - 1] += weight
+    return shares
+
+
+def label_free(components, n: int, combine: bool) -> bool:
+    """Whether the (mechanism, weight) pairs ignore agent labels: with
+    ``combine`` the weighted mixture (its expected cost), otherwise each
+    part alone. Every kind but a dictator reads only the multiset of
+    reports, so the mixture is label-free exactly when every agent's summed
+    dictator weight is equal (a permutation of the reports then permutes the
+    dictators' equal weights), and each part alone exactly when none is a
+    dictator. Equal shares prove nothing part by part: each part is then
+    checked at weight 1.
+
+    A label-free sweep visits one profile per orbit of the relabellings,
+    its sorted tuple, and finds the first failure an ordered sweep finds.
+    Relabelling a profile keeps its violations (the agents relabelled with
+    it), and sorting it gives a profile no later in lexicographic order, so
+    the first failing ordered profile is sorted. Restricted to sorted
+    tuples, the order of ``product`` is that of
+    ``combinations_with_replacement``. On that profile both sweeps check
+    the same agents, reports and subsets in the same order, except that a
+    multiset sweep may skip an agent repeating the previous agent's report:
+    the swap of the two leaves the profile unchanged, so the two cost the
+    same, and the first agent and its smallest violating report stay. The
+    same holds for the largest manipulation gain and its first instance.
+    """
+    if combine:
+        return len(set(dictator_shares(components, n))) == 1
+    return not any(isinstance(mech, Dictator) for mech, _ in components)
 
 
 def profile_blocks(profiles, size: int, dtype):
@@ -285,6 +328,7 @@ class SpSweep:
         big = 2 * n * max(map(abs, fixed)) + 1
         dtype = np.int64 if 4 * n * big * sum(scaled.u) < INT64_BOUND else object
         self.scaled, self.combine, self.big, self.dtype = scaled, combine, big, dtype
+        self.anonymous = scaled.anonymous(combine)
         self.fixed = np.array(fixed, dtype=dtype)
         self.count = 1 if combine else len(scaled.u)
         self.other_agents = np.array([[j for j in range(n) if j != i] for i in range(n)])
@@ -307,7 +351,8 @@ class SpSweep:
         self.block_profiles = max(1, BLOCK_ELEMENTS // (per_row * n))
 
     def blocks(self):
-        return profile_blocks(self.scaled.profiles(), self.block_profiles, self.dtype)
+        profiles = grid_profiles(self.scaled.grid_ints, self.scaled.n, self.anonymous)
+        return profile_blocks(profiles, self.block_profiles, self.dtype)
 
     def _bounds(self, rows, others, agent, true, balance, parts: int):
         """(lo, hi, b), each (part, row), of the first ``parts`` parts."""
@@ -318,7 +363,7 @@ class SpSweep:
         b[:] = true
         k = bisect_left(self.clip, parts)
         if k:
-            if not self.scaled.anonymous:
+            if not self.anonymous:
                 others = np.sort(others, axis=1)
             reports = np.empty((len(rows), n + 1), dtype=self.dtype)
             reports[:, 0], reports[:, 1:-1], reports[:, -1] = -big, others, big
@@ -337,14 +382,15 @@ class SpSweep:
     def costs(self, X, limit: int):
         """(prof, agent, candidates, deviating, truthful) of one block.
 
-        Rows are (profile, agent) pairs in order; an anonymous mixture skips
-        an agent repeating the previous agent's report, whose costs are the
-        same. ``deviating`` is (component, row, candidate) and ``truthful``
+        Rows are (profile, agent) pairs in order; a label-free sweep, whose
+        profiles are sorted, skips an agent repeating the previous agent's
+        report, whose costs are the same (see :func:`label_free`).
+        ``deviating`` is (component, row, candidate) and ``truthful``
         (component, row), for the first ``limit`` components.
         """
         scaled, n = self.scaled, self.scaled.n
         keep = np.ones(X.shape, dtype=bool)
-        if scaled.anonymous:
+        if self.anonymous:
             keep[:, 1:] = X[:, 1:] != X[:, :-1]
         prof, agent = np.nonzero(keep)
         rows = X[prof]
@@ -428,7 +474,7 @@ class SpSweep:
 
 def grid_profiles(values, n: int, anonymous: bool):
     """Every profile of n reports from ``values``, lexicographic: multisets
-    for an anonymous mechanism, ordered vectors otherwise."""
+    (sorted tuples) for a label-free cost, ordered vectors otherwise."""
     if anonymous:
         return combinations_with_replacement(values, n)
     return product(values, repeat=n)
@@ -447,7 +493,7 @@ def two_valued_profiles(values, n: int, anonymous: bool):
     """Every profile ``low + pattern * (high - low)`` for low < high in
     ``values``, in check order: the pairs as ``values`` lists them (low
     outer, high inner), then the 0/1 patterns in lexicographic order, as
-    multisets for an anonymous mechanism and as ordered vectors otherwise.
+    multisets for a label-free cost and as ordered vectors otherwise.
     Both proportionality axioms read their instances in this order, on the
     block sweep and on the exact path alike."""
     patterns = list(grid_profiles((0, 1), n, anonymous))
@@ -472,11 +518,15 @@ class GroupSweep:
     reports plus its finite phantoms (a phantom), a dictator's report, or
     the sum of the reports (the average, whose cost is |n*true - sum|).
     ``combine`` sums the parts with their weights into one component (the
-    in-expectation cost); otherwise each part is its own component. Ordered
-    profiles, swept when some part is a dictator, need no multiset filter
-    for the anonymous parts: among the patterns with the same number of
-    ones, the sorted one 0...01...1 comes first, so an anonymous part's
-    first failure lies on the multiset it would meet when swept alone.
+    in-expectation cost); otherwise each part is its own component. The
+    patterns are multisets when the swept cost ignores agent labels (see
+    :func:`label_free`), ordered vectors otherwise: for the weighted
+    mixture, when some agent's summed dictator weight differs from
+    another's; part by part, when some part is a dictator. Ordered patterns
+    need no multiset filter for the label-free parts: among the patterns
+    with the same number of ones, the sorted one 0...01...1 comes first, so
+    such a part's first failure lies on the multiset it would meet when
+    swept alone.
     """
 
     def __init__(self, scaled, values, combine: bool):
@@ -500,7 +550,7 @@ class GroupSweep:
         self.block_profiles = max(1, BLOCK_ELEMENTS // (len(scaled.u) * (n + self.phantoms.shape[1])))
 
     def blocks(self):
-        profiles = two_valued_profiles(self.values, self.scaled.n, self.scaled.anonymous)
+        profiles = two_valued_profiles(self.values, self.scaled.n, self.scaled.anonymous(self.combine))
         return profile_blocks(profiles, self.block_profiles, self.dtype)
 
     def costs(self, X, limit: int):

@@ -299,6 +299,26 @@ def test_out_flag_writes_the_report(tmp_path, capsys):
     assert json.loads(target.read_text())["expected_location"] == "0"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--mechanism", "median", "--profile", "(0,1)"],
+        ["check", "--mechanism", "median", "--axiom", "anonymity", "--n", "2", "--grid", "2"],
+    ],
+    ids=["run", "check"],
+)
+def test_unwritable_out_fails_before_printing(tmp_path, capsys, argv):
+    """A report file that cannot be written is one error line naming
+    --out, with nothing on stdout, not the report followed by exit 2."""
+    target = tmp_path / "absent" / "report.txt"
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--out" in err and str(target) in err
+    assert not target.exists()
+
+
 def test_real_line_domain_flag(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -354,6 +374,9 @@ def test_real_line_domain_flag(capsys):
         (["prop1", "--grid-check", "-1"], None),
         (["run", "--mechanism", "median", "--profile", ""], None),
         (["run", "--mechanism", "median", "--profile", "  "], None),
+        (["run", "--mechanism", "median", "--profile", "(0,,1)"], None),
+        (["run", "--mechanism", "median", "--profile", "(,0,1)"], None),
+        (["run", "--mechanism", "median", "--profile", "(0,1/2))"], None),
     ],
     ids=[
         "missing-profile-file",
@@ -385,6 +408,9 @@ def test_real_line_domain_flag(capsys):
         "prop1-grid-check-negative",
         "blank-profile",
         "whitespace-profile",
+        "profile-empty-entry",
+        "profile-leading-empty-entry",
+        "profile-stray-bracket",
     ],
 )
 def test_bad_input_prints_error_and_exits_2(tmp_path, capsys, argv, profile_text):
@@ -437,11 +463,21 @@ def test_bad_input_prints_error_and_exits_2(tmp_path, capsys, argv, profile_text
          "error: expected --p <rational> in [0,1], e.g. 1/2, got '-1/2'\n"),
         (["run", "--mechanism", "median", "--profile", ""],
          "error: expected --profile (x1,...,xn) or a JSON file, got ''\n"),
+        (["run", "--mechanism", "median", "--profile", "(0,,1)"],
+         "error: expected --profile (x1,...,xn) or a JSON file, got '(0,,1)'\n"),
+        (["run", "--mechanism", "median", "--profile", "(,0,1)"],
+         "error: expected --profile (x1,...,xn) or a JSON file, got '(,0,1)'\n"),
+        (["run", "--mechanism", "median", "--profile", "(0,1/2))"],
+         "error: expected --profile (x1,...,xn) or a JSON file, got '(0,1/2))'\n"),
+        (["run", "--mechanism", "median", "--profile", "[0,1)"],
+         "error: expected --profile (x1,...,xn) or a JSON file, got '[0,1)'\n"),
     ],
     ids=["avg-or-rr-zero-denominator", "iid-phantom-without-atoms", "iid-phantom-atoms-not-a-list",
          "iid-phantom-zero-denominator", "add-doubled-w", "add-w-underscore-w", "add-without-index",
          "perturb-without-colon", "run-phantom-wrong-length", "check-phantom-wrong-length",
-         "table-zero-denominator-p", "table-bad-p", "table-p-above-1", "table-p-below-0", "blank-profile"],
+         "table-zero-denominator-p", "table-bad-p", "table-p-above-1", "table-p-below-0", "blank-profile",
+         "profile-empty-entry", "profile-leading-empty-entry", "profile-stray-bracket",
+         "profile-mismatched-brackets"],
 )
 def test_malformed_spec_body_is_a_one_line_error(capsys, argv, message):
     """A spec body or option value that parses but cannot be read is bad
