@@ -67,18 +67,22 @@ fails at a unanimous profile just beyond that end. Only a dictator reads
 agent labels, so the dictator weights decide anonymity (see
 :func:`_anonymity_first`).
 
-SPF stays in pure Python. An agent's cost depends only on its own
-location, so each profile prices each distinct location once, and a window
-test over the sorted reports decides the profile in O(n^2) windows rather
-than 2^n subsets (see :func:`_spf_violation`). Only a failing profile
-walks its subsets, in order, for the first witness. A finite mixture whose
+SPF runs on the same engine (:class:`proploc.sweep.SpfSweep`). An agent's
+cost depends only on its own location, so the group sweep's per-slot prices
+are the SPF prices, and an O(n) window rule over the sorted reports decides
+each profile in a constant number of array operations rather than 2^n
+subsets (see :func:`proploc.sweep.spf_fails`). Only the first failing
+(component, profile) walks its subsets, in order, with the engine's prices,
+for the first witness (see :func:`_spf_violation`). A finite mixture whose
 parts all commute with x -> x + t (ranks, dictators, averages, phantom
 vectors of domain ends) keeps every cost and bound under translation, so
 its first failing profile contains the grid's lowest point: only those
-profiles are swept (see :func:`_spf_first`), and its PASS covers every real
-translate of a grid profile that stays in the domain. The exact path for a
-continuous family runs the same rule on prices from :mod:`proploc.analysis`
-over every grid profile.
+profiles are swept, and its PASS covers every real translate of a grid
+profile that stays in the domain. A universal check sweeps its components
+stacked, over the widest enumeration any of them needs, with each one's
+first failure unchanged. The exact path for a continuous family runs the
+same rule on ``Fraction`` prices from :mod:`proploc.analysis` over every
+grid profile.
 """
 
 from __future__ import annotations
@@ -88,6 +92,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
+
+import numpy as np
 
 from . import analysis
 from .core import (
@@ -111,12 +117,13 @@ from .mechanisms import build_mechanism, format_mechanism
 from .sweep import (
     GroupSweep,
     Scaled,
+    SpfSweep,
     SpSweep,
-    anchored_profiles,
     checked,
     dictator_shares,
     grid_profiles,
     label_free,
+    spf_fails,
     two_valued_profiles,
 )
 
@@ -640,80 +647,51 @@ def check_strong_proportionality(mechanism, dom: CheckDomain, variant: str = DET
 
 
 def _spf_violation(X, price, scale):
-    """(agent, group, cost, bound) of the first SPF violation on profile X,
-    or None.
+    """(agent, group, cost, bound) of the first SPF violation on profile X.
 
     The instances are every subset S of the agents, by size and then
     lexicographically, each member in order. A member at x violates when
     price(x) > scale * ((n - |S|) * R + n * r), for the profile's range R
-    and the subset's inner range r; ``price`` is called once per distinct
-    location.
-
-    A window test over the sorted reports xs decides the profile first:
-    some member of some S violates iff, for sorted positions a <= b, the
-    largest price among positions a..b exceeds
-    scale * ((n - (b - a + 1)) * R + n * (xs[b] - xs[a])). Any S fits in
-    the window its members span, which holds at least |S| agents;
-    conversely the whole window is a subset that contains its priciest
-    agent and has inner range the window's width. So O(n^2) windows stand
-    in for the 2^n subsets, and only a failing profile walks its subsets,
-    for the first witness.
+    and the subset's inner range r. Both paths call it only on a profile
+    that :func:`proploc.sweep.spf_fails` fails, for the first witness.
     """
     n = len(X)
-    prices = {x: price(x) for x in set(X)}
-    xs = sorted(X)
-    spread = xs[-1] - xs[0]
-    if not _spf_window_fails(xs, [prices[x] for x in xs], scale * spread, scale * n):
-        return None
+    spread = max(X) - min(X)
     for size in range(1, n + 1):
         for subset in combinations(range(n), size):
             values = [X[j] for j in subset]
             bound = scale * ((n - size) * spread + n * (max(values) - min(values)))
             for j in subset:
-                if prices[X[j]] > bound:
-                    return j + 1, tuple(j + 1 for j in subset), prices[X[j]], bound
+                if price(X[j]) > bound:
+                    return j + 1, tuple(j + 1 for j in subset), price(X[j]), bound
+
+
+def _spf_exact(locations, price):
+    """The exact path's SPF violation on one profile, or None: the engine's
+    rule, :func:`proploc.sweep.spf_fails`, on the profile's ``Fraction``
+    prices, then the subset walk if it fails."""
+    n = len(locations)
+    true = np.array([sorted(locations)], dtype=object)
+    cost = np.array([[price(x) for x in true[0]]], dtype=object)
+    scale = Fraction(1, n)
+    if spf_fails(true, cost, scale, np.arange(n)).any():
+        return _spf_violation(locations, price, scale)
     return None
-
-
-def _spf_window_fails(xs, costs, unit_spread, unit_width) -> bool:
-    """Whether some window a..b of the sorted reports ``xs`` has a cost above
-    (n - (b - a + 1)) * unit_spread + unit_width * (xs[b] - xs[a]);
-    ``costs`` are non-negative, in the order of ``xs``."""
-    n = len(xs)
-    slack = [(n - count) * unit_spread for count in range(n + 1)]
-    edges = [unit_width * x for x in xs]
-    for a in range(n):
-        top, start = 0, edges[a]
-        for b in range(a, n):
-            if costs[b] > top:
-                top = costs[b]
-            if top + start > slack[b - a + 1] + edges[b]:
-                return True
-    return False
 
 
 def _spf_first(components, dom: CheckDomain, combine: bool):
     """(component index, witness, "") of the first subset member beyond its
-    SPF bound, or None: each profile priced once per location and decided by
-    :func:`_spf_violation`, at the cost scale wden * n * D.
-
-    A translation-equivariant mixture (see
-    :attr:`proploc.sweep.Scaled.translation_equivariant`) has the same costs
-    and bounds on every translate of a profile, so a failing profile still
-    fails shifted down until its minimum is the grid's lowest point; that
-    shift stays on the grid and comes earlier in the sweep. Its first
-    failing profile therefore contains the lowest point, and only those
-    profiles are swept, in the full sweep's order."""
-    groups = [components] if combine else [[component] for component in components]
-    for index, group in enumerate(groups):
-        scaled = Scaled(group, dom.n, dom.domain, dom.grid)
-        profiles = anchored_profiles if scaled.translation_equivariant else grid_profiles
-        for X in profiles(scaled.grid_ints, dom.n, scaled.anonymous(combine)):
-            found = _spf_violation(X, scaled.pricer(X, sorted(X)), scaled.wden)
-            if found is not None:
-                agent, group, cost, bound = found
-                return index, _witness(scaled, X, cost, bound, agent=agent, group=group), ""
-    return None
+    SPF bound, or None. :class:`proploc.sweep.SpfSweep` finds the first
+    failing (component, profile); only that row walks its subsets
+    (:func:`_spf_violation`), with the engine's prices at the cost scale
+    wden * n * D."""
+    scaled = Scaled(components, dom.n, dom.domain, dom.grid)
+    hit = SpfSweep(scaled, combine).first_violation()
+    if hit is None:
+        return None
+    X, prices = hit[1]
+    agent, group, cost, bound = _spf_violation(X, prices.__getitem__, scaled.wden)
+    return hit[0], _witness(scaled, X, cost, bound, agent=agent, group=group), ""
 
 
 def check_spf(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVerdict:
@@ -721,28 +699,29 @@ def check_spf(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVerdict:
     R, keeps each member within R(n-|S|)/n + r (the Proportional Fairness of
     Aziz, Lam, Lee and Walsh, WINE 2022).
 
-    Every subset is covered: each profile is priced once per distinct
-    location and decided by a window test over its sorted reports; only a
-    failing profile walks its subsets, by size and then lexicographically,
-    for the first witness (see :func:`_spf_violation`). Finite mixtures run
-    on rescaled integers, a continuous family through the exact closed
-    forms, on the same rule. A mixture (or, universally, a component) that
+    Every subset is covered: each profile is priced once per sorted slot
+    and decided by the O(n) window rule of :func:`proploc.sweep.spf_fails`;
+    only the first failing profile walks its subsets, by size and then
+    lexicographically, for the first witness (see :func:`_spf_violation`).
+    Finite mixtures run on the block engine (:func:`_spf_first`), a
+    continuous family through the exact closed forms, on the same rule over
+    ``Fraction`` prices. A mixture (or, universally, every component) that
     commutes with translation sweeps only the grid profiles through the
     grid's lowest point, which hold its first failure (see
-    :func:`_spf_first`); its PASS then covers every real translate of a
-    grid profile that stays in the domain. Other mixtures sweep every grid
-    profile. Either sweep visits one profile per multiset when the lottery
-    ignores agent labels (see :func:`proploc.sweep.label_free`).
+    :class:`proploc.sweep.SpfSweep`); its PASS then covers every real
+    translate of a grid profile that stays in the domain. Other mixtures
+    sweep every grid profile. Either sweep visits one profile per multiset
+    when the lottery ignores agent labels (see
+    :func:`proploc.sweep.label_free`).
     """
     n = dom.n
-    exact = partial(_spf_violation, scale=Fraction(1, n))
     return _decide(
         SPF,
         mechanism,
         dom,
         variant,
         _spf_first,
-        lambda mixture: _exact(mixture, dom, partial(grid_profiles, dom.points(), n), exact),
+        lambda mixture: _exact(mixture, dom, partial(grid_profiles, dom.points(), n), _spf_exact),
     )
 
 

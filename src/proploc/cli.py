@@ -343,7 +343,8 @@ def _cmd_solve_weights(args) -> int:
 
 
 def _cmd_prop1(args) -> int:
-    samples = tuple(Fraction(tok) for tok in args.samples.split(","))
+    form = "--samples <rational>[,<rational>...], e.g. 1/2,1"
+    samples = tuple(_parse_option(tok, r"(.*)", form)[0] for tok in args.samples.split(","))
     certificate = analysis.prop1_infeasibility(samples)
     matches = analysis.prop1_grid_sweep(certificate, grid=args.grid_check)
     payload = certificate.to_json()

@@ -133,7 +133,7 @@ def _keyed(key: str, pattern: str, kind: str, convert):
         if match:
             try:
                 return convert(match.group(1))
-            except ZeroDivisionError:
+            except (ValueError, ZeroDivisionError):
                 pass
         raise MechanismError(f"expected {name}:{key}=<{kind}>, got {text!r}")
 
@@ -153,7 +153,7 @@ def _read_atoms(name: str, body: str, text: str) -> tuple:
         return tuple((Fraction(str(loc)), Fraction(str(prob))) for loc, prob in data["atoms"])
     except json.JSONDecodeError as exc:
         raise MechanismError(f"cannot parse {text!r}: {exc}") from exc
-    except (KeyError, TypeError, ZeroDivisionError):
+    except (KeyError, TypeError, ValueError, ZeroDivisionError):
         raise MechanismError(f"expected {name}:{{atoms:[[location,probability],...]}}, got {text!r}") from None
 
 

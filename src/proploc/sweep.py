@@ -8,11 +8,14 @@ once, by kind: phantom parts (ranks among them), dictators and averages.
 The sweeps read that layout and run its grid profiles in blocks, in
 enumeration order, as numpy arrays: int64 while every scaled value provably
 stays below 2^62, Python ints (``dtype=object``) on the same code path
-otherwise. SPF prices one profile at a time through :meth:`Scaled.pricer`.
+otherwise. The group and SPF sweeps share one pricing step
+(:meth:`GroupSweep.prices`): an agent's cost there depends only on its own
+location, so each sorted slot of a profile is priced once, and SPF decides
+a profile from those prices in O(n) (see :func:`spf_fails`).
 
 Every rank and phantom part outputs an order statistic of the reports and
 its finite phantoms (Moulin, Public Choice 1980): :func:`order_statistics`
-computes them for a block, in both block sweeps.
+computes them for a block, in every block sweep.
 
 A sweep whose cost ignores agent labels (no dictator part, or, for the
 weighted mixture, equal summed dictator weights for every agent) visits one
@@ -174,20 +177,6 @@ class Scaled:
 
     def cost_frac(self, scaled_cost: int) -> Fraction:
         return Fraction(scaled_cost, self.cost_scale)
-
-    def pricer(self, x_list, xs_sorted):
-        """true -> the cost of an agent at ``true`` on one profile, at the
-        scale wden * n * D, the parts' outputs computed once: part c adds
-        u[c] * |n * true - v|, where v is n times its output, or the sum of
-        the reports for an average."""
-        n, u, terms = self.n, self.u, []
-        for c, fins, position in self.ranked:
-            terms.append((u[c], n * sorted([*xs_sorted, *fins])[position]))
-        for c, j in self.dictators:
-            terms.append((u[c], n * x_list[j]))
-        for c in self.averages:
-            terms.append((u[c], sum(x_list)))
-        return lambda true: sum(w * abs(n * true - v) for w, v in terms)
 
     def padded_phantoms(self, fill, dtype):
         """(ranked part, slot): each rank or phantom part's finite phantoms,
@@ -535,10 +524,12 @@ class GroupSweep:
         self.count = 1 if combine else len(scaled.u)
         self.clip = [c for c, _, _ in ranked]
         # Every report and phantom lies in (-big, big), so every cost stays
-        # below 2 * n * big * weight and every bound below 2 * n * big * wden.
+        # below 2 * n * big * weight, every group bound below
+        # 2 * n * big * wden and every SPF bound below 8 * n * big * wden
+        # (see spf_fails).
         big = max(map(abs, [*scaled.grid_ints, *scaled.phantom_values])) + 1
         weight = sum(scaled.u) if combine else 1
-        dtype = np.int64 if 4 * n * big * (weight + scaled.wden) < INT64_BOUND else object
+        dtype = np.int64 if 8 * n * big * (weight + scaled.wden) < INT64_BOUND else object
         self.dtype = dtype
         self.phantoms = scaled.padded_phantoms(big, dtype)
         self.positions = np.array([t for _, _, t in ranked], dtype=np.intp)
@@ -553,20 +544,15 @@ class GroupSweep:
         profiles = two_valued_profiles(self.values, self.scaled.n, self.scaled.anonymous(self.combine))
         return profile_blocks(profiles, self.block_profiles, self.dtype)
 
-    def costs(self, X, limit: int):
-        """(cost, bound) of one block: ``cost`` is (component, profile, slot)
-        for the first ``limit`` components, ``bound`` (profile, slot). Slot
-        j holds the j-th smallest report, whose agent is the j-th in a
-        stable sort of the profile."""
-        scaled, n = self.scaled, self.scaled.n
+    def prices(self, X, limit: int):
+        """(true, cost) of one block: ``true`` is (profile, slot), each
+        profile sorted, and ``cost`` (component, profile, slot), for the
+        first ``limit`` components, the cost of an agent at
+        ``true[profile, slot]``. Every part's output reads the profile alone,
+        so an agent's cost depends only on its own location."""
+        scaled = self.scaled
         parts = len(scaled.u) if self.combine else limit
         true = np.sort(X, axis=1)
-        low, high = true[:, :1], true[:, -1:]
-        lows = (X == low).sum(axis=1, keepdims=True)
-        # n - s: the size of the other group.
-        others = np.where(self.slots < lows, n - lows, lows)
-        bound = others * (scaled.wden * (high - low))
-
         out = np.empty((parts, len(X)), dtype=self.dtype)
         k = bisect_left(self.clip, parts)
         if k:
@@ -582,6 +568,20 @@ class GroupSweep:
         np.multiply(cost, self.coef[:parts], out=cost)
         if self.combine:
             cost = cost.sum(axis=0, keepdims=True)
+        return true, cost
+
+    def costs(self, X, limit: int):
+        """(cost, bound) of one block: ``cost`` is (component, profile, slot)
+        for the first ``limit`` components, ``bound`` (profile, slot). Slot
+        j holds the j-th smallest report, whose agent is the j-th in a
+        stable sort of the profile."""
+        n = self.scaled.n
+        true, cost = self.prices(X, limit)
+        low, high = true[:, :1], true[:, -1:]
+        lows = (X == low).sum(axis=1, keepdims=True)
+        # n - s: the size of the other group.
+        others = np.where(self.slots < lows, n - lows, lows)
+        bound = others * (self.scaled.wden * (high - low))
         return cost, bound
 
     def first_violation(self):
@@ -606,5 +606,95 @@ class GroupSweep:
                 int(cost[component, row, slot]),
                 int(bound[row, slot]),
             )
+
+        return first_failure(self.blocks(), self.count, block_hit)
+
+
+def spf_fails(true, cost, scale, slots):
+    """Mask, shaped as ``cost``, of the slots that cost more than their SPF
+    bound: ``true`` is (profile, slot), each profile sorted, ``cost``
+    (profile, slot) or (component, profile, slot), and ``slots`` 0..n-1. A
+    profile fails SPF exactly when one of its slots is marked.
+
+    SPF asks, of every subset S of the agents with inner range r on a
+    profile of range R, that each member cost at most
+    scale * ((n - |S|) * R + n * r). Sort the reports as
+    x_0 <= ... <= x_{n-1}. A subset whose members span the slots a..b has
+    inner range x_b - x_a and at most b - a + 1 members, so its bound is at
+    least that of the window a..b, a subset that holds all its members. So
+    some member of some subset fails exactly when some slot j of some window
+    a <= j <= b costs more than the window's bound. With
+    g_k = n * x_k - k * R, that bound,
+    scale * ((n - (b - a + 1)) * R + n * (x_b - x_a)), is
+    scale * ((n - 1) * R + g_b - g_a). For slot j it is least at the largest
+    g_a over a <= j and the smallest g_b over b >= j: a running maximum and
+    a reversed running minimum, O(n) per profile, where there are O(n^2)
+    windows and 2^n subsets.
+
+    The rule reads any ordered numbers: int64 reports, Python ints, or the
+    ``Fraction`` prices of the exact path on ``dtype=object``. For reports
+    in (-big, big), R < 2 * big, |g| < 3 * n * big and every bound is below
+    8 * n * big * scale: the int64 guard of :class:`GroupSweep`.
+    """
+    n = true.shape[1]
+    spread = true[:, -1:] - true[:, :1]
+    g = n * true - slots * spread
+    high = np.maximum.accumulate(g, axis=1)
+    low = np.minimum.accumulate(g[:, ::-1], axis=1)[:, ::-1]
+    return cost > scale * ((n - 1) * spread + low - high)
+
+
+class SpfSweep(GroupSweep):
+    """SPF of one rescaled mixture over its grid profiles, each block priced
+    by :meth:`GroupSweep.prices` and decided by :func:`spf_fails`; only the
+    first failing (component, profile) leaves the engine, with its prices,
+    for the subset walk that names the witness.
+
+    A mixture whose every part commutes with translation (see
+    :attr:`Scaled.translation_equivariant`) has the same costs and bounds
+    on every translate of a profile, so a failing profile still fails
+    shifted down until its minimum is the grid's lowest point; that shift
+    stays on the grid and comes earlier in the sweep. Its first failing
+    profile therefore contains the lowest point, and only those profiles
+    are swept (:func:`anchored_profiles`), in the full sweep's order. The
+    profiles are multisets when the swept cost ignores agent labels (see
+    :func:`label_free`).
+
+    Without ``combine`` every part is its own component, all swept at once
+    over the widest enumeration any of them needs: ordered profiles if some
+    part is a dictator, the full grid if some part does not commute with
+    translation. Each part's first failure is unchanged. The anchored
+    profiles are the full grid's, filtered in order, and hold the first
+    failure of a part that commutes with translation, so the full grid
+    meets that same profile first. A label-free part's first failing
+    ordered profile is sorted, the multiset it meets alone (see
+    :func:`label_free`). The first hit of the (component, profile, slot)
+    mask then lies in the first failing component's first failing profile.
+    """
+
+    def __init__(self, scaled, combine: bool):
+        super().__init__(scaled, scaled.grid_ints, combine)
+
+    def blocks(self):
+        scaled = self.scaled
+        profiles = anchored_profiles if scaled.translation_equivariant else grid_profiles
+        return profile_blocks(profiles(self.values, scaled.n, scaled.anonymous(self.combine)),
+                              self.block_profiles, self.dtype)
+
+    def first_violation(self):
+        """(component, (profile, prices)) of the first profile on which some
+        subset member exceeds its SPF bound, or None: ``prices`` maps each
+        location of the profile to that component's cost there."""
+        wden = self.scaled.wden
+
+        def block_hit(X, limit):
+            true, cost = self.prices(X, limit)
+            mask = spf_fails(true, cost, wden, self.slots)
+            flat = first_hit(mask)
+            if flat is None:
+                return None
+            component, row, _ = np.unravel_index(flat, mask.shape)
+            prices = {int(x): int(c) for x, c in zip(true[row], cost[component, row])}
+            return int(component), (tuple(int(v) for v in X[row]), prices)
 
         return first_failure(self.blocks(), self.count, block_hit)

@@ -471,13 +471,25 @@ def test_bad_input_prints_error_and_exits_2(tmp_path, capsys, argv, profile_text
          "error: expected --profile (x1,...,xn) or a JSON file, got '(0,1/2))'\n"),
         (["run", "--mechanism", "median", "--profile", "[0,1)"],
          "error: expected --profile (x1,...,xn) or a JSON file, got '[0,1)'\n"),
+        (["run", "--mechanism", "avg_or_rr:p=x", "--profile", "(0,1)"],
+         "error: expected avg_or_rr:p=<rational>, got 'avg_or_rr:p=x'\n"),
+        (["check", "--mechanism", "avg_or_rr:p=1/2/3", "--axiom", "spf", "--n", "2"],
+         "error: expected avg_or_rr:p=<rational>, got 'avg_or_rr:p=1/2/3'\n"),
+        (["run", "--mechanism", 'iid_phantom:{atoms:[["x","1"]]}', "--profile", "(0,1)"],
+         "error: expected iid_phantom:{atoms:[[location,probability],...]}, "
+         "got 'iid_phantom:{atoms:[[\"x\",\"1\"]]}'\n"),
+        (["prop1", "--samples", "1/2,x"],
+         "error: expected --samples <rational>[,<rational>...], e.g. 1/2,1, got 'x'\n"),
+        (["prop1", "--samples", "1/2,1/0"],
+         "error: expected --samples <rational>[,<rational>...], e.g. 1/2,1, got '1/0'\n"),
     ],
     ids=["avg-or-rr-zero-denominator", "iid-phantom-without-atoms", "iid-phantom-atoms-not-a-list",
          "iid-phantom-zero-denominator", "add-doubled-w", "add-w-underscore-w", "add-without-index",
          "perturb-without-colon", "run-phantom-wrong-length", "check-phantom-wrong-length",
          "table-zero-denominator-p", "table-bad-p", "table-p-above-1", "table-p-below-0", "blank-profile",
          "profile-empty-entry", "profile-leading-empty-entry", "profile-stray-bracket",
-         "profile-mismatched-brackets"],
+         "profile-mismatched-brackets", "avg-or-rr-not-a-rational", "avg-or-rr-two-slashes",
+         "iid-phantom-location-not-a-rational", "prop1-sample-not-a-rational", "prop1-zero-denominator"],
 )
 def test_malformed_spec_body_is_a_one_line_error(capsys, argv, message):
     """A spec body or option value that parses but cannot be read is bad

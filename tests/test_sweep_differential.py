@@ -187,13 +187,16 @@ def test_search_matches_plain_loop_maximum(case):
 @given(domains.flatmap(mixtures))
 def test_tiny_blocks_keep_order_and_ties(case):
     """With a few profiles per block, the cross-block reductions (first
-    failing component, strictly larger gain) give the same answers."""
+    failing component, strictly larger gain) give the same answers, in the
+    SP sweep and in the stacked SPF sweep."""
     mixture, dom = case
     mechs = mixture.component_mechanisms()
     with mock.patch.object(sweep, "BLOCK_ELEMENTS", 64):
         verdict = axioms.check_strategyproofness(mixture, dom, axioms.EXP)
         universal = axioms.check_strategyproofness(mixture, dom, axioms.UNIVERSAL)
         finding = axioms.search_manipulation(mixture, dom)
+        _assert_spf_matches_plain_loop(mixture, dom, axioms.EXP)
+        _assert_spf_matches_plain_loop(mixture, dom, axioms.UNIVERSAL)
     assert (verdict.witness and _witness_key(verdict.witness)) == _reference_first(mixture, mechs, dom)
     first = next(
         ((mech, found) for mech in mechs if (found := _reference_first(mech, [mech], dom))), None
@@ -210,7 +213,8 @@ def test_tiny_blocks_keep_order_and_ties(case):
 @pytest.mark.parametrize("domain", [UNIT_INTERVAL, REAL_LINE])
 def test_large_denominators_take_python_int_path_and_agree(domain):
     """A phantom with a 61-bit denominator pushes scaled costs past 2^62, so
-    the engine runs on Python ints; verdicts and witnesses still agree."""
+    the engine runs on Python ints; verdicts and witnesses still agree, SPF's
+    included."""
     q = 2**61 - 1  # prime, so the common denominator is q times the grid's
     y = F(q // 3, q)
     vector = (F(0), y, F(1)) if domain == UNIT_INTERVAL else (NEG_INF, y, POS_INF)
@@ -219,6 +223,10 @@ def test_large_denominators_take_python_int_path_and_agree(domain):
     dom = axioms.CheckDomain(n=2, grid=2, domain=domain)
     scaled = Scaled(mixture.components, dom.n, dom.domain, dom.grid)
     assert SpSweep(scaled, combine=True).dtype is object
+    assert sweep.SpfSweep(scaled, combine=True).dtype is object
+    assert sweep.SpfSweep(scaled, combine=False).dtype is object
+    for variant in (axioms.EXP, axioms.UNIVERSAL):
+        _assert_spf_matches_plain_loop(mixture, dom, variant)
     verdict = axioms.check_strategyproofness(mixture, dom, axioms.EXP)
     expected = _reference_first(mixture, mechs, dom)
     assert verdict.failed and expected is not None
@@ -257,21 +265,27 @@ def test_universal_sp_ignores_other_components_phantoms():
     ],
 )
 def test_block_costs_match_scalar_engine(domain, mechs):
-    """Every (profile, agent, candidate) cost of the block engine equals the
-    scalar ``Scaled.pricer``, on ordered profiles whose other reports come
-    unsorted and on report multisets."""
+    """Every (profile, agent, candidate) cost of the block engine equals
+    ``analysis.expected_distance_to_point``, the path ``recheck_witness``
+    takes, on ordered profiles whose other reports come unsorted and on
+    report multisets."""
     mixture = RandomizedMechanism(3, domain, tuple((mech, F(1, 3)) for mech in mechs))
     scaled = Scaled(mixture.components, 3, domain, 2)
     sweep = SpSweep(scaled, combine=True)
+
+    def price(reports, true):
+        profile = Profile(domain, tuple(scaled.to_frac(v) for v in reports))
+        return analysis.expected_distance_to_point(mixture, profile, scaled.to_frac(true))
+
     checked = 0
     for X in sweep.blocks():
         prof, agent, candidates, deviating, truthful = sweep.costs(X, sweep.count)
         for row, (p, i) in enumerate(zip(prof, agent)):
             x_list = [int(v) for v in X[p]]
-            assert truthful[0, row] == scaled.pricer(x_list, sorted(x_list))(x_list[i])
+            assert scaled.cost_frac(truthful[0, row]) == price(x_list, x_list[i])
             for column, report in enumerate(candidates[row]):
                 moved = x_list[:i] + [int(report)] + x_list[i + 1 :]
-                assert deviating[0, row, column] == scaled.pricer(moved, sorted(moved))(x_list[i])
+                assert scaled.cost_frac(deviating[0, row, column]) == price(moved, x_list[i])
                 checked += 1
     assert checked > 100
 
@@ -326,8 +340,8 @@ def test_order_statistics_match_sorted(case, dtype):
 )
 def test_block_temporaries_fit_block_elements(domain, mechs, limit):
     """Every block's candidate and cost arrays and every merged array of
-    ``order_statistics`` hold at most BLOCK_ELEMENTS elements, in both block
-    sweeps, per part and combined."""
+    ``order_statistics`` hold at most BLOCK_ELEMENTS elements, in every
+    block sweep, per part and combined."""
     n = len(mechs[1].phantoms) - 1
     mixture = RandomizedMechanism(n, domain, tuple((mech, F(1, 3)) for mech in mechs))
     with mock.patch.object(sweep, "BLOCK_ELEMENTS", limit):
@@ -335,12 +349,16 @@ def test_block_temporaries_fit_block_elements(domain, mechs, limit):
         for combine in (False, True):
             sp = SpSweep(scaled, combine)
             group = sweep.GroupSweep(scaled, scaled.grid_ints, combine)
+            spf = sweep.SpfSweep(scaled, combine)
             with mock.patch.object(sweep, "order_statistics", wraps=sweep.order_statistics) as kernel:
                 for X in sp.blocks():
                     _, _, candidates, deviating, _ = sp.costs(X, sp.count)
                     assert max(candidates.size, deviating.size) <= limit
                 for X in group.blocks():
                     assert group.costs(X, group.count)[0].size <= limit
+                for X in spf.blocks():
+                    true, cost = spf.prices(X, spf.count)
+                    assert sweep.spf_fails(true, cost, scaled.wden, spf.slots).size <= limit
             assert kernel.call_count > 2
             for (rows, phantoms, _), _ in kernel.call_args_list:
                 assert len(phantoms) * len(rows) * (rows.shape[1] + phantoms.shape[1]) <= limit
@@ -351,8 +369,8 @@ def test_scaled_layout_matches_the_exact_path(case, with_median, data):
     """Each part of ``Scaled``'s by-kind layout outputs what ``core.evaluate``
     gives on a random grid profile: a rank or phantom part its position in
     the sorted reports and finite phantoms, a dictator its agent's report.
-    Every part is laid out once, and ``pricer`` prices every report as
-    ``analysis.expected_distance_to_point`` does."""
+    Every part is laid out once, and the block engine's pricing step
+    prices every report as ``analysis.expected_distance_to_point`` does."""
     mixture, dom = case
     n = dom.n
     if with_median:
@@ -370,10 +388,11 @@ def test_scaled_layout_matches_the_exact_path(case, with_median, data):
     assert all(isinstance(mechs[c], Average) for c in scaled.averages)
     laid_out = [c for c, _, _ in scaled.ranked] + [c for c, _ in scaled.dictators] + list(scaled.averages)
     assert sorted(laid_out) == list(range(len(mechs))) == list(range(len(scaled.u)))
-    price = scaled.pricer(list(X), sorted(X))
-    for x in X:
-        expected = analysis.expected_distance_to_point(mixture, profile, scaled.to_frac(x))
-        assert scaled.cost_frac(price(x)) == expected
+    group = sweep.GroupSweep(scaled, scaled.grid_ints, combine=True)
+    true, cost = group.prices(np.array([X], dtype=group.dtype), group.count)
+    for x, price in zip(true[0], cost[0, 0]):
+        expected = analysis.expected_distance_to_point(mixture, profile, scaled.to_frac(int(x)))
+        assert scaled.cost_frac(int(price)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -677,28 +696,38 @@ def test_translation_equivariance_is_read_off_the_form(domain, mech, equivariant
 
 @settings(max_examples=400)
 @given(
-    st.integers(1, 6).flatmap(
+    st.integers(1, 8).flatmap(
         lambda n: st.tuples(
-            st.lists(st.integers(0, 2), min_size=n, max_size=n),
-            st.lists(st.just(0) | st.integers(0, 4 * n), min_size=n, max_size=n),
+            st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+            st.lists(st.just(0) | st.integers(0, 8 * n), min_size=n, max_size=n),
         )
-    )
+    ),
+    st.integers(1, 3),
 )
-def test_spf_window_test_matches_every_subset(case):
-    """The window test over sorted reports says a profile fails exactly when
-    some member of some subset is priced above (n - |S|) * R + n * r. Costs
-    lean to 0, so profiles with one priced agent, whose every window must be
-    tried, come up often."""
+def test_spf_window_test_matches_every_subset(case, scale):
+    """The O(n) window rule of ``sweep.spf_fails`` says a profile fails
+    exactly when some member of some subset S is priced above
+    scale * ((n - |S|) * R + n * r), the definition in
+    ``axioms._spf_violation``, on int64 arrays and on the ``Fraction``
+    object arrays of the exact path. Costs lean to 0, so profiles with one
+    priced agent, whose every window must be tried, come up often."""
     xs, costs = case
     xs.sort()
     n, spread = len(xs), xs[-1] - xs[0]
     expected = any(
-        costs[j] > (n - size) * spread + n * (xs[subset[-1]] - xs[subset[0]])
+        costs[j] > scale * ((n - size) * spread + n * (xs[subset[-1]] - xs[subset[0]]))
         for size in range(1, n + 1)
         for subset in combinations(range(n), size)
         for j in subset
     )
-    assert axioms._spf_window_fails(xs, costs, spread, n) == expected
+    slots = np.arange(n)
+    true = np.array([xs], dtype=np.int64)
+    assert bool(sweep.spf_fails(true, np.array([costs]), scale, slots).any()) == expected
+    # The exact path's form: prices, reports and scale as Fractions over a
+    # common denominator, which divides out of both sides.
+    true = np.array([[F(x, 6) for x in xs]], dtype=object)
+    prices = np.array([[F(c, 6 * n) for c in costs]], dtype=object)
+    assert bool(sweep.spf_fails(true, prices, F(scale, n), slots).any()) == expected
 
 
 # ---------------------------------------------------------------------------
