@@ -52,11 +52,22 @@ keeps such a lottery's violations and sorting a profile moves it no later,
 so the first witness is the one an ordered sweep finds (see
 :func:`proploc.sweep.label_free`).
 
-Proportionality and Strong Proportionality run on the same engine's
-two-valued sweep: every profile low + pattern * (high - low) for grid pairs
-low < high (only the pair 0, 1 for proportionality) and 0/1 patterns, each
-agent priced against (n - s)/n of the gap for its group of size s, the low
-group's members before the high group's.
+Proportionality, Strong Proportionality and SPF run on one sweep of the
+same engine (:class:`proploc.sweep.GroupSweep`) and one block rule
+(:func:`proploc.sweep.spf_fails`). An agent's cost depends only on its own
+location, so each profile is priced once per sorted slot, and an O(n)
+window rule over the sorted reports decides SPF in a constant number of
+array operations rather than 2^n subsets. The two proportionality axioms
+sweep the two-valued profiles low + pattern * (high - low) for grid pairs
+low < high (only the pair 0, 1 for proportionality) and 0/1 patterns,
+each group of size s held to (n - s)/n of the gap. That is SPF's bound for
+the subset holding the whole group (inner range 0) and the tightest SPF
+window holding any of its members, so on those profiles the same rule
+decides them (the lemma is in :func:`proploc.sweep.spf_fails`). Only the
+first failing (component, profile) leaves the engine, with its prices, and
+walks its instances in check order for the first witness: the groups, low
+before high (:func:`_group_violation`), or the SPF subsets
+(:func:`_spf_violation`).
 
 Efficiency and anonymity sweep no profile: they are read off the
 mechanism's form, in closed forms that return the first failure of a
@@ -67,22 +78,17 @@ fails at a unanimous profile just beyond that end. Only a dictator reads
 agent labels, so the dictator weights decide anonymity (see
 :func:`_anonymity_first`).
 
-SPF runs on the same engine (:class:`proploc.sweep.SpfSweep`). An agent's
-cost depends only on its own location, so the group sweep's per-slot prices
-are the SPF prices, and an O(n) window rule over the sorted reports decides
-each profile in a constant number of array operations rather than 2^n
-subsets (see :func:`proploc.sweep.spf_fails`). Only the first failing
-(component, profile) walks its subsets, in order, with the engine's prices,
-for the first witness (see :func:`_spf_violation`). A finite mixture whose
-parts all commute with x -> x + t (ranks, dictators, averages, phantom
-vectors of domain ends) keeps every cost and bound under translation, so
-its first failing profile contains the grid's lowest point: only those
-profiles are swept, and its PASS covers every real translate of a grid
-profile that stays in the domain. A universal check sweeps its components
-stacked, over the widest enumeration any of them needs, with each one's
-first failure unchanged. The exact path for a continuous family runs the
-same rule on ``Fraction`` prices from :mod:`proploc.analysis` over every
-grid profile.
+SPF sweeps the grid profiles. A finite mixture whose parts all commute
+with x -> x + t (ranks, dictators, averages, phantom vectors of domain
+ends) keeps every cost and bound under translation, so its first failing
+profile contains the grid's lowest point: only those profiles are swept,
+and its PASS covers every real translate of a grid profile that stays in
+the domain. A universal check sweeps its components stacked, over the
+widest enumeration any of them needs, with each one's first failure
+unchanged. The exact path for a continuous family prices the same
+profiles with ``Fraction`` distances from :mod:`proploc.analysis` and
+walks them with the same functions at scale 1/n, SPF through the same
+rule.
 """
 
 from __future__ import annotations
@@ -117,13 +123,13 @@ from .mechanisms import build_mechanism, format_mechanism
 from .sweep import (
     GroupSweep,
     Scaled,
-    SpfSweep,
     SpSweep,
     checked,
     dictator_shares,
     grid_profiles,
     label_free,
     spf_fails,
+    spf_profiles,
     two_valued_profiles,
 )
 
@@ -538,19 +544,20 @@ def check_efficiency(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVe
 
 def _exact(mixture, dom: CheckDomain, profiles, violation):
     """The group axioms' in-expectation rule for a continuous family: the
-    first ``violation(locations, price)`` over ``profiles(anonymous)``, as
-    (agent, group, lhs, bound), where ``price(x)`` is the expected distance
-    of an agent at location x, every agent priced in one call to the exact
-    closed forms of :mod:`proploc.analysis`. The family draws its phantoms
-    i.i.d. and ignores agent labels, so the finite components decide
-    ``anonymous`` by the block sweeps' rule,
+    first ``violation(locations, price, 1/n)`` over ``profiles(anonymous)``,
+    as (agent, group, lhs, bound), where ``price(x)`` is the expected
+    distance of an agent at location x, every agent priced in one call to
+    the exact closed forms of :mod:`proploc.analysis`. The family draws its
+    phantoms i.i.d. and ignores agent labels, so the finite components
+    decide ``anonymous`` by the block sweeps' rule,
     :func:`proploc.sweep.label_free`: multisets when every agent's summed
     dictator weight is equal, with the same first witness.
     """
     anonymous = label_free(mixture.components, dom.n, True)
+    scale = Fraction(1, dom.n)
     for locations in profiles(anonymous):
         distances = analysis.expected_agent_distances(mixture, Profile(dom.domain, locations))
-        found = violation(locations, dict(zip(locations, distances)).__getitem__)
+        found = violation(locations, dict(zip(locations, distances)).__getitem__, scale)
         if found is not None:
             agent, group, lhs, bound = found
             witness = Witness(
@@ -565,42 +572,56 @@ def _exact(mixture, dom: CheckDomain, profiles, violation):
     return PASS, None, ""
 
 
+def _group_first(components, dom: CheckDomain, combine: bool, profiles, violation):
+    """(component index, witness, "") of the first violation of a group
+    axiom, or None. :class:`proploc.sweep.GroupSweep` sweeps
+    ``profiles(scaled, combine)`` and finds the first failing (component,
+    profile) by :func:`proploc.sweep.spf_fails`; only that row goes to
+    ``violation(X, price, wden)``, with the engine's prices at the cost
+    scale wden * n * D, for the first witness."""
+    scaled = Scaled(components, dom.n, dom.domain, dom.grid)
+    hit = GroupSweep(scaled, profiles(scaled, combine), combine).first_violation()
+    if hit is None:
+        return None
+    X, prices = hit[1]
+    agent, group, cost, bound = violation(X, prices.__getitem__, scaled.wden)
+    return hit[0], _witness(scaled, X, cost, bound, agent=agent, group=group), ""
+
+
 def _two_valued_values(points, ends_only: bool):
     """The values two-valued profiles take: the grid's ends (proportionality,
     where they are 0 and 1) or every grid point (Strong Proportionality)."""
     return (points[0], points[-1]) if ends_only else points
 
 
-def _two_valued_exact(mixture, dom: CheckDomain, ends_only: bool):
-    """The exact path, in the block sweep's order: each profile's low group,
-    then its high group, each member in order."""
-    n = dom.n
-    values = _two_valued_values(dom.points(), ends_only)
-
-    def violation(locations, price):
-        gap = max(locations) - min(locations)
-        for side in sorted(set(locations)):
-            group = tuple(i + 1 for i, x in enumerate(locations) if x == side)
-            bound = Fraction(n - len(group), n) * gap
-            for agent in group:
-                lhs = price(locations[agent - 1])
-                if lhs > bound:
-                    return agent, group, lhs, bound
-        return None
-
-    return _exact(mixture, dom, partial(two_valued_profiles, values, n), violation)
-
-
-def _two_valued_first(components, dom: CheckDomain, combine: bool, ends_only: bool):
-    """(component index, witness, "") of the first group member whose cost
-    exceeds its bound on a two-valued profile, or None."""
-    scaled = Scaled(components, dom.n, dom.domain, dom.grid)
+def _two_valued_grid(scaled: Scaled, combine: bool, ends_only: bool):
+    """The engine's two-valued profiles, in check order."""
     values = _two_valued_values(scaled.grid_ints, ends_only)
-    hit = GroupSweep(scaled, values, combine).first_violation()
-    if hit is None:
-        return None
-    X, i, group, cost, bound = hit[1]
-    return hit[0], _witness(scaled, X, cost, bound, agent=i + 1, group=group), ""
+    return two_valued_profiles(values, scaled.n, scaled.anonymous(combine))
+
+
+def _two_valued_exact(mixture, dom: CheckDomain, ends_only: bool):
+    """The exact path over the engine's profiles, in the same order."""
+    values = _two_valued_values(dom.points(), ends_only)
+    return _exact(mixture, dom, partial(two_valued_profiles, values, dom.n), _group_violation)
+
+
+def _group_violation(X, price, scale):
+    """(agent, group, cost, bound) of the first co-located group on the
+    two-valued profile X, the low group before the high one, whose price
+    exceeds scale * (n - s) * gap for its size s, or None. A group's
+    members share one location and so one price: the first member names
+    it. Both paths call it, the engine at scale wden and the exact path at
+    1/n; on a profile that :func:`proploc.sweep.spf_fails` fails it names
+    the slot that rule marks first."""
+    n = len(X)
+    gap = max(X) - min(X)
+    for side in sorted(set(X)):
+        group = tuple(i + 1 for i, x in enumerate(X) if x == side)
+        bound = scale * (n - len(group)) * gap
+        if price(side) > bound:
+            return group[0], group, price(side), bound
+    return None
 
 
 def check_proportionality(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVerdict:
@@ -608,7 +629,9 @@ def check_proportionality(mechanism, dom: CheckDomain, variant: str = DET) -> Ax
     (n-s)/n of the facility (in expectation for the exp variant).
 
     This is the Strong Proportionality sweep over the single pair (0, 1):
-    the 0/1 profiles in pattern order, the group at 0 before the group at 1.
+    the 0/1 profiles in pattern order, the group at 0 before the group at 1,
+    decided by the same SPF window rule (see
+    :func:`check_strong_proportionality`).
     """
     if dom.domain != UNIT_INTERVAL:
         raise DomainMismatchError("proportionality is an endpoint axiom on [0,1]")
@@ -617,7 +640,7 @@ def check_proportionality(mechanism, dom: CheckDomain, variant: str = DET) -> Ax
         mechanism,
         dom,
         variant,
-        partial(_two_valued_first, ends_only=True),
+        partial(_group_first, profiles=partial(_two_valued_grid, ends_only=True), violation=_group_violation),
         lambda mixture: _two_valued_exact(mixture, dom, True),
     )
 
@@ -632,16 +655,20 @@ def check_strong_proportionality(mechanism, dom: CheckDomain, variant: str = DET
     checked lottery ignores agent labels (no dictator, or equal summed
     dictator weights for every agent; see :func:`proploc.sweep.label_free`),
     ordered vectors otherwise, with the same first witness. Within a profile
-    the low group's members come first, then the high group's. Finite
-    mixtures are swept in blocks by :class:`proploc.sweep.GroupSweep`; the
-    exact path for a continuous family reads the same order.
+    the low group's members come first, then the high group's. The group
+    bound is SPF's for the subset holding the whole group (inner range 0),
+    and the tightest SPF window holding any of its members, so finite
+    mixtures run on SPF's block rule, :func:`proploc.sweep.spf_fails` (its
+    docstring has the proof), in :class:`proploc.sweep.GroupSweep`; the
+    failing profile and the exact path for a continuous family read the
+    groups in the same order (:func:`_group_violation`).
     """
     return _decide(
         STRONG_PROPORTIONALITY,
         mechanism,
         dom,
         variant,
-        partial(_two_valued_first, ends_only=False),
+        partial(_group_first, profiles=partial(_two_valued_grid, ends_only=False), violation=_group_violation),
         lambda mixture: _two_valued_exact(mixture, dom, False),
     )
 
@@ -666,32 +693,15 @@ def _spf_violation(X, price, scale):
                     return j + 1, tuple(j + 1 for j in subset), price(X[j]), bound
 
 
-def _spf_exact(locations, price):
+def _spf_exact(locations, price, scale):
     """The exact path's SPF violation on one profile, or None: the engine's
     rule, :func:`proploc.sweep.spf_fails`, on the profile's ``Fraction``
     prices, then the subset walk if it fails."""
-    n = len(locations)
     true = np.array([sorted(locations)], dtype=object)
     cost = np.array([[price(x) for x in true[0]]], dtype=object)
-    scale = Fraction(1, n)
-    if spf_fails(true, cost, scale, np.arange(n)).any():
+    if spf_fails(true, cost, scale).any():
         return _spf_violation(locations, price, scale)
     return None
-
-
-def _spf_first(components, dom: CheckDomain, combine: bool):
-    """(component index, witness, "") of the first subset member beyond its
-    SPF bound, or None. :class:`proploc.sweep.SpfSweep` finds the first
-    failing (component, profile); only that row walks its subsets
-    (:func:`_spf_violation`), with the engine's prices at the cost scale
-    wden * n * D."""
-    scaled = Scaled(components, dom.n, dom.domain, dom.grid)
-    hit = SpfSweep(scaled, combine).first_violation()
-    if hit is None:
-        return None
-    X, prices = hit[1]
-    agent, group, cost, bound = _spf_violation(X, prices.__getitem__, scaled.wden)
-    return hit[0], _witness(scaled, X, cost, bound, agent=agent, group=group), ""
 
 
 def check_spf(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVerdict:
@@ -700,28 +710,28 @@ def check_spf(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVerdict:
     Aziz, Lam, Lee and Walsh, WINE 2022).
 
     Every subset is covered: each profile is priced once per sorted slot
-    and decided by the O(n) window rule of :func:`proploc.sweep.spf_fails`;
-    only the first failing profile walks its subsets, by size and then
-    lexicographically, for the first witness (see :func:`_spf_violation`).
-    Finite mixtures run on the block engine (:func:`_spf_first`), a
-    continuous family through the exact closed forms, on the same rule over
-    ``Fraction`` prices. A mixture (or, universally, every component) that
-    commutes with translation sweeps only the grid profiles through the
-    grid's lowest point, which hold its first failure (see
-    :class:`proploc.sweep.SpfSweep`); its PASS then covers every real
+    and decided by the O(n) window rule of :func:`proploc.sweep.spf_fails`,
+    the block rule of all three group axioms; only the first failing
+    profile walks its subsets, by size and then lexicographically, for the
+    first witness (see :func:`_spf_violation`). Finite mixtures run on the
+    block engine (:func:`_group_first`), a continuous family through the
+    exact closed forms, on the same rule over ``Fraction`` prices. A
+    mixture (or, universally, every component) that commutes with
+    translation sweeps only the grid profiles through the grid's lowest
+    point, which hold its first failure (see
+    :func:`proploc.sweep.spf_profiles`); its PASS then covers every real
     translate of a grid profile that stays in the domain. Other mixtures
     sweep every grid profile. Either sweep visits one profile per multiset
     when the lottery ignores agent labels (see
     :func:`proploc.sweep.label_free`).
     """
-    n = dom.n
     return _decide(
         SPF,
         mechanism,
         dom,
         variant,
-        _spf_first,
-        lambda mixture: _exact(mixture, dom, partial(grid_profiles, dom.points(), n), _spf_exact),
+        partial(_group_first, profiles=spf_profiles, violation=_spf_violation),
+        lambda mixture: _exact(mixture, dom, partial(grid_profiles, dom.points(), dom.n), _spf_exact),
     )
 
 

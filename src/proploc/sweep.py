@@ -8,10 +8,11 @@ once, by kind: phantom parts (ranks among them), dictators and averages.
 The sweeps read that layout and run its grid profiles in blocks, in
 enumeration order, as numpy arrays: int64 while every scaled value provably
 stays below 2^62, Python ints (``dtype=object``) on the same code path
-otherwise. The group and SPF sweeps share one pricing step
-(:meth:`GroupSweep.prices`): an agent's cost there depends only on its own
-location, so each sorted slot of a profile is priced once, and SPF decides
-a profile from those prices in O(n) (see :func:`spf_fails`).
+otherwise. The three group axioms share one sweep, :class:`GroupSweep`,
+and one block rule, :func:`spf_fails`: an agent's cost there depends only
+on its own location, so each sorted slot of a profile is priced once, and
+an O(n) window rule decides SPF from those prices; on a two-valued profile
+that rule is exactly the proportionality bound of each co-located group.
 
 Every rank and phantom part outputs an order statistic of the reports and
 its finite phantoms (Moulin, Public Choice 1980): :func:`order_statistics`
@@ -478,6 +479,34 @@ def anchored_profiles(values, n: int, anonymous: bool):
     return (X for X in product(values, repeat=n) if low in X)
 
 
+def spf_profiles(scaled, combine: bool):
+    """The grid profiles an SPF sweep of ``scaled`` visits, in check order.
+
+    A mixture whose every part commutes with translation (see
+    :attr:`Scaled.translation_equivariant`) has the same costs and bounds
+    on every translate of a profile, so a failing profile still fails
+    shifted down until its minimum is the grid's lowest point; that shift
+    stays on the grid and comes earlier in the sweep. Its first failing
+    profile therefore contains the lowest point, and only those profiles
+    are swept (:func:`anchored_profiles`), in the full sweep's order. The
+    profiles are multisets when the swept cost ignores agent labels (see
+    :func:`label_free`).
+
+    Without ``combine`` every part is its own component, all swept at once
+    over the widest enumeration any of them needs: ordered profiles if some
+    part is a dictator, the full grid if some part does not commute with
+    translation. Each part's first failure is unchanged. The anchored
+    profiles are the full grid's, filtered in order, and hold the first
+    failure of a part that commutes with translation, so the full grid
+    meets that same profile first. A label-free part's first failing
+    ordered profile is sorted, the multiset it meets alone (see
+    :func:`label_free`). The first hit of the (component, profile, slot)
+    mask then lies in the first failing component's first failing profile.
+    """
+    profiles = anchored_profiles if scaled.translation_equivariant else grid_profiles
+    return profiles(scaled.grid_ints, scaled.n, scaled.anonymous(combine))
+
+
 def two_valued_profiles(values, n: int, anonymous: bool):
     """Every profile ``low + pattern * (high - low)`` for low < high in
     ``values``, in check order: the pairs as ``values`` lists them (low
@@ -493,39 +522,37 @@ def two_valued_profiles(values, n: int, anonymous: bool):
 
 
 class GroupSweep:
-    """Co-located group costs of one rescaled mixture on two-valued profiles.
-
-    A profile of two values low < high splits the agents into a low and a
-    high group; an agent in a group of size s violates the bound when its
-    scaled cost exceeds wden * (n - s) * (high - low), which is
-    (n - s)/n * (high - low) at the cost scale. The slots of a profile list
-    the low group's agents in index order, then the high group's, so the
-    first hit of a (component, profile, slot) mask is the instance a loop
-    over profiles, groups and members meets first.
+    """Per-slot costs of one rescaled mixture over ``profiles``, swept in
+    blocks and decided by :func:`spf_fails`: the one block rule of SPF, and
+    of proportionality and Strong Proportionality on two-valued profiles
+    (see :func:`two_valued_profiles`), where it is exactly the group bound.
+    Only the first failing (component, profile) leaves the engine, with its
+    prices, for the walk that names the witness.
 
     A part's output is its order statistic of the reports (a rank), of the
     reports plus its finite phantoms (a phantom), a dictator's report, or
     the sum of the reports (the average, whose cost is |n*true - sum|).
     ``combine`` sums the parts with their weights into one component (the
-    in-expectation cost); otherwise each part is its own component. The
-    patterns are multisets when the swept cost ignores agent labels (see
-    :func:`label_free`), ordered vectors otherwise: for the weighted
-    mixture, when some agent's summed dictator weight differs from
-    another's; part by part, when some part is a dictator. Ordered patterns
-    need no multiset filter for the label-free parts: among the patterns
-    with the same number of ones, the sorted one 0...01...1 comes first, so
-    such a part's first failure lies on the multiset it would meet when
-    swept alone.
+    in-expectation cost); otherwise each part is its own component, all
+    swept at once over the same profiles, which are iterated once. Callers
+    pass multisets when the swept cost ignores agent labels
+    (:meth:`Scaled.anonymous`, see :func:`label_free`), ordered vectors
+    otherwise: for the weighted mixture, when some agent's summed dictator
+    weight differs from another's; part by part, when some part is a
+    dictator. Ordered profiles need no multiset filter for the label-free
+    parts: such a part's first failing ordered profile is sorted, the
+    multiset it would meet when swept alone. On two-valued profiles sorting
+    keeps the pair and, among the patterns with the same number of ones,
+    the sorted one 0...01...1 comes first.
     """
 
-    def __init__(self, scaled, values, combine: bool):
+    def __init__(self, scaled, profiles, combine: bool):
         n, ranked = scaled.n, scaled.ranked
-        self.scaled, self.values, self.combine = scaled, values, combine
+        self.scaled, self.profiles, self.combine = scaled, profiles, combine
         self.count = 1 if combine else len(scaled.u)
         self.clip = [c for c, _, _ in ranked]
         # Every report and phantom lies in (-big, big), so every cost stays
-        # below 2 * n * big * weight, every group bound below
-        # 2 * n * big * wden and every SPF bound below 8 * n * big * wden
+        # below 2 * n * big * weight and every bound below 8 * n * big * wden
         # (see spf_fails).
         big = max(map(abs, [*scaled.grid_ints, *scaled.phantom_values])) + 1
         weight = sum(scaled.u) if combine else 1
@@ -533,7 +560,6 @@ class GroupSweep:
         self.dtype = dtype
         self.phantoms = scaled.padded_phantoms(big, dtype)
         self.positions = np.array([t for _, _, t in ranked], dtype=np.intp)
-        self.slots = np.arange(n)
         self.coef = np.array(scaled.coef(combine), dtype=dtype)[:, None, None]
         # An average's output is the sum of the reports: n times its location.
         scale = [n if c in scaled.averages else 1 for c in range(len(scaled.u))]
@@ -541,8 +567,7 @@ class GroupSweep:
         self.block_profiles = max(1, BLOCK_ELEMENTS // (len(scaled.u) * (n + self.phantoms.shape[1])))
 
     def blocks(self):
-        profiles = two_valued_profiles(self.values, self.scaled.n, self.scaled.anonymous(self.combine))
-        return profile_blocks(profiles, self.block_profiles, self.dtype)
+        return profile_blocks(self.profiles, self.block_profiles, self.dtype)
 
     def prices(self, X, limit: int):
         """(true, cost) of one block: ``true`` is (profile, slot), each
@@ -570,51 +595,29 @@ class GroupSweep:
             cost = cost.sum(axis=0, keepdims=True)
         return true, cost
 
-    def costs(self, X, limit: int):
-        """(cost, bound) of one block: ``cost`` is (component, profile, slot)
-        for the first ``limit`` components, ``bound`` (profile, slot). Slot
-        j holds the j-th smallest report, whose agent is the j-th in a
-        stable sort of the profile."""
-        n = self.scaled.n
-        true, cost = self.prices(X, limit)
-        low, high = true[:, :1], true[:, -1:]
-        lows = (X == low).sum(axis=1, keepdims=True)
-        # n - s: the size of the other group.
-        others = np.where(self.slots < lows, n - lows, lows)
-        bound = others * (self.scaled.wden * (high - low))
-        return cost, bound
-
     def first_violation(self):
-        """(component, (profile, agent, group, cost, bound)) of the first
-        group member whose cost exceeds its bound, or None."""
-        n = self.scaled.n
+        """(component, (profile, prices)) of the first profile that
+        :func:`spf_fails` marks, or None: ``prices`` maps each location of
+        the profile to that component's cost there."""
+        wden = self.scaled.wden
 
         def block_hit(X, limit):
-            cost, bound = self.costs(X, limit)
-            mask = cost > bound
-            flat = first_hit(mask)
+            true, cost = self.prices(X, limit)
+            flat = first_hit(spf_fails(true, cost, wden))
             if flat is None:
                 return None
-            component, row, slot = np.unravel_index(flat, mask.shape)
-            profile = tuple(int(v) for v in X[row])
-            agent = sorted(range(n), key=profile.__getitem__)[slot]
-            group = tuple(j + 1 for j in range(n) if profile[j] == profile[agent])
-            return int(component), (
-                profile,
-                agent,
-                group,
-                int(cost[component, row, slot]),
-                int(bound[row, slot]),
-            )
+            component, row, _ = np.unravel_index(flat, cost.shape)
+            prices = {int(x): int(c) for x, c in zip(true[row], cost[component, row])}
+            return int(component), (tuple(int(v) for v in X[row]), prices)
 
         return first_failure(self.blocks(), self.count, block_hit)
 
 
-def spf_fails(true, cost, scale, slots):
+def spf_fails(true, cost, scale):
     """Mask, shaped as ``cost``, of the slots that cost more than their SPF
-    bound: ``true`` is (profile, slot), each profile sorted, ``cost``
-    (profile, slot) or (component, profile, slot), and ``slots`` 0..n-1. A
-    profile fails SPF exactly when one of its slots is marked.
+    bound: ``true`` is (profile, slot), each profile sorted, and ``cost``
+    (profile, slot) or (component, profile, slot). A profile fails SPF
+    exactly when one of its slots is marked.
 
     SPF asks, of every subset S of the agents with inner range r on a
     profile of range R, that each member cost at most
@@ -631,6 +634,20 @@ def spf_fails(true, cost, scale, slots):
     a reversed running minimum, O(n) per profile, where there are O(n^2)
     windows and 2^n subsets.
 
+    The same rule decides proportionality and Strong Proportionality. On a
+    two-valued profile with s agents at low (slots 0..s-1) and R = high -
+    low, g_k = n * low - k * R for a low slot and n * low + (n - k) * R for
+    a high one. For a low slot j the largest g_a over a <= j is n * low
+    (a = 0) and the smallest g_b over b >= j is n * low - (s - 1) * R
+    (b = s - 1; a high slot's g is at least n * low + R), so the bound is
+    scale * (n - s) * R. For a high slot the largest g_a over a <= j is
+    n * low + (n - s) * R (a = s) and the smallest g_b is n * low + R
+    (b = n - 1), so the bound is scale * s * R. Each is scale times the
+    size of the other group times the gap: the group bound, (n - s)/n of
+    the gap at scale 1/n. An agent's cost depends only on its location, so
+    a group's members cost the same, and the first marked slot is the
+    lowest-index member of the first failing group, the low group first.
+
     The rule reads any ordered numbers: int64 reports, Python ints, or the
     ``Fraction`` prices of the exact path on ``dtype=object``. For reports
     in (-big, big), R < 2 * big, |g| < 3 * n * big and every bound is below
@@ -638,63 +655,7 @@ def spf_fails(true, cost, scale, slots):
     """
     n = true.shape[1]
     spread = true[:, -1:] - true[:, :1]
-    g = n * true - slots * spread
+    g = n * true - np.arange(n) * spread
     high = np.maximum.accumulate(g, axis=1)
     low = np.minimum.accumulate(g[:, ::-1], axis=1)[:, ::-1]
     return cost > scale * ((n - 1) * spread + low - high)
-
-
-class SpfSweep(GroupSweep):
-    """SPF of one rescaled mixture over its grid profiles, each block priced
-    by :meth:`GroupSweep.prices` and decided by :func:`spf_fails`; only the
-    first failing (component, profile) leaves the engine, with its prices,
-    for the subset walk that names the witness.
-
-    A mixture whose every part commutes with translation (see
-    :attr:`Scaled.translation_equivariant`) has the same costs and bounds
-    on every translate of a profile, so a failing profile still fails
-    shifted down until its minimum is the grid's lowest point; that shift
-    stays on the grid and comes earlier in the sweep. Its first failing
-    profile therefore contains the lowest point, and only those profiles
-    are swept (:func:`anchored_profiles`), in the full sweep's order. The
-    profiles are multisets when the swept cost ignores agent labels (see
-    :func:`label_free`).
-
-    Without ``combine`` every part is its own component, all swept at once
-    over the widest enumeration any of them needs: ordered profiles if some
-    part is a dictator, the full grid if some part does not commute with
-    translation. Each part's first failure is unchanged. The anchored
-    profiles are the full grid's, filtered in order, and hold the first
-    failure of a part that commutes with translation, so the full grid
-    meets that same profile first. A label-free part's first failing
-    ordered profile is sorted, the multiset it meets alone (see
-    :func:`label_free`). The first hit of the (component, profile, slot)
-    mask then lies in the first failing component's first failing profile.
-    """
-
-    def __init__(self, scaled, combine: bool):
-        super().__init__(scaled, scaled.grid_ints, combine)
-
-    def blocks(self):
-        scaled = self.scaled
-        profiles = anchored_profiles if scaled.translation_equivariant else grid_profiles
-        return profile_blocks(profiles(self.values, scaled.n, scaled.anonymous(self.combine)),
-                              self.block_profiles, self.dtype)
-
-    def first_violation(self):
-        """(component, (profile, prices)) of the first profile on which some
-        subset member exceeds its SPF bound, or None: ``prices`` maps each
-        location of the profile to that component's cost there."""
-        wden = self.scaled.wden
-
-        def block_hit(X, limit):
-            true, cost = self.prices(X, limit)
-            mask = spf_fails(true, cost, wden, self.slots)
-            flat = first_hit(mask)
-            if flat is None:
-                return None
-            component, row, _ = np.unravel_index(flat, mask.shape)
-            prices = {int(x): int(c) for x, c in zip(true[row], cost[component, row])}
-            return int(component), (tuple(int(v) for v in X[row]), prices)
-
-        return first_failure(self.blocks(), self.count, block_hit)

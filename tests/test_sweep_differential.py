@@ -30,6 +30,7 @@ from proploc.core import (
     UNIT_INTERVAL,
     Average,
     Dictator,
+    IIDPhantomSpec,
     Infinite,
     Median,
     Phantom,
@@ -223,8 +224,8 @@ def test_large_denominators_take_python_int_path_and_agree(domain):
     dom = axioms.CheckDomain(n=2, grid=2, domain=domain)
     scaled = Scaled(mixture.components, dom.n, dom.domain, dom.grid)
     assert SpSweep(scaled, combine=True).dtype is object
-    assert sweep.SpfSweep(scaled, combine=True).dtype is object
-    assert sweep.SpfSweep(scaled, combine=False).dtype is object
+    for combine in (True, False):
+        assert sweep.GroupSweep(scaled, sweep.spf_profiles(scaled, combine), combine).dtype is object
     for variant in (axioms.EXP, axioms.UNIVERSAL):
         _assert_spf_matches_plain_loop(mixture, dom, variant)
     verdict = axioms.check_strategyproofness(mixture, dom, axioms.EXP)
@@ -339,26 +340,27 @@ def test_order_statistics_match_sorted(case, dtype):
     ],
 )
 def test_block_temporaries_fit_block_elements(domain, mechs, limit):
-    """Every block's candidate and cost arrays and every merged array of
-    ``order_statistics`` hold at most BLOCK_ELEMENTS elements, in every
-    block sweep, per part and combined."""
+    """Every block's candidate and cost arrays, every ``spf_fails`` mask
+    and every merged array of ``order_statistics`` hold at most
+    BLOCK_ELEMENTS elements, in every block sweep (two-valued and SPF), per
+    part and combined."""
     n = len(mechs[1].phantoms) - 1
     mixture = RandomizedMechanism(n, domain, tuple((mech, F(1, 3)) for mech in mechs))
     with mock.patch.object(sweep, "BLOCK_ELEMENTS", limit):
         scaled = Scaled(mixture.components, n, domain, 4)
         for combine in (False, True):
             sp = SpSweep(scaled, combine)
-            group = sweep.GroupSweep(scaled, scaled.grid_ints, combine)
-            spf = sweep.SpfSweep(scaled, combine)
+            two_valued = sweep.two_valued_profiles(scaled.grid_ints, n, scaled.anonymous(combine))
+            group = sweep.GroupSweep(scaled, two_valued, combine)
+            spf = sweep.GroupSweep(scaled, sweep.spf_profiles(scaled, combine), combine)
             with mock.patch.object(sweep, "order_statistics", wraps=sweep.order_statistics) as kernel:
                 for X in sp.blocks():
                     _, _, candidates, deviating, _ = sp.costs(X, sp.count)
                     assert max(candidates.size, deviating.size) <= limit
-                for X in group.blocks():
-                    assert group.costs(X, group.count)[0].size <= limit
-                for X in spf.blocks():
-                    true, cost = spf.prices(X, spf.count)
-                    assert sweep.spf_fails(true, cost, scaled.wden, spf.slots).size <= limit
+                for swept in (group, spf):
+                    for X in swept.blocks():
+                        true, cost = swept.prices(X, swept.count)
+                        assert sweep.spf_fails(true, cost, scaled.wden).size <= limit
             assert kernel.call_count > 2
             for (rows, phantoms, _), _ in kernel.call_args_list:
                 assert len(phantoms) * len(rows) * (rows.shape[1] + phantoms.shape[1]) <= limit
@@ -388,7 +390,7 @@ def test_scaled_layout_matches_the_exact_path(case, with_median, data):
     assert all(isinstance(mechs[c], Average) for c in scaled.averages)
     laid_out = [c for c, _, _ in scaled.ranked] + [c for c, _ in scaled.dictators] + list(scaled.averages)
     assert sorted(laid_out) == list(range(len(mechs))) == list(range(len(scaled.u)))
-    group = sweep.GroupSweep(scaled, scaled.grid_ints, combine=True)
+    group = sweep.GroupSweep(scaled, [X], combine=True)
     true, cost = group.prices(np.array([X], dtype=group.dtype), group.count)
     for x, price in zip(true[0], cost[0, 0]):
         expected = analysis.expected_distance_to_point(mixture, profile, scaled.to_frac(int(x)))
@@ -441,12 +443,12 @@ def _expected_group(axiom, variant, mixture, dom):
     return None
 
 
-def _assert_group_verdicts_match(mixture, dom):
+def _assert_group_verdicts_match(mixture, dom, variants=(axioms.EXP, axioms.UNIVERSAL)):
     axes = [axioms.STRONG_PROPORTIONALITY]
     if dom.domain == UNIT_INTERVAL:
         axes.append(axioms.PROPORTIONALITY)
     for axiom in axes:
-        for variant in (axioms.EXP, axioms.UNIVERSAL):
+        for variant in variants:
             verdict = axioms.run_check(axiom, mixture, dom, variant)
             expected = _expected_group(axiom, variant, mixture, dom)
             if expected is None:
@@ -461,6 +463,40 @@ def _assert_group_verdicts_match(mixture, dom):
 @given(domains.flatmap(mixtures))
 def test_group_sweep_matches_plain_loop(case):
     _assert_group_verdicts_match(*case)
+
+
+@st.composite
+def family_mixtures(draw):
+    """The uniform phantom family on [0,1] beside 0-2 finite parts (rank,
+    dictator, phantom, average), n = 2..4."""
+    n = draw(st.integers(2, 4))
+    grid = draw(st.integers(1, 4))
+    build = {
+        "rank": lambda: RankK(draw(st.integers(1, n))),
+        "dict": lambda: Dictator(draw(st.integers(1, n))),
+        "avg": Average,
+        "phantom": lambda: Phantom(tuple(sorted(
+            min(v, F(1)) for v in draw(st.lists(fractions, min_size=n + 1, max_size=n + 1))))),
+    }
+    mechs = [build[kind]() for kind in draw(st.lists(st.sampled_from(sorted(build)), max_size=2))]
+    raw = draw(st.lists(st.integers(1, 5), min_size=len(mechs) + 1, max_size=len(mechs) + 1))
+    total = sum(raw)
+    mixture = RandomizedMechanism(
+        n, UNIT_INTERVAL, tuple((mech, F(w, total)) for mech, w in zip(mechs, raw)),
+        continuous=IIDPhantomSpec(), continuous_weight=F(raw[-1], total),
+    )
+    return mixture, axioms.CheckDomain(n=n, grid=grid)
+
+
+@settings(deadline=None)
+@given(family_mixtures())
+def test_group_exact_path_matches_plain_loop(case):
+    """In expectation, a mixture with the continuous family takes the exact
+    path: ``Fraction`` prices from the closed forms, walked by the same
+    group rule as the engine's failing row, at scale 1/n. Its verdicts and
+    first witnesses are the plain loop's. (Its universal verdicts are
+    checked in ``test_axioms``.)"""
+    _assert_group_verdicts_match(*case, variants=(axioms.EXP,))
 
 
 @given(domains.flatmap(mixtures))
@@ -482,7 +518,8 @@ def test_group_sweep_large_denominators_take_python_int_path(domain):
     mixture = RandomizedMechanism(2, domain, tuple(zip(mechs, (F(1, 2), F(1, 4), F(1, 4)))))
     dom = axioms.CheckDomain(n=2, grid=2, domain=domain)
     scaled = Scaled(mixture.components, dom.n, dom.domain, dom.grid)
-    assert sweep.GroupSweep(scaled, scaled.grid_ints, combine=True).dtype is object
+    two_valued = sweep.two_valued_profiles(scaled.grid_ints, dom.n, scaled.anonymous(True))
+    assert sweep.GroupSweep(scaled, two_valued, combine=True).dtype is object
     _assert_group_verdicts_match(mixture, dom)
 
 
@@ -720,14 +757,63 @@ def test_spf_window_test_matches_every_subset(case, scale):
         for subset in combinations(range(n), size)
         for j in subset
     )
-    slots = np.arange(n)
     true = np.array([xs], dtype=np.int64)
-    assert bool(sweep.spf_fails(true, np.array([costs]), scale, slots).any()) == expected
+    assert bool(sweep.spf_fails(true, np.array([costs]), scale).any()) == expected
     # The exact path's form: prices, reports and scale as Fractions over a
     # common denominator, which divides out of both sides.
     true = np.array([[F(x, 6) for x in xs]], dtype=object)
     prices = np.array([[F(c, 6 * n) for c in costs]], dtype=object)
-    assert bool(sweep.spf_fails(true, prices, F(scale, n), slots).any()) == expected
+    assert bool(sweep.spf_fails(true, prices, F(scale, n)).any()) == expected
+
+
+def _group_bound(X, true, scale):
+    """The group bound of the two-valued block sweep, as it was computed
+    before ``spf_fails`` took its place: slot j (of ``true``, each profile
+    of X sorted) holds a member of the low group (the first s slots) or of
+    the high group, and its bound is scale * (n - s) * (high - low) for its
+    group of size s, the other group's size times the gap."""
+    n = X.shape[1]
+    low, high = true[:, :1], true[:, -1:]
+    lows = (X == low).sum(axis=1, keepdims=True)
+    others = np.where(np.arange(n) < lows, n - lows, lows)
+    return others * (scale * (high - low))
+
+
+@settings(max_examples=400)
+@given(
+    st.integers(2, 8).flatmap(
+        lambda n: st.lists(
+            st.tuples(
+                st.integers(-4, 4),
+                st.integers(1, 5),
+                st.lists(st.booleans(), min_size=n, max_size=n),
+                st.lists(st.just(0) | st.integers(0, 8 * n), min_size=n, max_size=n),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    ),
+    st.booleans(),
+    st.integers(1, 3),
+)
+def test_spf_rule_is_the_group_bound_on_two_valued_profiles(rows, multiset, scale):
+    """On a block of two-valued profiles (low < high, ordered or multiset
+    patterns, unanimous ones included) ``spf_fails`` marks exactly the slots
+    whose cost exceeds scale * (n - s) * (high - low), s the slot's group
+    size: the lemma in its docstring, on int64 arrays and on the
+    ``Fraction`` object arrays of the exact path."""
+    n = len(rows[0][2])
+    X = np.array([[low + step * bit for bit in (sorted(bits) if multiset else bits)] for low, step, bits, _ in rows])
+    true = np.sort(X, axis=1)
+    cost = np.array([costs for *_, costs in rows])
+    expected = cost > _group_bound(X, true, scale)
+    assert (sweep.spf_fails(true, cost, scale) == expected).all()
+    # The exact path's form: reports, prices and scale as Fractions over a
+    # common denominator, which divides out of both sides.
+    exact = np.vectorize(lambda v: F(int(v), 6), otypes=[object])
+    prices = np.vectorize(lambda c: F(int(c), 6 * n), otypes=[object])(cost)
+    assert (sweep.spf_fails(exact(true), prices, F(scale, n)) == expected).all()
+    assert ((prices > _group_bound(exact(X), exact(true), F(scale, n))) == expected).all()
 
 
 # ---------------------------------------------------------------------------
