@@ -19,28 +19,24 @@ Every axiom has the same variants, defined once in :func:`_decide`:
   profile; the group axioms sweep its one realisation that fails them all,
   every interior phantom at 0.
 
-A mixture with a continuous family in expectation follows its axiom's rule.
-Strategyproofness passes outright when every finite component is
-phantom-class: each realisation is then a generalized median (Moulin 1980),
-strategyproof at every profile and for every real misreport, so the PASS
-covers the whole domain (other mixtures are an error). Anonymity lets the
-finite dictators decide, the i.i.d. family ignoring agent labels.
-Proportionality, Strong Proportionality and SPF are priced through the exact
-closed forms in :mod:`proploc.analysis`. Efficiency has no in-expectation
-variant.
+Strategyproofness, det or exp, is a theorem unless a finite part is an
+``Average``: every other part (a dictator beside a continuous family too),
+and every realisation of the family, is a generalized median (Moulin 1980).
+It moves with an agent's report r as clip(r, lo, hi), nearest the agent's
+true point at r = that point, so any lottery over such parts is
+strategyproof at every profile and for every real misreport. A mixture with
+an ``Average``, and every universal check, are swept; beside a continuous
+family an ``Average`` is an error. Otherwise a continuous family follows
+its axiom's exp rule: the finite dictators decide anonymity, and the group
+axioms are priced through the exact closed forms in
+:mod:`proploc.analysis`; efficiency has no exp variant.
 
 Finite mixtures go to the engine of :mod:`proploc.sweep`, which builds
 their integer rescaling (:class:`proploc.sweep.Scaled`, every part laid
 out by kind) and sweeps it; witnesses come back as exact rationals through
-:func:`_witness`. Strategyproofness and manipulation search rely on every
-rank, phantom and dictator part being a generalized median: with the other
-reports fixed, an agent's report r moves the part's output as
-clip(r, lo, hi), and the average's cost is linear in r. So an agent's
-expected cost is piecewise linear in its own report, and the sweep tries
-only the breakpoints (the window ends, the reports, the finite phantoms
-and the average's balance report, plus one step beyond each end on the
-real line). A strategyproofness PASS therefore covers every real
-misreport, not only the grid, and a witness misreport lies on a breakpoint.
+:func:`_witness`. A strategyproofness sweep tries only the breakpoints of
+an agent's piecewise linear cost (see :class:`proploc.sweep.SpSweep`), so
+its PASS covers every real misreport too.
 
 A sweep visits one profile per multiset of reports (its sorted tuple)
 when the swept cost ignores agent labels, and every ordered profile
@@ -88,7 +84,7 @@ widest enumeration any of them needs, with each one's first failure
 unchanged. The exact path for a continuous family prices the same
 profiles with ``Fraction`` distances from :mod:`proploc.analysis` and
 walks them with the same functions at scale 1/n, SPF through the same
-rule.
+rule over one common denominator.
 """
 
 from __future__ import annotations
@@ -106,6 +102,7 @@ from .core import (
     ONE,
     REAL_LINE,
     UNIT_INTERVAL,
+    Average,
     DomainMismatchError,
     Infinite,
     MechanismError,
@@ -117,7 +114,6 @@ from .core import (
     evaluate,
     format_point,
     grid_points,
-    mechanism_is_phantom_class,
 )
 from .mechanisms import build_mechanism, format_mechanism
 from .sweep import (
@@ -140,7 +136,6 @@ INCONCLUSIVE = "inconclusive"
 DET = "det"
 EXP = "exp"
 UNIVERSAL = "universal"
-VARIANTS = (DET, EXP, UNIVERSAL)
 
 ANONYMITY = "anonymity"
 STRATEGYPROOFNESS = "strategyproofness"
@@ -285,7 +280,7 @@ def _components_of(mechanism, n: int, domain: str):
     return mixture
 
 
-def _decide(axiom, mechanism, dom: CheckDomain, variant, first, continuous=None, family=None):
+def _decide(axiom, mechanism, dom: CheckDomain, variant, first, continuous=None, family=None, theorem=None):
     """Decide ``axiom`` in ``variant``: the one place the variants are
     defined (see the module docstring).
 
@@ -293,9 +288,10 @@ def _decide(axiom, mechanism, dom: CheckDomain, variant, first, continuous=None,
     (mechanism, weight) pairs: (component index, witness, failure detail) of
     the first violation, or None. With ``combine`` the components form one
     mixture (det and exp); without it each is checked alone (universal),
-    and the verdict names the failing component. ``continuous(mixture)`` is
-    the axiom's in-expectation rule for a mixture with a continuous family,
-    as (status, witness, detail); an axiom without one has no exp variant.
+    and the verdict names the failing component. ``theorem(components)``
+    may first return a det or exp PASS's detail (else None), and
+    ``continuous(mixture)`` is the in-expectation rule for a continuous
+    family, as (status, witness, detail); without it there is no exp variant.
     ``family`` notes an axiom every realisation of a uniform phantom family
     meets by theorem. Without it (the group axioms) the family enters a
     universal check as its realisation with every interior phantom at 0. That
@@ -324,6 +320,8 @@ def _decide(axiom, mechanism, dom: CheckDomain, variant, first, continuous=None,
         if continuous is None:
             raise MechanismError(f"{axiom} has deterministic and universal variants only")
         raise MechanismError(f"unknown variant {variant!r}")
+    if theorem and (detail := theorem(mixture.components)):
+        return AxiomVerdict(axiom, variant, PASS, None, detail)
     if mixture.has_continuous:
         return AxiomVerdict(axiom, variant, *continuous(mixture))
     found = first(mixture.components, dom, True)
@@ -335,6 +333,16 @@ def _decide(axiom, mechanism, dom: CheckDomain, variant, first, continuous=None,
 # ---------------------------------------------------------------------------
 # Strategyproofness
 # ---------------------------------------------------------------------------
+
+
+def _sp_theorem(components, dom: CheckDomain):
+    """The PASS detail of det or exp strategyproofness when no finite part
+    is an ``Average`` (the module docstring has the theorem), else None. A
+    malformed part raises as a sweep would (:func:`proploc.sweep.checked`)."""
+    if any(isinstance(mech, Average) for mech, _ in components):
+        return None
+    checked(components, dom.n, dom.domain)
+    return "every component a generalized median: every profile, every real misreport"
 
 
 def _sp_first(components, dom: CheckDomain, combine: bool):
@@ -350,26 +358,20 @@ def _sp_first(components, dom: CheckDomain, combine: bool):
 def check_strategyproofness(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVerdict:
     """No agent can cut its (expected) distance by misreporting.
 
-    Every profile on the check grid is swept, and the misreports cover the
-    whole line, not only the grid: an agent's expected cost is piecewise
-    linear in its own report, with kinks only at the other reports, the
-    finite phantoms, its true point and the report balancing the average.
-    So the sweep tries exactly those breakpoints plus the window ends (and
-    one step beyond each end on the real line), and a witness misreport
-    lies on a breakpoint.
+    A det or exp check with no ``Average`` part, a dictator beside a
+    continuous family included, passes by theorem at every profile and for
+    every real misreport (:func:`_sp_theorem`). A mixture with an
+    ``Average``, and every universal check, are swept (see the module
+    docstring); beside a continuous family an ``Average`` is an error.
     """
 
     def continuous(mixture):
-        if not all(mechanism_is_phantom_class(mech) for mech, _ in mixture.components):
-            raise MechanismError(
-                "in-expectation strategyproofness is undecided for continuous "
-                "families mixed with non-phantom components"
-            )
-        checked(mixture.components, dom.n, dom.domain)
-        return PASS, None, "every component a generalized median: every profile, every real misreport"
+        raise MechanismError("in-expectation strategyproofness is undecided for continuous "
+                             "families mixed with non-phantom components")
 
     return _decide(STRATEGYPROOFNESS, mechanism, dom, variant, _sp_first, continuous,
-                   family="each phantom realisation a generalized median: every profile, every real misreport")
+                   family="each phantom realisation a generalized median: every profile, every real misreport",
+                   theorem=partial(_sp_theorem, dom=dom))
 
 
 @dataclass(frozen=True)
@@ -402,13 +404,13 @@ def search_manipulation(mechanism, dom: CheckDomain) -> ManipulationFinding | No
     The misreports are the breakpoints of the strategyproofness sweep, so
     the gain is the largest over every real misreport. Ties go to the
     lexicographically first instance; returns None when no profitable
-    misreport exists.
+    misreport exists, by theorem when no part is an ``Average``.
     """
     mixture = _components_of(mechanism, dom.n, dom.domain)
-    if mixture.has_continuous:
-        # Strategyproof in expectation, or an error for a non-phantom part.
-        check_strategyproofness(mixture, dom, EXP)
+    if _sp_theorem(mixture.components, dom):
         return None
+    if mixture.has_continuous:
+        check_strategyproofness(mixture, dom, EXP)  # an average beside the family raises
     scaled = Scaled(mixture.components, dom.n, dom.domain, dom.grid)
     best = SpSweep(scaled, combine=True).best_gain()
     if best is None:
@@ -695,11 +697,13 @@ def _spf_violation(X, price, scale):
 
 def _spf_exact(locations, price, scale):
     """The exact path's SPF violation on one profile, or None: the engine's
-    rule, :func:`proploc.sweep.spf_fails`, on the profile's ``Fraction``
-    prices, then the subset walk if it fails."""
-    true = np.array([sorted(locations)], dtype=object)
-    cost = np.array([[price(x) for x in true[0]]], dtype=object)
-    if spf_fails(true, cost, scale).any():
+    rule, :func:`proploc.sweep.spf_fails`, on the sorted profile and each
+    price / scale as integers over one denominator, then the subset walk."""
+    true = sorted(locations)
+    values = true + [price(x) / scale for x in true]
+    den = math.lcm(*(v.denominator for v in values))
+    true, cost = np.array([v.numerator * (den // v.denominator) for v in values], dtype=object).reshape(2, 1, -1)
+    if spf_fails(true, cost, 1).any():
         return _spf_violation(locations, price, scale)
     return None
 
@@ -715,7 +719,7 @@ def check_spf(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVerdict:
     profile walks its subsets, by size and then lexicographically, for the
     first witness (see :func:`_spf_violation`). Finite mixtures run on the
     block engine (:func:`_group_first`), a continuous family through the
-    exact closed forms, on the same rule over ``Fraction`` prices. A
+    exact closed forms, on the same rule over integer prices. A
     mixture (or, universally, every component) that commutes with
     translation sweeps only the grid profiles through the grid's lowest
     point, which hold its first failure (see

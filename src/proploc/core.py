@@ -271,10 +271,6 @@ def mechanism_is_anonymous(mechanism: Mechanism) -> bool:
     return isinstance(mechanism, _ANONYMOUS_KINDS)
 
 
-def mechanism_is_phantom_class(mechanism: Mechanism) -> bool:
-    return isinstance(mechanism, (Phantom, RankK, Median, UniformPhantom))
-
-
 def to_phantom_form(mechanism: Mechanism, n: int, domain: str = UNIT_INTERVAL) -> Phantom:
     """Phantom vector of length n+1 equivalent to ``mechanism`` for n agents.
 

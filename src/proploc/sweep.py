@@ -648,8 +648,8 @@ def spf_fails(true, cost, scale):
     a group's members cost the same, and the first marked slot is the
     lowest-index member of the first failing group, the low group first.
 
-    The rule reads any ordered numbers: int64 reports, Python ints, or the
-    ``Fraction`` prices of the exact path on ``dtype=object``. For reports
+    The rule reads int64 or Python ints (``dtype=object``), the exact path's
+    too, over one common denominator (``axioms._spf_exact``). For reports
     in (-big, big), R < 2 * big, |g| < 3 * n * big and every bound is below
     8 * n * big * scale: the int64 guard of :class:`GroupSweep`.
     """

@@ -263,6 +263,7 @@ def test_universal_checks_refuse_a_discrete_family(axiom):
 
 
 GROUP_CHECKS = (ax.check_proportionality, ax.check_strong_proportionality, ax.check_spf)
+SP_THEOREM = "every component a generalized median: every profile, every real misreport"
 
 
 @pytest.mark.parametrize("check", GROUP_CHECKS, ids=lambda check: check.__name__)
@@ -328,15 +329,24 @@ def test_group_axioms_universal_verdict_matches_the_sampled_support(case):
 
 @pytest.mark.parametrize(
     "mech, message",
-    [(Average(), "undecided"), (Dictator(1), "undecided"), (RankK(5), "out of range")],
+    [(Average(), "undecided"), (Dictator(1), None), (RankK(5), "out of range")],
     ids=["average", "dictator", "rank-past-n"],
 )
 def test_continuous_family_strategyproofness_raises_without_a_pass(mech, message):
-    """A non-phantom part leaves the rule undecided, and a malformed part
-    is rejected as the sweep would reject it."""
+    """An average leaves the rule undecided, and a malformed part is
+    rejected as the sweep would reject it. A dictator is a generalized
+    median, so beside the family it passes by theorem and nothing
+    manipulates it."""
     mixture = _with_family(3, mech, F(1, 2))
-    with pytest.raises(MechanismError, match=message):
-        ax.check_strategyproofness(mixture, CheckDomain(n=3, grid=4), ax.EXP)
+    dom = CheckDomain(n=3, grid=4)
+    if message is None:
+        verdict = ax.check_strategyproofness(mixture, dom, ax.EXP)
+        assert (verdict.status, verdict.detail) == (ax.PASS, SP_THEOREM)
+        assert ax.search_manipulation(mixture, dom) is None
+        return
+    for run in (ax.check_strategyproofness, ax.search_manipulation):
+        with pytest.raises(MechanismError, match=message):
+            run(mixture, dom, *([ax.EXP] if run is ax.check_strategyproofness else []))
 
 
 def _dense_report_check(mechanism, n, profile_grid, report_grid=60):
