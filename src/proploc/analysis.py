@@ -1,15 +1,12 @@
-"""Closed forms, constraint solving, and numeric cross-checks.
+"""Closed forms, constraint solving, and impossibility certificates.
 
-Everything verdict-bearing here is exact rational arithmetic. A mixture's
-expectations have two parts. Its finite components form one
+Everything here is exact rational arithmetic. A mixture's expectations
+have two parts. Its finite components form one
 :class:`proploc.core.Lottery` per profile, which prices each point by one
 bisect into running sums of mass and moment (a deterministic mechanism's
 one atom as |x - location|). A uniform phantom family is priced by one
 cumulative integer integral of the facility's CDF per profile, for the
-expected location and every point at once. The numeric oracle
-(quadrature / Monte Carlo) is deliberately kept as an independent route:
-it never feeds exact-equality decisions, only inequality findings whose
-margin exceeds its reported error bound.
+expected location and every point at once.
 """
 
 from __future__ import annotations
@@ -20,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-
-import numpy as np
 
 from .core import (
     NEG_INF,
@@ -53,18 +48,6 @@ def order_stat_mean(count: int, index: int) -> Fraction:
     if not (1 <= index <= count):
         raise MechanismError(f"order statistic index {index} out of range 1..{count}")
     return Fraction(index, count + 1)
-
-
-def order_stat_mc(count: int, index: int, samples: int = 1_000_000, seed: int = 0):
-    """Monte Carlo mean of a uniform order statistic with a 3-SE bound."""
-    if not (1 <= index <= count):
-        raise MechanismError(f"order statistic index {index} out of range 1..{count}")
-    rng = np.random.default_rng(seed)
-    draws = rng.random((samples, count))
-    stat = np.partition(draws, index - 1, axis=1)[:, index - 1]
-    mean = float(stat.mean())
-    three_se = 3.0 * float(stat.std(ddof=1)) / math.sqrt(samples)
-    return mean, three_se
 
 
 @lru_cache(maxsize=None)
@@ -496,11 +479,6 @@ class Prop1Certificate:
         return data
 
 
-def _med5(a: Fraction, b: Fraction, triple) -> Fraction:
-    values = sorted((a, b) + triple)
-    return values[2]
-
-
 def _phantom_candidates(placements) -> tuple[Fraction, ...]:
     """The placements' breakpoints (0, 1, each report and forced output)
     plus the midpoints between neighbours, which is exhaustive: a phantom
@@ -512,6 +490,15 @@ def _phantom_candidates(placements) -> tuple[Fraction, ...]:
     return tuple(sorted({*points, *mids}))
 
 
+def _phantom_triples(placements, values):
+    """Each sorted phantom triple over ``values`` meeting every forced
+    placement: the median of 0, the report and the triple is the forced
+    output."""
+    for triple in combinations_with_replacement(values, 3):
+        if all(sorted((ZERO, p.report) + triple)[2] == p.forced for p in placements):
+            yield triple
+
+
 def find_phantom_vector(placements, candidates=None):
     """A sorted phantom triple meeting every forced placement, or None.
 
@@ -520,10 +507,7 @@ def find_phantom_vector(placements, candidates=None):
     placements = tuple(placements)
     if candidates is None:
         candidates = _phantom_candidates(placements)
-    for triple in combinations_with_replacement(candidates, 3):
-        if all(_med5(ZERO, p.report, triple) == p.forced for p in placements):
-            return triple
-    return None
+    return next(_phantom_triples(placements, candidates), None)
 
 
 def prop1_infeasibility(samples=(Fraction(1, 2), ONE)) -> Prop1Certificate:
@@ -569,205 +553,5 @@ def prop1_grid_sweep(certificate: Prop1Certificate, grid: int = 40) -> int:
     if grid < 1:
         raise MechanismError("grid parameter must be >= 1")
     values = tuple(Fraction(j, grid) for j in range(grid + 1))
-    placements = (certificate.first, certificate.second)
-    count = 0
-    for triple in combinations_with_replacement(values, 3):
-        if all(_med5(ZERO, p.report, triple) == p.forced for p in placements):
-            count += 1
-    return count
+    return sum(1 for _ in _phantom_triples((certificate.first, certificate.second), values))
 
-
-# ---------------------------------------------------------------------------
-# Numeric oracle (floats, quarantined from exact verdicts)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OracleEstimate:
-    value: float
-    error: float
-    mode: str
-    evaluations: int
-    seed: int | None = None
-
-    def to_json(self) -> dict:
-        data = {
-            "value": self.value,
-            "error_bound": self.error,
-            "mode": self.mode,
-            "evaluations": self.evaluations,
-            "inexact": True,
-        }
-        if self.seed is not None:
-            data["seed"] = self.seed
-        return data
-
-
-def _batch_integrand(agents: list[float], point: float):
-    fixed = np.array(agents + [0.0, 1.0])
-
-    def feval(points: np.ndarray) -> np.ndarray:
-        stacked = np.concatenate(
-            [np.tile(fixed, (points.shape[0], 1)), points], axis=1
-        )
-        return np.abs(point - np.median(stacked, axis=1))
-
-    return feval
-
-
-def _adaptive_cells(feval, dims: int, tol: float, max_cells: int, min_depth: int = 4):
-    """Level-synchronous adaptive midpoint cubature on [0,1]^dims.
-
-    The integrand is piecewise linear, so cells away from its kinks agree
-    between the coarse (centroid) and refined (subcell centroids) rules
-    and get accepted; kink-crossing cells keep splitting until the global
-    error estimate fits the tolerance.
-    """
-    offsets = np.array(
-        [[corner >> d & 1 for d in range(dims)] for corner in range(1 << dims)],
-        dtype=float,
-    )
-    lo = np.zeros((1, dims))
-    hi = np.ones((1, dims))
-    accepted_value = 0.0
-    accepted_err = 0.0
-    evaluated = 0
-    depth = 0
-    while lo.shape[0]:
-        evaluated += lo.shape[0]
-        if evaluated > max_cells:
-            raise MechanismError("quadrature cell budget exceeded; loosen the tolerance")
-        span = hi - lo
-        vol = np.prod(span, axis=1)
-        coarse = feval(lo + span / 2)
-        fine = np.zeros(lo.shape[0])
-        for off in offsets:
-            fine += feval(lo + span * (0.25 + 0.5 * off))
-        fine /= 1 << dims
-        err = np.abs(fine - coarse) * vol
-        pending = float(err.sum())
-        if depth >= min_depth and accepted_err + pending <= tol:
-            accepted_value += float((fine * vol).sum())
-            accepted_err += pending
-            break
-        if depth >= min_depth:
-            # bank the cheapest cells against half the remaining budget
-            order = np.argsort(err)
-            budget = max(0.0, (tol - accepted_err) / 2)
-            cumulative = np.cumsum(err[order])
-            keep = int(np.searchsorted(cumulative, budget, side="right"))
-            accept = order[:keep]
-            refine = order[keep:]
-            accepted_value += float((fine[accept] * vol[accept]).sum())
-            accepted_err += float(err[accept].sum())
-        else:
-            refine = np.arange(lo.shape[0])
-        lo_r, span_r = lo[refine], span[refine]
-        children_lo = []
-        for off in offsets:
-            children_lo.append(lo_r + span_r * 0.5 * off)
-        lo = np.concatenate(children_lo, axis=0)
-        hi = lo + np.tile(span_r / 2, (1 << dims, 1))
-        depth += 1
-    return accepted_value, 2.0 * max(accepted_err, 1e-15), evaluated
-
-
-def oracle_point_distance(
-    mechanism: RandomizedMechanism,
-    profile: Profile,
-    point,
-    mode: str = "quadrature",
-    tol: float = 1e-9,
-    samples: int = 1_000_000,
-    seed: int = 0,
-    max_cells: int = 2_000_000,
-) -> OracleEstimate:
-    """Approximate E|point - facility| for a mechanism with a uniform
-    continuous phantom family; finite components enter exactly.
-    """
-    if not isinstance(mechanism, RandomizedMechanism) or not mechanism.has_continuous:
-        raise MechanismError("the numeric oracle needs a continuous phantom family")
-    if not mechanism.continuous.is_uniform:
-        raise MechanismError("expand discrete phantom families before sampling")
-    if mechanism.n != profile.n or mechanism.domain != profile.domain:
-        raise MechanismError("mechanism and profile disagree on n or domain")
-    point = Fraction(point)
-    finite_part = 0.0
-    for mech, weight in mechanism.components:
-        finite_part += float(weight) * abs(float(point - evaluate(mech, profile)))
-    weight_cont = float(mechanism.continuous_weight)
-    agents = [float(x) for x in profile.locations]
-    dims = profile.n - 1
-    if mode == "quadrature":
-        feval = _batch_integrand(agents, float(point))
-        value, err, cells = _adaptive_cells(feval, dims, tol, max_cells)
-        return OracleEstimate(
-            finite_part + weight_cont * value, weight_cont * err, mode, cells
-        )
-    if mode == "monte_carlo":
-        rng = np.random.default_rng(seed)
-        draws = rng.random((samples, dims))
-        fixed = np.array(agents + [0.0, 1.0])
-        stacked = np.concatenate(
-            [np.tile(fixed, (samples, 1)), draws], axis=1
-        )
-        med = np.median(stacked, axis=1)
-        dist = np.abs(float(point) - med)
-        mean = float(dist.mean())
-        three_se = 3.0 * float(dist.std(ddof=1)) / math.sqrt(samples)
-        return OracleEstimate(
-            finite_part + weight_cont * mean,
-            weight_cont * three_se,
-            mode,
-            samples,
-            seed,
-        )
-    raise MechanismError(f"unknown oracle mode {mode!r}")
-
-
-def numeric_expectation_oracle(
-    mechanism: RandomizedMechanism,
-    profile: Profile,
-    mode: str = "quadrature",
-    tol: float = 1e-9,
-    samples: int = 1_000_000,
-    seed: int = 0,
-) -> dict:
-    """Per-agent expected distances, approximated and tagged inexact."""
-    return {
-        "mode": mode,
-        "agent_distances": [
-            oracle_point_distance(
-                mechanism, profile, x, mode=mode, tol=tol, samples=samples, seed=seed
-            ).to_json()
-            for x in profile.locations
-        ],
-    }
-
-
-def oracle_group_bound_check(
-    mechanism: RandomizedMechanism,
-    profile: Profile,
-    point,
-    bound,
-    mode: str = "quadrature",
-    tol: float = 1e-9,
-    samples: int = 1_000_000,
-    seed: int = 0,
-) -> tuple[str, OracleEstimate]:
-    """Single-instance fairness check through the inexact oracle.
-
-    Returns "fail" only when the estimated expected distance clears the
-    bound by more than the error bound, "pass" when it sits below by the
-    same margin, and "inconclusive" otherwise; approximations never decide
-    a tight instance.
-    """
-    estimate = oracle_point_distance(
-        mechanism, profile, point, mode=mode, tol=tol, samples=samples, seed=seed
-    )
-    margin = estimate.value - float(Fraction(bound))
-    if margin > estimate.error:
-        return "fail", estimate
-    if margin < -estimate.error:
-        return "pass", estimate
-    return "inconclusive", estimate

@@ -366,8 +366,8 @@ def check_strategyproofness(mechanism, dom: CheckDomain, variant: str = DET) -> 
     """
 
     def continuous(mixture):
-        raise MechanismError("in-expectation strategyproofness is undecided for continuous "
-                             "families mixed with non-phantom components")
+        raise MechanismError("in-expectation strategyproofness is undecided for a continuous "
+                             "family mixed with an average")
 
     return _decide(STRATEGYPROOFNESS, mechanism, dom, variant, _sp_first, continuous,
                    family="each phantom realisation a generalized median: every profile, every real misreport",

@@ -2,8 +2,9 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines
 alongside the pytest report. Every quantity asserted here is exact rational
-arithmetic unless the criterion is explicitly about the numeric oracle, in
-which case the inequality margin must clear the oracle's error bound.
+arithmetic unless the criterion is explicitly about the float reference in
+``float_oracle``, in which case the inequality margin must clear its error
+bound.
 """
 
 import random
@@ -12,6 +13,7 @@ from fractions import Fraction as F
 
 import proploc.analysis as an
 import proploc.axioms as ax
+from float_oracle import oracle_point_distance, order_stat_mc
 from proploc.axioms import CheckDomain, recheck_witness
 from proploc.cli import build_table, table_answers
 from proploc.core import (
@@ -87,11 +89,11 @@ def test_criterion_2_property_table_regeneration():
         bound = float(F(witness["bound"]))
         point = profile.locations[agent - 1]
         if n <= 3:
-            estimate = an.oracle_point_distance(
+            estimate = oracle_point_distance(
                 random_phantom(n), profile, point, mode="quadrature", tol=1e-7
             )
         else:
-            estimate = an.oracle_point_distance(
+            estimate = oracle_point_distance(
                 random_phantom(n),
                 profile,
                 point,
@@ -195,7 +197,7 @@ def test_criterion_7_uniform_order_statistic_means():
     mc_ok = True
     for n in range(2, 11):
         for i in range(1, n):
-            mean, three_se = an.order_stat_mc(
+            mean, three_se = order_stat_mc(
                 n - 1, i, samples=1_000_000, seed=1000 * n + i
             )
             mc_ok = mc_ok and abs(mean - i / n) <= three_se

@@ -1,13 +1,16 @@
-"""Closed forms, the weight solver, certificates, and the numeric oracle."""
+"""Closed forms, the weight solver, certificates, and the float cross-checks."""
 
 import math
+from bisect import bisect_left
 from fractions import Fraction as F
+from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import proploc.analysis as an
 import proploc.axioms as ax
+from float_oracle import oracle_point_distance, order_stat_mc
 from proploc.core import (
     DomainMismatchError,
     IIDPhantomSpec,
@@ -44,9 +47,9 @@ def test_order_stat_mean_validation():
 
 
 def test_order_stat_monte_carlo_agrees():
-    mean, three_se = an.order_stat_mc(4, 1, samples=200_000, seed=5)
+    mean, three_se = order_stat_mc(4, 1, samples=200_000, seed=5)
     assert abs(mean - 0.2) <= three_se
-    mean, three_se = an.order_stat_mc(1, 1, samples=200_000, seed=6)
+    mean, three_se = order_stat_mc(1, 1, samples=200_000, seed=6)
     assert abs(mean - 0.5) <= three_se
 
 
@@ -364,6 +367,39 @@ def test_interior_pair_is_infeasible():
     assert an.prop1_grid_sweep(cert, 24) == 0
 
 
+@given(st.integers(1, 12).flatmap(lambda a: st.tuples(st.just(a), st.integers(a, 12))))
+@example((6, 12))  # the default certificate's reports (1/2, 1)
+@example((4, 4))  # equal reports are one placement, which a vector meets
+def test_representative_candidates_decide_every_grid_triple(pair):
+    """``_phantom_candidates`` is exhaustive. With reports in twelfths and
+    step 1/(4 * lcm of their denominators), the grid holds every candidate;
+    each grid triple meets the placements exactly when its representative
+    does (each phantom snapped to its breakpoint or to the midpoint of its
+    containing interval), that representative is a candidate triple, and
+    so the candidate search finds a vector exactly when the grid scan does.
+    Distinct reports never admit one (each forced output needs a phantom of
+    its own, and the third cannot sit on both sides), so equal reports are
+    the admitting case."""
+    a, b = pair
+    reports = (F(a, 12), F(b, 12))
+    placements = tuple(an.ForcedPlacement(t) for t in reports)
+    step = 4 * math.lcm(*(t.denominator for t in reports))
+    grid = tuple(F(j, step) for j in range(step + 1))
+    candidates = set(an._phantom_candidates(placements))
+    assert candidates <= set(grid)
+    breaks = sorted({ZERO, F(1), *(v for p in placements for v in (p.report, p.forced))})
+    snap = {}
+    for j, y in enumerate(grid):
+        at = bisect_left(breaks, y)
+        snap[j] = j if breaks[at] == y else int((breaks[at - 1] + breaks[at]) / 2 * step)
+        assert grid[snap[j]] in candidates
+    hits = {tuple(int(y * step) for y in triple) for triple in an._phantom_triples(placements, grid)}
+    for triple in combinations_with_replacement(range(step + 1), 3):
+        assert (triple in hits) == (tuple(snap[j] for j in triple) in hits)
+    assert (an.find_phantom_vector(placements) is None) == (not hits)
+    assert (a == b) == bool(hits)
+
+
 def test_certificate_input_validation():
     with pytest.raises(MechanismError):
         an.prop1_infeasibility((F(1, 2),))
@@ -380,7 +416,7 @@ def test_certificate_serialization():
 
 
 # ---------------------------------------------------------------------------
-# numeric oracle
+# float cross-checks (tests/float_oracle.py)
 # ---------------------------------------------------------------------------
 
 
@@ -388,7 +424,7 @@ def test_quadrature_matches_closed_forms():
     mechanism = random_phantom(3)
     profile = Profile.unit(F(1, 4), F(1, 4), F(3, 4))
     exact = float(an.uniform_family_expected_distance(profile, F(3, 4)))
-    estimate = an.oracle_point_distance(
+    estimate = oracle_point_distance(
         mechanism, profile, F(3, 4), mode="quadrature", tol=1e-8
     )
     assert abs(estimate.value - exact) <= estimate.error <= 1e-6
@@ -398,45 +434,18 @@ def test_monte_carlo_matches_closed_forms():
     mechanism = random_phantom(3)
     profile = Profile.unit(0, F(1, 2), F(5, 6))
     exact = float(an.uniform_family_expected_distance(profile, F(1, 2)))
-    estimate = an.oracle_point_distance(
+    estimate = oracle_point_distance(
         mechanism, profile, F(1, 2), mode="monte_carlo", samples=400_000, seed=3
     )
     assert abs(estimate.value - exact) <= estimate.error
     assert estimate.seed == 3
 
 
-def test_oracle_reports_are_tagged_inexact():
-    mechanism = random_phantom(2)
-    report = an.numeric_expectation_oracle(
-        mechanism, Profile.unit(0, F(1, 2)), mode="quadrature", tol=1e-7
-    )
-    assert all(entry["inexact"] for entry in report["agent_distances"])
-
-
 def test_oracle_requires_a_continuous_family():
     with pytest.raises(MechanismError):
-        an.oracle_point_distance(random_rank(3), Profile.unit(0, 0, 1), F(0))
+        oracle_point_distance(random_rank(3), Profile.unit(0, 0, 1), F(0))
     with pytest.raises(MechanismError):
-        an.oracle_point_distance(
+        oracle_point_distance(
             random_phantom(3), Profile.unit(0, 0, 1), F(0), mode="sorcery"
         )
 
-
-def test_oracle_bound_checks_quarantine_tight_instances():
-    mechanism = random_phantom(3)
-    wide = Profile.unit(F(1, 4), F(1, 4), F(3, 4))
-    status, estimate = an.oracle_group_bound_check(
-        mechanism, wide, F(3, 4), F(1, 3), tol=1e-7
-    )
-    assert status == "fail"
-    assert estimate.value - 1 / 3 > estimate.error
-    endpoints = Profile.unit(0, 0, 1)
-    status, _ = an.oracle_group_bound_check(
-        mechanism, endpoints, F(0), F(2, 3), tol=1e-7
-    )
-    assert status == "pass"
-    # the endpoint bound is met with equality: approximation may not decide
-    status, _ = an.oracle_group_bound_check(
-        mechanism, endpoints, F(0), F(1, 3), tol=1e-7
-    )
-    assert status == "inconclusive"
