@@ -1,9 +1,11 @@
 """Closed forms, the weight solver, certificates, and the float cross-checks."""
 
 import math
+import re
 from bisect import bisect_left
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -367,6 +369,15 @@ def test_interior_pair_is_infeasible():
     assert an.prop1_grid_sweep(cert, 24) == 0
 
 
+def test_grid_sweep_rejects_an_empty_grid():
+    cert = an.prop1_infeasibility()
+    for grid in (0, -1):
+        with pytest.raises(MechanismError, match="grid parameter must be >= 1"):
+            an.prop1_grid_sweep(cert, grid)
+    # the coarsest grid {0, 1} still holds no vector for the default pair
+    assert an.prop1_grid_sweep(cert, 1) == 0
+
+
 @given(st.integers(1, 12).flatmap(lambda a: st.tuples(st.just(a), st.integers(a, 12))))
 @example((6, 12))  # the default certificate's reports (1/2, 1)
 @example((4, 4))  # equal reports are one placement, which a vector meets
@@ -439,6 +450,18 @@ def test_monte_carlo_matches_closed_forms():
     )
     assert abs(estimate.value - exact) <= estimate.error
     assert estimate.seed == 3
+
+
+def test_package_source_is_exact_only():
+    """The package decides every verdict exactly: no module names ``float``
+    or draws numpy random numbers, and ``analysis`` does not import numpy.
+    The float reference lives in ``tests/float_oracle.py``."""
+    package = Path(an.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        source = path.read_text()
+        assert not re.search(r"\bfloat\b", source), path.name
+        assert "np.random" not in source, path.name
+    assert "numpy" not in (package / "analysis.py").read_text()
 
 
 def test_oracle_requires_a_continuous_family():
