@@ -13,11 +13,17 @@ Every axiom has the same variants, defined once in :func:`_decide`:
   swept as one mechanism;
 - ``universal``: every support component satisfies it on its own, in order,
   and a failure names the first that does not (universal truthfulness and
-  anonymity, ex-post efficiency and fairness). A uniform phantom family's
-  realisations are generalized medians with phantoms at 0 and 1, so they
-  meet strategyproofness, anonymity and efficiency by theorem, at every
-  profile; the group axioms sweep its one realisation that fails them all,
-  every interior phantom at 0.
+  anonymity, ex-post efficiency and fairness).
+
+Each axiom names the parts it meets by theorem, at every profile. A
+universal check sweeps only the other parts: a part that never fails is
+never the first to fail, so every verdict and witness is the full sweep's.
+A det or exp check whose parts are all covered passes with the theorem's
+detail and sweeps nothing. A uniform phantom family's realisations are
+generalized medians with phantoms at 0 and 1, so they meet
+strategyproofness, anonymity and efficiency; the group axioms sweep its one
+realisation that fails them all, every interior phantom at 0. The
+``Average`` meets the three group axioms (below).
 
 Strategyproofness, det or exp, is a theorem unless a finite part is an
 ``Average``: every other part (a dictator beside a continuous family too),
@@ -25,11 +31,26 @@ and every realisation of the family, is a generalized median (Moulin 1980).
 It moves with an agent's report r as clip(r, lo, hi), nearest the agent's
 true point at r = that point, so any lottery over such parts is
 strategyproof at every profile and for every real misreport. A mixture with
-an ``Average``, and every universal check, are swept; beside a continuous
-family an ``Average`` is an error. Otherwise a continuous family follows
-its axiom's exp rule: the finite dictators decide anonymity, and the group
-axioms are priced through the exact closed forms in
-:mod:`proploc.analysis`; efficiency has no exp variant.
+an ``Average``, and the finite parts of every universal check, are swept;
+beside a continuous family an ``Average`` is an error. Otherwise a
+continuous family follows its axiom's exp rule: the finite dictators decide
+anonymity, and the group axioms are priced through the exact closed forms
+in :mod:`proploc.analysis`; efficiency has no exp variant.
+
+The ``Average`` meets SPF, proportionality and Strong Proportionality at
+every real profile, for every n, on both domains. Let m be the mean of a
+profile of range R. For a subset S holding agent i, with inner range r,
+
+    |x_i - m| = |sum_j (x_i - x_j)| / n <= ((|S| - 1) r + (n - |S|) R) / n
+              <= ((n - |S|) R + n r) / n,
+
+as the other members of S lie within r of x_i and the rest within R: SPF's
+bound. On a two-valued profile with s agents at low and the rest a gap
+above, m = low + (n - s)/n * gap, so the low group pays exactly its bound
+(n - s)/n * gap and the high group its bound s/n * gap (proportionality is
+the pair 0, 1). Each bound holds for an expected distance, which is linear
+in the lottery, so any mixture of parts that each meet it meets it too
+(``tests/test_average_theorem.py`` checks both against exact costs).
 
 Finite mixtures go to the engine of :mod:`proploc.sweep`, which builds
 their integer rescaling (:class:`proploc.sweep.Scaled`, every part laid
@@ -104,6 +125,7 @@ from .core import (
     UNIT_INTERVAL,
     Average,
     DomainMismatchError,
+    IIDPhantomSpec,
     Infinite,
     MechanismError,
     Phantom,
@@ -280,7 +302,7 @@ def _components_of(mechanism, n: int, domain: str):
     return mixture
 
 
-def _decide(axiom, mechanism, dom: CheckDomain, variant, first, continuous=None, family=None, theorem=None):
+def _decide(axiom, mechanism, dom: CheckDomain, variant, first, theorem, continuous=None):
     """Decide ``axiom`` in ``variant``: the one place the variants are
     defined (see the module docstring).
 
@@ -288,40 +310,49 @@ def _decide(axiom, mechanism, dom: CheckDomain, variant, first, continuous=None,
     (mechanism, weight) pairs: (component index, witness, failure detail) of
     the first violation, or None. With ``combine`` the components form one
     mixture (det and exp); without it each is checked alone (universal),
-    and the verdict names the failing component. ``theorem(components)``
-    may first return a det or exp PASS's detail (else None), and
-    ``continuous(mixture)`` is the in-expectation rule for a continuous
-    family, as (status, witness, detail); without it there is no exp variant.
-    ``family`` notes an axiom every realisation of a uniform phantom family
-    meets by theorem. Without it (the group axioms) the family enters a
-    universal check as its realisation with every interior phantom at 0. That
-    one outputs the lowest report, so on the profile with one agent at 1 and
-    the rest at 0 the lone agent pays 1 > (n - 1)/n: it fails at every n and
-    grid, as do, by continuity, the realisations with interior phantoms in
-    (0, eps), so the FAIL does not rest on a null set.
+    and the verdict names the failing component. ``theorem(part, combine)``
+    is the detail of a PASS that ``part``, a finite mechanism or the
+    continuous family, earns by theorem at every profile (else None): a
+    universal check sweeps only the parts it does not cover, and a det or
+    exp check whose parts it all covers passes with that detail. A
+    universal check's uncovered family is its realisation with every
+    interior phantom at 0, which outputs the lowest report: on the profile
+    with one agent at 1 and the rest at 0 the lone agent pays 1 > (n - 1)/n,
+    so it fails every group axiom at every n and grid, as do, by
+    continuity, the realisations with interior phantoms in (0, eps), and
+    the FAIL does not rest on a null set. ``continuous(mixture)`` is the
+    in-expectation rule for a mixture with a continuous family, as (status,
+    witness, detail); without it there is no exp variant.
     """
     mixture = _components_of(mechanism, dom.n, dom.domain)
     if variant == DET and isinstance(mechanism, RandomizedMechanism):
         raise MechanismError("deterministic variant needs a deterministic mechanism")
+    parts = [mech for mech, _ in mixture.components]
+    if mixture.has_continuous:
+        parts.append(mixture.continuous)
     if variant == UNIVERSAL:
-        mechs = [mech for mech, _ in mixture.components]
-        if mixture.has_continuous:
-            if not mixture.continuous.is_uniform:
-                raise MechanismError("expand discrete phantom families before checking")
-            if family is None:
-                mechs.append(Phantom((ZERO,) * dom.n + (ONE,)))
+        if mixture.has_continuous and not mixture.continuous.is_uniform:
+            raise MechanismError("expand discrete phantom families before checking")
+        details = [theorem(part, False) for part in parts]
+        mechs = [
+            Phantom((ZERO,) * dom.n + (ONE,)) if part is mixture.continuous else part
+            for part, detail in zip(parts, details)
+            if detail is None
+        ]
         sweep = lambda run: first([(mech, ONE) for mech in run], dom, False)
         found = _first_failing_component(mechs, dom, sweep) if mechs else None
         if found is None:
-            return AxiomVerdict(axiom, variant, PASS, None, family if mixture.has_continuous else "")
+            return AxiomVerdict(axiom, variant, PASS, None, next(filter(None, details), ""))
         index, witness, failure = found
         return AxiomVerdict(axiom, variant, FAIL, replace(witness, component=format_mechanism(mechs[index])), failure)
     if variant not in ((DET, EXP) if continuous else (DET,)):
         if continuous is None:
             raise MechanismError(f"{axiom} has deterministic and universal variants only")
         raise MechanismError(f"unknown variant {variant!r}")
-    if theorem and (detail := theorem(mixture.components)):
-        return AxiomVerdict(axiom, variant, PASS, None, detail)
+    details = [theorem(part, True) for part in parts]
+    if all(details):
+        checked(mixture.components, dom.n, dom.domain)
+        return AxiomVerdict(axiom, variant, PASS, None, details[0])
     if mixture.has_continuous:
         return AxiomVerdict(axiom, variant, *continuous(mixture))
     found = first(mixture.components, dom, True)
@@ -330,19 +361,29 @@ def _decide(axiom, mechanism, dom: CheckDomain, variant, first, continuous=None,
     return AxiomVerdict(axiom, variant, FAIL, *found[1:])
 
 
+def _family_theorem(detail: str):
+    """The theorem hook of an axiom every realisation of the uniform phantom
+    family meets: it covers the family in a universal check, and leaves an
+    exp check to the axiom's in-expectation rule."""
+    return lambda part, combine: detail if isinstance(part, IIDPhantomSpec) and not combine else None
+
+
 # ---------------------------------------------------------------------------
 # Strategyproofness
 # ---------------------------------------------------------------------------
 
 
-def _sp_theorem(components, dom: CheckDomain):
-    """The PASS detail of det or exp strategyproofness when no finite part
-    is an ``Average`` (the module docstring has the theorem), else None. A
-    malformed part raises as a sweep would (:func:`proploc.sweep.checked`)."""
-    if any(isinstance(mech, Average) for mech, _ in components):
-        return None
-    checked(components, dom.n, dom.domain)
-    return "every component a generalized median: every profile, every real misreport"
+def _sp_theorem(part, combine: bool):
+    """The PASS detail strategyproofness earns by theorem for ``part`` (the
+    module docstring has it), else None: in a det or exp check every part
+    but an ``Average``, and in a universal check each realisation of the
+    continuous family. Universal strategyproofness still sweeps every
+    finite part."""
+    if combine and not isinstance(part, Average):
+        return "every component a generalized median: every profile, every real misreport"
+    if isinstance(part, IIDPhantomSpec) and not combine:
+        return "each phantom realisation a generalized median: every profile, every real misreport"
+    return None
 
 
 def _sp_first(components, dom: CheckDomain, combine: bool):
@@ -361,17 +402,16 @@ def check_strategyproofness(mechanism, dom: CheckDomain, variant: str = DET) -> 
     A det or exp check with no ``Average`` part, a dictator beside a
     continuous family included, passes by theorem at every profile and for
     every real misreport (:func:`_sp_theorem`). A mixture with an
-    ``Average``, and every universal check, are swept (see the module
-    docstring); beside a continuous family an ``Average`` is an error.
+    ``Average``, and the finite parts of every universal check, are swept
+    (see the module docstring); beside a continuous family an ``Average``
+    is an error.
     """
 
     def continuous(mixture):
         raise MechanismError("in-expectation strategyproofness is undecided for a continuous "
                              "family mixed with an average")
 
-    return _decide(STRATEGYPROOFNESS, mechanism, dom, variant, _sp_first, continuous,
-                   family="each phantom realisation a generalized median: every profile, every real misreport",
-                   theorem=partial(_sp_theorem, dom=dom))
+    return _decide(STRATEGYPROOFNESS, mechanism, dom, variant, _sp_first, _sp_theorem, continuous)
 
 
 @dataclass(frozen=True)
@@ -407,7 +447,8 @@ def search_manipulation(mechanism, dom: CheckDomain) -> ManipulationFinding | No
     misreport exists, by theorem when no part is an ``Average``.
     """
     mixture = _components_of(mechanism, dom.n, dom.domain)
-    if _sp_theorem(mixture.components, dom):
+    if all(_sp_theorem(mech, True) for mech, _ in mixture.components):
+        checked(mixture.components, dom.n, dom.domain)
         return None
     if mixture.has_continuous:
         check_strategyproofness(mixture, dom, EXP)  # an average beside the family raises
@@ -486,8 +527,9 @@ def check_anonymity(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVer
         found = _anonymity_first(mixture.components, dom, True, mixture=mixture)
         return (PASS, None, "") if found is None else (FAIL, found[1], "")
 
-    return _decide(ANONYMITY, mechanism, dom, variant, _anonymity_first, continuous,
-                   family="each phantom realisation a generalized median: every profile, every relabelling")
+    return _decide(ANONYMITY, mechanism, dom, variant, _anonymity_first,
+                   _family_theorem("each phantom realisation a generalized median: every profile, every relabelling"),
+                   continuous)
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +578,7 @@ def check_efficiency(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVe
     efficient if and only if its ends are the domain's, so on the real line
     a finite end fails even where no grid profile shows it."""
     return _decide(EFFICIENCY, mechanism, dom, variant, _efficiency_first,
-                   family="each phantom realisation a generalized median, phantoms at 0 and 1: every profile")
+                   _family_theorem("each phantom realisation a generalized median, phantoms at 0 and 1: every profile"))
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +614,13 @@ def _exact(mixture, dom: CheckDomain, profiles, violation):
             )
             return FAIL, witness, ""
     return PASS, None, ""
+
+
+def _average_theorem(part, combine: bool):
+    """The PASS detail of a group axiom for an ``Average`` part, which meets
+    all three at every real profile (the module docstring has the proof),
+    else None."""
+    return "the average within every group's bound: every real profile" if isinstance(part, Average) else None
 
 
 def _group_first(components, dom: CheckDomain, combine: bool, profiles, violation):
@@ -643,6 +692,7 @@ def check_proportionality(mechanism, dom: CheckDomain, variant: str = DET) -> Ax
         dom,
         variant,
         partial(_group_first, profiles=partial(_two_valued_grid, ends_only=True), violation=_group_violation),
+        _average_theorem,
         lambda mixture: _two_valued_exact(mixture, dom, True),
     )
 
@@ -663,7 +713,8 @@ def check_strong_proportionality(mechanism, dom: CheckDomain, variant: str = DET
     mixtures run on SPF's block rule, :func:`proploc.sweep.spf_fails` (its
     docstring has the proof), in :class:`proploc.sweep.GroupSweep`; the
     failing profile and the exact path for a continuous family read the
-    groups in the same order (:func:`_group_violation`).
+    groups in the same order (:func:`_group_violation`). An ``Average``
+    part meets the bound by theorem and is not swept (:func:`_average_theorem`).
     """
     return _decide(
         STRONG_PROPORTIONALITY,
@@ -671,6 +722,7 @@ def check_strong_proportionality(mechanism, dom: CheckDomain, variant: str = DET
         dom,
         variant,
         partial(_group_first, profiles=partial(_two_valued_grid, ends_only=False), violation=_group_violation),
+        _average_theorem,
         lambda mixture: _two_valued_exact(mixture, dom, False),
     )
 
@@ -727,7 +779,8 @@ def check_spf(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVerdict:
     translate of a grid profile that stays in the domain. Other mixtures
     sweep every grid profile. Either sweep visits one profile per multiset
     when the lottery ignores agent labels (see
-    :func:`proploc.sweep.label_free`).
+    :func:`proploc.sweep.label_free`). An ``Average`` part meets SPF by
+    theorem and is not swept (:func:`_average_theorem`).
     """
     return _decide(
         SPF,
@@ -735,6 +788,7 @@ def check_spf(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVerdict:
         dom,
         variant,
         partial(_group_first, profiles=spf_profiles, violation=_spf_violation),
+        _average_theorem,
         lambda mixture: _exact(mixture, dom, partial(grid_profiles, dom.points(), dom.n), _spf_exact),
     )
 
