@@ -306,27 +306,18 @@ def rank_weight_constraints(n: int, grid: int = 6, domain: str = UNIT_INTERVAL) 
     """
     if n < 2:
         raise MechanismError("rank weights need n >= 2")
+    # grid_points rejects grid < 1, and grid >= 1 gives at least two points.
     points = grid_points(domain, grid)
-    pairs = [(a, b) for ai, a in enumerate(points) for b in points[ai + 1 :]]
-    if not pairs:
-        raise MechanismError("grid too small to generate constraints")
+    pairs = math.comb(len(points), 2)
+    sample = f"({format_point(points[0])},{format_point(points[1])})"
     constraints = []
     for i in range(1, n):
-        sample = pairs[0]
-        base = (
-            f"profile with {n - i} agents at alpha, {i} at beta; "
-            f"{len(pairs)} grid pairs, e.g. (alpha,beta)=({format_point(sample[0])},"
-            f"{format_point(sample[1])})"
+        base = f"profile with {n - i} agents at alpha, {i} at beta; {pairs} grid pairs, e.g. (alpha,beta)={sample}"
+        constraints.append(
+            CumulativeConstraint(i, "le", Fraction(i, n), f"low group bound on {base}", pairs)
         )
         constraints.append(
-            CumulativeConstraint(
-                i, "le", Fraction(i, n), f"low group bound on {base}", len(pairs)
-            )
-        )
-        constraints.append(
-            CumulativeConstraint(
-                i, "ge", Fraction(i, n), f"high group bound on {base}", len(pairs)
-            )
+            CumulativeConstraint(i, "ge", Fraction(i, n), f"high group bound on {base}", pairs)
         )
     return ConstraintSystem(n, tuple(constraints))
 

@@ -271,25 +271,6 @@ def _witness(scaled: Scaled, X, lhs: int, bound: int, **fields) -> Witness:
     return Witness(profile, scaled.domain, lhs=scaled.cost_frac(lhs), bound=scaled.cost_frac(bound), **fields)
 
 
-def _first_failing_component(mechs, dom: CheckDomain, sweep):
-    """``sweep(mechs)``: the first (component index, ...) that fails, or
-    None. A component the engine rejects raises only when no earlier
-    component fails, as a component-by-component sweep would meet it.
-    """
-    try:
-        return sweep(mechs)
-    except MechanismError:
-        for index, mech in enumerate(mechs):
-            try:
-                checked(((mech, ONE),), dom.n, dom.domain)
-            except MechanismError:
-                found = sweep(mechs[:index]) if index else None
-                if found is None:
-                    raise
-                return found
-        raise
-
-
 def _components_of(mechanism, n: int, domain: str):
     """Finite components plus the continuous family, if any."""
     mixture = as_mixture(mechanism, n, domain)
@@ -320,7 +301,10 @@ def _decide(axiom, mechanism, dom: CheckDomain, variant, first, theorem, continu
     with one agent at 1 and the rest at 0 the lone agent pays 1 > (n - 1)/n,
     so it fails every group axiom at every n and grid, as do, by
     continuity, the realisations with interior phantoms in (0, eps), and
-    the FAIL does not rest on a null set. ``continuous(mixture)`` is the
+    the FAIL does not rest on a null set. The swept parts go in stacked,
+    each at weight 1, up to the first part :func:`proploc.sweep.checked`
+    rejects; its error is raised only if no part before it fails, as a
+    part-by-part check would meet it. ``continuous(mixture)`` is the
     in-expectation rule for a mixture with a continuous family, as (status,
     witness, detail); without it there is no exp variant.
     """
@@ -339,9 +323,17 @@ def _decide(axiom, mechanism, dom: CheckDomain, variant, first, theorem, continu
             for part, detail in zip(parts, details)
             if detail is None
         ]
-        sweep = lambda run: first([(mech, ONE) for mech in run], dom, False)
-        found = _first_failing_component(mechs, dom, sweep) if mechs else None
+        pairs, rejected = [], None
+        for mech in mechs:
+            try:
+                pairs += checked(((mech, ONE),), dom.n, dom.domain)
+            except MechanismError as error:
+                rejected = error
+                break
+        found = first(pairs, dom, False) if pairs else None
         if found is None:
+            if rejected is not None:
+                raise rejected
             return AxiomVerdict(axiom, variant, PASS, None, next(filter(None, details), ""))
         index, witness, failure = found
         return AxiomVerdict(axiom, variant, FAIL, replace(witness, component=format_mechanism(mechs[index])), failure)
@@ -818,7 +810,8 @@ def recheck_witness(mechanism, verdict: AxiomVerdict) -> bool:
 
     Returns True when the stored quantities reproduce exactly and the
     violation still holds; this is an independent path from the scaled
-    integer engine that produced the witness.
+    integer engine that produced the witness. A group axiom's bound is
+    recomputed from the profile and the group, never read from the witness.
     """
     witness = verdict.witness
     if witness is None:
@@ -859,10 +852,29 @@ def recheck_witness(mechanism, verdict: AxiomVerdict) -> bool:
         high = max(profile.locations)
         return out == witness.lhs and (out < low or out > high)
     if verdict.axiom in (PROPORTIONALITY, STRONG_PROPORTIONALITY, SPF):
-        agent = witness.agent
+        # The bound is recomputed from the profile, as integers X over one
+        # denominator, and the group: distinct agents in order, the
+        # witness's agent among them.
+        agent, group = witness.agent, witness.group
+        if not group or agent not in group or not all(a < b for a, b in zip((0, *group), (*group, n + 1))):
+            return False
+        den = math.lcm(*(x.denominator for x in profile.locations))
+        X = [x.numerator * (den // x.denominator) for x in profile.locations]
+        low, high = min(X), max(X)
+        if verdict.axiom == SPF:
+            inner = [X[j - 1] for j in group]
+            numerator = (n - len(group)) * (high - low) + n * (max(inner) - min(inner))
+        else:
+            # A two-valued profile (values 0 and 1 for proportionality), and
+            # the group every agent at the witness agent's location.
+            ends = (0, den) if verdict.axiom == PROPORTIONALITY else (low, high)
+            if not all(x == ends[0] or x == ends[1] for x in X):
+                return False
+            if group != tuple(j + 1 for j, x in enumerate(X) if x == X[agent - 1]):
+                return False
+            numerator = (n - len(group)) * (high - low)
+        bound = Fraction(numerator, n * den)
         mixture = as_mixture(target, n, witness.domain)
-        lhs = analysis.expected_distance_to_point(
-            mixture, profile, profile.locations[agent - 1]
-        )
-        return lhs == witness.lhs and lhs > witness.bound
+        lhs = analysis.expected_distance_to_point(mixture, profile, profile.locations[agent - 1])
+        return lhs == witness.lhs and bound == witness.bound and lhs > bound
     raise MechanismError(f"unknown axiom {verdict.axiom!r}")

@@ -32,7 +32,6 @@ the largest gain. Every block temporary holds at most
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations_with_replacement, islice, product
 
@@ -158,15 +157,11 @@ class Scaled:
         else:
             self.grid_ints = tuple(v * D for v in range(-grid, grid + 1))
 
-    def coef(self, combine: bool) -> list[int]:
-        """Each part's cost factor: n, or 1 for an average (its distance is
-        already n times its output's), times its weight u with ``combine``."""
-        coef = [self.n] * len(self.u)
-        for c in self.averages:
-            coef[c] = 1
-        if combine:
-            coef = [a * u for a, u in zip(coef, self.u)]
-        return coef
+    def coef(self) -> list[int]:
+        """Each part's cost factor: its weight u times n, or times 1 for an
+        average (its distance is already n times its output's). A universal
+        check hands every part in at weight 1, so there u is 1."""
+        return [u * (1 if c in self.averages else self.n) for c, u in enumerate(self.u)]
 
     def anonymous(self, combine: bool) -> bool:
         """Whether the swept cost ignores agent labels, so that one profile
@@ -259,20 +254,19 @@ def first_hit(mask):
     return int(hits[0]) if len(hits) else None
 
 
-def first_failure(blocks, count: int, block_hit):
+def first_failure(blocks, block_hit):
     """First failure over a block sweep, in (component, block order, index
-    within the block) order. ``block_hit(block, limit)`` returns the first
-    failure (component, result) of components ``0..limit-1`` on one block,
-    or None, and keeps no block array alive. Once component c fails, later
-    blocks are evaluated only for the components before c: c's first
-    failure is already known, and only an earlier component can come first.
+    within the block) order. ``block_hit(block)`` returns the first failure
+    (component, result) of every component on one block, or None, and keeps
+    no block array alive. A later block's hit counts only if its component
+    is earlier; once component 0 fails, no later block can come first.
     """
     found = None
     for block in blocks:
-        hit = block_hit(block, count)
-        if hit is not None:
-            found, count = hit, hit[0]
-            if count == 0:
+        hit = block_hit(block)
+        if hit is not None and (found is None or hit[0] < found[0]):
+            found = hit
+            if found[0] == 0:
                 break
     return found
 
@@ -302,40 +296,32 @@ class SpSweep:
     its smallest violating (or best) report, so no per-row sort is needed.
 
     ``combine`` sums the parts with their weights into one component (the
-    in-expectation cost); otherwise each part is its own component, and its
-    witness report is taken from its own breakpoints only: no other part's
-    phantoms and, but for an average, no balance report, as when alone.
+    in-expectation cost); otherwise each part is its own component (a
+    universal check). Alone, only an average can gain: every other part is
+    a generalized median, nearest the true point at r = that point. So a
+    universal sweep tries only an average's breakpoints, the finite
+    phantoms left out, and finds the witness the average meets alone.
     """
 
     def __init__(self, scaled, combine: bool):
         n, ranked = scaled.n, scaled.ranked
         ends = [scaled.grid_ints[0], scaled.grid_ints[-1]]
-        fixed = ends + list(scaled.phantom_values)
         if scaled.domain == REAL_LINE:
-            fixed += [ends[0] - scaled.D, ends[1] + scaled.D]
-        # Every candidate, the balance report included, lies strictly inside
-        # (-big, big); a part's cost stays below 2 * big * coef.
-        big = 2 * n * max(map(abs, fixed)) + 1
+            ends += [ends[0] - scaled.D, ends[1] + scaled.D]
+        # Every candidate, the balance report included, and every phantom lies
+        # strictly inside (-big, big); a part's cost stays below 2 * big * coef.
+        big = 2 * n * max(map(abs, [*ends, *scaled.phantom_values])) + 1
         dtype = np.int64 if 4 * n * big * sum(scaled.u) < INT64_BOUND else object
         self.scaled, self.combine, self.big, self.dtype = scaled, combine, big, dtype
         self.anonymous = scaled.anonymous(combine)
-        self.fixed = np.array(fixed, dtype=dtype)
-        self.count = 1 if combine else len(scaled.u)
+        self.fixed = np.array(ends + list(scaled.phantom_values) if combine else ends, dtype=dtype)
         self.other_agents = np.array([[j for j in range(n) if j != i] for i in range(n)])
 
         self.clip = [c for c, _, _ in ranked]
         self.phantoms = scaled.padded_phantoms(big, dtype)
         self.positions = np.array([(t, t + 1) for _, _, t in ranked], dtype=np.intp).reshape(len(ranked), 2)
-        self.coef = np.array(scaled.coef(combine), dtype=dtype)[:, None]
-        self.width = width = len(fixed) + n + bool(scaled.averages)  # candidates per row
-        # own[c, j]: candidate j is a breakpoint of component c (the fixed
-        # candidates list the ends, then the phantoms; the last, the balance).
-        self.own = np.ones((self.count, width), dtype=bool)
-        if not combine:
-            fins_of = {c: fins for c, fins, _ in ranked}
-            for c, row in enumerate(self.own):
-                row[2 : 2 + len(scaled.phantom_values)] = [y in fins_of.get(c, ()) for y in scaled.phantom_values]
-                row[-1] = not scaled.averages or c in scaled.averages
+        self.coef = np.array(scaled.coef(), dtype=dtype)[:, None]
+        self.width = width = len(self.fixed) + n + bool(scaled.averages)  # candidates per row
         # Per (part, row): the candidates' costs, or the merged reports and phantoms.
         per_row = len(scaled.u) * max(width, n + 1 + self.phantoms.shape[1])
         self.block_profiles = max(1, BLOCK_ELEMENTS // (per_row * n))
@@ -344,39 +330,36 @@ class SpSweep:
         profiles = grid_profiles(self.scaled.grid_ints, self.scaled.n, self.anonymous)
         return profile_blocks(profiles, self.block_profiles, self.dtype)
 
-    def _bounds(self, rows, others, agent, true, balance, parts: int):
-        """(lo, hi, b), each (part, row), of the first ``parts`` parts."""
+    def _bounds(self, rows, others, agent, true, balance):
+        """(lo, hi, b), each (part, row)."""
         big, n = self.big, self.scaled.n
-        lo = np.full((parts, len(rows)), -big, dtype=self.dtype)
+        lo = np.full((len(self.scaled.u), len(rows)), -big, dtype=self.dtype)
         hi = np.full_like(lo, big)
         b = np.empty_like(lo)
         b[:] = true
-        k = bisect_left(self.clip, parts)
-        if k:
+        if self.clip:
             if not self.anonymous:
                 others = np.sort(others, axis=1)
             reports = np.empty((len(rows), n + 1), dtype=self.dtype)
             reports[:, 0], reports[:, 1:-1], reports[:, -1] = -big, others, big
-            bounds = order_statistics(reports, self.phantoms[:k], self.positions[:k])
-            lo[self.clip[:k]], hi[self.clip[:k]] = bounds[:, 0], bounds[:, 1]
+            bounds = order_statistics(reports, self.phantoms, self.positions)
+            lo[self.clip], hi[self.clip] = bounds[:, 0], bounds[:, 1]
         for c, j in self.scaled.dictators:
-            if c < parts:
-                own = agent == j
-                lo[c] = np.where(own, -big, rows[:, j])
-                hi[c] = np.where(own, big, rows[:, j])
+            own = agent == j
+            lo[c] = np.where(own, -big, rows[:, j])
+            hi[c] = np.where(own, big, rows[:, j])
         for c in self.scaled.averages:
-            if c < parts:
-                b[c] = balance
+            b[c] = balance
         return lo, hi, b
 
-    def costs(self, X, limit: int):
+    def costs(self, X):
         """(prof, agent, candidates, deviating, truthful) of one block.
 
         Rows are (profile, agent) pairs in order; a label-free sweep, whose
         profiles are sorted, skips an agent repeating the previous agent's
         report, whose costs are the same (see :func:`label_free`).
         ``deviating`` is (component, row, candidate) and ``truthful``
-        (component, row), for the first ``limit`` components.
+        (component, row).
         """
         scaled, n = self.scaled, self.scaled.n
         keep = np.ones(X.shape, dtype=bool)
@@ -396,17 +379,15 @@ class SpSweep:
             inside = (balance >= 0) & (balance <= scaled.D) | (scaled.domain == REAL_LINE)
             candidates[:, -1] = np.where(inside, balance, true)
 
-        parts = len(scaled.u) if self.combine else limit
-        lo, hi, b = self._bounds(rows, others, agent, true, balance, parts)
-        coef = self.coef[:parts]
-        truthful = coef * abs(b - np.minimum(np.maximum(true, lo), hi))
+        lo, hi, b = self._bounds(rows, others, agent, true, balance)
+        truthful = self.coef * abs(b - np.minimum(np.maximum(true, lo), hi))
         # In place, so one block holds a single (component, row, candidate)
         # array: coef * |b - clip(candidate, lo, hi)|.
         deviating = np.maximum(candidates, lo[..., None])
         np.minimum(deviating, hi[..., None], out=deviating)
         np.subtract(b[..., None], deviating, out=deviating)
         np.abs(deviating, out=deviating)
-        np.multiply(deviating, coef[..., None], out=deviating)
+        np.multiply(deviating, self.coef[..., None], out=deviating)
         if self.combine:
             truthful = truthful.sum(axis=0, keepdims=True)
             deviating = deviating.sum(axis=0, keepdims=True)
@@ -414,16 +395,14 @@ class SpSweep:
 
     def _violation(self, X, costs, mask):
         """(component, (profile, agent, report, deviating, truthful)) at the
-        first (component, row) of ``mask`` and its smallest marked report
-        among the component's breakpoints, or None if nothing is marked."""
+        first (component, row) of ``mask`` and its smallest marked report,
+        or None if nothing is marked."""
         flat = first_hit(mask)
         if flat is None:
             return None
         prof, agent, candidates, deviating, truthful = costs
         component, row, _ = np.unravel_index(flat, mask.shape)
-        # A part's cost is least at one of its own breakpoints: a row it
-        # fails at some candidate, it also fails at one of those.
-        marked = np.flatnonzero(mask[component, row] & self.own[component])
+        marked = np.flatnonzero(mask[component, row])
         column = min(marked, key=lambda j: candidates[row, j])
         return int(component), (
             tuple(int(v) for v in X[prof[row]]),
@@ -437,18 +416,18 @@ class SpSweep:
         """(component, (profile, agent, report, deviating, truthful)) of the
         first profitable misreport, or None."""
 
-        def block_hit(X, limit):
-            costs = self.costs(X, limit)
+        def block_hit(X):
+            costs = self.costs(X)
             return self._violation(X, costs, costs[3] < costs[4][..., None])
 
-        return first_failure(self.blocks(), self.count, block_hit)
+        return first_failure(self.blocks(), block_hit)
 
     def best_gain(self):
         """The largest truthful-minus-deviating gain, first instance on ties,
         as (profile, agent, report, deviating, truthful); None if no gain."""
 
         def block_best(X):
-            costs = self.costs(X, self.count)
+            costs = self.costs(X)
             gain = costs[4][..., None] - costs[3]
             top = gain.max()
             return top, self._violation(X, costs, gain == top)[1]
@@ -549,18 +528,17 @@ class GroupSweep:
     def __init__(self, scaled, profiles, combine: bool):
         n, ranked = scaled.n, scaled.ranked
         self.scaled, self.profiles, self.combine = scaled, profiles, combine
-        self.count = 1 if combine else len(scaled.u)
         self.clip = [c for c, _, _ in ranked]
         # Every report and phantom lies in (-big, big), so every cost stays
         # below 2 * n * big * weight and every bound below 8 * n * big * wden
         # (see spf_fails).
         big = max(map(abs, [*scaled.grid_ints, *scaled.phantom_values])) + 1
-        weight = sum(scaled.u) if combine else 1
+        weight = sum(scaled.u) if combine else max(scaled.u)
         dtype = np.int64 if 8 * n * big * (weight + scaled.wden) < INT64_BOUND else object
         self.dtype = dtype
         self.phantoms = scaled.padded_phantoms(big, dtype)
         self.positions = np.array([t for _, _, t in ranked], dtype=np.intp)
-        self.coef = np.array(scaled.coef(combine), dtype=dtype)[:, None, None]
+        self.coef = np.array(scaled.coef(), dtype=dtype)[:, None, None]
         # An average's output is the sum of the reports: n times its location.
         scale = [n if c in scaled.averages else 1 for c in range(len(scaled.u))]
         self.scale = np.array(scale, dtype=dtype)[:, None, None]
@@ -569,28 +547,23 @@ class GroupSweep:
     def blocks(self):
         return profile_blocks(self.profiles, self.block_profiles, self.dtype)
 
-    def prices(self, X, limit: int):
+    def prices(self, X):
         """(true, cost) of one block: ``true`` is (profile, slot), each
-        profile sorted, and ``cost`` (component, profile, slot), for the
-        first ``limit`` components, the cost of an agent at
-        ``true[profile, slot]``. Every part's output reads the profile alone,
-        so an agent's cost depends only on its own location."""
+        profile sorted, and ``cost`` (component, profile, slot) the cost of
+        an agent at ``true[profile, slot]``. Every part's output reads the
+        profile alone, so an agent's cost depends only on its own location."""
         scaled = self.scaled
-        parts = len(scaled.u) if self.combine else limit
         true = np.sort(X, axis=1)
-        out = np.empty((parts, len(X)), dtype=self.dtype)
-        k = bisect_left(self.clip, parts)
-        if k:
-            out[self.clip[:k]] = order_statistics(true, self.phantoms[:k], self.positions[:k])
+        out = np.empty((len(scaled.u), len(X)), dtype=self.dtype)
+        if self.clip:
+            out[self.clip] = order_statistics(true, self.phantoms, self.positions)
         for c, j in scaled.dictators:
-            if c < parts:
-                out[c] = X[:, j]
+            out[c] = X[:, j]
         for c in scaled.averages:
-            if c < parts:
-                out[c] = X.sum(axis=1)
-        cost = self.scale[:parts] * true - out[..., None]
+            out[c] = X.sum(axis=1)
+        cost = self.scale * true - out[..., None]
         np.abs(cost, out=cost)
-        np.multiply(cost, self.coef[:parts], out=cost)
+        np.multiply(cost, self.coef, out=cost)
         if self.combine:
             cost = cost.sum(axis=0, keepdims=True)
         return true, cost
@@ -601,8 +574,8 @@ class GroupSweep:
         the profile to that component's cost there."""
         wden = self.scaled.wden
 
-        def block_hit(X, limit):
-            true, cost = self.prices(X, limit)
+        def block_hit(X):
+            true, cost = self.prices(X)
             flat = first_hit(spf_fails(true, cost, wden))
             if flat is None:
                 return None
@@ -610,7 +583,7 @@ class GroupSweep:
             prices = {int(x): int(c) for x, c in zip(true[row], cost[component, row])}
             return int(component), (tuple(int(v) for v in X[row]), prices)
 
-        return first_failure(self.blocks(), self.count, block_hit)
+        return first_failure(self.blocks(), block_hit)
 
 
 def spf_fails(true, cost, scale):

@@ -103,8 +103,7 @@ FIRSTS = {
 def _swept(axiom, mixture, dom):
     """The universal verdict of the sweep over every part, average included."""
     mechs = [mech for mech, _ in mixture.components]
-    first = lambda run: FIRSTS[axiom]([(mech, ONE) for mech in run], dom, False)
-    found = axioms._first_failing_component(mechs, dom, first)
+    found = FIRSTS[axiom]([(mech, ONE) for mech in mechs], dom, False)
     if found is None:
         detail = "" if axiom == axioms.STRATEGYPROOFNESS else THEOREM
         return axioms.AxiomVerdict(axiom, axioms.UNIVERSAL, axioms.PASS, detail=detail).to_json()

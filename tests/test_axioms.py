@@ -518,6 +518,27 @@ def test_unit_interval_checks_reject_phantoms_outside_it(phantoms):
             with pytest.raises(DomainMismatchError) as error:
                 ax.run_check(axiom, mechanism, dom, variant)
             assert str(error.value) == message
+    # After a part that fails, the phantom is never reached, as in a
+    # part-by-part check: the group axioms (and, for the dictator,
+    # anonymity) FAIL universally at the first part; every other universal
+    # check passes that part and raises at the phantom, as do exp checks.
+    group_axioms = {ax.PROPORTIONALITY, ax.STRONG_PROPORTIONALITY, ax.SPF}
+    for first, label, failing in (
+        (RankK(1), "rank:k=1", group_axioms),
+        (Dictator(1), "dictator:i=1", group_axioms | {ax.ANONYMITY}),
+    ):
+        later = RandomizedMechanism(2, UNIT_INTERVAL, ((first, F(1, 2)), (phantom, F(1, 2))))
+        for axiom in ax.AXIOMS:
+            variants = (ax.UNIVERSAL,) if axiom == ax.EFFICIENCY else (ax.UNIVERSAL, ax.EXP)
+            for variant in variants:
+                if variant == ax.UNIVERSAL and axiom in failing:
+                    verdict = ax.run_check(axiom, later, dom, variant)
+                    assert verdict.failed and verdict.witness.component == label
+                    assert recheck_witness(later, verdict)
+                    continue
+                with pytest.raises(DomainMismatchError) as error:
+                    ax.run_check(axiom, later, dom, variant)
+                assert str(error.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +553,49 @@ def test_median_fails_proportionality_on_the_majority_profile():
     assert witness.profile == (F(0), F(0), F(1))
     assert witness.lhs == F(1) and witness.bound == F(2, 3)
     assert recheck_witness(Median(), verdict)
+
+
+@pytest.mark.parametrize(
+    "axiom, group, bound",
+    [
+        # Random Rank at n=3 passes Strong Proportionality in expectation:
+        # agent 1 of (0, 0, 1/2) pays 1/6, its group's bound (1/3 of the gap).
+        (ax.STRONG_PROPORTIONALITY, (1, 2), F(0)),
+        (ax.STRONG_PROPORTIONALITY, (1, 2), F(1, 6)),
+        (ax.STRONG_PROPORTIONALITY, (1,), F(0)),
+        (ax.STRONG_PROPORTIONALITY, (3,), F(0)),
+        (ax.STRONG_PROPORTIONALITY, (1, 2, 3), F(0)),
+        (ax.PROPORTIONALITY, (1, 2), F(0)),
+        (ax.SPF, (1,), F(0)),
+        (ax.SPF, (1,), F(1, 3)),
+        (ax.SPF, (3,), F(0)),
+        (ax.SPF, (1, 1), F(0)),
+        (ax.SPF, (0, 1), F(0)),
+        (ax.SPF, (1, 4), F(0)),
+        (ax.SPF, (), F(0)),
+        (ax.SPF, None, F(0)),
+    ],
+)
+def test_recheck_rejects_a_forged_group_witness(axiom, group, bound):
+    """A group witness's bound is recomputed from its profile and group: a
+    stored bound below the true one, a group without the agent, a group
+    that is not every agent at its location, a profile off {0, 1} for
+    proportionality, or a malformed group never rechecks."""
+    mechanism = random_rank(3)
+    profile = (F(0), F(0), F(1, 2))
+    lhs = expected_distance_to_point(mechanism, Profile(UNIT_INTERVAL, profile), F(0))
+    assert lhs == F(1, 6)
+    witness = ax.Witness(profile, UNIT_INTERVAL, agent=1, group=group, lhs=lhs, bound=bound)
+    assert not recheck_witness(mechanism, ax.AxiomVerdict(axiom, ax.EXP, ax.FAIL, witness))
+
+
+def test_recheck_takes_strong_proportionality_witnesses_on_two_valued_profiles_only():
+    """Agent 1 of (0, 1/2, 1) pays 1 under the third agent's dictatorship,
+    above its SPF bound 2/3: an SPF witness, but no Strong Proportionality
+    one, since the profile takes three values."""
+    three = ax.Witness((F(0), F(1, 2), F(1)), UNIT_INTERVAL, agent=1, group=(1,), lhs=F(1), bound=F(2, 3))
+    for axiom, rechecks in ((ax.SPF, True), (ax.STRONG_PROPORTIONALITY, False)):
+        assert recheck_witness(Dictator(3), ax.AxiomVerdict(axiom, ax.DET, ax.FAIL, three)) is rechecks
 
 
 def test_uniform_phantom_is_proportional():

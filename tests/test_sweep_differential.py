@@ -242,9 +242,10 @@ def test_large_denominators_take_python_int_path_and_agree(domain):
 
 
 def test_universal_sp_ignores_other_components_phantoms():
-    """A component is tried at its own breakpoints only: the average beside
-    a phantom part at -3 and -5/2 fails with the misreport -2 it fails with
-    alone, not at the other part's phantom -5/2."""
+    """A universal sweep tries the average's breakpoints only (no other part
+    can gain alone): the average beside a phantom part at -3 and -5/2 fails
+    with the misreport -2 it fails with alone, not at the other part's
+    phantom -5/2."""
     mechs = (Phantom((F(-3), F(-5, 2), POS_INF)), Average())
     mixture = RandomizedMechanism(2, REAL_LINE, tuple((mech, F(1, 2)) for mech in mechs))
     dom = axioms.CheckDomain(n=2, grid=1, domain=REAL_LINE)
@@ -254,6 +255,25 @@ def test_universal_sp_ignores_other_components_phantoms():
     assert (found.component, found.misreport, found.lhs) == ("average", -2, 0)
     witness = replace(alone.witness, component="average")
     assert universal == replace(alone, variant=axioms.UNIVERSAL, witness=witness)
+
+
+def test_first_failure_keeps_the_earliest_component():
+    """The first hit in (component, block, row) order: a later block's hit
+    replaces the one found only if its component is earlier, and once
+    component 0 fails no further block is read."""
+    hits = [None, (2, "a"), (1, "b"), None, (3, "c"), (1, "d"), (0, "e"), (0, "f")]
+    read = []
+
+    def blocks():
+        for index in range(len(hits)):
+            read.append(index)
+            yield index
+
+    assert sweep.first_failure(blocks(), hits.__getitem__) == (0, "e")
+    assert read == list(range(7))
+    # Without a hit in component 0 every block is read; ties keep the first.
+    assert sweep.first_failure(iter(hits[:6]), lambda hit: hit) == (1, "b")
+    assert sweep.first_failure(iter(range(3)), lambda block: None) is None
 
 
 @pytest.mark.parametrize(
@@ -280,7 +300,7 @@ def test_block_costs_match_scalar_engine(domain, mechs):
 
     checked = 0
     for X in sweep.blocks():
-        prof, agent, candidates, deviating, truthful = sweep.costs(X, sweep.count)
+        prof, agent, candidates, deviating, truthful = sweep.costs(X)
         for row, (p, i) in enumerate(zip(prof, agent)):
             x_list = [int(v) for v in X[p]]
             assert scaled.cost_frac(truthful[0, row]) == price(x_list, x_list[i])
@@ -355,11 +375,11 @@ def test_block_temporaries_fit_block_elements(domain, mechs, limit):
             spf = sweep.GroupSweep(scaled, sweep.spf_profiles(scaled, combine), combine)
             with mock.patch.object(sweep, "order_statistics", wraps=sweep.order_statistics) as kernel:
                 for X in sp.blocks():
-                    _, _, candidates, deviating, _ = sp.costs(X, sp.count)
+                    _, _, candidates, deviating, _ = sp.costs(X)
                     assert max(candidates.size, deviating.size) <= limit
                 for swept in (group, spf):
                     for X in swept.blocks():
-                        true, cost = swept.prices(X, swept.count)
+                        true, cost = swept.prices(X)
                         assert sweep.spf_fails(true, cost, scaled.wden).size <= limit
             assert kernel.call_count > 2
             for (rows, phantoms, _), _ in kernel.call_args_list:
@@ -391,7 +411,7 @@ def test_scaled_layout_matches_the_exact_path(case, with_median, data):
     laid_out = [c for c, _, _ in scaled.ranked] + [c for c, _ in scaled.dictators] + list(scaled.averages)
     assert sorted(laid_out) == list(range(len(mechs))) == list(range(len(scaled.u)))
     group = sweep.GroupSweep(scaled, [X], combine=True)
-    true, cost = group.prices(np.array([X], dtype=group.dtype), group.count)
+    true, cost = group.prices(np.array([X], dtype=group.dtype))
     for x, price in zip(true[0], cost[0, 0]):
         expected = analysis.expected_distance_to_point(mixture, profile, scaled.to_frac(int(x)))
         assert scaled.cost_frac(int(price)) == expected
