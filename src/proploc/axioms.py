@@ -95,17 +95,25 @@ fails at a unanimous profile just beyond that end. Only a dictator reads
 agent labels, so the dictator weights decide anonymity (see
 :func:`_anonymity_first`).
 
-SPF sweeps the grid profiles. A finite mixture whose parts all commute
-with x -> x + t (ranks, dictators, averages, phantom vectors of domain
-ends) keeps every cost and bound under translation, so its first failing
-profile contains the grid's lowest point: only those profiles are swept,
-and its PASS covers every real translate of a grid profile that stays in
-the domain. A universal check sweeps its components stacked, over the
-widest enumeration any of them needs, with each one's first failure
-unchanged. The exact path for a continuous family prices the same
-profiles with ``Fraction`` distances from :mod:`proploc.analysis` and
-walks them with the same functions at scale 1/n, SPF through the same
-rule over one common denominator.
+A finite mixture whose parts all commute with x -> x + t (ranks,
+dictators, averages, phantom vectors of domain ends) keeps every cost and
+bound under translation, so its first failing profile contains the grid's
+lowest point, and so does the first instance of its largest manipulation
+gain. Three sweeps visit only those profiles, in the full sweep's order
+(:meth:`proploc.sweep.Scaled.anchored`): SPF, and Strong Proportionality's
+two-valued pairs (only those whose low value is the lowest point), on both
+domains, and strategyproofness and manipulation search on the real line
+only. A misreport moves with its profile, and on the real line the
+candidates cover every real misreport, but on [0,1] the shifted misreport
+may leave the domain: 1/2 ``RankK(1)`` + 1/2 ``Average`` at n=2, grid 2
+fails in expectation only off the profiles through 0, so a misreport sweep
+on [0,1] visits every profile. Such a PASS covers every real translate of
+a grid profile that stays in the domain. A universal check sweeps its
+components stacked, over the widest enumeration any of them needs, with
+each one's first failure unchanged. The exact path for a continuous family
+prices the same profiles with ``Fraction`` distances from
+:mod:`proploc.analysis` and walks them with the same functions at scale
+1/n, SPF through the same rule over one common denominator.
 """
 
 from __future__ import annotations
@@ -147,7 +155,7 @@ from .sweep import (
     grid_profiles,
     label_free,
     spf_fails,
-    spf_profiles,
+    sweep_profiles,
     two_valued_profiles,
 )
 
@@ -287,9 +295,10 @@ def _decide(axiom, mechanism, dom: CheckDomain, variant, first, theorem, continu
     """Decide ``axiom`` in ``variant``: the one place the variants are
     defined (see the module docstring).
 
-    ``first(components, dom, combine)`` is the axiom's sweep over
-    (mechanism, weight) pairs: (component index, witness, failure detail) of
-    the first violation, or None. With ``combine`` the components form one
+    ``first(components, dom, combine)`` is the axiom's sweep over the
+    (mechanism, weight) pairs of :func:`proploc.sweep.checked`, validated
+    once per check: (component index, witness, failure detail) of the first
+    violation, or None. With ``combine`` the components form one
     mixture (det and exp); without it each is checked alone (universal),
     and the verdict names the failing component. ``theorem(part, combine)``
     is the detail of a PASS that ``part``, a finite mechanism or the
@@ -347,7 +356,7 @@ def _decide(axiom, mechanism, dom: CheckDomain, variant, first, theorem, continu
         return AxiomVerdict(axiom, variant, PASS, None, details[0])
     if mixture.has_continuous:
         return AxiomVerdict(axiom, variant, *continuous(mixture))
-    found = first(mixture.components, dom, True)
+    found = first(checked(mixture.components, dom.n, dom.domain), dom, True)
     if found is None:
         return AxiomVerdict(axiom, variant, PASS)
     return AxiomVerdict(axiom, variant, FAIL, *found[1:])
@@ -439,12 +448,13 @@ def search_manipulation(mechanism, dom: CheckDomain) -> ManipulationFinding | No
     misreport exists, by theorem when no part is an ``Average``.
     """
     mixture = _components_of(mechanism, dom.n, dom.domain)
-    if all(_sp_theorem(mech, True) for mech, _ in mixture.components):
-        checked(mixture.components, dom.n, dom.domain)
-        return None
-    if mixture.has_continuous:
+    theorem = all(_sp_theorem(mech, True) for mech, _ in mixture.components)
+    if mixture.has_continuous and not theorem:
         check_strategyproofness(mixture, dom, EXP)  # an average beside the family raises
-    scaled = Scaled(mixture.components, dom.n, dom.domain, dom.grid)
+    pairs = checked(mixture.components, dom.n, dom.domain)
+    if theorem:
+        return None
+    scaled = Scaled(pairs, dom.n, dom.domain, dom.grid)
     best = SpSweep(scaled, combine=True).best_gain()
     if best is None:
         return None
@@ -474,14 +484,14 @@ def _anonymity_first(components, dom: CheckDomain, combine: bool, mixture=None):
     agent j's dictator. So the first failing profile, in lexicographic
     order, has every agent at the lowest grid point but agent j + 1, at the
     next one, for the largest j with w_j != w_{j+1}, and its first moving
-    swap is that of j. A rejected component of any kind raises as in the
-    other checks. The witness's expected locations come from the closed
+    swap is that of j. The components come from
+    :func:`proploc.sweep.checked`, so a rejected one of any kind has raised
+    as in the other checks. The witness's expected locations come from the closed
     forms of :mod:`proploc.analysis`, the path :func:`recheck_witness`
     takes: of the failing component, or with ``combine`` of ``mixture``
     (by default the weighted components themselves)."""
     n = dom.n
-    pairs = checked(components, n, dom.domain)
-    for index, group in enumerate([pairs] if combine else [[pair] for pair in pairs]):
+    for index, group in enumerate([components] if combine else [[pair] for pair in components]):
         weights = dictator_shares(group, n)
         moving = [j for j in range(n - 1) if weights[j] != weights[j + 1]]
         if moving:
@@ -516,7 +526,7 @@ def check_anonymity(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVer
     """
 
     def continuous(mixture):
-        found = _anonymity_first(mixture.components, dom, True, mixture=mixture)
+        found = _anonymity_first(checked(mixture.components, dom.n, dom.domain), dom, True, mixture=mixture)
         return (PASS, None, "") if found is None else (FAIL, found[1], "")
 
     return _decide(ANONYMITY, mechanism, dom, variant, _anonymity_first,
@@ -544,7 +554,7 @@ def _efficiency_first(components, dom: CheckDomain, combine: bool):
     off the grid: with every report at floor(y_0) - 1 (or ceil(y_n) + 1)
     the output is that end."""
     points = dom.points()
-    for index, (mech, _) in enumerate(checked(components, dom.n, dom.domain)):
+    for index, (mech, _) in enumerate(components):
         if not isinstance(mech, Phantom):
             continue
         low, high = mech.phantoms[0], mech.phantoms[-1]
@@ -640,7 +650,7 @@ def _two_valued_values(points, ends_only: bool):
 def _two_valued_grid(scaled: Scaled, combine: bool, ends_only: bool):
     """The engine's two-valued profiles, in check order."""
     values = _two_valued_values(scaled.grid_ints, ends_only)
-    return two_valued_profiles(values, scaled.n, scaled.anonymous(combine))
+    return two_valued_profiles(values, scaled.n, scaled.anonymous(combine), scaled.anchored(False))
 
 
 def _two_valued_exact(mixture, dom: CheckDomain, ends_only: bool):
@@ -707,6 +717,9 @@ def check_strong_proportionality(mechanism, dom: CheckDomain, variant: str = DET
     failing profile and the exact path for a continuous family read the
     groups in the same order (:func:`_group_violation`). An ``Average``
     part meets the bound by theorem and is not swept (:func:`_average_theorem`).
+    A mixture (or, universally, every part) that commutes with translation
+    sweeps only the pairs whose low value is the grid's lowest point, which
+    hold its first failure (see :meth:`proploc.sweep.Scaled.anchored`).
     """
     return _decide(
         STRONG_PROPORTIONALITY,
@@ -767,7 +780,7 @@ def check_spf(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVerdict:
     mixture (or, universally, every component) that commutes with
     translation sweeps only the grid profiles through the grid's lowest
     point, which hold its first failure (see
-    :func:`proploc.sweep.spf_profiles`); its PASS then covers every real
+    :meth:`proploc.sweep.Scaled.anchored`); its PASS then covers every real
     translate of a grid profile that stays in the domain. Other mixtures
     sweep every grid profile. Either sweep visits one profile per multiset
     when the lottery ignores agent labels (see
@@ -779,7 +792,7 @@ def check_spf(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVerdict:
         mechanism,
         dom,
         variant,
-        partial(_group_first, profiles=spf_profiles, violation=_spf_violation),
+        partial(_group_first, profiles=sweep_profiles, violation=_spf_violation),
         _average_theorem,
         lambda mixture: _exact(mixture, dom, partial(grid_profiles, dom.points(), dom.n), _spf_exact),
     )
@@ -847,10 +860,11 @@ def recheck_witness(mechanism, verdict: AxiomVerdict) -> bool:
             and deviating < truthful
         )
     if verdict.axiom == EFFICIENCY:
+        # The bound is the end of the reported range the output leaves.
         out = evaluate(target, profile)
         low = min(profile.locations)
         high = max(profile.locations)
-        return out == witness.lhs and (out < low or out > high)
+        return out == witness.lhs and (out < low and witness.bound == low or out > high and witness.bound == high)
     if verdict.axiom in (PROPORTIONALITY, STRONG_PROPORTIONALITY, SPF):
         # The bound is recomputed from the profile, as integers X over one
         # denominator, and the group: distinct agents in order, the

@@ -21,7 +21,9 @@ computes them for a block, in every block sweep.
 A sweep whose cost ignores agent labels (no dictator part, or, for the
 weighted mixture, equal summed dictator weights for every agent) visits one
 profile per multiset of reports and finds the same first failure as an
-ordered sweep: see :func:`label_free`.
+ordered sweep: see :func:`label_free`. A mixture that commutes with
+translation may visit only the profiles through the grid's lowest point:
+see :meth:`Scaled.anchored`.
 
 A sweep computes, per block, a (component, row, ...) array and reduces it:
 the first failing component in order, a weighted sum over components, or
@@ -66,8 +68,8 @@ INT64_BOUND = 1 << 62
 
 
 def checked(components, n: int, domain: str):
-    """The (mechanism, weight) pairs with medians in phantom form, or the
-    error :class:`Scaled` raises for them: the phantom forms' errors first,
+    """The (mechanism, weight) pairs with medians in phantom form, ready for
+    :class:`Scaled`, or the error for them: the phantom forms' errors first,
     then that of the first component the engine rejects."""
     pairs = []
     for mech, weight in components:
@@ -96,10 +98,12 @@ def checked(components, n: int, domain: str):
 class Scaled:
     """A finite mixture and check grid rescaled to integer arithmetic.
 
-    Every grid point, finite phantom and breakpoint candidate (a report,
-    a phantom, a window end or step beyond it, the average's balance
-    report n * true - sum of the others) is an integer over the common
-    denominator D, so no midpoints are needed. Costs carry the fixed scale
+    ``components`` are (mechanism, weight) pairs as :func:`checked` returns
+    them: a check validates its parts once and passes the pairs on. Every
+    grid point, finite phantom and breakpoint candidate (a report, a
+    phantom, a window end or step beyond it, the average's balance report
+    n * true - sum of the others) is an integer over the common denominator
+    D, so no midpoints are needed. Costs carry the fixed scale
     wden * n * D: part c, of integer weight ``u[c]``, adds
     u[c] * n * |true - output|, an average u[c] * |n * true - sum of reports|.
 
@@ -113,12 +117,12 @@ class Scaled:
 
     ``translation_equivariant`` says, from that layout, whether every part
     commutes with translations x -> x + t that keep the profile in the
-    domain, so that every agent's expected distance is translation-invariant.
+    domain, so that every agent's expected distance is translation-invariant
+    (see :meth:`anchored`).
     """
 
     def __init__(self, components, n: int, domain: str, grid: int):
         self.n, self.domain = n, domain
-        components = checked(components, n, domain)
         denoms = [grid if domain == UNIT_INTERVAL else 1]
         for mech, _ in components:
             if isinstance(mech, Phantom):
@@ -140,8 +144,10 @@ class Scaled:
                 ranked.append((c, fins, n - sum(1 for y in mech.phantoms if y is NEG_INF)))
             elif isinstance(mech, Dictator):
                 dictators.append((c, mech.agent - 1))
-            else:
+            elif isinstance(mech, Average):
                 averages.append(c)
+            else:
+                raise MechanismError(f"cannot rescale {type(mech).__name__}")
         self.components = components
         self.ranked, self.dictators, self.averages = tuple(ranked), tuple(dictators), tuple(averages)
         # Dictators and averages commute with x -> x + t, and so does a rank
@@ -167,6 +173,35 @@ class Scaled:
         """Whether the swept cost ignores agent labels, so that one profile
         per multiset of reports is swept: see :func:`label_free`."""
         return label_free(self.components, self.n, combine)
+
+    def anchored(self, misreports: bool) -> bool:
+        """Whether a sweep visits only the profiles through the grid's lowest
+        point (:func:`sweep_profiles`; for two-valued profiles, the pairs
+        whose low value is that point), a filter of the full sweep in its
+        order. ``misreports`` marks a strategyproofness sweep.
+
+        A mixture whose every part commutes with translation has the same
+        costs and bounds on every translate of a profile. A failing profile
+        shifted down until its minimum is the grid's lowest point stays on
+        the evenly spaced grid, comes no later in the sweep and still fails,
+        so the first failing profile, and the first instance of the largest
+        manipulation gain, contains that point. A misreport shifts with the
+        profile: on the real line the candidates cover every real misreport
+        (see :class:`SpSweep`), so the shifted one is met too, but on [0,1]
+        it may leave the domain, and a misreport sweep there keeps every
+        profile.
+
+        Without ``combine`` every part is its own component, all swept at
+        once over the widest enumeration any of them needs: ordered profiles
+        if some part is a dictator, every profile if some part does not
+        commute with translation. The anchored profiles hold the first
+        failure of each part that commutes with translation, so the full
+        grid meets that same profile first, and a label-free part's first
+        failing ordered profile is sorted, the multiset it meets alone (see
+        :func:`label_free`). The first hit of the (component, row) mask then
+        lies in the first failing component's first failing profile.
+        """
+        return self.translation_equivariant and not (misreports and self.domain == UNIT_INTERVAL)
 
     def to_frac(self, value: int) -> Fraction:
         return Fraction(value, self.D)
@@ -301,6 +336,10 @@ class SpSweep:
     a generalized median, nearest the true point at r = that point. So a
     universal sweep tries only an average's breakpoints, the finite
     phantoms left out, and finds the witness the average meets alone.
+
+    A mixture that commutes with translation sweeps only the profiles
+    through the grid's lowest point on the real line, and every profile on
+    [0,1], where the reports are bounded (see :meth:`Scaled.anchored`).
     """
 
     def __init__(self, scaled, combine: bool):
@@ -327,7 +366,7 @@ class SpSweep:
         self.block_profiles = max(1, BLOCK_ELEMENTS // (per_row * n))
 
     def blocks(self):
-        profiles = grid_profiles(self.scaled.grid_ints, self.scaled.n, self.anonymous)
+        profiles = sweep_profiles(self.scaled, self.combine, misreports=True)
         return profile_blocks(profiles, self.block_profiles, self.dtype)
 
     def _bounds(self, rows, others, agent, true, balance):
@@ -458,43 +497,26 @@ def anchored_profiles(values, n: int, anonymous: bool):
     return (X for X in product(values, repeat=n) if low in X)
 
 
-def spf_profiles(scaled, combine: bool):
-    """The grid profiles an SPF sweep of ``scaled`` visits, in check order.
-
-    A mixture whose every part commutes with translation (see
-    :attr:`Scaled.translation_equivariant`) has the same costs and bounds
-    on every translate of a profile, so a failing profile still fails
-    shifted down until its minimum is the grid's lowest point; that shift
-    stays on the grid and comes earlier in the sweep. Its first failing
-    profile therefore contains the lowest point, and only those profiles
-    are swept (:func:`anchored_profiles`), in the full sweep's order. The
-    profiles are multisets when the swept cost ignores agent labels (see
-    :func:`label_free`).
-
-    Without ``combine`` every part is its own component, all swept at once
-    over the widest enumeration any of them needs: ordered profiles if some
-    part is a dictator, the full grid if some part does not commute with
-    translation. Each part's first failure is unchanged. The anchored
-    profiles are the full grid's, filtered in order, and hold the first
-    failure of a part that commutes with translation, so the full grid
-    meets that same profile first. A label-free part's first failing
-    ordered profile is sorted, the multiset it meets alone (see
-    :func:`label_free`). The first hit of the (component, profile, slot)
-    mask then lies in the first failing component's first failing profile.
-    """
-    profiles = anchored_profiles if scaled.translation_equivariant else grid_profiles
+def sweep_profiles(scaled, combine: bool, misreports: bool = False):
+    """The grid profiles a sweep of ``scaled`` visits, in check order:
+    multisets when the swept cost ignores agent labels (see
+    :func:`label_free`), ordered vectors otherwise, and only those through
+    the grid's lowest point when :meth:`Scaled.anchored` allows it."""
+    profiles = anchored_profiles if scaled.anchored(misreports) else grid_profiles
     return profiles(scaled.grid_ints, scaled.n, scaled.anonymous(combine))
 
 
-def two_valued_profiles(values, n: int, anonymous: bool):
+def two_valued_profiles(values, n: int, anonymous: bool, anchored: bool = False):
     """Every profile ``low + pattern * (high - low)`` for low < high in
     ``values``, in check order: the pairs as ``values`` lists them (low
     outer, high inner), then the 0/1 patterns in lexicographic order, as
     multisets for a label-free cost and as ordered vectors otherwise.
     Both proportionality axioms read their instances in this order, on the
-    block sweep and on the exact path alike."""
+    block sweep and on the exact path alike. ``anchored`` keeps the pairs
+    whose low value is ``values[0]``, a prefix of that order (see
+    :meth:`Scaled.anchored`)."""
     patterns = list(grid_profiles((0, 1), n, anonymous))
-    for a, low in enumerate(values):
+    for a, low in enumerate(values[:1] if anchored else values):
         for high in values[a + 1 :]:
             for pattern in patterns:
                 yield tuple(high if bit else low for bit in pattern)

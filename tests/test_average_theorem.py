@@ -95,7 +95,7 @@ FIRSTS = {
         profiles=partial(axioms._two_valued_grid, ends_only=False),
         violation=axioms._group_violation,
     ),
-    axioms.SPF: partial(axioms._group_first, profiles=sweep.spf_profiles, violation=axioms._spf_violation),
+    axioms.SPF: partial(axioms._group_first, profiles=sweep.sweep_profiles, violation=axioms._spf_violation),
     axioms.STRATEGYPROOFNESS: axioms._sp_first,
 }
 
@@ -103,7 +103,7 @@ FIRSTS = {
 def _swept(axiom, mixture, dom):
     """The universal verdict of the sweep over every part, average included."""
     mechs = [mech for mech, _ in mixture.components]
-    found = FIRSTS[axiom]([(mech, ONE) for mech in mechs], dom, False)
+    found = FIRSTS[axiom](sweep.checked([(mech, ONE) for mech in mechs], dom.n, dom.domain), dom, False)
     if found is None:
         detail = "" if axiom == axioms.STRATEGYPROOFNESS else THEOREM
         return axioms.AxiomVerdict(axiom, axioms.UNIVERSAL, axioms.PASS, detail=detail).to_json()

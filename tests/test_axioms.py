@@ -589,6 +589,18 @@ def test_recheck_rejects_a_forged_group_witness(axiom, group, bound):
     assert not recheck_witness(mechanism, ax.AxiomVerdict(axiom, ax.EXP, ax.FAIL, witness))
 
 
+@pytest.mark.parametrize("bound, rechecks", [(F(0), True), (F(7), False), (F(1, 2), False)])
+def test_recheck_compares_an_efficiency_witness_bound(bound, rechecks):
+    """phantom:[1/2,1/2,1] at n=2, grid 2 outputs 1/2 at (0, 0), above the
+    reported range: its witness's bound is that range's end, 0, and an
+    edited bound never rechecks."""
+    mechanism = Phantom((F(1, 2), F(1, 2), F(1)))
+    verdict = ax.check_efficiency(mechanism, CheckDomain(n=2, grid=2))
+    assert verdict.witness.to_json() == {"profile": ["0", "0"], "lhs": "1/2", "bound": "0"}
+    edited = replace(verdict, witness=replace(verdict.witness, bound=bound))
+    assert recheck_witness(mechanism, edited) is rechecks
+
+
 def test_recheck_takes_strong_proportionality_witnesses_on_two_valued_profiles_only():
     """Agent 1 of (0, 1/2, 1) pays 1 under the third agent's dictatorship,
     above its SPF bound 2/3: an SPF witness, but no Strong Proportionality

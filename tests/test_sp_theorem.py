@@ -30,7 +30,7 @@ from proploc.core import (
     UniformPhantom,
 )
 from proploc.mechanisms import build_mechanism
-from proploc.sweep import Scaled, SpSweep
+from proploc.sweep import Scaled, SpSweep, checked
 
 THEOREM = "every component a generalized median: every profile, every real misreport"
 
@@ -84,7 +84,7 @@ domains = st.sampled_from([UNIT_INTERVAL, REAL_LINE])
 @given(domains.flatmap(lambda domain: mixtures(domain, average=False)))
 def test_average_free_mixtures_pass_by_theorem_and_the_sweep_agrees(case):
     mixture, dom = case
-    swept = SpSweep(Scaled(mixture.components, dom.n, dom.domain, dom.grid), combine=True)
+    swept = SpSweep(Scaled(checked(mixture.components, dom.n, dom.domain), dom.n, dom.domain, dom.grid), combine=True)
     assert swept.first_violation() is None
     assert swept.best_gain() is None
     verdicts = [axioms.check_strategyproofness(mixture, dom, axioms.EXP)]
@@ -98,7 +98,7 @@ def test_average_free_mixtures_pass_by_theorem_and_the_sweep_agrees(case):
 @example((RandomizedMechanism(2, REAL_LINE, ((Average(), F(1)),)), axioms.CheckDomain(n=2, grid=1, domain=REAL_LINE)))
 def test_mixtures_with_an_average_keep_the_sweeps_verdict(case):
     mixture, dom = case
-    scaled = Scaled(mixture.components, dom.n, dom.domain, dom.grid)
+    scaled = Scaled(checked(mixture.components, dom.n, dom.domain), dom.n, dom.domain, dom.grid)
     hit = SpSweep(scaled, combine=True).first_violation()
     verdict = axioms.check_strategyproofness(mixture, dom, axioms.EXP)
     assert verdict.detail == ""

@@ -13,6 +13,7 @@ reflection x -> 1 - x of the unit interval.
 """
 
 import json
+import math
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations, combinations_with_replacement, product
@@ -20,7 +21,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from proploc import analysis, axioms, sweep
 from proploc.core import (
@@ -38,6 +39,7 @@ from proploc.core import (
     RandomizedMechanism,
     RankK,
     UniformPhantom,
+    as_mixture,
     evaluate,
     grid_points,
     mechanism_is_anonymous,
@@ -131,8 +133,26 @@ def mixtures(draw, domain):
 
 domains = st.sampled_from([UNIT_INTERVAL, REAL_LINE])
 
+# Two mixtures that fail strategyproofness in expectation, and have their
+# largest gain, only off the profiles through the grid's lowest point. The
+# first commutes with translation, but on [0,1] a misreport shifted with its
+# profile can leave the domain; the second's phantom at -1 does not commute
+# with translation. So both keep every profile in a misreport sweep.
+UNIT_OFF_ANCHOR = (
+    RandomizedMechanism(2, UNIT_INTERVAL, ((RankK(1), F(1, 2)), (Average(), F(1, 2)))),
+    axioms.CheckDomain(n=2, grid=2),
+)
+REAL_OFF_ANCHOR = (
+    RandomizedMechanism(
+        2, REAL_LINE, ((Phantom((NEG_INF, NEG_INF, F(-1))), F(1, 2)), (RankK(1), F(1, 4)), (Average(), F(1, 4)))
+    ),
+    axioms.CheckDomain(n=2, grid=1, domain=REAL_LINE),
+)
+
 
 @given(domains.flatmap(mixtures))
+@example(UNIT_OFF_ANCHOR)
+@example(REAL_OFF_ANCHOR)
 def test_sp_in_expectation_matches_plain_loop(case):
     mixture, dom = case
     mechs = mixture.component_mechanisms()
@@ -147,6 +167,8 @@ def test_sp_in_expectation_matches_plain_loop(case):
 
 
 @given(domains.flatmap(mixtures))
+@example(UNIT_OFF_ANCHOR)
+@example(REAL_OFF_ANCHOR)
 def test_universal_sp_matches_plain_loop(case):
     """Each component is tried at its own breakpoints only, as when checked
     alone."""
@@ -175,6 +197,8 @@ def _reference_best(mechanism, mechs, dom):
 
 
 @given(domains.flatmap(mixtures))
+@example(UNIT_OFF_ANCHOR)
+@example(REAL_OFF_ANCHOR)
 def test_search_matches_plain_loop_maximum(case):
     mixture, dom = case
     finding = axioms.search_manipulation(mixture, dom)
@@ -183,6 +207,40 @@ def test_search_matches_plain_loop_maximum(case):
         assert finding is None
     else:
         assert (finding.gain, finding.profile, finding.agent, finding.misreport) == expected
+
+
+@pytest.mark.parametrize("case", [UNIT_OFF_ANCHOR, REAL_OFF_ANCHOR], ids=["unit", "real-phantom"])
+def test_misreport_sweeps_keep_every_profile_where_translation_breaks(case):
+    """Both mixtures above fail, and have their largest gain, on a profile
+    without the grid's lowest point: a sweep of the profiles through it
+    would miss that witness."""
+    mixture, dom = case
+    low = grid_points(dom.domain, dom.grid)[0]
+    verdict = axioms.check_strategyproofness(mixture, dom, axioms.EXP)
+    finding = axioms.search_manipulation(mixture, dom)
+    assert low not in verdict.witness.profile and low not in finding.profile
+
+
+@pytest.mark.parametrize("n, grid", [(2, 3), (3, 2), (4, 1)])
+@pytest.mark.parametrize("combine", [True, False])
+def test_sp_sweep_counts_one_multiset_per_translation_orbit(n, grid, combine):
+    """On the real line a label-free mixture that commutes with translation
+    sweeps the C(P + n - 2, n - 1) multisets through the lowest of the
+    grid's P points, per part and combined. A finite phantom, or the unit
+    interval, keeps all C(P + n - 1, n) of them."""
+
+    def swept(mechanism, domain):
+        mixture = as_mixture(mechanism, n, domain)
+        scaled = Scaled(sweep.checked(mixture.components, n, domain), n, domain, grid)
+        return sum(len(X) for X in SpSweep(scaled, combine).blocks())
+
+    P = 2 * grid + 1
+    assert swept(build_mechanism("avg_or_rr:p=1/2", n, REAL_LINE), REAL_LINE) == math.comb(P + n - 2, n - 1)
+    phantom = Phantom((NEG_INF,) * n + (F(-1),))
+    with_phantom = RandomizedMechanism(n, REAL_LINE, ((phantom, F(1, 2)), (Average(), F(1, 2))))
+    assert swept(with_phantom, REAL_LINE) == math.comb(P + n - 1, n)
+    P = grid + 1
+    assert swept(build_mechanism("avg_or_rr:p=1/2", n, UNIT_INTERVAL), UNIT_INTERVAL) == math.comb(P + n - 1, n)
 
 
 @given(domains.flatmap(mixtures))
@@ -225,7 +283,7 @@ def test_large_denominators_take_python_int_path_and_agree(domain):
     scaled = Scaled(mixture.components, dom.n, dom.domain, dom.grid)
     assert SpSweep(scaled, combine=True).dtype is object
     for combine in (True, False):
-        assert sweep.GroupSweep(scaled, sweep.spf_profiles(scaled, combine), combine).dtype is object
+        assert sweep.GroupSweep(scaled, sweep.sweep_profiles(scaled, combine), combine).dtype is object
     for variant in (axioms.EXP, axioms.UNIVERSAL):
         _assert_spf_matches_plain_loop(mixture, dom, variant)
     verdict = axioms.check_strategyproofness(mixture, dom, axioms.EXP)
@@ -372,7 +430,7 @@ def test_block_temporaries_fit_block_elements(domain, mechs, limit):
             sp = SpSweep(scaled, combine)
             two_valued = sweep.two_valued_profiles(scaled.grid_ints, n, scaled.anonymous(combine))
             group = sweep.GroupSweep(scaled, two_valued, combine)
-            spf = sweep.GroupSweep(scaled, sweep.spf_profiles(scaled, combine), combine)
+            spf = sweep.GroupSweep(scaled, sweep.sweep_profiles(scaled, combine), combine)
             with mock.patch.object(sweep, "order_statistics", wraps=sweep.order_statistics) as kernel:
                 for X in sp.blocks():
                     _, _, candidates, deviating, _ = sp.costs(X)
@@ -399,7 +457,7 @@ def test_scaled_layout_matches_the_exact_path(case, with_median, data):
         halves = tuple((mech, weight / 2) for mech, weight in mixture.components)
         mixture = RandomizedMechanism(n, dom.domain, halves + ((Median(), F(1, 2)),))
     mechs = mixture.component_mechanisms()
-    scaled = Scaled(mixture.components, n, dom.domain, dom.grid)
+    scaled = Scaled(sweep.checked(mixture.components, n, dom.domain), n, dom.domain, dom.grid)
     X = data.draw(st.lists(st.sampled_from(scaled.grid_ints), min_size=n, max_size=n))
     profile = Profile(dom.domain, tuple(scaled.to_frac(v) for v in X))
     for c, fins, position in scaled.ranked:
@@ -702,6 +760,17 @@ def test_anchored_profiles_are_the_full_sweep_through_its_lowest_point(values, n
     assert list(sweep.anchored_profiles(values, n, anonymous)) == [X for X in full if values[0] in X]
 
 
+@pytest.mark.parametrize("anonymous", [True, False])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("values", [(0, 1), (-3, -1, 0, 2), tuple(range(0, 42, 6))])
+def test_anchored_two_valued_profiles_are_the_pairs_from_the_lowest_point(values, n, anonymous):
+    """The anchored two-valued enumeration is the full one's prefix over the
+    pairs whose low value is the lowest grid point, every pattern of each."""
+    full = list(sweep.two_valued_profiles(values, n, anonymous))
+    patterns = len(list(sweep.grid_profiles((0, 1), n, anonymous)))
+    assert list(sweep.two_valued_profiles(values, n, anonymous, anchored=True)) == full[: (len(values) - 1) * patterns]
+
+
 @pytest.mark.parametrize(
     "domain, grid, parts, variant, profile",
     [
@@ -747,7 +816,7 @@ def test_translation_equivariance_is_read_off_the_form(domain, mech, equivariant
     """Only parts whose output is always a report commute with x -> x + t:
     on [0,1] a phantom vector of 0s and 1s with both present, on the real
     line one of infinities; a vector of 0s alone (or 1s) is a constant."""
-    scaled = Scaled(((mech, F(1, 2)), (RankK(1), F(1, 2))), 3, domain, 4)
+    scaled = Scaled(sweep.checked(((mech, F(1, 2)), (RankK(1), F(1, 2))), 3, domain), 3, domain, 4)
     assert scaled.translation_equivariant is equivariant
 
 
