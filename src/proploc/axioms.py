@@ -18,11 +18,11 @@ Every axiom has the same variants, defined once in :func:`_decide`:
 Each axiom names the parts it meets by theorem, at every profile. A
 universal check sweeps only the other parts: a part that never fails is
 never the first to fail, so every verdict and witness is the full sweep's.
-A det or exp check whose parts are all covered passes with the theorem's
-detail and sweeps nothing. A uniform phantom family's realisations are
-generalized medians with phantoms at 0 and 1, so they meet
-strategyproofness, anonymity and efficiency; the group axioms sweep its one
-realisation that fails them all, every interior phantom at 0. The
+A det or exp check that a theorem or exact rule decides (below) passes
+with its detail and sweeps nothing. A uniform phantom family's
+realisations are generalized medians with phantoms at 0 and 1, so they
+meet strategyproofness, anonymity and efficiency; the group axioms sweep
+its one realisation that fails them all, every interior phantom at 0. The
 ``Average`` meets the three group axioms (below).
 
 Strategyproofness, det or exp, is a theorem unless a finite part is an
@@ -30,12 +30,48 @@ Strategyproofness, det or exp, is a theorem unless a finite part is an
 and every realisation of the family, is a generalized median (Moulin 1980).
 It moves with an agent's report r as clip(r, lo, hi), nearest the agent's
 true point at r = that point, so any lottery over such parts is
-strategyproof at every profile and for every real misreport. A mixture with
-an ``Average``, and the finite parts of every universal check, are swept;
-beside a continuous family an ``Average`` is an error. Otherwise a
-continuous family follows its axiom's exp rule: the finite dictators decide
-anonymity, and the group axioms are priced through the exact closed forms
-in :mod:`proploc.analysis`; efficiency has no exp variant.
+strategyproof at every profile and for every real misreport. Beside
+averages of weight a, the window theorem covers a mixture whose every rank
+k (a ``RankK``, or a phantom vector of the domain's ends) weighs
+w_k >= a/n: AverageOrRR exactly when p <= 1/2. Fix the other reports. Each
+rank outputs clip(r, lo_k, hi_k) for a window between consecutive other
+reports, and the n windows tile the line. Moving the report from the true
+point x to r raises rank k's cost by the length of [x, r] within its
+window, raises no generalized median's cost, and cuts the average's by at
+most |r - x|/n, so the cost rises by at least
+sum_k w_k |[x, r] within window k| - a |r - x|/n >= 0, at every profile and
+for every real r (``tests/test_exact_rules.py::
+test_window_theorem_matches_the_sweep`` holds it to the sweep). Other
+mixtures with an ``Average``, and the finite parts of every universal
+check, are swept; beside a continuous family they are an error. Otherwise
+a continuous family follows its axiom's exp rule: the finite dictators
+decide anonymity, and the group axioms are priced through the exact closed
+forms in :mod:`proploc.analysis`; efficiency has no exp variant.
+
+The slope rule decides Strong Proportionality and proportionality, det or
+exp, on the whole domain when every part is unanimous: an ``Average``, a
+dictator, the uniform family, or a rank or phantom vector whose outer
+phantoms are the domain's ends. Any other part is swept. Put the s
+agents of S at low and the rest at high. A unanimous vector with sorted
+phantoms y_0..y_n outputs clip(y_{n-s}, low, high): for low < t < high,
+the n - s high reports and the phantoms above t number n + 1 or more
+exactly when y_{n-s} > t. So with a the averages' weight and H_S(t) =
+P(facility > t) from the other parts, summing the vectors with
+y_{n-s} > t, the family's P(U > t) for U its (n - s)-th uniform, and the
+dictators of the agents outside S, the low group pays
+a (n - s)/n gap + integral_low^high H_S and the high group
+a s/n gap + (1 - a) gap - integral_low^high H_S. Both bounds hold exactly
+when the integral is (1 - a)(n - s)/n gap, for every real pair exactly
+when H_S is (1 - a)(n - s)/n throughout the domain: no y_{n-s} strictly
+inside it (H_S steps there), no family (P(U > t) falls on (0, 1)), and the
+right constant. Proportionality asks it of the pair (0, 1) alone:
+sum w y_{n-s} + w_family (n - s)/n + the dictators = (1 - a)(n - s)/n.
+Unanimous profiles pass at once. The rule checks each group in the
+sweep's pattern order (each size s when the mixture ignores labels). A
+FAIL is still swept for its first grid witness; where the grid has none,
+a point of the failing step gives one (:func:`_off_grid`).
+``tests/test_exact_rules.py`` holds both rules to the sweep, and Strong
+Proportionality's to a plain loop over every step.
 
 The ``Average`` meets SPF, proportionality and Strong Proportionality at
 every real profile, for every n, on both domains. Let m be the mean of a
@@ -128,22 +164,29 @@ import numpy as np
 
 from . import analysis
 from .core import (
+    NEG_INF,
     ONE,
+    POS_INF,
     REAL_LINE,
     UNIT_INTERVAL,
     Average,
+    Dictator,
     DomainMismatchError,
     IIDPhantomSpec,
     Infinite,
     MechanismError,
+    Median,
     Phantom,
     Profile,
     RandomizedMechanism,
+    RankK,
+    UniformPhantom,
     ZERO,
     as_mixture,
     evaluate,
     format_point,
     grid_points,
+    to_phantom_form,
 )
 from .mechanisms import build_mechanism, format_mechanism
 from .sweep import (
@@ -291,6 +334,11 @@ def _components_of(mechanism, n: int, domain: str):
     return mixture
 
 
+def _parts(mixture) -> list:
+    """The mixture's finite mechanisms, then its continuous family if any."""
+    return [mech for mech, _ in mixture.components] + ([mixture.continuous] if mixture.has_continuous else [])
+
+
 def _decide(axiom, mechanism, dom: CheckDomain, variant, first, theorem, continuous=None):
     """Decide ``axiom`` in ``variant``: the one place the variants are
     defined (see the module docstring).
@@ -300,12 +348,17 @@ def _decide(axiom, mechanism, dom: CheckDomain, variant, first, theorem, continu
     once per check: (component index, witness, failure detail) of the first
     violation, or None. With ``combine`` the components form one
     mixture (det and exp); without it each is checked alone (universal),
-    and the verdict names the failing component. ``theorem(part, combine)``
-    is the detail of a PASS that ``part``, a finite mechanism or the
-    continuous family, earns by theorem at every profile (else None): a
-    universal check sweeps only the parts it does not cover, and a det or
-    exp check whose parts it all covers passes with that detail. A
-    universal check's uncovered family is its realisation with every
+    and the verdict names the failing component. ``theorem(subject,
+    combine)`` is the axiom's exact rule. Without ``combine`` ``subject`` is
+    one part, a finite mechanism or the continuous family, and the rule
+    gives the detail of a PASS the part earns at every profile, else None:
+    a universal check sweeps only the parts it does not cover. With
+    ``combine`` ``subject`` is the det or exp check's whole mixture, and
+    the rule gives the detail of a PASS on the whole domain, None when it
+    cannot tell, or, for a FAIL, a function returning the verdict's
+    (status, witness, detail) off the grid. A FAIL is still swept for its
+    first grid witness; the function answers only when the grid shows none.
+    A universal check's uncovered family is its realisation with every
     interior phantom at 0, which outputs the lowest report: on the profile
     with one agent at 1 and the rest at 0 the lone agent pays 1 > (n - 1)/n,
     so it fails every group axiom at every n and grid, as do, by
@@ -320,12 +373,10 @@ def _decide(axiom, mechanism, dom: CheckDomain, variant, first, theorem, continu
     mixture = _components_of(mechanism, dom.n, dom.domain)
     if variant == DET and isinstance(mechanism, RandomizedMechanism):
         raise MechanismError("deterministic variant needs a deterministic mechanism")
-    parts = [mech for mech, _ in mixture.components]
-    if mixture.has_continuous:
-        parts.append(mixture.continuous)
     if variant == UNIVERSAL:
         if mixture.has_continuous and not mixture.continuous.is_uniform:
             raise MechanismError("expand discrete phantom families before checking")
+        parts = _parts(mixture)
         details = [theorem(part, False) for part in parts]
         mechs = [
             Phantom((ZERO,) * dom.n + (ONE,)) if part is mixture.continuous else part
@@ -350,23 +401,41 @@ def _decide(axiom, mechanism, dom: CheckDomain, variant, first, theorem, continu
         if continuous is None:
             raise MechanismError(f"{axiom} has deterministic and universal variants only")
         raise MechanismError(f"unknown variant {variant!r}")
-    details = [theorem(part, True) for part in parts]
-    if all(details):
+    decided = theorem(mixture, True)
+    if isinstance(decided, str):
         checked(mixture.components, dom.n, dom.domain)
-        return AxiomVerdict(axiom, variant, PASS, None, details[0])
+        return AxiomVerdict(axiom, variant, PASS, None, decided)
     if mixture.has_continuous:
-        return AxiomVerdict(axiom, variant, *continuous(mixture))
-    found = first(checked(mixture.components, dom.n, dom.domain), dom, True)
-    if found is None:
-        return AxiomVerdict(axiom, variant, PASS)
-    return AxiomVerdict(axiom, variant, FAIL, *found[1:])
+        status, witness, detail = continuous(mixture)
+    else:
+        found = first(checked(mixture.components, dom.n, dom.domain), dom, True)
+        status, witness, detail = (PASS, None, "") if found is None else (FAIL, *found[1:])
+    if decided is not None and status == PASS:
+        status, witness, detail = decided()
+    return AxiomVerdict(axiom, variant, status, witness, detail)
 
 
 def _family_theorem(detail: str):
     """The theorem hook of an axiom every realisation of the uniform phantom
     family meets: it covers the family in a universal check, and leaves an
     exp check to the axiom's in-expectation rule."""
-    return lambda part, combine: detail if isinstance(part, IIDPhantomSpec) and not combine else None
+    return lambda subject, combine: detail if isinstance(subject, IIDPhantomSpec) and not combine else None
+
+
+def _ends(domain: str):
+    """The domain's ends, which a unanimous phantom vector starts and ends with."""
+    return (ZERO, ONE) if domain == UNIT_INTERVAL else (NEG_INF, POS_INF)
+
+
+def _phantoms(mech, n: int, domain: str):
+    """The phantom vector of a median, uniform phantom or phantom part at n
+    agents, or None for any other part or one the sweep would reject."""
+    if isinstance(mech, (Median, UniformPhantom, Phantom)):
+        try:
+            return to_phantom_form(mech, n, domain).phantoms
+        except MechanismError:
+            return None
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -374,16 +443,45 @@ def _family_theorem(detail: str):
 # ---------------------------------------------------------------------------
 
 
-def _sp_theorem(part, combine: bool):
-    """The PASS detail strategyproofness earns by theorem for ``part`` (the
-    module docstring has it), else None: in a det or exp check every part
-    but an ``Average``, and in a universal check each realisation of the
-    continuous family. Universal strategyproofness still sweeps every
-    finite part."""
-    if combine and not isinstance(part, Average):
+def _rank_of(mech, n: int, domain: str):
+    """k when ``mech`` outputs the k-th largest report on the domain (a rank,
+    or a phantom vector of the domain's ends only, both present), else None."""
+    if isinstance(mech, RankK):
+        return mech.k if mech.k <= n else None
+    phantoms = _phantoms(mech, n, domain)
+    if phantoms is not None:
+        low, high = _ends(domain)
+        k = phantoms.count(low)
+        if 0 < k <= n and phantoms.count(high) == n + 1 - k:
+            return k
+    return None
+
+
+def _sp_theorem(subject, combine: bool):
+    """The PASS detail strategyproofness earns by theorem (the module
+    docstring has both), else None: in a det or exp check, a mixture with
+    no ``Average`` part, or one whose every rank k weighs w_k >= a/n for
+    the averages' weight a (the window theorem); in a universal check, each
+    realisation of the continuous family. Universal strategyproofness still
+    sweeps every finite part."""
+    if not combine:
+        if isinstance(subject, IIDPhantomSpec):
+            return "each phantom realisation a generalized median: every profile, every real misreport"
+        return None
+    if not any(isinstance(mech, Average) for mech, _ in subject.components):
         return "every component a generalized median: every profile, every real misreport"
-    if isinstance(part, IIDPhantomSpec) and not combine:
-        return "each phantom realisation a generalized median: every profile, every real misreport"
+    n, domain = subject.n, subject.domain
+    wden = math.lcm(*(weight.denominator for _, weight in subject.components))
+    average, ranks = 0, [0] * n
+    for mech, weight in subject.components:
+        u = weight.numerator * (wden // weight.denominator)
+        if isinstance(mech, Average):
+            average += u
+        elif k := _rank_of(mech, n, domain):
+            ranks[k - 1] += u
+    if all(n * u >= average for u in ranks):
+        return ("the rank windows tile the line, each rank weighing at least the average over n: "
+                "every profile, every real misreport")
     return None
 
 
@@ -402,10 +500,11 @@ def check_strategyproofness(mechanism, dom: CheckDomain, variant: str = DET) -> 
 
     A det or exp check with no ``Average`` part, a dictator beside a
     continuous family included, passes by theorem at every profile and for
-    every real misreport (:func:`_sp_theorem`). A mixture with an
-    ``Average``, and the finite parts of every universal check, are swept
-    (see the module docstring); beside a continuous family an ``Average``
-    is an error.
+    every real misreport (:func:`_sp_theorem`), and so does one whose ranks
+    each weigh at least the averages' weight over n (the window theorem).
+    Other mixtures with an ``Average``, and the finite parts of every
+    universal check, are swept (see the module docstring); beside a
+    continuous family such an ``Average`` is an error.
     """
 
     def continuous(mixture):
@@ -445,10 +544,11 @@ def search_manipulation(mechanism, dom: CheckDomain) -> ManipulationFinding | No
     The misreports are the breakpoints of the strategyproofness sweep, so
     the gain is the largest over every real misreport. Ties go to the
     lexicographically first instance; returns None when no profitable
-    misreport exists, by theorem when no part is an ``Average``.
+    misreport exists, by theorem when no part is an ``Average`` or the
+    window theorem covers the mixture (:func:`_sp_theorem`).
     """
     mixture = _components_of(mechanism, dom.n, dom.domain)
-    theorem = all(_sp_theorem(mech, True) for mech, _ in mixture.components)
+    theorem = _sp_theorem(mixture, True) is not None
     if mixture.has_continuous and not theorem:
         check_strategyproofness(mixture, dom, EXP)  # an average beside the family raises
     pairs = checked(mixture.components, dom.n, dom.domain)
@@ -618,11 +718,91 @@ def _exact(mixture, dom: CheckDomain, profiles, violation):
     return PASS, None, ""
 
 
-def _average_theorem(part, combine: bool):
-    """The PASS detail of a group axiom for an ``Average`` part, which meets
-    all three at every real profile (the module docstring has the proof),
-    else None."""
-    return "the average within every group's bound: every real profile" if isinstance(part, Average) else None
+def _average_theorem(subject, combine: bool):
+    """The PASS detail of a group axiom for an ``Average`` part, or a det or
+    exp mixture of averages alone, which meet all three at every real
+    profile (the module docstring has the proof), else None."""
+    if all(isinstance(part, Average) for part in (_parts(subject) if combine else [subject])):
+        return "the average within every group's bound: every real profile"
+    return None
+
+
+def _slope_theorem(dom: CheckDomain, ends_only: bool, subject, combine: bool):
+    """The rule hook of Strong Proportionality, or with ``ends_only`` of
+    proportionality: :func:`_average_theorem`, then for a det or exp check
+    the slope rule of the module docstring, on integers over the weights'
+    common denominator. A part that is not unanimous leaves the check to
+    the sweep. Each group S, in the sweep's pattern order, needs the weight
+    of the vectors with y_{n-s} at the high end plus the dictators outside
+    S to be (1 - a)(n - s)/n, with no y_{n-s} inside the domain and no
+    family (with ``ends_only``: sum w y_{n-s}, the family's (n - s)/n and
+    those dictators); the first S that misses gives :func:`_off_grid`."""
+    detail = _average_theorem(subject, combine)
+    if detail or not combine:
+        return detail
+    n, domain = dom.n, dom.domain
+    if subject.has_continuous and not subject.continuous.is_uniform:
+        return None
+    low, high = _ends(domain)
+    # Weights as integers over their common denominator wden; each vector as
+    # (weight, its leading low ends, its trailing high ends, phantoms), so
+    # y_i is low for i < lows and high for i > n - highs.
+    wden = math.lcm(subject.continuous_weight.denominator, *(w.denominator for _, w in subject.components))
+    average, shares, vectors = 0, [0] * n, []
+    for mech, weight in subject.components:
+        u = weight.numerator * (wden // weight.denominator)
+        if isinstance(mech, Average):
+            average += u
+        elif isinstance(mech, Dictator) and mech.agent <= n:
+            shares[mech.agent - 1] += u
+        elif isinstance(mech, RankK) and mech.k <= n:
+            vectors.append((u, mech.k, n + 1 - mech.k, None))
+        else:
+            phantoms = _phantoms(mech, n, domain)
+            if phantoms is None or phantoms[0] != low or phantoms[-1] != high:
+                return None
+            vectors.append((u, phantoms.count(low), phantoms.count(high), phantoms))
+    family = subject.continuous_weight.numerator * (wden // subject.continuous_weight.denominator)
+    for pattern in grid_profiles((0, 1), n, label_free(subject.components, n, True)):
+        s = pattern.count(0)
+        if not 0 < s < n:
+            continue
+        i = n - s
+        outputs = [(u, low if i < lows else high if i > n - highs else phantoms[i])
+                   for u, lows, highs, phantoms in vectors]
+        inside = [(u, y) for u, y in outputs if y is not low and y is not high]
+        mass = sum(u for u, y in outputs if y is high) + sum(d for d, bit in zip(shares, pattern) if bit)
+        if ends_only:
+            integral = n * (mass + sum(u * y for u, y in inside)) + family * i
+            held, steps = integral == (wden - average) * i, [low, high]
+        else:
+            held = not family and not inside and n * mass == (wden - average) * i
+            steps = [low, *sorted({y for _, y in inside}), high]
+        if not held:
+            return partial(_off_grid, subject, dom, pattern, steps)
+    if ends_only:
+        return "the integral of P(facility > t) at each group's bound: every 0/1 profile"
+    return "the slope P(facility > t) at each group's bound throughout the domain: every real pair"
+
+
+def _off_grid(mixture, dom: CheckDomain, pattern, steps):
+    """(status, witness, detail) of the first two-valued profile, the
+    pattern's zeros at a step's left end and its ones at left + j (right -
+    left)/n for j = n..1, steps in order, where a group exceeds its bound,
+    priced exactly. On a step where H_S - (1 - a)(n - s)/n is not 0, its
+    integral from the left end is a nonzero polynomial of degree at most n,
+    0 there, so one of those n points shows the violation. A step unbounded
+    on the real line is taken one unit past its finite end ((0, 1) if it
+    has none)."""
+    n = dom.n
+    profiles = []
+    for left, right in zip(steps, steps[1:]):
+        if isinstance(left, Infinite):
+            left = ZERO if isinstance(right, Infinite) else right - 1
+        if isinstance(right, Infinite):
+            right = left + 1
+        profiles += [tuple(left + (right - left) * j / n if bit else left for bit in pattern) for j in range(n, 0, -1)]
+    return _exact(mixture, dom, lambda anonymous: profiles, _group_violation)
 
 
 def _group_first(components, dom: CheckDomain, combine: bool, profiles, violation):
@@ -684,7 +864,9 @@ def check_proportionality(mechanism, dom: CheckDomain, variant: str = DET) -> Ax
     This is the Strong Proportionality sweep over the single pair (0, 1):
     the 0/1 profiles in pattern order, the group at 0 before the group at 1,
     decided by the same SPF window rule (see
-    :func:`check_strong_proportionality`).
+    :func:`check_strong_proportionality`). A det or exp check of unanimous
+    parts is decided by the integral of the slope rule instead
+    (:func:`_slope_theorem`), and swept only for a FAIL's witness.
     """
     if dom.domain != UNIT_INTERVAL:
         raise DomainMismatchError("proportionality is an endpoint axiom on [0,1]")
@@ -694,7 +876,7 @@ def check_proportionality(mechanism, dom: CheckDomain, variant: str = DET) -> Ax
         dom,
         variant,
         partial(_group_first, profiles=partial(_two_valued_grid, ends_only=True), violation=_group_violation),
-        _average_theorem,
+        partial(_slope_theorem, dom, True),
         lambda mixture: _two_valued_exact(mixture, dom, True),
     )
 
@@ -716,7 +898,10 @@ def check_strong_proportionality(mechanism, dom: CheckDomain, variant: str = DET
     docstring has the proof), in :class:`proploc.sweep.GroupSweep`; the
     failing profile and the exact path for a continuous family read the
     groups in the same order (:func:`_group_violation`). An ``Average``
-    part meets the bound by theorem and is not swept (:func:`_average_theorem`).
+    part meets the bound by theorem and is not swept (:func:`_average_theorem`),
+    and a det or exp check of unanimous parts is decided for every real pair
+    by the slope rule (:func:`_slope_theorem`), swept only for a FAIL's
+    first grid witness.
     A mixture (or, universally, every part) that commutes with translation
     sweeps only the pairs whose low value is the grid's lowest point, which
     hold its first failure (see :meth:`proploc.sweep.Scaled.anchored`).
@@ -727,7 +912,7 @@ def check_strong_proportionality(mechanism, dom: CheckDomain, variant: str = DET
         dom,
         variant,
         partial(_group_first, profiles=partial(_two_valued_grid, ends_only=False), violation=_group_violation),
-        _average_theorem,
+        partial(_slope_theorem, dom, False),
         lambda mixture: _two_valued_exact(mixture, dom, False),
     )
 
