@@ -35,6 +35,7 @@ from .core import (
     evaluate,
     format_point,
     grid_points,
+    outcome_pairs,
     to_phantom_form,
 )
 
@@ -130,7 +131,7 @@ def _parts(mechanism, profile: Profile):
         raise DomainMismatchError("mechanism and profile domains differ")
     if mechanism.n != profile.n:
         raise MechanismError(f"mechanism built for n={mechanism.n}, got n={profile.n}")
-    pairs = tuple((evaluate(mech, profile), weight) for mech, weight in mechanism.components)
+    pairs = tuple(outcome_pairs(mechanism.components, profile))
     lottery = Lottery(pairs) if pairs else None
     if not mechanism.has_continuous:
         return lottery, None

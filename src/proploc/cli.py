@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -91,13 +92,18 @@ def _parse_profile(text: str, domain: str) -> Profile:
 
 def _emit(text: str, out: str | None):
     """Write the report to ``out``, if given, then print it: a file that
-    cannot be written is an error before anything is printed."""
+    cannot be written is an error before anything is printed. A closed
+    stdout (``| head``) is not one: it is pointed at devnull, as the Python
+    docs advise, and the command keeps its exit code."""
     if out:
         try:
             Path(out).write_text(text + "\n")
         except OSError as exc:
             raise MechanismError(f"cannot write --out {out!r}: {exc.strerror or exc}") from None
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _format_table_markdown(report: dict) -> str:

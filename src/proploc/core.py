@@ -10,9 +10,9 @@ A mixture's outcomes on a profile form one :class:`Lottery`, which sorts
 them once into running sums of mass and first moment, so each point's
 expected distance is one bisect and a closed form rather than a walk
 over every outcome. A one-atom lottery (a deterministic mechanism)
-prices |x - location| directly. A phantom part (a generalized median,
-Moulin 1980) outputs the n-th, counting from 0, of its n reports and n+1
-phantoms in one sorted list.
+prices |x - location| directly. Every finite part is read off one sorted
+copy of the reports, a phantom part (a generalized median, Moulin 1980)
+by merging that copy with its phantoms (:func:`outcome_pairs`).
 """
 
 from __future__ import annotations
@@ -167,9 +167,6 @@ class Profile:
     def n(self) -> int:
         return len(self.locations)
 
-    def sorted_locations(self) -> tuple[Fraction, ...]:
-        return tuple(sorted(self.locations))
-
     def replace(self, agent: int, location: Fraction) -> "Profile":
         """New profile with 1-based ``agent`` reporting ``location``."""
         locs = list(self.locations)
@@ -306,40 +303,54 @@ def to_phantom_form(mechanism: Mechanism, n: int, domain: str = UNIT_INTERVAL) -
     raise PhantomFormError(f"{type(mechanism).__name__} is not phantom-representable")
 
 
+def outcome_pairs(components, profile: Profile) -> list[tuple[Fraction, Fraction]]:
+    """(location, weight) of each (mechanism, weight) component on ``profile``.
+
+    The reports are sorted once, at the first rank, median or phantom part:
+    rank k is entry n - k, the median entry (n - 1) // 2, and a phantom part
+    entry n, from 0, of the sorted reports merged with its sorted phantoms.
+    """
+    n, reports, domain = profile.n, profile.locations, profile.domain
+    ordered, pairs = None, []
+    for mech, weight in components:
+        if isinstance(mech, UniformPhantom):
+            mech = to_phantom_form(mech, n, domain)
+        if isinstance(mech, Dictator):
+            if mech.agent > n:
+                raise MechanismError(f"dictator {mech.agent} out of range for n={n}")
+            location = reports[mech.agent - 1]
+        elif isinstance(mech, Average):
+            location = Fraction(sum(reports), n)
+        elif isinstance(mech, RankK) and mech.k > n:
+            raise MechanismError(f"rank {mech.k} out of range for n={n}")
+        elif isinstance(mech, Phantom) and mech.n != n:
+            raise MechanismError(f"phantom vector has {mech.n + 1} entries, expected {n + 1}")
+        elif isinstance(mech, Phantom) and domain == UNIT_INTERVAL and any(
+                isinstance(y, Infinite) or not ZERO <= y <= ONE for y in mech.phantoms):
+            raise DomainMismatchError("unit-interval profiles need finite phantoms in [0,1]")
+        elif not isinstance(mech, (RankK, Median, Phantom)):
+            raise MechanismError(f"unknown mechanism {mech!r}")
+        else:
+            ordered = ordered or sorted(reports)
+            if isinstance(mech, RankK):
+                location = ordered[n - mech.k]
+            elif isinstance(mech, Median):
+                location = ordered[(n - 1) // 2]
+            else:
+                # Pass the n smallest of the merge, i of them reports.
+                ys, i = mech.phantoms, 0
+                for step in range(n):
+                    i += ordered[i] <= ys[step - i]
+                location = ys[0] if i == n else min(ordered[i], ys[n - i])
+                if isinstance(location, Infinite):
+                    raise MechanismError("median of reports and phantoms is not finite")
+        pairs.append((location, weight))
+    return pairs
+
+
 def evaluate(mechanism: Mechanism, profile: Profile) -> Fraction:
     """Facility location chosen by a deterministic mechanism on a profile."""
-    n = profile.n
-    if isinstance(mechanism, Phantom):
-        if mechanism.n != n:
-            raise MechanismError(
-                f"phantom vector has {mechanism.n + 1} entries, expected {n + 1}"
-            )
-        if profile.domain == UNIT_INTERVAL:
-            for y in mechanism.phantoms:
-                if isinstance(y, Infinite) or not (ZERO <= y <= ONE):
-                    raise DomainMismatchError(
-                        "unit-interval profiles need finite phantoms in [0,1]"
-                    )
-        # The median of the 2n+1 reports and phantoms: the n-th, from 0.
-        median = sorted(profile.locations + mechanism.phantoms)[n]
-        if isinstance(median, Infinite):
-            raise MechanismError("median of reports and phantoms is not finite")
-        return median
-    if isinstance(mechanism, RankK):
-        if mechanism.k > n:
-            raise MechanismError(f"rank {mechanism.k} out of range for n={n}")
-        return profile.sorted_locations()[n - mechanism.k]
-    if isinstance(mechanism, Dictator):
-        if mechanism.agent > n:
-            raise MechanismError(f"dictator {mechanism.agent} out of range for n={n}")
-        return profile.locations[mechanism.agent - 1]
-    if isinstance(mechanism, Median):
-        return profile.sorted_locations()[(n - 1) // 2]
-    if isinstance(mechanism, UniformPhantom):
-        return evaluate(to_phantom_form(mechanism, n, profile.domain), profile)
-    if isinstance(mechanism, Average):
-        return Fraction(sum(profile.locations), n)
-    raise MechanismError(f"unknown mechanism {mechanism!r}")
+    return outcome_pairs(((mechanism, ONE),), profile)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +579,7 @@ def outcome_distribution(mechanism: AnyMechanism, profile: Profile) -> OutcomeDi
         )
     if mechanism.n != profile.n:
         raise MechanismError(f"mechanism built for n={mechanism.n}, profile has n={profile.n}")
-    pairs = [(evaluate(mech, profile), weight) for mech, weight in mechanism.components]
+    pairs = outcome_pairs(mechanism.components, profile)
     if mechanism.has_continuous:
         distinct = set(profile.locations)
         if len(distinct) == 1:

@@ -73,7 +73,8 @@ def checked(components, n: int, domain: str):
     then that of the first component the engine rejects."""
     pairs = []
     for mech, weight in components:
-        weight = Fraction(weight)
+        if not isinstance(weight, Fraction):
+            weight = Fraction(weight)
         if isinstance(mech, (Median, UniformPhantom)):
             mech = to_phantom_form(mech, n, domain)
         pairs.append((mech, weight))

@@ -319,6 +319,47 @@ def test_unwritable_out_fails_before_printing(tmp_path, capsys, argv):
     assert not target.exists()
 
 
+class _ClosedPipe:
+    """A stdout whose reader has left, as after ``| head -1``: every write
+    raises ``BrokenPipeError``. Its file descriptor is a real file's."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["table", "--n", "3"], 0),
+        (["check", "--mechanism", "median", "--axiom", "strong_proportionality", "--variant", "exp",
+          "--n", "3", "--format", "json"], 1),
+    ],
+    ids=["table", "failing-check"],
+)
+def test_a_closed_stdout_keeps_the_exit_code(tmp_path, capsys, monkeypatch, argv, expected):
+    """A closed pipe is not an error: the command still exits 0 on a
+    PASS and 1 on a FAIL, prints no error line, and points its stdout
+    descriptor at devnull so that later flushes cannot fail."""
+    target = tmp_path / "stdout"
+    with open(target, "wb", buffering=0) as sink:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(sink.fileno()))
+        code = main(argv)
+        monkeypatch.undo()
+        os.write(sink.fileno(), b"after the pipe closed")
+    assert code == expected
+    assert capsys.readouterr().err == ""
+    assert target.read_bytes() == b""
+
+
 def test_real_line_domain_flag(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -1,8 +1,10 @@
 """Differential test of the finite lottery against a plain loop.
 
 ``core`` prices a mixture's outcomes as one lottery: every point by a
-bisect into running sums of mass and moment; a phantom part's output is
-the n-th of its reports and phantoms in one sorted list. The oracle here sorts each component's reports and finite
+bisect into running sums of mass and moment. It reads every part off one
+sorted copy of the reports, a phantom part as entry n, from 0, of that
+copy merged with its phantoms, and sorts nothing for dictators and the
+average. The oracle here sorts each component's reports and finite
 phantoms on its own, counts the -inf phantoms, and sums p * |a - x| over
 the atoms directly. The two must agree exactly, on both domains, with tied reports,
 repeated phantoms and phantoms at +-inf, and they must fail the same way on
@@ -12,7 +14,7 @@ the same bad input.
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from proploc import analysis
 from proploc.core import (
@@ -140,8 +142,27 @@ def off_profile_points(profile):
 # ---------------------------------------------------------------------------
 
 
+def _case(profile, *mechs):
+    """(mixture, profile, 0) of equally weighted parts and no family."""
+    parts = tuple((mech, F(1, len(mechs))) for mech in mechs)
+    return RandomizedMechanism(profile.n, profile.domain, parts), profile, F(0)
+
+
 @settings(max_examples=300)
 @given(cases())
+# The merge read at its edges, which random draws can miss: a report tied
+# with a phantom; +-inf phantoms on the real line; n=2 beside the uniform
+# phantoms, the median and both ranks; every report below the lowest
+# phantom, and every report above the highest; a mixture that sorts nothing.
+@example(_case(Profile.unit(F(1, 4), F(1, 2), F(1, 2)), Phantom((F(0), F(1, 2), F(1, 2), F(1))),
+               Phantom((F(0), F(1, 3), F(1, 2), F(1)))))
+@example(_case(Profile.line(F(-3), F(1, 3), F(5, 2)), Phantom((NEG_INF, F(-1), POS_INF, POS_INF)),
+               Phantom((NEG_INF, NEG_INF, F(1), POS_INF)), RankK(3)))
+@example(_case(Profile.unit(F(3, 4), F(1, 6)), UniformPhantom(), Median(), RankK(1), RankK(2),
+               Phantom((F(0), F(1, 3), F(1)))))
+@example(_case(Profile.unit(F(1, 4), F(0), F(1, 6)), Phantom((F(1, 3), F(1, 2), F(2, 3), F(3, 4)))))
+@example(_case(Profile.line(F(5, 2), F(1), F(1, 3)), Phantom((NEG_INF, F(-3), F(-1), F(0)))))
+@example(_case(Profile.line(F(1), F(-3), F(1, 3)), Dictator(1), Dictator(3), Average()))
 def test_lottery_matches_the_plain_loop(case):
     mixture, profile, family_weight = case
     reports = profile.locations
