@@ -19,13 +19,10 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .core import (
-    NEG_INF,
     ONE,
-    POS_INF,
     UNIT_INTERVAL,
     DomainMismatchError,
     Lottery,
-    Mechanism,
     MechanismError,
     Phantom,
     Profile,
@@ -36,7 +33,7 @@ from .core import (
     format_point,
     grid_points,
     outcome_pairs,
-    to_phantom_form,
+    part_form,
 )
 
 # ---------------------------------------------------------------------------
@@ -195,37 +192,26 @@ class PhantomMarginal:
     prob_bottom: Fraction
 
 
-def _rank_index_of(mechanism: Mechanism, n: int, domain: str) -> int:
-    if not isinstance(mechanism, (RankK, Phantom)):
-        raise MechanismError(
-            f"marginals are defined for rank mixtures, not {type(mechanism).__name__}"
-        )
-    phantoms = to_phantom_form(mechanism, n, domain).phantoms
-    lo = ZERO if domain == UNIT_INTERVAL else NEG_INF
-    hi = ONE if domain == UNIT_INTERVAL else POS_INF
-    low_count = sum(1 for y in phantoms if y == lo)
-    high_count = sum(1 for y in phantoms if y == hi)
-    if low_count + high_count != n + 1 or low_count < 1 or high_count < 1:
-        raise MechanismError(
-            "marginals are defined for two-valued phantom vectors only"
-        )
-    return low_count
-
-
 def rank_phantom_marginals(mechanism: RandomizedMechanism) -> tuple[PhantomMarginal, ...]:
     """Exact marginals of the sorted interior phantoms of a rank mixture.
 
     With weight w_k on the rank-k component, the i-th smallest of the n-1
     interior phantoms sits at the top extreme with probability
-    w_1 + ... + w_i and at the bottom extreme otherwise.
+    w_1 + ... + w_i and at the bottom extreme otherwise. Each part is a
+    rank or a phantom vector whose normal form
+    (:func:`proploc.core.part_form`) is a rank.
     """
     if mechanism.has_continuous:
         raise MechanismError("marginals need a finite rank mixture")
     n, domain = mechanism.n, mechanism.domain
     weight_by_rank: dict[int, Fraction] = {}
     for mech, weight in mechanism.components:
-        k = _rank_index_of(mech, n, domain)
-        weight_by_rank[k] = weight_by_rank.get(k, ZERO) + weight
+        if not isinstance(mech, (RankK, Phantom)):
+            raise MechanismError(f"marginals are defined for rank mixtures, not {type(mech).__name__}")
+        form = part_form(mech, n, domain)
+        if not isinstance(form, RankK):
+            raise MechanismError("marginals are defined for two-valued phantom vectors only")
+        weight_by_rank[form.k] = weight_by_rank.get(form.k, ZERO) + weight
     top = "1" if domain == UNIT_INTERVAL else "+inf"
     bottom = "0" if domain == UNIT_INTERVAL else "-inf"
     out = []

@@ -32,10 +32,12 @@ It moves with an agent's report r as clip(r, lo, hi), nearest the agent's
 true point at r = that point, so any lottery over such parts is
 strategyproof at every profile and for every real misreport. Beside
 averages of weight a, the window theorem covers a mixture whose every rank
-k (a ``RankK``, or a phantom vector of the domain's ends) weighs
-w_k >= a/n: AverageOrRR exactly when p <= 1/2. Fix the other reports. Each
-rank outputs clip(r, lo_k, hi_k) for a window between consecutive other
-reports, and the n windows tile the line. Moving the report from the true
+k weighs w_k >= a/n: AverageOrRR exactly when p <= 1/2. A rank here is a
+``RankK`` in the normal form of :func:`proploc.core.part_form`, which every
+check reads its parts in: the median and every phantom vector of the
+domain's ends are ranks there. Fix the other reports. Each rank outputs
+clip(r, lo_k, hi_k) for a window between consecutive other reports, and
+the n windows tile the line. Moving the report from the true
 point x to r raises rank k's cost by the length of [x, r] within its
 window, raises no generalized median's cost, and cuts the average's by at
 most |r - x|/n, so the cost rises by at least
@@ -50,9 +52,10 @@ forms in :mod:`proploc.analysis`; efficiency has no exp variant.
 
 The slope rule decides Strong Proportionality and proportionality, det or
 exp, on the whole domain when every part is unanimous: an ``Average``, a
-dictator, the uniform family, or a rank or phantom vector whose outer
-phantoms are the domain's ends. Any other part is swept. Put the s
-agents of S at low and the rest at high. A unanimous vector with sorted
+dictator, the uniform family, a rank (the median and every vector of the
+domain's ends among them), or a phantom vector whose outer phantoms are
+the domain's ends. Any other part is swept. Put the s agents of S at low
+and the rest at high. A unanimous vector with sorted
 phantoms y_0..y_n outputs clip(y_{n-s}, low, high): for low < t < high,
 the n - s high reports and the phantoms above t number n + 1 or more
 exactly when y_{n-s} > t. So with a the averages' weight and H_S(t) =
@@ -131,11 +134,12 @@ fails at a unanimous profile just beyond that end. Only a dictator reads
 agent labels, so the dictator weights decide anonymity (see
 :func:`_anonymity_first`).
 
-A finite mixture whose parts all commute with x -> x + t (ranks,
-dictators, averages, phantom vectors of domain ends) keeps every cost and
-bound under translation, so its first failing profile contains the grid's
-lowest point, and so does the first instance of its largest manipulation
-gain. Three sweeps visit only those profiles, in the full sweep's order
+A finite mixture whose parts all commute with x -> x + t (ranks, the
+median and phantom vectors of domain ends among them, dictators and
+averages) keeps every cost and bound under translation, so its first
+failing profile contains the grid's lowest point, and so does the first
+instance of its largest manipulation gain. Three sweeps visit only those
+profiles, in the full sweep's order
 (:meth:`proploc.sweep.Scaled.anchored`): SPF, and Strong Proportionality's
 two-valued pairs (only those whose low value is the lowest point), on both
 domains, and strategyproofness and manipulation search on the real line
@@ -175,25 +179,22 @@ from .core import (
     IIDPhantomSpec,
     Infinite,
     MechanismError,
-    Median,
     Phantom,
     Profile,
     RandomizedMechanism,
     RankK,
-    UniformPhantom,
     ZERO,
     as_mixture,
     evaluate,
     format_point,
     grid_points,
-    to_phantom_form,
+    part_form,
 )
 from .mechanisms import build_mechanism, format_mechanism
 from .sweep import (
     GroupSweep,
     Scaled,
     SpSweep,
-    checked,
     dictator_shares,
     grid_profiles,
     label_free,
@@ -334,6 +335,13 @@ def _components_of(mechanism, n: int, domain: str):
     return mixture
 
 
+def _forms(mixture) -> list:
+    """The mixture's (mechanism, weight) pairs, each part in its normal form
+    (:func:`proploc.core.part_form`), which raises for the first invalid
+    part in component order."""
+    return [(part_form(mech, mixture.n, mixture.domain), weight) for mech, weight in mixture.components]
+
+
 def _parts(mixture) -> list:
     """The mixture's finite mechanisms, then its continuous family if any."""
     return [mech for mech, _ in mixture.components] + ([mixture.continuous] if mixture.has_continuous else [])
@@ -343,18 +351,20 @@ def _decide(axiom, mechanism, dom: CheckDomain, variant, first, theorem, continu
     """Decide ``axiom`` in ``variant``: the one place the variants are
     defined (see the module docstring).
 
-    ``first(components, dom, combine)`` is the axiom's sweep over the
-    (mechanism, weight) pairs of :func:`proploc.sweep.checked`, validated
-    once per check: (component index, witness, failure detail) of the first
-    violation, or None. With ``combine`` the components form one
-    mixture (det and exp); without it each is checked alone (universal),
-    and the verdict names the failing component. ``theorem(subject,
-    combine)`` is the axiom's exact rule. Without ``combine`` ``subject`` is
-    one part, a finite mechanism or the continuous family, and the rule
-    gives the detail of a PASS the part earns at every profile, else None:
-    a universal check sweeps only the parts it does not cover. With
-    ``combine`` ``subject`` is the det or exp check's whole mixture, and
-    the rule gives the detail of a PASS on the whole domain, None when it
+    ``first(components, dom, combine)`` is the axiom's sweep over
+    (mechanism, weight) pairs in the normal form of
+    :func:`proploc.core.part_form`, built once per check: (component index,
+    witness, failure detail) of the first violation, or None. With
+    ``combine`` the components form one mixture (det and exp); without it
+    each is checked alone (universal), and the verdict names the failing
+    component. ``theorem(subject, forms)`` is the axiom's exact rule. In a
+    universal check ``forms`` is None and ``subject`` is one part, a finite
+    mechanism or the continuous family, and the rule gives the detail of a
+    PASS the part earns at every profile, else None: a universal check
+    sweeps only the parts it does not cover. In a det or exp check
+    ``subject`` is the whole mixture and ``forms`` its (mechanism, weight)
+    pairs in normal form, built first, which raises for the first invalid
+    part in component order, and the rule gives the detail of a PASS on the whole domain, None when it
     cannot tell, or, for a FAIL, a function returning the verdict's
     (status, witness, detail) off the grid. A FAIL is still swept for its
     first grid witness; the function answers only when the grid shows none.
@@ -364,11 +374,13 @@ def _decide(axiom, mechanism, dom: CheckDomain, variant, first, theorem, continu
     so it fails every group axiom at every n and grid, as do, by
     continuity, the realisations with interior phantoms in (0, eps), and
     the FAIL does not rest on a null set. The swept parts go in stacked,
-    each at weight 1, up to the first part :func:`proploc.sweep.checked`
-    rejects; its error is raised only if no part before it fails, as a
-    part-by-part check would meet it. ``continuous(mixture)`` is the
-    in-expectation rule for a mixture with a continuous family, as (status,
-    witness, detail); without it there is no exp variant.
+    each at weight 1 and in normal form, up to the first part that
+    :func:`proploc.core.part_form` rejects; its error is raised only if no
+    part before it fails, as a part-by-part check would meet it. A failing
+    part's witness names the part as given, not its normal form.
+    ``continuous(mixture)`` is the in-expectation rule for a mixture with a
+    continuous family, as (status, witness, detail); without it there is no
+    exp variant.
     """
     mixture = _components_of(mechanism, dom.n, dom.domain)
     if variant == DET and isinstance(mechanism, RandomizedMechanism):
@@ -377,7 +389,7 @@ def _decide(axiom, mechanism, dom: CheckDomain, variant, first, theorem, continu
         if mixture.has_continuous and not mixture.continuous.is_uniform:
             raise MechanismError("expand discrete phantom families before checking")
         parts = _parts(mixture)
-        details = [theorem(part, False) for part in parts]
+        details = [theorem(part, None) for part in parts]
         mechs = [
             Phantom((ZERO,) * dom.n + (ONE,)) if part is mixture.continuous else part
             for part, detail in zip(parts, details)
@@ -386,7 +398,7 @@ def _decide(axiom, mechanism, dom: CheckDomain, variant, first, theorem, continu
         pairs, rejected = [], None
         for mech in mechs:
             try:
-                pairs += checked(((mech, ONE),), dom.n, dom.domain)
+                pairs.append((part_form(mech, dom.n, dom.domain), ONE))
             except MechanismError as error:
                 rejected = error
                 break
@@ -401,14 +413,14 @@ def _decide(axiom, mechanism, dom: CheckDomain, variant, first, theorem, continu
         if continuous is None:
             raise MechanismError(f"{axiom} has deterministic and universal variants only")
         raise MechanismError(f"unknown variant {variant!r}")
-    decided = theorem(mixture, True)
+    forms = _forms(mixture)
+    decided = theorem(mixture, forms)
     if isinstance(decided, str):
-        checked(mixture.components, dom.n, dom.domain)
         return AxiomVerdict(axiom, variant, PASS, None, decided)
     if mixture.has_continuous:
         status, witness, detail = continuous(mixture)
     else:
-        found = first(checked(mixture.components, dom.n, dom.domain), dom, True)
+        found = first(forms, dom, True)
         status, witness, detail = (PASS, None, "") if found is None else (FAIL, *found[1:])
     if decided is not None and status == PASS:
         status, witness, detail = decided()
@@ -419,7 +431,7 @@ def _family_theorem(detail: str):
     """The theorem hook of an axiom every realisation of the uniform phantom
     family meets: it covers the family in a universal check, and leaves an
     exp check to the axiom's in-expectation rule."""
-    return lambda subject, combine: detail if isinstance(subject, IIDPhantomSpec) and not combine else None
+    return lambda subject, forms: detail if isinstance(subject, IIDPhantomSpec) and forms is None else None
 
 
 def _ends(domain: str):
@@ -427,59 +439,33 @@ def _ends(domain: str):
     return (ZERO, ONE) if domain == UNIT_INTERVAL else (NEG_INF, POS_INF)
 
 
-def _phantoms(mech, n: int, domain: str):
-    """The phantom vector of a median, uniform phantom or phantom part at n
-    agents, or None for any other part or one the sweep would reject."""
-    if isinstance(mech, (Median, UniformPhantom, Phantom)):
-        try:
-            return to_phantom_form(mech, n, domain).phantoms
-        except MechanismError:
-            return None
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Strategyproofness
 # ---------------------------------------------------------------------------
 
 
-def _rank_of(mech, n: int, domain: str):
-    """k when ``mech`` outputs the k-th largest report on the domain (a rank,
-    or a phantom vector of the domain's ends only, both present), else None."""
-    if isinstance(mech, RankK):
-        return mech.k if mech.k <= n else None
-    phantoms = _phantoms(mech, n, domain)
-    if phantoms is not None:
-        low, high = _ends(domain)
-        k = phantoms.count(low)
-        if 0 < k <= n and phantoms.count(high) == n + 1 - k:
-            return k
-    return None
-
-
-def _sp_theorem(subject, combine: bool):
+def _sp_theorem(subject, forms):
     """The PASS detail strategyproofness earns by theorem (the module
     docstring has both), else None: in a det or exp check, a mixture with
-    no ``Average`` part, or one whose every rank k weighs w_k >= a/n for
-    the averages' weight a (the window theorem); in a universal check, each
-    realisation of the continuous family. Universal strategyproofness still
-    sweeps every finite part."""
-    if not combine:
+    no ``Average`` part, or one whose every rank k (a ``RankK`` among the
+    ``forms``) weighs w_k >= a/n for the averages' weight a (the window
+    theorem); in a universal check, each realisation of the continuous
+    family. Universal strategyproofness still sweeps every finite part."""
+    if forms is None:
         if isinstance(subject, IIDPhantomSpec):
             return "each phantom realisation a generalized median: every profile, every real misreport"
         return None
-    if not any(isinstance(mech, Average) for mech, _ in subject.components):
+    if not any(isinstance(mech, Average) for mech, _ in forms):
         return "every component a generalized median: every profile, every real misreport"
-    n, domain = subject.n, subject.domain
-    wden = math.lcm(*(weight.denominator for _, weight in subject.components))
-    average, ranks = 0, [0] * n
-    for mech, weight in subject.components:
+    wden = math.lcm(*(weight.denominator for _, weight in forms))
+    average, ranks = 0, [0] * subject.n
+    for mech, weight in forms:
         u = weight.numerator * (wden // weight.denominator)
         if isinstance(mech, Average):
             average += u
-        elif k := _rank_of(mech, n, domain):
-            ranks[k - 1] += u
-    if all(n * u >= average for u in ranks):
+        elif isinstance(mech, RankK):
+            ranks[mech.k - 1] += u
+    if all(subject.n * u >= average for u in ranks):
         return ("the rank windows tile the line, each rank weighing at least the average over n: "
                 "every profile, every real misreport")
     return None
@@ -548,13 +534,13 @@ def search_manipulation(mechanism, dom: CheckDomain) -> ManipulationFinding | No
     window theorem covers the mixture (:func:`_sp_theorem`).
     """
     mixture = _components_of(mechanism, dom.n, dom.domain)
-    theorem = _sp_theorem(mixture, True) is not None
+    forms = _forms(mixture)
+    theorem = _sp_theorem(mixture, forms) is not None
     if mixture.has_continuous and not theorem:
         check_strategyproofness(mixture, dom, EXP)  # an average beside the family raises
-    pairs = checked(mixture.components, dom.n, dom.domain)
     if theorem:
         return None
-    scaled = Scaled(pairs, dom.n, dom.domain, dom.grid)
+    scaled = Scaled(forms, dom.n, dom.domain, dom.grid)
     best = SpSweep(scaled, combine=True).best_gain()
     if best is None:
         return None
@@ -584,10 +570,10 @@ def _anonymity_first(components, dom: CheckDomain, combine: bool, mixture=None):
     agent j's dictator. So the first failing profile, in lexicographic
     order, has every agent at the lowest grid point but agent j + 1, at the
     next one, for the largest j with w_j != w_{j+1}, and its first moving
-    swap is that of j. The components come from
-    :func:`proploc.sweep.checked`, so a rejected one of any kind has raised
-    as in the other checks. The witness's expected locations come from the closed
-    forms of :mod:`proploc.analysis`, the path :func:`recheck_witness`
+    swap is that of j. :func:`proploc.core.part_form` has validated the
+    components, so a rejected one of any kind has raised as in the other
+    checks. The witness's expected locations come from the
+    closed forms of :mod:`proploc.analysis`, the path :func:`recheck_witness`
     takes: of the failing component, or with ``combine`` of ``mixture``
     (by default the weighted components themselves)."""
     n = dom.n
@@ -626,7 +612,7 @@ def check_anonymity(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVer
     """
 
     def continuous(mixture):
-        found = _anonymity_first(checked(mixture.components, dom.n, dom.domain), dom, True, mixture=mixture)
+        found = _anonymity_first(mixture.components, dom, True, mixture=mixture)
         return (PASS, None, "") if found is None else (FAIL, found[1], "")
 
     return _decide(ANONYMITY, mechanism, dom, variant, _anonymity_first,
@@ -718,16 +704,16 @@ def _exact(mixture, dom: CheckDomain, profiles, violation):
     return PASS, None, ""
 
 
-def _average_theorem(subject, combine: bool):
+def _average_theorem(subject, forms):
     """The PASS detail of a group axiom for an ``Average`` part, or a det or
     exp mixture of averages alone, which meet all three at every real
     profile (the module docstring has the proof), else None."""
-    if all(isinstance(part, Average) for part in (_parts(subject) if combine else [subject])):
+    if all(isinstance(part, Average) for part in ([subject] if forms is None else _parts(subject))):
         return "the average within every group's bound: every real profile"
     return None
 
 
-def _slope_theorem(dom: CheckDomain, ends_only: bool, subject, combine: bool):
+def _slope_theorem(dom: CheckDomain, ends_only: bool, subject, forms):
     """The rule hook of Strong Proportionality, or with ``ends_only`` of
     proportionality: :func:`_average_theorem`, then for a det or exp check
     the slope rule of the module docstring, on integers over the weights'
@@ -737,33 +723,32 @@ def _slope_theorem(dom: CheckDomain, ends_only: bool, subject, combine: bool):
     S to be (1 - a)(n - s)/n, with no y_{n-s} inside the domain and no
     family (with ``ends_only``: sum w y_{n-s}, the family's (n - s)/n and
     those dictators); the first S that misses gives :func:`_off_grid`."""
-    detail = _average_theorem(subject, combine)
-    if detail or not combine:
+    detail = _average_theorem(subject, forms)
+    if detail or forms is None:
         return detail
-    n, domain = dom.n, dom.domain
+    n = dom.n
     if subject.has_continuous and not subject.continuous.is_uniform:
         return None
-    low, high = _ends(domain)
+    low, high = _ends(dom.domain)
     # Weights as integers over their common denominator wden; each vector as
     # (weight, its leading low ends, its trailing high ends, phantoms), so
     # y_i is low for i < lows and high for i > n - highs.
-    wden = math.lcm(subject.continuous_weight.denominator, *(w.denominator for _, w in subject.components))
+    wden = math.lcm(subject.continuous_weight.denominator, *(w.denominator for _, w in forms))
     average, shares, vectors = 0, [0] * n, []
-    for mech, weight in subject.components:
+    for mech, weight in forms:
         u = weight.numerator * (wden // weight.denominator)
         if isinstance(mech, Average):
             average += u
-        elif isinstance(mech, Dictator) and mech.agent <= n:
+        elif isinstance(mech, Dictator):
             shares[mech.agent - 1] += u
-        elif isinstance(mech, RankK) and mech.k <= n:
+        elif isinstance(mech, RankK):
             vectors.append((u, mech.k, n + 1 - mech.k, None))
+        elif mech.phantoms[0] != low or mech.phantoms[-1] != high:
+            return None
         else:
-            phantoms = _phantoms(mech, n, domain)
-            if phantoms is None or phantoms[0] != low or phantoms[-1] != high:
-                return None
-            vectors.append((u, phantoms.count(low), phantoms.count(high), phantoms))
+            vectors.append((u, mech.phantoms.count(low), mech.phantoms.count(high), mech.phantoms))
     family = subject.continuous_weight.numerator * (wden // subject.continuous_weight.denominator)
-    for pattern in grid_profiles((0, 1), n, label_free(subject.components, n, True)):
+    for pattern in grid_profiles((0, 1), n, label_free(forms, n, True)):
         s = pattern.count(0)
         if not 0 < s < n:
             continue

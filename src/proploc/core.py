@@ -10,9 +10,18 @@ A mixture's outcomes on a profile form one :class:`Lottery`, which sorts
 them once into running sums of mass and first moment, so each point's
 expected distance is one bisect and a closed form rather than a walk
 over every outcome. A one-atom lottery (a deterministic mechanism)
-prices |x - location| directly. Every finite part is read off one sorted
-copy of the reports, a phantom part (a generalized median, Moulin 1980)
-by merging that copy with its phantoms (:func:`outcome_pairs`).
+prices |x - location| directly.
+
+One function, :func:`part_form`, decides whether a finite part is valid at
+(n, domain) and gives its normal form: a rank (a ``RankK``, the median, or
+a phantom vector of the domain's ends), a phantom vector, a dictator or the
+average. Every reader of a part reads that form: the lottery here, the
+sweep engine of :mod:`proploc.sweep` and the exact rules of
+:mod:`proploc.axioms`. So each raises the same error, that of the first
+invalid part in component order. The lottery reads every finite part off
+one sorted copy of the reports, a phantom part (a generalized median,
+Moulin 1980) by merging that copy with its phantoms
+(:func:`outcome_pairs`).
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Union
 
@@ -268,82 +278,107 @@ def mechanism_is_anonymous(mechanism: Mechanism) -> bool:
     return isinstance(mechanism, _ANONYMOUS_KINDS)
 
 
+def part_form(mechanism: Mechanism, n: int, domain: str) -> Mechanism:
+    """The normal form of a finite part at n agents on ``domain``, or the
+    error that makes the part invalid there: the one place either is decided.
+
+    Every part but a dictator and the average is a generalized median
+    (Moulin, Public Choice 1980), the median of the reports and n + 1 sorted
+    phantoms. A rank, the median (k = n - (n - 1) // 2) and a vector whose
+    phantoms all lie at the domain's ends, at least one at each, with k at
+    the low end, output the k-th largest report and come back as
+    ``RankK(k)``. Every other vector comes back as a ``Phantom``: the uniform
+    phantoms, a vector with a phantom strictly inside the domain, and on
+    [0,1] a constant all-0 or all-1 vector. A dictator or the average comes
+    back unchanged. A sorted vector lies in [0,1] exactly when its ends do,
+    and on the real line its median is infinite only when all its phantoms
+    are the same infinity.
+    """
+    if isinstance(mechanism, RankK) and mechanism.k > n:
+        raise MechanismError(f"rank {mechanism.k} out of range for n={n}")
+    if isinstance(mechanism, Dictator) and mechanism.agent > n:
+        raise MechanismError(f"dictator {mechanism.agent} out of range for n={n}")
+    if isinstance(mechanism, (RankK, Dictator, Average)):
+        return mechanism
+    if isinstance(mechanism, Median):
+        return RankK(n - (n - 1) // 2)
+    if isinstance(mechanism, UniformPhantom):
+        if domain != UNIT_INTERVAL:
+            raise DomainMismatchError("uniform phantoms are defined on [0,1] only")
+        return _uniform_phantoms(n)
+    if not isinstance(mechanism, Phantom):
+        raise MechanismError(f"unknown mechanism {mechanism!r}")
+    ys = mechanism.phantoms
+    if len(ys) != n + 1:
+        raise MechanismError(f"phantom vector has {len(ys)} entries, expected {n + 1}")
+    if domain == UNIT_INTERVAL:
+        if not (ZERO <= ys[0] and ys[-1] <= ONE):
+            raise DomainMismatchError("unit-interval profiles need finite phantoms in [0,1]")
+        low, high = ZERO, ONE
+    else:
+        if ys[0] == POS_INF or ys[-1] == NEG_INF:
+            raise MechanismError("median of reports and phantoms is not finite")
+        low, high = NEG_INF, POS_INF
+    k = bisect_right(ys, low)
+    return RankK(k) if 0 < k <= n and ys[k] == high else mechanism
+
+
+@lru_cache(maxsize=None)
+def _uniform_phantoms(n: int) -> Phantom:
+    return Phantom(tuple(Fraction(j, n) for j in range(n + 1)))
+
+
 def to_phantom_form(mechanism: Mechanism, n: int, domain: str = UNIT_INTERVAL) -> Phantom:
     """Phantom vector of length n+1 equivalent to ``mechanism`` for n agents.
 
     Rank and median mechanisms become vectors of extreme phantoms (0/1 on
     the unit interval, -inf/+inf on the real line) with the endpoint pair
-    always stored explicitly. Dictatorships and the average have no median
-    representation and raise ``PhantomFormError``.
+    always stored explicitly. A phantom vector of n + 1 entries comes back
+    as it is. Dictatorships and the average have no median representation
+    and raise ``PhantomFormError``.
     """
     if domain not in DOMAINS:
         raise DomainMismatchError(f"unknown domain {domain!r}")
     if n < 2:
         raise MechanismError("phantom forms need n >= 2")
-    lo: ExtLocation = ZERO if domain == UNIT_INTERVAL else NEG_INF
-    hi: ExtLocation = ONE if domain == UNIT_INTERVAL else POS_INF
-    if isinstance(mechanism, Phantom):
-        if mechanism.n != n:
-            raise MechanismError(
-                f"phantom vector has {mechanism.n + 1} entries, expected {n + 1}"
-            )
+    if isinstance(mechanism, Phantom) and mechanism.n == n:
         return mechanism
-    if isinstance(mechanism, RankK):
-        k = mechanism.k
-        if k > n:
-            raise MechanismError(f"rank {k} out of range for n={n}")
-        return Phantom((lo,) * k + (hi,) * (n - k + 1))
-    if isinstance(mechanism, Median):
-        low_count = (n + 2) // 2
-        return Phantom((lo,) * low_count + (hi,) * (n + 1 - low_count))
-    if isinstance(mechanism, UniformPhantom):
-        if domain != UNIT_INTERVAL:
-            raise DomainMismatchError("uniform phantoms are defined on [0,1] only")
-        return Phantom(tuple(Fraction(j, n) for j in range(n + 1)))
-    raise PhantomFormError(f"{type(mechanism).__name__} is not phantom-representable")
+    if not isinstance(mechanism, (Phantom, RankK, Median, UniformPhantom)):
+        raise PhantomFormError(f"{type(mechanism).__name__} is not phantom-representable")
+    form = part_form(mechanism, n, domain)
+    if isinstance(form, Phantom):
+        return form
+    if domain == UNIT_INTERVAL:
+        return Phantom((ZERO,) * form.k + (ONE,) * (n + 1 - form.k))
+    return Phantom((NEG_INF,) * form.k + (POS_INF,) * (n + 1 - form.k))
 
 
 def outcome_pairs(components, profile: Profile) -> list[tuple[Fraction, Fraction]]:
     """(location, weight) of each (mechanism, weight) component on ``profile``.
 
-    The reports are sorted once, at the first rank, median or phantom part:
-    rank k is entry n - k, the median entry (n - 1) // 2, and a phantom part
+    Each part is read in its :func:`part_form`, which raises for the first
+    invalid part in component order. The reports are sorted once, at the
+    first rank or phantom part: rank k is entry n - k, and a phantom part
     entry n, from 0, of the sorted reports merged with its sorted phantoms.
     """
     n, reports, domain = profile.n, profile.locations, profile.domain
     ordered, pairs = None, []
     for mech, weight in components:
-        if isinstance(mech, UniformPhantom):
-            mech = to_phantom_form(mech, n, domain)
+        mech = part_form(mech, n, domain)
         if isinstance(mech, Dictator):
-            if mech.agent > n:
-                raise MechanismError(f"dictator {mech.agent} out of range for n={n}")
             location = reports[mech.agent - 1]
         elif isinstance(mech, Average):
             location = Fraction(sum(reports), n)
-        elif isinstance(mech, RankK) and mech.k > n:
-            raise MechanismError(f"rank {mech.k} out of range for n={n}")
-        elif isinstance(mech, Phantom) and mech.n != n:
-            raise MechanismError(f"phantom vector has {mech.n + 1} entries, expected {n + 1}")
-        elif isinstance(mech, Phantom) and domain == UNIT_INTERVAL and any(
-                isinstance(y, Infinite) or not ZERO <= y <= ONE for y in mech.phantoms):
-            raise DomainMismatchError("unit-interval profiles need finite phantoms in [0,1]")
-        elif not isinstance(mech, (RankK, Median, Phantom)):
-            raise MechanismError(f"unknown mechanism {mech!r}")
         else:
             ordered = ordered or sorted(reports)
             if isinstance(mech, RankK):
                 location = ordered[n - mech.k]
-            elif isinstance(mech, Median):
-                location = ordered[(n - 1) // 2]
             else:
                 # Pass the n smallest of the merge, i of them reports.
                 ys, i = mech.phantoms, 0
                 for step in range(n):
                     i += ordered[i] <= ys[step - i]
                 location = ys[0] if i == n else min(ordered[i], ys[n - i])
-                if isinstance(location, Infinite):
-                    raise MechanismError("median of reports and phantoms is not finite")
         pairs.append((location, weight))
     return pairs
 

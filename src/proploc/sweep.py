@@ -4,7 +4,7 @@ The engine behind the strategyproofness, manipulation-search,
 proportionality, Strong Proportionality and SPF checks in
 :mod:`proploc.axioms`. :class:`Scaled` rescales a finite mixture and its
 check grid to integers over a common denominator and lays its parts out
-once, by kind: phantom parts (ranks among them), dictators and averages.
+once, by kind: rank and phantom parts, dictators and averages.
 The sweeps read that layout and run its grid profiles in blocks, in
 enumeration order, as numpy arrays: int64 while every scaled value provably
 stays below 2^62, Python ints (``dtype=object``) on the same code path
@@ -16,7 +16,10 @@ that rule is exactly the proportionality bound of each co-located group.
 
 Every rank and phantom part outputs an order statistic of the reports and
 its finite phantoms (Moulin, Public Choice 1980): :func:`order_statistics`
-computes them for a block, in every block sweep.
+computes them for a block, in every block sweep, by a gather when no part
+has a finite phantom and by a merge otherwise. The engine reads each part
+in the normal form of :func:`proploc.core.part_form`, so the median and
+every vector of the domain's ends are ranks there.
 
 A sweep whose cost ignores agent labels (no dictator part, or, for the
 weighted mixture, equal summed dictator weights for every agent) visits one
@@ -41,21 +44,13 @@ import numpy as np
 
 from .core import (
     NEG_INF,
-    ONE,
-    POS_INF,
     REAL_LINE,
     UNIT_INTERVAL,
     ZERO,
-    Average,
     Dictator,
-    DomainMismatchError,
     Infinite,
-    MechanismError,
-    Median,
     Phantom,
     RankK,
-    UniformPhantom,
-    to_phantom_form,
 )
 
 # Cap, in array elements, on every temporary of one sweep block, so peak
@@ -67,59 +62,32 @@ BLOCK_ELEMENTS = 1 << 14
 INT64_BOUND = 1 << 62
 
 
-def checked(components, n: int, domain: str):
-    """The (mechanism, weight) pairs with medians in phantom form, ready for
-    :class:`Scaled`, or the error for them: the phantom forms' errors first,
-    then that of the first component the engine rejects."""
-    pairs = []
-    for mech, weight in components:
-        if not isinstance(weight, Fraction):
-            weight = Fraction(weight)
-        if isinstance(mech, (Median, UniformPhantom)):
-            mech = to_phantom_form(mech, n, domain)
-        pairs.append((mech, weight))
-    for mech, _ in pairs:
-        if isinstance(mech, RankK) and mech.k > n:
-            raise MechanismError(f"rank {mech.k} out of range for n={n}")
-        if isinstance(mech, Phantom):
-            to_phantom_form(mech, n, domain)  # core's error for a vector of the wrong length
-            neg = sum(1 for y in mech.phantoms if y is NEG_INF)
-            pos = sum(1 for y in mech.phantoms if y is POS_INF)
-            if domain == UNIT_INTERVAL and not ZERO <= mech.phantoms[0] <= mech.phantoms[-1] <= ONE:
-                raise DomainMismatchError("unit-interval profiles need finite phantoms in [0,1]")
-            if neg == n + 1 or pos == n + 1:
-                raise MechanismError("median of reports and phantoms is not finite")
-        if isinstance(mech, Dictator) and mech.agent > n:
-            raise MechanismError(f"dictator {mech.agent} out of range for n={n}")
-        if not isinstance(mech, (RankK, Phantom, Dictator, Average)):
-            raise MechanismError(f"cannot rescale {type(mech).__name__}")
-    return pairs
-
-
 class Scaled:
     """A finite mixture and check grid rescaled to integer arithmetic.
 
-    ``components`` are (mechanism, weight) pairs as :func:`checked` returns
-    them: a check validates its parts once and passes the pairs on. Every
-    grid point, finite phantom and breakpoint candidate (a report, a
-    phantom, a window end or step beyond it, the average's balance report
-    n * true - sum of the others) is an integer over the common denominator
-    D, so no midpoints are needed. Costs carry the fixed scale
-    wden * n * D: part c, of integer weight ``u[c]``, adds
-    u[c] * n * |true - output|, an average u[c] * |n * true - sum of reports|.
+    ``components`` are (mechanism, weight) pairs, each part in the normal
+    form of :func:`proploc.core.part_form`, which has validated it: a rank,
+    a phantom vector, a dictator or an average. Every grid point, finite
+    phantom and breakpoint candidate (a report, a phantom, a window end or
+    step beyond it, the average's balance report n * true - sum of the
+    others) is an integer over the common denominator D, so no midpoints
+    are needed. Costs carry the fixed scale wden * n * D: part c, of
+    integer weight ``u[c]``, adds u[c] * n * |true - output|, an average
+    u[c] * |n * true - sum of reports|.
 
     The parts are laid out once, by kind, each kind in part order:
 
     - ``ranked``: (part, finite phantoms, position) of every rank and
       phantom part, whose output is the position-th (from 0) of the sorted
       reports and its finite phantoms: n minus its number of -inf phantoms,
-      so a rank k is (part, (), n - k);
+      so a rank k is (part, (), n - k). The median and every vector of the
+      domain's ends come as ranks, so they need no merge;
     - ``dictators``: (part, agent index); ``averages``: part indices.
 
-    ``translation_equivariant`` says, from that layout, whether every part
-    commutes with translations x -> x + t that keep the profile in the
-    domain, so that every agent's expected distance is translation-invariant
-    (see :meth:`anchored`).
+    ``translation_equivariant`` says whether every part commutes with
+    translations x -> x + t that keep the profile in the domain, so that
+    every agent's expected distance is translation-invariant (see
+    :meth:`anchored`).
     """
 
     def __init__(self, components, n: int, domain: str, grid: int):
@@ -145,18 +113,14 @@ class Scaled:
                 ranked.append((c, fins, n - sum(1 for y in mech.phantoms if y is NEG_INF)))
             elif isinstance(mech, Dictator):
                 dictators.append((c, mech.agent - 1))
-            elif isinstance(mech, Average):
-                averages.append(c)
             else:
-                raise MechanismError(f"cannot rescale {type(mech).__name__}")
+                averages.append(c)
         self.components = components
         self.ranked, self.dictators, self.averages = tuple(ranked), tuple(dictators), tuple(averages)
-        # Dictators and averages commute with x -> x + t, and so does a rank
-        # or phantom part without finite phantoms, or on [0,1] with phantoms
-        # at 0 and 1 only, both present: inside the domain they act as -inf
-        # and +inf (all at 0, or all at 1, is a constant).
-        ends = {0, D} if domain == UNIT_INTERVAL else set()
-        self.translation_equivariant = all(not fins or set(fins) == ends for _, fins, _ in ranked)
+        # Ranks, dictators and averages commute with x -> x + t. A phantom
+        # part in normal form has a phantom strictly inside the domain, or is
+        # a constant on [0,1], and does not.
+        self.translation_equivariant = not any(isinstance(mech, Phantom) for mech, _ in components)
         self.phantom_values = tuple(sorted({y for _, fins, _ in ranked for y in fins}))
         # grid_points(domain, grid) over D, without building the Fractions.
         if domain == UNIT_INTERVAL:

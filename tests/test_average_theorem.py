@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from proploc import analysis, axioms, sweep
-from proploc.core import ONE, REAL_LINE, UNIT_INTERVAL, Average, MechanismError, Profile
+from proploc.core import ONE, REAL_LINE, UNIT_INTERVAL, Average, MechanismError, Profile, part_form
 from proploc.mechanisms import build_mechanism, format_mechanism
 
 from test_sp_theorem import mixtures
@@ -103,7 +103,7 @@ FIRSTS = {
 def _swept(axiom, mixture, dom):
     """The universal verdict of the sweep over every part, average included."""
     mechs = [mech for mech, _ in mixture.components]
-    found = FIRSTS[axiom](sweep.checked([(mech, ONE) for mech in mechs], dom.n, dom.domain), dom, False)
+    found = FIRSTS[axiom]([(part_form(mech, dom.n, dom.domain), ONE) for mech in mechs], dom, False)
     if found is None:
         detail = "" if axiom == axioms.STRATEGYPROOFNESS else THEOREM
         return axioms.AxiomVerdict(axiom, axioms.UNIVERSAL, axioms.PASS, detail=detail).to_json()

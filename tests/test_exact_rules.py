@@ -28,7 +28,7 @@ from functools import partial
 import pytest
 from hypothesis import example, given, strategies as st
 
-from proploc import axioms, sweep
+from proploc import axioms
 from proploc.core import (
     NEG_INF,
     POS_INF,
@@ -139,7 +139,7 @@ def _swept(axiom, mechanism, dom, variant):
         status, witness, _ = axioms._two_valued_exact(mixture, dom, ends_only)
         return axioms.AxiomVerdict(axiom, variant, status, witness)
     found = axioms._group_first(
-        sweep.checked(mixture.components, dom.n, dom.domain), dom, True,
+        axioms._forms(mixture), dom, True,
         profiles=partial(axioms._two_valued_grid, ends_only=ends_only), violation=axioms._group_violation,
     )
     if found is None:
@@ -254,7 +254,7 @@ def test_window_theorem_matches_the_sweep(case):
         assert axioms.search_manipulation(mechanism, dom) is None
     if mixture.has_continuous:
         return
-    found = axioms._sp_first(sweep.checked(mixture.components, dom.n, dom.domain), dom, True)
+    found = axioms._sp_first(axioms._forms(mixture), dom, True)
     if holds:
         assert found is None
     else:

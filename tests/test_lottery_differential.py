@@ -8,15 +8,18 @@ average. The oracle here sorts each component's reports and finite
 phantoms on its own, counts the -inf phantoms, and sums p * |a - x| over
 the atoms directly. The two must agree exactly, on both domains, with tied reports,
 repeated phantoms and phantoms at +-inf, and they must fail the same way on
-the same bad input.
+the same bad input. So must every axiom check and manipulation search: all
+of them read a part through ``core.part_form``, whose normal form must give
+the oracle's location and the part's own det verdicts.
 """
 
+import json
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from proploc import analysis
+from proploc import analysis, axioms
 from proploc.core import (
     NEG_INF,
     POS_INF,
@@ -36,6 +39,7 @@ from proploc.core import (
     UniformPhantom,
     evaluate,
     outcome_distribution,
+    part_form,
 )
 
 UNIT_POOL = (F(0), F(1, 6), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(1))
@@ -239,6 +243,9 @@ ERROR_CASES = [
      "median of reports and phantoms is not finite"),
     ("mixed bad rank", RandomizedMechanism(2, UNIT_INTERVAL, ((RankK(1), F(1, 2)), (RankK(3), F(1, 2)))),
      UNIT_PAIR, MechanismError, "rank 3 out of range for n=2"),
+    ("bad rank before uniform on the line",
+     RandomizedMechanism(2, REAL_LINE, ((RankK(3), F(1, 2)), (UniformPhantom(), F(1, 2)))),
+     LINE_PAIR, MechanismError, "rank 3 out of range for n=2"),
 ]
 
 
@@ -258,6 +265,41 @@ def test_bad_input_fails_as_before(name, case):
         ENTRY_POINTS[name](mechanism, profile)
     assert type(caught.value) is error
     assert str(caught.value) == message
+
+
+# Every rank meets these three, so a universal check sweeps each valid part
+# and reaches the invalid one; a group axiom FAILs at a valid rank first.
+UNIVERSAL_REACHING = (axioms.STRATEGYPROOFNESS, axioms.ANONYMITY, axioms.EFFICIENCY)
+
+
+def _checks(mechanism, dom):
+    """(name, call) of every check of ``mechanism`` that must meet its
+    invalid part: each axiom's det (or, for a mixture, exp) variant, the
+    universal variant of the axioms every rank meets, and manipulation
+    search. Proportionality is an endpoint axiom and raises on the real line
+    before it reads a part; efficiency has no exp variant."""
+    randomized = isinstance(mechanism, RandomizedMechanism)
+    variant = axioms.EXP if randomized else axioms.DET
+    for axiom in axioms.AXIOMS:
+        if axiom == axioms.PROPORTIONALITY and dom.domain == REAL_LINE:
+            continue
+        if not (randomized and axiom == axioms.EFFICIENCY):
+            yield f"{axiom} {variant}", lambda axiom=axiom: axioms.run_check(axiom, mechanism, dom, variant)
+        if axiom in UNIVERSAL_REACHING:
+            yield f"{axiom} universal", lambda axiom=axiom: axioms.run_check(axiom, mechanism, dom, axioms.UNIVERSAL)
+    yield "search_manipulation", lambda: axioms.search_manipulation(mechanism, dom)
+
+
+@pytest.mark.parametrize("case", ERROR_CASES, ids=lambda case: case[0])
+def test_every_check_fails_as_the_lottery_does(case):
+    """The first invalid part in component order names the error on every
+    path, as in ``evaluate`` and the ``expected_*`` helpers."""
+    _, mechanism, profile, error, message = case
+    dom = axioms.CheckDomain(n=profile.n, grid=2, domain=profile.domain)
+    for name, run in _checks(mechanism, dom):
+        with pytest.raises(MechanismError) as caught:
+            run()
+        assert (type(caught.value), str(caught.value)) == (error, message), name
 
 
 WRONG_N = RandomizedMechanism(3, UNIT_INTERVAL, ((RankK(1), F(1)),))
@@ -284,3 +326,80 @@ def test_a_mixture_for_another_profile_fails_as_before(name, mechanism, error, m
         ENTRY_POINTS[name](mechanism, UNIT_PAIR)
     assert type(caught.value) is error
     assert str(caught.value) == message
+
+
+# ---------------------------------------------------------------------------
+# the normal form
+# ---------------------------------------------------------------------------
+
+
+def _ends(domain):
+    return (F(0), F(1)) if domain == UNIT_INTERVAL else (NEG_INF, POS_INF)
+
+
+@st.composite
+def normal_form_cases(draw):
+    """(part, n, domain, profiles): a rank, the median, the uniform phantoms
+    or a phantom vector, either of the domain's ends alone (a rank, or on
+    [0,1] a constant) or with interior entries too; and a few profiles."""
+    domain = draw(st.sampled_from((UNIT_INTERVAL, REAL_LINE)))
+    n = draw(st.integers(2, 6))
+    low, high = _ends(domain)
+    pool = UNIT_POOL if domain == UNIT_INTERVAL else LINE_POOL
+    ends = st.sampled_from((low, high))
+    entries = ends if draw(st.booleans()) else ends | st.sampled_from(pool)
+    vector = st.lists(entries, min_size=n + 1, max_size=n + 1).map(sorted)
+    if domain == REAL_LINE:  # an all-infinite vector has no finite median
+        vector = vector.filter(lambda ys: not all(y == ys[0] for y in ys) or not isinstance(ys[0], Infinite))
+    kinds = [st.integers(1, n).map(RankK), st.just(Median()), vector.map(lambda ys: Phantom(tuple(ys)))]
+    if domain == UNIT_INTERVAL:
+        kinds.append(st.just(UniformPhantom()))
+    profile = st.lists(st.sampled_from(pool), min_size=n, max_size=n).map(tuple)
+    return draw(st.one_of(kinds)), n, domain, draw(st.lists(profile, min_size=1, max_size=4))
+
+
+def _det(axiom, mech, dom):
+    """The det verdict's JSON bytes, or the error's type and message."""
+    try:
+        return json.dumps(axioms.run_check(axiom, mech, dom, axioms.DET).to_json())
+    except MechanismError as error:
+        return type(error).__name__, str(error)
+
+
+UNIT_PROFILES = ((F(0), F(1, 6)), (F(1, 6), F(1, 2)), (F(1, 4), F(3, 4)))
+LINE_PROFILES = ((F(-3), F(-1)), (F(1), F(5, 2)), (F(-1), F(1)))
+
+
+@settings(max_examples=60)
+@given(normal_form_cases())
+# A constant on [0,1], whose Strong Proportionality det FAILs at (0, 1/6);
+# a vector of ends, one low; on the real line a finite phantom between the
+# infinities, and a finite low end; the uniform vector.
+@example((Phantom((F(0), F(0), F(0))), 2, UNIT_INTERVAL, UNIT_PROFILES))
+@example((Phantom((F(0), F(1), F(1))), 2, UNIT_INTERVAL, UNIT_PROFILES))
+@example((Phantom((NEG_INF, F(0), POS_INF)), 2, REAL_LINE, LINE_PROFILES))
+@example((Phantom((F(0), POS_INF, POS_INF)), 2, REAL_LINE, LINE_PROFILES))
+@example((UniformPhantom(), 2, UNIT_INTERVAL, UNIT_PROFILES))
+def test_the_normal_form_reads_and_checks_as_the_part(case):
+    """``part_form`` gives a rank exactly for a rank, the median and a vector
+    of both domain ends, with k its low ends; the form outputs the oracle's
+    location, and every det check reads the same bytes off the form as off
+    the part."""
+    part, n, domain, profiles = case
+    form = part_form(part, n, domain)
+    ys = part.phantoms if isinstance(part, Phantom) else ()
+    low, high = _ends(domain)
+    if isinstance(part, (RankK, Median)) or ys and low in ys and high in ys and set(ys) <= {low, high}:
+        assert isinstance(form, RankK)
+        assert not ys or form.k == ys.count(low)
+    else:
+        assert isinstance(form, Phantom)
+    for reports in profiles:
+        assert oracle_location(form, reports) == oracle_location(part, reports)
+        assert evaluate(part, Profile(domain, reports)) == oracle_location(part, reports)
+    dom = axioms.CheckDomain(n=n, grid=6 if domain == UNIT_INTERVAL else 2, domain=domain)
+    for axiom in axioms.AXIOMS:
+        assert _det(axiom, form, dom) == _det(axiom, part, dom), axiom
+    if part == Phantom((F(0), F(0), F(0))):
+        verdict = axioms.run_check(axioms.STRONG_PROPORTIONALITY, part, dom)
+        assert verdict.failed and verdict.witness.profile == (F(0), F(1, 6))

@@ -31,7 +31,7 @@ from proploc.core import (
     RandomizedMechanism,
     RankK,
 )
-from proploc.sweep import Scaled, checked, label_free
+from proploc.sweep import Scaled, label_free
 
 EXP_CHECKS = (
     axioms.check_strategyproofness,
@@ -119,7 +119,7 @@ def test_equal_dictator_shares_sweep_multisets_with_the_ordered_verdicts(case):
     way every exp verdict, witness and largest manipulation is that of the
     ordered sweep. Part by part, a dictator always keeps the ordered sweep."""
     mixture, dom, equal = case
-    scaled = Scaled(checked(mixture.components, dom.n, dom.domain), dom.n, dom.domain, dom.grid)
+    scaled = Scaled(axioms._forms(mixture), dom.n, dom.domain, dom.grid)
     assert scaled.anonymous(True) == equal
     assert not scaled.anonymous(False)
     assert _verdicts(mixture, dom) == _ordered(_verdicts, mixture, dom)

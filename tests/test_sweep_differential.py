@@ -43,6 +43,7 @@ from proploc.core import (
     evaluate,
     grid_points,
     mechanism_is_anonymous,
+    part_form,
 )
 from proploc.mechanisms import build_mechanism, format_mechanism
 from proploc.sweep import Scaled, SpSweep
@@ -231,7 +232,7 @@ def test_sp_sweep_counts_one_multiset_per_translation_orbit(n, grid, combine):
 
     def swept(mechanism, domain):
         mixture = as_mixture(mechanism, n, domain)
-        scaled = Scaled(sweep.checked(mixture.components, n, domain), n, domain, grid)
+        scaled = Scaled(axioms._forms(mixture), n, domain, grid)
         return sum(len(X) for X in SpSweep(scaled, combine).blocks())
 
     P = 2 * grid + 1
@@ -457,7 +458,7 @@ def test_scaled_layout_matches_the_exact_path(case, with_median, data):
         halves = tuple((mech, weight / 2) for mech, weight in mixture.components)
         mixture = RandomizedMechanism(n, dom.domain, halves + ((Median(), F(1, 2)),))
     mechs = mixture.component_mechanisms()
-    scaled = Scaled(sweep.checked(mixture.components, n, dom.domain), n, dom.domain, dom.grid)
+    scaled = Scaled(axioms._forms(mixture), n, dom.domain, dom.grid)
     X = data.draw(st.lists(st.sampled_from(scaled.grid_ints), min_size=n, max_size=n))
     profile = Profile(dom.domain, tuple(scaled.to_frac(v) for v in X))
     for c, fins, position in scaled.ranked:
@@ -821,7 +822,7 @@ def test_translation_equivariance_is_read_off_the_form(domain, mech, equivariant
     """Only parts whose output is always a report commute with x -> x + t:
     on [0,1] a phantom vector of 0s and 1s with both present, on the real
     line one of infinities; a vector of 0s alone (or 1s) is a constant."""
-    scaled = Scaled(sweep.checked(((mech, F(1, 2)), (RankK(1), F(1, 2))), 3, domain), 3, domain, 4)
+    scaled = Scaled([(part_form(m, 3, domain), F(1, 2)) for m in (mech, RankK(1))], 3, domain, 4)
     assert scaled.translation_equivariant is equivariant
 
 
