@@ -1,12 +1,13 @@
 """Closed forms, constraint solving, and impossibility certificates.
 
 Everything here is exact rational arithmetic. A mixture's expectations
-have two parts. Its finite components form one
-:class:`proploc.core.Lottery` per profile, which prices each point by one
-bisect into running sums of mass and moment (a deterministic mechanism's
-one atom as |x - location|). A uniform phantom family is priced by one
-cumulative integer integral of the facility's CDF per profile, for the
-expected location and every point at once.
+have two parts, both from :func:`proploc.core.outcome_lottery`. Its
+finite components form one :class:`proploc.core.Lottery` per profile,
+which prices each point by one bisect into running sums of mass and
+moment (a deterministic mechanism's one atom as |x - location|). A
+uniform phantom family is priced by one cumulative integer integral of
+the facility's CDF per profile, for the expected location and every
+point at once.
 """
 
 from __future__ import annotations
@@ -22,17 +23,15 @@ from .core import (
     ONE,
     UNIT_INTERVAL,
     DomainMismatchError,
-    Lottery,
     MechanismError,
     Phantom,
     Profile,
     RandomizedMechanism,
     RankK,
     ZERO,
-    evaluate,
     format_point,
     grid_points,
-    outcome_pairs,
+    outcome_lottery,
     part_form,
 )
 
@@ -118,30 +117,11 @@ def uniform_family_expected_location(profile: Profile) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _parts(mechanism, profile: Profile):
-    """The lottery of the finite components on ``profile`` (None when there
-    are none) and the weight of a uniform phantom family (None when there
-    is none); a deterministic mechanism is one atom of weight 1."""
-    if not isinstance(mechanism, RandomizedMechanism):
-        return Lottery(((evaluate(mechanism, profile), ONE),)), None
-    if mechanism.domain != profile.domain:
-        raise DomainMismatchError("mechanism and profile domains differ")
-    if mechanism.n != profile.n:
-        raise MechanismError(f"mechanism built for n={mechanism.n}, got n={profile.n}")
-    pairs = tuple(outcome_pairs(mechanism.components, profile))
-    lottery = Lottery(pairs) if pairs else None
-    if not mechanism.has_continuous:
-        return lottery, None
-    if not mechanism.continuous.is_uniform:
-        raise MechanismError("expand discrete phantom families before evaluating")
-    return lottery, mechanism.continuous_weight
-
-
 def _expectations(mechanism, profile: Profile, points, with_location: bool):
     """E|x - facility| for each x in ``points`` and, ``with_location``,
-    E[facility] (else None): the finite part through its lottery, a
+    E[facility] (else None): the finite part through its lottery, the
     uniform family through one call of :func:`_uniform_family`."""
-    lottery, weight = _parts(mechanism, profile)
+    lottery, weight = outcome_lottery(mechanism, profile)
     location = lottery.expected_location() if with_location and lottery else None
     if weight is None:
         return location, tuple(lottery.expected_distance(x) for x in points)

@@ -323,18 +323,6 @@ def _witness(scaled: Scaled, X, lhs: int, bound: int, **fields) -> Witness:
     return Witness(profile, scaled.domain, lhs=scaled.cost_frac(lhs), bound=scaled.cost_frac(bound), **fields)
 
 
-def _components_of(mechanism, n: int, domain: str):
-    """Finite components plus the continuous family, if any."""
-    mixture = as_mixture(mechanism, n, domain)
-    if mixture.domain != domain:
-        raise DomainMismatchError(
-            f"mechanism domain {mixture.domain} vs check domain {domain}"
-        )
-    if mixture.n != n:
-        raise MechanismError(f"mechanism built for n={mixture.n}, check needs n={n}")
-    return mixture
-
-
 def _forms(mixture) -> list:
     """The mixture's (mechanism, weight) pairs, each part in its normal form
     (:func:`proploc.core.part_form`), which raises for the first invalid
@@ -382,12 +370,10 @@ def _decide(axiom, mechanism, dom: CheckDomain, variant, first, theorem, continu
     continuous family, as (status, witness, detail); without it there is no
     exp variant.
     """
-    mixture = _components_of(mechanism, dom.n, dom.domain)
+    mixture = as_mixture(mechanism, dom.n, dom.domain)
     if variant == DET and isinstance(mechanism, RandomizedMechanism):
         raise MechanismError("deterministic variant needs a deterministic mechanism")
     if variant == UNIVERSAL:
-        if mixture.has_continuous and not mixture.continuous.is_uniform:
-            raise MechanismError("expand discrete phantom families before checking")
         parts = _parts(mixture)
         details = [theorem(part, None) for part in parts]
         mechs = [
@@ -481,6 +467,9 @@ def _sp_first(components, dom: CheckDomain, combine: bool):
     return hit[0], _witness(scaled, X, deviating, truthful, agent=i + 1, misreport=scaled.to_frac(report)), ""
 
 
+_SP_UNDECIDED = "in-expectation strategyproofness is undecided for a continuous family mixed with an average"
+
+
 def check_strategyproofness(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVerdict:
     """No agent can cut its (expected) distance by misreporting.
 
@@ -494,8 +483,7 @@ def check_strategyproofness(mechanism, dom: CheckDomain, variant: str = DET) -> 
     """
 
     def continuous(mixture):
-        raise MechanismError("in-expectation strategyproofness is undecided for a continuous "
-                             "family mixed with an average")
+        raise MechanismError(_SP_UNDECIDED)
 
     return _decide(STRATEGYPROOFNESS, mechanism, dom, variant, _sp_first, _sp_theorem, continuous)
 
@@ -533,13 +521,12 @@ def search_manipulation(mechanism, dom: CheckDomain) -> ManipulationFinding | No
     misreport exists, by theorem when no part is an ``Average`` or the
     window theorem covers the mixture (:func:`_sp_theorem`).
     """
-    mixture = _components_of(mechanism, dom.n, dom.domain)
+    mixture = as_mixture(mechanism, dom.n, dom.domain)
     forms = _forms(mixture)
-    theorem = _sp_theorem(mixture, forms) is not None
-    if mixture.has_continuous and not theorem:
-        check_strategyproofness(mixture, dom, EXP)  # an average beside the family raises
-    if theorem:
+    if _sp_theorem(mixture, forms) is not None:
         return None
+    if mixture.has_continuous:
+        raise MechanismError(_SP_UNDECIDED)
     scaled = Scaled(forms, dom.n, dom.domain, dom.grid)
     best = SpSweep(scaled, combine=True).best_gain()
     if best is None:
@@ -727,8 +714,6 @@ def _slope_theorem(dom: CheckDomain, ends_only: bool, subject, forms):
     if detail or forms is None:
         return detail
     n = dom.n
-    if subject.has_continuous and not subject.continuous.is_uniform:
-        return None
     low, high = _ends(dom.domain)
     # Weights as integers over their common denominator wden; each vector as
     # (weight, its leading low ends, its trailing high ends, phantoms), so
@@ -1004,22 +989,15 @@ def recheck_witness(mechanism, verdict: AxiomVerdict) -> bool:
     target = mechanism
     if witness.component is not None:
         target = build_mechanism(witness.component, n, witness.domain)
+    mixture = as_mixture(target, n, witness.domain)
     if verdict.axiom == ANONYMITY:
-        base = analysis.expected_facility_location(
-            as_mixture(target, n, witness.domain), profile
-        )
-        perm = witness.permutation
-        permuted = Profile(
-            witness.domain, tuple(profile.locations[p - 1] for p in perm)
-        )
-        other = analysis.expected_facility_location(
-            as_mixture(target, n, witness.domain), permuted
-        )
+        base = analysis.expected_facility_location(mixture, profile)
+        permuted = Profile(witness.domain, tuple(profile.locations[p - 1] for p in witness.permutation))
+        other = analysis.expected_facility_location(mixture, permuted)
         return other == witness.lhs and base == witness.bound and other != base
     if verdict.axiom == STRATEGYPROOFNESS:
         agent = witness.agent
         truth = profile.locations[agent - 1]
-        mixture = as_mixture(target, n, witness.domain)
         truthful = analysis.expected_distance_to_point(mixture, profile, truth)
         deviating = analysis.expected_distance_to_point(
             mixture, profile.replace(agent, witness.misreport), truth
@@ -1058,7 +1036,6 @@ def recheck_witness(mechanism, verdict: AxiomVerdict) -> bool:
                 return False
             numerator = (n - len(group)) * (high - low)
         bound = Fraction(numerator, n * den)
-        mixture = as_mixture(target, n, witness.domain)
         lhs = analysis.expected_distance_to_point(mixture, profile, profile.locations[agent - 1])
         return lhs == witness.lhs and bound == witness.bound and lhs > bound
     raise MechanismError(f"unknown axiom {verdict.axiom!r}")

@@ -6,11 +6,14 @@ point. The only non-rational values are the two infinity sentinels used
 as phantom positions on the real-line domain: they take part in ordering
 and median selection, and any arithmetic with them raises.
 
-A mixture's outcomes on a profile form one :class:`Lottery`, which sorts
-them once into running sums of mass and first moment, so each point's
-expected distance is one bisect and a closed form rather than a walk
-over every outcome. A one-atom lottery (a deterministic mechanism)
-prices |x - location| directly.
+A mixture is built for one (n, domain), which :func:`as_mixture` alone
+compares with its caller's, and holds no phantom family but the uniform
+one: a discrete family is expanded into phantom vectors first. Its
+outcomes on a profile form one :class:`Lottery`, built only by
+:func:`outcome_lottery`, which sorts them once, merging equal locations
+into its atoms, with running sums of mass and first moment: a point's
+expected distance is one bisect and a closed form. A one-atom lottery (a
+deterministic mechanism) prices |x - location| directly.
 
 One function, :func:`part_form`, decides whether a finite part is valid at
 (n, domain) and gives its normal form: a rank (a ``RankK``, the median, or
@@ -213,14 +216,16 @@ class Profile:
 
 @dataclass(frozen=True)
 class Phantom:
-    """Median of the reports together with a fixed sorted phantom vector."""
+    """Median of the reports together with a fixed sorted phantom vector,
+    each infinity stored as ``POS_INF`` or ``NEG_INF`` (readers compare by
+    identity)."""
 
     phantoms: tuple[ExtLocation, ...]
 
     def __post_init__(self):
         values = []
         for y in self.phantoms:
-            values.append(y if isinstance(y, Infinite) else _as_fraction(y))
+            values.append((POS_INF if y.sign > 0 else NEG_INF) if isinstance(y, Infinite) else _as_fraction(y))
         for a, b in zip(values, values[1:]):
             if b < a:
                 raise MechanismError("phantom vector must be sorted")
@@ -432,8 +437,8 @@ class IIDPhantomSpec:
 
 @dataclass(frozen=True)
 class RandomizedMechanism:
-    """Finite mixture of deterministic mechanisms, plus an optional
-    continuous phantom family carrying its own mixture weight."""
+    """Finite mixture of deterministic mechanisms, plus an optional uniform
+    phantom family carrying its own mixture weight."""
 
     n: int
     domain: str
@@ -459,6 +464,8 @@ class RandomizedMechanism:
         if total != 1:
             raise MechanismError(f"mixture weights sum to {total}, expected 1")
         if self.continuous is not None:
+            if not self.continuous.is_uniform:
+                raise MechanismError("expand discrete phantom families into phantom vectors (iid_phantom)")
             if self.domain != UNIT_INTERVAL:
                 raise DomainMismatchError("continuous phantom families live on [0,1]")
             if self.continuous_weight <= 0:
@@ -480,24 +487,29 @@ AnyMechanism = Union[Mechanism, RandomizedMechanism]
 
 
 def as_mixture(mechanism: AnyMechanism, n: int, domain: str) -> RandomizedMechanism:
-    """View a deterministic mechanism as a one-component mixture."""
-    if isinstance(mechanism, RandomizedMechanism):
-        return mechanism
-    return RandomizedMechanism(n, domain, ((mechanism, ONE),))
+    """``mechanism`` as a mixture for n agents on ``domain``: a deterministic
+    one as one part of weight 1, a mixture as it is once it fits. The one
+    place a mixture's n and domain are compared with its caller's."""
+    if not isinstance(mechanism, RandomizedMechanism):
+        return RandomizedMechanism(n, domain, ((mechanism, ONE),))
+    if mechanism.domain != domain:
+        raise DomainMismatchError(f"mechanism built for {mechanism.domain}, used on {domain}")
+    if mechanism.n != n:
+        raise MechanismError(f"mechanism built for n={mechanism.n}, used with n={n}")
+    return mechanism
 
 
 class Lottery:
     """Finite lottery: (location, weight) pairs with positive weights, a
-    location possibly repeated. The weights sum to 1 for an outcome
-    lottery, and to 1 - w for the finite part of a mixture whose continuous
-    family has weight w.
+    location possibly repeated, summing to 1, or to 1 - w beside a
+    continuous family of weight w.
 
-    The expected location is one pass over the pairs. For the expected
-    distance from a point, the pairs are sorted once, at the first point,
-    into running sums of mass and first moment: with P and M the mass and
-    moment of the pairs at or left of x (one bisect), W the total mass and
-    M_1 the total moment, E|x - facility| = x * (2P - W) + M_1 - 2M. One
-    pair (a deterministic mechanism) prices |x - location| directly.
+    The expected location is one pass over the pairs. The rest reads one
+    sort, made at the first need, that merges equal locations into atoms
+    with running sums of mass and first moment: with P and M those of the
+    atoms at or left of x (one bisect), W and M_1 the totals,
+    E|x - facility| = x * (2P - W) + M_1 - 2M. One pair (a deterministic
+    mechanism) is its own atom and prices |x - location| directly.
     """
 
     __slots__ = ("pairs", "_sums")
@@ -505,6 +517,13 @@ class Lottery:
     def __init__(self, pairs: tuple[tuple[Fraction, Fraction], ...]):
         self.pairs = pairs
         self._sums = None
+
+    def atoms(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """The distinct locations in increasing order, each with its summed weight."""
+        if len(self.pairs) == 1:
+            return self.pairs
+        locations, weights = self._running()[:2]
+        return tuple(zip(locations, weights))
 
     def expected_location(self) -> Fraction:
         if len(self.pairs) == 1:
@@ -516,28 +535,35 @@ class Lottery:
         if len(self.pairs) == 1:
             loc, weight = self.pairs[0]
             return abs(point - loc) if weight == 1 else weight * abs(point - loc)
-        if self._sums is None:
-            self._sums = self._running()
-        locations, masses, moments = self._sums
+        locations, _, masses, moments = self._running()
         k = bisect_right(locations, point)
         return point * (2 * masses[k] - masses[-1]) + moments[-1] - 2 * moments[k]
 
     def _running(self):
-        (loc, mass), *rest = pairs = sorted(self.pairs, key=itemgetter(0))
-        moment = mass * loc
-        masses, moments = [ZERO, mass], [ZERO, moment]
-        for loc, weight in rest:
-            mass += weight
-            moment += weight * loc
-            masses.append(mass)
-            moments.append(moment)
-        return [loc for loc, _ in pairs], masses, moments
+        """The one sort, kept: the distinct locations in increasing order,
+        their summed weights, and the running sums of mass and moment."""
+        if self._sums is None:
+            locations, weights = [], []
+            for loc, weight in sorted(self.pairs, key=itemgetter(0)):
+                if locations and loc == locations[-1]:
+                    weights[-1] += weight
+                else:
+                    locations.append(loc)
+                    weights.append(weight)
+            masses, moments = [ZERO], [ZERO]
+            for loc, weight in zip(locations, weights):
+                masses.append(masses[-1] + weight)
+                moments.append(moments[-1] + weight * loc)
+            self._sums = locations, weights, masses, moments
+        return self._sums
 
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
-    """Finite outcome lottery: distinct locations with positive weights,
-    priced through its :class:`Lottery`."""
+    """Finite outcome lottery: distinct sorted locations with positive
+    weights summing to 1, priced through its :class:`Lottery`. Outside
+    input is validated; :func:`outcome_distribution` takes the atoms of a
+    mixture's lottery as they are (:meth:`_of`)."""
 
     atoms: tuple[tuple[Fraction, Fraction], ...]
     _lottery: Lottery = field(init=False, repr=False, compare=False)
@@ -563,6 +589,13 @@ class OutcomeDistribution:
         object.__setattr__(self, "_lottery", Lottery(atoms))
 
     @classmethod
+    def _of(cls, lottery: Lottery) -> "OutcomeDistribution":
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "atoms", lottery.atoms())
+        object.__setattr__(dist, "_lottery", lottery)
+        return dist
+
+    @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[Fraction, Fraction]]) -> "OutcomeDistribution":
         merged: dict[Fraction, Fraction] = {}
         for loc, prob in pairs:
@@ -570,10 +603,6 @@ class OutcomeDistribution:
                 continue
             merged[loc] = merged.get(loc, ZERO) + prob
         return cls(tuple(merged.items()))
-
-    @classmethod
-    def point(cls, location: Fraction) -> "OutcomeDistribution":
-        return cls(((location, ONE),))
 
     def expected_location(self) -> Fraction:
         return self._lottery.expected_location()
@@ -598,6 +627,18 @@ class OutcomeDistribution:
         )
 
 
+def outcome_lottery(mechanism: AnyMechanism, profile: Profile) -> tuple[Lottery | None, Fraction | None]:
+    """The lottery of a mechanism's finite parts on ``profile`` (None if it
+    has none) and its uniform phantom family's weight (None if it has none):
+    the one place an outcome lottery is built. A mixture must fit the
+    profile (:func:`as_mixture`); a deterministic mechanism is one atom."""
+    if not isinstance(mechanism, RandomizedMechanism):
+        return Lottery(((evaluate(mechanism, profile), ONE),)), None
+    mixture = as_mixture(mechanism, profile.n, profile.domain)
+    pairs = tuple(outcome_pairs(mixture.components, profile))
+    return Lottery(pairs) if pairs else None, mixture.continuous_weight if mixture.has_continuous else None
+
+
 def outcome_distribution(mechanism: AnyMechanism, profile: Profile) -> OutcomeDistribution:
     """Push a mechanism through a profile into its outcome lottery.
 
@@ -606,25 +647,15 @@ def outcome_distribution(mechanism: AnyMechanism, profile: Profile) -> OutcomeDi
     ``ContinuousFamilyError`` and callers should use the exact expectation
     helpers in :mod:`proploc.analysis`.
     """
-    if not isinstance(mechanism, RandomizedMechanism):
-        return OutcomeDistribution.point(evaluate(mechanism, profile))
-    if mechanism.domain != profile.domain:
-        raise DomainMismatchError(
-            f"mechanism domain {mechanism.domain} vs profile domain {profile.domain}"
-        )
-    if mechanism.n != profile.n:
-        raise MechanismError(f"mechanism built for n={mechanism.n}, profile has n={profile.n}")
-    pairs = outcome_pairs(mechanism.components, profile)
-    if mechanism.has_continuous:
-        distinct = set(profile.locations)
-        if len(distinct) == 1:
-            pairs.append((profile.locations[0], mechanism.continuous_weight))
-        else:
+    lottery, family = outcome_lottery(mechanism, profile)
+    if family is not None:
+        if len(set(profile.locations)) != 1:
             raise ContinuousFamilyError(
                 "continuous phantom family has no finite atom list on this profile; "
                 "use proploc.analysis expected-value helpers"
             )
-    return OutcomeDistribution.from_pairs(pairs)
+        lottery = Lottery((*(lottery.pairs if lottery else ()), (profile.locations[0], family)))
+    return OutcomeDistribution._of(lottery)
 
 
 def grid_points(domain: str, grid: int) -> tuple[Fraction, ...]:

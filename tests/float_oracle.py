@@ -119,8 +119,6 @@ def oracle_point_distance(
     """
     if not isinstance(mechanism, RandomizedMechanism) or not mechanism.has_continuous:
         raise MechanismError("the numeric oracle needs a continuous phantom family")
-    if not mechanism.continuous.is_uniform:
-        raise MechanismError("expand discrete phantom families before sampling")
     if mechanism.n != profile.n or mechanism.domain != profile.domain:
         raise MechanismError("mechanism and profile disagree on n or domain")
     point = Fraction(point)

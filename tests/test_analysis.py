@@ -225,11 +225,11 @@ def test_kernel_keeps_its_errors():
     real = Profile(REAL_LINE, (F(-1), F(2)))
     with pytest.raises(DomainMismatchError, match=r"lives on \[0,1\]"):
         an.uniform_family_expected_location(real)
-    with pytest.raises(MechanismError, match="mechanism built for n=3, got n=2"):
+    with pytest.raises(MechanismError, match="mechanism built for n=3, used with n=2"):
         an.expected_agent_distances(random_phantom(3), profile)
-    discrete = RandomizedMechanism(2, UNIT_INTERVAL, (), continuous=IIDPhantomSpec(((F(1, 2), F(1)),)),
-                                   continuous_weight=F(1))
     with pytest.raises(MechanismError, match="expand discrete phantom families"):
+        discrete = RandomizedMechanism(2, UNIT_INTERVAL, (), continuous=IIDPhantomSpec(((F(1, 2), F(1)),)),
+                                       continuous_weight=F(1))
         an.expected_agent_distances(discrete, profile)
 
 

@@ -12,12 +12,15 @@ import proploc.axioms as ax
 from proploc.analysis import expected_distance_to_point, expected_facility_location
 from proploc.axioms import CheckDomain
 from proploc.core import (
+    NEG_INF,
+    POS_INF,
     REAL_LINE,
     UNIT_INTERVAL,
     Average,
     Dictator,
     DomainMismatchError,
     IIDPhantomSpec,
+    Infinite,
     MechanismError,
     Median,
     Phantom,
@@ -257,8 +260,8 @@ def test_universal_checks_still_sweep_the_finite_parts():
 @pytest.mark.parametrize("axiom", ax.AXIOMS)
 def test_universal_checks_refuse_a_discrete_family(axiom):
     atoms = ((F(1, 4), F(1, 2)), (F(3, 4), F(1, 2)))
-    mixture = RandomizedMechanism(3, UNIT_INTERVAL, ((RankK(1), F(1, 2)),), IIDPhantomSpec(atoms), F(1, 2))
     with pytest.raises(MechanismError, match="expand discrete phantom families"):
+        mixture = RandomizedMechanism(3, UNIT_INTERVAL, ((RankK(1), F(1, 2)),), IIDPhantomSpec(atoms), F(1, 2))
         ax.run_check(axiom, mixture, CheckDomain(n=3, grid=2), ax.UNIVERSAL)
 
 
@@ -483,6 +486,21 @@ def test_real_line_phantom_with_infinite_ends_stays_efficient():
     dom = CheckDomain(n=2, grid=4, domain=REAL_LINE)
     assert ax.check_efficiency(Phantom((parse_point("-inf"), F(-100), parse_point("+inf"))), dom).passed
     assert ax.check_efficiency(Median(), dom).passed
+
+
+@pytest.mark.parametrize("check", [ax.check_strong_proportionality, ax.check_spf])
+def test_a_new_infinity_checks_as_the_singleton(check):
+    """A phantom vector built with its own ``Infinite(-1)`` and
+    ``Infinite(1)`` gets the verdict of the vector of ``NEG_INF`` and
+    ``POS_INF``: the engine places a phantom part by its -inf entries."""
+    dom = CheckDomain(n=2, grid=2, domain=REAL_LINE)
+    built = Phantom((Infinite(-1), F(0), Infinite(1)))
+    verdict = check(built, dom)
+    assert verdict == check(Phantom((NEG_INF, F(0), POS_INF)), dom)
+    assert verdict.failed and verdict.witness.profile == (F(-2), F(-1))
+    assert (verdict.witness.lhs, verdict.witness.bound) == (F(1), F(1, 2))
+    assert recheck_witness(built, verdict)
+    assert built.phantoms[0] is NEG_INF and built.phantoms[-1] is POS_INF
 
 
 def test_unknown_variants_are_errors_for_every_axiom():

@@ -1,7 +1,10 @@
 """Golden test of the command line: stdout, stderr and exit code, byte for
 byte, for ``table --format json`` at n=2..4, ``check`` on PASS and FAIL
 cells, ``search-manipulation`` with and without a finding,
-``solve-weights``, ``prop1`` and bad input that exits 2.
+``solve-weights``, ``prop1``, bad input that exits 2, and ``run --format
+json`` of a merged atom, a real-line mixture with the average, the median,
+the continuous family (off and on a unanimous profile) and an expanded
+discrete family.
 
 ``golden_cli.json`` holds each case's argv and what it printed.
 """

@@ -298,7 +298,7 @@ def test_expected_distance_examples():
     fig = OutcomeDistribution(((F(0), F(2, 3)), (F(1, 3), F(1, 3))))
     assert fig.expected_distance(F(0)) == F(1, 9)
     assert fig.expected_location() == F(1, 9)
-    point = OutcomeDistribution.point(F(2, 5))
+    point = OutcomeDistribution(((F(2, 5), F(1)),))
     assert point.expected_distance(F(2, 5)) == 0
     coin = OutcomeDistribution(((F(0), F(1, 2)), (F(1), F(1, 2))))
     # direct sum over atoms as the oracle

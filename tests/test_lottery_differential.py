@@ -304,28 +304,48 @@ def test_every_check_fails_as_the_lottery_does(case):
 
 WRONG_N = RandomizedMechanism(3, UNIT_INTERVAL, ((RankK(1), F(1)),))
 WRONG_DOMAIN = RandomizedMechanism(2, REAL_LINE, ((RankK(1), F(1)),))
-DISCRETE_FAMILY = RandomizedMechanism(
-    2, UNIT_INTERVAL, ((RankK(1), F(1, 2)),),
-    continuous=IIDPhantomSpec(((F(1, 2), F(1)),)), continuous_weight=F(1, 2),
-)
-ANALYSIS = [name for name in ENTRY_POINTS if name not in ("evaluate", "outcome_distribution")]
+# One error per way a mixture fails to fit the caller's (n, domain), raised
+# alike by every entry point that takes a mixture and a profile or check domain.
 MIXTURE_CASES = [
-    ("outcome_distribution", WRONG_N, MechanismError, "mechanism built for n=3, profile has n=2"),
-    ("outcome_distribution", WRONG_DOMAIN, DomainMismatchError,
-     "mechanism domain real_line vs profile domain unit_interval"),
-    *((name, WRONG_N, MechanismError, "mechanism built for n=3, got n=2") for name in ANALYSIS),
-    *((name, WRONG_DOMAIN, DomainMismatchError, "mechanism and profile domains differ") for name in ANALYSIS),
-    *((name, DISCRETE_FAMILY, MechanismError, "expand discrete phantom families before evaluating")
-      for name in ANALYSIS),
+    ("wrong n", WRONG_N, MechanismError, "mechanism built for n=3, used with n=2"),
+    ("wrong domain", WRONG_DOMAIN, DomainMismatchError, "mechanism built for real_line, used on unit_interval"),
 ]
+UNIT_DOM = axioms.CheckDomain(n=2, grid=2)
+# Each entry point's calls: ``run_check`` once per axiom and variant.
+MIXTURE_ENTRY_POINTS = {
+    **{name: [call] for name, call in ENTRY_POINTS.items() if name != "evaluate"},
+    "run_check": [
+        lambda m, p, axiom=axiom, variant=variant: axioms.run_check(axiom, m, UNIT_DOM, variant)
+        for axiom in axioms.AXIOMS
+        for variant in (axioms.DET, axioms.EXP, axioms.UNIVERSAL)
+    ],
+    "search_manipulation": [lambda m, p: axioms.search_manipulation(m, UNIT_DOM)],
+}
 
 
-@pytest.mark.parametrize("name, mechanism, error, message", MIXTURE_CASES)
-def test_a_mixture_for_another_profile_fails_as_before(name, mechanism, error, message):
-    with pytest.raises(error) as caught:
-        ENTRY_POINTS[name](mechanism, UNIT_PAIR)
-    assert type(caught.value) is error
-    assert str(caught.value) == message
+@pytest.mark.parametrize("name", MIXTURE_ENTRY_POINTS)
+@pytest.mark.parametrize("case", MIXTURE_CASES, ids=lambda case: case[0])
+def test_a_mixture_for_another_profile_fails_as_before(case, name):
+    """``core.as_mixture`` is the one fit check: every entry point raises its
+    error before it reads a part or a variant."""
+    _, mechanism, error, message = case
+    for call in MIXTURE_ENTRY_POINTS[name]:
+        with pytest.raises(error) as caught:
+            call(mechanism, UNIT_PAIR)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
+
+def test_a_discrete_family_is_refused_where_the_mixture_is_built():
+    """Only the uniform family stays symbolic; ``mechanisms.iid_phantom``
+    expands a discrete one into phantom vectors, so no mixture holds one."""
+    with pytest.raises(MechanismError) as caught:
+        RandomizedMechanism(
+            2, UNIT_INTERVAL, ((RankK(1), F(1, 2)),),
+            continuous=IIDPhantomSpec(((F(1, 2), F(1)),)), continuous_weight=F(1, 2),
+        )
+    assert type(caught.value) is MechanismError
+    assert str(caught.value) == "expand discrete phantom families into phantom vectors (iid_phantom)"
 
 
 # ---------------------------------------------------------------------------

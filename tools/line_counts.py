@@ -1,0 +1,42 @@
+"""Print the line counts of a package's Python files: total, code,
+docstring, comment and blank.
+
+A docstring line is any line of a module, class or function docstring, as
+``ast`` finds it; of the rest, a line is blank if it holds only
+whitespace, a comment if it starts with ``#``, and code otherwise.
+
+    python tools/line_counts.py src/proploc
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def docstring_lines(source: str) -> set[int]:
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, DOCUMENTED) and ast.get_docstring(node, clean=False) is not None:
+            first = node.body[0]
+            lines.update(range(first.lineno, first.end_lineno + 1))
+    return lines
+
+
+def counts(package: Path) -> dict[str, int]:
+    total = dict.fromkeys(("total", "code", "docstring", "comment", "blank"), 0)
+    for path in sorted(package.glob("*.py")):
+        source = path.read_text()
+        docs = docstring_lines(source)
+        for number, line in enumerate(source.splitlines(), start=1):
+            text = line.strip()
+            kind = ("docstring" if number in docs else "blank" if not text
+                    else "comment" if text.startswith("#") else "code")
+            total["total"] += 1
+            total[kind] += 1
+    return total
+
+
+if __name__ == "__main__":
+    print(" ".join(f"{key} {value}" for key, value in counts(Path(sys.argv[1])).items()))
