@@ -123,7 +123,7 @@ def _expectations(mechanism, profile: Profile, points, with_location: bool):
     uniform family through one call of :func:`_uniform_family`."""
     lottery, weight = outcome_lottery(mechanism, profile)
     location = lottery.expected_location() if with_location and lottery else None
-    if weight is None:
+    if not weight:
         return location, tuple(lottery.expected_distance(x) for x in points)
     family_location, distances = _uniform_family(profile, points)
     if weight != 1:

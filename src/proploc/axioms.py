@@ -989,6 +989,12 @@ def recheck_witness(mechanism, verdict: AxiomVerdict) -> bool:
     target = mechanism
     if witness.component is not None:
         target = build_mechanism(witness.component, n, witness.domain)
+    if verdict.axiom == EFFICIENCY:
+        # The bound is the end of the reported range the output leaves.
+        out = evaluate(target, profile)
+        low = min(profile.locations)
+        high = max(profile.locations)
+        return out == witness.lhs and (out < low and witness.bound == low or out > high and witness.bound == high)
     mixture = as_mixture(target, n, witness.domain)
     if verdict.axiom == ANONYMITY:
         base = analysis.expected_facility_location(mixture, profile)
@@ -1007,12 +1013,6 @@ def recheck_witness(mechanism, verdict: AxiomVerdict) -> bool:
             and truthful == witness.bound
             and deviating < truthful
         )
-    if verdict.axiom == EFFICIENCY:
-        # The bound is the end of the reported range the output leaves.
-        out = evaluate(target, profile)
-        low = min(profile.locations)
-        high = max(profile.locations)
-        return out == witness.lhs and (out < low and witness.bound == low or out > high and witness.bound == high)
     if verdict.axiom in (PROPORTIONALITY, STRONG_PROPORTIONALITY, SPF):
         # The bound is recomputed from the profile, as integers X over one
         # denominator, and the group: distinct agents in order, the

@@ -9,8 +9,8 @@ and median selection, and any arithmetic with them raises.
 A mixture is built for one (n, domain), which :func:`as_mixture` alone
 compares with its caller's, and holds no phantom family but the uniform
 one: a discrete family is expanded into phantom vectors first. Its
-outcomes on a profile form one :class:`Lottery`, built only by
-:func:`outcome_lottery`, which sorts them once, merging equal locations
+outcomes on a profile form one :class:`Lottery`, built in one place
+(:func:`outcome_lottery`), which sorts them once, merging equal locations
 into its atoms, with running sums of mass and first moment: a point's
 expected distance is one bisect and a closed form. A one-atom lottery (a
 deterministic mechanism) prices |x - location| directly.
@@ -629,14 +629,14 @@ class OutcomeDistribution:
 
 def outcome_lottery(mechanism: AnyMechanism, profile: Profile) -> tuple[Lottery | None, Fraction | None]:
     """The lottery of a mechanism's finite parts on ``profile`` (None if it
-    has none) and its uniform phantom family's weight (None if it has none):
+    has none) and its uniform phantom family's weight (0 if it has none):
     the one place an outcome lottery is built. A mixture must fit the
     profile (:func:`as_mixture`); a deterministic mechanism is one atom."""
     if not isinstance(mechanism, RandomizedMechanism):
-        return Lottery(((evaluate(mechanism, profile), ONE),)), None
+        return Lottery(((evaluate(mechanism, profile), ONE),)), ZERO
     mixture = as_mixture(mechanism, profile.n, profile.domain)
     pairs = tuple(outcome_pairs(mixture.components, profile))
-    return Lottery(pairs) if pairs else None, mixture.continuous_weight if mixture.has_continuous else None
+    return (Lottery(pairs) if pairs else None), mixture.continuous_weight
 
 
 def outcome_distribution(mechanism: AnyMechanism, profile: Profile) -> OutcomeDistribution:
@@ -648,7 +648,7 @@ def outcome_distribution(mechanism: AnyMechanism, profile: Profile) -> OutcomeDi
     helpers in :mod:`proploc.analysis`.
     """
     lottery, family = outcome_lottery(mechanism, profile)
-    if family is not None:
+    if family:
         if len(set(profile.locations)) != 1:
             raise ContinuousFamilyError(
                 "continuous phantom family has no finite atom list on this profile; "
