@@ -2,9 +2,9 @@
 
 Everything here is exact rational arithmetic. A mixture's expectations
 have two parts, both from :func:`proploc.core.outcome_lottery`. Its
-finite components form one :class:`proploc.core.Lottery` per profile,
-which prices each point by one bisect into running sums of mass and
-moment (a deterministic mechanism's one atom as |x - location|). A
+finite components form one :class:`proploc.core.OutcomeDistribution` per
+profile, which prices each point by one bisect into running sums of mass
+and moment (a deterministic mechanism's one atom as |x - location|). A
 uniform phantom family is priced by one cumulative integer integral of
 the facility's CDF per profile, for the expected location and every
 point at once.

@@ -196,11 +196,15 @@ def _cmd_run(args) -> int:
         "profile": profile.to_json(),
     }
     try:
-        payload["atoms"] = outcome_distribution(mechanism, profile).to_json()["atoms"]
+        lottery = outcome_distribution(mechanism, profile)
     except ContinuousFamilyError:
         payload["atoms"] = None
         payload["note"] = "continuous outcome; expectations are exact closed forms"
-    location, distances = analysis.expected_location_and_agent_distances(mechanism, profile)
+        location, distances = analysis.expected_location_and_agent_distances(mechanism, profile)
+    else:
+        payload["atoms"] = lottery.to_json()["atoms"]
+        location = lottery.expected_location()
+        distances = [lottery.expected_distance(x) for x in profile.locations]
     payload["expected_location"] = format_point(location)
     payload["agent_distances"] = [format_point(d) for d in distances]
     payload["exact"] = True

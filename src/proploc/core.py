@@ -8,12 +8,14 @@ and median selection, and any arithmetic with them raises.
 
 A mixture is built for one (n, domain), which :func:`as_mixture` alone
 compares with its caller's, and holds no phantom family but the uniform
-one: a discrete family is expanded into phantom vectors first. Its
-outcomes on a profile form one :class:`Lottery`, built in one place
+one: a discrete family is expanded into phantom vectors first. One class,
+:class:`OutcomeDistribution`, holds and prices every finite lottery. A
+mechanism's outcomes on a profile form one, built in one place
 (:func:`outcome_lottery`), which sorts them once, merging equal locations
 into its atoms, with running sums of mass and first moment: a point's
 expected distance is one bisect and a closed form. A one-atom lottery (a
-deterministic mechanism) prices |x - location| directly.
+deterministic mechanism) prices |x - location| directly. Outside input (a
+lottery, or an i.i.d. phantom law) is checked by its constructor alone.
 
 One function, :func:`part_form`, decides whether a finite part is valid at
 (n, domain) and gives its normal form: a rank (a ``RankK``, the median, or
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
@@ -403,7 +405,8 @@ class IIDPhantomSpec:
     """Interior phantoms drawn i.i.d.; endpoints stay pinned at 0 and 1.
 
     ``atoms=None`` means the uniform distribution on [0,1]; otherwise a
-    finite support given as (location, probability) pairs.
+    finite law on [0,1] given as (location, probability) pairs, checked as
+    an :class:`OutcomeDistribution` and kept as its sorted atoms.
     """
 
     atoms: tuple[tuple[Fraction, Fraction], ...] | None = None
@@ -411,24 +414,10 @@ class IIDPhantomSpec:
     def __post_init__(self):
         if self.atoms is None:
             return
-        cleaned = []
-        total = ZERO
-        seen = set()
-        for loc, prob in self.atoms:
-            loc = _as_fraction(loc)
-            prob = _as_fraction(prob)
-            if not (ZERO <= loc <= ONE):
-                raise MechanismError("phantom atoms must lie in [0,1]")
-            if prob <= 0:
-                raise MechanismError("phantom atom probabilities must be positive")
-            if loc in seen:
-                raise MechanismError("phantom atom locations must be distinct")
-            seen.add(loc)
-            cleaned.append((loc, prob))
-            total += prob
-        if total != 1:
-            raise MechanismError("phantom atom probabilities must sum to 1")
-        object.__setattr__(self, "atoms", tuple(sorted(cleaned)))
+        atoms = OutcomeDistribution(self.atoms).atoms
+        if not (ZERO <= atoms[0][0] and atoms[-1][0] <= ONE):
+            raise MechanismError("phantom atoms must lie in [0,1]")
+        object.__setattr__(self, "atoms", atoms)
 
     @property
     def is_uniform(self) -> bool:
@@ -499,10 +488,17 @@ def as_mixture(mechanism: AnyMechanism, n: int, domain: str) -> RandomizedMechan
     return mechanism
 
 
-class Lottery:
-    """Finite lottery: (location, weight) pairs with positive weights, a
-    location possibly repeated, summing to 1, or to 1 - w beside a
-    continuous family of weight w.
+class OutcomeDistribution:
+    """Finite outcome lottery, the one type that prices one: (location,
+    weight) pairs with positive weights summing to 1, or to 1 - w beside a
+    continuous family of weight w. ``atoms`` are its distinct locations in
+    increasing order, each with its summed weight; equality, hashing and
+    repr go by them.
+
+    The public constructor, :meth:`from_pairs` and :meth:`from_json` take
+    outside input, checked by the constructor: distinct locations, positive
+    weights summing to 1. :func:`outcome_lottery` takes a mechanism's pairs
+    as they are (:meth:`_of`), a location possibly repeated.
 
     The expected location is one pass over the pairs. The rest reads one
     sort, made at the first need, that merges equal locations into atoms
@@ -514,16 +510,51 @@ class Lottery:
 
     __slots__ = ("pairs", "_sums")
 
-    def __init__(self, pairs: tuple[tuple[Fraction, Fraction], ...]):
-        self.pairs = pairs
-        self._sums = None
+    def __init__(self, atoms: Iterable[tuple[Fraction, Fraction]]):
+        total = ZERO
+        seen = set()
+        pairs = []
+        for loc, prob in atoms:
+            loc = _as_fraction(loc)
+            prob = _as_fraction(prob)
+            if prob <= 0:
+                raise MechanismError("atom probabilities must be positive")
+            if loc in seen:
+                raise MechanismError("atom locations must be distinct")
+            seen.add(loc)
+            pairs.append((loc, prob))
+            total += prob
+        if total != 1:
+            raise MechanismError(f"atom probabilities sum to {total}, expected 1")
+        self.pairs, self._sums = tuple(pairs), None
 
+    @classmethod
+    def _of(cls, pairs: tuple[tuple[Fraction, Fraction], ...]) -> "OutcomeDistribution":
+        dist = object.__new__(cls)
+        dist.pairs, dist._sums = pairs, None
+        return dist
+
+    @classmethod
+    def from_pairs(cls, pairs: Iterable[tuple[Fraction, Fraction]]) -> "OutcomeDistribution":
+        """The lottery of ``pairs``, zero weights dropped and repeated
+        locations merged."""
+        pairs = tuple((_as_fraction(loc), _as_fraction(prob)) for loc, prob in pairs)
+        return cls(cls._of(tuple(pair for pair in pairs if pair[1])).atoms)
+
+    @property
     def atoms(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """The distinct locations in increasing order, each with its summed weight."""
-        if len(self.pairs) == 1:
-            return self.pairs
-        locations, weights = self._running()[:2]
-        return tuple(zip(locations, weights))
+        return self.pairs if len(self.pairs) == 1 else self._running()[1]
+
+    def __eq__(self, other):
+        if not isinstance(other, OutcomeDistribution):
+            return NotImplemented
+        return self.atoms == other.atoms
+
+    def __hash__(self) -> int:
+        return hash(self.atoms)
+
+    def __repr__(self) -> str:
+        return f"OutcomeDistribution(atoms={self.atoms!r})"
 
     def expected_location(self) -> Fraction:
         if len(self.pairs) == 1:
@@ -532,6 +563,7 @@ class Lottery:
         return sum(weight * loc for loc, weight in self.pairs)
 
     def expected_distance(self, point: Fraction) -> Fraction:
+        point = _as_fraction(point)
         if len(self.pairs) == 1:
             loc, weight = self.pairs[0]
             return abs(point - loc) if weight == 1 else weight * abs(point - loc)
@@ -541,7 +573,7 @@ class Lottery:
 
     def _running(self):
         """The one sort, kept: the distinct locations in increasing order,
-        their summed weights, and the running sums of mass and moment."""
+        the atoms, and the running sums of mass and moment."""
         if self._sums is None:
             locations, weights = [], []
             for loc, weight in sorted(self.pairs, key=itemgetter(0)):
@@ -550,65 +582,13 @@ class Lottery:
                 else:
                     locations.append(loc)
                     weights.append(weight)
+            atoms = tuple(zip(locations, weights))
             masses, moments = [ZERO], [ZERO]
-            for loc, weight in zip(locations, weights):
+            for loc, weight in atoms:
                 masses.append(masses[-1] + weight)
                 moments.append(moments[-1] + weight * loc)
-            self._sums = locations, weights, masses, moments
+            self._sums = locations, atoms, masses, moments
         return self._sums
-
-
-@dataclass(frozen=True)
-class OutcomeDistribution:
-    """Finite outcome lottery: distinct sorted locations with positive
-    weights summing to 1, priced through its :class:`Lottery`. Outside
-    input is validated; :func:`outcome_distribution` takes the atoms of a
-    mixture's lottery as they are (:meth:`_of`)."""
-
-    atoms: tuple[tuple[Fraction, Fraction], ...]
-    _lottery: Lottery = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        total = ZERO
-        seen = set()
-        atoms = []
-        for loc, prob in self.atoms:
-            loc = _as_fraction(loc)
-            prob = _as_fraction(prob)
-            if prob <= 0:
-                raise MechanismError("atom probabilities must be positive")
-            if loc in seen:
-                raise MechanismError("atom locations must be distinct")
-            seen.add(loc)
-            atoms.append((loc, prob))
-            total += prob
-        if total != 1:
-            raise MechanismError(f"atom probabilities sum to {total}, expected 1")
-        atoms = tuple(sorted(atoms))
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "_lottery", Lottery(atoms))
-
-    @classmethod
-    def _of(cls, lottery: Lottery) -> "OutcomeDistribution":
-        dist = object.__new__(cls)
-        object.__setattr__(dist, "atoms", lottery.atoms())
-        object.__setattr__(dist, "_lottery", lottery)
-        return dist
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[Fraction, Fraction]]) -> "OutcomeDistribution":
-        merged: dict[Fraction, Fraction] = {}
-        for loc, prob in pairs:
-            if prob == 0:
-                continue
-            merged[loc] = merged.get(loc, ZERO) + prob
-        return cls(tuple(merged.items()))
-
-    def expected_location(self) -> Fraction:
-        return self._lottery.expected_location()
-
-    def expected_distance(self, point: Fraction) -> Fraction:
-        return self._lottery.expected_distance(_as_fraction(point))
 
     def to_json(self) -> dict:
         return {
@@ -622,21 +602,19 @@ class OutcomeDistribution:
     def from_json(cls, data) -> "OutcomeDistribution":
         if isinstance(data, str):
             data = json.loads(data)
-        return cls.from_pairs(
-            (_as_fraction(a["x"]), _as_fraction(a["p"])) for a in data["atoms"]
-        )
+        return cls((a["x"], a["p"]) for a in data["atoms"])
 
 
-def outcome_lottery(mechanism: AnyMechanism, profile: Profile) -> tuple[Lottery | None, Fraction | None]:
+def outcome_lottery(mechanism: AnyMechanism, profile: Profile) -> tuple[OutcomeDistribution | None, Fraction]:
     """The lottery of a mechanism's finite parts on ``profile`` (None if it
     has none) and its uniform phantom family's weight (0 if it has none):
     the one place an outcome lottery is built. A mixture must fit the
     profile (:func:`as_mixture`); a deterministic mechanism is one atom."""
     if not isinstance(mechanism, RandomizedMechanism):
-        return Lottery(((evaluate(mechanism, profile), ONE),)), ZERO
+        return OutcomeDistribution._of(((evaluate(mechanism, profile), ONE),)), ZERO
     mixture = as_mixture(mechanism, profile.n, profile.domain)
     pairs = tuple(outcome_pairs(mixture.components, profile))
-    return (Lottery(pairs) if pairs else None), mixture.continuous_weight
+    return (OutcomeDistribution._of(pairs) if pairs else None), mixture.continuous_weight
 
 
 def outcome_distribution(mechanism: AnyMechanism, profile: Profile) -> OutcomeDistribution:
@@ -654,8 +632,8 @@ def outcome_distribution(mechanism: AnyMechanism, profile: Profile) -> OutcomeDi
                 "continuous phantom family has no finite atom list on this profile; "
                 "use proploc.analysis expected-value helpers"
             )
-        lottery = Lottery((*(lottery.pairs if lottery else ()), (profile.locations[0], family)))
-    return OutcomeDistribution._of(lottery)
+        return OutcomeDistribution._of((*(lottery.pairs if lottery else ()), (profile.locations[0], family)))
+    return lottery
 
 
 def grid_points(domain: str, grid: int) -> tuple[Fraction, ...]:

@@ -12,6 +12,8 @@ import pytest
 import proploc
 from proploc.cli import build_table, main, table_answers
 
+from test_mechanisms import INVALID_IID_LAWS
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -71,6 +73,25 @@ def test_run_continuous_family_reports_exact_expectations(capsys):
     assert data["atoms"] is None
     assert data["expected_location"] == "1/2"
     assert data["exact"] is True
+
+
+def test_run_builds_one_lottery(capsys, monkeypatch):
+    """``proploc run`` reads a mechanism's parts on the profile once, for its
+    atoms and its expectations alike."""
+    from proploc import core
+
+    calls = []
+    kernel = core.outcome_pairs
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(core, "outcome_pairs", counted)
+    code, out, _ = run_cli(capsys, "run", "--mechanism", "random_rank", "--profile", "(0,1/3,1)")
+    assert code == 0
+    assert len(calls) == 1
+    assert "expected location: 4/9" in out
 
 
 def test_run_prices_the_continuous_family_once(capsys, monkeypatch):
@@ -523,6 +544,8 @@ def test_bad_input_prints_error_and_exits_2(tmp_path, capsys, argv, profile_text
          "error: expected --samples <rational>[,<rational>...], e.g. 1/2,1, got 'x'\n"),
         (["prop1", "--samples", "1/2,1/0"],
          "error: expected --samples <rational>[,<rational>...], e.g. 1/2,1, got '1/0'\n"),
+        *((["run", "--mechanism", spec, "--profile", "(0,1/3,1)"], f"error: {message}\n")
+          for spec, message in INVALID_IID_LAWS.values()),
     ],
     ids=["avg-or-rr-zero-denominator", "iid-phantom-without-atoms", "iid-phantom-atoms-not-a-list",
          "iid-phantom-zero-denominator", "add-doubled-w", "add-w-underscore-w", "add-without-index",
@@ -530,7 +553,8 @@ def test_bad_input_prints_error_and_exits_2(tmp_path, capsys, argv, profile_text
          "table-zero-denominator-p", "table-bad-p", "table-p-above-1", "table-p-below-0", "blank-profile",
          "profile-empty-entry", "profile-leading-empty-entry", "profile-stray-bracket",
          "profile-mismatched-brackets", "avg-or-rr-not-a-rational", "avg-or-rr-two-slashes",
-         "iid-phantom-location-not-a-rational", "prop1-sample-not-a-rational", "prop1-zero-denominator"],
+         "iid-phantom-location-not-a-rational", "prop1-sample-not-a-rational", "prop1-zero-denominator",
+         *INVALID_IID_LAWS],
 )
 def test_malformed_spec_body_is_a_one_line_error(capsys, argv, message):
     """A spec body or option value that parses but cannot be read is bad

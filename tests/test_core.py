@@ -314,6 +314,16 @@ def test_outcome_distribution_json_round_trip():
     assert OutcomeDistribution.from_json(json.dumps(data)) == dist
 
 
+def test_outcome_distribution_from_json_validates_like_the_constructor():
+    """A JSON lottery is outside input: a repeated location or a zero weight
+    is refused, as the constructor refuses it, not merged or dropped."""
+    data = {"atoms": [{"x": "0", "p": "1/2"}, {"x": "0", "p": "1/2"}, {"x": "1", "p": "0"}]}
+    with pytest.raises(MechanismError):
+        OutcomeDistribution.from_json(json.dumps(data))
+    with pytest.raises(MechanismError):
+        OutcomeDistribution.from_json({"atoms": [{"x": "0", "p": "1"}, {"x": "1", "p": "0"}]})
+
+
 def test_anonymous_kind_flags():
     assert mechanism_is_anonymous(Median())
     assert mechanism_is_anonymous(Average())

@@ -221,6 +221,19 @@ def test_spec_string_accepts_bare_keys():
     assert bare == iid_phantom(IIDPhantomSpec(((F(1, 2), F(1)),)), 2)
 
 
+# One invalid finite phantom law per fault, with the message it reads.
+INVALID_IID_LAWS = {
+    "iid-phantom-zero-weight": (
+        'iid_phantom:{atoms:[[0,"1/2"],[1,"1/2"],["1/2",0]]}', "atom probabilities must be positive"),
+    "iid-phantom-outside-unit-interval": (
+        'iid_phantom:{atoms:[[0,"1/2"],["3/2","1/2"]]}', "phantom atoms must lie in [0,1]"),
+    "iid-phantom-repeated-location": (
+        'iid_phantom:{atoms:[[0,"1/2"],[0,"1/2"]]}', "atom locations must be distinct"),
+    "iid-phantom-weights-not-summing-to-1": (
+        'iid_phantom:{atoms:[[0,"1/2"],[1,"1/3"]]}', "atom probabilities sum to 5/6, expected 1"),
+}
+
+
 def test_spec_string_errors():
     cases = [
         ("mystery", UNIT_INTERVAL, "unknown mechanism spec 'mystery'"),
@@ -236,6 +249,7 @@ def test_spec_string_errors():
             "cannot parse 'iid_phantom:{atoms:': Expecting value: line 1 column 10 (char 9)",
         ),
         ("random_phantom", REAL_LINE, "random phantom is defined on [0,1] only"),
+        *((spec, UNIT_INTERVAL, message) for spec, message in INVALID_IID_LAWS.values()),
     ]
     for text, domain, message in cases:
         with pytest.raises(MechanismError) as raised:

@@ -39,4 +39,7 @@ def counts(package: Path) -> dict[str, int]:
 
 
 if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        print("usage: python tools/line_counts.py PACKAGE_DIR", file=sys.stderr)
+        sys.exit(2)
     print(" ".join(f"{key} {value}" for key, value in counts(Path(sys.argv[1])).items()))
