@@ -32,7 +32,6 @@ from .core import (
     format_point,
     grid_points,
     outcome_lottery,
-    part_form,
 )
 
 # ---------------------------------------------------------------------------
@@ -178,17 +177,16 @@ def rank_phantom_marginals(mechanism: RandomizedMechanism) -> tuple[PhantomMargi
     With weight w_k on the rank-k component, the i-th smallest of the n-1
     interior phantoms sits at the top extreme with probability
     w_1 + ... + w_i and at the bottom extreme otherwise. Each part is a
-    rank or a phantom vector whose normal form
-    (:func:`proploc.core.part_form`) is a rank.
+    rank or a phantom vector whose normal form, kept by the mixture, is a
+    rank.
     """
     if mechanism.has_continuous:
         raise MechanismError("marginals need a finite rank mixture")
     n, domain = mechanism.n, mechanism.domain
     weight_by_rank: dict[int, Fraction] = {}
-    for mech, weight in mechanism.components:
+    for (mech, weight), (form, _) in zip(mechanism.components, mechanism.forms):
         if not isinstance(mech, (RankK, Phantom)):
             raise MechanismError(f"marginals are defined for rank mixtures, not {type(mech).__name__}")
-        form = part_form(mech, n, domain)
         if not isinstance(form, RankK):
             raise MechanismError("marginals are defined for two-valued phantom vectors only")
         weight_by_rank[form.k] = weight_by_rank.get(form.k, ZERO) + weight
@@ -472,9 +470,11 @@ def prop1_infeasibility(samples=(Fraction(1, 2), ONE)) -> Prop1Certificate:
     """Certificate that no single phantom vector meets the forced
     placements of two different two-agent profiles.
 
-    ``samples`` are the non-zero agent locations t in (0, 1]; the first
-    pair (in order) whose forced outputs are jointly unachievable is
-    returned, with the exhaustive representative sweep recorded.
+    ``samples`` are the non-zero agent locations t in (0, 1], each checked.
+    The certificate is for the first sample and the first one after it
+    that differs: on (0, t) the forced output t/2 pins the middle phantom to
+    t/2, so no vector meets two distinct samples. The exhaustive
+    representative sweep checks that, and is recorded.
     """
     reports = [Fraction(t) for t in samples]
     if len(reports) < 2:
@@ -484,26 +484,25 @@ def prop1_infeasibility(samples=(Fraction(1, 2), ONE)) -> Prop1Certificate:
             raise MechanismError(f"sampled report {format_point(t)} outside (0,1]")
     if len(set(reports)) < 2:
         raise MechanismError("sampled reports must be distinct")
-    for i, t in enumerate(reports):
-        for t_other in reports[i + 1 :]:
-            low, high = sorted((t, t_other))
-            first, second = ForcedPlacement(low), ForcedPlacement(high)
-            candidates = _phantom_candidates((first, second))
-            checked = math.comb(len(candidates) + 2, 3)
-            if find_phantom_vector((first, second), candidates) is None:
-                manipulation = None
-                if high < 3 * low:
-                    # moving the profile from (0,low) to (0,high) drags the
-                    # forced output onto (or past) the deviator's location
-                    manipulation = {
-                        "profile": [format_point(ZERO), format_point(low)],
-                        "agent": 2,
-                        "misreport": format_point(high),
-                        "truthful_cost": format_point(first.forced),
-                        "deviating_cost": format_point(abs(low - second.forced)),
-                    }
-                return Prop1Certificate(first, second, candidates, checked, manipulation)
-    raise MechanismError("every sampled pair admits a phantom vector")
+    low, high = sorted((reports[0], next(t for t in reports if t != reports[0])))
+    first, second = ForcedPlacement(low), ForcedPlacement(high)
+    candidates = _phantom_candidates((first, second))
+    if find_phantom_vector((first, second), candidates) is not None:
+        raise MechanismError(
+            f"a phantom vector meets the forced outputs of {format_point(low)} and {format_point(high)}"
+        )
+    manipulation = None
+    if high < 3 * low:
+        # moving the profile from (0,low) to (0,high) drags the forced
+        # output onto (or past) the deviator's location
+        manipulation = {
+            "profile": [format_point(ZERO), format_point(low)],
+            "agent": 2,
+            "misreport": format_point(high),
+            "truthful_cost": format_point(first.forced),
+            "deviating_cost": format_point(abs(low - second.forced)),
+        }
+    return Prop1Certificate(first, second, candidates, math.comb(len(candidates) + 2, 3), manipulation)
 
 
 def prop1_grid_sweep(certificate: Prop1Certificate, grid: int = 40) -> int:

@@ -33,14 +33,14 @@ true point at r = that point, so any lottery over such parts is
 strategyproof at every profile and for every real misreport. Beside
 averages of weight a, the window theorem covers a mixture whose every rank
 k weighs w_k >= a/n: AverageOrRR exactly when p <= 1/2. A rank here is a
-``RankK`` in the normal form of :func:`proploc.core.part_form`, which every
-check reads its parts in: the median and every phantom vector of the
-domain's ends are ranks there. Fix the other reports. Each rank outputs
-clip(r, lo_k, hi_k) for a window between consecutive other reports, and
-the n windows tile the line. Moving the report from the true
-point x to r raises rank k's cost by the length of [x, r] within its
-window, raises no generalized median's cost, and cuts the average's by at
-most |r - x|/n, so the cost rises by at least
+``RankK`` in the normal form of :func:`proploc.core.part_form`, which a
+mixture keeps from its construction and every check reads its parts in:
+the median and every phantom vector of the domain's ends are ranks there.
+Fix the other reports. Each rank outputs clip(r, lo_k, hi_k) for a window
+between consecutive other reports, and the n windows tile the line.
+Moving the report from the true point x to r raises rank k's cost by the
+length of [x, r] within its window, raises no generalized median's cost,
+and cuts the average's by at most |r - x|/n, so the cost rises by at least
 sum_k w_k |[x, r] within window k| - a |r - x|/n >= 0, at every profile and
 for every real r (``tests/test_exact_rules.py::
 test_window_theorem_matches_the_sweep`` holds it to the sweep). Other
@@ -176,7 +176,6 @@ from .core import (
     Average,
     Dictator,
     DomainMismatchError,
-    IIDPhantomSpec,
     Infinite,
     MechanismError,
     Phantom,
@@ -188,7 +187,7 @@ from .core import (
     evaluate,
     format_point,
     grid_points,
-    part_form,
+    outcome_pairs,
 )
 from .mechanisms import build_mechanism, format_mechanism
 from .sweep import (
@@ -323,16 +322,8 @@ def _witness(scaled: Scaled, X, lhs: int, bound: int, **fields) -> Witness:
     return Witness(profile, scaled.domain, lhs=scaled.cost_frac(lhs), bound=scaled.cost_frac(bound), **fields)
 
 
-def _forms(mixture) -> list:
-    """The mixture's (mechanism, weight) pairs, each part in its normal form
-    (:func:`proploc.core.part_form`), which raises for the first invalid
-    part in component order."""
-    return [(part_form(mech, mixture.n, mixture.domain), weight) for mech, weight in mixture.components]
-
-
-def _parts(mixture) -> list:
-    """The mixture's finite mechanisms, then its continuous family if any."""
-    return [mech for mech, _ in mixture.components] + ([mixture.continuous] if mixture.has_continuous else [])
+# Stands for the uniform phantom family in a universal check's list of parts.
+_FAMILY = object()
 
 
 def _decide(axiom, mechanism, dom: CheckDomain, variant, first, theorem, continuous=None):
@@ -341,72 +332,66 @@ def _decide(axiom, mechanism, dom: CheckDomain, variant, first, theorem, continu
 
     ``first(components, dom, combine)`` is the axiom's sweep over
     (mechanism, weight) pairs in the normal form of
-    :func:`proploc.core.part_form`, built once per check: (component index,
-    witness, failure detail) of the first violation, or None. With
-    ``combine`` the components form one mixture (det and exp); without it
-    each is checked alone (universal), and the verdict names the failing
-    component. ``theorem(subject, forms)`` is the axiom's exact rule. In a
-    universal check ``forms`` is None and ``subject`` is one part, a finite
-    mechanism or the continuous family, and the rule gives the detail of a
-    PASS the part earns at every profile, else None: a universal check
-    sweeps only the parts it does not cover. In a det or exp check
-    ``subject`` is the whole mixture and ``forms`` its (mechanism, weight)
-    pairs in normal form, built first, which raises for the first invalid
-    part in component order, and the rule gives the detail of a PASS on the whole domain, None when it
-    cannot tell, or, for a FAIL, a function returning the verdict's
-    (status, witness, detail) off the grid. A FAIL is still swept for its
-    first grid witness; the function answers only when the grid shows none.
+    :func:`proploc.core.part_form`, which the mixture keeps from its
+    construction (``forms``): (component index, witness, failure detail) of
+    the first violation, or None. With ``combine`` the components form one
+    mixture (det and exp); without it each is checked alone (universal), and
+    the verdict names the failing component. ``theorem(subject, forms)`` is
+    the axiom's exact rule. In a universal check ``forms`` is None and
+    ``subject`` is one part, a finite mechanism as given or ``_FAMILY``, and
+    the rule gives the detail of a PASS the part earns at every profile,
+    else None: a universal check sweeps only the parts it does not cover. In
+    a det or exp check ``subject`` is the whole mixture and ``forms`` its
+    (mechanism, weight) pairs in normal form, and the rule gives the detail
+    of a PASS on the whole domain, None when it cannot tell, or, for a FAIL,
+    a function returning the verdict's (status, witness, detail) off the
+    grid. A FAIL is still swept for its first grid witness; the function
+    answers only when the grid shows none.
     A universal check's uncovered family is its realisation with every
-    interior phantom at 0, which outputs the lowest report: on the profile
-    with one agent at 1 and the rest at 0 the lone agent pays 1 > (n - 1)/n,
-    so it fails every group axiom at every n and grid, as do, by
-    continuity, the realisations with interior phantoms in (0, eps), and
+    interior phantom at 0, which outputs the lowest report (rank n): on the
+    profile with one agent at 1 and the rest at 0 the lone agent pays
+    1 > (n - 1)/n, so it fails every group axiom at every n and grid, as do,
+    by continuity, the realisations with interior phantoms in (0, eps), and
     the FAIL does not rest on a null set. The swept parts go in stacked,
-    each at weight 1 and in normal form, up to the first part that
-    :func:`proploc.core.part_form` rejects; its error is raised only if no
-    part before it fails, as a part-by-part check would meet it. A failing
-    part's witness names the part as given, not its normal form.
-    ``continuous(mixture)`` is the in-expectation rule for a mixture with a
-    continuous family, as (status, witness, detail); without it there is no
-    exp variant.
+    each at weight 1. A failing part's witness names the part as given, not
+    its normal form. ``continuous(mixture)`` is the in-expectation rule for
+    a mixture with a continuous family, as (status, witness, detail);
+    without it there is no exp variant.
+
+    A mixture's fit (n, domain) is checked first, then the variant. A
+    deterministic mechanism is wrapped as a mixture, which checks its part,
+    only after that.
     """
-    mixture = as_mixture(mechanism, dom.n, dom.domain)
-    if variant == DET and isinstance(mechanism, RandomizedMechanism):
-        raise MechanismError("deterministic variant needs a deterministic mechanism")
-    if variant == UNIVERSAL:
-        parts = _parts(mixture)
-        details = [theorem(part, None) for part in parts]
-        mechs = [
-            Phantom((ZERO,) * dom.n + (ONE,)) if part is mixture.continuous else part
-            for part, detail in zip(parts, details)
-            if detail is None
-        ]
-        pairs, rejected = [], None
-        for mech in mechs:
-            try:
-                pairs.append((part_form(mech, dom.n, dom.domain), ONE))
-            except MechanismError as error:
-                rejected = error
-                break
-        found = first(pairs, dom, False) if pairs else None
-        if found is None:
-            if rejected is not None:
-                raise rejected
-            return AxiomVerdict(axiom, variant, PASS, None, next(filter(None, details), ""))
-        index, witness, failure = found
-        return AxiomVerdict(axiom, variant, FAIL, replace(witness, component=format_mechanism(mechs[index])), failure)
-    if variant not in ((DET, EXP) if continuous else (DET,)):
+    if isinstance(mechanism, RandomizedMechanism):
+        as_mixture(mechanism, dom.n, dom.domain)
+        if variant == DET:
+            raise MechanismError("deterministic variant needs a deterministic mechanism")
+    if variant not in ((DET, EXP, UNIVERSAL) if continuous else (DET, UNIVERSAL)):
         if continuous is None:
             raise MechanismError(f"{axiom} has deterministic and universal variants only")
         raise MechanismError(f"unknown variant {variant!r}")
-    forms = _forms(mixture)
-    decided = theorem(mixture, forms)
+    mixture = as_mixture(mechanism, dom.n, dom.domain)
+    if variant == UNIVERSAL:
+        parts = [(mech, form) for (mech, _), (form, _) in zip(mixture.components, mixture.forms)]
+        if mixture.has_continuous:
+            parts.append((_FAMILY, RankK(dom.n)))
+        details = [theorem(part, None) for part, _ in parts]
+        swept = [pair for pair, detail in zip(parts, details) if detail is None]
+        found = first([(form, ONE) for _, form in swept], dom, False) if swept else None
+        if found is None:
+            return AxiomVerdict(axiom, variant, PASS, None, next(filter(None, details), ""))
+        index, witness, failure = found
+        part = swept[index][0]
+        if part is _FAMILY:
+            part = Phantom((ZERO,) * dom.n + (ONE,))
+        return AxiomVerdict(axiom, variant, FAIL, replace(witness, component=format_mechanism(part)), failure)
+    decided = theorem(mixture, mixture.forms)
     if isinstance(decided, str):
         return AxiomVerdict(axiom, variant, PASS, None, decided)
     if mixture.has_continuous:
         status, witness, detail = continuous(mixture)
     else:
-        found = first(forms, dom, True)
+        found = first(mixture.forms, dom, True)
         status, witness, detail = (PASS, None, "") if found is None else (FAIL, *found[1:])
     if decided is not None and status == PASS:
         status, witness, detail = decided()
@@ -417,7 +402,7 @@ def _family_theorem(detail: str):
     """The theorem hook of an axiom every realisation of the uniform phantom
     family meets: it covers the family in a universal check, and leaves an
     exp check to the axiom's in-expectation rule."""
-    return lambda subject, forms: detail if isinstance(subject, IIDPhantomSpec) and forms is None else None
+    return lambda subject, forms: detail if subject is _FAMILY else None
 
 
 def _ends(domain: str):
@@ -438,7 +423,7 @@ def _sp_theorem(subject, forms):
     theorem); in a universal check, each realisation of the continuous
     family. Universal strategyproofness still sweeps every finite part."""
     if forms is None:
-        if isinstance(subject, IIDPhantomSpec):
+        if subject is _FAMILY:
             return "each phantom realisation a generalized median: every profile, every real misreport"
         return None
     if not any(isinstance(mech, Average) for mech, _ in forms):
@@ -522,12 +507,11 @@ def search_manipulation(mechanism, dom: CheckDomain) -> ManipulationFinding | No
     window theorem covers the mixture (:func:`_sp_theorem`).
     """
     mixture = as_mixture(mechanism, dom.n, dom.domain)
-    forms = _forms(mixture)
-    if _sp_theorem(mixture, forms) is not None:
+    if _sp_theorem(mixture, mixture.forms) is not None:
         return None
     if mixture.has_continuous:
         raise MechanismError(_SP_UNDECIDED)
-    scaled = Scaled(forms, dom.n, dom.domain, dom.grid)
+    scaled = Scaled(mixture.forms, dom.n, dom.domain, dom.grid)
     best = SpSweep(scaled, combine=True).best_gain()
     if best is None:
         return None
@@ -557,12 +541,11 @@ def _anonymity_first(components, dom: CheckDomain, combine: bool, mixture=None):
     agent j's dictator. So the first failing profile, in lexicographic
     order, has every agent at the lowest grid point but agent j + 1, at the
     next one, for the largest j with w_j != w_{j+1}, and its first moving
-    swap is that of j. :func:`proploc.core.part_form` has validated the
-    components, so a rejected one of any kind has raised as in the other
-    checks. The witness's expected locations come from the
-    closed forms of :mod:`proploc.analysis`, the path :func:`recheck_witness`
-    takes: of the failing component, or with ``combine`` of ``mixture``
-    (by default the weighted components themselves)."""
+    swap is that of j. The witness's expected locations are those of the
+    failing component, or with ``combine`` of the weighted components, read
+    off their normal forms by :func:`proploc.core.outcome_pairs`, the lottery
+    :func:`recheck_witness` prices; a ``mixture`` with a continuous family
+    is priced by the closed forms of :mod:`proploc.analysis` instead."""
     n = dom.n
     for index, group in enumerate([components] if combine else [[pair] for pair in components]):
         weights = dictator_shares(group, n)
@@ -575,14 +558,15 @@ def _anonymity_first(components, dom: CheckDomain, combine: bool, mixture=None):
     perm = (*range(j), j + 1, j, *range(j + 2, n))
     low, second = dom.points()[:2]
     profile = (low,) * (j + 1) + (second,) + (low,) * (n - j - 2)
-    if not combine:
-        mixture = components[index][0]
-    elif mixture is None:
-        mixture = RandomizedMechanism(n, dom.domain, tuple(components))
-    lhs, bound = (
-        analysis.expected_facility_location(mixture, Profile(dom.domain, tuple(profile[p] for p in order)))
-        for order in (perm, range(n))
-    )
+    parts = components if combine else [(components[index][0], ONE)]
+
+    def price(order):
+        reordered = Profile(dom.domain, tuple(profile[p] for p in order))
+        if mixture is not None:
+            return analysis.expected_facility_location(mixture, reordered)
+        return sum(weight * x for x, weight in outcome_pairs(parts, reordered))
+
+    lhs, bound = price(perm), price(range(n))
     permutation = tuple(p + 1 for p in perm)
     return index, Witness(profile, dom.domain, permutation=permutation, lhs=lhs, bound=bound), ""
 
@@ -599,7 +583,7 @@ def check_anonymity(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVer
     """
 
     def continuous(mixture):
-        found = _anonymity_first(mixture.components, dom, True, mixture=mixture)
+        found = _anonymity_first(mixture.forms, dom, True, mixture=mixture)
         return (PASS, None, "") if found is None else (FAIL, found[1], "")
 
     return _decide(ANONYMITY, mechanism, dom, variant, _anonymity_first,
@@ -672,7 +656,7 @@ def _exact(mixture, dom: CheckDomain, profiles, violation):
     :func:`proploc.sweep.label_free`: multisets when every agent's summed
     dictator weight is equal, with the same first witness.
     """
-    anonymous = label_free(mixture.components, dom.n, True)
+    anonymous = label_free(mixture.forms, dom.n, True)
     scale = Fraction(1, dom.n)
     for locations in profiles(anonymous):
         distances = analysis.expected_agent_distances(mixture, Profile(dom.domain, locations))
@@ -695,7 +679,11 @@ def _average_theorem(subject, forms):
     """The PASS detail of a group axiom for an ``Average`` part, or a det or
     exp mixture of averages alone, which meet all three at every real
     profile (the module docstring has the proof), else None."""
-    if all(isinstance(part, Average) for part in ([subject] if forms is None else _parts(subject))):
+    if forms is None:
+        covered = isinstance(subject, Average)
+    else:
+        covered = not subject.has_continuous and all(isinstance(mech, Average) for mech, _ in forms)
+    if covered:
         return "the average within every group's bound: every real profile"
     return None
 

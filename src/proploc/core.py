@@ -7,35 +7,37 @@ as phantom positions on the real-line domain: they take part in ordering
 and median selection, and any arithmetic with them raises.
 
 A mixture is built for one (n, domain), which :func:`as_mixture` alone
-compares with its caller's, and holds no phantom family but the uniform
-one: a discrete family is expanded into phantom vectors first. One class,
-:class:`OutcomeDistribution`, holds and prices every finite lottery. A
-mechanism's outcomes on a profile form one, built in one place
-(:func:`outcome_lottery`), which sorts them once, merging equal locations
-into its atoms, with running sums of mass and first moment: a point's
-expected distance is one bisect and a closed form. A one-atom lottery (a
-deterministic mechanism) prices |x - location| directly. Outside input (a
-lottery, or an i.i.d. phantom law) is checked by its constructor alone.
+compares with its caller's, and holds its finite parts beside one weight
+for the uniform phantom family: a discrete i.i.d. family is expanded into
+phantom vectors first. One class, :class:`OutcomeDistribution`, holds and
+prices every finite lottery. A mechanism's outcomes on a profile form one,
+built in one place (:func:`outcome_lottery`), which sorts them once,
+merging equal locations into its atoms, with running sums of mass and
+first moment: a point's expected distance is one bisect and a closed
+form. A one-atom lottery (a deterministic mechanism) prices
+|x - location| directly. Outside input (a lottery, or an i.i.d. phantom
+law) is checked by its constructor alone.
 
 One function, :func:`part_form`, decides whether a finite part is valid at
 (n, domain) and gives its normal form: a rank (a ``RankK``, the median, or
 a phantom vector of the domain's ends), a phantom vector, a dictator or the
-average. Every reader of a part reads that form: the lottery here, the
-sweep engine of :mod:`proploc.sweep` and the exact rules of
-:mod:`proploc.axioms`. So each raises the same error, that of the first
-invalid part in component order. The lottery reads every finite part off
-one sorted copy of the reports, a phantom part (a generalized median,
-Moulin 1980) by merging that copy with its phantoms
-(:func:`outcome_pairs`).
+average. A mixture validates its parts when it is built: its constructor
+keeps each part's form, so the first invalid part in component order
+raises there, and a built mixture is never checked again. Every reader of
+a part reads that form: the lottery here, the sweep engine of
+:mod:`proploc.sweep` and the exact rules of :mod:`proploc.axioms`. The
+lottery reads every finite part off one sorted copy of the reports, a
+phantom part (a generalized median, Moulin 1980) by merging that copy with
+its phantoms (:func:`outcome_pairs`).
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from operator import itemgetter
 from typing import Iterable, Union
 
@@ -67,6 +69,7 @@ class ExpansionLimitError(MechanismError):
     """A discrete phantom expansion would exceed the component cap."""
 
 
+@total_ordering
 class Infinite:
     """Signed infinity for phantom positions.
 
@@ -95,25 +98,6 @@ class Infinite:
         if isinstance(other, (Fraction, int)):
             return self.sign < 0
         return NotImplemented
-
-    def __gt__(self, other):
-        if isinstance(other, Infinite):
-            return self.sign > other.sign
-        if isinstance(other, (Fraction, int)):
-            return self.sign > 0
-        return NotImplemented
-
-    def __le__(self, other):
-        result = self.__gt__(other)
-        if result is NotImplemented:
-            return NotImplemented
-        return not result
-
-    def __ge__(self, other):
-        result = self.__lt__(other)
-        if result is NotImplemented:
-            return NotImplemented
-        return not result
 
 
 POS_INF = Infinite(1)
@@ -361,17 +345,16 @@ def to_phantom_form(mechanism: Mechanism, n: int, domain: str = UNIT_INTERVAL) -
 
 
 def outcome_pairs(components, profile: Profile) -> list[tuple[Fraction, Fraction]]:
-    """(location, weight) of each (mechanism, weight) component on ``profile``.
+    """(location, weight) of each (mechanism, weight) component on ``profile``,
+    each part already in its :func:`part_form` at the profile's n and domain.
 
-    Each part is read in its :func:`part_form`, which raises for the first
-    invalid part in component order. The reports are sorted once, at the
-    first rank or phantom part: rank k is entry n - k, and a phantom part
-    entry n, from 0, of the sorted reports merged with its sorted phantoms.
+    The reports are sorted once, at the first rank or phantom part: rank k
+    is entry n - k, and a phantom part entry n, from 0, of the sorted
+    reports merged with its sorted phantoms.
     """
-    n, reports, domain = profile.n, profile.locations, profile.domain
+    n, reports = profile.n, profile.locations
     ordered, pairs = None, []
     for mech, weight in components:
-        mech = part_form(mech, n, domain)
         if isinstance(mech, Dictator):
             location = reports[mech.agent - 1]
         elif isinstance(mech, Average):
@@ -392,7 +375,7 @@ def outcome_pairs(components, profile: Profile) -> list[tuple[Fraction, Fraction
 
 def evaluate(mechanism: Mechanism, profile: Profile) -> Fraction:
     """Facility location chosen by a deterministic mechanism on a profile."""
-    return outcome_pairs(((mechanism, ONE),), profile)[0][0]
+    return outcome_pairs(((part_form(mechanism, profile.n, profile.domain), ONE),), profile)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -401,39 +384,24 @@ def evaluate(mechanism: Mechanism, profile: Profile) -> Fraction:
 
 
 @dataclass(frozen=True)
-class IIDPhantomSpec:
-    """Interior phantoms drawn i.i.d.; endpoints stay pinned at 0 and 1.
-
-    ``atoms=None`` means the uniform distribution on [0,1]; otherwise a
-    finite law on [0,1] given as (location, probability) pairs, checked as
-    an :class:`OutcomeDistribution` and kept as its sorted atoms.
-    """
-
-    atoms: tuple[tuple[Fraction, Fraction], ...] | None = None
-
-    def __post_init__(self):
-        if self.atoms is None:
-            return
-        atoms = OutcomeDistribution(self.atoms).atoms
-        if not (ZERO <= atoms[0][0] and atoms[-1][0] <= ONE):
-            raise MechanismError("phantom atoms must lie in [0,1]")
-        object.__setattr__(self, "atoms", atoms)
-
-    @property
-    def is_uniform(self) -> bool:
-        return self.atoms is None
-
-
-@dataclass(frozen=True)
 class RandomizedMechanism:
-    """Finite mixture of deterministic mechanisms, plus an optional uniform
-    phantom family carrying its own mixture weight."""
+    """Finite mixture of deterministic mechanisms for n agents on
+    ``domain``, plus the uniform phantom family at ``continuous_weight``
+    (0 for none, and only on [0,1]).
+
+    The constructor is the one check of a mixture. It checks the weights
+    (positive, the family's non-negative, summing to 1), then keeps each
+    part's :func:`part_form` at (n, domain) in ``forms``, beside its weight,
+    so the first invalid part in component order raises and a mixture with
+    one cannot be built. Every reader of a built mixture reads ``forms``;
+    ``components`` keep the parts as given, which name them in witnesses.
+    """
 
     n: int
     domain: str
     components: tuple[tuple[Mechanism, Fraction], ...]
-    continuous: IIDPhantomSpec | None = None
     continuous_weight: Fraction = ZERO
+    forms: tuple[tuple[Mechanism, Fraction], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.domain not in DOMAINS:
@@ -441,8 +409,8 @@ class RandomizedMechanism:
         if self.n < 2:
             raise MechanismError("mixtures need n >= 2")
         comps = []
-        total = _as_fraction(self.continuous_weight)
-        if total < 0:
+        family = total = _as_fraction(self.continuous_weight)
+        if family < 0:
             raise MechanismError("continuous weight must be non-negative")
         for mech, weight in self.components:
             weight = _as_fraction(weight)
@@ -452,21 +420,16 @@ class RandomizedMechanism:
             total += weight
         if total != 1:
             raise MechanismError(f"mixture weights sum to {total}, expected 1")
-        if self.continuous is not None:
-            if not self.continuous.is_uniform:
-                raise MechanismError("expand discrete phantom families into phantom vectors (iid_phantom)")
-            if self.domain != UNIT_INTERVAL:
-                raise DomainMismatchError("continuous phantom families live on [0,1]")
-            if self.continuous_weight <= 0:
-                raise MechanismError("continuous family present with zero weight")
-        elif self.continuous_weight != 0:
-            raise MechanismError("continuous weight given without a family")
+        if family and self.domain != UNIT_INTERVAL:
+            raise DomainMismatchError("continuous phantom families live on [0,1]")
         object.__setattr__(self, "components", tuple(comps))
-        object.__setattr__(self, "continuous_weight", _as_fraction(self.continuous_weight))
+        object.__setattr__(self, "continuous_weight", family)
+        forms = tuple((part_form(mech, self.n, self.domain), weight) for mech, weight in comps)
+        object.__setattr__(self, "forms", forms)
 
     @property
     def has_continuous(self) -> bool:
-        return self.continuous is not None
+        return self.continuous_weight != 0
 
     def component_mechanisms(self) -> tuple[Mechanism, ...]:
         return tuple(mech for mech, _ in self.components)
@@ -613,7 +576,7 @@ def outcome_lottery(mechanism: AnyMechanism, profile: Profile) -> tuple[OutcomeD
     if not isinstance(mechanism, RandomizedMechanism):
         return OutcomeDistribution._of(((evaluate(mechanism, profile), ONE),)), ZERO
     mixture = as_mixture(mechanism, profile.n, profile.domain)
-    pairs = tuple(outcome_pairs(mixture.components, profile))
+    pairs = tuple(outcome_pairs(mixture.forms, profile))
     return (OutcomeDistribution._of(pairs) if pairs else None), mixture.continuous_weight
 
 

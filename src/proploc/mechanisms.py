@@ -22,10 +22,10 @@ from .core import (
     Dictator,
     DomainMismatchError,
     ExpansionLimitError,
-    IIDPhantomSpec,
     Mechanism,
     MechanismError,
     Median,
+    OutcomeDistribution,
     Phantom,
     RandomizedMechanism,
     RankK,
@@ -78,28 +78,32 @@ def random_phantom(n: int) -> RandomizedMechanism:
     """Endpoint phantoms at 0 and 1; the n-1 interior phantoms i.i.d. uniform."""
     if n < 2:
         raise MechanismError("random phantom needs n >= 2")
-    return RandomizedMechanism(
-        n, UNIT_INTERVAL, (), continuous=IIDPhantomSpec(), continuous_weight=ONE
-    )
+    return RandomizedMechanism(n, UNIT_INTERVAL, (), continuous_weight=ONE)
 
 
-def iid_phantom(spec: IIDPhantomSpec, n: int, component_cap: int = 10_000) -> RandomizedMechanism:
-    """I.i.d. interior phantoms from ``spec``, endpoints pinned at 0 and 1.
+# The most phantom multisets an i.i.d. phantom law may expand to.
+COMPONENT_CAP = 10_000
 
-    A finite-support spec expands to an exact finite mixture over phantom
-    multisets (draws are exchangeable, so equal multisets merge); the
-    uniform spec stays symbolic and is handled by closed forms downstream.
+
+def iid_phantom(atoms, n: int) -> RandomizedMechanism:
+    """I.i.d. interior phantoms from a finite law on [0,1], given as
+    (location, probability) pairs; endpoints pinned at 0 and 1.
+
+    The law is checked as an :class:`proploc.core.OutcomeDistribution`, then
+    against [0,1], before n. It expands to an exact finite mixture over
+    phantom multisets (draws are exchangeable, so equal multisets merge);
+    the uniform law is :func:`random_phantom`.
     """
+    atoms = OutcomeDistribution(atoms).atoms
+    if not (ZERO <= atoms[0][0] and atoms[-1][0] <= ONE):
+        raise MechanismError("phantom atoms must lie in [0,1]")
     if n < 2:
         raise MechanismError("i.i.d. phantom mechanisms need n >= 2")
-    if spec.is_uniform:
-        return random_phantom(n)
-    atoms = spec.atoms
     draws = n - 1
     count = math.comb(len(atoms) + draws - 1, draws)
-    if count > component_cap:
+    if count > COMPONENT_CAP:
         raise ExpansionLimitError(
-            f"discrete expansion needs {count} components, cap is {component_cap}"
+            f"discrete expansion needs {count} components, cap is {COMPONENT_CAP}"
         )
     components = []
     factorial_draws = math.factorial(draws)
@@ -183,7 +187,7 @@ _CATALOG = {
         (_keyed("p", r"[^,]+", "rational", Fraction), _write_average_weight),
         average_or_random_rank,
     ),
-    "iid_phantom": (None, (_read_atoms, None), lambda atoms, n, domain: iid_phantom(IIDPhantomSpec(atoms), n)),
+    "iid_phantom": (None, (_read_atoms, None), lambda atoms, n, domain: iid_phantom(atoms, n)),
 }
 
 

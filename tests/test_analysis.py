@@ -15,7 +15,6 @@ import proploc.axioms as ax
 from float_oracle import oracle_point_distance, order_stat_mc
 from proploc.core import (
     DomainMismatchError,
-    IIDPhantomSpec,
     MechanismError,
     Profile,
     REAL_LINE,
@@ -208,7 +207,7 @@ def test_kernel_inside_a_mixture_with_finite_components():
         n = len(locations)
         profile = Profile(UNIT_INTERVAL, locations)
         mixture = RandomizedMechanism(
-            n, UNIT_INTERVAL, ((RankK(1), F(1, 2)),), continuous=IIDPhantomSpec(), continuous_weight=F(1, 2)
+            n, UNIT_INTERVAL, ((RankK(1), F(1, 2)),), continuous_weight=F(1, 2)
         )
         top = max(locations)
         assert an.expected_facility_location(mixture, profile) == (top + _reference_location(profile)) / 2
@@ -227,10 +226,6 @@ def test_kernel_keeps_its_errors():
         an.uniform_family_expected_location(real)
     with pytest.raises(MechanismError, match="mechanism built for n=3, used with n=2"):
         an.expected_agent_distances(random_phantom(3), profile)
-    with pytest.raises(MechanismError, match="expand discrete phantom families"):
-        discrete = RandomizedMechanism(2, UNIT_INTERVAL, (), continuous=IIDPhantomSpec(((F(1, 2), F(1)),)),
-                                       continuous_weight=F(1))
-        an.expected_agent_distances(discrete, profile)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from proploc.core import (
     Average,
     Dictator,
     DomainMismatchError,
-    IIDPhantomSpec,
     Infinite,
     MechanismError,
     Median,
@@ -58,7 +57,7 @@ def test_continuous_family_with_a_dictator_fails_anonymity_in_expectation():
     witness's expected locations include the continuous family's, from the
     closed forms."""
     mixture = RandomizedMechanism(
-        2, UNIT_INTERVAL, ((Dictator(1), F(1, 3)),), IIDPhantomSpec(), F(2, 3)
+        2, UNIT_INTERVAL, ((Dictator(1), F(1, 3)),), F(2, 3)
     )
     verdict = ax.check_anonymity(mixture, CheckDomain(n=2, grid=2), ax.EXP)
     assert verdict.failed and verdict.witness.component is None
@@ -166,7 +165,7 @@ def test_strategyproofness_det_variant_rejects_mixtures():
 
 def _with_family(n, mech, weight):
     return RandomizedMechanism(
-        n, UNIT_INTERVAL, ((mech, weight),), IIDPhantomSpec(), 1 - weight
+        n, UNIT_INTERVAL, ((mech, weight),), 1 - weight
     )
 
 
@@ -257,14 +256,6 @@ def test_universal_checks_still_sweep_the_finite_parts():
     assert recheck_witness(mixture, verdict)
 
 
-@pytest.mark.parametrize("axiom", ax.AXIOMS)
-def test_universal_checks_refuse_a_discrete_family(axiom):
-    atoms = ((F(1, 4), F(1, 2)), (F(3, 4), F(1, 2)))
-    with pytest.raises(MechanismError, match="expand discrete phantom families"):
-        mixture = RandomizedMechanism(3, UNIT_INTERVAL, ((RankK(1), F(1, 2)),), IIDPhantomSpec(atoms), F(1, 2))
-        ax.run_check(axiom, mixture, CheckDomain(n=3, grid=2), ax.UNIVERSAL)
-
-
 GROUP_CHECKS = (ax.check_proportionality, ax.check_strong_proportionality, ax.check_spf)
 SP_THEOREM = "every component a generalized median: every profile, every real misreport"
 
@@ -306,26 +297,31 @@ def test_group_axioms_universal_verdict_matches_the_sampled_support(case):
     """A group axiom's universal verdict on a mixture with the family is the
     first failing deterministic verdict over the finite parts, then every
     sorted interior phantom vector on a support grid m, the family's sample:
-    the lone realisation the check sweeps decides as the whole sample would."""
+    the lone realisation the check sweeps decides as the whole sample would.
+    A mixture with an invalid part cannot be built: the first such part's
+    det error, in order, is the constructor's."""
     n, grid, m, parts = case
     dom = CheckDomain(n=n, grid=grid)
     weight = F(1, len(parts) + 1)
-    mixture = RandomizedMechanism(n, UNIT_INTERVAL, tuple((mech, weight) for mech in parts), IIDPhantomSpec(), weight)
+    components = tuple((mech, weight) for mech in parts)
+    for mech in parts:
+        try:
+            ax.check_spf(mech, dom, ax.DET)
+        except MechanismError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                RandomizedMechanism(n, UNIT_INTERVAL, components, weight)
+            return
+    mixture = RandomizedMechanism(n, UNIT_INTERVAL, components, weight)
     support = [*parts, *(Phantom((F(0),) + interior + (F(1),))
                          for interior in combinations_with_replacement(grid_points(UNIT_INTERVAL, m), n - 1))]
     for check in GROUP_CHECKS:
-        try:
-            expected = None
-            for mech in support:
-                verdict = check(mech, dom, ax.DET)
-                if verdict.failed:
-                    witness = replace(verdict.witness, component=format_mechanism(mech))
-                    expected = ax.AxiomVerdict(verdict.axiom, ax.UNIVERSAL, ax.FAIL, witness, verdict.detail)
-                    break
-        except MechanismError as exc:
-            with pytest.raises(type(exc), match=re.escape(str(exc))):
-                check(mixture, dom, ax.UNIVERSAL)
-            continue
+        expected = None
+        for mech in support:
+            verdict = check(mech, dom, ax.DET)
+            if verdict.failed:
+                witness = replace(verdict.witness, component=format_mechanism(mech))
+                expected = ax.AxiomVerdict(verdict.axiom, ax.UNIVERSAL, ax.FAIL, witness, verdict.detail)
+                break
         assert expected is not None
         assert check(mixture, dom, ax.UNIVERSAL).to_json() == expected.to_json()
 
@@ -340,20 +336,19 @@ def test_group_axioms_universal_verdict_matches_the_sampled_support(case):
     ids=["average", "dictator", "rank-past-n"],
 )
 def test_continuous_family_strategyproofness_raises_without_a_pass(mech, message):
-    """An average leaves the rule undecided, and a malformed part is
-    rejected as the sweep would reject it. A dictator is a generalized
-    median, so beside the family it passes by theorem and nothing
-    manipulates it."""
-    mixture = _with_family(3, mech, F(1, 2))
+    """An average leaves the rule undecided, and a malformed part cannot be
+    built beside the family. A dictator is a generalized median, so beside
+    the family it passes by theorem and nothing manipulates it."""
     dom = CheckDomain(n=3, grid=4)
     if message is None:
+        mixture = _with_family(3, mech, F(1, 2))
         verdict = ax.check_strategyproofness(mixture, dom, ax.EXP)
         assert (verdict.status, verdict.detail) == (ax.PASS, SP_THEOREM)
         assert ax.search_manipulation(mixture, dom) is None
         return
     for run in (ax.check_strategyproofness, ax.search_manipulation):
         with pytest.raises(MechanismError, match=message):
-            run(mixture, dom, *([ax.EXP] if run is ax.check_strategyproofness else []))
+            run(_with_family(3, mech, F(1, 2)), dom, *([ax.EXP] if run is ax.check_strategyproofness else []))
 
 
 def _dense_report_check(mechanism, n, profile_grid, report_grid=60):
@@ -519,44 +514,25 @@ def test_unknown_variants_are_errors_for_every_axiom():
 def test_unit_interval_checks_reject_phantoms_outside_it(phantoms):
     """Every axiom, in every variant, rejects a phantom outside [0,1] with
     the error ``evaluate`` raises, instead of a verdict whose witness
-    cannot be rechecked."""
+    cannot be rechecked; a mixture holding one cannot be built."""
     dom = CheckDomain(n=2, grid=2)
     phantom = Phantom(tuple(parse_point(y) for y in phantoms))
-    # First in the support, so the universal checks reach it.
-    mixture = RandomizedMechanism(2, UNIT_INTERVAL, ((phantom, F(1, 2)), (RankK(1), F(1, 2))))
     message = "unit-interval profiles need finite phantoms in [0,1]"
     with pytest.raises(DomainMismatchError) as error:
         evaluate(phantom, Profile.unit(0, 1))
     assert str(error.value) == message
     for axiom in ax.AXIOMS:
-        cells = [(phantom, ax.DET), (mixture, ax.UNIVERSAL)]
-        if axiom != ax.EFFICIENCY:
-            cells.append((mixture, ax.EXP))
-        for mechanism, variant in cells:
+        for variant in (ax.DET, ax.UNIVERSAL):
             with pytest.raises(DomainMismatchError) as error:
-                ax.run_check(axiom, mechanism, dom, variant)
+                ax.run_check(axiom, phantom, dom, variant)
             assert str(error.value) == message
-    # After a part that fails, the phantom is never reached, as in a
-    # part-by-part check: the group axioms (and, for the dictator,
-    # anonymity) FAIL universally at the first part; every other universal
-    # check passes that part and raises at the phantom, as do exp checks.
-    group_axioms = {ax.PROPORTIONALITY, ax.STRONG_PROPORTIONALITY, ax.SPF}
-    for first, label, failing in (
-        (RankK(1), "rank:k=1", group_axioms),
-        (Dictator(1), "dictator:i=1", group_axioms | {ax.ANONYMITY}),
-    ):
-        later = RandomizedMechanism(2, UNIT_INTERVAL, ((first, F(1, 2)), (phantom, F(1, 2))))
-        for axiom in ax.AXIOMS:
-            variants = (ax.UNIVERSAL,) if axiom == ax.EFFICIENCY else (ax.UNIVERSAL, ax.EXP)
-            for variant in variants:
-                if variant == ax.UNIVERSAL and axiom in failing:
-                    verdict = ax.run_check(axiom, later, dom, variant)
-                    assert verdict.failed and verdict.witness.component == label
-                    assert recheck_witness(later, verdict)
-                    continue
-                with pytest.raises(DomainMismatchError) as error:
-                    ax.run_check(axiom, later, dom, variant)
-                assert str(error.value) == message
+    # Wherever the phantom stands, and whether or not a part before it
+    # fails an axiom, the constructor raises its error.
+    for first in (RankK(1), Dictator(1)):
+        for components in (((phantom, F(1, 2)), (first, F(1, 2))), ((first, F(1, 2)), (phantom, F(1, 2)))):
+            with pytest.raises(DomainMismatchError) as error:
+                RandomizedMechanism(2, UNIT_INTERVAL, components)
+            assert str(error.value) == message
 
 
 # ---------------------------------------------------------------------------

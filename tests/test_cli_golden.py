@@ -4,7 +4,10 @@ cells, ``search-manipulation`` with and without a finding,
 ``solve-weights``, ``prop1``, bad input that exits 2, and ``run --format
 json`` of a merged atom, a real-line mixture with the average, the median,
 the continuous family (off and on a unanimous profile) and an expanded
-discrete family.
+discrete family. Then the other formats: ``run`` and ``check`` as csv,
+and as markdown a manipulation finding, ``solve-weights`` with alternates,
+``prop1``, and ``solve-weights`` side constraints on w_2 (unique, in
+conflict, and refused on a base system that is not point-determined).
 
 ``golden_cli.json`` holds each case's argv and what it printed.
 """

@@ -13,6 +13,7 @@ message, must equal the loop's.
 
 import math
 from fractions import Fraction as F
+from functools import partial
 from itertools import combinations_with_replacement, product
 
 from hypothesis import given, settings, strategies as st
@@ -26,7 +27,6 @@ from proploc.core import (
     UNIT_INTERVAL,
     Average,
     Dictator,
-    IIDPhantomSpec,
     Infinite,
     MechanismError,
     Median,
@@ -96,10 +96,11 @@ def _kinds(domain):
 
 @st.composite
 def _cells(draw, deterministic: bool):
-    """(mechanism, check domain): a deterministic mechanism, or a mixture
-    of one to three parts with weights in 1..3 (so dictators often tie),
-    with a continuous family on [0,1] some of the time. The grid is at
-    most the largest with 125 ordered profiles, or 1."""
+    """(mechanism, check domain): a deterministic mechanism, or the builder
+    of a mixture of one to three parts with weights in 1..3 (so dictators
+    often tie), with a continuous family on [0,1] some of the time. The
+    grid is at most the largest with 125 ordered profiles, or 1. A mixture
+    with an invalid part raises when it is built."""
     domain = draw(st.sampled_from([UNIT_INTERVAL, REAL_LINE]))
     n = draw(st.integers(2, 5))
     size = max(g for g in range(1, 5) if len(grid_points(domain, g)) ** n <= 125 or g == 1)
@@ -111,9 +112,7 @@ def _cells(draw, deterministic: bool):
     family = draw(st.integers(0, 3)) if domain == UNIT_INTERVAL else 0
     total = sum(raw) + family
     components = tuple((mech, F(w, total)) for mech, w in zip(mechs, raw))
-    if family:
-        return RandomizedMechanism(n, domain, components, IIDPhantomSpec(), F(family, total)), dom
-    return RandomizedMechanism(n, domain, components), dom
+    return partial(RandomizedMechanism, n, domain, components, F(family, total)), dom
 
 
 def _outcome(call):
@@ -132,15 +131,18 @@ def _verdict(axiom, variant, found, note=""):
     return {**data, "status": "fail", "witness": witness, **({"detail": detail} if detail else {})}
 
 
-def _universal(axiom, mixture, reference, note):
-    """The universal verdict: each finite component in order, then the
-    family, which passes by theorem."""
-    for mech, _ in mixture.components:
-        found = reference(mech)
-        if found is not None:
-            witness, detail = found
+def _universal(axiom, build, reference, note):
+    """The universal verdict of the mixture ``build`` makes: each finite
+    component in order, then the family, which passes by theorem. Every
+    part is priced first, so the first invalid one raises its error, as
+    building the mixture does."""
+    _, _, components, family = build.args
+    found = [reference(mech) for mech, _ in components]
+    for (mech, _), failure in zip(components, found):
+        if failure is not None:
+            witness, detail = failure
             return _verdict(axiom, "universal", ({**witness, "component": format_mechanism(mech)}, detail))
-    return _verdict(axiom, "universal", None, note if mixture.has_continuous else "")
+    return _verdict(axiom, "universal", None, note if family else "")
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +191,11 @@ def test_efficiency_det_matches_plain_loop(cell):
 @settings(max_examples=100)
 @given(_cells(deterministic=False))
 def test_efficiency_universal_matches_plain_loop(cell):
-    mixture, dom = cell
-    actual = _outcome(lambda: axioms.check_efficiency(mixture, dom, axioms.UNIVERSAL).to_json())
+    build, dom = cell
+    actual = _outcome(lambda: axioms.check_efficiency(build(), dom, axioms.UNIVERSAL).to_json())
     expected = _outcome(
         lambda: _universal(
-            "efficiency", mixture, lambda mech: _efficiency_reference(mech, dom), EFFICIENCY_FAMILY
+            "efficiency", build, lambda mech: _efficiency_reference(mech, dom), EFFICIENCY_FAMILY
         )
     )
     assert actual == expected
@@ -237,20 +239,20 @@ def test_anonymity_det_matches_plain_loop(cell):
 @settings(max_examples=100)
 @given(_cells(deterministic=False))
 def test_anonymity_in_expectation_matches_plain_loop(cell):
-    mixture, dom = cell
-    actual = _outcome(lambda: axioms.check_anonymity(mixture, dom, axioms.EXP).to_json())
-    expected = _outcome(lambda: _verdict("anonymity", "exp", _anonymity_reference(mixture, dom)))
+    build, dom = cell
+    actual = _outcome(lambda: axioms.check_anonymity(build(), dom, axioms.EXP).to_json())
+    expected = _outcome(lambda: _verdict("anonymity", "exp", _anonymity_reference(build(), dom)))
     assert actual == expected
 
 
 @settings(max_examples=100)
 @given(_cells(deterministic=False))
 def test_anonymity_universal_matches_plain_loop(cell):
-    mixture, dom = cell
-    actual = _outcome(lambda: axioms.check_anonymity(mixture, dom, axioms.UNIVERSAL).to_json())
+    build, dom = cell
+    actual = _outcome(lambda: axioms.check_anonymity(build(), dom, axioms.UNIVERSAL).to_json())
     expected = _outcome(
         lambda: _universal(
-            "anonymity", mixture, lambda mech: _anonymity_reference(mech, dom), ANONYMITY_FAMILY
+            "anonymity", build, lambda mech: _anonymity_reference(mech, dom), ANONYMITY_FAMILY
         )
     )
     assert actual == expected

@@ -1,6 +1,7 @@
 """Core value types, mechanism evaluation, and outcome lotteries."""
 
 import json
+import operator
 import random
 from fractions import Fraction as F
 from itertools import product
@@ -16,7 +17,7 @@ from proploc.core import (
     ContinuousFamilyError,
     Dictator,
     DomainMismatchError,
-    IIDPhantomSpec,
+    Infinite,
     MechanismError,
     Median,
     OutcomeDistribution,
@@ -69,6 +70,25 @@ def test_infinite_ordering_and_no_arithmetic():
         POS_INF + F(1)
     with pytest.raises(TypeError):
         F(1) - NEG_INF
+
+
+@pytest.mark.parametrize("infinity", [NEG_INF, POS_INF], ids=repr)
+def test_infinite_compares_both_ways_with_rationals_and_infinities(infinity):
+    """Each comparison, from either side, against a Fraction, an int and the
+    other infinity; an infinity equals only itself, and a str is no
+    point."""
+    below = infinity.sign < 0
+    expected = (below, below, not below, not below)
+    for other in (F(-7, 3), 5, Infinite(-infinity.sign)):
+        assert (infinity < other, infinity <= other, infinity > other, infinity >= other) == expected
+        assert (other > infinity, other >= infinity, other < infinity, other <= infinity) == expected
+    same = Infinite(infinity.sign)
+    assert (infinity < same, infinity <= same, infinity > same, infinity >= same) == (False, True, False, True)
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            compare(infinity, "1")
+        with pytest.raises(TypeError):
+            compare("1", infinity)
 
 
 def test_profile_validation():
@@ -253,8 +273,24 @@ def test_mixture_weight_validation():
         )
     with pytest.raises(DomainMismatchError):
         RandomizedMechanism(
-            2, REAL_LINE, (), continuous=IIDPhantomSpec(), continuous_weight=F(1)
+            2, REAL_LINE, (), continuous_weight=F(1)
         )
+
+
+def test_a_mixture_keeps_the_normal_forms_of_its_parts():
+    """The forms are derived at construction, beside the weights; they are
+    no argument, and equality, hashing and repr go by the parts as given."""
+    parts = ((Median(), F(1, 2)), (UniformPhantom(), F(1, 4)))
+    mixture = RandomizedMechanism(3, UNIT_INTERVAL, parts, F(1, 4))
+    assert mixture.components == parts and mixture.has_continuous
+    assert mixture.forms == ((RankK(2), F(1, 2)), (Phantom((F(0), F(1, 3), F(2, 3), F(1))), F(1, 4)))
+    assert mixture == RandomizedMechanism(3, UNIT_INTERVAL, parts, F(1, 4))
+    assert hash(mixture) == hash(RandomizedMechanism(3, UNIT_INTERVAL, parts, F(1, 4)))
+    assert "forms" not in repr(mixture)
+    with pytest.raises(TypeError):
+        RandomizedMechanism(3, UNIT_INTERVAL, parts, F(1, 4), forms=())
+    finite = RandomizedMechanism(3, UNIT_INTERVAL, ((Median(), F(1)),))
+    assert not finite.has_continuous and finite.continuous_weight == 0
 
 
 def test_rank_mixture_atoms_are_the_report_multiset():
@@ -274,14 +310,14 @@ def test_unanimous_profiles_collapse_to_a_point():
     dist = outcome_distribution(random_rank(3), profile)
     assert dist.atoms == ((F(2, 5), F(1)),)
     continuous = RandomizedMechanism(
-        3, UNIT_INTERVAL, (), continuous=IIDPhantomSpec(), continuous_weight=F(1)
+        3, UNIT_INTERVAL, (), continuous_weight=F(1)
     )
     assert outcome_distribution(continuous, profile).atoms == ((F(2, 5), F(1)),)
 
 
 def test_continuous_family_refuses_finite_atoms():
     continuous = RandomizedMechanism(
-        3, UNIT_INTERVAL, (), continuous=IIDPhantomSpec(), continuous_weight=F(1)
+        3, UNIT_INTERVAL, (), continuous_weight=F(1)
     )
     with pytest.raises(ContinuousFamilyError):
         outcome_distribution(continuous, Profile.unit(0, 0, 1))

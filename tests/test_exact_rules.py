@@ -36,7 +36,6 @@ from proploc.core import (
     UNIT_INTERVAL,
     Average,
     Dictator,
-    IIDPhantomSpec,
     Infinite,
     Median,
     MechanismError,
@@ -108,7 +107,7 @@ def cases(draw, domain, det=False, average=False):
     total = sum(raw for _, raw in components) + family
     mixture = RandomizedMechanism(
         n, domain, tuple((mech, F(raw, total)) for mech, raw in components),
-        continuous=IIDPhantomSpec() if family else None, continuous_weight=F(family, total),
+        continuous_weight=F(family, total),
     )
     return mixture, dom, axioms.EXP
 
@@ -139,7 +138,7 @@ def _swept(axiom, mechanism, dom, variant):
         status, witness, _ = axioms._two_valued_exact(mixture, dom, ends_only)
         return axioms.AxiomVerdict(axiom, variant, status, witness)
     found = axioms._group_first(
-        axioms._forms(mixture), dom, True,
+        mixture.forms, dom, True,
         profiles=partial(axioms._two_valued_grid, ends_only=ends_only), violation=axioms._group_violation,
     )
     if found is None:
@@ -254,7 +253,7 @@ def test_window_theorem_matches_the_sweep(case):
         assert axioms.search_manipulation(mechanism, dom) is None
     if mixture.has_continuous:
         return
-    found = axioms._sp_first(axioms._forms(mixture), dom, True)
+    found = axioms._sp_first(mixture.forms, dom, True)
     if holds:
         assert found is None
     else:

@@ -8,18 +8,21 @@ average. The oracle here sorts each component's reports and finite
 phantoms on its own, counts the -inf phantoms, and sums p * |a - x| over
 the atoms directly. The two must agree exactly, on both domains, with tied reports,
 repeated phantoms and phantoms at +-inf, and they must fail the same way on
-the same bad input. So must every axiom check and manipulation search: all
-of them read a part through ``core.part_form``, whose normal form must give
-the oracle's location and the part's own det verdicts.
+the same bad input. So must every axiom check and manipulation search of
+a deterministic mechanism, and a mixture with an invalid part must fail to
+be built with the same error: all of them read a part through
+``core.part_form``, whose normal form must give the oracle's location and
+the part's own det verdicts.
 """
 
 import json
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from proploc import analysis, axioms
+from proploc import analysis, axioms, core, sweep
 from proploc.core import (
     NEG_INF,
     POS_INF,
@@ -28,7 +31,6 @@ from proploc.core import (
     Average,
     DomainMismatchError,
     Dictator,
-    IIDPhantomSpec,
     Infinite,
     MechanismError,
     Median,
@@ -41,6 +43,7 @@ from proploc.core import (
     outcome_distribution,
     part_form,
 )
+from proploc.mechanisms import build_mechanism
 
 UNIT_POOL = (F(0), F(1, 6), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(1))
 LINE_POOL = (F(-3), F(-1), F(-1, 2), F(0), F(1, 3), F(1), F(5, 2))
@@ -124,7 +127,6 @@ def cases(draw):
     weight = 1 - sum(w for _, w in parts)
     mixture = RandomizedMechanism(
         n, domain, parts,
-        continuous=IIDPhantomSpec() if family else None,
         continuous_weight=weight if family else 0,
     )
     return mixture, Profile(domain, reports), weight
@@ -241,22 +243,26 @@ ERROR_CASES = [
      "median of reports and phantoms is not finite"),
     ("all +inf", Phantom((POS_INF,) * 3), LINE_PAIR, MechanismError,
      "median of reports and phantoms is not finite"),
-    ("mixed bad rank", RandomizedMechanism(2, UNIT_INTERVAL, ((RankK(1), F(1, 2)), (RankK(3), F(1, 2)))),
-     UNIT_PAIR, MechanismError, "rank 3 out of range for n=2"),
+]
+# Mixtures with an invalid part, as (n, domain, components, family weight).
+INVALID_MIXTURES = [
+    ("mixed bad rank", (2, UNIT_INTERVAL, ((RankK(1), F(1, 2)), (RankK(3), F(1, 2)))),
+     MechanismError, "rank 3 out of range for n=2"),
     ("bad rank before uniform on the line",
-     RandomizedMechanism(2, REAL_LINE, ((RankK(3), F(1, 2)), (UniformPhantom(), F(1, 2)))),
-     LINE_PAIR, MechanismError, "rank 3 out of range for n=2"),
+     (2, REAL_LINE, ((RankK(3), F(1, 2)), (UniformPhantom(), F(1, 2)))),
+     MechanismError, "rank 3 out of range for n=2"),
+    ("uniform on the line after a valid rank", (2, REAL_LINE, ((RankK(1), F(1, 2)), (UniformPhantom(), F(1, 2)))),
+     DomainMismatchError, "uniform phantoms are defined on [0,1] only"),
+    ("bad dictator beside the family", (3, UNIT_INTERVAL, ((Dictator(4), F(1, 2)),), F(1, 2)),
+     MechanismError, "dictator 4 out of range for n=3"),
+    ("short phantom before a bad rank", (3, UNIT_INTERVAL, ((Phantom((F(0), F(1))), F(1, 2)), (RankK(4), F(1, 2)))),
+     MechanismError, "phantom vector has 2 entries, expected 4"),
 ]
 
 
 @pytest.mark.parametrize(
     "name, case",
-    [
-        (name, case)
-        for case in ERROR_CASES
-        for name in ENTRY_POINTS
-        if name != "evaluate" or not isinstance(case[1], RandomizedMechanism)
-    ],
+    [(name, case) for case in ERROR_CASES for name in ENTRY_POINTS],
     ids=lambda value: value if isinstance(value, str) else value[0],
 )
 def test_bad_input_fails_as_before(name, case):
@@ -267,39 +273,79 @@ def test_bad_input_fails_as_before(name, case):
     assert str(caught.value) == message
 
 
-# Every rank meets these three, so a universal check sweeps each valid part
-# and reaches the invalid one; a group axiom FAILs at a valid rank first.
-UNIVERSAL_REACHING = (axioms.STRATEGYPROOFNESS, axioms.ANONYMITY, axioms.EFFICIENCY)
+@pytest.mark.parametrize("case", INVALID_MIXTURES, ids=lambda case: case[0])
+def test_a_mixture_with_an_invalid_part_cannot_be_built(case):
+    """The constructor raises the first invalid part's error, in component
+    order, so no reader of a built mixture meets an invalid part."""
+    _, args, error, message = case
+    with pytest.raises(error) as caught:
+        RandomizedMechanism(*args)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
 
 
 def _checks(mechanism, dom):
-    """(name, call) of every check of ``mechanism`` that must meet its
-    invalid part: each axiom's det (or, for a mixture, exp) variant, the
-    universal variant of the axioms every rank meets, and manipulation
-    search. Proportionality is an endpoint axiom and raises on the real line
-    before it reads a part; efficiency has no exp variant."""
-    randomized = isinstance(mechanism, RandomizedMechanism)
-    variant = axioms.EXP if randomized else axioms.DET
+    """(name, call) of every check of the invalid deterministic
+    ``mechanism`` that must meet it: each axiom's det and universal
+    variants, and manipulation search. Proportionality is an endpoint axiom
+    and raises on the real line before it reads a part."""
     for axiom in axioms.AXIOMS:
         if axiom == axioms.PROPORTIONALITY and dom.domain == REAL_LINE:
             continue
-        if not (randomized and axiom == axioms.EFFICIENCY):
-            yield f"{axiom} {variant}", lambda axiom=axiom: axioms.run_check(axiom, mechanism, dom, variant)
-        if axiom in UNIVERSAL_REACHING:
-            yield f"{axiom} universal", lambda axiom=axiom: axioms.run_check(axiom, mechanism, dom, axioms.UNIVERSAL)
+        for variant in (axioms.DET, axioms.UNIVERSAL):
+            yield f"{axiom} {variant}", partial(axioms.run_check, axiom, mechanism, dom, variant)
     yield "search_manipulation", lambda: axioms.search_manipulation(mechanism, dom)
 
 
 @pytest.mark.parametrize("case", ERROR_CASES, ids=lambda case: case[0])
 def test_every_check_fails_as_the_lottery_does(case):
-    """The first invalid part in component order names the error on every
-    path, as in ``evaluate`` and the ``expected_*`` helpers."""
+    """An invalid part names the same error on every path, as in
+    ``evaluate`` and the ``expected_*`` helpers."""
     _, mechanism, profile, error, message = case
     dom = axioms.CheckDomain(n=profile.n, grid=2, domain=profile.domain)
     for name, run in _checks(mechanism, dom):
         with pytest.raises(MechanismError) as caught:
             run()
         assert (type(caught.value), str(caught.value)) == (error, message), name
+
+
+BUILT = [
+    "random_rank",
+    "random_dictator",
+    "avg_or_rr:p=3/5",
+    "random_phantom",
+    'iid_phantom:{atoms:[["1/4","1/2"],["3/4","1/2"]]}',
+    "mixture",
+]
+
+
+@pytest.mark.parametrize("spec", BUILT)
+def test_no_reader_of_a_built_mixture_normalises_its_parts_again(spec, monkeypatch):
+    """The constructor is the one call of ``part_form`` on a mixture's
+    parts: lotteries, expectations, every check (a FAIL's witness too) and
+    manipulation search read the forms it keeps. ``mixture`` fails
+    anonymity in expectation, Random Dictatorship universally."""
+    if spec == "mixture":
+        mixture = RandomizedMechanism(3, UNIT_INTERVAL, ((Dictator(1), F(1, 2)), (Median(), F(1, 2))))
+    else:
+        mixture = build_mechanism(spec, 3)
+    profile, dom = Profile.unit(0, F(1, 3), 1), axioms.CheckDomain(n=3, grid=3)
+    calls = []
+    for module in (core, analysis, axioms, sweep):
+        if hasattr(module, "part_form"):
+            monkeypatch.setattr(module, "part_form", lambda *args: calls.append(args))
+    analysis.expected_location_and_agent_distances(mixture, profile)
+    analysis.expected_distance_to_point(mixture, profile, F(1, 2))
+    for axiom in axioms.AXIOMS:
+        for variant in (axioms.EXP, axioms.UNIVERSAL):
+            if (axiom, variant) != (axioms.EFFICIENCY, axioms.EXP):
+                axioms.run_check(axiom, mixture, dom, variant)
+    if not mixture.has_continuous:
+        outcome_distribution(mixture, profile)
+    axioms.search_manipulation(mixture, dom)
+    if spec == "random_rank":
+        analysis.rank_phantom_marginals(mixture)
+    assert calls == []
 
 
 WRONG_N = RandomizedMechanism(3, UNIT_INTERVAL, ((RankK(1), F(1)),))
@@ -334,18 +380,6 @@ def test_a_mixture_for_another_profile_fails_as_before(case, name):
             call(mechanism, UNIT_PAIR)
         assert type(caught.value) is error
         assert str(caught.value) == message
-
-
-def test_a_discrete_family_is_refused_where_the_mixture_is_built():
-    """Only the uniform family stays symbolic; ``mechanisms.iid_phantom``
-    expands a discrete one into phantom vectors, so no mixture holds one."""
-    with pytest.raises(MechanismError) as caught:
-        RandomizedMechanism(
-            2, UNIT_INTERVAL, ((RankK(1), F(1, 2)),),
-            continuous=IIDPhantomSpec(((F(1, 2), F(1)),)), continuous_weight=F(1, 2),
-        )
-    assert type(caught.value) is MechanismError
-    assert str(caught.value) == "expand discrete phantom families into phantom vectors (iid_phantom)"
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ from proploc.core import (
     Average,
     Dictator,
     ExpansionLimitError,
-    IIDPhantomSpec,
     MechanismError,
     NEG_INF,
+    OutcomeDistribution,
     POS_INF,
     Phantom,
     Profile,
@@ -124,7 +124,7 @@ def test_average_mixture_group_distances_on_two_valued_profiles():
 
 def test_random_phantom_basics():
     mix = random_phantom(3)
-    assert mix.has_continuous and mix.continuous.is_uniform
+    assert mix.has_continuous and (mix.components, mix.continuous_weight) == ((), 1)
     profile = Profile.unit(F(1, 2), F(1, 2), F(1, 2))
     assert outcome_distribution(mix, profile).atoms == ((F(1, 2), F(1)),)
     with pytest.raises(MechanismError):
@@ -141,14 +141,12 @@ def test_random_phantom_endpoint_profiles_land_on_the_share():
 
 
 def test_iid_phantom_point_mass():
-    spec = IIDPhantomSpec(((F(1, 2), F(1)),))
-    mix = iid_phantom(spec, 2)
+    mix = iid_phantom(((F(1, 2), F(1)),), 2)
     assert mix.components == ((Phantom((F(0), F(1, 2), F(1))), F(1)),)
 
 
 def test_iid_phantom_two_atom_expansion_merges_multisets():
-    spec = IIDPhantomSpec(((F(0), F(1, 2)), (F(1), F(1, 2))))
-    mix = iid_phantom(spec, 3)
+    mix = iid_phantom(((F(0), F(1, 2)), (F(1), F(1, 2))), 3)
     got = {m.phantoms: w for m, w in mix.components}
     assert got == {
         (F(0), F(0), F(0), F(1)): F(1, 4),
@@ -157,14 +155,19 @@ def test_iid_phantom_two_atom_expansion_merges_multisets():
     }
 
 
+def test_iid_phantom_checks_its_law_before_n():
+    with pytest.raises(MechanismError, match="atom probabilities sum to 1/2, expected 1"):
+        iid_phantom(((F(1, 2), F(1, 2)),), 1)
+    with pytest.raises(MechanismError, match=r"phantom atoms must lie in \[0,1\]"):
+        iid_phantom(((F(2), F(1)),), 1)
+    with pytest.raises(MechanismError, match="need n >= 2"):
+        iid_phantom(((F(1, 2), F(1)),), 1)
+
+
 def test_iid_phantom_expansion_cap():
     atoms = tuple((F(j, 10), F(1, 10)) for j in range(10))
-    with pytest.raises(ExpansionLimitError):
-        iid_phantom(IIDPhantomSpec(atoms), 9, component_cap=100)
-
-
-def test_iid_phantom_uniform_spec_is_the_continuous_family():
-    assert iid_phantom(IIDPhantomSpec(), 4) == random_phantom(4)
+    with pytest.raises(ExpansionLimitError, match="needs 24310 components, cap is 10000"):
+        iid_phantom(atoms, 9)
 
 
 # Every catalog spec in canonical form; iid_phantom expands to a plain
@@ -195,7 +198,7 @@ def test_spec_string_round_trips():
             assert build_mechanism(spec, n, domain) == built
             assert spec == text
         built = build_mechanism(IID_SPEC, n)
-        assert built == iid_phantom(IIDPhantomSpec(((F(1, 2), F(1)),)), n)
+        assert built == iid_phantom(((F(1, 2), F(1)),), n)
         assert format_mechanism(built) == "mixture"
 
 
@@ -218,7 +221,7 @@ def test_deterministic_mechanisms_round_trip(mechanism):
 def test_spec_string_accepts_bare_keys():
     bare = build_mechanism('iid_phantom:{atoms:[["1/2","1"]]}', 2)
     assert bare == build_mechanism(IID_SPEC, 2)
-    assert bare == iid_phantom(IIDPhantomSpec(((F(1, 2), F(1)),)), 2)
+    assert bare == iid_phantom(((F(1, 2), F(1)),), 2)
 
 
 # One invalid finite phantom law per fault, with the message it reads.
@@ -258,7 +261,7 @@ def test_spec_string_errors():
 
 
 def test_format_mechanism_rejects_other_objects():
-    for obj in (object(), "rank:k=2", IIDPhantomSpec()):
+    for obj in (object(), "rank:k=2", OutcomeDistribution(((F(1, 2), F(1)),))):
         with pytest.raises(MechanismError):
             format_mechanism(obj)
 
@@ -291,7 +294,7 @@ def test_format_mechanism_names_only_mixtures_it_builds_back():
     half = RandomizedMechanism(2, UNIT_INTERVAL, ((Average(), F(1, 2)), (RankK(1), F(1, 2))))
     assert format_mechanism(half) == "mixture"
     assert build_mechanism("avg_or_rr:p=1/2", 2) != half
-    expanded = iid_phantom(IIDPhantomSpec(((F(1, 4), F(1, 2)), (F(3, 4), F(1, 2)))), 3)
+    expanded = iid_phantom(((F(1, 4), F(1, 2)), (F(3, 4), F(1, 2))), 3)
     assert format_mechanism(expanded) == "mixture"
 
 

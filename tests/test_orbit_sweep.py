@@ -25,7 +25,6 @@ from proploc.core import (
     UNIT_INTERVAL,
     Average,
     Dictator,
-    IIDPhantomSpec,
     Median,
     Phantom,
     RandomizedMechanism,
@@ -119,7 +118,7 @@ def test_equal_dictator_shares_sweep_multisets_with_the_ordered_verdicts(case):
     way every exp verdict, witness and largest manipulation is that of the
     ordered sweep. Part by part, a dictator always keeps the ordered sweep."""
     mixture, dom, equal = case
-    scaled = Scaled(axioms._forms(mixture), dom.n, dom.domain, dom.grid)
+    scaled = Scaled(mixture.forms, dom.n, dom.domain, dom.grid)
     assert scaled.anonymous(True) == equal
     assert not scaled.anonymous(False)
     assert _verdicts(mixture, dom) == _ordered(_verdicts, mixture, dom)
@@ -133,7 +132,7 @@ def test_continuous_family_beside_dictators_keeps_the_ordered_verdicts(n, shares
     weights = [F(1, 2 * n)] * n if shares == "equal" else [F(1, n)] + [F(1, 2 * n)] * (n - 2)
     components = tuple((Dictator(agent), w) for agent, w in enumerate(weights, start=1))
     mixture = RandomizedMechanism(
-        n, UNIT_INTERVAL, components, continuous=IIDPhantomSpec(), continuous_weight=1 - sum(weights)
+        n, UNIT_INTERVAL, components, continuous_weight=1 - sum(weights)
     )
     dom = axioms.CheckDomain(n=n, grid=3)
     assert label_free(mixture.components, n, True) == (shares == "equal")

@@ -87,7 +87,7 @@ domains = st.sampled_from([UNIT_INTERVAL, REAL_LINE])
 @given(domains.flatmap(lambda domain: mixtures(domain, average=False)))
 def test_average_free_mixtures_pass_by_theorem_and_the_sweep_agrees(case):
     mixture, dom = case
-    swept = SpSweep(Scaled(axioms._forms(mixture), dom.n, dom.domain, dom.grid), combine=True)
+    swept = SpSweep(Scaled(mixture.forms, dom.n, dom.domain, dom.grid), combine=True)
     assert swept.first_violation() is None
     assert swept.best_gain() is None
     verdicts = [axioms.check_strategyproofness(mixture, dom, axioms.EXP)]
@@ -103,7 +103,7 @@ def test_mixtures_with_an_average_keep_the_sweeps_verdict(case):
     """The sweep's verdict, with the window theorem's detail on a PASS it
     decides (``test_window_theorem`` holds it to the sweep)."""
     mixture, dom = case
-    scaled = Scaled(axioms._forms(mixture), dom.n, dom.domain, dom.grid)
+    scaled = Scaled(mixture.forms, dom.n, dom.domain, dom.grid)
     hit = SpSweep(scaled, combine=True).first_violation()
     verdict = axioms.check_strategyproofness(mixture, dom, axioms.EXP)
     assert verdict.detail in ("", WINDOW)

@@ -31,7 +31,6 @@ from proploc.core import (
     UNIT_INTERVAL,
     Average,
     Dictator,
-    IIDPhantomSpec,
     Infinite,
     Median,
     Phantom,
@@ -232,7 +231,7 @@ def test_sp_sweep_counts_one_multiset_per_translation_orbit(n, grid, combine):
 
     def swept(mechanism, domain):
         mixture = as_mixture(mechanism, n, domain)
-        scaled = Scaled(axioms._forms(mixture), n, domain, grid)
+        scaled = Scaled(mixture.forms, n, domain, grid)
         return sum(len(X) for X in SpSweep(scaled, combine).blocks())
 
     P = 2 * grid + 1
@@ -458,7 +457,7 @@ def test_scaled_layout_matches_the_exact_path(case, with_median, data):
         halves = tuple((mech, weight / 2) for mech, weight in mixture.components)
         mixture = RandomizedMechanism(n, dom.domain, halves + ((Median(), F(1, 2)),))
     mechs = mixture.component_mechanisms()
-    scaled = Scaled(axioms._forms(mixture), n, dom.domain, dom.grid)
+    scaled = Scaled(mixture.forms, n, dom.domain, dom.grid)
     X = data.draw(st.lists(st.sampled_from(scaled.grid_ints), min_size=n, max_size=n))
     profile = Profile(dom.domain, tuple(scaled.to_frac(v) for v in X))
     for c, fins, position in scaled.ranked:
@@ -567,7 +566,7 @@ def family_mixtures(draw):
     total = sum(raw)
     mixture = RandomizedMechanism(
         n, UNIT_INTERVAL, tuple((mech, F(w, total)) for mech, w in zip(mechs, raw)),
-        continuous=IIDPhantomSpec(), continuous_weight=F(raw[-1], total),
+        continuous_weight=F(raw[-1], total),
     )
     return mixture, axioms.CheckDomain(n=n, grid=grid)
 

@@ -1,5 +1,6 @@
 """Print the line counts of a package's Python files: total, code,
-docstring, comment and blank.
+docstring, comment and blank, one line per module and then the package's,
+always the last line.
 
 A docstring line is any line of a module, class or function docstring, as
 ``ast`` finds it; of the rest, a line is blank if it holds only
@@ -24,22 +25,33 @@ def docstring_lines(source: str) -> set[int]:
     return lines
 
 
-def counts(package: Path) -> dict[str, int]:
-    total = dict.fromkeys(("total", "code", "docstring", "comment", "blank"), 0)
-    for path in sorted(package.glob("*.py")):
-        source = path.read_text()
-        docs = docstring_lines(source)
-        for number, line in enumerate(source.splitlines(), start=1):
-            text = line.strip()
-            kind = ("docstring" if number in docs else "blank" if not text
-                    else "comment" if text.startswith("#") else "code")
-            total["total"] += 1
-            total[kind] += 1
-    return total
+KINDS = ("total", "code", "docstring", "comment", "blank")
+
+
+def module_counts(source: str) -> dict[str, int]:
+    counts = dict.fromkeys(KINDS, 0)
+    docs = docstring_lines(source)
+    for number, line in enumerate(source.splitlines(), start=1):
+        text = line.strip()
+        kind = ("docstring" if number in docs else "blank" if not text
+                else "comment" if text.startswith("#") else "code")
+        counts["total"] += 1
+        counts[kind] += 1
+    return counts
+
+
+def formatted(counts: dict[str, int]) -> str:
+    return " ".join(f"{key} {value}" for key, value in counts.items())
 
 
 if __name__ == "__main__":
     if len(sys.argv) != 2:
         print("usage: python tools/line_counts.py PACKAGE_DIR", file=sys.stderr)
         sys.exit(2)
-    print(" ".join(f"{key} {value}" for key, value in counts(Path(sys.argv[1])).items()))
+    package = dict.fromkeys(KINDS, 0)
+    for path in sorted(Path(sys.argv[1]).glob("*.py")):
+        counts = module_counts(path.read_text())
+        print(f"{path.name}: {formatted(counts)}")
+        for key, value in counts.items():
+            package[key] += value
+    print(formatted(package))
