@@ -604,6 +604,26 @@ def test_recheck_takes_strong_proportionality_witnesses_on_two_valued_profiles_o
         assert recheck_witness(Dictator(3), ax.AxiomVerdict(axiom, ax.DET, ax.FAIL, three)) is rechecks
 
 
+def test_recheck_prices_an_spf_group_with_its_inner_range():
+    """Agents 1 and 2 of (0, 1/2, 1) span 1/2, so their SPF bound is
+    ((3 - 2) * 1 + 3 * 1/2)/3 = 5/6, and agent 1 pays 1 under the third
+    agent's dictatorship: a true witness only with the inner range priced."""
+    pair = ax.Witness((F(0), F(1, 2), F(1)), UNIT_INTERVAL, agent=1, group=(1, 2), lhs=F(1), bound=F(5, 6))
+    assert recheck_witness(Dictator(3), ax.AxiomVerdict(ax.SPF, ax.DET, ax.FAIL, pair))
+    assert not recheck_witness(Dictator(3), ax.AxiomVerdict(ax.SPF, ax.DET, ax.FAIL, replace(pair, bound=F(1, 3))))
+
+
+def test_recheck_rejects_a_witness_that_shows_no_violation():
+    """Stored quantities that reproduce exactly but show no violation: the
+    median's agent 2 of (0, 1) reporting 1/2 still pays 1 (zero gain), and
+    swapping the two agents leaves its output at 0."""
+    median, profile = Median(), (F(0), F(1))
+    zero_gain = ax.Witness(profile, UNIT_INTERVAL, agent=2, misreport=F(1, 2), lhs=F(1), bound=F(1))
+    same_output = ax.Witness(profile, UNIT_INTERVAL, permutation=(2, 1), lhs=F(0), bound=F(0))
+    assert not recheck_witness(median, ax.AxiomVerdict(ax.STRATEGYPROOFNESS, ax.DET, ax.FAIL, zero_gain))
+    assert not recheck_witness(median, ax.AxiomVerdict(ax.ANONYMITY, ax.DET, ax.FAIL, same_output))
+
+
 def test_uniform_phantom_is_proportional():
     for n in range(2, 7):
         verdict = ax.check_proportionality(UniformPhantom(), CheckDomain(n=n, grid=2))

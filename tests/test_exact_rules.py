@@ -19,7 +19,10 @@ uniform family, on both domains, must get:
 The explicit examples pin what derandomized draws can miss: each fails a
 mutant of the rules (a count of s phantoms in place of s + 1, the dictator
 term dropped, ``>`` in place of ``>=`` at p = 1/2, a part whose outer
-phantoms lie inside the domain taken as unanimous).
+phantoms lie inside the domain taken as unanimous, a phantom inside the
+domain ignored where the high-end mass is right). Two first witnesses are
+pinned as bytes: the exact path's ordered sweep beside unequal dictators,
+and the real line's unbounded off-grid step.
 """
 
 from fractions import Fraction as F
@@ -176,6 +179,9 @@ def _assert_grid_consistent(verdict, swept, mechanism, dom):
 
 
 NON_UNANIMOUS = RandomizedMechanism(2, UNIT_INTERVAL, ((RankK(1), F(1, 2)), (Phantom((0, 0, F(1, 2))), F(1, 2))))
+# Unanimous, with the high-end mass of Random Rank at n=2 but a phantom inside
+# the domain: H_S steps at 1/2, so it fails at (0, 1), lhs 3/4 > bound 1/2.
+INSIDE = RandomizedMechanism(2, UNIT_INTERVAL, ((RankK(1), F(1, 2)), (Phantom((0, F(1, 2), 1)), F(1, 2))))
 
 
 @given(both())
@@ -185,6 +191,7 @@ NON_UNANIMOUS = RandomizedMechanism(2, UNIT_INTERVAL, ((RankK(1), F(1, 2)), (Pha
 @example((NON_UNANIMOUS, axioms.CheckDomain(n=2, grid=2), axioms.EXP))
 @example((UniformPhantom(), axioms.CheckDomain(n=2, grid=1), axioms.DET))
 @example((build_mechanism("random_phantom", 2), axioms.CheckDomain(n=2, grid=1), axioms.EXP))
+@example((INSIDE, axioms.CheckDomain(n=2, grid=1), axioms.EXP))
 def test_slope_rule_decides_strong_proportionality_on_the_whole_domain(case):
     mechanism, dom, variant = case
     mixture = as_mixture(mechanism, dom.n, dom.domain)
@@ -290,6 +297,29 @@ def test_uniform_phantom_fails_strong_proportionality_off_grid_one():
     assert verdict.witness.to_json() == {"profile": ["0", "1/2"], "group": [1], "agent": 1, "lhs": "1/2",
                                          "bound": "1/4"}
     assert axioms.recheck_witness(UniformPhantom(), verdict)
+
+
+def test_a_family_beside_unequal_dictators_sweeps_ordered_pairs():
+    """1/3 dictator:i=1 + 2/3 of the family reads agent labels, so the exact
+    path sweeps ordered patterns: its first witness (1/2, 0) comes before
+    (0, 1), the first that a multiset sweep would meet."""
+    mixture = RandomizedMechanism(2, UNIT_INTERVAL, ((Dictator(1), F(1, 3)),), continuous_weight=F(2, 3))
+    verdict = axioms.check_strong_proportionality(mixture, axioms.CheckDomain(n=2, grid=2), axioms.EXP)
+    assert verdict.witness.to_json() == {"profile": ["1/2", "0"], "group": [2], "agent": 2, "lhs": "5/12",
+                                         "bound": "1/4"}
+    assert axioms.recheck_witness(mixture, verdict)
+
+
+def test_an_unbounded_real_line_step_starts_one_unit_past_its_end():
+    """1/2 rank:k=1 + 1/2 phantom:[-inf,-5,+inf] at n=2 meets every grid-1
+    pair on the real line, and fails on its first step (-inf, -5), which the
+    off-grid witness takes from -6."""
+    mixture = RandomizedMechanism(2, REAL_LINE, ((RankK(1), F(1, 2)), (Phantom((NEG_INF, -5, POS_INF)), F(1, 2))))
+    dom = axioms.CheckDomain(n=2, grid=1, domain=REAL_LINE)
+    assert _swept(axioms.STRONG_PROPORTIONALITY, mixture, dom, axioms.EXP).passed
+    verdict = axioms.check_strong_proportionality(mixture, dom, axioms.EXP)
+    assert verdict.witness.to_json() == {"profile": ["-6", "-5"], "group": [1], "agent": 1, "lhs": "1", "bound": "1/2"}
+    assert axioms.recheck_witness(mixture, verdict)
 
 
 @pytest.fixture
