@@ -70,7 +70,8 @@ inside it (H_S steps there), no family (P(U > t) falls on (0, 1)), and the
 right constant. Proportionality asks it of the pair (0, 1) alone:
 sum w y_{n-s} + w_family (n - s)/n + the dictators = (1 - a)(n - s)/n.
 Unanimous profiles pass at once. The rule checks each group in the
-sweep's pattern order (each size s when the mixture ignores labels). A
+sweep's pattern order (each size s when the mixture ignores labels, in
+time linear in n). A
 FAIL is still swept for its first grid witness; where the grid has none,
 a point of the failing step gives one (:func:`_off_grid`).
 ``tests/test_exact_rules.py`` holds both rules to the sweep, and Strong
@@ -162,7 +163,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
+from itertools import accumulate, combinations, product
 
 import numpy as np
 
@@ -536,9 +537,10 @@ def _anonymity_first(components, dom: CheckDomain, combine: bool, mixture=None):
     adjacent swap) whose relabelling moves the output, or None. With
     ``combine`` the whole mixture is component 0 (the expected location).
 
-    Only dictators read labels: swapping agents j and j + 1 (from 0) moves
-    the output by (w_j - w_{j+1}) * (x_{j+1} - x_j), for w_j the weight of
-    agent j's dictator. So the first failing profile, in lexicographic
+    Only dictators read labels, so with no dictator part nothing fails:
+    swapping agents j and j + 1 (from 0) moves the output by
+    (w_j - w_{j+1}) * (x_{j+1} - x_j), for w_j the weight of agent j's
+    dictator. So the first failing profile, in lexicographic
     order, has every agent at the lowest grid point but agent j + 1, at the
     next one, for the largest j with w_j != w_{j+1}, and its first moving
     swap is that of j. The witness's expected locations are those of the
@@ -547,18 +549,20 @@ def _anonymity_first(components, dom: CheckDomain, combine: bool, mixture=None):
     :func:`recheck_witness` prices; a ``mixture`` with a continuous family
     is priced by the closed forms of :mod:`proploc.analysis` instead."""
     n = dom.n
-    for index, group in enumerate([components] if combine else [[pair] for pair in components]):
-        weights = dictator_shares(group, n)
-        moving = [j for j in range(n - 1) if weights[j] != weights[j + 1]]
-        if moving:
-            break
-    else:
+    first = next((c for c, (mech, _) in enumerate(components) if isinstance(mech, Dictator)), None)
+    if first is None:
+        return None
+    # Alone, a dictator part puts all its weight on one of n >= 2 agents, so
+    # a universal check fails at its first one.
+    index, parts = (0, components) if combine else (first, [(components[first][0], ONE)])
+    weights = dictator_shares(parts, n)
+    moving = [j for j in range(n - 1) if weights[j] != weights[j + 1]]
+    if not moving:
         return None
     j = moving[-1]
     perm = (*range(j), j + 1, j, *range(j + 2, n))
     low, second = dom.points()[:2]
     profile = (low,) * (j + 1) + (second,) + (low,) * (n - j - 2)
-    parts = components if combine else [(components[index][0], ONE)]
 
     def price(order):
         reordered = Profile(dom.domain, tuple(profile[p] for p in order))
@@ -697,17 +701,20 @@ def _slope_theorem(dom: CheckDomain, ends_only: bool, subject, forms):
     of the vectors with y_{n-s} at the high end plus the dictators outside
     S to be (1 - a)(n - s)/n, with no y_{n-s} inside the domain and no
     family (with ``ends_only``: sum w y_{n-s}, the family's (n - s)/n and
-    those dictators); the first S that misses gives :func:`_off_grid`."""
+    those dictators); the first S that misses gives :func:`_off_grid`. One
+    pass over the parts reads every y_{n-s}, so a label-free mixture, one
+    group per size s, costs time linear in n and its phantoms; a labelled
+    one walks every 0/1 pattern in the sweep's (product) order."""
     detail = _average_theorem(subject, forms)
     if detail or forms is None:
         return detail
     n = dom.n
     low, high = _ends(dom.domain)
-    # Weights as integers over their common denominator wden; each vector as
-    # (weight, its leading low ends, its trailing high ends, phantoms), so
-    # y_i is low for i < lows and high for i > n - highs.
+    # Weights as integers over their common denominator wden. A vector's y_i
+    # is low below its count of low ends and high from index n + 1 - (its
+    # count of high ends) on, k for a rank k: the high mass is a running sum.
     wden = math.lcm(subject.continuous_weight.denominator, *(w.denominator for _, w in forms))
-    average, shares, vectors = 0, [0] * n, []
+    average, shares, rises, inside = 0, [0] * n, [0] * (n + 1), [[] for _ in range(n)]
     for mech, weight in forms:
         u = weight.numerator * (wden // weight.denominator)
         if isinstance(mech, Average):
@@ -715,29 +722,38 @@ def _slope_theorem(dom: CheckDomain, ends_only: bool, subject, forms):
         elif isinstance(mech, Dictator):
             shares[mech.agent - 1] += u
         elif isinstance(mech, RankK):
-            vectors.append((u, mech.k, n + 1 - mech.k, None))
+            rises[mech.k] += u
         elif mech.phantoms[0] != low or mech.phantoms[-1] != high:
             return None
         else:
-            vectors.append((u, mech.phantoms.count(low), mech.phantoms.count(high), mech.phantoms))
+            ys = mech.phantoms
+            lows, highs = ys.count(low), ys.count(high)
+            rises[n + 1 - highs] += u
+            for i in range(lows, n + 1 - highs):
+                inside[i].append((u, ys[i]))
+    high_mass = list(accumulate(rises))
     family = subject.continuous_weight.numerator * (wden // subject.continuous_weight.denominator)
-    for pattern in grid_profiles((0, 1), n, label_free(forms, n, True)):
-        s = pattern.count(0)
-        if not 0 < s < n:
-            continue
-        i = n - s
-        outputs = [(u, low if i < lows else high if i > n - highs else phantoms[i])
-                   for u, lows, highs, phantoms in vectors]
-        inside = [(u, y) for u, y in outputs if y is not low and y is not high]
-        mass = sum(u for u, y in outputs if y is high) + sum(d for d, bit in zip(shares, pattern) if bit)
+
+    def misses(i, dictators):
+        """Whether a group of n - i agents misses the rule, the agents
+        outside it holding ``dictators`` of dictator weight."""
+        mass = high_mass[i] + dictators
         if ends_only:
-            integral = n * (mass + sum(u * y for u, y in inside)) + family * i
-            held, steps = integral == (wden - average) * i, [low, high]
-        else:
-            held = not family and not inside and n * mass == (wden - average) * i
-            steps = [low, *sorted({y for _, y in inside}), high]
-        if not held:
-            return partial(_off_grid, subject, dom, pattern, steps)
+            return n * (mass + sum(u * y for u, y in inside[i])) + family * i != (wden - average) * i
+        return family or inside[i] or n * mass != (wden - average) * i
+
+    if shares.count(shares[0]) == n:
+        # One group per size s = n - 1 .. 1, in combinations_with_replacement
+        # order, each agent outside it holding the same dictator weight.
+        i = next((i for i in range(1, n) if misses(i, i * shares[0])), None)
+        pattern = None if i is None else (0,) * (n - i) + (1,) * i
+    else:
+        pattern = next((p for p in product((0, 1), repeat=n)
+                        if 0 < sum(p) < n and misses(sum(p), sum(d for d, bit in zip(shares, p) if bit))), None)
+    if pattern is not None:
+        i = sum(pattern)
+        steps = [low, high] if ends_only else [low, *sorted({y for _, y in inside[i]}), high]
+        return partial(_off_grid, subject, dom, pattern, steps)
     if ends_only:
         return "the integral of P(facility > t) at each group's bound: every 0/1 profile"
     return "the slope P(facility > t) at each group's bound throughout the domain: every real pair"

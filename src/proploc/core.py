@@ -7,7 +7,9 @@ as phantom positions on the real-line domain: they take part in ordering
 and median selection, and any arithmetic with them raises.
 
 A mixture is built for one (n, domain), which :func:`as_mixture` alone
-compares with its caller's, and holds its finite parts beside one weight
+compares with its caller's (a deterministic mechanism's one-part mixture
+is built once per mechanism, n and domain, as a check grid is once per
+domain and grid), and holds its finite parts beside one weight
 for the uniform phantom family: a discrete i.i.d. family is expanded into
 phantom vectors first. One class, :class:`OutcomeDistribution`, holds and
 prices every finite lottery. A mechanism's outcomes on a profile form one,
@@ -55,10 +57,6 @@ class MechanismError(ValueError):
 
 class DomainMismatchError(MechanismError):
     """Mechanism and profile (or parameter) domains do not line up."""
-
-
-class PhantomFormError(MechanismError):
-    """Mechanism has no phantom-median representation."""
 
 
 class ContinuousFamilyError(MechanismError):
@@ -156,7 +154,8 @@ class Profile:
             raise MechanismError("a profile needs at least two agents")
         if self.domain == UNIT_INTERVAL:
             for x in locs:
-                if not (ZERO <= x <= ONE):
+                # A Fraction's denominator is positive, so this is 0 <= x <= 1.
+                if not 0 <= x.numerator <= x.denominator:
                     raise DomainMismatchError(
                         f"location {format_point(x)} outside [0,1]"
                     )
@@ -319,31 +318,6 @@ def _uniform_phantoms(n: int) -> Phantom:
     return Phantom(tuple(Fraction(j, n) for j in range(n + 1)))
 
 
-def to_phantom_form(mechanism: Mechanism, n: int, domain: str = UNIT_INTERVAL) -> Phantom:
-    """Phantom vector of length n+1 equivalent to ``mechanism`` for n agents.
-
-    Rank and median mechanisms become vectors of extreme phantoms (0/1 on
-    the unit interval, -inf/+inf on the real line) with the endpoint pair
-    always stored explicitly. A phantom vector of n + 1 entries comes back
-    as it is. Dictatorships and the average have no median representation
-    and raise ``PhantomFormError``.
-    """
-    if domain not in DOMAINS:
-        raise DomainMismatchError(f"unknown domain {domain!r}")
-    if n < 2:
-        raise MechanismError("phantom forms need n >= 2")
-    if isinstance(mechanism, Phantom) and mechanism.n == n:
-        return mechanism
-    if not isinstance(mechanism, (Phantom, RankK, Median, UniformPhantom)):
-        raise PhantomFormError(f"{type(mechanism).__name__} is not phantom-representable")
-    form = part_form(mechanism, n, domain)
-    if isinstance(form, Phantom):
-        return form
-    if domain == UNIT_INTERVAL:
-        return Phantom((ZERO,) * form.k + (ONE,) * (n + 1 - form.k))
-    return Phantom((NEG_INF,) * form.k + (POS_INF,) * (n + 1 - form.k))
-
-
 def outcome_pairs(components, profile: Profile) -> list[tuple[Fraction, Fraction]]:
     """(location, weight) of each (mechanism, weight) component on ``profile``,
     each part already in its :func:`part_form` at the profile's n and domain.
@@ -431,24 +405,33 @@ class RandomizedMechanism:
     def has_continuous(self) -> bool:
         return self.continuous_weight != 0
 
-    def component_mechanisms(self) -> tuple[Mechanism, ...]:
-        return tuple(mech for mech, _ in self.components)
-
 
 AnyMechanism = Union[Mechanism, RandomizedMechanism]
 
 
+# The most (mechanism, n, domain) one-part mixtures, and (domain, grid) grids, kept.
+_ONE_PART_CACHE = 256
+_GRID_CACHE = 64
+
+
 def as_mixture(mechanism: AnyMechanism, n: int, domain: str) -> RandomizedMechanism:
     """``mechanism`` as a mixture for n agents on ``domain``: a deterministic
-    one as one part of weight 1, a mixture as it is once it fits. The one
-    place a mixture's n and domain are compared with its caller's."""
+    one as one part of weight 1, built and checked once per (mechanism, n,
+    domain), a mixture as it is once it fits. The one place a mixture's n
+    and domain are compared with its caller's."""
     if not isinstance(mechanism, RandomizedMechanism):
-        return RandomizedMechanism(n, domain, ((mechanism, ONE),))
+        return _one_part(mechanism, n, domain)
     if mechanism.domain != domain:
         raise DomainMismatchError(f"mechanism built for {mechanism.domain}, used on {domain}")
     if mechanism.n != n:
         raise MechanismError(f"mechanism built for n={mechanism.n}, used with n={n}")
     return mechanism
+
+
+@lru_cache(maxsize=_ONE_PART_CACHE)
+def _one_part(mechanism: Mechanism, n: int, domain: str) -> RandomizedMechanism:
+    # lru_cache keeps no call that raises, so an invalid part raises each time.
+    return RandomizedMechanism(n, domain, ((mechanism, ONE),))
 
 
 class OutcomeDistribution:
@@ -599,8 +582,10 @@ def outcome_distribution(mechanism: AnyMechanism, profile: Profile) -> OutcomeDi
     return lottery
 
 
+@lru_cache(maxsize=_GRID_CACHE)
 def grid_points(domain: str, grid: int) -> tuple[Fraction, ...]:
-    """Evaluation grid: {0, 1/m, ..., 1} on [0,1], integers -m..m on the line."""
+    """Evaluation grid: {0, 1/m, ..., 1} on [0,1], integers -m..m on the line,
+    built once per (domain, grid): every call returns the same tuple."""
     if grid < 1:
         raise MechanismError("grid parameter must be >= 1")
     if domain == UNIT_INTERVAL:

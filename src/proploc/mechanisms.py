@@ -123,10 +123,16 @@ def iid_phantom(atoms, n: int) -> RandomizedMechanism:
 # ---------------------------------------------------------------------------
 
 
-def _random_phantom_on(n: int, domain: str) -> RandomizedMechanism:
-    if domain != UNIT_INTERVAL:
-        raise DomainMismatchError("random phantom is defined on [0,1] only")
-    return random_phantom(n)
+def _unit_interval_only(name: str, build):
+    """A catalog builder, called as (*args, n, domain), that refuses every
+    domain but [0,1] before ``build(*args, n)``."""
+
+    def build_on(*args):
+        if args[-1] != UNIT_INTERVAL:
+            raise DomainMismatchError(f"{name} is defined on [0,1] only")
+        return build(*args[:-1])
+
+    return build_on
 
 
 def _keyed(key: str, pattern: str, kind: str, convert):
@@ -181,13 +187,13 @@ _CATALOG = {
     "phantom": (Phantom, (_read_phantoms, lambda mech: f"[{','.join(map(format_point, mech.phantoms))}]"), None),
     "random_rank": (RandomizedMechanism, None, random_rank),
     "random_dictator": (RandomizedMechanism, None, random_dictator),
-    "random_phantom": (RandomizedMechanism, None, _random_phantom_on),
+    "random_phantom": (RandomizedMechanism, None, _unit_interval_only("random phantom", random_phantom)),
     "avg_or_rr": (
         RandomizedMechanism,
         (_keyed("p", r"[^,]+", "rational", Fraction), _write_average_weight),
         average_or_random_rank,
     ),
-    "iid_phantom": (None, (_read_atoms, None), lambda atoms, n, domain: iid_phantom(atoms, n)),
+    "iid_phantom": (None, (_read_atoms, None), _unit_interval_only("i.i.d. phantom", iid_phantom)),
 }
 
 

@@ -215,7 +215,8 @@ def label_free(components, n: int, combine: bool) -> bool:
     same holds for the largest manipulation gain and its first instance.
     """
     if combine:
-        return len(set(dictator_shares(components, n))) == 1
+        shares = dictator_shares(components, n)
+        return shares.count(shares[0]) == n
     return not any(isinstance(mech, Dictator) for mech, _ in components)
 
 

@@ -14,6 +14,7 @@ from fractions import Fraction as F
 import proploc.analysis as an
 import proploc.axioms as ax
 from float_oracle import oracle_point_distance, order_stat_mc
+from phantom_forms import to_phantom_form
 from proploc.axioms import CheckDomain, recheck_witness
 from proploc.cli import build_table, table_answers
 from proploc.core import (
@@ -24,7 +25,6 @@ from proploc.core import (
     UniformPhantom,
     evaluate,
     outcome_distribution,
-    to_phantom_form,
     RankK,
 )
 from proploc.mechanisms import (

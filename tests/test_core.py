@@ -22,7 +22,6 @@ from proploc.core import (
     Median,
     OutcomeDistribution,
     Phantom,
-    PhantomFormError,
     Profile,
     RandomizedMechanism,
     RankK,
@@ -33,9 +32,10 @@ from proploc.core import (
     mechanism_is_anonymous,
     outcome_distribution,
     parse_point,
-    to_phantom_form,
 )
 from proploc.mechanisms import random_rank
+
+from phantom_forms import PhantomFormError, to_phantom_form
 
 
 def brute_force_median(values):

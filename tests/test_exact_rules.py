@@ -47,10 +47,10 @@ from proploc.core import (
     RankK,
     UniformPhantom,
     as_mixture,
-    to_phantom_form,
 )
 from proploc.mechanisms import build_mechanism
 
+from phantom_forms import to_phantom_form
 from test_sweep_differential import _reference_group_first
 
 SLOPE = "the slope P(facility > t) at each group's bound throughout the domain: every real pair"

@@ -25,6 +25,7 @@ from proploc.core import (
     mechanism_is_anonymous,
     outcome_distribution,
 )
+from proploc import mechanisms
 from proploc.mechanisms import (
     average_or_random_rank,
     build_mechanism,
@@ -252,6 +253,7 @@ def test_spec_string_errors():
             "cannot parse 'iid_phantom:{atoms:': Expecting value: line 1 column 10 (char 9)",
         ),
         ("random_phantom", REAL_LINE, "random phantom is defined on [0,1] only"),
+        (IID_SPEC, REAL_LINE, "i.i.d. phantom is defined on [0,1] only"),
         *((spec, UNIT_INTERVAL, message) for spec, message in INVALID_IID_LAWS.values()),
     ]
     for text, domain, message in cases:
@@ -298,9 +300,23 @@ def test_format_mechanism_names_only_mixtures_it_builds_back():
     assert format_mechanism(expanded) == "mixture"
 
 
+# One spec per catalog name: the bare name, or a body for a parametric one.
+SPEC_BODIES = {"rank": "k=1", "dictator": "i=2", "phantom": "[0,1/2,1]", "avg_or_rr": "p=1/3",
+               "iid_phantom": '{atoms:[["1/2","1"]]}'}
+
+
 def test_build_mechanism_respects_domain():
-    mix = build_mechanism("random_rank", 3, REAL_LINE)
-    assert mix.domain == REAL_LINE
+    """Every catalog name builds a mixture for the (n, domain) it is asked
+    for, or raises; a deterministic mechanism carries no domain."""
+    for (name, (_, param, _)), domain, n in product(mechanisms._CATALOG.items(), [UNIT_INTERVAL, REAL_LINE], [2, 3]):
+        spec = f"{name}:{SPEC_BODIES[name]}" if param else name
+        try:
+            built = build_mechanism(spec, n, domain)
+        except MechanismError:
+            continue
+        if isinstance(built, RandomizedMechanism):
+            assert (built.n, built.domain) == (n, domain), spec
+    assert build_mechanism("random_rank", 3, REAL_LINE).domain == REAL_LINE
 
 
 def test_random_profiles_rank_equals_dictator_distribution():

@@ -155,7 +155,7 @@ REAL_OFF_ANCHOR = (
 @example(REAL_OFF_ANCHOR)
 def test_sp_in_expectation_matches_plain_loop(case):
     mixture, dom = case
-    mechs = mixture.component_mechanisms()
+    mechs = [mech for mech, _ in mixture.components]
     verdict = axioms.check_strategyproofness(mixture, dom, axioms.EXP)
     expected = _reference_first(mixture, mechs, dom)
     if expected is None:
@@ -173,7 +173,7 @@ def test_universal_sp_matches_plain_loop(case):
     """Each component is tried at its own breakpoints only, as when checked
     alone."""
     mixture, dom = case
-    mechs = mixture.component_mechanisms()
+    mechs = [mech for mech, _ in mixture.components]
     verdict = axioms.check_strategyproofness(mixture, dom, axioms.UNIVERSAL)
     for mech in mechs:
         expected = _reference_first(mech, [mech], dom)
@@ -202,7 +202,7 @@ def _reference_best(mechanism, mechs, dom):
 def test_search_matches_plain_loop_maximum(case):
     mixture, dom = case
     finding = axioms.search_manipulation(mixture, dom)
-    expected = _reference_best(mixture, mixture.component_mechanisms(), dom)
+    expected = _reference_best(mixture, [mech for mech, _ in mixture.components], dom)
     if expected is None:
         assert finding is None
     else:
@@ -249,7 +249,7 @@ def test_tiny_blocks_keep_order_and_ties(case):
     failing component, strictly larger gain) give the same answers, in the
     SP sweep and in the stacked SPF sweep."""
     mixture, dom = case
-    mechs = mixture.component_mechanisms()
+    mechs = [mech for mech, _ in mixture.components]
     with mock.patch.object(sweep, "BLOCK_ELEMENTS", 64):
         verdict = axioms.check_strategyproofness(mixture, dom, axioms.EXP)
         universal = axioms.check_strategyproofness(mixture, dom, axioms.UNIVERSAL)
@@ -456,7 +456,7 @@ def test_scaled_layout_matches_the_exact_path(case, with_median, data):
     if with_median:
         halves = tuple((mech, weight / 2) for mech, weight in mixture.components)
         mixture = RandomizedMechanism(n, dom.domain, halves + ((Median(), F(1, 2)),))
-    mechs = mixture.component_mechanisms()
+    mechs = [mech for mech, _ in mixture.components]
     scaled = Scaled(mixture.forms, n, dom.domain, dom.grid)
     X = data.draw(st.lists(st.sampled_from(scaled.grid_ints), min_size=n, max_size=n))
     profile = Profile(dom.domain, tuple(scaled.to_frac(v) for v in X))
@@ -509,7 +509,7 @@ def _expected_group(axiom, variant, mixture, dom):
     """(component, first instance) the plain loop finds, or None."""
     points = grid_points(dom.domain, dom.grid)
     values = (points[0], points[-1]) if axiom == axioms.PROPORTIONALITY else points
-    mechs = mixture.component_mechanisms()
+    mechs = [mech for mech, _ in mixture.components]
     if variant == axioms.EXP:
         anonymous = all(mechanism_is_anonymous(mech) for mech in mechs)
         found = _reference_group_first(mixture, dom, values, anonymous)
@@ -656,11 +656,11 @@ def _assert_spf_matches_plain_loop(mechanism, dom, variant):
     over every grid profile."""
     verdict = axioms.check_spf(mechanism, dom, variant)
     if variant == axioms.UNIVERSAL:
-        mechs = mechanism.component_mechanisms()
+        mechs = [mech for mech, _ in mechanism.components]
     else:
         mechs = [mechanism]
     for mech in mechs:
-        components = mech.component_mechanisms() if isinstance(mech, RandomizedMechanism) else [mech]
+        components = [mech for mech, _ in mech.components] if isinstance(mech, RandomizedMechanism) else [mech]
         anonymous = all(mechanism_is_anonymous(part) for part in components)
         expected = _reference_spf_first(mech, dom, anonymous)
         if expected is not None:
@@ -721,7 +721,7 @@ def test_spf_matches_plain_loop(case):
     witnesses agree with a plain loop over every grid profile and subset,
     translation-equivariant or not."""
     mixture, dom = case
-    for mech in mixture.component_mechanisms():
+    for mech, _ in mixture.components:
         _assert_spf_matches_plain_loop(mech, dom, axioms.DET)
     _assert_spf_matches_plain_loop(mixture, dom, axioms.EXP)
     _assert_spf_matches_plain_loop(mixture, dom, axioms.UNIVERSAL)
@@ -926,7 +926,7 @@ def test_universal_reduces_to_the_first_component_failing_det(case):
         if axiom == axioms.PROPORTIONALITY and dom.domain != UNIT_INTERVAL:
             continue
         universal = axioms.run_check(axiom, mixture, dom, axioms.UNIVERSAL)
-        for mech in mixture.component_mechanisms():
+        for mech, _ in mixture.components:
             det = axioms.run_check(axiom, mech, dom, axioms.DET)
             if det.failed:
                 witness = replace(det.witness, component=format_mechanism(mech))
@@ -962,7 +962,7 @@ def test_reflection_keeps_every_verdict(case):
     mixture, dom = case
     n = dom.n
     mirrored = RandomizedMechanism(n, UNIT_INTERVAL, tuple((_reflect(mech, n), w) for mech, w in mixture.components))
-    cells = [(mech, _reflect(mech, n), axioms.DET) for mech in mixture.component_mechanisms()]
+    cells = [(mech, _reflect(mech, n), axioms.DET) for mech, _ in mixture.components]
     cells += [(mixture, mirrored, axioms.EXP), (mixture, mirrored, axioms.UNIVERSAL)]
     for axiom in axioms.AXIOMS:
         for original, image, variant in cells:
