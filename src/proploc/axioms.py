@@ -69,11 +69,11 @@ when H_S is (1 - a)(n - s)/n throughout the domain: no y_{n-s} strictly
 inside it (H_S steps there), no family (P(U > t) falls on (0, 1)), and the
 right constant. Proportionality asks it of the pair (0, 1) alone:
 sum w y_{n-s} + w_family (n - s)/n + the dictators = (1 - a)(n - s)/n.
-Unanimous profiles pass at once. The rule checks each group in the
-sweep's pattern order (each size s when the mixture ignores labels, in
-time linear in n). A
-FAIL is still swept for its first grid witness; where the grid has none,
-a point of the failing step gives one (:func:`_off_grid`).
+Unanimous profiles pass at once. The rule finds the first group to miss
+in the sweep's pattern order, in time linear in n for every lottery, the
+dictator shares naming it (:func:`_slope_theorem`). A FAIL is still swept
+for its first grid witness; where the grid has none, a point of the
+failing step gives one (:func:`_off_grid`).
 ``tests/test_exact_rules.py`` holds both rules to the sweep, and Strong
 Proportionality's to a plain loop over every step.
 
@@ -163,7 +163,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -198,6 +198,7 @@ from .sweep import (
     dictator_shares,
     grid_profiles,
     label_free,
+    last_labelled,
     spf_fails,
     sweep_profiles,
     two_valued_profiles,
@@ -327,7 +328,7 @@ def _witness(scaled: Scaled, X, lhs: int, bound: int, **fields) -> Witness:
 _FAMILY = object()
 
 
-def _decide(axiom, mechanism, dom: CheckDomain, variant, first, theorem, continuous=None):
+def _decide(axiom, mechanism, dom: CheckDomain, variant, first, rule=None, continuous=None, covered=None):
     """Decide ``axiom`` in ``variant``: the one place the variants are
     defined (see the module docstring).
 
@@ -337,17 +338,14 @@ def _decide(axiom, mechanism, dom: CheckDomain, variant, first, theorem, continu
     construction (``forms``): (component index, witness, failure detail) of
     the first violation, or None. With ``combine`` the components form one
     mixture (det and exp); without it each is checked alone (universal), and
-    the verdict names the failing component. ``theorem(subject, forms)`` is
-    the axiom's exact rule. In a universal check ``forms`` is None and
-    ``subject`` is one part, a finite mechanism as given or ``_FAMILY``, and
-    the rule gives the detail of a PASS the part earns at every profile,
-    else None: a universal check sweeps only the parts it does not cover. In
-    a det or exp check ``subject`` is the whole mixture and ``forms`` its
-    (mechanism, weight) pairs in normal form, and the rule gives the detail
-    of a PASS on the whole domain, None when it cannot tell, or, for a FAIL,
-    a function returning the verdict's (status, witness, detail) off the
-    grid. A FAIL is still swept for its first grid witness; the function
-    answers only when the grid shows none.
+    the verdict names the failing component. ``rule(mixture)`` is the det
+    and exp rule: the detail of a PASS on the whole domain, None when it
+    cannot tell, or, for a FAIL, a function returning the verdict's
+    (status, witness, detail) off the grid. A FAIL is still swept for its
+    first grid witness; the function answers only when the grid shows none.
+    ``covered`` maps a part's normal-form class, or ``_FAMILY``, to the
+    detail of the PASS a universal check gives a part that meets the axiom
+    at every profile: a universal check sweeps only the other parts.
     A universal check's uncovered family is its realisation with every
     interior phantom at 0, which outputs the lowest report (rank n): on the
     profile with one agent at 1 and the rest at 0 the lone agent pays
@@ -376,7 +374,8 @@ def _decide(axiom, mechanism, dom: CheckDomain, variant, first, theorem, continu
         parts = [(mech, form) for (mech, _), (form, _) in zip(mixture.components, mixture.forms)]
         if mixture.has_continuous:
             parts.append((_FAMILY, RankK(dom.n)))
-        details = [theorem(part, None) for part, _ in parts]
+        covered = covered or {}
+        details = [covered.get(_FAMILY if part is _FAMILY else type(form)) for part, form in parts]
         swept = [pair for pair, detail in zip(parts, details) if detail is None]
         found = first([(form, ONE) for _, form in swept], dom, False) if swept else None
         if found is None:
@@ -386,7 +385,7 @@ def _decide(axiom, mechanism, dom: CheckDomain, variant, first, theorem, continu
         if part is _FAMILY:
             part = Phantom((ZERO,) * dom.n + (ONE,))
         return AxiomVerdict(axiom, variant, FAIL, replace(witness, component=format_mechanism(part)), failure)
-    decided = theorem(mixture, mixture.forms)
+    decided = rule(mixture) if rule else None
     if isinstance(decided, str):
         return AxiomVerdict(axiom, variant, PASS, None, decided)
     if mixture.has_continuous:
@@ -399,13 +398,6 @@ def _decide(axiom, mechanism, dom: CheckDomain, variant, first, theorem, continu
     return AxiomVerdict(axiom, variant, status, witness, detail)
 
 
-def _family_theorem(detail: str):
-    """The theorem hook of an axiom every realisation of the uniform phantom
-    family meets: it covers the family in a universal check, and leaves an
-    exp check to the axiom's in-expectation rule."""
-    return lambda subject, forms: detail if subject is _FAMILY else None
-
-
 def _ends(domain: str):
     """The domain's ends, which a unanimous phantom vector starts and ends with."""
     return (ZERO, ONE) if domain == UNIT_INTERVAL else (NEG_INF, POS_INF)
@@ -416,28 +408,23 @@ def _ends(domain: str):
 # ---------------------------------------------------------------------------
 
 
-def _sp_theorem(subject, forms):
-    """The PASS detail strategyproofness earns by theorem (the module
-    docstring has both), else None: in a det or exp check, a mixture with
-    no ``Average`` part, or one whose every rank k (a ``RankK`` among the
-    ``forms``) weighs w_k >= a/n for the averages' weight a (the window
-    theorem); in a universal check, each realisation of the continuous
-    family. Universal strategyproofness still sweeps every finite part."""
-    if forms is None:
-        if subject is _FAMILY:
-            return "each phantom realisation a generalized median: every profile, every real misreport"
-        return None
+def _sp_theorem(mixture):
+    """The PASS detail a det or exp mixture earns by theorem (the module
+    docstring has both), else None: no ``Average`` part, or every rank k (a
+    ``RankK`` among its forms) weighing w_k >= a/n for the averages' weight
+    a (the window theorem)."""
+    forms = mixture.forms
     if not any(isinstance(mech, Average) for mech, _ in forms):
         return "every component a generalized median: every profile, every real misreport"
     wden = math.lcm(*(weight.denominator for _, weight in forms))
-    average, ranks = 0, [0] * subject.n
+    average, ranks = 0, [0] * mixture.n
     for mech, weight in forms:
         u = weight.numerator * (wden // weight.denominator)
         if isinstance(mech, Average):
             average += u
         elif isinstance(mech, RankK):
             ranks[mech.k - 1] += u
-    if all(subject.n * u >= average for u in ranks):
+    if all(mixture.n * u >= average for u in ranks):
         return ("the rank windows tile the line, each rank weighing at least the average over n: "
                 "every profile, every real misreport")
     return None
@@ -471,7 +458,8 @@ def check_strategyproofness(mechanism, dom: CheckDomain, variant: str = DET) -> 
     def continuous(mixture):
         raise MechanismError(_SP_UNDECIDED)
 
-    return _decide(STRATEGYPROOFNESS, mechanism, dom, variant, _sp_first, _sp_theorem, continuous)
+    return _decide(STRATEGYPROOFNESS, mechanism, dom, variant, _sp_first, _sp_theorem, continuous, {
+        _FAMILY: "each phantom realisation a generalized median: every profile, every real misreport"})
 
 
 @dataclass(frozen=True)
@@ -508,7 +496,7 @@ def search_manipulation(mechanism, dom: CheckDomain) -> ManipulationFinding | No
     window theorem covers the mixture (:func:`_sp_theorem`).
     """
     mixture = as_mixture(mechanism, dom.n, dom.domain)
-    if _sp_theorem(mixture, mixture.forms) is not None:
+    if _sp_theorem(mixture) is not None:
         return None
     if mixture.has_continuous:
         raise MechanismError(_SP_UNDECIDED)
@@ -542,12 +530,14 @@ def _anonymity_first(components, dom: CheckDomain, combine: bool, mixture=None):
     (w_j - w_{j+1}) * (x_{j+1} - x_j), for w_j the weight of agent j's
     dictator. So the first failing profile, in lexicographic
     order, has every agent at the lowest grid point but agent j + 1, at the
-    next one, for the largest j with w_j != w_{j+1}, and its first moving
-    swap is that of j. The witness's expected locations are those of the
-    failing component, or with ``combine`` of the weighted components, read
-    off their normal forms by :func:`proploc.core.outcome_pairs`, the lottery
-    :func:`recheck_witness` prices; a ``mixture`` with a continuous family
-    is priced by the closed forms of :mod:`proploc.analysis` instead."""
+    next one, for the largest j with w_j != w_{j+1}, the last agent whose
+    weight differs from agent n's (:func:`proploc.sweep.last_labelled`),
+    and its first moving swap is that of j. The witness's expected
+    locations are those of the failing component, or with ``combine`` of
+    the weighted components, read off their normal forms by
+    :func:`proploc.core.outcome_pairs`, the lottery :func:`recheck_witness`
+    prices; a ``mixture`` with a continuous family is priced by the closed
+    forms of :mod:`proploc.analysis` instead."""
     n = dom.n
     first = next((c for c, (mech, _) in enumerate(components) if isinstance(mech, Dictator)), None)
     if first is None:
@@ -555,11 +545,9 @@ def _anonymity_first(components, dom: CheckDomain, combine: bool, mixture=None):
     # Alone, a dictator part puts all its weight on one of n >= 2 agents, so
     # a universal check fails at its first one.
     index, parts = (0, components) if combine else (first, [(components[first][0], ONE)])
-    weights = dictator_shares(parts, n)
-    moving = [j for j in range(n - 1) if weights[j] != weights[j + 1]]
-    if not moving:
+    j = last_labelled(dictator_shares(parts, n))
+    if j is None:
         return None
-    j = moving[-1]
     perm = (*range(j), j + 1, j, *range(j + 2, n))
     low, second = dom.points()[:2]
     profile = (low,) * (j + 1) + (second,) + (low,) * (n - j - 2)
@@ -590,9 +578,8 @@ def check_anonymity(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVer
         found = _anonymity_first(mixture.forms, dom, True, mixture=mixture)
         return (PASS, None, "") if found is None else (FAIL, found[1], "")
 
-    return _decide(ANONYMITY, mechanism, dom, variant, _anonymity_first,
-                   _family_theorem("each phantom realisation a generalized median: every profile, every relabelling"),
-                   continuous)
+    return _decide(ANONYMITY, mechanism, dom, variant, _anonymity_first, None, continuous,
+                   {_FAMILY: "each phantom realisation a generalized median: every profile, every relabelling"})
 
 
 # ---------------------------------------------------------------------------
@@ -640,8 +627,8 @@ def check_efficiency(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVe
     it of every support component (ex-post efficiency). A phantom vector is
     efficient if and only if its ends are the domain's, so on the real line
     a finite end fails even where no grid profile shows it."""
-    return _decide(EFFICIENCY, mechanism, dom, variant, _efficiency_first,
-                   _family_theorem("each phantom realisation a generalized median, phantoms at 0 and 1: every profile"))
+    return _decide(EFFICIENCY, mechanism, dom, variant, _efficiency_first, covered={
+        _FAMILY: "each phantom realisation a generalized median, phantoms at 0 and 1: every profile"})
 
 
 # ---------------------------------------------------------------------------
@@ -679,41 +666,46 @@ def _exact(mixture, dom: CheckDomain, profiles, violation):
     return PASS, None, ""
 
 
-def _average_theorem(subject, forms):
-    """The PASS detail of a group axiom for an ``Average`` part, or a det or
-    exp mixture of averages alone, which meet all three at every real
-    profile (the module docstring has the proof), else None."""
-    if forms is None:
-        covered = isinstance(subject, Average)
-    else:
-        covered = not subject.has_continuous and all(isinstance(mech, Average) for mech, _ in forms)
-    if covered:
-        return "the average within every group's bound: every real profile"
+# The group axioms' universal coverage: an ``Average`` part meets all three
+# at every real profile (the module docstring has the proof).
+_AVERAGE = {Average: "the average within every group's bound: every real profile"}
+
+
+def _average_theorem(mixture):
+    """The PASS detail of a group axiom for a det or exp mixture of
+    averages alone, else None."""
+    if not mixture.has_continuous and all(isinstance(mech, Average) for mech, _ in mixture.forms):
+        return _AVERAGE[Average]
     return None
 
 
-def _slope_theorem(dom: CheckDomain, ends_only: bool, subject, forms):
-    """The rule hook of Strong Proportionality, or with ``ends_only`` of
-    proportionality: :func:`_average_theorem`, then for a det or exp check
-    the slope rule of the module docstring, on integers over the weights'
-    common denominator. A part that is not unanimous leaves the check to
-    the sweep. Each group S, in the sweep's pattern order, needs the weight
-    of the vectors with y_{n-s} at the high end plus the dictators outside
-    S to be (1 - a)(n - s)/n, with no y_{n-s} inside the domain and no
-    family (with ``ends_only``: sum w y_{n-s}, the family's (n - s)/n and
-    those dictators); the first S that misses gives :func:`_off_grid`. One
-    pass over the parts reads every y_{n-s}, so a label-free mixture, one
-    group per size s, costs time linear in n and its phantoms; a labelled
-    one walks every 0/1 pattern in the sweep's (product) order."""
-    detail = _average_theorem(subject, forms)
-    if detail or forms is None:
+def _slope_theorem(dom: CheckDomain, ends_only: bool, mixture):
+    """The det and exp rule of Strong Proportionality, or with
+    ``ends_only`` of proportionality: :func:`_average_theorem`, then the
+    slope rule of the module docstring on integers over the weights'
+    common denominator, in time linear in n and the phantoms; a part that
+    is not unanimous leaves the check to the sweep. A group S needs the
+    weight of the vectors with y_{n-s} at the high end plus the dictators
+    outside S to be (1 - a)(n - s)/n, with no y_{n-s} inside the domain
+    and no family (with ``ends_only``: sum w y_{n-s}, the family's
+    (n - s)/n and those dictators). The first S to miss in the sweep's
+    (product) pattern order gives :func:`_off_grid`. Let j be the last
+    agent whose share differs from agent n's, d (see
+    :func:`proploc.sweep.last_labelled`). A pattern whose high agents all
+    follow j comes before any with j high, and its agents hold d, so the
+    first to miss is 0...01...1 for the least size i <= n - 1 - j with
+    ``misses(i, i * d)``. If none does, the next pattern, j alone high,
+    misses: one agent meets the rule for at most one dictator weight, and
+    i = 1 passed with d. With no such j, i runs over 1..n - 1."""
+    detail = _average_theorem(mixture)
+    if detail:
         return detail
-    n = dom.n
+    n, forms = dom.n, mixture.forms
     low, high = _ends(dom.domain)
     # Weights as integers over their common denominator wden. A vector's y_i
     # is low below its count of low ends and high from index n + 1 - (its
     # count of high ends) on, k for a rank k: the high mass is a running sum.
-    wden = math.lcm(subject.continuous_weight.denominator, *(w.denominator for _, w in forms))
+    wden = math.lcm(mixture.continuous_weight.denominator, *(w.denominator for _, w in forms))
     average, shares, rises, inside = 0, [0] * n, [0] * (n + 1), [[] for _ in range(n)]
     for mech, weight in forms:
         u = weight.numerator * (wden // weight.denominator)
@@ -732,7 +724,7 @@ def _slope_theorem(dom: CheckDomain, ends_only: bool, subject, forms):
             for i in range(lows, n + 1 - highs):
                 inside[i].append((u, ys[i]))
     high_mass = list(accumulate(rises))
-    family = subject.continuous_weight.numerator * (wden // subject.continuous_weight.denominator)
+    family = mixture.continuous_weight.numerator * (wden // mixture.continuous_weight.denominator)
 
     def misses(i, dictators):
         """Whether a group of n - i agents misses the rule, the agents
@@ -742,21 +734,18 @@ def _slope_theorem(dom: CheckDomain, ends_only: bool, subject, forms):
             return n * (mass + sum(u * y for u, y in inside[i])) + family * i != (wden - average) * i
         return family or inside[i] or n * mass != (wden - average) * i
 
-    if shares.count(shares[0]) == n:
-        # One group per size s = n - 1 .. 1, in combinations_with_replacement
-        # order, each agent outside it holding the same dictator weight.
-        i = next((i for i in range(1, n) if misses(i, i * shares[0])), None)
-        pattern = None if i is None else (0,) * (n - i) + (1,) * i
-    else:
-        pattern = next((p for p in product((0, 1), repeat=n)
-                        if 0 < sum(p) < n and misses(sum(p), sum(d for d, bit in zip(shares, p) if bit))), None)
-    if pattern is not None:
-        i = sum(pattern)
-        steps = [low, high] if ends_only else [low, *sorted({y for _, y in inside[i]}), high]
-        return partial(_off_grid, subject, dom, pattern, steps)
-    if ends_only:
+    j, d = last_labelled(shares), shares[-1]
+    i = next((i for i in range(1, n if j is None else n - j) if misses(i, i * d)), None)
+    if i is not None:
+        pattern = (0,) * (n - i) + (1,) * i
+    elif j is not None:
+        i, pattern = 1, (0,) * j + (1,) + (0,) * (n - 1 - j)
+    elif ends_only:
         return "the integral of P(facility > t) at each group's bound: every 0/1 profile"
-    return "the slope P(facility > t) at each group's bound throughout the domain: every real pair"
+    else:
+        return "the slope P(facility > t) at each group's bound throughout the domain: every real pair"
+    steps = [low, high] if ends_only else [low, *sorted({y for _, y in inside[i]}), high]
+    return partial(_off_grid, mixture, dom, pattern, steps)
 
 
 def _off_grid(mixture, dom: CheckDomain, pattern, steps):
@@ -852,6 +841,7 @@ def check_proportionality(mechanism, dom: CheckDomain, variant: str = DET) -> Ax
         partial(_group_first, profiles=partial(_two_valued_grid, ends_only=True), violation=_group_violation),
         partial(_slope_theorem, dom, True),
         lambda mixture: _two_valued_exact(mixture, dom, True),
+        _AVERAGE,
     )
 
 
@@ -872,7 +862,7 @@ def check_strong_proportionality(mechanism, dom: CheckDomain, variant: str = DET
     docstring has the proof), in :class:`proploc.sweep.GroupSweep`; the
     failing profile and the exact path for a continuous family read the
     groups in the same order (:func:`_group_violation`). An ``Average``
-    part meets the bound by theorem and is not swept (:func:`_average_theorem`),
+    part meets the bound by theorem and is not swept (``_AVERAGE``),
     and a det or exp check of unanimous parts is decided for every real pair
     by the slope rule (:func:`_slope_theorem`), swept only for a FAIL's
     first grid witness.
@@ -888,6 +878,7 @@ def check_strong_proportionality(mechanism, dom: CheckDomain, variant: str = DET
         partial(_group_first, profiles=partial(_two_valued_grid, ends_only=False), violation=_group_violation),
         partial(_slope_theorem, dom, False),
         lambda mixture: _two_valued_exact(mixture, dom, False),
+        _AVERAGE,
     )
 
 
@@ -944,7 +935,7 @@ def check_spf(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVerdict:
     sweep every grid profile. Either sweep visits one profile per multiset
     when the lottery ignores agent labels (see
     :func:`proploc.sweep.label_free`). An ``Average`` part meets SPF by
-    theorem and is not swept (:func:`_average_theorem`).
+    theorem and is not swept (``_AVERAGE``).
     """
     return _decide(
         SPF,
@@ -954,6 +945,7 @@ def check_spf(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVerdict:
         partial(_group_first, profiles=sweep_profiles, violation=_spf_violation),
         _average_theorem,
         lambda mixture: _exact(mixture, dom, partial(grid_profiles, dom.points(), dom.n), _spf_exact),
+        _AVERAGE,
     )
 
 

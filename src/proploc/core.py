@@ -441,10 +441,10 @@ class OutcomeDistribution:
     increasing order, each with its summed weight; equality, hashing and
     repr go by them.
 
-    The public constructor, :meth:`from_pairs` and :meth:`from_json` take
-    outside input, checked by the constructor: distinct locations, positive
-    weights summing to 1. :func:`outcome_lottery` takes a mechanism's pairs
-    as they are (:meth:`_of`), a location possibly repeated.
+    The public constructor and :meth:`from_json` take outside input,
+    checked by the constructor: distinct locations, positive weights
+    summing to 1. :func:`outcome_lottery` takes a mechanism's pairs as they
+    are (:meth:`_of`), a location possibly repeated.
 
     The expected location is one pass over the pairs. The rest reads one
     sort, made at the first need, that merges equal locations into atoms
@@ -479,13 +479,6 @@ class OutcomeDistribution:
         dist = object.__new__(cls)
         dist.pairs, dist._sums = pairs, None
         return dist
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[Fraction, Fraction]]) -> "OutcomeDistribution":
-        """The lottery of ``pairs``, zero weights dropped and repeated
-        locations merged."""
-        pairs = tuple((_as_fraction(loc), _as_fraction(prob)) for loc, prob in pairs)
-        return cls(cls._of(tuple(pair for pair in pairs if pair[1])).atoms)
 
     @property
     def atoms(self) -> tuple[tuple[Fraction, Fraction], ...]:

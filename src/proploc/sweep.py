@@ -191,15 +191,24 @@ def dictator_shares(components, n: int) -> list[Fraction]:
     return shares
 
 
+def last_labelled(shares):
+    """The last agent (from 0) whose summed dictator weight differs from
+    agent n's, or None when all are equal (see :func:`label_free`)."""
+    last = shares[-1]
+    if shares.count(last) == len(shares):
+        return None
+    return next(j for j in range(len(shares) - 2, -1, -1) if shares[j] != last)
+
+
 def label_free(components, n: int, combine: bool) -> bool:
     """Whether the (mechanism, weight) pairs ignore agent labels: with
     ``combine`` the weighted mixture (its expected cost), otherwise each
     part alone. Every kind but a dictator reads only the multiset of
     reports, so the mixture is label-free exactly when every agent's summed
-    dictator weight is equal (a permutation of the reports then permutes the
-    dictators' equal weights), and each part alone exactly when none is a
-    dictator. Equal shares prove nothing part by part: each part is then
-    checked at weight 1.
+    dictator weight is equal (:func:`last_labelled`; a permutation of the
+    reports then permutes the dictators' equal weights), and each part
+    alone exactly when none is a dictator. Equal shares prove nothing part
+    by part: each part is then checked at weight 1.
 
     A label-free sweep visits one profile per orbit of the relabellings,
     its sorted tuple, and finds the first failure an ordered sweep finds.
@@ -215,8 +224,7 @@ def label_free(components, n: int, combine: bool) -> bool:
     same holds for the largest manipulation gain and its first instance.
     """
     if combine:
-        shares = dictator_shares(components, n)
-        return shares.count(shares[0]) == n
+        return last_labelled(dictator_shares(components, n)) is None
     return not any(isinstance(mech, Dictator) for mech, _ in components)
 
 

@@ -2,8 +2,9 @@
 
 ``axioms._slope_theorem`` reads, for each i = n - s, the weight of the
 vectors with y_i at the high end and the vectors with y_i inside the domain
-from one pass over the parts, and walks a label-free mixture's group sizes
-directly. ``axioms._anonymity_first`` reads only the dictator parts. The
+from one pass over the parts, walks the group sizes of the agents after the
+last labelled one, and otherwise names that agent alone.
+``axioms._anonymity_first`` reads only the dictator parts. The
 references below are the earlier forms, kept as they were: the slope rule
 reading every vector at every 0/1 pattern of the sweep's order, and the
 anonymity rule scanning the dictator shares of every part. Random mixtures
@@ -12,8 +13,11 @@ dictators, averages and (on [0,1]) the family, on both domains at n = 2..6,
 must get the same detail, or the same off-grid pattern and steps, and the
 same first anonymity failure. The explicit examples hold what derandomized
 draws can miss: unequal dictators, a phantom inside the domain, the family
-beside ranks whose high-end mass would meet the rule without it, and the
-uniform phantoms, which meet the integral rule with phantoms inside.
+beside ranks whose high-end mass would meet the rule without it, the
+uniform phantoms, which meet the integral rule with phantoms inside, and
+three labelled first misses: a group of two after an unequal agent 1, the
+unequal agent 1 alone, and agent 2 alone when only agent 3's weight
+differs.
 """
 
 import math
@@ -40,13 +44,13 @@ from proploc.core import (
 from proploc.sweep import dictator_shares, grid_profiles, label_free
 
 
-def reference_slope_theorem(dom, ends_only, subject, forms):
+def reference_slope_theorem(dom, ends_only, subject):
     """The slope rule's hook as a loop over every 0/1 pattern in the sweep's
     order, each vector read at y_{n-s} for every pattern."""
-    detail = axioms._average_theorem(subject, forms)
-    if detail or forms is None:
+    detail = axioms._average_theorem(subject)
+    if detail:
         return detail
-    n = dom.n
+    n, forms = dom.n, subject.forms
     low, high = axioms._ends(dom.domain)
     wden = math.lcm(subject.continuous_weight.denominator, *(w.denominator for _, w in forms))
     average, shares, vectors = 0, [0] * n, []
@@ -209,19 +213,54 @@ UNIFORM = (
 )
 
 
+def _labelled(n, raw):
+    """(mixture, check domain) of (part, integer weight) pairs on [0,1]."""
+    total = sum(weight for _, weight in raw)
+    return (RandomizedMechanism(n, UNIT_INTERVAL, tuple((mech, F(weight, total)) for mech, weight in raw)),
+            axioms.CheckDomain(n=n, grid=1))
+
+
+def found_shape(n):
+    """Ranks 1..n-1 at weight 2, rank n at 1, dictator 1 at 2 and dictators
+    2..n at 1: every group drawn from agents 2..n meets the rule, and agent
+    1 alone, the pattern (1, 0, ..., 0), misses it."""
+    ranks = [(RankK(k), 2) for k in range(1, n)] + [(RankK(n), 1)]
+    return _labelled(n, ranks + [(Dictator(1), 2)] + [(Dictator(i), 1) for i in range(2, n + 1)])
+
+
+# Agent 1 alone holds 2 of dictator weight, agents 2 and 3 hold 1: agents 2
+# and 3 each meet the rule alone, and together, (0, 1, 1), miss it before
+# agent 1 alone is tried.
+SUFFIX_GROUP = _labelled(3, [(RankK(1), 2), (RankK(2), 1), (RankK(3), 2),
+                             (Dictator(1), 2), (Dictator(2), 1), (Dictator(3), 1)])
+# Only agent 3's dictator weight differs: agent 3 alone meets the rule, agent
+# 2 alone, (0, 1, 0), misses it, and the group of agents 2 and 3 would too.
+LAST_AGENT = _labelled(3, [(RankK(2), 1), (RankK(3), 1), (Dictator(1), 1), (Dictator(2), 1), (Dictator(3), 2)])
+
+
 @given(_cases())
 @example(UNEQUAL_DICTATORS)
 @example(INSIDE)
 @example(FAMILY)
 @example(UNIFORM)
+@example(SUFFIX_GROUP)
+@example(found_shape(6))
+@example(LAST_AGENT)
 def test_slope_hook_matches_the_pattern_loop(case):
     mixture, dom = case
     for ends_only in (False, True):
-        assert _key(axioms._slope_theorem(dom, ends_only, mixture, mixture.forms)) == _key(
-            reference_slope_theorem(dom, ends_only, mixture, mixture.forms))
-        for form, _ in mixture.forms:
-            assert axioms._slope_theorem(dom, ends_only, form, None) == reference_slope_theorem(
-                dom, ends_only, form, None)
+        assert _key(axioms._slope_theorem(dom, ends_only, mixture)) == _key(
+            reference_slope_theorem(dom, ends_only, mixture))
+
+
+def test_slope_hook_reads_a_labelled_first_miss_off_the_shares():
+    """At n = 40 the first miss of the found shape is 2^39 patterns into the
+    sweep's order; the hook names it without walking them."""
+    mixture, dom = found_shape(40)
+    for ends_only in (False, True):
+        hook = axioms._slope_theorem(dom, ends_only, mixture)
+        assert hook.func is axioms._off_grid
+        assert hook.args[2] == (1,) + (0,) * 39
 
 
 @given(_cases())
