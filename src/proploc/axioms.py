@@ -15,146 +15,26 @@ Every axiom has the same variants, defined once in :func:`_decide`:
   and a failure names the first that does not (universal truthfulness and
   anonymity, ex-post efficiency and fairness).
 
-Each axiom names the parts it meets by theorem, at every profile. A
-universal check sweeps only the other parts: a part that never fails is
-never the first to fail, so every verdict and witness is the full sweep's.
-A det or exp check that a theorem or exact rule decides (below) passes
-with its detail and sweeps nothing. A uniform phantom family's
-realisations are generalized medians with phantoms at 0 and 1, so they
-meet strategyproofness, anonymity and efficiency; the group axioms sweep
-its one realisation that fails them all, every interior phantom at 0. The
-``Average`` meets the three group axioms (below).
+Where each argument lives:
 
-Strategyproofness, det or exp, is a theorem unless a finite part is an
-``Average``: every other part (a dictator beside a continuous family too),
-and every realisation of the family, is a generalized median (Moulin 1980).
-It moves with an agent's report r as clip(r, lo, hi), nearest the agent's
-true point at r = that point, so any lottery over such parts is
-strategyproof at every profile and for every real misreport. Beside
-averages of weight a, the window theorem covers a mixture whose every rank
-k weighs w_k >= a/n: AverageOrRR exactly when p <= 1/2. A rank here is a
-``RankK`` in the normal form of :func:`proploc.core.part_form`, which a
-mixture keeps from its construction and every check reads its parts in:
-the median and every phantom vector of the domain's ends are ranks there.
-Fix the other reports. Each rank outputs clip(r, lo_k, hi_k) for a window
-between consecutive other reports, and the n windows tile the line.
-Moving the report from the true point x to r raises rank k's cost by the
-length of [x, r] within its window, raises no generalized median's cost,
-and cuts the average's by at most |r - x|/n, so the cost rises by at least
-sum_k w_k |[x, r] within window k| - a |r - x|/n >= 0, at every profile and
-for every real r (``tests/test_exact_rules.py::
-test_window_theorem_matches_the_sweep`` holds it to the sweep). Other
-mixtures with an ``Average``, and the finite parts of every universal
-check, are swept; beside a continuous family they are an error. Otherwise
-a continuous family follows its axiom's exp rule: the finite dictators
-decide anonymity, and the group axioms are priced through the exact closed
-forms in :mod:`proploc.analysis`; efficiency has no exp variant.
+- strategyproofness by the generalized-median and window theorems:
+  :func:`_sp_theorem`;
+- proportionality and Strong Proportionality by the slope rule:
+  :func:`_slope_theorem`, and :func:`_off_grid` for a FAIL the grid misses;
+- the group axioms of an ``Average``: :func:`_average_theorem`;
+- the uniform family's realisation that fails the group axioms:
+  :func:`_decide`;
+- efficiency and anonymity in closed form: :func:`_efficiency_first` and
+  :func:`_anonymity_first`;
+- the engine of :mod:`proploc.sweep`: label-free orbits in
+  :func:`~proploc.sweep.label_free`, translation anchoring in
+  :func:`~proploc.sweep.sweep_profiles`, and the SPF window lemma, which
+  is also the group bound on two-valued profiles, in
+  :func:`~proploc.sweep.spf_fails`.
 
-The slope rule decides Strong Proportionality and proportionality, det or
-exp, on the whole domain when every part is unanimous: an ``Average``, a
-dictator, the uniform family, a rank (the median and every vector of the
-domain's ends among them), or a phantom vector whose outer phantoms are
-the domain's ends. Any other part is swept. Put the s agents of S at low
-and the rest at high. A unanimous vector with sorted
-phantoms y_0..y_n outputs clip(y_{n-s}, low, high): for low < t < high,
-the n - s high reports and the phantoms above t number n + 1 or more
-exactly when y_{n-s} > t. So with a the averages' weight and H_S(t) =
-P(facility > t) from the other parts, summing the vectors with
-y_{n-s} > t, the family's P(U > t) for U its (n - s)-th uniform, and the
-dictators of the agents outside S, the low group pays
-a (n - s)/n gap + integral_low^high H_S and the high group
-a s/n gap + (1 - a) gap - integral_low^high H_S. Both bounds hold exactly
-when the integral is (1 - a)(n - s)/n gap, for every real pair exactly
-when H_S is (1 - a)(n - s)/n throughout the domain: no y_{n-s} strictly
-inside it (H_S steps there), no family (P(U > t) falls on (0, 1)), and the
-right constant. Proportionality asks it of the pair (0, 1) alone:
-sum w y_{n-s} + w_family (n - s)/n + the dictators = (1 - a)(n - s)/n.
-Unanimous profiles pass at once. The rule finds the first group to miss
-in the sweep's pattern order, in time linear in n for every lottery, the
-dictator shares naming it (:func:`_slope_theorem`). A FAIL is still swept
-for its first grid witness; where the grid has none, a point of the
-failing step gives one (:func:`_off_grid`).
-``tests/test_exact_rules.py`` holds both rules to the sweep, and Strong
-Proportionality's to a plain loop over every step.
-
-The ``Average`` meets SPF, proportionality and Strong Proportionality at
-every real profile, for every n, on both domains. Let m be the mean of a
-profile of range R. For a subset S holding agent i, with inner range r,
-
-    |x_i - m| = |sum_j (x_i - x_j)| / n <= ((|S| - 1) r + (n - |S|) R) / n
-              <= ((n - |S|) R + n r) / n,
-
-as the other members of S lie within r of x_i and the rest within R: SPF's
-bound. On a two-valued profile with s agents at low and the rest a gap
-above, m = low + (n - s)/n * gap, so the low group pays exactly its bound
-(n - s)/n * gap and the high group its bound s/n * gap (proportionality is
-the pair 0, 1). Each bound holds for an expected distance, which is linear
-in the lottery, so any mixture of parts that each meet it meets it too
-(``tests/test_average_theorem.py`` checks both against exact costs).
-
-Finite mixtures go to the engine of :mod:`proploc.sweep`, which builds
-their integer rescaling (:class:`proploc.sweep.Scaled`, every part laid
-out by kind) and sweeps it; witnesses come back as exact rationals through
-:func:`_witness`. A strategyproofness sweep tries only the breakpoints of
-an agent's piecewise linear cost (see :class:`proploc.sweep.SpSweep`), so
-its PASS covers every real misreport too.
-
-A sweep visits one profile per multiset of reports (its sorted tuple)
-when the swept cost ignores agent labels, and every ordered profile
-otherwise. Only a dictator reads labels, so a det or exp check sweeps
-multisets exactly when every agent's summed dictator weight is equal (no
-dictator at all, or Random Dictatorship's 1/n each), and a universal check,
-part by part, exactly for the parts that are not dictators. Relabelling
-keeps such a lottery's violations and sorting a profile moves it no later,
-so the first witness is the one an ordered sweep finds (see
-:func:`proploc.sweep.label_free`).
-
-Proportionality, Strong Proportionality and SPF run on one sweep of the
-same engine (:class:`proploc.sweep.GroupSweep`) and one block rule
-(:func:`proploc.sweep.spf_fails`). An agent's cost depends only on its own
-location, so each profile is priced once per sorted slot, and an O(n)
-window rule over the sorted reports decides SPF in a constant number of
-array operations rather than 2^n subsets. The two proportionality axioms
-sweep the two-valued profiles low + pattern * (high - low) for grid pairs
-low < high (only the pair 0, 1 for proportionality) and 0/1 patterns,
-each group of size s held to (n - s)/n of the gap. That is SPF's bound for
-the subset holding the whole group (inner range 0) and the tightest SPF
-window holding any of its members, so on those profiles the same rule
-decides them (the lemma is in :func:`proploc.sweep.spf_fails`). Only the
-first failing (component, profile) leaves the engine, with its prices, and
-walks its instances in check order for the first witness: the groups, low
-before high (:func:`_group_violation`), or the SPF subsets
-(:func:`_spf_violation`).
-
-Efficiency and anonymity sweep no profile: they are read off the
-mechanism's form, in closed forms that return the first failure of a
-sweep in its order. Only a phantom part can leave the reported range, so
-its two ends decide efficiency (see :func:`_efficiency_first`); a
-real-line phantom vector with a finite end that the grid does not expose
-fails at a unanimous profile just beyond that end. Only a dictator reads
-agent labels, so the dictator weights decide anonymity (see
-:func:`_anonymity_first`).
-
-A finite mixture whose parts all commute with x -> x + t (ranks, the
-median and phantom vectors of domain ends among them, dictators and
-averages) keeps every cost and bound under translation, so its first
-failing profile contains the grid's lowest point, and so does the first
-instance of its largest manipulation gain. Three sweeps visit only those
-profiles, in the full sweep's order
-(:meth:`proploc.sweep.Scaled.anchored`): SPF, and Strong Proportionality's
-two-valued pairs (only those whose low value is the lowest point), on both
-domains, and strategyproofness and manipulation search on the real line
-only. A misreport moves with its profile, and on the real line the
-candidates cover every real misreport, but on [0,1] the shifted misreport
-may leave the domain: 1/2 ``RankK(1)`` + 1/2 ``Average`` at n=2, grid 2
-fails in expectation only off the profiles through 0, so a misreport sweep
-on [0,1] visits every profile. Such a PASS covers every real translate of
-a grid profile that stays in the domain. A universal check sweeps its
-components stacked, over the widest enumeration any of them needs, with
-each one's first failure unchanged. The exact path for a continuous family
-prices the same profiles with ``Fraction`` distances from
-:mod:`proploc.analysis` and walks them with the same functions at scale
-1/n, SPF through the same rule over one common denominator.
+A continuous family's exact path (:func:`_exact`) prices the same profiles
+with ``Fraction`` distances from :mod:`proploc.analysis` and walks them
+with the same functions.
 """
 
 from __future__ import annotations
@@ -345,17 +225,22 @@ def _decide(axiom, mechanism, dom: CheckDomain, variant, first, rule=None, conti
     first grid witness; the function answers only when the grid shows none.
     ``covered`` maps a part's normal-form class, or ``_FAMILY``, to the
     detail of the PASS a universal check gives a part that meets the axiom
-    at every profile: a universal check sweeps only the other parts.
-    A universal check's uncovered family is its realisation with every
-    interior phantom at 0, which outputs the lowest report (rank n): on the
-    profile with one agent at 1 and the rest at 0 the lone agent pays
-    1 > (n - 1)/n, so it fails every group axiom at every n and grid, as do,
-    by continuity, the realisations with interior phantoms in (0, eps), and
-    the FAIL does not rest on a null set. The swept parts go in stacked,
-    each at weight 1. A failing part's witness names the part as given, not
-    its normal form. ``continuous(mixture)`` is the in-expectation rule for
-    a mixture with a continuous family, as (status, witness, detail);
-    without it there is no exp variant.
+    at every profile: a part that never fails is never the first to fail,
+    so a universal check sweeps only the other parts, stacked, each at
+    weight 1, and its verdict is the full sweep's. Every realisation of the
+    uniform family is a generalized median with phantoms at 0 and 1, so it
+    meets strategyproofness, anonymity and efficiency. An uncovered family
+    is swept as its realisation with every interior phantom at 0, which
+    outputs the lowest report (rank n): on the profile with one agent at 1
+    and the rest at 0 the lone agent pays 1 > (n - 1)/n, so it fails every
+    group axiom at every n and grid, as do, by continuity, the realisations
+    with interior phantoms in (0, eps), and the FAIL does not rest on a null
+    set (``tests/test_axioms.py::
+    test_random_phantom_universal_group_axioms_fail_on_the_lowest_realisation``).
+    A failing part's witness names the part as given, not its normal form.
+    ``continuous(mixture)`` is the in-expectation rule for a mixture with a
+    continuous family, as (status, witness, detail); without it there is no
+    exp variant.
 
     A mixture's fit (n, domain) is checked first, then the variant. A
     deterministic mechanism is wrapped as a mixture, which checks its part,
@@ -409,10 +294,29 @@ def _ends(domain: str):
 
 
 def _sp_theorem(mixture):
-    """The PASS detail a det or exp mixture earns by theorem (the module
-    docstring has both), else None: no ``Average`` part, or every rank k (a
-    ``RankK`` among its forms) weighing w_k >= a/n for the averages' weight
-    a (the window theorem)."""
+    """The PASS detail a det or exp mixture earns by theorem, else None.
+
+    The generalized-median theorem: every part but an ``Average``, and
+    every realisation of the uniform family, is a generalized median
+    (Moulin, Public Choice 1980). With the other reports fixed it outputs
+    clip(r, lo, hi) of the agent's report r (see
+    :class:`proploc.sweep.SpSweep`), nearest the agent's true point at r =
+    that point, so any lottery over such parts is strategyproof at every
+    profile and for every real misreport (``tests/test_sp_theorem.py::
+    test_average_free_mixtures_pass_by_theorem_and_the_sweep_agrees``).
+
+    The window theorem: beside averages of weight a, so is a mixture whose
+    every rank k (a ``RankK`` among its forms, the median and every vector
+    of the domain's ends among them) weighs w_k >= a/n; AverageOrRR exactly
+    when p <= 1/2. Fix the other reports. Each rank outputs
+    clip(r, lo_k, hi_k) for a window between consecutive other reports,
+    and the n windows tile the line. Moving the report from the true point
+    x to r raises rank k's cost by the length of [x, r] within its window,
+    raises no generalized median's cost, and cuts the average's by at most
+    |r - x|/n, so the cost rises by at least
+    sum_k w_k |[x, r] within window k| - a |r - x|/n >= 0
+    (``tests/test_exact_rules.py::test_window_theorem_matches_the_sweep``).
+    """
     forms = mixture.forms
     if not any(isinstance(mech, Average) for mech, _ in forms):
         return "every component a generalized median: every profile, every real misreport"
@@ -446,13 +350,11 @@ _SP_UNDECIDED = "in-expectation strategyproofness is undecided for a continuous 
 def check_strategyproofness(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVerdict:
     """No agent can cut its (expected) distance by misreporting.
 
-    A det or exp check with no ``Average`` part, a dictator beside a
-    continuous family included, passes by theorem at every profile and for
-    every real misreport (:func:`_sp_theorem`), and so does one whose ranks
-    each weigh at least the averages' weight over n (the window theorem).
-    Other mixtures with an ``Average``, and the finite parts of every
-    universal check, are swept (see the module docstring); beside a
-    continuous family such an ``Average`` is an error.
+    A det or exp check that :func:`_sp_theorem` covers passes at every
+    profile and for every real misreport. Other mixtures, and the finite
+    parts of every universal check, are swept over every breakpoint
+    misreport (:class:`proploc.sweep.SpSweep`); beside a continuous family
+    an ``Average`` is an error.
     """
 
     def continuous(mixture):
@@ -492,8 +394,7 @@ def search_manipulation(mechanism, dom: CheckDomain) -> ManipulationFinding | No
     The misreports are the breakpoints of the strategyproofness sweep, so
     the gain is the largest over every real misreport. Ties go to the
     lexicographically first instance; returns None when no profitable
-    misreport exists, by theorem when no part is an ``Average`` or the
-    window theorem covers the mixture (:func:`_sp_theorem`).
+    misreport exists, or when :func:`_sp_theorem` rules one out.
     """
     mixture = as_mixture(mechanism, dom.n, dom.domain)
     if _sp_theorem(mixture) is not None:
@@ -643,9 +544,7 @@ def _exact(mixture, dom: CheckDomain, profiles, violation):
     distance of an agent at location x, every agent priced in one call to
     the exact closed forms of :mod:`proploc.analysis`. The family draws its
     phantoms i.i.d. and ignores agent labels, so the finite components
-    decide ``anonymous`` by the block sweeps' rule,
-    :func:`proploc.sweep.label_free`: multisets when every agent's summed
-    dictator weight is equal, with the same first witness.
+    decide ``anonymous`` by :func:`proploc.sweep.label_free`.
     """
     anonymous = label_free(mixture.forms, dom.n, True)
     scale = Fraction(1, dom.n)
@@ -667,13 +566,29 @@ def _exact(mixture, dom: CheckDomain, profiles, violation):
 
 
 # The group axioms' universal coverage: an ``Average`` part meets all three
-# at every real profile (the module docstring has the proof).
+# at every real profile (see _average_theorem).
 _AVERAGE = {Average: "the average within every group's bound: every real profile"}
 
 
 def _average_theorem(mixture):
     """The PASS detail of a group axiom for a det or exp mixture of
-    averages alone, else None."""
+    averages alone, else None.
+
+    The ``Average`` meets SPF, proportionality and Strong Proportionality
+    at every real profile, for every n, on both domains. Let m be the mean
+    of a profile of range R. For a subset S holding agent i, with inner
+    range r,
+
+        |x_i - m| = |sum_j (x_i - x_j)| / n <= ((|S| - 1) r + (n - |S|) R) / n
+                  <= ((n - |S|) R + n r) / n,
+
+    as the other members of S lie within r of x_i and the rest within R:
+    SPF's bound. On a two-valued profile with s agents at low and the rest
+    a gap above, m = low + (n - s)/n * gap, so each group pays exactly its
+    bound. A bound on an expected distance is linear in the lottery, so a
+    mixture of averages meets it too (``tests/test_average_theorem.py::
+    test_average_cost_never_exceeds_a_subset_bound``).
+    """
     if not mixture.has_continuous and all(isinstance(mech, Average) for mech, _ in mixture.forms):
         return _AVERAGE[Average]
     return None
@@ -682,21 +597,39 @@ def _average_theorem(mixture):
 def _slope_theorem(dom: CheckDomain, ends_only: bool, mixture):
     """The det and exp rule of Strong Proportionality, or with
     ``ends_only`` of proportionality: :func:`_average_theorem`, then the
-    slope rule of the module docstring on integers over the weights'
-    common denominator, in time linear in n and the phantoms; a part that
-    is not unanimous leaves the check to the sweep. A group S needs the
-    weight of the vectors with y_{n-s} at the high end plus the dictators
-    outside S to be (1 - a)(n - s)/n, with no y_{n-s} inside the domain
-    and no family (with ``ends_only``: sum w y_{n-s}, the family's
-    (n - s)/n and those dictators). The first S to miss in the sweep's
-    (product) pattern order gives :func:`_off_grid`. Let j be the last
-    agent whose share differs from agent n's, d (see
-    :func:`proploc.sweep.last_labelled`). A pattern whose high agents all
-    follow j comes before any with j high, and its agents hold d, so the
-    first to miss is 0...01...1 for the least size i <= n - 1 - j with
-    ``misses(i, i * d)``. If none does, the next pattern, j alone high,
-    misses: one agent meets the rule for at most one dictator weight, and
-    i = 1 passed with d. With no such j, i runs over 1..n - 1."""
+    slope rule on integers over the weights' common denominator, in time
+    linear in n and the phantoms. It reads only unanimous parts: an
+    ``Average``, a dictator, the uniform family, a rank, or a phantom
+    vector whose outer phantoms are the domain's ends; any other part
+    leaves the check to the sweep (None).
+
+    Put the s agents of a group S at low and the rest at high. A unanimous
+    vector with sorted phantoms y_0..y_n outputs clip(y_{n-s}, low, high):
+    for low < t < high, the n - s high reports and the phantoms above t
+    number n + 1 or more exactly when y_{n-s} > t. So with a the averages'
+    weight and H_S(t) = P(facility > t) from the other parts, summing the
+    vectors with y_{n-s} > t, the family's P(U > t) for U its (n - s)-th
+    uniform, and the dictators of the agents outside S, the low group pays
+    a (n - s)/n gap + integral_low^high H_S and the high group
+    a s/n gap + (1 - a) gap - integral_low^high H_S. Both bounds hold
+    exactly when the integral is (1 - a)(n - s)/n gap, for every real pair
+    exactly when H_S is (1 - a)(n - s)/n throughout the domain: no y_{n-s}
+    strictly inside it (H_S steps there), no family (P(U > t) falls on
+    (0, 1)), and the right constant. Proportionality asks it of the pair
+    (0, 1) alone: sum w y_{n-s} + w_family (n - s)/n + the dictators =
+    (1 - a)(n - s)/n. Unanimous profiles pass at once.
+
+    A FAIL gives :func:`_off_grid` the first S to miss in the sweep's
+    (product) pattern order. Let j be the last agent whose share differs
+    from agent n's, d (:func:`proploc.sweep.last_labelled`). A pattern
+    whose high agents all follow j comes before any with j high, and its
+    agents hold d, so the first to miss is 0...01...1 for the least size
+    i <= n - 1 - j with ``misses(i, i * d)``. If none does, the next
+    pattern, j alone high, misses: one agent meets the rule for at most one
+    dictator weight, and i = 1 passed with d. With no such j, i runs over
+    1..n - 1 (``tests/test_exact_rules.py::
+    test_slope_rule_decides_strong_proportionality_on_the_whole_domain``).
+    """
     detail = _average_theorem(mixture)
     if detail:
         return detail
@@ -793,7 +726,7 @@ def _two_valued_values(points, ends_only: bool):
 def _two_valued_grid(scaled: Scaled, combine: bool, ends_only: bool):
     """The engine's two-valued profiles, in check order."""
     values = _two_valued_values(scaled.grid_ints, ends_only)
-    return two_valued_profiles(values, scaled.n, scaled.anonymous(combine), scaled.anchored(False))
+    return two_valued_profiles(values, scaled.n, scaled.anonymous(combine))
 
 
 def _two_valued_exact(mixture, dom: CheckDomain, ends_only: bool):
@@ -824,12 +757,8 @@ def check_proportionality(mechanism, dom: CheckDomain, variant: str = DET) -> Ax
     """On endpoint profiles, each co-located group of size s sits within
     (n-s)/n of the facility (in expectation for the exp variant).
 
-    This is the Strong Proportionality sweep over the single pair (0, 1):
-    the 0/1 profiles in pattern order, the group at 0 before the group at 1,
-    decided by the same SPF window rule (see
-    :func:`check_strong_proportionality`). A det or exp check of unanimous
-    parts is decided by the integral of the slope rule instead
-    (:func:`_slope_theorem`), and swept only for a FAIL's witness.
+    This is the Strong Proportionality check (see
+    :func:`check_strong_proportionality`) over the single pair (0, 1).
     """
     if dom.domain != UNIT_INTERVAL:
         raise DomainMismatchError("proportionality is an endpoint axiom on [0,1]")
@@ -850,25 +779,12 @@ def check_strong_proportionality(mechanism, dom: CheckDomain, variant: str = DET
     within (n-s)/n of the gap (equivalently: the facility lands on the
     group-weighted average).
 
-    The profiles are ``low + pattern * (high - low)`` for every grid pair
-    low < high, in grid order, and every 0/1 pattern: multisets when the
-    checked lottery ignores agent labels (no dictator, or equal summed
-    dictator weights for every agent; see :func:`proploc.sweep.label_free`),
-    ordered vectors otherwise, with the same first witness. Within a profile
-    the low group's members come first, then the high group's. The group
-    bound is SPF's for the subset holding the whole group (inner range 0),
-    and the tightest SPF window holding any of its members, so finite
-    mixtures run on SPF's block rule, :func:`proploc.sweep.spf_fails` (its
-    docstring has the proof), in :class:`proploc.sweep.GroupSweep`; the
-    failing profile and the exact path for a continuous family read the
-    groups in the same order (:func:`_group_violation`). An ``Average``
-    part meets the bound by theorem and is not swept (``_AVERAGE``),
-    and a det or exp check of unanimous parts is decided for every real pair
-    by the slope rule (:func:`_slope_theorem`), swept only for a FAIL's
-    first grid witness.
-    A mixture (or, universally, every part) that commutes with translation
-    sweeps only the pairs whose low value is the grid's lowest point, which
-    hold its first failure (see :meth:`proploc.sweep.Scaled.anchored`).
+    The profiles are those of :func:`proploc.sweep.two_valued_profiles`
+    over the grid, decided by SPF's block rule
+    (:func:`proploc.sweep.spf_fails`), the low group before the high one
+    (:func:`_group_violation`). A det or exp check of unanimous parts is
+    decided for every real pair by :func:`_slope_theorem`, and swept only
+    for a FAIL's first grid witness.
     """
     return _decide(
         STRONG_PROPORTIONALITY,
@@ -920,22 +836,11 @@ def check_spf(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVerdict:
     R, keeps each member within R(n-|S|)/n + r (the Proportional Fairness of
     Aziz, Lam, Lee and Walsh, WINE 2022).
 
-    Every subset is covered: each profile is priced once per sorted slot
-    and decided by the O(n) window rule of :func:`proploc.sweep.spf_fails`,
-    the block rule of all three group axioms; only the first failing
-    profile walks its subsets, by size and then lexicographically, for the
-    first witness (see :func:`_spf_violation`). Finite mixtures run on the
-    block engine (:func:`_group_first`), a continuous family through the
-    exact closed forms, on the same rule over integer prices. A
-    mixture (or, universally, every component) that commutes with
-    translation sweeps only the grid profiles through the grid's lowest
-    point, which hold its first failure (see
-    :meth:`proploc.sweep.Scaled.anchored`); its PASS then covers every real
-    translate of a grid profile that stays in the domain. Other mixtures
-    sweep every grid profile. Either sweep visits one profile per multiset
-    when the lottery ignores agent labels (see
-    :func:`proploc.sweep.label_free`). An ``Average`` part meets SPF by
-    theorem and is not swept (``_AVERAGE``).
+    Each profile of :func:`proploc.sweep.sweep_profiles` is decided by the
+    O(n) window rule of :func:`proploc.sweep.spf_fails`; only the first
+    failing profile walks its subsets for the witness
+    (:func:`_spf_violation`). A continuous family takes the exact path, on
+    the same rule.
     """
     return _decide(
         SPF,

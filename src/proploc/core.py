@@ -548,9 +548,8 @@ def outcome_lottery(mechanism: AnyMechanism, profile: Profile) -> tuple[OutcomeD
     """The lottery of a mechanism's finite parts on ``profile`` (None if it
     has none) and its uniform phantom family's weight (0 if it has none):
     the one place an outcome lottery is built. A mixture must fit the
-    profile (:func:`as_mixture`); a deterministic mechanism is one atom."""
-    if not isinstance(mechanism, RandomizedMechanism):
-        return OutcomeDistribution._of(((evaluate(mechanism, profile), ONE),)), ZERO
+    profile, and a deterministic mechanism is its one-part mixture
+    (:func:`as_mixture`)."""
     mixture = as_mixture(mechanism, profile.n, profile.domain)
     pairs = tuple(outcome_pairs(mixture.forms, profile))
     return (OutcomeDistribution._of(pairs) if pairs else None), mixture.continuous_weight

@@ -160,6 +160,8 @@ def _read_atoms(name: str, body: str, text: str) -> tuple:
     payload = re.sub(r"([{,]\s*)([A-Za-z_]\w*)\s*:", r'\1"\2":', body)
     try:
         data = json.loads(payload)
+        if set(data) != {"atoms"}:
+            raise KeyError("atoms")
         return tuple((Fraction(str(loc)), Fraction(str(prob))) for loc, prob in data["atoms"])
     except json.JSONDecodeError as exc:
         raise MechanismError(f"cannot parse {text!r}: {exc}") from exc

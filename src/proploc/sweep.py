@@ -1,37 +1,22 @@
 """The integer-rescaled mixture and its vectorized block sweeps.
 
-The engine behind the strategyproofness, manipulation-search,
-proportionality, Strong Proportionality and SPF checks in
-:mod:`proploc.axioms`. :class:`Scaled` rescales a finite mixture and its
-check grid to integers over a common denominator and lays its parts out
-once, by kind: rank and phantom parts, dictators and averages.
-The sweeps read that layout and run its grid profiles in blocks, in
-enumeration order, as numpy arrays: int64 while every scaled value provably
-stays below 2^62, Python ints (``dtype=object``) on the same code path
-otherwise. The three group axioms share one sweep, :class:`GroupSweep`,
-and one block rule, :func:`spf_fails`: an agent's cost there depends only
-on its own location, so each sorted slot of a profile is priced once, and
-an O(n) window rule decides SPF from those prices; on a two-valued profile
-that rule is exactly the proportionality bound of each co-located group.
+The engine behind the strategyproofness, manipulation-search and group
+checks of :mod:`proploc.axioms`:
 
-Every rank and phantom part outputs an order statistic of the reports and
-its finite phantoms (Moulin, Public Choice 1980): :func:`order_statistics`
-computes them for a block, in every block sweep, by a gather when no part
-has a finite phantom and by a merge otherwise. The engine reads each part
-in the normal form of :func:`proploc.core.part_form`, so the median and
-every vector of the domain's ends are ranks there.
+- :class:`Scaled` rescales a finite mixture and its grid to integers and
+  lays its parts out by kind;
+- :func:`sweep_profiles` and :func:`two_valued_profiles` enumerate the
+  profiles a sweep visits: multisets when the cost ignores labels
+  (:func:`label_free`), those through the grid's lowest point when
+  translation allows it (:func:`sweep_profiles`);
+- :class:`SpSweep` prices every breakpoint misreport, and
+  :class:`GroupSweep` every sorted slot for the one group block rule,
+  :func:`spf_fails`; :func:`order_statistics` gives the rank and phantom
+  outputs of a block.
 
-A sweep whose cost ignores agent labels (no dictator part, or, for the
-weighted mixture, equal summed dictator weights for every agent) visits one
-profile per multiset of reports and finds the same first failure as an
-ordered sweep: see :func:`label_free`. A mixture that commutes with
-translation may visit only the profiles through the grid's lowest point:
-see :meth:`Scaled.anchored`.
-
-A sweep computes, per block, a (component, row, ...) array and reduces it:
-the first failing component in order, a weighted sum over components, or
-the largest gain. Every block temporary holds at most
-``BLOCK_ELEMENTS`` elements, so peak memory does not grow with the grid.
+Blocks run in enumeration order as int64 arrays while every scaled value
+provably stays below ``INT64_BOUND``, as Python ints (``dtype=object``)
+otherwise, and no block temporary exceeds ``BLOCK_ELEMENTS`` elements.
 """
 
 from __future__ import annotations
@@ -84,10 +69,8 @@ class Scaled:
       domain's ends come as ranks, so they need no merge;
     - ``dictators``: (part, agent index); ``averages``: part indices.
 
-    ``translation_equivariant`` says whether every part commutes with
-    translations x -> x + t that keep the profile in the domain, so that
-    every agent's expected distance is translation-invariant (see
-    :meth:`anchored`).
+    ``translation_equivariant``: every part commutes with x -> x + t (see
+    :func:`sweep_profiles`).
     """
 
     def __init__(self, components, n: int, domain: str, grid: int):
@@ -139,35 +122,6 @@ class Scaled:
         per multiset of reports is swept: see :func:`label_free`."""
         return label_free(self.components, self.n, combine)
 
-    def anchored(self, misreports: bool) -> bool:
-        """Whether a sweep visits only the profiles through the grid's lowest
-        point (:func:`sweep_profiles`; for two-valued profiles, the pairs
-        whose low value is that point), a filter of the full sweep in its
-        order. ``misreports`` marks a strategyproofness sweep.
-
-        A mixture whose every part commutes with translation has the same
-        costs and bounds on every translate of a profile. A failing profile
-        shifted down until its minimum is the grid's lowest point stays on
-        the evenly spaced grid, comes no later in the sweep and still fails,
-        so the first failing profile, and the first instance of the largest
-        manipulation gain, contains that point. A misreport shifts with the
-        profile: on the real line the candidates cover every real misreport
-        (see :class:`SpSweep`), so the shifted one is met too, but on [0,1]
-        it may leave the domain, and a misreport sweep there keeps every
-        profile.
-
-        Without ``combine`` every part is its own component, all swept at
-        once over the widest enumeration any of them needs: ordered profiles
-        if some part is a dictator, every profile if some part does not
-        commute with translation. The anchored profiles hold the first
-        failure of each part that commutes with translation, so the full
-        grid meets that same profile first, and a label-free part's first
-        failing ordered profile is sorted, the multiset it meets alone (see
-        :func:`label_free`). The first hit of the (component, row) mask then
-        lies in the first failing component's first failing profile.
-        """
-        return self.translation_equivariant and not (misreports and self.domain == UNIT_INTERVAL)
-
     def to_frac(self, value: int) -> Fraction:
         return Fraction(value, self.D)
 
@@ -203,25 +157,27 @@ def last_labelled(shares):
 def label_free(components, n: int, combine: bool) -> bool:
     """Whether the (mechanism, weight) pairs ignore agent labels: with
     ``combine`` the weighted mixture (its expected cost), otherwise each
-    part alone. Every kind but a dictator reads only the multiset of
-    reports, so the mixture is label-free exactly when every agent's summed
-    dictator weight is equal (:func:`last_labelled`; a permutation of the
-    reports then permutes the dictators' equal weights), and each part
-    alone exactly when none is a dictator. Equal shares prove nothing part
-    by part: each part is then checked at weight 1.
+    part alone, at weight 1. Every kind but a dictator reads only the
+    multiset of reports, so the mixture is label-free exactly when every
+    agent's summed dictator weight is equal (:func:`last_labelled`), and
+    each part alone exactly when none is a dictator.
 
     A label-free sweep visits one profile per orbit of the relabellings,
     its sorted tuple, and finds the first failure an ordered sweep finds.
     Relabelling a profile keeps its violations (the agents relabelled with
-    it), and sorting it gives a profile no later in lexicographic order, so
-    the first failing ordered profile is sorted. Restricted to sorted
-    tuples, the order of ``product`` is that of
+    it), and sorting it gives a profile no later in the sweep's order
+    (lexicographic; on two-valued profiles the same pair, a pattern no
+    later), so the first failing ordered profile is sorted: a label-free
+    part stacked with dictators over ordered profiles meets it first too.
+    Restricted to sorted tuples, the order of ``product`` is that of
     ``combinations_with_replacement``. On that profile both sweeps check
     the same agents, reports and subsets in the same order, except that a
     multiset sweep may skip an agent repeating the previous agent's report:
     the swap of the two leaves the profile unchanged, so the two cost the
     same, and the first agent and its smallest violating report stay. The
-    same holds for the largest manipulation gain and its first instance.
+    same holds for the largest manipulation gain and its first instance
+    (``tests/test_orbit_sweep.py::
+    test_equal_dictator_shares_sweep_multisets_with_the_ordered_verdicts``).
     """
     if combine:
         return last_labelled(dictator_shares(components, n)) is None
@@ -306,14 +262,9 @@ class SpSweep:
 
     ``combine`` sums the parts with their weights into one component (the
     in-expectation cost); otherwise each part is its own component (a
-    universal check). Alone, only an average can gain: every other part is
-    a generalized median, nearest the true point at r = that point. So a
-    universal sweep tries only an average's breakpoints, the finite
-    phantoms left out, and finds the witness the average meets alone.
-
-    A mixture that commutes with translation sweeps only the profiles
-    through the grid's lowest point on the real line, and every profile on
-    [0,1], where the reports are bounded (see :meth:`Scaled.anchored`).
+    universal check). Alone, only an average can gain (see
+    ``axioms._sp_theorem``), so a universal sweep tries only an average's
+    breakpoints, the finite phantoms left out.
     """
 
     def __init__(self, scaled, combine: bool):
@@ -475,22 +426,40 @@ def sweep_profiles(scaled, combine: bool, misreports: bool = False):
     """The grid profiles a sweep of ``scaled`` visits, in check order:
     multisets when the swept cost ignores agent labels (see
     :func:`label_free`), ordered vectors otherwise, and only those through
-    the grid's lowest point when :meth:`Scaled.anchored` allows it."""
-    profiles = anchored_profiles if scaled.anchored(misreports) else grid_profiles
+    the grid's lowest point when every part commutes with translation,
+    unless ``misreports`` marks a strategyproofness sweep on [0,1].
+
+    Such a mixture has the same costs and bounds on every translate of a
+    profile. A failing profile shifted down until its minimum is the grid's
+    lowest point stays on the evenly spaced grid, comes no later in the
+    sweep and still fails, so the first failing profile, and the first
+    instance of the largest manipulation gain, contains that point. A
+    misreport shifts with its profile: on the real line the candidates
+    cover every real misreport (see :class:`SpSweep`), but on [0,1] the
+    shifted one may leave the domain (1/2 ``RankK(1)`` + 1/2 ``Average`` at
+    n=2, grid 2 fails in expectation only off the profiles through 0).
+    Without ``combine`` the parts are swept stacked, over the widest
+    enumeration any of them needs; a part that commutes with translation
+    first fails there on a profile through the lowest point (as above), the
+    one its anchored sweep meets first. An anchored PASS covers every
+    real translate of a grid profile that stays in the domain
+    (``tests/test_sweep_differential.py::
+    test_sp_sweep_counts_one_multiset_per_translation_orbit``).
+    """
+    anchored = scaled.translation_equivariant and not (misreports and scaled.domain == UNIT_INTERVAL)
+    profiles = anchored_profiles if anchored else grid_profiles
     return profiles(scaled.grid_ints, scaled.n, scaled.anonymous(combine))
 
 
-def two_valued_profiles(values, n: int, anonymous: bool, anchored: bool = False):
+def two_valued_profiles(values, n: int, anonymous: bool):
     """Every profile ``low + pattern * (high - low)`` for low < high in
     ``values``, in check order: the pairs as ``values`` lists them (low
     outer, high inner), then the 0/1 patterns in lexicographic order, as
     multisets for a label-free cost and as ordered vectors otherwise.
     Both proportionality axioms read their instances in this order, on the
-    block sweep and on the exact path alike. ``anchored`` keeps the pairs
-    whose low value is ``values[0]``, a prefix of that order (see
-    :meth:`Scaled.anchored`)."""
+    block sweep and on the exact path alike."""
     patterns = list(grid_profiles((0, 1), n, anonymous))
-    for a, low in enumerate(values[:1] if anchored else values):
+    for a, low in enumerate(values):
         for high in values[a + 1 :]:
             for pattern in patterns:
                 yield tuple(high if bit else low for bit in pattern)
@@ -509,16 +478,9 @@ class GroupSweep:
     the sum of the reports (the average, whose cost is |n*true - sum|).
     ``combine`` sums the parts with their weights into one component (the
     in-expectation cost); otherwise each part is its own component, all
-    swept at once over the same profiles, which are iterated once. Callers
-    pass multisets when the swept cost ignores agent labels
-    (:meth:`Scaled.anonymous`, see :func:`label_free`), ordered vectors
-    otherwise: for the weighted mixture, when some agent's summed dictator
-    weight differs from another's; part by part, when some part is a
-    dictator. Ordered profiles need no multiset filter for the label-free
-    parts: such a part's first failing ordered profile is sorted, the
-    multiset it would meet when swept alone. On two-valued profiles sorting
-    keeps the pair and, among the patterns with the same number of ones,
-    the sorted one 0...01...1 comes first.
+    swept at once over the same profiles, which are iterated once: multisets
+    when the swept cost ignores agent labels (see :func:`label_free`),
+    ordered vectors otherwise.
     """
 
     def __init__(self, scaled, profiles, combine: bool):
@@ -601,7 +563,8 @@ def spf_fails(true, cost, scale):
     scale * ((n - 1) * R + g_b - g_a). For slot j it is least at the largest
     g_a over a <= j and the smallest g_b over b >= j: a running maximum and
     a reversed running minimum, O(n) per profile, where there are O(n^2)
-    windows and 2^n subsets.
+    windows and 2^n subsets
+    (``tests/test_sweep_differential.py::test_spf_window_test_matches_every_subset``).
 
     The same rule decides proportionality and Strong Proportionality. On a
     two-valued profile with s agents at low (slots 0..s-1) and R = high -
@@ -615,7 +578,9 @@ def spf_fails(true, cost, scale):
     size of the other group times the gap: the group bound, (n - s)/n of
     the gap at scale 1/n. An agent's cost depends only on its location, so
     a group's members cost the same, and the first marked slot is the
-    lowest-index member of the first failing group, the low group first.
+    lowest-index member of the first failing group, the low group first
+    (``tests/test_sweep_differential.py::
+    test_spf_rule_is_the_group_bound_on_two_valued_profiles``).
 
     The rule reads int64 or Python ints (``dtype=object``), the exact path's
     too, over one common denominator (``axioms._spf_exact``). For reports

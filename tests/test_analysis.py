@@ -268,6 +268,8 @@ def test_marginals_reject_interior_phantoms_and_averages():
     )
     with pytest.raises(MechanismError):
         an.rank_phantom_marginals(mix)
+    with pytest.raises(MechanismError, match="marginals need a finite rank mixture"):
+        an.rank_phantom_marginals(random_phantom(3))
 
 
 def test_marginals_telescope_one_rank_step_at_a_time():

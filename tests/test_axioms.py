@@ -624,6 +624,14 @@ def test_recheck_rejects_a_witness_that_shows_no_violation():
     assert not recheck_witness(median, ax.AxiomVerdict(ax.ANONYMITY, ax.DET, ax.FAIL, same_output))
 
 
+def test_recheck_of_a_pass_is_an_error():
+    """A PASS carries no witness, so there is nothing to recheck."""
+    verdict = ax.check_anonymity(Median(), CheckDomain(n=2, grid=2))
+    assert verdict.passed
+    with pytest.raises(MechanismError, match="verdict carries no witness"):
+        recheck_witness(Median(), verdict)
+
+
 def test_uniform_phantom_is_proportional():
     for n in range(2, 7):
         verdict = ax.check_proportionality(UniformPhantom(), CheckDomain(n=n, grid=2))

@@ -279,6 +279,10 @@ def test_solve_weights_and_extras(capsys):
     code, out, _ = run_cli(capsys, "solve-weights", "--n", "3", "--add", "w1=0")
     assert code == 1
     assert "infeasible" in out
+    # w1 is the first prefix sum, so its constraint folds into the intervals.
+    code, out, _ = run_cli(capsys, "solve-weights", "--n", "4", "--add", "w1=1/4")
+    assert code == 0
+    assert "weights: 1/4, 1/4, 1/4, 1/4" in out
     code, out, _ = run_cli(
         capsys, "solve-weights", "--n", "3", "--perturb", "0:1/100", "--format", "json"
     )
@@ -409,6 +413,8 @@ def test_real_line_domain_flag(capsys):
          '{"domain": "unit_interval", "locations": "01"}'),
         (["run", "--mechanism", "median", "--profile", "{file}"],
          '{"domain": "unit_interval", "locations": [false, true]}'),
+        (["run", "--mechanism", "median", "--profile", "{file}"],
+         '{"domain": "real_line", "locations": ["0", "inf"]}'),
         (["check", "--mechanism", "median", "--axiom", "anonymity", "--n", "2", "--grid", "2",
           "--out", "{missing_dir}"], None),
         (["table", "--n", "2", "--grid", "2", "--p", "abc"], None),
@@ -446,6 +452,7 @@ def test_real_line_domain_flag(capsys):
         "profile-without-domain",
         "profile-locations-a-string",
         "profile-locations-booleans",
+        "profile-infinite-location",
         "unwritable-out",
         "table-bad-p",
         "perturb-without-colon",
@@ -544,6 +551,16 @@ def test_bad_input_prints_error_and_exits_2(tmp_path, capsys, argv, profile_text
          "error: expected --samples <rational>[,<rational>...], e.g. 1/2,1, got 'x'\n"),
         (["prop1", "--samples", "1/2,1/0"],
          "error: expected --samples <rational>[,<rational>...], e.g. 1/2,1, got '1/0'\n"),
+        (["run", "--mechanism", "rank:k=0", "--profile", "(0,1)"], "error: rank index must be >= 1\n"),
+        (["run", "--mechanism", "dictator:i=0", "--profile", "(0,1)"], "error: dictator index must be >= 1\n"),
+        (["check", "--mechanism", "median", "--axiom", "anonymity", "--n", "1"], "error: check domains need n >= 2\n"),
+        (["table", "--n", "1"], "error: check domains need n >= 2\n"),
+        (["check", "--mechanism", "median", "--axiom", "anonymity", "--grid", "0"],
+         "error: grid parameter must be >= 1\n"),
+        (["solve-weights", "--grid", "0"], "error: grid parameter must be >= 1\n"),
+        (["run", "--mechanism", 'iid_phantom:{atoms:[["1/2","1"]],x:1}', "--profile", "(0,1)"],
+         "error: expected iid_phantom:{atoms:[[location,probability],...]}, "
+         "got 'iid_phantom:{atoms:[[\"1/2\",\"1\"]],x:1}'\n"),
         *((["run", "--mechanism", spec, "--profile", "(0,1/3,1)"], f"error: {message}\n")
           for spec, message in INVALID_IID_LAWS.values()),
     ],
@@ -554,7 +571,8 @@ def test_bad_input_prints_error_and_exits_2(tmp_path, capsys, argv, profile_text
          "profile-empty-entry", "profile-leading-empty-entry", "profile-stray-bracket",
          "profile-mismatched-brackets", "avg-or-rr-not-a-rational", "avg-or-rr-two-slashes",
          "iid-phantom-location-not-a-rational", "prop1-sample-not-a-rational", "prop1-zero-denominator",
-         *INVALID_IID_LAWS],
+         "rank-zero", "dictator-zero", "check-one-agent", "table-one-agent", "check-grid-zero",
+         "solve-weights-grid-zero", "iid-phantom-unknown-key", *INVALID_IID_LAWS],
 )
 def test_malformed_spec_body_is_a_one_line_error(capsys, argv, message):
     """A spec body or option value that parses but cannot be read is bad

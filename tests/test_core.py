@@ -3,6 +3,7 @@
 import json
 import operator
 import random
+import re
 from fractions import Fraction as F
 from itertools import product
 
@@ -26,11 +27,13 @@ from proploc.core import (
     RandomizedMechanism,
     RankK,
     UniformPhantom,
+    as_mixture,
     evaluate,
     format_point,
     grid_points,
     mechanism_is_anonymous,
     outcome_distribution,
+    outcome_lottery,
     parse_point,
 )
 from proploc.mechanisms import random_rank
@@ -326,6 +329,56 @@ def test_continuous_family_refuses_finite_atoms():
 def test_outcome_distribution_validates_its_atoms():
     with pytest.raises(MechanismError):
         OutcomeDistribution(((F(0), F(1, 2)),))
+
+
+def test_outcome_distributions_with_the_same_atoms_are_equal_and_hash_equal():
+    """Equality and the hash go by the merged atoms, whatever the pairs'
+    order or repeats; no other type compares equal. Random Rank at
+    (0, 0, 1/2) puts ranks 2 and 3 both at 0."""
+    direct = OutcomeDistribution([(F(1, 2), F(1, 3)), (F(0), F(2, 3))])
+    reordered = OutcomeDistribution([(F(0), F(2, 3)), (F(1, 2), F(1, 3))])
+    lottery, family = outcome_lottery(random_rank(3), Profile(UNIT_INTERVAL, (F(0), F(0), F(1, 2))))
+    assert family == 0
+    assert direct == reordered == lottery
+    assert hash(direct) == hash(reordered) == hash(lottery)
+    assert not direct == object()
+    assert direct != object()
+
+
+@pytest.mark.parametrize(
+    "mechanism, domain",
+    [
+        (Median(), UNIT_INTERVAL),
+        (RankK(1), REAL_LINE),
+        (Dictator(2), UNIT_INTERVAL),
+        (Average(), REAL_LINE),
+        (UniformPhantom(), UNIT_INTERVAL),
+        (Phantom((F(0), F(1, 2), F(1, 2), F(1))), UNIT_INTERVAL),
+    ],
+)
+def test_a_deterministic_lottery_is_its_one_part_mixtures(mechanism, domain):
+    profile = Profile(domain, (F(0), F(1, 3), F(1)))
+    lottery, family = outcome_lottery(mechanism, profile)
+    assert (lottery, family) == outcome_lottery(as_mixture(mechanism, 3, domain), profile)
+    assert lottery == OutcomeDistribution([(evaluate(mechanism, profile), F(1))])
+
+
+@pytest.mark.parametrize(
+    "mechanism, domain",
+    [
+        (RankK(4), UNIT_INTERVAL),
+        (Dictator(4), REAL_LINE),
+        (Phantom((F(0), F(1))), UNIT_INTERVAL),
+        (UniformPhantom(), REAL_LINE),
+        ("median", UNIT_INTERVAL),
+    ],
+)
+def test_a_bad_deterministic_part_raises_what_evaluate_raises(mechanism, domain):
+    profile = Profile(domain, (F(0), F(1, 3), F(1)))
+    with pytest.raises(MechanismError) as expected:
+        evaluate(mechanism, profile)
+    with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
+        outcome_lottery(mechanism, profile)
 
 
 def test_expected_distance_examples():

@@ -765,15 +765,36 @@ def test_anchored_profiles_are_the_full_sweep_through_its_lowest_point(values, n
     assert list(sweep.anchored_profiles(values, n, anonymous)) == [X for X in full if values[0] in X]
 
 
-@pytest.mark.parametrize("anonymous", [True, False])
-@pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("values", [(0, 1), (-3, -1, 0, 2), tuple(range(0, 42, 6))])
-def test_anchored_two_valued_profiles_are_the_pairs_from_the_lowest_point(values, n, anonymous):
-    """The anchored two-valued enumeration is the full one's prefix over the
-    pairs whose low value is the lowest grid point, every pattern of each."""
-    full = list(sweep.two_valued_profiles(values, n, anonymous))
-    patterns = len(list(sweep.grid_profiles((0, 1), n, anonymous)))
-    assert list(sweep.two_valued_profiles(values, n, anonymous, anchored=True)) == full[: (len(values) - 1) * patterns]
+@st.composite
+def translation_mixtures(draw):
+    """(mixture, check domain) of ranks, dictators and averages: parts that
+    commute with translation, on either domain, n = 2..4."""
+    domain = draw(domains)
+    n = draw(st.integers(2, 4))
+    grid = draw(st.integers(1, 4))
+    parts = st.one_of(st.builds(RankK, st.integers(1, n)), st.builds(Dictator, st.integers(1, n)), st.just(Average()))
+    mechs = draw(st.lists(parts, min_size=1, max_size=4))
+    raw = draw(st.lists(st.integers(1, 5), min_size=len(mechs), max_size=len(mechs)))
+    weights = [F(w, sum(raw)) for w in raw]
+    return RandomizedMechanism(n, domain, tuple(zip(mechs, weights))), axioms.CheckDomain(n=n, grid=grid, domain=domain)
+
+
+@settings(max_examples=150)
+@given(translation_mixtures())
+@example((RandomizedMechanism(3, REAL_LINE, ((RankK(2), F(1, 2)), (Dictator(3), F(1, 2)))),
+          axioms.CheckDomain(n=3, grid=2, domain=REAL_LINE)))
+def test_strong_proportionality_failures_of_ranks_dictators_and_averages_lie_on_the_first_pair(case):
+    """A mixture of ranks, dictators and averages that fails Strong
+    Proportionality, in expectation or universally, fails on the grid's
+    first pair: the slope rule's FAIL holds at every pair, as does each
+    failing part's alone, so the full pair order meets it first."""
+    mixture, dom = case
+    first_pair = set(grid_points(dom.domain, dom.grid)[:2])
+    for variant in (axioms.EXP, axioms.UNIVERSAL):
+        verdict = axioms.check_strong_proportionality(mixture, dom, variant)
+        if verdict.failed:
+            assert set(verdict.witness.profile) == first_pair
+            assert axioms.recheck_witness(mixture, verdict)
 
 
 @pytest.mark.parametrize(
