@@ -4,10 +4,13 @@ cells, ``search-manipulation`` with and without a finding,
 ``solve-weights``, ``prop1``, bad input that exits 2, and ``run --format
 json`` of a merged atom, a real-line mixture with the average, the median,
 the continuous family (off and on a unanimous profile) and an expanded
-discrete family. Then the other formats: ``run`` and ``check`` as csv,
-and as markdown a manipulation finding, ``solve-weights`` with alternates,
-``prop1``, and ``solve-weights`` side constraints on w_2 (unique, in
-conflict, and refused on a base system that is not point-determined).
+discrete family. Then the other formats: ``run``, ``check`` and
+``table`` as csv, and as markdown a manipulation finding and none found,
+``solve-weights`` with alternates, unique and in conflict, ``prop1``,
+``solve-weights`` side constraints on w_2 (unique, in conflict, and
+refused on a base system that is not point-determined), the table with its
+footnotes and star line, a ``check`` PASS with its detail and a FAIL with
+its witness, and ``run`` of a lottery's atoms and of a continuous family.
 
 ``golden_cli.json`` holds each case's argv and what it printed.
 """
