@@ -57,6 +57,19 @@ def test_run_with_profile_file(tmp_path, capsys):
     assert "expected location: 0" in out
 
 
+def test_profile_file_must_be_on_the_domain_flag(tmp_path, capsys):
+    """A profile file is read on ``--domain``: a real-line file runs with
+    ``--domain real`` and is one error line, exit 2, without it."""
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps({"domain": "real_line", "locations": ["-2", "0", "3"]}))
+    code, out, _ = run_cli(capsys, "run", "--mechanism", "median", "--domain", "real", "--profile", str(path))
+    assert code == 0
+    assert "expected location: 0" in out
+    code, out, err = run_cli(capsys, "run", "--mechanism", "median", "--profile", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: profile file {str(path)!r} is on real_line, --domain is unit_interval\n"
+
+
 def test_run_continuous_family_reports_exact_expectations(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -445,6 +458,12 @@ def test_real_line_domain_flag(capsys):
         (["run", "--mechanism", "median", "--profile", "(0,,1)"], None),
         (["run", "--mechanism", "median", "--profile", "(,0,1)"], None),
         (["run", "--mechanism", "median", "--profile", "(0,1/2))"], None),
+        (["run", "--mechanism", "random_rank", "--profile", "{file}"],
+         '{"domain": "real_line", "locations": ["-2", "0", "3"]}'),
+        (["run", "--mechanism", "median", "--profile", "{file}"],
+         '{"domain": "real_line", "locations": ["-2", "0", "3"]}'),
+        (["run", "--mechanism", "median", "--domain", "real", "--profile", "{file}"],
+         '{"domain": "unit_interval", "locations": ["0", "1"]}'),
     ],
     ids=[
         "missing-profile-file",
@@ -480,6 +499,9 @@ def test_real_line_domain_flag(capsys):
         "profile-empty-entry",
         "profile-leading-empty-entry",
         "profile-stray-bracket",
+        "real-profile-file-unit-domain-random-rank",
+        "real-profile-file-unit-domain-median",
+        "unit-profile-file-real-domain",
     ],
 )
 def test_bad_input_prints_error_and_exits_2(tmp_path, capsys, argv, profile_text):
