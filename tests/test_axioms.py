@@ -595,6 +595,18 @@ def test_recheck_compares_an_efficiency_witness_bound(bound, rechecks):
     assert recheck_witness(mechanism, edited) is rechecks
 
 
+@pytest.mark.parametrize("end", [F(0), F(1)])
+def test_recheck_rejects_an_efficiency_witness_at_a_report_end(end):
+    """The median of (end, end) outputs end, inside the reported range: a
+    forged witness naming that output as its lhs and the range's end as its
+    bound shows no violation, and rechecks only if an output at an end
+    counted as outside."""
+    profile = (end, end)
+    assert evaluate(Median(), Profile(UNIT_INTERVAL, profile)) == end
+    witness = ax.Witness(profile, UNIT_INTERVAL, lhs=end, bound=end)
+    assert not recheck_witness(Median(), ax.AxiomVerdict(ax.EFFICIENCY, ax.DET, ax.FAIL, witness))
+
+
 def test_recheck_takes_strong_proportionality_witnesses_on_two_valued_profiles_only():
     """Agent 1 of (0, 1/2, 1) pays 1 under the third agent's dictatorship,
     above its SPF bound 2/3: an SPF witness, but no Strong Proportionality

@@ -20,9 +20,9 @@ The explicit examples pin what derandomized draws can miss: each fails a
 mutant of the rules (a count of s phantoms in place of s + 1, the dictator
 term dropped, ``>`` in place of ``>=`` at p = 1/2, a part whose outer
 phantoms lie inside the domain taken as unanimous, a phantom inside the
-domain ignored where the high-end mass is right). Two first witnesses are
-pinned as bytes: the exact path's ordered sweep beside unequal dictators,
-and the real line's unbounded off-grid step.
+domain ignored where the high-end mass is right). Three first witnesses
+are pinned as bytes: the exact path's ordered sweep beside unequal
+dictators, and the real line's off-grid steps unbounded below and above.
 """
 
 from fractions import Fraction as F
@@ -319,6 +319,18 @@ def test_an_unbounded_real_line_step_starts_one_unit_past_its_end():
     assert _swept(axioms.STRONG_PROPORTIONALITY, mixture, dom, axioms.EXP).passed
     verdict = axioms.check_strong_proportionality(mixture, dom, axioms.EXP)
     assert verdict.witness.to_json() == {"profile": ["-6", "-5"], "group": [1], "agent": 1, "lhs": "1", "bound": "1/2"}
+    assert axioms.recheck_witness(mixture, verdict)
+
+
+def test_an_upper_unbounded_real_line_step_ends_one_unit_past_its_start():
+    """1/2 rank:k=2 + 1/2 phantom:[-inf,3,+inf] at n=2 meets every grid-1
+    pair on the real line, and fails on its last step (3, +inf), which the
+    off-grid witness takes to 4: at (3, 4) agent 2 pays 1 > 1/2."""
+    mixture = RandomizedMechanism(2, REAL_LINE, ((RankK(2), F(1, 2)), (Phantom((NEG_INF, 3, POS_INF)), F(1, 2))))
+    dom = axioms.CheckDomain(n=2, grid=1, domain=REAL_LINE)
+    assert _swept(axioms.STRONG_PROPORTIONALITY, mixture, dom, axioms.EXP).passed
+    verdict = axioms.check_strong_proportionality(mixture, dom, axioms.EXP)
+    assert verdict.witness.to_json() == {"profile": ["3", "4"], "group": [2], "agent": 2, "lhs": "1", "bound": "1/2"}
     assert axioms.recheck_witness(mixture, verdict)
 
 
