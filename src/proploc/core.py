@@ -15,10 +15,11 @@ phantom vectors first. One class, :class:`OutcomeDistribution`, holds and
 prices every finite lottery. A mechanism's outcomes on a profile form one,
 built in one place (:func:`outcome_lottery`), which sorts them once,
 merging equal locations into its atoms, with running sums of mass and
-first moment: a point's expected distance is one bisect and a closed
-form. A one-atom lottery (a deterministic mechanism) prices
-|x - location| directly. Outside input (a lottery, or an i.i.d. phantom
-law) is checked by its constructor alone.
+first moment: both expectations read that one sorted table, the expected
+location as the total moment and a point's expected distance as one
+bisect and a closed form. A one-pair lottery (a deterministic mechanism)
+prices its location and |x - location| directly. Outside input (a
+lottery, or an i.i.d. phantom law) is checked by its constructor alone.
 
 One function, :func:`part_form`, decides whether a finite part is valid at
 (n, domain) and gives its normal form: a rank (a ``RankK``, the median, or
@@ -446,12 +447,13 @@ class OutcomeDistribution:
     summing to 1. :func:`outcome_lottery` takes a mechanism's pairs as they
     are (:meth:`_of`), a location possibly repeated.
 
-    The expected location is one pass over the pairs. The rest reads one
-    sort, made at the first need, that merges equal locations into atoms
-    with running sums of mass and first moment: with P and M those of the
-    atoms at or left of x (one bisect), W and M_1 the totals,
+    Both expectations read one sort, made at the first need, that merges
+    equal locations into atoms with running sums of mass and first moment.
+    The expected location is the total moment M_1. With P and M those of
+    the atoms at or left of x (one bisect) and W the total mass,
     E|x - facility| = x * (2P - W) + M_1 - 2M. One pair (a deterministic
-    mechanism) is its own atom and prices |x - location| directly.
+    mechanism) is its own atom and prices its location and |x - location|
+    directly.
     """
 
     __slots__ = ("pairs", "_sums")
@@ -499,7 +501,7 @@ class OutcomeDistribution:
         if len(self.pairs) == 1:
             loc, weight = self.pairs[0]
             return loc if weight == 1 else weight * loc
-        return sum(weight * loc for loc, weight in self.pairs)
+        return self._running()[3][-1]
 
     def expected_distance(self, point: Fraction) -> Fraction:
         point = _as_fraction(point)

@@ -12,7 +12,9 @@ the same bad input. So must every axiom check and manipulation search of
 a deterministic mechanism, and a mixture with an invalid part must fail to
 be built with the same error: all of them read a part through
 ``core.part_form``, whose normal form must give the oracle's location and
-the part's own det verdicts.
+the part's own det verdicts. The expected location, read off the merged
+atoms' total moment, must equal the plain sum over the pairs as given, a
+location repeated or not.
 """
 
 import json
@@ -215,6 +217,44 @@ def test_each_component_alone_matches_the_plain_loop(case):
         for x in off_profile_points(profile):
             assert dist.expected_distance(x) == abs(x - loc)
             assert analysis.expected_distance_to_point(mech, profile, x) == abs(x - loc)
+
+
+def plain_expected_location(pairs):
+    """The expected location as one pass over the pairs, each location
+    however often it repeats."""
+    return sum(weight * loc for loc, weight in pairs)
+
+
+@st.composite
+def repeated_pairs(draw):
+    """1-8 (location, weight) pairs from a domain's pool of 3, so most
+    lotteries repeat a location, with positive weights of any total."""
+    pool = draw(st.sampled_from((UNIT_POOL, LINE_POOL)))
+    locations = st.sampled_from(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True)))
+    weights = st.fractions(min_value=F(1, 12), max_value=1, max_denominator=12)
+    return tuple(draw(st.lists(st.tuples(locations, weights), min_size=1, max_size=8)))
+
+
+@given(repeated_pairs(), st.booleans())
+@example(((F(1, 2), F(1, 3)), (F(1, 2), F(1, 3)), (F(0), F(1, 3))), False)
+@example(((F(-1), F(1, 4)), (F(5, 2), F(1, 2)), (F(-1), F(1, 4))), True)
+def test_expected_location_is_the_plain_sum_over_repeated_pairs(pairs, priced):
+    """The expected location read off the merged atoms' total moment is the
+    plain sum over the pairs as given, whether or not a distance has
+    already built the sorted table."""
+    dist = core.OutcomeDistribution._of(pairs)
+    if priced:
+        dist.expected_distance(pairs[0][0])
+    assert dist.expected_location() == plain_expected_location(pairs)
+
+
+@given(cases())
+def test_a_mixture_lottery_expected_location_is_the_plain_sum(case):
+    """The same on a mixture's lottery, whose pairs repeat a location
+    wherever parts agree, beside the family's weight or not."""
+    mixture, profile, _ = case
+    lottery, _ = core.outcome_lottery(mixture, profile)
+    assert lottery.expected_location() == plain_expected_location(lottery.pairs)
 
 
 # ---------------------------------------------------------------------------
