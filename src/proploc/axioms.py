@@ -20,7 +20,9 @@ Where each argument lives:
 - strategyproofness by the generalized-median and window theorems:
   :func:`_sp_theorem`;
 - proportionality and Strong Proportionality by the slope rule:
-  :func:`_slope_theorem`, and :func:`_off_grid` for a FAIL the grid misses;
+  :func:`_slope_theorem`, :func:`_first_pair` for the grid witness of a
+  FAIL of ranks, dictators and averages, and :func:`_off_grid` for a FAIL
+  the grid misses;
 - the group axioms of an ``Average``: :func:`_average_theorem`;
 - the uniform family's realisation that fails the group axioms:
   :func:`_decide`;
@@ -220,9 +222,12 @@ def _decide(axiom, mechanism, dom: CheckDomain, variant, first, rule=None, conti
     mixture (det and exp); without it each is checked alone (universal), and
     the verdict names the failing component. ``rule(mixture)`` is the det
     and exp rule: the detail of a PASS on the whole domain, None when it
-    cannot tell, or, for a FAIL, a function returning the verdict's
-    (status, witness, detail) off the grid. A FAIL is still swept for its
-    first grid witness; the function answers only when the grid shows none.
+    cannot tell, or, for a FAIL, a function of ``grid`` returning the
+    verdict's (status, witness, detail), where ``grid()`` sweeps the grid
+    (the engine, or ``continuous`` with the family) for its first witness.
+    Where the rule proves which grid profile is that witness, the function
+    prices that one profile and sweeps nothing; otherwise it sweeps, and
+    answers off the grid only when the grid shows none.
     ``covered`` maps a part's normal-form class, or ``_FAMILY``, to the
     detail of the PASS a universal check gives a part that meets the axiom
     at every profile: a part that never fails is never the first to fail,
@@ -273,14 +278,14 @@ def _decide(axiom, mechanism, dom: CheckDomain, variant, first, rule=None, conti
     decided = rule(mixture) if rule else None
     if isinstance(decided, str):
         return AxiomVerdict(axiom, variant, PASS, None, decided)
-    if mixture.has_continuous:
-        status, witness, detail = continuous(mixture)
-    else:
+
+    def grid():
+        if mixture.has_continuous:
+            return continuous(mixture)
         found = first(mixture.forms, dom, True)
-        status, witness, detail = (PASS, None, "") if found is None else (FAIL, *found[1:])
-    if decided is not None and status == PASS:
-        status, witness, detail = decided()
-    return AxiomVerdict(axiom, variant, status, witness, detail)
+        return (PASS, None, "") if found is None else (FAIL, *found[1:])
+
+    return AxiomVerdict(axiom, variant, *(decided(grid) if decided else grid()))
 
 
 def _ends(domain: str):
@@ -619,9 +624,9 @@ def _slope_theorem(dom: CheckDomain, ends_only: bool, mixture):
     (0, 1) alone: sum w y_{n-s} + w_family (n - s)/n + the dictators =
     (1 - a)(n - s)/n. Unanimous profiles pass at once.
 
-    A FAIL gives :func:`_off_grid` the first S to miss in the sweep's
-    (product) pattern order. Let j be the last agent whose share differs
-    from agent n's, d (:func:`proploc.sweep.last_labelled`). A pattern
+    A FAIL names the first S to miss in the sweep's (product) pattern
+    order. Let j be the last agent whose share differs from agent n's, d
+    (:func:`proploc.sweep.last_labelled`). A pattern
     whose high agents all follow j comes before any with j high, and its
     agents hold d, so the first to miss is 0...01...1 for the least size
     i <= n - 1 - j with ``misses(i, i * d)``. If none does, the next
@@ -629,6 +634,15 @@ def _slope_theorem(dom: CheckDomain, ends_only: bool, mixture):
     dictator weight, and i = 1 passed with d. With no such j, i runs over
     1..n - 1 (``tests/test_exact_rules.py::
     test_slope_rule_decides_strong_proportionality_on_the_whole_domain``).
+
+    With ranks, dictators and averages alone (no y_i inside the domain, no
+    family) every H_S is constant inside it, so a pattern that misses the
+    rule fails at every pair and one that meets it passes at every pair.
+    The sweep takes the pairs outer and the patterns inner
+    (:func:`proploc.sweep.two_valued_profiles`), so its first witness is
+    the grid's first pair with that pattern (:func:`_first_pair`).
+    Otherwise the FAIL is swept for its grid witness, and
+    :func:`_off_grid` gives one where the grid shows none.
     """
     detail = _average_theorem(mixture)
     if detail:
@@ -677,19 +691,35 @@ def _slope_theorem(dom: CheckDomain, ends_only: bool, mixture):
         return "the integral of P(facility > t) at each group's bound: every 0/1 profile"
     else:
         return "the slope P(facility > t) at each group's bound throughout the domain: every real pair"
+    if not family and not any(inside):
+        return partial(_first_pair, mixture, dom, pattern, ends_only)
     steps = [low, high] if ends_only else [low, *sorted({y for _, y in inside[i]}), high]
     return partial(_off_grid, mixture, dom, pattern, steps)
 
 
-def _off_grid(mixture, dom: CheckDomain, pattern, steps):
-    """(status, witness, detail) of the first two-valued profile, the
-    pattern's zeros at a step's left end and its ones at left + j (right -
-    left)/n for j = n..1, steps in order, where a group exceeds its bound,
-    priced exactly. On a step where H_S - (1 - a)(n - s)/n is not 0, its
-    integral from the left end is a nonzero polynomial of degree at most n,
-    0 there, so one of those n points shows the violation. A step unbounded
-    on the real line is taken one unit past its finite end ((0, 1) if it
-    has none)."""
+def _first_pair(mixture, dom: CheckDomain, pattern, ends_only: bool, grid):
+    """(status, witness, detail) of a slope-rule FAIL of ranks, dictators
+    and averages: the pattern on the grid's first pair ((0, 1) for
+    proportionality), the sweep's first witness (see :func:`_slope_theorem`),
+    priced exactly on that one profile. ``grid`` is never swept."""
+    low, high = _two_valued_values(dom.points(), ends_only)[:2]
+    profile = tuple(high if bit else low for bit in pattern)
+    return _exact(mixture, dom, lambda anonymous: [profile], _group_violation)
+
+
+def _off_grid(mixture, dom: CheckDomain, pattern, steps, grid):
+    """(status, witness, detail) of a slope-rule FAIL: the grid's first
+    witness, ``grid()``, or where the grid shows none, the first two-valued
+    profile, the pattern's zeros at a step's left end and its ones at left +
+    j (right - left)/n for j = n..1, steps in order, where a group exceeds
+    its bound, priced exactly. On a step where H_S - (1 - a)(n - s)/n is
+    not 0, its integral from the left end is a nonzero polynomial of degree
+    at most n, 0 there, so one of those n points shows the violation. A
+    step unbounded on the real line is taken one unit past its finite end
+    ((0, 1) if it has none)."""
+    found = grid()
+    if found[0] != PASS:
+        return found
     n = dom.n
     profiles = []
     for left, right in zip(steps, steps[1:]):
@@ -783,8 +813,9 @@ def check_strong_proportionality(mechanism, dom: CheckDomain, variant: str = DET
     over the grid, decided by SPF's block rule
     (:func:`proploc.sweep.spf_fails`), the low group before the high one
     (:func:`_group_violation`). A det or exp check of unanimous parts is
-    decided for every real pair by :func:`_slope_theorem`, and swept only
-    for a FAIL's first grid witness.
+    decided for every real pair by :func:`_slope_theorem`. A FAIL of ranks,
+    dictators and averages names its first grid witness; any other FAIL is
+    swept for it.
     """
     return _decide(
         STRONG_PROPORTIONALITY,

@@ -20,6 +20,7 @@ unequal agent 1 alone, and agent 2 alone when only agent 3's weight
 differs.
 """
 
+import json
 import math
 from fractions import Fraction as F
 from functools import partial
@@ -67,6 +68,8 @@ def reference_slope_theorem(dom, ends_only, subject):
         else:
             vectors.append((u, mech.phantoms.count(low), mech.phantoms.count(high), mech.phantoms))
     family = subject.continuous_weight.numerator * (wden // subject.continuous_weight.denominator)
+    # Ranks, dictators and averages alone: no phantom inside, no family.
+    constant = not family and all(lows + highs == n + 1 for _, lows, highs, _ in vectors)
     for pattern in grid_profiles((0, 1), n, label_free(forms, n, True)):
         s = pattern.count(0)
         if not 0 < s < n:
@@ -83,6 +86,8 @@ def reference_slope_theorem(dom, ends_only, subject):
             held = not family and not inside and n * mass == (wden - average) * i
             steps = [low, *sorted({y for _, y in inside}), high]
         if not held:
+            if constant:
+                return partial(axioms._first_pair, subject, dom, pattern, ends_only)
             return partial(axioms._off_grid, subject, dom, pattern, steps)
     if ends_only:
         return "the integral of P(facility > t) at each group's bound: every 0/1 profile"
@@ -253,14 +258,66 @@ def test_slope_hook_matches_the_pattern_loop(case):
             reference_slope_theorem(dom, ends_only, mixture))
 
 
-def test_slope_hook_reads_a_labelled_first_miss_off_the_shares():
+def test_slope_hook_reads_a_labelled_first_miss_off_the_shares(monkeypatch):
     """At n = 40 the first miss of the found shape is 2^39 patterns into the
-    sweep's order; the hook names it without walking them."""
+    sweep's order; the hook names it without walking them, and both checks
+    price that pattern on the grid's first pair with no engine built."""
     mixture, dom = found_shape(40)
     for ends_only in (False, True):
         hook = axioms._slope_theorem(dom, ends_only, mixture)
-        assert hook.func is axioms._off_grid
+        assert hook.func is axioms._first_pair
         assert hook.args[2] == (1,) + (0,) * 39
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a slope-rule FAIL of ranks and dictators reached the engine")
+
+    monkeypatch.setattr(axioms, "GroupSweep", refuse)
+    for check in (axioms.check_strong_proportionality, axioms.check_proportionality):
+        verdict = check(mixture, dom, axioms.EXP)
+        assert verdict.witness.profile == (1,) + (0,) * 39
+        assert verdict.witness.group == tuple(range(2, 41))
+        assert axioms.recheck_witness(mixture, verdict)
+
+
+def _ranks_dictators_and_averages(mixture, dom):
+    """The mixture's ranks, dictators and averages alone, their weights
+    rescaled to sum to 1, or None if it has none."""
+    kept = [(mech, weight) for mech, weight in mixture.forms if isinstance(mech, (RankK, Dictator, Average))]
+    total = sum(weight for _, weight in kept)
+    if not kept:
+        return None
+    return RandomizedMechanism(dom.n, dom.domain, tuple((mech, weight / total) for mech, weight in kept))
+
+
+@given(_cases())
+@example(UNEQUAL_DICTATORS)
+@example(SUFFIX_GROUP)
+@example(LAST_AGENT)
+@example(found_shape(6))
+def test_a_slope_rule_fail_names_the_engines_first_witness(case):
+    """A FAIL of ranks, dictators and averages is priced on the grid's
+    first pair with the rule's pattern, never swept: its witness is the
+    engine's first (``_group_first``) byte for byte, for Strong
+    Proportionality and, on [0,1], proportionality."""
+    mixture, dom = case
+    mixture = _ranks_dictators_and_averages(mixture, dom)
+    if mixture is None:
+        return
+
+    def unswept():
+        raise AssertionError("the first pair's witness swept the grid")
+
+    for ends_only in (False, True) if dom.domain == UNIT_INTERVAL else (False,):
+        hook = axioms._slope_theorem(dom, ends_only, mixture)
+        if not callable(hook):
+            continue
+        found = axioms._group_first(mixture.forms, dom, True, partial(axioms._two_valued_grid, ends_only=ends_only),
+                                    axioms._group_violation)
+        status, witness, detail = hook(unswept)
+        assert (status, detail) == (axioms.FAIL, "")
+        assert witness == found[1]
+        assert repr(witness) == repr(found[1])
+        assert json.dumps(witness.to_json()) == json.dumps(found[1].to_json())
 
 
 @given(_cases())
