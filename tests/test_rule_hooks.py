@@ -5,13 +5,16 @@ vectors with y_i at the high end and the vectors with y_i inside the domain
 from one pass over the parts, walks the group sizes of the agents after the
 last labelled one, and otherwise names that agent alone.
 ``axioms._anonymity_first`` reads only the dictator parts. The
-references below are the earlier forms, kept as they were: the slope rule
-reading every vector at every 0/1 pattern of the sweep's order, and the
-anonymity rule scanning the dictator shares of every part. Random mixtures
-of ranks, unanimous and interior phantom vectors, equal and unequal
-dictators, averages and (on [0,1]) the family, on both domains at n = 2..6,
-must get the same detail, or the same off-grid pattern and steps, and the
-same first anonymity failure. The explicit examples hold what derandomized
+references below are the earlier forms: the slope rule reading every
+vector at every 0/1 pattern of the sweep's order, and the anonymity rule
+scanning the dictator shares of every part. Random mixtures of ranks,
+unanimous and interior phantom vectors, equal and unequal dictators,
+averages and (on [0,1]) the family, on both domains at n = 2..6, must get
+the same detail, or the same FAIL pattern (on the first pair for ranks,
+dictators and averages alone, with its off-grid steps otherwise), and the
+same first anonymity failure. A FAIL of the ranks, dictators and averages
+alone, priced on the first pair with no sweep, must name the engine's
+first witness byte for byte. The explicit examples hold what derandomized
 draws can miss: unequal dictators, a phantom inside the domain, the family
 beside ranks whose high-end mass would meet the rule without it, the
 uniform phantoms, which meet the integral rule with phantoms inside, and
