@@ -286,9 +286,9 @@ def _ranks_dictators_and_averages(mixture, dom):
     """The mixture's ranks, dictators and averages alone, their weights
     rescaled to sum to 1, or None if it has none."""
     kept = [(mech, weight) for mech, weight in mixture.forms if isinstance(mech, (RankK, Dictator, Average))]
-    total = sum(weight for _, weight in kept)
     if not kept:
         return None
+    total = sum(weight for _, weight in kept)
     return RandomizedMechanism(dom.n, dom.domain, tuple((mech, weight / total) for mech, weight in kept))
 
 
@@ -318,7 +318,6 @@ def test_a_slope_rule_fail_names_the_engines_first_witness(case):
                                     axioms._group_violation)
         status, witness, detail = hook(unswept)
         assert (status, detail) == (axioms.FAIL, "")
-        assert witness == found[1]
         assert repr(witness) == repr(found[1])
         assert json.dumps(witness.to_json()) == json.dumps(found[1].to_json())
 
