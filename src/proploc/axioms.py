@@ -15,6 +15,9 @@ Every axiom has the same variants, defined once in :func:`_decide`:
   and a failure names the first that does not (universal truthfulness and
   anonymity, ex-post efficiency and fairness).
 
+Each axiom declares its hooks once, in one table (``_HOOKS``) that
+:func:`_decide` reads: its grid sweep, its det and exp rule, its exact path
+for a continuous family and the parts a universal check covers by theorem.
 Where each argument lives:
 
 - strategyproofness by the generalized-median and window theorems:
@@ -34,7 +37,8 @@ Where each argument lives:
   is also the group bound on two-valued profiles, in
   :func:`~proploc.sweep.spf_fails`.
 
-A continuous family's exact path (:func:`_exact`) prices the same profiles
+A continuous family's exact hooks (:func:`_two_valued_exact` and
+:func:`_spf_exact`) list the same profiles, and :func:`_exact` prices them
 with ``Fraction`` distances from :mod:`proploc.analysis` and walks them
 with the same functions.
 """
@@ -100,14 +104,6 @@ EFFICIENCY = "efficiency"
 PROPORTIONALITY = "proportionality"
 STRONG_PROPORTIONALITY = "strong_proportionality"
 SPF = "spf"
-AXIOMS = (
-    ANONYMITY,
-    STRATEGYPROOFNESS,
-    EFFICIENCY,
-    PROPORTIONALITY,
-    STRONG_PROPORTIONALITY,
-    SPF,
-)
 
 
 @dataclass(frozen=True)
@@ -210,24 +206,27 @@ def _witness(scaled: Scaled, X, lhs: int, bound: int, **fields) -> Witness:
 _FAMILY = object()
 
 
-def _decide(axiom, mechanism, dom: CheckDomain, variant, first, rule=None, continuous=None, covered=None):
+def _decide(axiom, mechanism, dom: CheckDomain, variant):
     """Decide ``axiom`` in ``variant``: the one place the variants are
-    defined (see the module docstring).
+    defined (see the module docstring), by the axiom's hooks in
+    ``_HOOKS[axiom] = (sweep, rule, exact, covered)``.
 
-    ``first(components, dom, combine)`` is the axiom's sweep over
-    (mechanism, weight) pairs in the normal form of
-    :func:`proploc.core.part_form`, which the mixture keeps from its
-    construction (``forms``): (component index, witness, failure detail) of
-    the first violation, or None. With ``combine`` the components form one
-    mixture (det and exp); without it each is checked alone (universal), and
-    the verdict names the failing component. ``rule(mixture)`` is the det
-    and exp rule: the detail of a PASS on the whole domain, None when it
-    cannot tell, or, for a FAIL, a function of ``grid`` returning the
-    verdict's (status, witness, detail), where ``grid()`` sweeps the grid
-    (the engine, or ``continuous`` with the family) for its first witness.
-    Where the rule proves which grid profile is that witness, the function
-    prices that one profile and sweeps nothing; otherwise it sweeps, and
-    answers off the grid only when the grid shows none.
+    ``sweep(components, dom, combine)`` walks the grid over (mechanism,
+    weight) pairs in the normal form of :func:`proploc.core.part_form`,
+    which the mixture keeps from its construction (``forms``): (component
+    index, witness, failure detail) of the first violation, or None. With
+    ``combine`` the components form one mixture (det and exp); without it
+    each is checked alone (universal), and the verdict names the failing
+    component. ``rule(mixture, dom)``, if any, is the det and exp rule: the
+    detail of a PASS on the whole domain, None when it cannot tell, or, for
+    a FAIL, a function of ``grid`` returning the verdict's (status,
+    witness, detail), where ``grid()`` gives the grid's first witness
+    (``sweep``, or ``exact`` with the family). Where the rule proves which
+    grid profile is that witness, the function prices that one profile and
+    sweeps nothing; otherwise it sweeps, and answers off the grid only when
+    the grid shows none. ``exact(mixture, dom)`` is the in-expectation rule
+    for a mixture with a continuous family, as (status, witness, detail);
+    without it there is no exp variant.
     ``covered`` maps a part's normal-form class, or ``_FAMILY``, to the
     detail of the PASS a universal check gives a part that meets the axiom
     at every profile: a part that never fails is never the first to fail,
@@ -243,20 +242,18 @@ def _decide(axiom, mechanism, dom: CheckDomain, variant, first, rule=None, conti
     set (``tests/test_axioms.py::
     test_random_phantom_universal_group_axioms_fail_on_the_lowest_realisation``).
     A failing part's witness names the part as given, not its normal form.
-    ``continuous(mixture)`` is the in-expectation rule for a mixture with a
-    continuous family, as (status, witness, detail); without it there is no
-    exp variant.
 
     A mixture's fit (n, domain) is checked first, then the variant. A
     deterministic mechanism is wrapped as a mixture, which checks its part,
     only after that.
     """
+    sweep, rule, exact, covered = _HOOKS[axiom]
     if isinstance(mechanism, RandomizedMechanism):
         as_mixture(mechanism, dom.n, dom.domain)
         if variant == DET:
             raise MechanismError("deterministic variant needs a deterministic mechanism")
-    if variant not in ((DET, EXP, UNIVERSAL) if continuous else (DET, UNIVERSAL)):
-        if continuous is None:
+    if variant not in ((DET, EXP, UNIVERSAL) if exact else (DET, UNIVERSAL)):
+        if exact is None:
             raise MechanismError(f"{axiom} has deterministic and universal variants only")
         raise MechanismError(f"unknown variant {variant!r}")
     mixture = as_mixture(mechanism, dom.n, dom.domain)
@@ -264,10 +261,9 @@ def _decide(axiom, mechanism, dom: CheckDomain, variant, first, rule=None, conti
         parts = [(mech, form) for (mech, _), (form, _) in zip(mixture.components, mixture.forms)]
         if mixture.has_continuous:
             parts.append((_FAMILY, RankK(dom.n)))
-        covered = covered or {}
         details = [covered.get(_FAMILY if part is _FAMILY else type(form)) for part, form in parts]
         swept = [pair for pair, detail in zip(parts, details) if detail is None]
-        found = first([(form, ONE) for _, form in swept], dom, False) if swept else None
+        found = sweep([(form, ONE) for _, form in swept], dom, False) if swept else None
         if found is None:
             return AxiomVerdict(axiom, variant, PASS, None, next(filter(None, details), ""))
         index, witness, failure = found
@@ -275,14 +271,14 @@ def _decide(axiom, mechanism, dom: CheckDomain, variant, first, rule=None, conti
         if part is _FAMILY:
             part = Phantom((ZERO,) * dom.n + (ONE,))
         return AxiomVerdict(axiom, variant, FAIL, replace(witness, component=format_mechanism(part)), failure)
-    decided = rule(mixture) if rule else None
+    decided = rule(mixture, dom) if rule else None
     if isinstance(decided, str):
         return AxiomVerdict(axiom, variant, PASS, None, decided)
 
     def grid():
         if mixture.has_continuous:
-            return continuous(mixture)
-        found = first(mixture.forms, dom, True)
+            return exact(mixture, dom)
+        found = sweep(mixture.forms, dom, True)
         return (PASS, None, "") if found is None else (FAIL, *found[1:])
 
     return AxiomVerdict(axiom, variant, *(decided(grid) if decided else grid()))
@@ -298,7 +294,7 @@ def _ends(domain: str):
 # ---------------------------------------------------------------------------
 
 
-def _sp_theorem(mixture):
+def _sp_theorem(mixture, dom: CheckDomain):
     """The PASS detail a det or exp mixture earns by theorem, else None.
 
     The generalized-median theorem: every part but an ``Average``, and
@@ -352,6 +348,11 @@ def _sp_first(components, dom: CheckDomain, combine: bool):
 _SP_UNDECIDED = "in-expectation strategyproofness is undecided for a continuous family mixed with an average"
 
 
+def _sp_exact(mixture, dom: CheckDomain):
+    """A continuous family beside an average: undecided, an error."""
+    raise MechanismError(_SP_UNDECIDED)
+
+
 def check_strategyproofness(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVerdict:
     """No agent can cut its (expected) distance by misreporting.
 
@@ -361,12 +362,7 @@ def check_strategyproofness(mechanism, dom: CheckDomain, variant: str = DET) -> 
     misreport (:class:`proploc.sweep.SpSweep`); beside a continuous family
     an ``Average`` is an error.
     """
-
-    def continuous(mixture):
-        raise MechanismError(_SP_UNDECIDED)
-
-    return _decide(STRATEGYPROOFNESS, mechanism, dom, variant, _sp_first, _sp_theorem, continuous, {
-        _FAMILY: "each phantom realisation a generalized median: every profile, every real misreport"})
+    return _decide(STRATEGYPROOFNESS, mechanism, dom, variant)
 
 
 @dataclass(frozen=True)
@@ -402,7 +398,7 @@ def search_manipulation(mechanism, dom: CheckDomain) -> ManipulationFinding | No
     misreport exists, or when :func:`_sp_theorem` rules one out.
     """
     mixture = as_mixture(mechanism, dom.n, dom.domain)
-    if _sp_theorem(mixture) is not None:
+    if _sp_theorem(mixture, dom) is not None:
         return None
     if mixture.has_continuous:
         raise MechanismError(_SP_UNDECIDED)
@@ -469,6 +465,13 @@ def _anonymity_first(components, dom: CheckDomain, combine: bool, mixture=None):
     return index, Witness(profile, dom.domain, permutation=permutation, lhs=lhs, bound=bound), ""
 
 
+def _anonymity_exact(mixture, dom: CheckDomain):
+    """Anonymity in expectation beside a continuous family, which ignores
+    labels: the finite dictators' first failure, priced in closed form."""
+    found = _anonymity_first(mixture.forms, dom, True, mixture=mixture)
+    return (PASS, None, "") if found is None else (FAIL, found[1], "")
+
+
 def check_anonymity(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVerdict:
     """Output (or expected output) is invariant under relabelling agents.
 
@@ -479,13 +482,7 @@ def check_anonymity(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVer
     i.i.d. and ignores labels, so in expectation a mixture with one is
     decided by its finite dictators.
     """
-
-    def continuous(mixture):
-        found = _anonymity_first(mixture.forms, dom, True, mixture=mixture)
-        return (PASS, None, "") if found is None else (FAIL, found[1], "")
-
-    return _decide(ANONYMITY, mechanism, dom, variant, _anonymity_first, None, continuous,
-                   {_FAMILY: "each phantom realisation a generalized median: every profile, every relabelling"})
+    return _decide(ANONYMITY, mechanism, dom, variant)
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +530,7 @@ def check_efficiency(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVe
     it of every support component (ex-post efficiency). A phantom vector is
     efficient if and only if its ends are the domain's, so on the real line
     a finite end fails even where no grid profile shows it."""
-    return _decide(EFFICIENCY, mechanism, dom, variant, _efficiency_first, covered={
-        _FAMILY: "each phantom realisation a generalized median, phantoms at 0 and 1: every profile"})
+    return _decide(EFFICIENCY, mechanism, dom, variant)
 
 
 # ---------------------------------------------------------------------------
@@ -544,16 +540,16 @@ def check_efficiency(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVe
 
 def _exact(mixture, dom: CheckDomain, profiles, violation):
     """The group axioms' in-expectation rule for a continuous family: the
-    first ``violation(locations, price, 1/n)`` over ``profiles(anonymous)``,
-    as (agent, group, lhs, bound), where ``price(x)`` is the expected
-    distance of an agent at location x, every agent priced in one call to
-    the exact closed forms of :mod:`proploc.analysis`. The family draws its
-    phantoms i.i.d. and ignores agent labels, so the finite components
-    decide ``anonymous`` by :func:`proploc.sweep.label_free`.
+    first ``violation(locations, price, 1/n)`` over ``profiles``, as (agent,
+    group, lhs, bound), where ``price(x)`` is the expected distance of an
+    agent at location x, every agent priced in one call to the exact closed
+    forms of :mod:`proploc.analysis`. The family draws its phantoms i.i.d.
+    and ignores agent labels, so the hooks that walk the grid
+    (:func:`_two_valued_exact`, :func:`_spf_exact`) list multisets where the
+    finite components do (:func:`proploc.sweep.label_free`).
     """
-    anonymous = label_free(mixture.forms, dom.n, True)
     scale = Fraction(1, dom.n)
-    for locations in profiles(anonymous):
+    for locations in profiles:
         distances = analysis.expected_agent_distances(mixture, Profile(dom.domain, locations))
         found = violation(locations, dict(zip(locations, distances)).__getitem__, scale)
         if found is not None:
@@ -575,7 +571,7 @@ def _exact(mixture, dom: CheckDomain, profiles, violation):
 _AVERAGE = {Average: "the average within every group's bound: every real profile"}
 
 
-def _average_theorem(mixture):
+def _average_theorem(mixture, dom: CheckDomain):
     """The PASS detail of a group axiom for a det or exp mixture of
     averages alone, else None.
 
@@ -599,7 +595,7 @@ def _average_theorem(mixture):
     return None
 
 
-def _slope_theorem(dom: CheckDomain, ends_only: bool, mixture):
+def _slope_theorem(mixture, dom: CheckDomain, ends_only: bool):
     """The det and exp rule of Strong Proportionality, or with
     ``ends_only`` of proportionality: :func:`_average_theorem`, then the
     slope rule on integers over the weights' common denominator, in time
@@ -644,7 +640,7 @@ def _slope_theorem(dom: CheckDomain, ends_only: bool, mixture):
     Otherwise the FAIL is swept for its grid witness, and
     :func:`_off_grid` gives one where the grid shows none.
     """
-    detail = _average_theorem(mixture)
+    detail = _average_theorem(mixture, dom)
     if detail:
         return detail
     n, forms = dom.n, mixture.forms
@@ -704,7 +700,7 @@ def _first_pair(mixture, dom: CheckDomain, pattern, ends_only: bool, grid):
     priced exactly on that one profile. ``grid`` is never swept."""
     low, high = _two_valued_values(dom.points(), ends_only)[:2]
     profile = tuple(high if bit else low for bit in pattern)
-    return _exact(mixture, dom, lambda anonymous: [profile], _group_violation)
+    return _exact(mixture, dom, [profile], _group_violation)
 
 
 def _off_grid(mixture, dom: CheckDomain, pattern, steps, grid):
@@ -728,7 +724,7 @@ def _off_grid(mixture, dom: CheckDomain, pattern, steps, grid):
         if isinstance(right, Infinite):
             right = left + 1
         profiles += [tuple(left + (right - left) * j / n if bit else left for bit in pattern) for j in range(n, 0, -1)]
-    return _exact(mixture, dom, lambda anonymous: profiles, _group_violation)
+    return _exact(mixture, dom, profiles, _group_violation)
 
 
 def _group_first(components, dom: CheckDomain, combine: bool, profiles, violation):
@@ -762,7 +758,8 @@ def _two_valued_grid(scaled: Scaled, combine: bool, ends_only: bool):
 def _two_valued_exact(mixture, dom: CheckDomain, ends_only: bool):
     """The exact path over the engine's profiles, in the same order."""
     values = _two_valued_values(dom.points(), ends_only)
-    return _exact(mixture, dom, partial(two_valued_profiles, values, dom.n), _group_violation)
+    anonymous = label_free(mixture.forms, dom.n, True)
+    return _exact(mixture, dom, two_valued_profiles(values, dom.n, anonymous), _group_violation)
 
 
 def _group_violation(X, price, scale):
@@ -792,16 +789,7 @@ def check_proportionality(mechanism, dom: CheckDomain, variant: str = DET) -> Ax
     """
     if dom.domain != UNIT_INTERVAL:
         raise DomainMismatchError("proportionality is an endpoint axiom on [0,1]")
-    return _decide(
-        PROPORTIONALITY,
-        mechanism,
-        dom,
-        variant,
-        partial(_group_first, profiles=partial(_two_valued_grid, ends_only=True), violation=_group_violation),
-        partial(_slope_theorem, dom, True),
-        lambda mixture: _two_valued_exact(mixture, dom, True),
-        _AVERAGE,
-    )
+    return _decide(PROPORTIONALITY, mechanism, dom, variant)
 
 
 def check_strong_proportionality(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVerdict:
@@ -817,16 +805,7 @@ def check_strong_proportionality(mechanism, dom: CheckDomain, variant: str = DET
     dictators and averages names its first grid witness; any other FAIL is
     swept for it.
     """
-    return _decide(
-        STRONG_PROPORTIONALITY,
-        mechanism,
-        dom,
-        variant,
-        partial(_group_first, profiles=partial(_two_valued_grid, ends_only=False), violation=_group_violation),
-        partial(_slope_theorem, dom, False),
-        lambda mixture: _two_valued_exact(mixture, dom, False),
-        _AVERAGE,
-    )
+    return _decide(STRONG_PROPORTIONALITY, mechanism, dom, variant)
 
 
 def _spf_violation(X, price, scale):
@@ -849,7 +828,7 @@ def _spf_violation(X, price, scale):
                     return j + 1, tuple(j + 1 for j in subset), price(X[j]), bound
 
 
-def _spf_exact(locations, price, scale):
+def _spf_exact_violation(locations, price, scale):
     """The exact path's SPF violation on one profile, or None: the engine's
     rule, :func:`proploc.sweep.spf_fails`, on the sorted profile and each
     price / scale as integers over one denominator, then the subset walk."""
@@ -860,6 +839,12 @@ def _spf_exact(locations, price, scale):
     if spf_fails(true, cost, 1).any():
         return _spf_violation(locations, price, scale)
     return None
+
+
+def _spf_exact(mixture, dom: CheckDomain):
+    """The exact path of SPF over every grid profile, in the engine's order."""
+    profiles = grid_profiles(dom.points(), dom.n, label_free(mixture.forms, dom.n, True))
+    return _exact(mixture, dom, profiles, _spf_exact_violation)
 
 
 def check_spf(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVerdict:
@@ -873,21 +858,31 @@ def check_spf(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVerdict:
     (:func:`_spf_violation`). A continuous family takes the exact path, on
     the same rule.
     """
-    return _decide(
-        SPF,
-        mechanism,
-        dom,
-        variant,
-        partial(_group_first, profiles=sweep_profiles, violation=_spf_violation),
-        _average_theorem,
-        lambda mixture: _exact(mixture, dom, partial(grid_profiles, dom.points(), dom.n), _spf_exact),
-        _AVERAGE,
-    )
+    return _decide(SPF, mechanism, dom, variant)
 
 
 # ---------------------------------------------------------------------------
 # Dispatch and witness re-verification
 # ---------------------------------------------------------------------------
+
+# Each axiom's hooks for _decide, declared once: (sweep, rule, exact, covered).
+_HOOKS = {
+    ANONYMITY: (_anonymity_first, None, _anonymity_exact, {
+        _FAMILY: "each phantom realisation a generalized median: every profile, every relabelling"}),
+    STRATEGYPROOFNESS: (_sp_first, _sp_theorem, _sp_exact, {
+        _FAMILY: "each phantom realisation a generalized median: every profile, every real misreport"}),
+    EFFICIENCY: (_efficiency_first, None, None, {
+        _FAMILY: "each phantom realisation a generalized median, phantoms at 0 and 1: every profile"}),
+    PROPORTIONALITY: (
+        partial(_group_first, profiles=partial(_two_valued_grid, ends_only=True), violation=_group_violation),
+        partial(_slope_theorem, ends_only=True), partial(_two_valued_exact, ends_only=True), _AVERAGE),
+    STRONG_PROPORTIONALITY: (
+        partial(_group_first, profiles=partial(_two_valued_grid, ends_only=False), violation=_group_violation),
+        partial(_slope_theorem, ends_only=False), partial(_two_valued_exact, ends_only=False), _AVERAGE),
+    SPF: (partial(_group_first, profiles=sweep_profiles, violation=_spf_violation), _average_theorem, _spf_exact,
+          _AVERAGE),
+}
+AXIOMS = tuple(_HOOKS)
 
 _CHECKERS = {
     ANONYMITY: check_anonymity,

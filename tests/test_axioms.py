@@ -904,10 +904,20 @@ def test_implication_chain_across_the_catalog():
 
 
 def test_run_check_dispatch_and_unknown_axiom():
+    """``AXIOMS`` is the hook table's key order, and the dispatch table
+    lists the same six axioms in that order. ``run_check`` and
+    ``recheck_witness`` each name an axiom they do not know."""
+    six = ("anonymity", "strategyproofness", "efficiency", "proportionality", "strong_proportionality", "spf")
+    assert ax.AXIOMS == tuple(ax._HOOKS) == tuple(ax._CHECKERS) == six
     dom = CheckDomain(n=2, grid=2)
     assert ax.run_check(ax.ANONYMITY, Median(), dom).passed
-    with pytest.raises(MechanismError):
-        ax.run_check("karma", Median(), dom)
+    with pytest.raises(MechanismError) as error:
+        ax.run_check("bogus", Median(), dom)
+    assert str(error.value) == "unknown axiom 'bogus'"
+    witness = ax.Witness((F(0), F(1)), UNIT_INTERVAL, agent=1, group=(1,), lhs=F(1, 2), bound=F(1, 4))
+    with pytest.raises(MechanismError) as error:
+        recheck_witness(Median(), ax.AxiomVerdict("bogus", ax.DET, ax.FAIL, witness))
+    assert str(error.value) == "unknown axiom 'bogus'"
 
 
 def test_verdict_serialization_shape():

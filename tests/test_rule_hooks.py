@@ -51,7 +51,7 @@ from proploc.sweep import dictator_shares, grid_profiles, label_free
 def reference_slope_theorem(dom, ends_only, subject):
     """The slope rule's hook as a loop over every 0/1 pattern in the sweep's
     order, each vector read at y_{n-s} for every pattern."""
-    detail = axioms._average_theorem(subject)
+    detail = axioms._average_theorem(subject, dom)
     if detail:
         return detail
     n, forms = dom.n, subject.forms
@@ -257,7 +257,7 @@ LAST_AGENT = _labelled(3, [(RankK(2), 1), (RankK(3), 1), (Dictator(1), 1), (Dict
 def test_slope_hook_matches_the_pattern_loop(case):
     mixture, dom = case
     for ends_only in (False, True):
-        assert _key(axioms._slope_theorem(dom, ends_only, mixture)) == _key(
+        assert _key(axioms._slope_theorem(mixture, dom, ends_only)) == _key(
             reference_slope_theorem(dom, ends_only, mixture))
 
 
@@ -267,7 +267,7 @@ def test_slope_hook_reads_a_labelled_first_miss_off_the_shares(monkeypatch):
     price that pattern on the grid's first pair with no engine built."""
     mixture, dom = found_shape(40)
     for ends_only in (False, True):
-        hook = axioms._slope_theorem(dom, ends_only, mixture)
+        hook = axioms._slope_theorem(mixture, dom, ends_only)
         assert hook.func is axioms._first_pair
         assert hook.args[2] == (1,) + (0,) * 39
 
@@ -311,7 +311,7 @@ def test_a_slope_rule_fail_names_the_engines_first_witness(case):
         raise AssertionError("the first pair's witness swept the grid")
 
     for ends_only in (False, True) if dom.domain == UNIT_INTERVAL else (False,):
-        hook = axioms._slope_theorem(dom, ends_only, mixture)
+        hook = axioms._slope_theorem(mixture, dom, ends_only)
         if not callable(hook):
             continue
         found = axioms._group_first(mixture.forms, dom, True, partial(axioms._two_valued_grid, ends_only=ends_only),
