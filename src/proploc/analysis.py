@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement, pairwise
 
 from .core import (
     ONE,
@@ -299,94 +299,65 @@ def solve_rank_weights(
 
     ``perturb=(index, delta)`` shifts one canonical constraint's right-hand
     side. ``extra`` adds ("eq"|"le"|"ge", k, rhs) conditions on a single
-    weight w_k; those are resolved against prefix intervals, which is exact
-    here because the base system pins every prefix (k=1 conditions are
-    folded in exactly in all cases). An index outside the constraint list
-    or a weight outside w_1..w_n is a :class:`MechanismError`.
+    weight w_k. An index outside the constraint list or a weight outside
+    w_1..w_n is a :class:`MechanismError`.
+
+    The rows, and every condition on w_1 (which is W_1 itself; "eq" gives
+    both senses), form one list of (prefix, sense, rhs) bounds on the
+    prefix sums W_0 = 0 <= W_1 <= ... <= W_n = 1. The weights are
+    non-negative, so a running max forward closes the lower bounds and a
+    running min backward the upper ones, and the system is feasible iff no
+    W_i with 1 <= i <= n-1 is left with lower > upper: W_0 and W_n are
+    fixed, and an empty interval there implies one at W_1 or W_{n-1}. The
+    first such i is the conflict. The differences of the two closed lists
+    are the lowest and highest weights, equal iff the solution is unique.
+    A condition on w_2..w_n is not a prefix bound, so it is checked against
+    the unique solution, and on a base that leaves the weights free it is a
+    :class:`MechanismError`; a condition on w_1 holds there already.
     """
     system = rank_weight_constraints(n, grid, domain)
-    constraints = list(system.constraints)
     for _, k, _ in extra:
         if not 1 <= k <= n:
             raise MechanismError(f"side constraint on w_{k}: weights are w_1..w_{n}")
     if perturb is not None:
-        index, delta = perturb
-        if not 0 <= index < len(constraints):
-            raise MechanismError(f"perturb index {index} out of range 0..{len(constraints) - 1}")
-        old = constraints[index]
-        constraints[index] = CumulativeConstraint(
-            old.prefix,
-            old.sense,
-            old.rhs + Fraction(delta),
-            old.provenance + f" (rhs shifted by {format_point(Fraction(delta))})",
-            old.multiplicity,
-        )
-        system = ConstraintSystem(n, tuple(constraints))
+        rows, index = list(system.constraints), perturb[0]
+        if not 0 <= index < len(rows):
+            raise MechanismError(f"perturb index {index} out of range 0..{len(rows) - 1}")
+        old, delta = rows[index], Fraction(perturb[1])
+        shifted = f"{old.provenance} (rhs shifted by {format_point(delta)})"
+        rows[index] = replace(old, rhs=old.rhs + delta, provenance=shifted)
+        system = ConstraintSystem(n, tuple(rows))
 
-    lo = [ZERO] + [ZERO] * (n - 1) + [ONE]
-    hi = [ZERO] + [ONE] * (n - 1) + [ONE]
-    for con in constraints:
-        if con.sense == "le":
-            hi[con.prefix] = min(hi[con.prefix], con.rhs)
+    bounds = [(c.prefix, c.sense, c.rhs) for c in system.constraints]
+    bounds += [
+        (1, sense, Fraction(rhs))
+        for kind, k, rhs in extra if k == 1
+        for sense in ("le", "ge") if kind in ("eq", sense)
+    ]
+    lo, hi = [ZERO] * n + [ONE], [ZERO] + [ONE] * n
+    for prefix, sense, rhs in bounds:
+        if sense == "le":
+            hi[prefix] = min(hi[prefix], rhs)
         else:
-            lo[con.prefix] = max(lo[con.prefix], con.rhs)
+            lo[prefix] = max(lo[prefix], rhs)
+    lo, hi = list(accumulate(lo, max)), list(accumulate(hi[::-1], min))[::-1]
+    i = next((i for i in range(1, n) if lo[i] > hi[i]), None)
+    if i is not None:
+        conflict = f"prefix sum w_1+..+w_{i} is forced >= {format_point(lo[i])} and <= {format_point(hi[i])}"
+        return RankWeightResult("infeasible", None, system, conflict=conflict)
+
+    low, high = (tuple(b - a for a, b in pairwise(ends)) for ends in (lo, hi))
+    if low != high:
+        if any(k > 1 for _, k, _ in extra):
+            raise MechanismError("single-weight side constraints need a point-determined base system")
+        return RankWeightResult("non_unique", None, system, alternates=(low, high))
     for kind, k, rhs in extra:
-        if k == 1:  # w_1 is itself the first prefix sum
-            rhs = Fraction(rhs)
-            if kind in ("eq", "le"):
-                hi[1] = min(hi[1], rhs)
-            if kind in ("eq", "ge"):
-                lo[1] = max(lo[1], rhs)
-    for i in range(1, n + 1):
-        lo[i] = max(lo[i], lo[i - 1])
-    for i in range(n - 1, -1, -1):
-        hi[i] = min(hi[i], hi[i + 1])
-    for i in range(n + 1):
-        if lo[i] > hi[i]:
-            return RankWeightResult(
-                "infeasible",
-                None,
-                system,
-                conflict=(
-                    f"prefix sum w_1+..+w_{i} is forced >= {format_point(lo[i])} "
-                    f"and <= {format_point(hi[i])}"
-                ),
-            )
-
-    unique = all(lo[i] == hi[i] for i in range(n + 1))
-    if unique:
-        weights = tuple(lo[i] - lo[i - 1] for i in range(1, n + 1))
-        for kind, k, rhs in extra:
-            if k == 1:
-                continue  # already folded into the intervals
-            rhs = Fraction(rhs)
-            value = weights[k - 1]
-            violated = (
-                (kind == "eq" and value != rhs)
-                or (kind == "le" and value > rhs)
-                or (kind == "ge" and value < rhs)
-            )
-            if violated:
-                return RankWeightResult(
-                    "infeasible",
-                    None,
-                    system,
-                    conflict=(
-                        f"w_{k} is pinned to {format_point(value)} but required "
-                        f"{kind} {format_point(rhs)}"
-                    ),
-                )
-        return RankWeightResult("unique", weights, system)
-
-    if any(k != 1 for _, k, _ in extra):
-        raise MechanismError(
-            "single-weight side constraints need a point-determined base system"
-        )
-    low_weights = tuple(lo[i] - lo[i - 1] for i in range(1, n + 1))
-    high_weights = tuple(hi[i] - hi[i - 1] for i in range(1, n + 1))
-    return RankWeightResult(
-        "non_unique", None, system, alternates=(low_weights, high_weights)
-    )
+        value, rhs = low[k - 1], Fraction(rhs)
+        # a weight above rhs breaks "eq" and "le", one below it "eq" and "ge"
+        if value != rhs and kind in ("eq", "le" if value > rhs else "ge"):
+            conflict = f"w_{k} is pinned to {format_point(value)} but required {kind} {format_point(rhs)}"
+            return RankWeightResult("infeasible", None, system, conflict=conflict)
+    return RankWeightResult("unique", low, system)
 
 
 # ---------------------------------------------------------------------------

@@ -318,6 +318,50 @@ def test_pinning_the_first_weight_to_zero_is_infeasible():
     assert result.conflict
 
 
+def test_an_empty_first_prefix_is_named_as_prefix_one():
+    # W_0 = 0 is fixed, so an upper bound below 0 on W_1 empties W_1's
+    # interval [1/4, ...], never W_0's
+    result = an.solve_rank_weights(4, perturb=(0, F(-1)))
+    assert result.status == "infeasible"
+    assert result.conflict == "prefix sum w_1+..+w_1 is forced >= 1/4 and <= -3/4"
+    result = an.solve_rank_weights(4, extra=(("eq", 1, F(-1)),))
+    assert result.status == "infeasible"
+    assert result.conflict == "prefix sum w_1+..+w_1 is forced >= 1/4 and <= -1"
+
+
+# Each row's expectation follows from W_i = i/4 at n = 4: w_1 = W_1 is
+# bounded as a prefix, and every other weight is pinned to 1/4.
+@pytest.mark.parametrize(
+    "extra, perturb, conflict",
+    [
+        ((("le", 1, F(1, 5)),), None, "prefix sum w_1+..+w_1 is forced >= 1/4 and <= 1/5"),
+        ((("ge", 1, F(1, 3)),), None, "prefix sum w_1+..+w_1 is forced >= 1/3 and <= 1/4"),
+        ((("le", 3, F(1, 5)),), None, "w_3 is pinned to 1/4 but required le 1/5"),
+        ((("ge", 2, F(1, 3)),), None, "w_2 is pinned to 1/4 but required ge 1/3"),
+        ((("le", 1, F(1, 2)), ("ge", 1, F(1, 4)), ("le", 4, F(1, 4)), ("ge", 3, F(1, 5))), None, None),
+        # the high-group row W_1 >= 1/4 shifted to 0 leaves W_1 in [0, 1/4]:
+        # only w_1 = 1/2's ge sense empties it
+        ((("eq", 1, F(1, 2)),), (1, F(-1, 4)), "prefix sum w_1+..+w_1 is forced >= 1/2 and <= 1/4"),
+    ],
+    ids=["le-w1", "ge-w1", "le-w3", "ge-w2", "met", "eq-w1-ge-side"],
+)
+def test_side_conditions_against_the_pinned_prefixes(extra, perturb, conflict):
+    result = an.solve_rank_weights(4, perturb=perturb, extra=extra)
+    if conflict is None:
+        assert result.status == "unique"
+        assert result.weights == (F(1, 4),) * 4
+    else:
+        assert result.status == "infeasible"
+        assert result.conflict == conflict
+
+
+def test_a_later_weight_condition_needs_a_point_determined_base():
+    # the same perturbation leaves W_1 free in [0, 1/4]
+    assert an.solve_rank_weights(4, perturb=(1, F(-1, 4))).status == "non_unique"
+    with pytest.raises(MechanismError, match="point-determined"):
+        an.solve_rank_weights(4, perturb=(1, F(-1, 4)), extra=(("ge", 2, F(1, 4)),))
+
+
 def test_solved_weights_feed_back_into_a_fair_mixture():
     for n in (2, 3, 4):
         result = an.solve_rank_weights(n)

@@ -8,7 +8,8 @@ discrete family. Then the other formats: ``run``, ``check`` and
 ``table`` as csv, and as markdown a manipulation finding and none found,
 ``solve-weights`` with alternates, unique and in conflict, ``prop1``,
 ``solve-weights`` side constraints on w_2 (unique, in conflict, and
-refused on a base system that is not point-determined), the table with its
+refused on a base system that is not point-determined), a first row
+shifted below 0 (its conflict named at W_1, not at W_0), the table with its
 footnotes and star line, a ``check`` PASS with its detail and a FAIL with
 its witness, and ``run`` of a lottery's atoms and of a continuous family.
 
