@@ -299,8 +299,8 @@ def solve_rank_weights(
 
     ``perturb=(index, delta)`` shifts one canonical constraint's right-hand
     side. ``extra`` adds ("eq"|"le"|"ge", k, rhs) conditions on a single
-    weight w_k. An index outside the constraint list or a weight outside
-    w_1..w_n is a :class:`MechanismError`.
+    weight w_k. An index outside the constraint list, a weight outside
+    w_1..w_n or another kind is a :class:`MechanismError`.
 
     The rows, and every condition on w_1 (which is W_1 itself; "eq" gives
     both senses), form one list of (prefix, sense, rhs) bounds on the
@@ -316,7 +316,9 @@ def solve_rank_weights(
     :class:`MechanismError`; a condition on w_1 holds there already.
     """
     system = rank_weight_constraints(n, grid, domain)
-    for _, k, _ in extra:
+    for kind, k, _ in extra:
+        if kind not in ("eq", "le", "ge"):
+            raise MechanismError(f"side constraint kind {kind!r}: kinds are eq, le and ge")
         if not 1 <= k <= n:
             raise MechanismError(f"side constraint on w_{k}: weights are w_1..w_{n}")
     if perturb is not None:

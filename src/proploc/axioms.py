@@ -37,10 +37,9 @@ Where each argument lives:
   is also the group bound on two-valued profiles, in
   :func:`~proploc.sweep.spf_fails`.
 
-A continuous family's exact hooks (:func:`_two_valued_exact` and
-:func:`_spf_exact`) list the same profiles, and :func:`_exact` prices them
-with ``Fraction`` distances from :mod:`proploc.analysis` and walks them
-with the same functions.
+A continuous family's exact hook (:func:`_group_exact`) lists the same
+profiles, and :func:`_exact` prices them with ``Fraction`` distances from
+:mod:`proploc.analysis` and walks them with the same functions.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import accumulate, combinations
 
 import numpy as np
@@ -111,23 +110,22 @@ class CheckDomain:
     """Finite verification domain: n agents on a location grid.
 
     On the unit interval the grid is {0, 1/grid, ..., 1}; on the real line
-    it is the integer window {-grid, ..., grid}. No check reads
-    ``support_grid`` (>= 1 when set); it remains only for
-    ``bench/workloads.swept_profiles`` and goes when that function does.
+    it is the integer window {-grid, ..., grid}. ``support_grid`` is a
+    class attribute, always None, not a field: no check reads it, and it
+    remains only for ``bench/workloads.swept_profiles``, going when that
+    function does.
     """
 
     n: int
     grid: int = 6
     domain: str = UNIT_INTERVAL
-    support_grid: int | None = None
+    support_grid = None
 
     def __post_init__(self):
         if self.n < 2:
             raise MechanismError("check domains need n >= 2")
         if self.grid < 1:
             raise MechanismError("grid parameter must be >= 1")
-        if self.support_grid is not None and self.support_grid < 1:
-            raise MechanismError("support grid must be >= 1")
         if self.domain not in (UNIT_INTERVAL, REAL_LINE):
             raise DomainMismatchError(f"unknown domain {self.domain!r}")
 
@@ -544,9 +542,9 @@ def _exact(mixture, dom: CheckDomain, profiles, violation):
     group, lhs, bound), where ``price(x)`` is the expected distance of an
     agent at location x, every agent priced in one call to the exact closed
     forms of :mod:`proploc.analysis`. The family draws its phantoms i.i.d.
-    and ignores agent labels, so the hooks that walk the grid
-    (:func:`_two_valued_exact`, :func:`_spf_exact`) list multisets where the
-    finite components do (:func:`proploc.sweep.label_free`).
+    and ignores agent labels, so the hook that walks the grid
+    (:func:`_group_exact`) lists multisets where the finite components do
+    (:func:`proploc.sweep.label_free`).
     """
     scale = Fraction(1, dom.n)
     for locations in profiles:
@@ -688,17 +686,18 @@ def _slope_theorem(mixture, dom: CheckDomain, ends_only: bool):
     else:
         return "the slope P(facility > t) at each group's bound throughout the domain: every real pair"
     if not family and not any(inside):
-        return partial(_first_pair, mixture, dom, pattern, ends_only)
+        return partial(_first_pair, mixture, dom, pattern)
     steps = [low, high] if ends_only else [low, *sorted({y for _, y in inside[i]}), high]
     return partial(_off_grid, mixture, dom, pattern, steps)
 
 
-def _first_pair(mixture, dom: CheckDomain, pattern, ends_only: bool, grid):
+def _first_pair(mixture, dom: CheckDomain, pattern, grid):
     """(status, witness, detail) of a slope-rule FAIL of ranks, dictators
     and averages: the pattern on the grid's first pair ((0, 1) for
-    proportionality), the sweep's first witness (see :func:`_slope_theorem`),
-    priced exactly on that one profile. ``grid`` is never swept."""
-    low, high = _two_valued_values(dom.points(), ends_only)[:2]
+    proportionality, on :func:`_endpoints`), the sweep's first witness (see
+    :func:`_slope_theorem`), priced exactly on that one profile. ``grid`` is
+    never swept."""
+    low, high = dom.points()[:2]
     profile = tuple(high if bit else low for bit in pattern)
     return _exact(mixture, dom, [profile], _group_violation)
 
@@ -743,23 +742,17 @@ def _group_first(components, dom: CheckDomain, combine: bool, profiles, violatio
     return hit[0], _witness(scaled, X, cost, bound, agent=agent, group=group), ""
 
 
-def _two_valued_values(points, ends_only: bool):
-    """The values two-valued profiles take: the grid's ends (proportionality,
-    where they are 0 and 1) or every grid point (Strong Proportionality)."""
-    return (points[0], points[-1]) if ends_only else points
-
-
-def _two_valued_grid(scaled: Scaled, combine: bool, ends_only: bool):
+def _two_valued_grid(scaled: Scaled, combine: bool):
     """The engine's two-valued profiles, in check order."""
-    values = _two_valued_values(scaled.grid_ints, ends_only)
-    return two_valued_profiles(values, scaled.n, scaled.anonymous(combine))
+    return two_valued_profiles(scaled.grid_ints, scaled.n, scaled.anonymous(combine))
 
 
-def _two_valued_exact(mixture, dom: CheckDomain, ends_only: bool):
-    """The exact path over the engine's profiles, in the same order."""
-    values = _two_valued_values(dom.points(), ends_only)
+def _group_exact(mixture, dom: CheckDomain, profiles, violation):
+    """The exact path of a group axiom: ``violation`` over
+    ``profiles(points, n, anonymous)`` of the grid, the engine's profiles in
+    the same order."""
     anonymous = label_free(mixture.forms, dom.n, True)
-    return _exact(mixture, dom, two_valued_profiles(values, dom.n, anonymous), _group_violation)
+    return _exact(mixture, dom, profiles(dom.points(), dom.n, anonymous), violation)
 
 
 def _group_violation(X, price, scale):
@@ -780,16 +773,27 @@ def _group_violation(X, price, scale):
     return None
 
 
+@lru_cache(maxsize=64)
+def _endpoints(dom: CheckDomain) -> CheckDomain:
+    """``dom`` on the grid {0, 1}. Cached: a fresh ``replace`` per check
+    would add about a sixth to a rule-decided check's time."""
+    return replace(dom, grid=1)
+
+
 def check_proportionality(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVerdict:
     """On endpoint profiles, each co-located group of size s sits within
     (n-s)/n of the facility (in expectation for the exp variant).
 
-    This is the Strong Proportionality check (see
-    :func:`check_strong_proportionality`) over the single pair (0, 1).
+    This is Strong Proportionality (see
+    :func:`check_strong_proportionality`) on the endpoint grid {0, 1}
+    (:func:`_endpoints`), which every grid of [0,1] holds: the same sweep
+    and exact hooks over the single pair (0, 1), whatever ``dom.grid``. Only
+    the det and exp rule differs: :func:`_slope_theorem` asks
+    proportionality's integral condition of that pair alone.
     """
     if dom.domain != UNIT_INTERVAL:
         raise DomainMismatchError("proportionality is an endpoint axiom on [0,1]")
-    return _decide(PROPORTIONALITY, mechanism, dom, variant)
+    return _decide(PROPORTIONALITY, mechanism, _endpoints(dom), variant)
 
 
 def check_strong_proportionality(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVerdict:
@@ -841,12 +845,6 @@ def _spf_exact_violation(locations, price, scale):
     return None
 
 
-def _spf_exact(mixture, dom: CheckDomain):
-    """The exact path of SPF over every grid profile, in the engine's order."""
-    profiles = grid_profiles(dom.points(), dom.n, label_free(mixture.forms, dom.n, True))
-    return _exact(mixture, dom, profiles, _spf_exact_violation)
-
-
 def check_spf(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVerdict:
     """Every subset S of agents with inner range r, on a profile of range
     R, keeps each member within R(n-|S|)/n + r (the Proportional Fairness of
@@ -865,6 +863,10 @@ def check_spf(mechanism, dom: CheckDomain, variant: str = DET) -> AxiomVerdict:
 # Dispatch and witness re-verification
 # ---------------------------------------------------------------------------
 
+# Proportionality and Strong Proportionality share their sweep and exact hooks.
+_TWO_VALUED_FIRST = partial(_group_first, profiles=_two_valued_grid, violation=_group_violation)
+_TWO_VALUED_EXACT = partial(_group_exact, profiles=two_valued_profiles, violation=_group_violation)
+
 # Each axiom's hooks for _decide, declared once: (sweep, rule, exact, covered).
 _HOOKS = {
     ANONYMITY: (_anonymity_first, None, _anonymity_exact, {
@@ -873,14 +875,10 @@ _HOOKS = {
         _FAMILY: "each phantom realisation a generalized median: every profile, every real misreport"}),
     EFFICIENCY: (_efficiency_first, None, None, {
         _FAMILY: "each phantom realisation a generalized median, phantoms at 0 and 1: every profile"}),
-    PROPORTIONALITY: (
-        partial(_group_first, profiles=partial(_two_valued_grid, ends_only=True), violation=_group_violation),
-        partial(_slope_theorem, ends_only=True), partial(_two_valued_exact, ends_only=True), _AVERAGE),
-    STRONG_PROPORTIONALITY: (
-        partial(_group_first, profiles=partial(_two_valued_grid, ends_only=False), violation=_group_violation),
-        partial(_slope_theorem, ends_only=False), partial(_two_valued_exact, ends_only=False), _AVERAGE),
-    SPF: (partial(_group_first, profiles=sweep_profiles, violation=_spf_violation), _average_theorem, _spf_exact,
-          _AVERAGE),
+    PROPORTIONALITY: (_TWO_VALUED_FIRST, partial(_slope_theorem, ends_only=True), _TWO_VALUED_EXACT, _AVERAGE),
+    STRONG_PROPORTIONALITY: (_TWO_VALUED_FIRST, partial(_slope_theorem, ends_only=False), _TWO_VALUED_EXACT, _AVERAGE),
+    SPF: (partial(_group_first, profiles=sweep_profiles, violation=_spf_violation), _average_theorem,
+          partial(_group_exact, profiles=grid_profiles, violation=_spf_exact_violation), _AVERAGE),
 }
 AXIOMS = tuple(_HOOKS)
 

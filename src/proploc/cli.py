@@ -40,21 +40,7 @@ from .core import (
 )
 from .mechanisms import build_mechanism
 
-_DOMAIN_ALIASES = {
-    "unit": UNIT_INTERVAL,
-    "unit_interval": UNIT_INTERVAL,
-    "real": REAL_LINE,
-    "real_line": REAL_LINE,
-}
-
-_VARIANT_ALIASES = {
-    "det": axioms.DET,
-    "deterministic": axioms.DET,
-    "exp": axioms.EXP,
-    "expectation": axioms.EXP,
-    "universal": axioms.UNIVERSAL,
-    "expost": axioms.UNIVERSAL,
-}
+_DOMAINS = {"unit": UNIT_INTERVAL, "real": REAL_LINE}
 
 TABLE_ROWS = (
     ("Random Rank", "random_rank"),
@@ -201,7 +187,7 @@ def _cmd_run(args):
 def _cmd_check(args):
     dom = axioms.CheckDomain(n=args.n, grid=args.grid, domain=args.domain)
     mechanism = build_mechanism(args.mechanism, args.n, args.domain)
-    verdict = axioms.run_check(args.axiom, mechanism, dom, _VARIANT_ALIASES[args.variant])
+    verdict = axioms.run_check(args.axiom, mechanism, dom, args.variant)
     return {axioms.PASS: 0, axioms.FAIL: 1, axioms.INCONCLUSIVE: 2}[verdict.status], verdict.to_json()
 
 
@@ -358,7 +344,7 @@ _COMMANDS = {
 
 def _add_common(parser, command, with_grid=True, with_domain=True):
     if with_domain:
-        parser.add_argument("--domain", choices=sorted(_DOMAIN_ALIASES), default="unit")
+        parser.add_argument("--domain", choices=sorted(_DOMAINS), default="unit")
     formats = tuple(_COMMANDS[command][1])
     parser.add_argument("--format", choices=formats, default=formats[0])
     parser.add_argument("--out", default=None, help="also write the report to a file")
@@ -382,7 +368,7 @@ def main(argv=None) -> int:
     check_p = sub.add_parser("check", help="decide one axiom for one mechanism")
     check_p.add_argument("--mechanism", required=True)
     check_p.add_argument("--axiom", required=True, choices=axioms.AXIOMS)
-    check_p.add_argument("--variant", default="det", choices=sorted(_VARIANT_ALIASES))
+    check_p.add_argument("--variant", default=axioms.DET, choices=(axioms.DET, axioms.EXP, axioms.UNIVERSAL))
     _add_common(check_p, "check")
 
     table_p = sub.add_parser("table", help="mechanism-by-property summary matrix")
@@ -405,7 +391,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if "domain" in args:
-        args.domain = _DOMAIN_ALIASES[args.domain]
+        args.domain = _DOMAINS[args.domain]
     compute, renderers = _COMMANDS[args.command]
     try:
         code, payload = compute(args)

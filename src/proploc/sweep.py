@@ -583,9 +583,9 @@ def spf_fails(true, cost, scale):
     test_spf_rule_is_the_group_bound_on_two_valued_profiles``).
 
     The rule reads int64 or Python ints (``dtype=object``), the exact path's
-    too, over one common denominator (``axioms._spf_exact``). For reports
-    in (-big, big), R < 2 * big, |g| < 3 * n * big and every bound is below
-    8 * n * big * scale: the int64 guard of :class:`GroupSweep`.
+    too, over one common denominator (``axioms._spf_exact_violation``). For
+    reports in (-big, big), R < 2 * big, |g| < 3 * n * big and every bound
+    is below 8 * n * big * scale: the int64 guard of :class:`GroupSweep`.
     """
     n = true.shape[1]
     spread = true[:, -1:] - true[:, :1]

@@ -342,10 +342,16 @@ def test_an_empty_first_prefix_is_named_as_prefix_one():
         # the high-group row W_1 >= 1/4 shifted to 0 leaves W_1 in [0, 1/4]:
         # only w_1 = 1/2's ge sense empties it
         ((("eq", 1, F(1, 2)),), (1, F(-1, 4)), "prefix sum w_1+..+w_1 is forced >= 1/2 and <= 1/4"),
+        # a kind that is not eq, le or ge is refused, not ignored
+        ((("lt", 3, 0),), None, MechanismError("side constraint kind 'lt': kinds are eq, le and ge")),
     ],
-    ids=["le-w1", "ge-w1", "le-w3", "ge-w2", "met", "eq-w1-ge-side"],
+    ids=["le-w1", "ge-w1", "le-w3", "ge-w2", "met", "eq-w1-ge-side", "unknown-kind"],
 )
 def test_side_conditions_against_the_pinned_prefixes(extra, perturb, conflict):
+    if isinstance(conflict, MechanismError):
+        with pytest.raises(MechanismError, match=re.escape(str(conflict))):
+            an.solve_rank_weights(4, perturb=perturb, extra=extra)
+        return
     result = an.solve_rank_weights(4, perturb=perturb, extra=extra)
     if conflict is None:
         assert result.status == "unique"

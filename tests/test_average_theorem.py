@@ -23,6 +23,7 @@ from proploc import analysis, axioms, sweep
 from proploc.core import ONE, REAL_LINE, UNIT_INTERVAL, Average, MechanismError, Profile, part_form
 from proploc.mechanisms import build_mechanism, format_mechanism
 
+from test_rule_hooks import ends_grid
 from test_sp_theorem import mixtures
 
 THEOREM = "the average within every group's bound: every real profile"
@@ -85,15 +86,9 @@ def test_average_cost_equals_each_group_bound_on_two_valued_profiles(case):
 
 
 FIRSTS = {
-    axioms.PROPORTIONALITY: partial(
-        axioms._group_first,
-        profiles=partial(axioms._two_valued_grid, ends_only=True),
-        violation=axioms._group_violation,
-    ),
+    axioms.PROPORTIONALITY: partial(axioms._group_first, profiles=ends_grid, violation=axioms._group_violation),
     axioms.STRONG_PROPORTIONALITY: partial(
-        axioms._group_first,
-        profiles=partial(axioms._two_valued_grid, ends_only=False),
-        violation=axioms._group_violation,
+        axioms._group_first, profiles=axioms._two_valued_grid, violation=axioms._group_violation
     ),
     axioms.SPF: partial(axioms._group_first, profiles=sweep.sweep_profiles, violation=axioms._spf_violation),
     axioms.STRATEGYPROOFNESS: axioms._sp_first,

@@ -645,6 +645,21 @@ def test_removed_support_grid_option_is_rejected(capsys):
     assert "unrecognized arguments: --support-grid 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "option",
+    [["--variant", "expectation"], ["--variant", "deterministic"], ["--variant", "expost"],
+     ["--domain", "unit_interval"], ["--domain", "real_line"]],
+    ids=lambda option: option[1],
+)
+def test_removed_spellings_are_rejected(capsys, option):
+    """``check`` takes one spelling per variant (det, exp, universal) and
+    per domain (unit, real)."""
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--mechanism", "median", "--axiom", "spf", "--n", "2", "--grid", "2", *option])
+    assert exc.value.code == 2
+    assert f"invalid choice: {option[1]!r}" in capsys.readouterr().err
+
+
 def test_removed_subset_cap_option_is_rejected(capsys):
     """SPF checks every subset, so ``check`` has no ``--subset-cap``."""
     with pytest.raises(SystemExit) as exc:

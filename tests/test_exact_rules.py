@@ -26,7 +26,6 @@ dictators, and the real line's off-grid steps unbounded below and above.
 """
 
 from fractions import Fraction as F
-from functools import partial
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -49,8 +48,10 @@ from proploc.core import (
     as_mixture,
 )
 from proploc.mechanisms import build_mechanism
+from proploc.sweep import two_valued_profiles
 
 from phantom_forms import to_phantom_form
+from test_rule_hooks import ends_grid, ends_profiles
 from test_sweep_differential import _reference_group_first
 
 SLOPE = "the slope P(facility > t) at each group's bound throughout the domain: every real pair"
@@ -138,11 +139,12 @@ def _swept(axiom, mechanism, dom, variant):
     mixture = as_mixture(mechanism, dom.n, dom.domain)
     ends_only = axiom == axioms.PROPORTIONALITY
     if mixture.has_continuous:
-        status, witness, _ = axioms._two_valued_exact(mixture, dom, ends_only)
+        profiles = ends_profiles if ends_only else two_valued_profiles
+        status, witness, _ = axioms._group_exact(mixture, dom, profiles, axioms._group_violation)
         return axioms.AxiomVerdict(axiom, variant, status, witness)
     found = axioms._group_first(
         mixture.forms, dom, True,
-        profiles=partial(axioms._two_valued_grid, ends_only=ends_only), violation=axioms._group_violation,
+        profiles=ends_grid if ends_only else axioms._two_valued_grid, violation=axioms._group_violation,
     )
     if found is None:
         return axioms.AxiomVerdict(axiom, variant, axioms.PASS)

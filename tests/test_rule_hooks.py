@@ -45,7 +45,19 @@ from proploc.core import (
     RankK,
     outcome_pairs,
 )
-from proploc.sweep import dictator_shares, grid_profiles, label_free
+from proploc.sweep import dictator_shares, grid_profiles, label_free, two_valued_profiles
+
+
+def ends_profiles(values, n, anonymous):
+    """Proportionality's profiles as the reference lists them: the
+    two-valued profiles over the first and last of ``values`` alone, the
+    full grid's ends (0, 1)."""
+    return two_valued_profiles((values[0], values[-1]), n, anonymous)
+
+
+def ends_grid(scaled, combine):
+    """:func:`ends_profiles` over the engine's full grid."""
+    return ends_profiles(scaled.grid_ints, scaled.n, scaled.anonymous(combine))
 
 
 def reference_slope_theorem(dom, ends_only, subject):
@@ -90,7 +102,7 @@ def reference_slope_theorem(dom, ends_only, subject):
             steps = [low, *sorted({y for _, y in inside}), high]
         if not held:
             if constant:
-                return partial(axioms._first_pair, subject, dom, pattern, ends_only)
+                return partial(axioms._first_pair, subject, dom, pattern)
             return partial(axioms._off_grid, subject, dom, pattern, steps)
     if ends_only:
         return "the integral of P(facility > t) at each group's bound: every 0/1 profile"
@@ -301,7 +313,8 @@ def test_a_slope_rule_fail_names_the_engines_first_witness(case):
     """A FAIL of ranks, dictators and averages is priced on the grid's
     first pair with the rule's pattern, never swept: its witness is the
     engine's first (``_group_first``) byte for byte, for Strong
-    Proportionality and, on [0,1], proportionality."""
+    Proportionality and, on [0,1], proportionality, whose hook runs on the
+    endpoint grid against the engine over the full grid's ends."""
     mixture, dom = case
     mixture = _ranks_dictators_and_averages(mixture, dom)
     if mixture is None:
@@ -311,10 +324,10 @@ def test_a_slope_rule_fail_names_the_engines_first_witness(case):
         raise AssertionError("the first pair's witness swept the grid")
 
     for ends_only in (False, True) if dom.domain == UNIT_INTERVAL else (False,):
-        hook = axioms._slope_theorem(mixture, dom, ends_only)
+        hook = axioms._slope_theorem(mixture, axioms._endpoints(dom) if ends_only else dom, ends_only)
         if not callable(hook):
             continue
-        found = axioms._group_first(mixture.forms, dom, True, partial(axioms._two_valued_grid, ends_only=ends_only),
+        found = axioms._group_first(mixture.forms, dom, True, ends_grid if ends_only else axioms._two_valued_grid,
                                     axioms._group_violation)
         status, witness, detail = hook(unswept)
         assert (status, detail) == (axioms.FAIL, "")
