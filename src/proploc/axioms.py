@@ -50,8 +50,6 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate, combinations
 
-import numpy as np
-
 from . import analysis
 from .core import (
     NEG_INF,
@@ -84,7 +82,7 @@ from .sweep import (
     grid_profiles,
     label_free,
     last_labelled,
-    spf_fails,
+    spf_first_row,
     sweep_profiles,
     two_valued_profiles,
 )
@@ -834,13 +832,14 @@ def _spf_violation(X, price, scale):
 
 def _spf_exact_violation(locations, price, scale):
     """The exact path's SPF violation on one profile, or None: the engine's
-    rule, :func:`proploc.sweep.spf_fails`, on the sorted profile and each
-    price / scale as integers over one denominator, then the subset walk."""
+    rule in row form, :func:`proploc.sweep.spf_first_row`, on the sorted
+    profile and each price / scale as integers over one denominator, then
+    the subset walk."""
     true = sorted(locations)
     values = true + [price(x) / scale for x in true]
     den = math.lcm(*(v.denominator for v in values))
-    true, cost = np.array([v.numerator * (den // v.denominator) for v in values], dtype=object).reshape(2, 1, -1)
-    if spf_fails(true, cost, 1).any():
+    ints = [v.numerator * (den // v.denominator) for v in values]
+    if spf_first_row(ints[: len(true)], [ints[len(true) :]], 1) is not None:
         return _spf_violation(locations, price, scale)
     return None
 

@@ -11,19 +11,23 @@ checks of :mod:`proploc.axioms`:
   translation allows it (:func:`sweep_profiles`);
 - :class:`SpSweep` prices every breakpoint misreport, and
   :class:`GroupSweep` every sorted slot for the one group block rule,
-  :func:`spf_fails`; :func:`order_statistics` gives the rank and phantom
-  outputs of a block.
+  :func:`spf_fails`, or its row form :func:`spf_first_row`;
+  :func:`order_statistics` gives the rank and phantom outputs of a block.
 
 Blocks run in enumeration order as int64 arrays while every scaled value
 provably stays below ``INT64_BOUND``, as Python ints (``dtype=object``)
-otherwise, and no block temporary exceeds ``BLOCK_ELEMENTS`` elements.
+otherwise, and no block temporary exceeds ``BLOCK_ELEMENTS`` elements. A
+group sweep's first block, at most 8 profiles, runs in plain Python ints,
+with no array.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations_with_replacement, islice, product
+from functools import cached_property
+from itertools import accumulate, chain, combinations_with_replacement, islice, product
+from operator import gt
 
 import numpy as np
 
@@ -105,6 +109,7 @@ class Scaled:
         # a constant on [0,1], and does not.
         self.translation_equivariant = not any(isinstance(mech, Phantom) for mech, _ in components)
         self.phantom_values = tuple(sorted({y for _, fins, _ in ranked for y in fins}))
+        self.pad = max((len(fins) for _, fins, _ in ranked), default=0)
         # grid_points(domain, grid) over D, without building the Fractions.
         if domain == UNIT_INTERVAL:
             self.grid_ints = tuple(j * (D // grid) for j in range(grid + 1))
@@ -130,10 +135,9 @@ class Scaled:
 
     def padded_phantoms(self, fill, dtype):
         """(ranked part, slot): each rank or phantom part's finite phantoms,
-        in ``ranked`` order, padded with ``fill`` to the longest."""
-        pad = max((len(fins) for _, fins, _ in self.ranked), default=0)
-        rows = [[*fins] + [fill] * (pad - len(fins)) for _, fins, _ in self.ranked]
-        return np.array(rows, dtype=dtype).reshape(len(rows), pad)
+        in ``ranked`` order, padded with ``fill`` to the longest, ``pad``."""
+        rows = [[*fins] + [fill] * (self.pad - len(fins)) for _, fins, _ in self.ranked]
+        return np.array(rows, dtype=dtype).reshape(len(rows), self.pad)
 
 
 def dictator_shares(components, n: int) -> list[Fraction]:
@@ -184,15 +188,15 @@ def label_free(components, n: int, combine: bool) -> bool:
     return not any(isinstance(mech, Dictator) for mech, _ in components)
 
 
-def profile_blocks(profiles, size: int, dtype):
-    """Consecutive runs of profiles, in enumeration order, as arrays. The
+def profile_blocks(profiles, size: int):
+    """Consecutive runs of profiles, in enumeration order, as lists. The
     first run holds 8 profiles and each next one four times more, up to
     ``size``: a sweep that fails on an early profile, as most failing
     checks do, stops after a small block, and a full sweep adds only a few
     blocks."""
     step = min(size, 8)
     while chunk := list(islice(profiles, step)):
-        yield np.array(chunk, dtype=dtype)
+        yield chunk
         step = min(size, 4 * step)
 
 
@@ -219,16 +223,15 @@ def first_hit(mask):
     return int(hits[0]) if len(hits) else None
 
 
-def first_failure(blocks, block_hit):
+def first_failure(hits):
     """First failure over a block sweep, in (component, block order, index
-    within the block) order. ``block_hit(block)`` returns the first failure
-    (component, result) of every component on one block, or None, and keeps
-    no block array alive. A later block's hit counts only if its component
-    is earlier; once component 0 fails, no later block can come first.
+    within the block) order. ``hits`` yields, block by block, the first
+    failure (component, result) of every component on that block, or None,
+    and is read lazily: a later block's hit counts only if its component is
+    earlier, and once component 0 fails, no later block is read.
     """
     found = None
-    for block in blocks:
-        hit = block_hit(block)
+    for hit in hits:
         if hit is not None and (found is None or hit[0] < found[0]):
             found = hit
             if found[0] == 0:
@@ -292,7 +295,7 @@ class SpSweep:
 
     def blocks(self):
         profiles = sweep_profiles(self.scaled, self.combine, misreports=True)
-        return profile_blocks(profiles, self.block_profiles, self.dtype)
+        return (np.array(chunk, dtype=self.dtype) for chunk in profile_blocks(profiles, self.block_profiles))
 
     def _bounds(self, rows, others, agent, true, balance):
         """(lo, hi, b), each (part, row)."""
@@ -384,7 +387,7 @@ class SpSweep:
             costs = self.costs(X)
             return self._violation(X, costs, costs[3] < costs[4][..., None])
 
-        return first_failure(self.blocks(), block_hit)
+        return first_failure(map(block_hit, self.blocks()))
 
     def best_gain(self):
         """The largest truthful-minus-deviating gain, first instance on ties,
@@ -462,7 +465,8 @@ def two_valued_profiles(values, n: int, anonymous: bool):
     for a, low in enumerate(values):
         for high in values[a + 1 :]:
             for pattern in patterns:
-                yield tuple(high if bit else low for bit in pattern)
+                # A list, not a generator, into tuple: a third of the time.
+                yield tuple([high if bit else low for bit in pattern])
 
 
 class GroupSweep:
@@ -480,68 +484,98 @@ class GroupSweep:
     in-expectation cost); otherwise each part is its own component, all
     swept at once over the same profiles, which are iterated once: multisets
     when the swept cost ignores agent labels (see :func:`label_free`),
-    ordered vectors otherwise.
+    ordered vectors otherwise. The first block runs in Python ints, a
+    profile at a time, and later blocks as arrays (:meth:`first_violation`).
     """
 
     def __init__(self, scaled, profiles, combine: bool):
-        n, ranked = scaled.n, scaled.ranked
+        n = scaled.n
         self.scaled, self.profiles, self.combine = scaled, profiles, combine
-        self.clip = [c for c, _, _ in ranked]
         # Every report and phantom lies in (-big, big), so every cost stays
         # below 2 * n * big * weight and every bound below 8 * n * big * wden
         # (see spf_fails).
         big = max(map(abs, [*scaled.grid_ints, *scaled.phantom_values])) + 1
         weight = sum(scaled.u) if combine else max(scaled.u)
         dtype = np.int64 if 8 * n * big * (weight + scaled.wden) < INT64_BOUND else object
-        self.dtype = dtype
-        self.phantoms = scaled.padded_phantoms(big, dtype)
-        self.positions = np.array([t for _, _, t in ranked], dtype=np.intp)
-        self.coef = np.array(scaled.coef(), dtype=dtype)[:, None, None]
-        # An average's output is the sum of the reports: n times its location.
-        scale = [n if c in scaled.averages else 1 for c in range(len(scaled.u))]
-        self.scale = np.array(scale, dtype=dtype)[:, None, None]
-        self.block_profiles = max(1, BLOCK_ELEMENTS // (len(scaled.u) * (n + self.phantoms.shape[1])))
+        self.big, self.dtype = big, dtype
+        # Per part: its cost factor and its output's scale, n for the average's sum.
+        self.factors = [(k, n if c in scaled.averages else 1) for c, k in enumerate(scaled.coef())]
+        self.block_profiles = max(1, BLOCK_ELEMENTS // (len(scaled.u) * (n + scaled.pad)))
 
-    def blocks(self):
-        return profile_blocks(self.profiles, self.block_profiles, self.dtype)
+    @cached_property
+    def arrays(self):
+        """(phantoms, positions, coef, scale) of :meth:`prices`, built at its
+        first block: a sweep that fails in its first block needs none."""
+        scaled, dtype = self.scaled, self.dtype
+        positions = np.array([t for _, _, t in scaled.ranked], dtype=np.intp)
+        coef, scale = (np.array(f, dtype=dtype)[:, None, None] for f in zip(*self.factors))
+        return scaled.padded_phantoms(self.big, dtype), positions, coef, scale
 
     def prices(self, X):
         """(true, cost) of one block: ``true`` is (profile, slot), each
         profile sorted, and ``cost`` (component, profile, slot) the cost of
         an agent at ``true[profile, slot]``. Every part's output reads the
         profile alone, so an agent's cost depends only on its own location."""
-        scaled = self.scaled
+        scaled, (phantoms, positions, coef, scale) = self.scaled, self.arrays
+        X = np.array(X, dtype=self.dtype)
         true = np.sort(X, axis=1)
         out = np.empty((len(scaled.u), len(X)), dtype=self.dtype)
-        if self.clip:
-            out[self.clip] = order_statistics(true, self.phantoms, self.positions)
+        if scaled.ranked:
+            out[[c for c, _, _ in scaled.ranked]] = order_statistics(true, phantoms, positions)
         for c, j in scaled.dictators:
             out[c] = X[:, j]
         for c in scaled.averages:
             out[c] = X.sum(axis=1)
-        cost = self.scale * true - out[..., None]
+        cost = scale * true - out[..., None]
         np.abs(cost, out=cost)
-        np.multiply(cost, self.coef, out=cost)
+        np.multiply(cost, coef, out=cost)
         if self.combine:
             cost = cost.sum(axis=0, keepdims=True)
         return true, cost
 
+    def row_hit(self, X):
+        """The first failure (component, (profile, prices)) of the one
+        profile X, or None: :meth:`prices` and :func:`spf_fails` of a block
+        of one profile, in Python ints."""
+        scaled = self.scaled
+        true, out = sorted(X), [0] * len(scaled.u)
+        for c, fins, t in scaled.ranked:
+            out[c] = sorted([*true, *fins])[t] if fins else true[t]
+        for c, j in scaled.dictators:
+            out[c] = X[j]
+        for c in scaled.averages:
+            out[c] = sum(X)
+        cost = [[k * abs(s * x - y) for x in true] for (k, s), y in zip(self.factors, out)]
+        if self.combine:
+            cost = [list(map(sum, zip(*cost)))]
+        component = spf_first_row(true, cost, scaled.wden)
+        return None if component is None else (component, (tuple(X), dict(zip(true, cost[component]))))
+
     def first_violation(self):
         """(component, (profile, prices)) of the first profile that
         :func:`spf_fails` marks, or None: ``prices`` maps each location of
-        the profile to that component's cost there."""
+        the profile to that component's cost there.
+
+        The first block of :func:`profile_blocks`, where almost every
+        failing check stops, runs in Python ints (:meth:`row_hit`), which
+        cost less there than numpy's set-up and small-array calls, and reads
+        only the profiles it needs. Each of its profiles is a block to
+        :func:`first_failure`, so the hit is still the first in (component,
+        profile) order; the arrays' blocks start again from the next one."""
         wden = self.scaled.wden
 
-        def block_hit(X):
-            true, cost = self.prices(X)
+        def block_hit(profiles):
+            true, cost = self.prices(profiles)
             flat = first_hit(spf_fails(true, cost, wden))
             if flat is None:
                 return None
             component, row, _ = np.unravel_index(flat, cost.shape)
             prices = {int(x): int(c) for x, c in zip(true[row], cost[component, row])}
-            return int(component), (tuple(int(v) for v in X[row]), prices)
+            return int(component), (tuple(profiles[row]), prices)
 
-        return first_failure(self.blocks(), block_hit)
+        profiles = iter(self.profiles)
+        rows = map(self.row_hit, islice(profiles, min(self.block_profiles, 8)))
+        return first_failure(chain(rows, map(block_hit, profile_blocks(profiles, self.block_profiles))))
 
 
 def spf_fails(true, cost, scale):
@@ -593,3 +627,15 @@ def spf_fails(true, cost, scale):
     high = np.maximum.accumulate(g, axis=1)
     low = np.minimum.accumulate(g[:, ::-1], axis=1)[:, ::-1]
     return cost > scale * ((n - 1) * spread + low - high)
+
+
+def spf_first_row(true, costs, scale):
+    """The first row of ``costs`` in which :func:`spf_fails` marks a slot,
+    or None: ``true`` is one sorted profile and each row its slots' costs,
+    all Python ints. The slots' bounds are the block rule's, computed once
+    for every row."""
+    n, spread = len(true), true[-1] - true[0]
+    g = [n * x - k * spread for k, x in enumerate(true)]
+    high, low = accumulate(g, max), list(accumulate(reversed(g), min))[::-1]
+    bounds = [scale * ((n - 1) * spread + b - a) for a, b in zip(high, low)]
+    return next((i for i, cost in enumerate(costs) if any(map(gt, cost, bounds))), None)

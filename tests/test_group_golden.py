@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from proploc import axioms
+from proploc import axioms, sweep
 from proploc.core import MechanismError
 from proploc.mechanisms import build_mechanism
 
@@ -42,3 +42,23 @@ def test_group_verdicts_match_golden_catalog(row):
         if verdict.failed:
             assert axioms.recheck_witness(mechanism, verdict), (axiom, variant, verdict)
     assert verdicts == row["verdicts"]
+
+
+@pytest.mark.parametrize("domain", ["unit_interval", "real_line"])
+def test_first_block_failures_price_no_numpy_block(domain, monkeypatch):
+    """Random Rank's universal SPF and Strong Proportionality at n=4 fail in
+    the sweep's first block, which runs in Python ints: with the block
+    pricing of ``GroupSweep`` refused, both still FAIL with their golden
+    witnesses, so no numpy block was priced."""
+
+    def refuse(self, X):
+        raise AssertionError("a numpy block was priced")
+
+    monkeypatch.setattr(sweep.GroupSweep, "prices", refuse)
+    row = next(r for r in GOLDEN["rows"] if (r["mechanism"], r["n"], r["domain"]) == ("random_rank", 4, domain))
+    dom = axioms.CheckDomain(n=4, grid=GOLDEN["grids"][domain], domain=domain)
+    mechanism = build_mechanism("random_rank", 4, domain)
+    for axiom in ("spf", "strong_proportionality"):
+        verdict = axioms.run_check(axiom, mechanism, dom, axioms.UNIVERSAL)
+        assert verdict.failed
+        assert verdict.to_json() == row["verdicts"][GOLDEN["cells"].index(f"{axiom} universal")]

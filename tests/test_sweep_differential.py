@@ -26,6 +26,7 @@ from hypothesis import example, given, settings, strategies as st
 from proploc import analysis, axioms, sweep
 from proploc.core import (
     NEG_INF,
+    ONE,
     POS_INF,
     REAL_LINE,
     UNIT_INTERVAL,
@@ -46,6 +47,8 @@ from proploc.core import (
 )
 from proploc.mechanisms import build_mechanism, format_mechanism
 from proploc.sweep import Scaled, SpSweep
+
+from test_rule_hooks import INSIDE, UNEQUAL_DICTATORS, _cases as rule_hook_cases
 
 
 def _finite_phantoms(mechs):
@@ -327,11 +330,11 @@ def test_first_failure_keeps_the_earliest_component():
             read.append(index)
             yield index
 
-    assert sweep.first_failure(blocks(), hits.__getitem__) == (0, "e")
+    assert sweep.first_failure(map(hits.__getitem__, blocks())) == (0, "e")
     assert read == list(range(7))
     # Without a hit in component 0 every block is read; ties keep the first.
-    assert sweep.first_failure(iter(hits[:6]), lambda hit: hit) == (1, "b")
-    assert sweep.first_failure(iter(range(3)), lambda block: None) is None
+    assert sweep.first_failure(iter(hits[:6])) == (1, "b")
+    assert sweep.first_failure(iter([None] * 3)) is None
 
 
 @pytest.mark.parametrize(
@@ -436,7 +439,7 @@ def test_block_temporaries_fit_block_elements(domain, mechs, limit):
                     _, _, candidates, deviating, _ = sp.costs(X)
                     assert max(candidates.size, deviating.size) <= limit
                 for swept in (group, spf):
-                    for X in swept.blocks():
+                    for X in sweep.profile_blocks(swept.profiles, swept.block_profiles):
                         true, cost = swept.prices(X)
                         assert sweep.spf_fails(true, cost, scaled.wden).size <= limit
             assert kernel.call_count > 2
@@ -590,20 +593,76 @@ def test_group_sweep_tiny_blocks_keep_order(case):
         _assert_group_verdicts_match(*case)
 
 
+def _int64_guard_case(domain):
+    """(mixture, check domain): a phantom whose 61-bit denominator pushes
+    the scaled values past the int64 guard, beside the average and a rank,
+    at n=2, grid 2."""
+    q = 2**61 - 1
+    y = F(q // 3, q)
+    vector = (F(0), y, F(1)) if domain == UNIT_INTERVAL else (NEG_INF, y, POS_INF)
+    mechs = ((Phantom(vector), F(1, 2)), (Average(), F(1, 4)), (RankK(1), F(1, 4)))
+    return RandomizedMechanism(2, domain, mechs), axioms.CheckDomain(n=2, grid=2, domain=domain)
+
+
 @pytest.mark.parametrize("domain", [UNIT_INTERVAL, REAL_LINE])
 def test_group_sweep_large_denominators_take_python_int_path(domain):
     """A 61-bit phantom denominator pushes the scaled values past the int64
     bound, so the group sweep runs on Python ints; verdicts agree."""
-    q = 2**61 - 1
-    y = F(q // 3, q)
-    vector = (F(0), y, F(1)) if domain == UNIT_INTERVAL else (NEG_INF, y, POS_INF)
-    mechs = (Phantom(vector), Average(), RankK(1))
-    mixture = RandomizedMechanism(2, domain, tuple(zip(mechs, (F(1, 2), F(1, 4), F(1, 4)))))
-    dom = axioms.CheckDomain(n=2, grid=2, domain=domain)
+    mixture, dom = _int64_guard_case(domain)
     scaled = Scaled(mixture.components, dom.n, dom.domain, dom.grid)
     two_valued = sweep.two_valued_profiles(scaled.grid_ints, dom.n, scaled.anonymous(True))
     assert sweep.GroupSweep(scaled, two_valued, combine=True).dtype is object
     _assert_group_verdicts_match(mixture, dom)
+
+
+def _numpy_first_hit(group, profiles):
+    """The block engine's first failure on ``profiles``, one block:
+    ``prices``, ``spf_fails`` and ``first_hit``."""
+    true, cost = group.prices(profiles)
+    flat = sweep.first_hit(sweep.spf_fails(true, cost, group.scaled.wden))
+    if flat is None:
+        return None
+    component, row, _ = np.unravel_index(flat, cost.shape)
+    prices = {int(x): int(c) for x, c in zip(true[row], cost[component, row])}
+    return int(component), (tuple(int(v) for v in profiles[row]), prices)
+
+
+def _rule_hook_case(n, domain, grid, parts):
+    """(mixture, check domain) of (part, weight) pairs."""
+    return RandomizedMechanism(n, domain, tuple(parts)), axioms.CheckDomain(n=n, grid=grid, domain=domain)
+
+
+@given(rule_hook_cases())
+@example(INSIDE)
+@example(UNEQUAL_DICTATORS)
+@example(_rule_hook_case(3, UNIT_INTERVAL, 2, [(Phantom((F(0), F(1, 3), F(1, 2), F(1))), F(1, 2)), (RankK(1), F(1, 2))]))
+@example(_rule_hook_case(3, UNIT_INTERVAL, 2, [(Dictator(1), F(1, 2)), (Dictator(2), F(1, 3)), (RankK(2), F(1, 6))]))
+@example(_rule_hook_case(3, UNIT_INTERVAL, 3, [(Average(), F(2, 3)), (RankK(3), F(1, 3))]))
+@example(_rule_hook_case(3, REAL_LINE, 1, [(Phantom((NEG_INF, F(-1, 2), F(3, 2), POS_INF)), F(1, 2)),
+                                          (Average(), F(1, 2))]))
+@example(_int64_guard_case(UNIT_INTERVAL))
+@example(_int64_guard_case(REAL_LINE))
+def test_first_block_in_python_ints_matches_the_numpy_block(case):
+    """``GroupSweep.first_violation`` decides its first block, the one
+    ``profile_blocks`` yields, in Python ints: on those profiles alone it
+    finds the numpy block's first failure, its component, profile and
+    prices, for both enumerations, with ``combine`` (the mixture) and
+    without it (each part at weight 1, a family as its swept realisation),
+    on int64 and on object blocks. The examples hold interior phantoms,
+    ordered profiles of unequal dictators, the average, a real-line vector
+    with infinite ends and denominators past the int64 guard."""
+    mixture, dom = case
+    n = dom.n
+    family = [(Phantom((F(0),) * n + (F(1),)), ONE)] if mixture.has_continuous else []
+    for combine, parts in ((True, mixture.forms), (False, [(form, ONE) for form, _ in mixture.forms] + family)):
+        if not parts:
+            continue
+        scaled = Scaled(parts, n, dom.domain, dom.grid)
+        for profiles in (axioms._two_valued_grid, sweep.sweep_profiles):
+            group = sweep.GroupSweep(scaled, profiles(scaled, combine), combine)
+            first = next(sweep.profile_blocks(group.profiles, group.block_profiles), [])
+            expected = _numpy_first_hit(group, first) if first else None
+            assert sweep.GroupSweep(scaled, iter(first), combine).first_violation() == expected
 
 
 @pytest.mark.parametrize("domain", [UNIT_INTERVAL, REAL_LINE])
@@ -861,8 +920,10 @@ def test_spf_window_test_matches_every_subset(case, scale):
     exactly when some member of some subset S is priced above
     scale * ((n - |S|) * R + n * r), the definition in
     ``axioms._spf_violation``, on int64 arrays and on the ``Fraction``
-    object arrays of the exact path. Costs lean to 0, so profiles with one
-    priced agent, whose every window must be tried, come up often."""
+    object arrays of the exact path, and so does its row form,
+    ``sweep.spf_first_row``, on Python ints, behind a row that costs
+    nothing. Costs lean to 0, so profiles with one priced agent, whose
+    every window must be tried, come up often."""
     xs, costs = case
     xs.sort()
     n, spread = len(xs), xs[-1] - xs[0]
@@ -874,6 +935,7 @@ def test_spf_window_test_matches_every_subset(case, scale):
     )
     true = np.array([xs], dtype=np.int64)
     assert bool(sweep.spf_fails(true, np.array([costs]), scale).any()) == expected
+    assert sweep.spf_first_row(xs, [[0] * n, costs], scale) == (1 if expected else None)
     # The exact path's form: prices, reports and scale as Fractions over a
     # common denominator, which divides out of both sides.
     true = np.array([[F(x, 6) for x in xs]], dtype=object)
